@@ -5,9 +5,11 @@
 //! event-driven baseline is the robust one. [`GuardedSimulator`] runs
 //! the fastest engine that fits a [`ResourceLimits`] budget and falls
 //! back down [`GuardedSimulator::DEFAULT_CHAIN`] whenever an engine
-//! fails to compile, blows its budget, or panics mid-run — replaying
-//! the vector log into the next engine so retention state stays
-//! consistent. Every fallback is recorded; nothing fails silently.
+//! fails to compile, blows its budget, or panics mid-run. The next
+//! engine starts from a settled-state checkpoint — the zero-delay state
+//! of the last vector run, which is all a combinational circuit retains
+//! — so the guard holds O(1) state however long the stream. Every
+//! fallback is recorded; nothing fails silently.
 //!
 //! Panics are contained with [`std::panic::catch_unwind`]: a buggy
 //! engine surfaces as [`SimErrorKind::EnginePanicked`] instead of
@@ -21,6 +23,7 @@
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 
+use uds_eventsim::zero_delay::stable_states;
 use uds_netlist::{NetId, Netlist, NoopProbe, Probe, ResourceLimits};
 use uds_parallel::{Optimization, ParallelSim, Word};
 use uds_pcset::PcSetSimulator;
@@ -29,16 +32,18 @@ use crate::error::{FailureClass, SimError, SimErrorKind, SimPhase};
 use crate::telemetry::Telemetry;
 use crate::{crosscheck, Engine, TracedEventSim, UnitDelaySimulator, WordWidth};
 
-/// Renders a panic payload to text (panics carry `&str` or `String`;
+/// The typed error for a panic `engine` raised during `phase`. The
+/// message is the payload's text (panics carry `&str` or `String`;
 /// anything else gets a placeholder).
-fn panic_message(payload: Box<dyn Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
+fn panicked(payload: Box<dyn Any + Send>, phase: SimPhase, engine: Engine) -> SimError {
+    let message = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "non-string panic payload".to_owned()
-    }
+    };
+    SimError::new(SimErrorKind::EnginePanicked { message }, phase).with_engine(engine)
 }
 
 /// Builds engines for a [`GuardedSimulator`]. The default factory
@@ -212,13 +217,7 @@ impl EngineFactory for MonitoringEngineFactory {
         };
         match panic::catch_unwind(AssertUnwindSafe(build)) {
             Ok(result) => result.map_err(attach),
-            Err(payload) => Err(SimError::new(
-                SimErrorKind::EnginePanicked {
-                    message: panic_message(payload),
-                },
-                SimPhase::Compile,
-            )
-            .with_engine(engine)),
+            Err(payload) => Err(panicked(payload, SimPhase::Compile, engine)),
         }
     }
 
@@ -335,13 +334,7 @@ pub fn build_engine_with_limits_probed_word(
     };
     match panic::catch_unwind(AssertUnwindSafe(build)) {
         Ok(result) => result.map_err(attach),
-        Err(payload) => Err(SimError::new(
-            SimErrorKind::EnginePanicked {
-                message: panic_message(payload),
-            },
-            SimPhase::Compile,
-        )
-        .with_engine(engine)),
+        Err(payload) => Err(panicked(payload, SimPhase::Compile, engine)),
     }
 }
 
@@ -379,9 +372,9 @@ pub struct FiredFallback {
 ///
 /// Construction tries each engine in the chain until one compiles
 /// within budget. Per-vector runs are panic-contained: a mid-run panic
-/// triggers a fallback, and the full vector log is replayed into the
-/// next engine so retained state (each vector's dependence on the
-/// previous one) is preserved bit-exactly.
+/// triggers a fallback, the next engine is restored to the
+/// [`Checkpoint`] and re-runs the failed vector, so retained state (each
+/// vector's dependence on the previous one) is preserved bit-exactly.
 pub struct GuardedSimulator {
     netlist: Netlist,
     limits: ResourceLimits,
@@ -390,12 +383,34 @@ pub struct GuardedSimulator {
     active: Box<dyn UnitDelaySimulator>,
     factory: Box<dyn EngineFactory>,
     fired: Vec<FiredFallback>,
-    replay: Vec<Vec<bool>>,
-    /// Stable state applied before any vector (see
-    /// [`GuardedSimulator::seed_stable`]); a degradation must re-apply
-    /// it to the fresh engine before replaying the vector log.
-    seed: Option<Vec<bool>>,
+    checkpoint: Checkpoint,
     telemetry: Option<Telemetry>,
+}
+
+/// The state a replacement engine must start from: the settled state
+/// the active engine holds. For a combinational circuit that is the
+/// zero-delay value of the last vector alone (DESIGN.md §12), so the
+/// checkpoint keeps that vector, not the run.
+#[derive(Clone)]
+struct Checkpoint {
+    /// Stable state applied by [`GuardedSimulator::seed_stable`];
+    /// restored while no vector has run since.
+    seed: Option<Vec<bool>>,
+    /// The last vector run, in a buffer reused for every vector.
+    last_inputs: Vec<bool>,
+    /// Vectors run since construction or the last seed.
+    vectors: usize,
+}
+
+impl Checkpoint {
+    /// The stable state to seed a replacement engine with, or `None`
+    /// for the power-up state a fresh engine already holds.
+    fn settled_state(&self, netlist: &Netlist) -> Result<Option<Vec<bool>>, SimError> {
+        if self.vectors == 0 {
+            return Ok(self.seed.clone());
+        }
+        Ok(stable_states(netlist, [self.last_inputs.as_slice()])?.pop())
+    }
 }
 
 /// Records one fallback into the registry: the degradation itself plus
@@ -416,7 +431,7 @@ impl std::fmt::Debug for GuardedSimulator {
             .field("chain", &self.chain)
             .field("active", &self.active_engine())
             .field("fallbacks_fired", &self.fired.len())
-            .field("vectors_run", &self.replay.len())
+            .field("vectors_run", &self.checkpoint.vectors)
             .finish_non_exhaustive()
     }
 }
@@ -553,8 +568,11 @@ impl GuardedSimulator {
                         active,
                         factory,
                         fired,
-                        replay: Vec::new(),
-                        seed: None,
+                        checkpoint: Checkpoint {
+                            seed: None,
+                            last_inputs: vec![false; netlist.primary_inputs().len()],
+                            vectors: 0,
+                        },
                         telemetry,
                     })
                 }
@@ -580,22 +598,23 @@ impl GuardedSimulator {
 
     /// Seeds the guard with a stable state (parallel to the netlist's
     /// nets), as if every vector leading there had been simulated. The
-    /// vector log restarts from the seed, so a later degradation seeds
-    /// the replacement engine the same way before replaying — results
+    /// checkpoint restarts from the seed, so a degradation before the
+    /// next vector seeds the replacement engine the same way — results
     /// stay bit-exact across fallbacks. The batch runner seeds each
     /// shard with the zero-delay settled state of its boundary vector.
     pub fn seed_stable(&mut self, stable: &[bool]) {
         self.active.seed_stable(stable);
-        self.seed = Some(stable.to_vec());
-        self.replay.clear();
+        self.checkpoint.seed = Some(stable.to_vec());
+        self.checkpoint.vectors = 0;
     }
 
     /// A fresh guard sharing this one's netlist, budget, chain,
-    /// factory, and active engine (cloned with its compiled program),
-    /// but with an empty vector log and no telemetry registry — workers
-    /// report timings back to the coordinating thread instead of
-    /// contending on a shared registry. Fallbacks already fired are not
-    /// inherited; each fork degrades independently.
+    /// factory, checkpoint and active engine (cloned with its compiled
+    /// program and state), but no telemetry registry — workers report
+    /// timings back to the coordinating thread instead of contending on
+    /// a shared registry. Fallbacks already fired are not inherited;
+    /// each fork degrades independently, from the state it was forked
+    /// in.
     pub fn fork(&self) -> GuardedSimulator {
         GuardedSimulator {
             netlist: self.netlist.clone(),
@@ -605,8 +624,7 @@ impl GuardedSimulator {
             active: self.active.clone_box(),
             factory: self.factory.clone_box(),
             fired: Vec::new(),
-            replay: Vec::new(),
-            seed: self.seed.clone(),
+            checkpoint: self.checkpoint.clone(),
             telemetry: None,
         }
     }
@@ -616,9 +634,10 @@ impl GuardedSimulator {
         &self.fired
     }
 
-    /// Number of vectors successfully simulated so far.
+    /// Number of vectors successfully simulated since construction or
+    /// the last [`GuardedSimulator::seed_stable`].
     pub fn vectors_run(&self) -> usize {
-        self.replay.len()
+        self.checkpoint.vectors
     }
 
     /// The active engine as a trait object — for consumers like the VCD
@@ -629,51 +648,18 @@ impl GuardedSimulator {
 
     /// Runtime counters of the active engine (see
     /// [`UnitDelaySimulator::run_counters`]). Counts reset when a
-    /// fallback replaces the engine — the replacement replays the
-    /// vector log, so its totals cover the whole run.
+    /// fallback replaces the engine: they cover only what the surviving
+    /// engine ran, from the vector it took over on.
     pub fn run_counters(&self) -> Vec<(&'static str, u64)> {
         self.active.run_counters()
     }
 
     /// Simulates one vector, panic-contained. On an engine panic the
     /// chain degrades: the remaining engines are tried in order, each
-    /// fed the complete vector log before the current vector. Returns
+    /// restored to the checkpoint before re-running the vector. Returns
     /// the engine that (finally) ran the vector.
     pub fn simulate_vector(&mut self, inputs: &[bool]) -> Result<Engine, SimError> {
-        let expected = self.netlist.primary_inputs().len();
-        if inputs.len() != expected {
-            return Err(SimError::new(
-                SimErrorKind::VectorWidth {
-                    expected,
-                    got: inputs.len(),
-                },
-                SimPhase::Run,
-            )
-            .with_engine(self.active_engine()));
-        }
-        self.limits
-            .check_deadline()
-            .map_err(|e| SimError::new(SimErrorKind::Budget(e), SimPhase::Run))?;
-        loop {
-            let active = &mut self.active;
-            let run = panic::catch_unwind(AssertUnwindSafe(|| active.simulate_vector(inputs)));
-            match run {
-                Ok(()) => {
-                    self.replay.push(inputs.to_vec());
-                    return Ok(self.active_engine());
-                }
-                Err(payload) => {
-                    let error = SimError::new(
-                        SimErrorKind::EnginePanicked {
-                            message: panic_message(payload),
-                        },
-                        SimPhase::Run,
-                    )
-                    .with_engine(self.active_engine());
-                    self.degrade(error)?;
-                }
-            }
-        }
+        self.step(inputs, |sim, inputs| sim.simulate_vector(inputs))
     }
 
     /// [`GuardedSimulator::simulate_vector`] with per-level time
@@ -685,7 +671,7 @@ impl GuardedSimulator {
     /// observability, not simulation state, so it is never rolled back.
     ///
     /// The guard's own per-vector bookkeeping (width/deadline checks,
-    /// panic containment, the replay-log append) happens between the
+    /// panic containment, the checkpoint update) happens between the
     /// engine's timer lifetimes, so this wrapper times the whole call
     /// and attributes the engine-unattributed remainder to level 0 —
     /// per-vector setup by definition — keeping the sum contract
@@ -698,7 +684,26 @@ impl GuardedSimulator {
     ) -> Result<Engine, SimError> {
         let call_clock = std::time::Instant::now();
         let attributed_before = profile.total_self_ns();
-        let expected = self.netlist.primary_inputs().len();
+        let engine = self.step(inputs, |sim, inputs| {
+            sim.simulate_vector_leveled(inputs, profile)
+        })?;
+        let call_ns = u64::try_from(call_clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let engine_ns = profile.total_self_ns() - attributed_before;
+        profile.ensure_level(0);
+        profile.levels[0].self_ns += call_ns.saturating_sub(engine_ns);
+        Ok(engine)
+    }
+
+    /// The per-vector step both entry points share: checks width and
+    /// deadline, runs `run` on the active engine panic-contained
+    /// (degrading and retrying on a panic), then moves the checkpoint
+    /// to `inputs` — a copy into a reused buffer, no allocation.
+    fn step(
+        &mut self,
+        inputs: &[bool],
+        mut run: impl FnMut(&mut dyn UnitDelaySimulator, &[bool]),
+    ) -> Result<Engine, SimError> {
+        let expected = self.checkpoint.last_inputs.len();
         if inputs.len() != expected {
             return Err(SimError::new(
                 SimErrorKind::VectorWidth {
@@ -713,28 +718,15 @@ impl GuardedSimulator {
             .check_deadline()
             .map_err(|e| SimError::new(SimErrorKind::Budget(e), SimPhase::Run))?;
         loop {
-            let active = &mut self.active;
-            let run = panic::catch_unwind(AssertUnwindSafe(|| {
-                active.simulate_vector_leveled(inputs, profile)
-            }));
-            match run {
+            let active = self.active.as_mut();
+            match panic::catch_unwind(AssertUnwindSafe(|| run(active, inputs))) {
                 Ok(()) => {
-                    self.replay.push(inputs.to_vec());
-                    let call_ns =
-                        u64::try_from(call_clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    let engine_ns = profile.total_self_ns() - attributed_before;
-                    profile.ensure_level(0);
-                    profile.levels[0].self_ns += call_ns.saturating_sub(engine_ns);
+                    self.checkpoint.last_inputs.copy_from_slice(inputs);
+                    self.checkpoint.vectors += 1;
                     return Ok(self.active_engine());
                 }
                 Err(payload) => {
-                    let error = SimError::new(
-                        SimErrorKind::EnginePanicked {
-                            message: panic_message(payload),
-                        },
-                        SimPhase::Run,
-                    )
-                    .with_engine(self.active_engine());
+                    let error = panicked(payload, SimPhase::Run, self.active_engine());
                     self.degrade(error)?;
                 }
             }
@@ -748,15 +740,16 @@ impl GuardedSimulator {
     }
 
     /// Abandons the active engine for the given reason and brings up
-    /// the next one in the chain that can compile *and* replay the
-    /// vector log. Errors with [`SimErrorKind::ChainExhausted`] when no
-    /// engine remains.
+    /// the next one in the chain that can compile *and* take the
+    /// checkpoint's settled state. Errors with
+    /// [`SimErrorKind::ChainExhausted`] when no engine remains.
     fn degrade(&mut self, error: SimError) -> Result<(), SimError> {
         note_fallback(self.telemetry.as_ref(), &error);
         self.fired.push(FiredFallback {
             from: self.active_engine(),
             error,
         });
+        let settled = self.checkpoint.settled_state(&self.netlist)?;
         let noop = NoopProbe;
         for position in self.position + 1..self.chain.len() {
             let engine = self.chain[position];
@@ -767,30 +760,16 @@ impl GuardedSimulator {
             let candidate = self
                 .factory
                 .build_probed(&self.netlist, engine, &self.limits, probe)
-                .and_then(|mut sim| {
-                    let replayed = panic::catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(seed) = &self.seed {
-                            sim.seed_stable(seed);
-                        }
-                        for vector in &self.replay {
-                            sim.simulate_vector(vector);
-                        }
-                    }));
-                    match replayed {
-                        Ok(()) => Ok(sim),
-                        Err(payload) => Err(SimError::new(
-                            SimErrorKind::EnginePanicked {
-                                message: panic_message(payload),
-                            },
-                            SimPhase::Run,
-                        )
-                        .with_engine(engine)),
-                    }
+                .and_then(|mut sim| match &settled {
+                    None => Ok(sim),
+                    Some(state) => panic::catch_unwind(AssertUnwindSafe(|| sim.seed_stable(state)))
+                        .map(|()| sim)
+                        .map_err(|payload| panicked(payload, SimPhase::Run, engine)),
                 });
             match candidate {
                 Ok(sim) => {
                     if let Some(telemetry) = &self.telemetry {
-                        telemetry.add("guard.replayed_vectors", self.replay.len() as u64);
+                        telemetry.add("guard.checkpoint_restores", 1);
                     }
                     self.active = sim;
                     self.position = position;
@@ -828,26 +807,23 @@ impl GuardedSimulator {
     }
 
     /// Cross-checks the surviving engine against a fresh event-driven
-    /// baseline by replaying the complete vector log through both
-    /// (using [`crosscheck::run`]), panic-contained. A divergence is a
-    /// [`SimErrorKind::Mismatch`]; agreement means every answer this
-    /// simulator produced is bit-exact with the baseline.
-    pub fn crosscheck_baseline(&self) -> Result<(), SimError> {
+    /// baseline by running `stimulus` through both from power-up (using
+    /// [`crosscheck::run`]), panic-contained. Pass the stream this guard
+    /// ran to prove its answers: a divergence is a
+    /// [`SimErrorKind::Mismatch`]; agreement means every answer the
+    /// survivor gives on that stream is bit-exact with the baseline.
+    pub fn crosscheck_baseline(
+        &self,
+        stimulus: impl IntoIterator<Item = Vec<bool>>,
+    ) -> Result<(), SimError> {
         let engine = self.active_engine();
-        let mut baseline: Box<dyn UnitDelaySimulator> = Box::new(
-            TracedEventSim::new(&self.netlist)
-                .map_err(|e| SimError::from(e).with_engine(engine))?,
-        );
-        let mut candidate = self.factory.build(&self.netlist, engine, &self.limits)?;
-        if let Some(seed) = &self.seed {
-            baseline.seed_stable(seed);
-            candidate.seed_stable(seed);
-        }
-        let mut sims = vec![baseline, candidate];
+        let baseline = TracedEventSim::new(&self.netlist)
+            .map_err(|e| SimError::from(e).with_engine(engine))?;
+        let candidate = self.factory.build(&self.netlist, engine, &self.limits)?;
+        let mut sims: Vec<Box<dyn UnitDelaySimulator>> = vec![Box::new(baseline), candidate];
         let netlist = &self.netlist;
-        let replay = &self.replay;
         let checked = panic::catch_unwind(AssertUnwindSafe(|| {
-            crosscheck::run(netlist, &mut sims, replay.iter().cloned())
+            crosscheck::run(netlist, &mut sims, stimulus)
         }));
         match checked {
             Ok(Ok(())) => Ok(()),
@@ -857,13 +833,7 @@ impl GuardedSimulator {
                 }
                 Err(SimError::from(mismatch).with_engine(engine))
             }
-            Err(payload) => Err(SimError::new(
-                SimErrorKind::EnginePanicked {
-                    message: panic_message(payload),
-                },
-                SimPhase::CrossCheck,
-            )
-            .with_engine(engine)),
+            Err(payload) => Err(panicked(payload, SimPhase::CrossCheck, engine)),
         }
     }
 }
@@ -915,19 +885,21 @@ mod tests {
         }
         // The survivor still answers correctly.
         guarded.simulate_vector(&[true]).unwrap();
-        guarded.crosscheck_baseline().unwrap();
+        guarded.crosscheck_baseline([vec![true]]).unwrap();
     }
 
     #[test]
     fn guarded_results_match_baseline() {
         let nl = c17();
         let mut guarded = GuardedSimulator::new(&nl, ResourceLimits::production()).unwrap();
-        for pattern in 0u32..32 {
-            let inputs: Vec<bool> = (0..5).map(|i| pattern >> i & 1 != 0).collect();
-            guarded.simulate_vector(&inputs).unwrap();
+        let stimulus: Vec<Vec<bool>> = (0u32..32)
+            .map(|pattern| (0..5).map(|i| pattern >> i & 1 != 0).collect())
+            .collect();
+        for inputs in &stimulus {
+            guarded.simulate_vector(inputs).unwrap();
         }
         assert_eq!(guarded.vectors_run(), 32);
-        guarded.crosscheck_baseline().unwrap();
+        guarded.crosscheck_baseline(stimulus).unwrap();
     }
 
     #[test]
@@ -967,11 +939,13 @@ mod tests {
                 FailureClass::Toolchain
             );
         }
-        for pattern in 0u32..32 {
-            let inputs: Vec<bool> = (0..5).map(|i| pattern >> i & 1 != 0).collect();
-            guarded.simulate_vector(&inputs).unwrap();
+        let stimulus: Vec<Vec<bool>> = (0u32..32)
+            .map(|pattern| (0..5).map(|i| pattern >> i & 1 != 0).collect())
+            .collect();
+        for inputs in &stimulus {
+            guarded.simulate_vector(inputs).unwrap();
         }
-        guarded.crosscheck_baseline().unwrap();
+        guarded.crosscheck_baseline(stimulus).unwrap();
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! wrapper copies the arena *into* the object (`uds_state_set`), runs
 //! `simulate_one_vector`, and copies it back out (`uds_state_get`).
 //! Two memcpys per vector buy full correctness for clones, seeding,
-//! reset, history readback, and fallback replay — every query path
+//! reset, history readback, and checkpoint restores — every query path
 //! simply reads the twin.
 //!
 //! # Artifact cache

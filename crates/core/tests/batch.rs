@@ -5,8 +5,13 @@
 //! [`RandomVectors`]).
 
 use uds_core::chaos::{ChaosFactory, Fault, FaultPlan};
+use uds_core::guard::EngineFactory;
 use uds_core::vectors::RandomVectors;
-use uds_core::{run_batch, DefaultEngineFactory, Engine, GuardedSimulator, Telemetry, WordWidth};
+use uds_core::{
+    run_batch, DefaultEngineFactory, Engine, GuardedSimulator, MonitoringEngineFactory, Telemetry,
+    TracedEventSim, UnitDelaySimulator, WordWidth,
+};
+use uds_eventsim::zero_delay::stable_states;
 use uds_netlist::generators::random::{layered, LayeredConfig};
 use uds_netlist::{Netlist, ResourceLimits};
 
@@ -162,4 +167,103 @@ fn forked_guards_inherit_the_prototype_seed() {
     prototype.seed_stable(&settled);
     let out = run_batch(&nl, &prototype, &vectors[10..], 3, None).unwrap();
     assert_eq!(out.rows.as_slice(), &expected[10..]);
+}
+
+#[test]
+fn a_seeded_engine_reproduces_the_sequential_waveforms_exactly() {
+    // The guard's checkpoint rests on this: an engine seeded with the
+    // zero-delay state of vector k-1 runs vector k exactly as the
+    // engine that ran the whole stream does — settled values *and*
+    // every waveform it keeps.
+    let nl = circuit();
+    let vectors = stimulus(&nl, 39);
+    let settled = stable_states(&nl, vectors.iter().map(Vec::as_slice)).unwrap();
+    let limits = ResourceLimits::production();
+    for word in [WordWidth::W32, WordWidth::W64] {
+        let factories: [(&str, Box<dyn EngineFactory>); 2] = [
+            ("default", Box::new(DefaultEngineFactory::with_word(word))),
+            (
+                "monitoring",
+                Box::new(MonitoringEngineFactory::with_word(word)),
+            ),
+        ];
+        for (factory_name, factory) in &factories {
+            for engine in Engine::ALL {
+                let fresh = factory.build(&nl, engine, &limits).unwrap();
+                let mut sequential = fresh.clone_box();
+                sequential.simulate_vector(&vectors[0]);
+                for k in 1..vectors.len() {
+                    sequential.simulate_vector(&vectors[k]);
+                    let mut seeded = fresh.clone_box();
+                    seeded.seed_stable(&settled[k - 1]);
+                    seeded.simulate_vector(&vectors[k]);
+                    for net in nl.net_ids() {
+                        let at = || {
+                            format!(
+                                "{engine} {factory_name} word={word} vector {k} net {}",
+                                nl.net_name(net)
+                            )
+                        };
+                        assert_eq!(
+                            seeded.final_value(net),
+                            sequential.final_value(net),
+                            "{}",
+                            at()
+                        );
+                        assert_eq!(seeded.history(net), sequential.history(net), "{}", at());
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_fork_taken_mid_run_degrades_from_the_state_it_was_forked_in() {
+    // The prototype runs five vectors; a fork of it runs the sixth, on
+    // which the lead engine panics. The replacement must start from the
+    // fork's checkpoint, not from power-up, so every waveform it keeps
+    // matches the baseline run over all six vectors.
+    let nl = circuit();
+    let vectors = stimulus(&nl, 6);
+    let plan = FaultPlan::single(
+        "panic-after-fork",
+        Fault::RunPanicAt {
+            engine: Engine::ParallelPathTracingTrimming,
+            vector: 5,
+        },
+    );
+    let mut prototype = GuardedSimulator::with_factory(
+        &nl,
+        ResourceLimits::production(),
+        &GuardedSimulator::DEFAULT_CHAIN,
+        Box::new(ChaosFactory::new(plan)),
+    )
+    .unwrap();
+    for vector in &vectors[..5] {
+        prototype.simulate_vector(vector).unwrap();
+    }
+    let mut fork = prototype.fork();
+    assert_eq!(fork.simulate_vector(&vectors[5]).unwrap(), Engine::Parallel);
+    let mut baseline = TracedEventSim::new(&nl).unwrap();
+    for vector in &vectors {
+        baseline.simulate_vector(vector);
+    }
+    let mut compared = 0;
+    let mut differing = Vec::new();
+    for net in nl.net_ids() {
+        assert_eq!(fork.final_value(net), baseline.final_value(net));
+        if let Some(history) = fork.history(net) {
+            compared += 1;
+            if Some(history) != baseline.history(net) {
+                differing.push(nl.net_name(net).to_owned());
+            }
+        }
+    }
+    assert!(compared > 0, "the replacement keeps no waveform to compare");
+    assert!(
+        differing.is_empty(),
+        "{} of {compared} net histories differ from the baseline: {differing:?}",
+        differing.len()
+    );
 }

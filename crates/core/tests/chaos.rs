@@ -64,7 +64,7 @@ fn run_plan(plan: &FaultPlan, chain: &[Engine]) -> Outcome {
         }
     }
     assert_eq!(guarded.vectors_run(), VECTORS);
-    match guarded.crosscheck_baseline() {
+    match guarded.crosscheck_baseline(stim) {
         Ok(()) => Outcome::Verified {
             fallbacks: guarded.fallbacks().len(),
         },
@@ -217,7 +217,7 @@ fn truncated_bench_input_never_panics_the_parser() {
                 let width = nl.primary_inputs().len();
                 let mut guarded = GuardedSimulator::new(&nl, limits).unwrap();
                 guarded.simulate_vector(&vec![true; width]).unwrap();
-                guarded.crosscheck_baseline().unwrap();
+                guarded.crosscheck_baseline([vec![true; width]]).unwrap();
             }
             // Otherwise: a typed, spanned error — never a panic.
             Err(err) => {

@@ -68,7 +68,7 @@ fn guarded_degradation_is_counted() {
     // The survivor's compile metrics made it into the same registry.
     assert!(telemetry.gauge_value("pcset.variables").is_some());
     guarded.simulate_vector(&[true]).unwrap();
-    guarded.crosscheck_baseline().unwrap();
+    guarded.crosscheck_baseline([vec![true]]).unwrap();
     assert_eq!(telemetry.counter("guard.crosscheck_mismatches"), 0);
 }
 

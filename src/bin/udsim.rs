@@ -101,12 +101,12 @@ use std::time::{Duration, Instant};
 use unit_delay_sim::core::vcd::VcdRecorder;
 use unit_delay_sim::core::vectors::RandomVectors;
 use unit_delay_sim::core::{
-    build_engine_with_limits_probed_word, chain_preferring, install_signal_handlers, measure_perf,
-    open_sink, record_build_info, record_perf_class, render_chrome_trace, run_batch_observed,
-    run_loadgen, write_text, ActivityProfiler, BatchActivityObserver, BatchProbe,
-    DefaultEngineFactory, Engine, FailureClass, FanoutProbe, GuardedSimulator, HumanOut,
-    LoadgenConfig, MonitoringEngineFactory, NdjsonProgress, NoopBatchProbe, ServeConfig, SimError,
-    SimServer, StreamContract, Telemetry, WordWidth,
+    chain_preferring, install_signal_handlers, measure_perf, open_sink, record_build_info,
+    record_perf_class, render_chrome_trace, run_batch_observed, run_loadgen, write_text,
+    ActivityProfiler, BatchActivityObserver, BatchProbe, DefaultEngineFactory, Engine,
+    FailureClass, FanoutProbe, GuardedSimulator, HumanOut, LoadgenConfig, MonitoringEngineFactory,
+    NdjsonProgress, NoopBatchProbe, ServeConfig, SimError, SimServer, StreamContract, Telemetry,
+    WordWidth,
 };
 use unit_delay_sim::netlist::stats::CircuitStats;
 use unit_delay_sim::netlist::{levelize, Probe, ResourceLimits};
@@ -446,65 +446,51 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
         t.label("vectors", vectors.to_string());
         record_build_info(t, word.bits());
     }
-    let stimulus: Vec<Vec<bool>> = RandomVectors::new(nl.primary_inputs().len(), seed)
-        .take(vectors)
-        .collect();
+    let width = nl.primary_inputs().len();
+    let stimulus = || RandomVectors::new(width, seed).take(vectors);
 
-    // `--engine native` always runs through the guarded chain: a host
-    // without a C compiler degrades to the interpreted engines instead
-    // of failing the run.
+    // `--engine native` always runs through the full guarded chain: a
+    // host without a C compiler degrades to the interpreted engines
+    // instead of failing the run.
     let native = engine == Some(Engine::Native);
+    let chain = if fallback || native {
+        chain_preferring(engine)
+    } else {
+        vec![engine.unwrap_or(Engine::ParallelPathTracingTrimming)]
+    };
     if let Some(jobs) = jobs {
         if vcd_path.is_some() {
             return Err(CliError::usage(
                 "--vcd needs the sequential waveform and cannot be combined with --jobs",
             ));
         }
-        let chain = if fallback || native {
-            fallback_chain(engine)
-        } else {
-            vec![engine.unwrap_or(Engine::ParallelPathTracingTrimming)]
-        };
         let progress = progress_sink(progress_path.as_deref(), progress_interval)?;
         simulate_batch(
             &nl,
             limits,
             &chain,
             word,
-            &stimulus,
+            &stimulus().collect::<Vec<_>>(),
             jobs,
             crosscheck,
             telemetry.as_ref(),
             progress.as_ref().map(|p| p as &dyn BatchProbe),
             &human,
         )?;
-    } else if fallback || native {
-        let chain = fallback_chain(engine);
+    } else {
+        if crosscheck && !(fallback || native) {
+            return Err(CliError::usage(
+                "--crosscheck requires --fallback or --jobs",
+            ));
+        }
         simulate_guarded(
             &nl,
             limits,
             &chain,
             word,
-            &stimulus,
+            stimulus,
             vcd_path,
             crosscheck,
-            telemetry.as_ref(),
-            &human,
-        )?;
-    } else {
-        if crosscheck {
-            return Err(CliError::usage(
-                "--crosscheck requires --fallback or --jobs",
-            ));
-        }
-        let engine = engine.unwrap_or(Engine::ParallelPathTracingTrimming);
-        simulate_single(
-            &nl,
-            engine,
-            &limits,
-            word,
-            &stimulus,
-            vcd_path,
             telemetry.as_ref(),
             &human,
         )?;
@@ -593,13 +579,6 @@ fn write_trace(path: &str, telemetry: &Telemetry) -> Result<(), CliError> {
         .map_err(|e| CliError::class(format!("writing {path}: {e}"), FailureClass::Usage))
 }
 
-/// The degradation chain for `--fallback` (and `--engine native`): the
-/// requested engine first (when one was named), then the default chain
-/// minus duplicates.
-fn fallback_chain(preferred: Option<Engine>) -> Vec<Engine> {
-    chain_preferring(preferred)
-}
-
 fn print_header(nl: &Netlist, engine: Engine, human: &HumanOut) {
     human.line(format!(
         "# {}: {} gates, {} inputs, {} outputs, engine {engine}",
@@ -636,64 +615,18 @@ fn write_vcd(path: Option<String>, recorder: Option<VcdRecorder>) -> Result<(), 
     Ok(())
 }
 
+/// Every sequential run: the stimulus streams through a guard of
+/// `chain` (one engine unless `--fallback` or native), one vector at a
+/// time, so memory stays flat for any `--vectors`. With `--crosscheck`,
+/// `stimulus` is called again to feed the same stream to the
+/// event-driven baseline.
 #[allow(clippy::too_many_arguments)]
-fn simulate_single(
-    nl: &Netlist,
-    engine: Engine,
-    limits: &ResourceLimits,
-    word: WordWidth,
-    stimulus: &[Vec<bool>],
-    vcd_path: Option<String>,
-    telemetry: Option<&Telemetry>,
-    human: &HumanOut,
-) -> Result<(), CliError> {
-    let noop = unit_delay_sim::netlist::NoopProbe;
-    let probe: &dyn Probe = telemetry.map_or(&noop, |t| t as &dyn Probe);
-    let mut sim = {
-        let _span = telemetry.map(|t| t.span("compile"));
-        build_engine_with_limits_probed_word(nl, engine, limits, probe, word)
-            .map_err(|e| CliError::from(e.with_circuit(nl.name())))?
-    };
-    if let Some(t) = telemetry {
-        t.label("engine", engine.to_string());
-    }
-    let mut recorder = vcd_path
-        .as_ref()
-        .map(|_| VcdRecorder::new(nl, nl.primary_outputs().to_vec()));
-    print_header(nl, engine, human);
-    {
-        let _span = telemetry.map(|t| t.span("simulate"));
-        for (index, vector) in stimulus.iter().enumerate() {
-            sim.simulate_vector(vector);
-            if let Some(t) = telemetry {
-                t.add("run.vectors", 1);
-            }
-            if let Some(recorder) = recorder.as_mut() {
-                recorder.record(sim.as_ref());
-            }
-            print_row(nl, index, vector, human, |nl| {
-                nl.primary_outputs()
-                    .iter()
-                    .map(|&n| char::from(b'0' + sim.final_value(n) as u8))
-                    .collect()
-            });
-        }
-    }
-    if let Some(t) = telemetry {
-        for (name, value) in sim.run_counters() {
-            t.add(name, value);
-        }
-    }
-    write_vcd(vcd_path, recorder)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn simulate_guarded(
+fn simulate_guarded<I: Iterator<Item = Vec<bool>>>(
     nl: &Netlist,
     limits: ResourceLimits,
     chain: &[Engine],
     word: WordWidth,
-    stimulus: &[Vec<bool>],
+    stimulus: impl Fn() -> I,
     vcd_path: Option<String>,
     crosscheck: bool,
     telemetry: Option<&Telemetry>,
@@ -721,9 +654,9 @@ fn simulate_guarded(
     let mut seen_fallbacks = guarded.fallbacks().len();
     {
         let _span = telemetry.map(|t| t.span("simulate"));
-        for (index, vector) in stimulus.iter().enumerate() {
+        for (index, vector) in stimulus().enumerate() {
             guarded
-                .simulate_vector(vector)
+                .simulate_vector(&vector)
                 .map_err(|e| CliError::from(e.with_circuit(nl.name())))?;
             if let Some(t) = telemetry {
                 t.add("run.vectors", 1);
@@ -732,7 +665,7 @@ fn simulate_guarded(
             if let Some(recorder) = recorder.as_mut() {
                 recorder.record(guarded.active_simulator());
             }
-            print_row(nl, index, vector, human, |nl| {
+            print_row(nl, index, &vector, human, |nl| {
                 nl.primary_outputs()
                     .iter()
                     .map(|&n| char::from(b'0' + guarded.final_value(n) as u8))
@@ -750,7 +683,7 @@ fn simulate_guarded(
     if crosscheck {
         let _span = telemetry.map(|t| t.span("crosscheck"));
         guarded
-            .crosscheck_baseline()
+            .crosscheck_baseline(stimulus())
             .map_err(|e| CliError::from(e.with_circuit(nl.name())))?;
         eprintln!(
             "cross-check: {} agrees with the event-driven baseline over {} vectors",
@@ -773,7 +706,7 @@ fn simulate_guarded(
 
 /// `--jobs N`: shards the stream across worker threads (each owning a
 /// fork of a guarded engine, seeded by the zero-delay prepass) and
-/// prints the assembled rows — byte-identical to the sequential paths
+/// prints the assembled rows — byte-identical to the sequential path
 /// above for any N. With `--crosscheck`, re-runs sequentially and
 /// verifies the batch output row by row.
 #[allow(clippy::too_many_arguments)]
