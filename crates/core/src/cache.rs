@@ -33,8 +33,13 @@ pub fn netlist_hash(netlist: &Netlist) -> u64 {
 }
 
 /// 64-bit FNV-1a over raw bytes.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_continue(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a `hash` over more bytes, so the hash of a
+/// concatenation needs no concatenated copy.
+pub(crate) fn fnv1a_continue(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);

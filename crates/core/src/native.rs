@@ -4,35 +4,40 @@
 //! the loop at runtime. [`build_native`] compiles the chosen engine's
 //! interpreted twin, emits its C translation unit
 //! (`codegen_c::emit_native`), invokes the host C compiler (`cc
-//! -shared -fPIC -O2`), `dlopen`s the shared object, and wraps both in
+//! -shared -fPIC -O1`), `dlopen`s the shared object, and wraps both in
 //! a [`UnitDelaySimulator`] whose `simulate_one_vector` is machine
 //! code.
 //!
-//! # State handshake
+//! # Arena-pointer ABI
 //!
-//! A shared object's `static word` variables are process-global, and
-//! `dlopen` of the same path returns one handle — two simulators
-//! loading the same artifact would trample each other's retained
-//! state. The authoritative state therefore lives in the interpreted
-//! twin's arena: every vector, under the library's call lock, the
-//! wrapper copies the arena *into* the object (`uds_state_set`), runs
-//! `simulate_one_vector`, and copies it back out (`uds_state_get`).
-//! Two memcpys per vector buy full correctness for clones, seeding,
-//! reset, history readback, and checkpoint restores — every query path
-//! simply reads the twin.
+//! The emitted kernel keeps no state: `simulate_one_vector(word *uds_a,
+//! const word *pi[, word *po])` names every arena word as a slot of the
+//! `uds_a` it is handed. The authoritative state is the interpreted
+//! twin's arena, and each vector passes that arena to the kernel
+//! directly — no copy in or out, no lock. Clones, seeding, reset,
+//! history readback and checkpoint restores all act on the twin, and
+//! two simulators sharing one loaded object never share state, so calls
+//! from any number of threads are independent.
+//!
+//! `-O1` rather than `-O2`: the arena form makes `cc` work harder than
+//! the paper's statics did, and `-O2` buys no kernel speed over `-O1`
+//! on these straight-line bodies, only set-up time.
 //!
 //! # Artifact cache
 //!
 //! Compiled objects land in [`cache_dir`] (`$UDS_NATIVE_CACHE`, or
 //! `uds-native-cache` under the system temp dir) named
-//! `{netlist_hash:016x}-{flavor}-w{bits}.so`, where the hash is the
-//! same canonical-netlist FNV the serve LRU keys on
-//! ([`crate::cache::netlist_hash`]). A fresh process finds the
-//! artifact on disk and skips the `cc` invocation entirely; within a
-//! process an additional registry shares one loaded library per path.
-//! Cache traffic is reported through the build probe as the monotonic
-//! counters `native.cache.memory_hit`, `native.cache.disk_hit`, and
-//! `native.cache.compile`.
+//! `{netlist_hash:016x}-{flavor}[-mon]-w{bits}-s{source:016x}.so`,
+//! where the first hash is the same canonical-netlist FNV the serve LRU
+//! keys on ([`crate::cache::netlist_hash`]) and `source` is an FNV-1a
+//! of the emitted C and the `cc` flags: a change to the emitter, its
+//! ABI or the flags names a new artifact, so a stale object is never
+//! `dlopen`ed under a signature it was not built for. A fresh process
+//! finds the artifact on disk and skips the `cc` invocation entirely;
+//! within a process an additional registry shares one loaded library
+//! per path. Cache traffic is reported through the build probe as the
+//! monotonic counters `native.cache.memory_hit`,
+//! `native.cache.disk_hit`, and `native.cache.compile`.
 //!
 //! # Degradation
 //!
@@ -127,7 +132,7 @@ mod imp {
     use uds_pcset::PcSetSimulator;
 
     use super::{cache_dir, toolchain_error};
-    use crate::cache::netlist_hash;
+    use crate::cache::{fnv1a, fnv1a_continue, netlist_hash};
     use crate::error::SimError;
     use crate::{Engine, UnitDelaySimulator, WordWidth};
 
@@ -159,20 +164,19 @@ mod imp {
         }
     }
 
-    /// One loaded shared object: the `dlopen` handle's three exported
-    /// functions plus the call lock that serializes the state
-    /// handshake. The handle is never `dlclose`d — the process-wide
-    /// registry keeps every loaded artifact alive, which is exactly
-    /// the amortization a long-lived daemon wants.
+    /// One loaded shared object: the address of its exported
+    /// `simulate_one_vector`. The handle is never `dlclose`d — the
+    /// process-wide registry keeps every loaded artifact alive, which is
+    /// exactly the amortization a long-lived daemon wants.
     pub struct NativeLib {
         simulate: *mut c_void,
-        state_set: *mut c_void,
-        state_get: *mut c_void,
-        call_lock: Mutex<()>,
     }
 
-    // Safety: the raw pointers are immutable code addresses; all calls
-    // through them go through `call_lock`.
+    // Safety: the pointer is an immutable code address, valid for the
+    // life of the process (never `dlclose`d). The kernel behind it reads
+    // and writes only the buffers each call passes in — the emitter
+    // declares no statics — so concurrent calls on distinct arenas
+    // share nothing.
     unsafe impl Send for NativeLib {}
     unsafe impl Sync for NativeLib {}
 
@@ -187,8 +191,10 @@ mod imp {
             use std::os::unix::ffi::OsStrExt;
             let cpath = CString::new(path.as_os_str().as_bytes())
                 .map_err(|_| toolchain_error("artifact path contains a NUL byte"))?;
-            // Safety: dlopen/dlsym on a path we just compiled; symbol
-            // names are static NUL-terminated literals.
+            // Safety: dlopen/dlsym on a path we just compiled (or an
+            // artifact whose name pins the source and flags it was
+            // compiled from); the symbol name is a NUL-terminated
+            // literal.
             unsafe {
                 dl::dlerror();
                 let handle = dl::dlopen(cpath.as_ptr(), dl::RTLD_NOW);
@@ -199,70 +205,55 @@ mod imp {
                         dl_error()
                     )));
                 }
-                let sym = |name: &'static str| -> Result<*mut c_void, SimError> {
-                    let cname = CString::new(name).expect("static symbol name");
-                    let ptr = dl::dlsym(handle, cname.as_ptr());
-                    if ptr.is_null() {
-                        return Err(toolchain_error(format!(
-                            "{} does not export `{name}`: {}",
-                            path.display(),
-                            dl_error()
-                        )));
-                    }
-                    Ok(ptr)
-                };
-                Ok(NativeLib {
-                    simulate: sym("simulate_one_vector")?,
-                    state_set: sym("uds_state_set")?,
-                    state_get: sym("uds_state_get")?,
-                    call_lock: Mutex::new(()),
-                })
+                let simulate = dl::dlsym(handle, c"simulate_one_vector".as_ptr());
+                if simulate.is_null() {
+                    return Err(toolchain_error(format!(
+                        "{} does not export `simulate_one_vector`: {}",
+                        path.display(),
+                        dl_error()
+                    )));
+                }
+                Ok(NativeLib { simulate })
             }
         }
 
-        /// One parallel-flavor vector: state in, simulate, state out,
-        /// atomically with respect to every other user of this object.
+        /// One parallel-flavor vector, run in place on `arena`.
         fn call_parallel<W: Word>(&self, arena: &mut [W], pi: &[W]) {
-            let _guard = lock(&self.call_lock);
             // Safety: the shared object was compiled from this twin's
-            // program, so its arena order and input count match; the
-            // signatures are fixed by the emitter.
+            // program, so every slot it names is inside `arena` and it
+            // reads exactly `pi.len()` inputs; the signature is fixed
+            // by the emitter.
             unsafe {
-                let set: unsafe extern "C" fn(*const W) = std::mem::transmute(self.state_set);
-                let sim: unsafe extern "C" fn(*const W) = std::mem::transmute(self.simulate);
-                let get: unsafe extern "C" fn(*mut W) = std::mem::transmute(self.state_get);
-                set(arena.as_ptr());
-                sim(pi.as_ptr());
-                get(arena.as_mut_ptr());
+                let sim: unsafe extern "C" fn(*mut W, *const W) =
+                    std::mem::transmute(self.simulate);
+                sim(arena.as_mut_ptr(), pi.as_ptr());
             }
         }
 
         /// One PC-set-flavor vector (inputs pre-broadcast to stream
-        /// words, monitored finals written to `po`).
+        /// words, monitored finals written to `po`), run in place on
+        /// `arena`.
         fn call_pcset(&self, arena: &mut [u64], pi: &[u64], po: &mut [u64]) {
-            let _guard = lock(&self.call_lock);
-            // Safety: as in `call_parallel`; the PC-set emitter's
-            // signature additionally takes the output buffer.
+            // Safety: as in `call_parallel`; `po` holds one word per
+            // monitored net, which is what the kernel writes.
             unsafe {
-                let set: unsafe extern "C" fn(*const u64) = std::mem::transmute(self.state_set);
-                let sim: unsafe extern "C" fn(*const u64, *mut u64) =
+                let sim: unsafe extern "C" fn(*mut u64, *const u64, *mut u64) =
                     std::mem::transmute(self.simulate);
-                let get: unsafe extern "C" fn(*mut u64) = std::mem::transmute(self.state_get);
-                set(arena.as_ptr());
-                sim(pi.as_ptr(), po.as_mut_ptr());
-                get(arena.as_mut_ptr());
+                sim(arena.as_mut_ptr(), pi.as_ptr(), po.as_mut_ptr());
             }
         }
     }
 
-    /// One loaded library per artifact path, process-wide. Shared
-    /// statics make two independent loads of one path hazardous; the
-    /// registry guarantees a single [`NativeLib`] (and so a single
-    /// call lock) per artifact.
+    /// One loaded library per artifact path, process-wide, so each
+    /// artifact is `dlopen`ed and resolved once.
     fn registry() -> &'static Mutex<HashMap<PathBuf, Arc<NativeLib>>> {
         static REGISTRY: OnceLock<Mutex<HashMap<PathBuf, Arc<NativeLib>>>> = OnceLock::new();
         REGISTRY.get_or_init(Mutex::default)
     }
+
+    /// The `cc` flags every artifact is built with. They are part of
+    /// the artifact name (see [`artifact_path`]).
+    const CC_FLAGS: [&str; 3] = ["-shared", "-fPIC", "-O1"];
 
     fn compiler() -> String {
         std::env::var("UDS_CC").unwrap_or_else(|_| "cc".to_owned())
@@ -301,7 +292,8 @@ mod imp {
             .map_err(|e| toolchain_error(format!("cannot write {}: {e}", c_path.display())))?;
         let cc = compiler();
         let output = Command::new(&cc)
-            .args(["-shared", "-fPIC", "-O2", "-o"])
+            .args(CC_FLAGS)
+            .arg("-o")
             .arg(&so_tmp)
             .arg(&c_path)
             .output();
@@ -363,9 +355,21 @@ mod imp {
         Ok(lib)
     }
 
-    fn artifact_path(hash: u64, flavor: &str, bits: u32, monitoring: bool) -> PathBuf {
+    /// Where the artifact for `source` lives. The trailing tag hashes
+    /// the emitted C and [`CC_FLAGS`], so an object built by another
+    /// emitter version or with other flags is never found under it.
+    pub(super) fn artifact_path(
+        hash: u64,
+        flavor: &str,
+        bits: u32,
+        monitoring: bool,
+        source: &str,
+    ) -> PathBuf {
         let mon = if monitoring { "-mon" } else { "" };
-        cache_dir().join(format!("{hash:016x}-{flavor}{mon}-w{bits}.so"))
+        let tag = CC_FLAGS.iter().fold(fnv1a(source.as_bytes()), |h, flag| {
+            fnv1a_continue(h, flag.as_bytes())
+        });
+        cache_dir().join(format!("{hash:016x}-{flavor}{mon}-w{bits}-s{tag:016x}.so"))
     }
 
     fn flavor_key(optimization: Optimization) -> &'static str {
@@ -383,6 +387,8 @@ mod imp {
     struct NativeParallelSim<W: Word> {
         twin: ParallelSim<W>,
         lib: Arc<NativeLib>,
+        /// The kernel's input words, refilled each vector.
+        pi: Vec<W>,
     }
 
     impl<W: Word> UnitDelaySimulator for NativeParallelSim<W> {
@@ -391,13 +397,13 @@ mod imp {
         }
 
         fn simulate_vector(&mut self, inputs: &[bool]) {
-            let pi: Vec<W> = inputs
-                .iter()
-                .map(|&b| if b { W::ONE } else { W::ZERO })
-                .collect();
-            let lib = &self.lib;
-            self.twin
-                .simulate_vector_with(inputs, |arena| lib.call_parallel(arena, &pi));
+            let (lib, pi) = (&self.lib, &mut self.pi);
+            self.twin.simulate_vector_with(inputs, |arena| {
+                for (word, &b) in pi.iter_mut().zip(inputs) {
+                    *word = if b { W::ONE } else { W::ZERO };
+                }
+                lib.call_parallel(arena, pi);
+            });
         }
 
         fn final_value(&self, net: NetId) -> bool {
@@ -424,6 +430,7 @@ mod imp {
             Box::new(NativeParallelSim {
                 twin: self.twin.clone(),
                 lib: Arc::clone(&self.lib),
+                pi: self.pi.clone(),
             })
         }
 
@@ -454,6 +461,9 @@ mod imp {
     struct NativePcSetSim {
         twin: PcSetSimulator,
         lib: Arc<NativeLib>,
+        /// The kernel's stream-broadcast input words, refilled each
+        /// vector.
+        pi: Vec<u64>,
         /// Scratch for the emitted `po` buffer (monitored finals) —
         /// the wrapper reads results from the twin's arena instead.
         po: Vec<u64>,
@@ -465,10 +475,13 @@ mod imp {
         }
 
         fn simulate_vector(&mut self, inputs: &[bool]) {
-            let lib = &self.lib;
-            let po = &mut self.po;
-            self.twin
-                .simulate_vector_with(inputs, |arena, words| lib.call_pcset(arena, words, po));
+            let (lib, pi, po) = (&self.lib, &mut self.pi, &mut self.po);
+            self.twin.simulate_vector_with(inputs, |arena| {
+                for (word, &b) in pi.iter_mut().zip(inputs) {
+                    *word = if b { !0 } else { 0 };
+                }
+                lib.call_pcset(arena, pi, po);
+            });
         }
 
         fn final_value(&self, net: NetId) -> bool {
@@ -495,6 +508,7 @@ mod imp {
             Box::new(NativePcSetSim {
                 twin: self.twin.clone(),
                 lib: Arc::clone(&self.lib),
+                pi: self.pi.clone(),
                 po: self.po.clone(),
             })
         }
@@ -540,10 +554,11 @@ mod imp {
                 };
                 let source = uds_pcset::codegen_c::emit_native(netlist, &twin)
                     .map_err(|e| toolchain_error(format!("emit: {e}")))?;
-                let path = artifact_path(hash, "pcset", 64, monitoring);
+                let path = artifact_path(hash, "pcset", 64, monitoring, &source);
                 let lib = get_or_load(&path, &source, probe)?;
+                let pi = vec![0u64; netlist.primary_inputs().len()];
                 let po = vec![0u64; twin.monitored().len()];
-                return Ok(Box::new(NativePcSetSim { twin, lib, po }));
+                return Ok(Box::new(NativePcSetSim { twin, lib, pi, po }));
             }
             Engine::Parallel => Optimization::None,
             Engine::ParallelTrimming => Optimization::Trimming,
@@ -571,9 +586,10 @@ mod imp {
             };
             let source = uds_parallel::codegen_c::emit_native(netlist, &twin)
                 .map_err(|e| toolchain_error(format!("emit: {e}")))?;
-            let path = artifact_path(hash, flavor_key(optimization), W::BITS, monitoring);
+            let path = artifact_path(hash, flavor_key(optimization), W::BITS, monitoring, &source);
             let lib = get_or_load(&path, &source, probe)?;
-            Ok(Box::new(NativeParallelSim { twin, lib }))
+            let pi = vec![W::ZERO; netlist.primary_inputs().len()];
+            Ok(Box::new(NativeParallelSim { twin, lib, pi }))
         }
         match word {
             WordWidth::W32 => {
@@ -696,5 +712,65 @@ mod tests {
         };
         assert_eq!(err.class(), crate::FailureClass::Toolchain);
         assert!(err.to_string().contains("uds-no-such-compiler"), "{err}");
+    }
+
+    #[test]
+    fn the_artifact_name_tracks_the_emitted_source() {
+        // Any change to the emitted C (or to `CC_FLAGS`, folded into the
+        // same tag) must move the artifact, so a stale object built for
+        // another kernel ABI is never `dlopen`ed under the new one.
+        let name = |source: &str| {
+            let path = imp::artifact_path(0x1990, "par-pt-trim", 32, false, source);
+            path.file_name().unwrap().to_str().unwrap().to_owned()
+        };
+        let (old, new) = (name("void simulate_one_vector(const word *pi)"), name(""));
+        assert_ne!(old, new);
+        for file in [old, new] {
+            let tag = file
+                .strip_prefix("0000000000001990-par-pt-trim-w32-s")
+                .and_then(|rest| rest.strip_suffix(".so"))
+                .unwrap_or_else(|| panic!("unexpected artifact name {file}"));
+            assert_eq!(tag.len(), 16, "{file}");
+            assert!(tag.bytes().all(|b| b.is_ascii_hexdigit()), "{file}");
+        }
+    }
+
+    #[test]
+    fn an_artifact_under_the_pre_tag_name_is_never_loaded() {
+        // Before the arena-pointer ABI, artifacts were named
+        // `{hash}-{flavor}-w{bits}.so`. Plant a file there that cannot be
+        // loaded: the build must compile afresh and run exact rows.
+        let _env = env_lock();
+        if skip_notice() {
+            return;
+        }
+        let dir = std::env::temp_dir().join(format!("uds-native-stale-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let nl = c17();
+        let planted = format!(
+            "{:016x}-par-pt-trim-w32.so",
+            crate::cache::netlist_hash(&nl)
+        );
+        std::fs::write(dir.join(planted), b"not an object built for this ABI").unwrap();
+
+        std::env::set_var("UDS_NATIVE_CACHE", &dir);
+        let telemetry = crate::Telemetry::new();
+        let built = build_native(
+            &nl,
+            Engine::Native,
+            WordWidth::W32,
+            &ResourceLimits::unlimited(),
+            &telemetry,
+        );
+        std::env::remove_var("UDS_NATIVE_CACHE");
+        let native = built.unwrap();
+        assert_eq!(telemetry.counter("native.cache.compile"), 1);
+        assert_eq!(telemetry.counter("native.cache.disk_hit"), 0);
+        let baseline = Box::new(TracedEventSim::new(&nl).unwrap());
+        let stimulus = crate::vectors::RandomVectors::new(5, 1990).take(64);
+        crate::crosscheck::run(&nl, &mut [baseline, native], stimulus)
+            .unwrap_or_else(|e| panic!("native diverged from the baseline: {e}"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,12 +8,14 @@ use uds_core::chaos::{ChaosFactory, Fault, FaultPlan};
 use uds_core::guard::EngineFactory;
 use uds_core::vectors::RandomVectors;
 use uds_core::{
-    run_batch, DefaultEngineFactory, Engine, GuardedSimulator, MonitoringEngineFactory, Telemetry,
-    TracedEventSim, UnitDelaySimulator, WordWidth,
+    build_native_monitoring, compiler_available, run_batch, DefaultEngineFactory, Engine,
+    GuardedSimulator, MonitoringEngineFactory, SimError, Telemetry, TracedEventSim,
+    UnitDelaySimulator, WordWidth,
 };
 use uds_eventsim::zero_delay::stable_states;
+use uds_netlist::generators::iscas::Iscas85;
 use uds_netlist::generators::random::{layered, LayeredConfig};
-use uds_netlist::{Netlist, ResourceLimits};
+use uds_netlist::{Netlist, NoopProbe, ResourceLimits};
 
 /// A circuit deep enough that 32-bit parallel fields span two words and
 /// retention (each vector starting from the last one's settled state)
@@ -266,4 +268,94 @@ fn a_fork_taken_mid_run_degrades_from_the_state_it_was_forked_in() {
         "{} of {compared} net histories differ from the baseline: {differing:?}",
         differing.len()
     );
+}
+
+/// Builds every chain entry as the all-nets-monitored native engine of
+/// one flavor, so a guard over it keeps every net's history.
+#[derive(Clone, Copy)]
+struct NativeFlavor {
+    flavor: Engine,
+    word: WordWidth,
+}
+
+impl EngineFactory for NativeFlavor {
+    fn build(
+        &self,
+        netlist: &Netlist,
+        _engine: Engine,
+        limits: &ResourceLimits,
+    ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
+        build_native_monitoring(netlist, self.flavor, self.word, limits, &NoopProbe)
+    }
+
+    fn clone_box(&self) -> Box<dyn EngineFactory> {
+        Box::new(*self)
+    }
+}
+
+#[test]
+fn native_forks_run_concurrently_on_one_loaded_object() {
+    // Forks of one native guard share one loaded kernel and nothing
+    // else: each call runs on its own fork's arena, with no lock. Two
+    // threads with different stimulus, released together, must each
+    // match the event-driven baseline row for row and history for
+    // history. The PC-set stream is always 64-bit, so it runs once.
+    if !compiler_available() {
+        eprintln!("SKIP native_forks_run_concurrently_on_one_loaded_object: no C compiler on PATH");
+        return;
+    }
+    for nl in [circuit(), Iscas85::C432.build()] {
+        let width = nl.primary_inputs().len();
+        let prefix: Vec<Vec<bool>> = RandomVectors::new(width, 0x0F0F).take(8).collect();
+        for (flavor, word) in [
+            (Engine::ParallelPathTracingTrimming, WordWidth::W32),
+            (Engine::ParallelPathTracingTrimming, WordWidth::W64),
+            (Engine::PcSet, WordWidth::W64),
+        ] {
+            let case = format!("{} {flavor} w{}", nl.name(), word.bits());
+            let factory = Box::new(NativeFlavor { flavor, word });
+            let mut prototype = GuardedSimulator::with_factory(
+                &nl,
+                ResourceLimits::production(),
+                &[Engine::Native],
+                factory,
+            )
+            .unwrap();
+            // Fork mid-run, so the forks start from a retained state.
+            for vector in &prefix {
+                prototype.simulate_vector(vector).unwrap();
+            }
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                for seed in [0xA11CE, 0xB0B] {
+                    let (mut fork, nl, prefix, barrier, case) =
+                        (prototype.fork(), &nl, &prefix, &barrier, &case);
+                    scope.spawn(move || {
+                        let mut baseline = TracedEventSim::new(nl).unwrap();
+                        for vector in prefix {
+                            UnitDelaySimulator::simulate_vector(&mut baseline, vector);
+                        }
+                        barrier.wait();
+                        for (index, vector) in RandomVectors::new(width, seed).take(300).enumerate()
+                        {
+                            fork.simulate_vector(&vector).unwrap();
+                            UnitDelaySimulator::simulate_vector(&mut baseline, &vector);
+                            assert_eq!(fork.active_engine(), Engine::Native, "{case}");
+                            for net in nl.net_ids() {
+                                let history = fork.history(net);
+                                assert!(history.is_some(), "{case}: every net is monitored");
+                                assert_eq!(
+                                    history,
+                                    baseline.history(net),
+                                    "{case} seed {seed:#x}: vector {index}, net {}",
+                                    nl.net_name(net)
+                                );
+                                assert_eq!(fork.final_value(net), baseline.final_value(net));
+                            }
+                        }
+                    });
+                }
+            });
+        }
+    }
 }

@@ -7,9 +7,14 @@
 //! its line count tracks the generated-code-size comparison between the
 //! techniques. The output is self-contained — every referenced
 //! identifier is defined in the same translation unit — so `cc` can
-//! compile it directly (the native engine does exactly that).
+//! compile it directly.
+//!
+//! [`emit_native`] is the native engine's variant: the same statement
+//! body, but every arena word is a macro over a caller-owned arena
+//! (`#define D uds_a[3]`) instead of a static, so the compiled kernel
+//! holds no state of its own.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fmt::{self, Write as _};
 
 use uds_netlist::{GateKind, Netlist};
@@ -72,10 +77,16 @@ pub fn emit<W: Word>(netlist: &Netlist, simulator: &ParallelSim<W>) -> Result<St
     emit_impl(netlist, simulator, false)
 }
 
-/// Like [`emit`], but additionally exporting `uds_state_set` /
-/// `uds_state_get` functions that copy the whole arena (in arena-index
-/// order) in and out of the shared object — the handshake the native
-/// engine uses to keep the interpreted twin's arena authoritative.
+/// Like [`emit`], but as a stateless kernel over memory the caller
+/// owns: `void simulate_one_vector(word *uds_a, const word *pi)`, where
+/// `uds_a` is the simulator's arena in arena-index order and each named
+/// word is `#define <name> uds_a[<slot>]`. The statement body is the
+/// same text [`emit`] produces; no statics are declared, so concurrent
+/// calls on distinct arenas never share state.
+///
+/// # Errors
+///
+/// As [`emit`].
 pub fn emit_native<W: Word>(
     netlist: &Netlist,
     simulator: &ParallelSim<W>,
@@ -115,33 +126,22 @@ fn emit_impl<W: Word>(
         });
     }
     // Name every arena word: field words get net-derived names,
-    // scratch words get t<k>. Sanitized stems are deduplicated (and the
-    // aliases themselves reserved), so no two nets share a C variable.
+    // scratch words get t<k>. Every generated name (stem, dedup alias
+    // and per-word `{stem}_w{w}`) is claimed before use, so no two arena
+    // words share a C variable — in the native kernel two `#define`s of
+    // one name would otherwise make two nets share a slot silently.
     let mut names: Vec<String> = (0..program.arena_words).map(|w| format!("t{w}")).collect();
-    let mut used: HashMap<String, usize> = HashMap::new();
     // Reserve the generic scratch names so a net literally named `t5`
     // dedups instead of aliasing scratch word 5.
-    for name in &names {
-        used.insert(name.clone(), 0);
-    }
+    let mut used: HashSet<String> = names.iter().cloned().collect();
     for net in netlist.net_ids() {
         let layout = simulator.field_layout(net);
-        let mut stem = sanitize(netlist.net_name(net));
-        match used.entry(stem.clone()) {
-            std::collections::hash_map::Entry::Occupied(mut entry) => {
-                *entry.get_mut() += 1;
-                stem = format!("{stem}_d{}", entry.get());
-                used.insert(stem.clone(), 0);
-            }
-            std::collections::hash_map::Entry::Vacant(entry) => {
-                entry.insert(0);
-            }
-        }
+        let stem = claim(&mut used, sanitize(netlist.net_name(net)));
         for w in 0..layout.words {
             names[(layout.base + w) as usize] = if layout.words == 1 {
                 stem.clone()
             } else {
-                format!("{stem}_w{w}")
+                claim(&mut used, format!("{stem}_w{w}"))
             };
         }
     }
@@ -159,8 +159,14 @@ fn emit_impl<W: Word>(
     // Initializers reproduce the simulator's consistent power-up state
     // (every field filled with the value the circuit settles to under
     // all-zero inputs), so the first vector's retained bits are right.
+    // The native kernel's state is the caller's arena, which carries
+    // that power-up state itself.
     let initial = simulator.initial_arena();
     for (slot, name) in names.iter().enumerate() {
+        if native {
+            let _ = writeln!(out, "#define {name} uds_a[{slot}]");
+            continue;
+        }
         let value = if initial[slot] != W::ZERO {
             "~(word)0"
         } else {
@@ -169,7 +175,12 @@ fn emit_impl<W: Word>(
         let _ = writeln!(out, "static word {name} = {value};");
     }
     let _ = writeln!(out);
-    let _ = writeln!(out, "void simulate_one_vector(const word *pi)\n{{");
+    let signature = if native {
+        "word *uds_a, const word *pi"
+    } else {
+        "const word *pi"
+    };
+    let _ = writeln!(out, "void simulate_one_vector({signature})\n{{");
 
     for op in &program.ops {
         match *op {
@@ -351,39 +362,6 @@ fn emit_impl<W: Word>(
         }
     }
     let _ = writeln!(out, "}}");
-
-    if native {
-        let _ = writeln!(out);
-        let count = program.arena_words;
-        if count > 0 {
-            let pointers: Vec<String> = names.iter().map(|n| format!("&{n}")).collect();
-            let _ = writeln!(
-                out,
-                "static word *const uds_arena[{count}] = {{ {} }};",
-                pointers.join(", ")
-            );
-            let _ = writeln!(out, "\nvoid uds_state_set(const word *state)\n{{");
-            let _ = writeln!(out, "    uint32_t i;");
-            let _ = writeln!(
-                out,
-                "    for (i = 0; i < {count}u; i++) *uds_arena[i] = state[i];"
-            );
-            let _ = writeln!(out, "}}");
-            let _ = writeln!(out, "\nvoid uds_state_get(word *state)\n{{");
-            let _ = writeln!(out, "    uint32_t i;");
-            let _ = writeln!(
-                out,
-                "    for (i = 0; i < {count}u; i++) state[i] = *uds_arena[i];"
-            );
-            let _ = writeln!(out, "}}");
-        } else {
-            let _ = writeln!(
-                out,
-                "void uds_state_set(const word *state) {{ (void)state; }}"
-            );
-            let _ = writeln!(out, "void uds_state_get(word *state) {{ (void)state; }}");
-        }
-    }
     Ok(out)
 }
 
@@ -416,8 +394,10 @@ fn gate_expression(kind: GateKind, operands: &[&str]) -> String {
 /// Identifiers the emitted translation unit already claims: C keywords
 /// (a net named `if` or `int` must not produce `static word if`), the
 /// `word` typedef, the `<stdint.h>` type names behind it, the entry
-/// points and their parameters, and the block-local temporaries the
-/// unrolled aligned-load / shifted-presentation statements declare.
+/// point and its parameters (`uds_a` is the native kernel's arena), the
+/// block-local temporaries the unrolled aligned-load /
+/// shifted-presentation statements declare, and `defined`, which the
+/// preprocessor refuses as a macro name.
 fn is_reserved(name: &str) -> bool {
     matches!(
         name,
@@ -466,9 +446,8 @@ fn is_reserved(name: &str) -> bool {
             | "uds_bf"
             | "uds_tf"
             | "uds_st"
-            | "uds_arena"
-            | "uds_state_get"
-            | "uds_state_set"
+            | "uds_a"
+            | "defined"
     )
 }
 
@@ -487,6 +466,18 @@ fn sanitize(name: &str) -> String {
         out.push('_');
     }
     out
+}
+
+/// `candidate`, or the first free `{candidate}_d{k}` when another arena
+/// word already holds it; the returned name is marked used.
+fn claim(used: &mut HashSet<String>, candidate: String) -> String {
+    if used.insert(candidate.clone()) {
+        return candidate;
+    }
+    (1u32..)
+        .map(|k| format!("{candidate}_d{k}"))
+        .find(|alias| used.insert(alias.clone()))
+        .expect("some alias is free")
 }
 
 #[cfg(test)]
@@ -558,6 +549,66 @@ mod tests {
         assert!(code.contains("t0_d1"), "{code}");
     }
 
+    /// `#define` names of a native kernel, in slot order.
+    fn defines(code: &str) -> Vec<&str> {
+        code.lines()
+            .filter_map(|l| l.strip_prefix("#define "))
+            .map(|l| l.split(' ').next().unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn per_word_names_cannot_alias_literal_nets() {
+        // Unoptimized 32-bit fields of a 40-deep chain span two words,
+        // so net `x` owns `x_w0`/`x_w1`; nets literally named `x_w0`
+        // (before and after `x`) and `x_d1` must not share its slots.
+        let mut b = NetlistBuilder::new();
+        let early = b.input("x_w0");
+        let x = b.input("x");
+        let late = b.input("x_w1");
+        let alias = b.input("x_w0_d1");
+        let mut tail = x;
+        for k in 0..40 {
+            tail = b.gate(GateKind::Not, &[tail], format!("g{k}")).unwrap();
+        }
+        let y = b
+            .gate(GateKind::And, &[tail, early, late, alias], "y")
+            .unwrap();
+        b.output(y);
+        let nl = b.finish().unwrap();
+        let sim = ParallelSimulator::compile(&nl, Optimization::None).unwrap();
+        assert_eq!(
+            sim.field_layout(x).words,
+            2,
+            "the chain must span two words"
+        );
+        let code = emit_native(&nl, &sim).unwrap();
+        let names = defines(&code);
+        let unique: std::collections::HashSet<&str> = names.iter().copied().collect();
+        assert_eq!(unique.len(), names.len(), "duplicate #define:\n{code}");
+        let paper = emit(&nl, &sim).unwrap();
+        let statics: std::collections::HashSet<&str> = paper
+            .lines()
+            .filter(|l| l.starts_with("static word "))
+            .collect();
+        assert_eq!(statics.len(), names.len(), "duplicate static:\n{paper}");
+    }
+
+    #[test]
+    fn a_literal_net_claiming_an_alias_first_still_dedups() {
+        // `n_1_d1` arrives before the nets whose dedup would produce it.
+        let mut b = NetlistBuilder::new();
+        let d = b.input("n_1_d1");
+        let a = b.input("n.1");
+        let c = b.input("n_1");
+        let y = b.gate(GateKind::And, &[d, a, c], "y").unwrap();
+        b.output(y);
+        let nl = b.finish().unwrap();
+        let sim = ParallelSimulator::compile(&nl, Optimization::PathTracing).unwrap();
+        let code = emit_native(&nl, &sim).unwrap();
+        assert_eq!(&defines(&code)[..3], ["n_1_d1", "n_1", "n_1_d2"], "{code}");
+    }
+
     #[test]
     fn reserved_names_cannot_shadow_emitted_identifiers() {
         // Nets named after C keywords or the emitter's own identifiers
@@ -604,19 +655,125 @@ mod tests {
     }
 
     #[test]
-    fn native_emit_exports_state_accessors() {
+    fn native_emit_runs_on_the_callers_arena() {
         let nl = fig6();
         let sim = ParallelSimulator::compile(&nl, Optimization::None).unwrap();
         let code = emit_native(&nl, &sim).unwrap();
         assert!(
-            code.contains("void uds_state_set(const word *state)"),
+            code.contains("void simulate_one_vector(word *uds_a, const word *pi)\n{"),
             "{code}"
         );
-        assert!(code.contains("void uds_state_get(word *state)"), "{code}");
-        assert!(code.contains("uds_arena"), "{code}");
-        // The plain emit stays accessor-free: its line count is the
-        // paper's generated-code-size statistic.
-        assert!(!emit(&nl, &sim).unwrap().contains("uds_state_set"));
+        // Every arena word, scratch included, is a slot of the caller's
+        // arena in arena-index order; the kernel keeps no state.
+        for (slot, name) in ["A", "B", "C", "D", "E", "t5"].iter().enumerate() {
+            assert!(
+                code.contains(&format!("#define {name} uds_a[{slot}]\n")),
+                "{name}:\n{code}"
+            );
+        }
+        assert!(!code.contains("static word"), "{code}");
+        assert!(!code.contains("uds_state_"), "{code}");
+        assert!(!code.contains("uds_arena"), "{code}");
+        // The statement body is the paper emitter's, text for text.
+        let body = |c: &str| c[c.find("\n{\n").unwrap()..].to_owned();
+        assert_eq!(body(&code), body(&emit(&nl, &sim).unwrap()));
+    }
+
+    #[test]
+    fn paper_emit_is_unchanged() {
+        // `emit` is the paper-faithful text behind `udsim codegen` and
+        // the code-size tables: the native kernel's ABI must not move it
+        // by a byte. The full text of Fig. 6, then an FNV-1a of c432's
+        // emit at every optimization and width.
+        let nl = fig6();
+        let sim = ParallelSimulator::compile(&nl, Optimization::None).unwrap();
+        assert_eq!(
+            emit(&nl, &sim).unwrap(),
+            "/* parallel-technique unit-delay simulation of `unnamed` (unoptimized) */
+#include <stdint.h>
+typedef uint32_t word;
+static word A = 0;
+static word B = 0;
+static word C = 0;
+static word D = 0;
+static word E = 0;
+static word t5 = 0;
+
+void simulate_one_vector(const word *pi)
+{
+    A = (word)0 - pi[0];
+    B = (word)0 - pi[1];
+    C = (word)0 - pi[2];
+    D = D >> 2 & 1;
+    E = E >> 2 & 1;
+    t5 = A & B;
+    D |= t5 << 1;
+    t5 = D & C;
+    E |= t5 << 1;
+}
+"
+        );
+        let fnv = |text: String| {
+            text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let nl = uds_netlist::generators::iscas::Iscas85::C432.build();
+        for (optimization, w32, w64) in [
+            (
+                Optimization::None,
+                0xdb9e_c62c_4d39_075d,
+                0xe140_9e0a_e30b_6b04,
+            ),
+            (
+                Optimization::Trimming,
+                0x9002_7cde_dd12_e11c,
+                0x8015_058e_c293_f019,
+            ),
+            (
+                Optimization::PathTracing,
+                0xfb48_a82a_e776_76f0,
+                0xa096_e76d_206e_4732,
+            ),
+            (
+                Optimization::PathTracingTrimming,
+                0x9a38_a14c_085f_2594,
+                0xcfcd_094b_78ae_c086,
+            ),
+            (
+                Optimization::CycleBreaking,
+                0x2987_1ef5_0d11_71a5,
+                0x6682_7209_efe3_16d6,
+            ),
+            (
+                Optimization::CycleBreakingTrimming,
+                0xa985_22fb_2e92_9c61,
+                0x7edf_dd74_2309_202a,
+            ),
+        ] {
+            let sim32 = ParallelSimulator::compile(&nl, optimization).unwrap();
+            let sim64 = ParallelSimulator64::compile(&nl, optimization).unwrap();
+            assert_eq!(fnv(emit(&nl, &sim32).unwrap()), w32, "{optimization} w32");
+            assert_eq!(fnv(emit(&nl, &sim64).unwrap()), w64, "{optimization} w64");
+        }
+    }
+
+    #[test]
+    fn a_net_named_like_the_arena_parameter_is_renamed() {
+        // `#define uds_a uds_a[0]` would make every arena access
+        // recursive nonsense; the net must take a deduplicated name.
+        let mut b = NetlistBuilder::new();
+        let a = b.input("uds_a");
+        let c = b.input("defined");
+        let y = b.gate(GateKind::And, &[a, c], "y").unwrap();
+        b.output(y);
+        let nl = b.finish().unwrap();
+        let sim = ParallelSimulator::compile(&nl, Optimization::None).unwrap();
+        let code = emit_native(&nl, &sim).unwrap();
+        assert!(code.contains("#define uds_a_ uds_a[0]\n"), "{code}");
+        assert!(code.contains("#define defined_ uds_a[1]\n"), "{code}");
+        assert!(!code.contains("#define uds_a "), "{code}");
+        assert!(code.contains(" = uds_a_ & defined_;"), "{code}");
     }
 
     #[test]

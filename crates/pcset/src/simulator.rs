@@ -437,24 +437,22 @@ impl PcSetSimulator {
         static_profile(&self.level_segments)
     }
 
-    /// Simulates one vector with a caller-supplied execution body: the
-    /// inputs are broadcast to stream words exactly as
-    /// [`Self::simulate_vector`] would, then `run` is handed the arena
-    /// and the broadcast words instead of the interpreted program. The
-    /// native engine uses this to route the step through compiled C
-    /// while this simulator's arena stays the authoritative state.
+    /// Simulates one vector with a caller-supplied execution body: `run`
+    /// is handed the arena instead of the interpreted program running
+    /// on it, and broadcasts `inputs` to stream words itself. The native
+    /// engine uses this to route the step through compiled C while this
+    /// simulator's arena stays the authoritative state.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len()` differs from the primary-input count.
-    pub fn simulate_vector_with(&mut self, inputs: &[bool], run: impl FnOnce(&mut [u64], &[u64])) {
+    pub fn simulate_vector_with(&mut self, inputs: &[bool], run: impl FnOnce(&mut [u64])) {
         assert_eq!(
             inputs.len(),
             self.input_count,
             "input vector length must match the primary input count"
         );
-        let words: Vec<u64> = inputs.iter().map(|&b| if b { !0u64 } else { 0 }).collect();
-        run(&mut self.arena, &words);
+        run(&mut self.arena);
     }
 
     /// Simulates 64 independent vector streams at once: bit `k` of

@@ -94,7 +94,7 @@
 //! missing compiler falls back to the interpreted engines (exit 0,
 //! fallback counted in `--stats`) rather than failing the run.
 
-use std::io::Read as _;
+use std::io::{self, BufWriter, Read as _, Write as _};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -121,6 +121,15 @@ struct CliError {
 }
 
 impl CliError {
+    /// The reader of the human stream went away (`udsim simulate … |
+    /// head`): the run ends quietly with exit 0, as `cat` would.
+    fn closed_pipe() -> Self {
+        CliError {
+            message: String::new(),
+            code: 0,
+        }
+    }
+
     fn usage(message: impl Into<String>) -> Self {
         CliError {
             message: message.into(),
@@ -157,6 +166,7 @@ impl From<SimError> for CliError {
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
+        Err(err) if err.code == 0 => ExitCode::SUCCESS,
         Err(err) => {
             eprintln!("udsim: {}", err.message);
             ExitCode::from(err.code)
@@ -579,31 +589,79 @@ fn write_trace(path: &str, telemetry: &Telemetry) -> Result<(), CliError> {
         .map_err(|e| CliError::class(format!("writing {path}: {e}"), FailureClass::Usage))
 }
 
-fn print_header(nl: &Netlist, engine: Engine, human: &HumanOut) {
-    human.line(format!(
-        "# {}: {} gates, {} inputs, {} outputs, engine {engine}",
-        nl.name(),
-        nl.gate_count(),
-        nl.primary_inputs().len(),
-        nl.primary_outputs().len()
-    ));
-    let header: Vec<&str> = nl
-        .primary_outputs()
-        .iter()
-        .map(|&n| nl.net_name(n))
-        .collect();
-    human.line(format!("# vector -> {}", header.join(" ")));
+/// The header and rows of `udsim simulate`, written through one
+/// buffer over the locked human stream (stdout, or stderr when a
+/// machine stream owns stdout). Each row is encoded into a reused byte
+/// buffer. Callers flush before printing to stderr themselves, so a
+/// terminal shows lines in the order they were produced; an early
+/// return flushes on drop.
+struct RowOut {
+    out: BufWriter<Box<dyn io::Write>>,
+    line: Vec<u8>,
 }
 
-fn print_row(
-    nl: &Netlist,
-    index: usize,
-    vector: &[bool],
-    human: &HumanOut,
-    finals: impl Fn(&Netlist) -> String,
-) {
-    let input_bits: String = vector.iter().map(|&b| char::from(b'0' + b as u8)).collect();
-    human.line(format!("{index:>6} {input_bits} -> {}", finals(nl)));
+impl RowOut {
+    fn new(human: &HumanOut) -> Self {
+        let stream: Box<dyn io::Write> = if human.to_stderr {
+            Box::new(io::stderr().lock())
+        } else {
+            Box::new(io::stdout().lock())
+        };
+        RowOut {
+            out: BufWriter::with_capacity(1 << 16, stream),
+            line: Vec::new(),
+        }
+    }
+
+    fn header(&mut self, nl: &Netlist, engine: Engine) -> Result<(), CliError> {
+        let names: Vec<&str> = nl
+            .primary_outputs()
+            .iter()
+            .map(|&n| nl.net_name(n))
+            .collect();
+        writeln!(
+            self.out,
+            "# {}: {} gates, {} inputs, {} outputs, engine {engine}\n# vector -> {}",
+            nl.name(),
+            nl.gate_count(),
+            nl.primary_inputs().len(),
+            nl.primary_outputs().len(),
+            names.join(" ")
+        )
+        .map_err(write_error)
+    }
+
+    /// One row: `{index:>6} {inputs} -> {outputs}`.
+    fn row(
+        &mut self,
+        index: usize,
+        vector: &[bool],
+        finals: impl IntoIterator<Item = bool>,
+    ) -> Result<(), CliError> {
+        let bit = |b: bool| b'0' + u8::from(b);
+        let line = &mut self.line;
+        line.clear();
+        let _ = write!(line, "{index:>6} ");
+        line.extend(vector.iter().map(|&b| bit(b)));
+        line.extend_from_slice(b" -> ");
+        line.extend(finals.into_iter().map(bit));
+        line.push(b'\n');
+        self.out.write_all(line).map_err(write_error)
+    }
+
+    fn flush(&mut self) -> Result<(), CliError> {
+        self.out.flush().map_err(write_error)
+    }
+}
+
+/// A closed pipe ends the run quietly; any other failure to write the
+/// rows is a usage-class error.
+fn write_error(err: io::Error) -> CliError {
+    if err.kind() == io::ErrorKind::BrokenPipe {
+        CliError::closed_pipe()
+    } else {
+        CliError::usage(format!("writing output: {err}"))
+    }
 }
 
 fn write_vcd(path: Option<String>, recorder: Option<VcdRecorder>) -> Result<(), CliError> {
@@ -650,7 +708,8 @@ fn simulate_guarded<I: Iterator<Item = Vec<bool>>>(
     let mut recorder = vcd_path
         .as_ref()
         .map(|_| VcdRecorder::new(nl, nl.primary_outputs().to_vec()));
-    print_header(nl, guarded.active_engine(), human);
+    let mut out = RowOut::new(human);
+    out.header(nl, guarded.active_engine())?;
     let mut seen_fallbacks = guarded.fallbacks().len();
     {
         let _span = telemetry.map(|t| t.span("simulate"));
@@ -661,18 +720,18 @@ fn simulate_guarded<I: Iterator<Item = Vec<bool>>>(
             if let Some(t) = telemetry {
                 t.add("run.vectors", 1);
             }
-            seen_fallbacks = report_new_fallbacks(&guarded, seen_fallbacks);
+            if guarded.fallbacks().len() > seen_fallbacks {
+                out.flush()?;
+                seen_fallbacks = report_new_fallbacks(&guarded, seen_fallbacks);
+            }
             if let Some(recorder) = recorder.as_mut() {
                 recorder.record(guarded.active_simulator());
             }
-            print_row(nl, index, &vector, human, |nl| {
-                nl.primary_outputs()
-                    .iter()
-                    .map(|&n| char::from(b'0' + guarded.final_value(n) as u8))
-                    .collect()
-            });
+            let finals = nl.primary_outputs().iter().map(|&n| guarded.final_value(n));
+            out.row(index, &vector, finals)?;
         }
     }
+    out.flush()?;
     if let Some(t) = telemetry {
         // The chain may have degraded mid-run; record who survived.
         t.label("engine", guarded.active_engine().to_string());
@@ -739,7 +798,13 @@ fn simulate_batch(
         t.label("jobs", jobs.to_string());
     }
     report_new_fallbacks(&prototype, 0);
-    print_header(nl, prototype.active_engine(), human);
+    {
+        // Not held across the run: a worker's panic report must not
+        // wait on a lock of the stream it writes to.
+        let mut header = RowOut::new(human);
+        header.header(nl, prototype.active_engine())?;
+        header.flush()?;
+    }
     let out = {
         let _span = telemetry.map(|t| t.span("simulate"));
         run_batch_observed(
@@ -755,11 +820,11 @@ fn simulate_batch(
     if let Some(t) = telemetry {
         t.add("run.vectors", out.rows.len() as u64);
     }
+    let mut rows = RowOut::new(human);
     for (index, (vector, row)) in stimulus.iter().zip(&out.rows).enumerate() {
-        print_row(nl, index, vector, human, |_| {
-            row.iter().map(|&b| char::from(b'0' + b as u8)).collect()
-        });
+        rows.row(index, vector, row.iter().copied())?;
     }
+    rows.flush()?;
     for shard in &out.shards {
         eprintln!(
             "shard {}: vectors {}..{} on {} ({} fallback{}, {:.1} ms)",

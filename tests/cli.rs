@@ -294,3 +294,57 @@ fn unknown_command_exits_with_usage_code() {
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("usage"), "{}", stderr(&out));
 }
+
+/// `udsim simulate … | head`: the reader closes the pipe long before
+/// the run ends. Both row paths must stop quietly with exit 0.
+#[test]
+fn a_closed_pipe_ends_the_run_quietly() {
+    use std::io::Read as _;
+    use std::process::Stdio;
+    let circuit = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/c432.bench");
+    for jobs in [None, Some("2")] {
+        let mut args = vec!["simulate", circuit, "--vectors", "100000"];
+        if let Some(jobs) = jobs {
+            args.extend(["--jobs", jobs]);
+        }
+        let mut child = Command::new(env!("CARGO_BIN_EXE_udsim"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("udsim binary runs");
+        let mut first = [0u8; 64];
+        child
+            .stdout
+            .take()
+            .expect("piped stdout")
+            .read_exact(&mut first)
+            .expect("the header arrives");
+        // The read end is dropped here, with megabytes of rows to go.
+        let out = child.wait_with_output().expect("udsim exits");
+        assert!(first.starts_with(b"# c432"), "{args:?}");
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+/// A write failure other than a closed pipe is a one-line usage error.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_full_device_is_a_usage_error() {
+    let path = fixture("full.bench", C17);
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("/dev/full opens");
+    let out = Command::new(env!("CARGO_BIN_EXE_udsim"))
+        .args(["simulate", path.to_str().unwrap(), "--vectors", "4"])
+        .stdout(full)
+        .output()
+        .expect("udsim binary runs");
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.contains("writing output"), "{err}");
+}

@@ -107,3 +107,61 @@ fn c432_random_every_flavor_and_width() {
     let stimulus: Vec<Vec<bool>> = RandomVectors::new(width, 1990).take(16).collect();
     check_all_flavors(&nl, &stimulus);
 }
+
+#[test]
+fn nets_named_like_generated_words_keep_their_own_slots() {
+    if skip_without_compiler("nets_named_like_generated_words_keep_their_own_slots") {
+        return;
+    }
+    // A 40-deep chain makes 32-bit unoptimized fields span two words,
+    // so net `x` owns the C names `x_w0`/`x_w1`; nets literally named
+    // that (and like the dedup alias) must still get slots of their own.
+    let mut b = NetlistBuilder::new();
+    let early = b.input("x_w0");
+    let x = b.input("x");
+    let late = b.input("x_w1");
+    let alias = b.input("x_w0_d1");
+    let mut tail = x;
+    for k in 0..40 {
+        tail = b.gate(GateKind::Not, &[tail], format!("g{k}")).unwrap();
+    }
+    let y = b
+        .gate(GateKind::Xor, &[tail, early, late, alias], "y")
+        .unwrap();
+    b.output(y);
+    let nl = b.finish().unwrap();
+    let stimulus: Vec<Vec<bool>> = RandomVectors::new(4, 0x40).take(24).collect();
+    check_all_flavors(&nl, &stimulus);
+}
+
+#[test]
+fn cli_native_batch_crosschecks_on_c432() {
+    if skip_without_compiler("cli_native_batch_crosschecks_on_c432") {
+        return;
+    }
+    // Two shards run forks of one native engine concurrently on one
+    // loaded object; the batch must match the sequential run.
+    let cache = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("native-cli-cache");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_udsim"))
+        .args([
+            "simulate",
+            concat!(env!("CARGO_MANIFEST_DIR"), "/examples/c432.bench"),
+            "--engine",
+            "native",
+            "--vectors",
+            "2000",
+            "--jobs",
+            "2",
+            "--crosscheck",
+        ])
+        .env("UDS_NATIVE_CACHE", &cache)
+        .output()
+        .expect("udsim binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(err.contains("on native"), "both shards run native: {err}");
+    assert!(
+        err.contains("cross-check: batch (--jobs 2) matches the sequential run"),
+        "{err}"
+    );
+}
