@@ -240,6 +240,16 @@ pub fn narrow_u16(value: usize) -> Result<u16, LimitExceeded> {
     })
 }
 
+/// Narrows a signed quantity into `i16` (packed instruction fields),
+/// reporting [`Resource::Arithmetic`] when it does not fit.
+pub fn narrow_i16(value: i64) -> Result<i16, LimitExceeded> {
+    i16::try_from(value).map_err(|_| LimitExceeded {
+        resource: Resource::Arithmetic,
+        needed: value.unsigned_abs(),
+        allowed: i16::MAX as u64,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

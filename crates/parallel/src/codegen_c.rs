@@ -184,22 +184,6 @@ fn emit_impl<W: Word>(
 
     for op in &program.ops {
         match *op {
-            WOp::Eval {
-                kind,
-                dst,
-                first_operand,
-                operand_count,
-            } => {
-                let operands: Vec<&str> = (first_operand..first_operand + u32::from(operand_count))
-                    .map(|i| names[program.operands[i as usize] as usize].as_str())
-                    .collect();
-                let _ = writeln!(
-                    out,
-                    "    {} = {};",
-                    names[dst as usize],
-                    gate_expression(kind, &operands)
-                );
-            }
             WOp::MergeShl1Low { dst, src } => {
                 let _ = writeln!(
                     out,
@@ -296,17 +280,23 @@ fn emit_impl<W: Word>(
             }
             WOp::ShiftField {
                 dst,
-                dst_words,
                 src,
-                src_width,
-                shift,
+                dst_words,
+                top_word,
+                base,
+                spare,
+                offset,
             } => {
                 // Materialize a shifted presentation of a field
                 // (Fig. 18). Bottom/top fills and the funnel offsets are
                 // compile-time constants; source and destination never
                 // overlap, so the per-word funnel unrolls directly.
-                let top_bit = src_width - 1;
-                let top_word = top_bit / b;
+                let top_word = u32::from(top_word);
+                // The bit of the top word that holds the field's top bit.
+                let top_bit = b - 1 - u32::from(spare);
+                let offset = i64::from(offset);
+                let base = i64::from(base);
+                let shift = -(base * i64::from(b) + offset);
                 let src_at = |i: i64| -> String {
                     if i < 0 {
                         "uds_bf".to_owned()
@@ -327,22 +317,18 @@ fn emit_impl<W: Word>(
                 );
                 let _ = writeln!(
                     out,
-                    "        const word uds_tf = (word)0 - ({raw_top} >> {} & (word)1);",
-                    top_bit % b
+                    "        const word uds_tf = (word)0 - ({raw_top} >> {top_bit} & (word)1);"
                 );
-                if top_bit % b + 1 == b {
+                if spare == 0 {
                     // Full top word: the sanitization mask is all ones.
                     let _ = writeln!(out, "        const word uds_st = {raw_top};");
                 } else {
-                    let mask = mask_literal(top_bit % b + 1);
+                    let mask = mask_literal(top_bit + 1);
                     let _ = writeln!(
                         out,
                         "        const word uds_st = ({raw_top} & {mask}) | (uds_tf & ~{mask});"
                     );
                 }
-                let s = -i64::from(shift);
-                let offset = s.rem_euclid(i64::from(b));
-                let base = (s - offset) / i64::from(b);
                 for w in 0..i64::from(dst_words) {
                     let dname = names[(dst + w as u32) as usize].clone();
                     if offset == 0 {
@@ -358,6 +344,19 @@ fn emit_impl<W: Word>(
                     }
                 }
                 let _ = writeln!(out, "    }}");
+            }
+            _ => {
+                let (kind, dst, slots) = op
+                    .as_gate(&program.operands)
+                    .expect("every other op is a gate evaluation");
+                let operands: Vec<&str> =
+                    slots.iter().map(|&s| names[s as usize].as_str()).collect();
+                let _ = writeln!(
+                    out,
+                    "    {} = {};",
+                    names[dst as usize],
+                    gate_expression(kind, &operands)
+                );
             }
         }
     }

@@ -86,6 +86,7 @@ pub(crate) fn compile<W: Word>(
 
     let mut ops = Vec::new();
     let mut operands = Vec::new();
+    let mut slots = Vec::new();
     let mut trimmed_words = 0usize;
     let mut segments = SegmentBuilder::new();
     let word_bytes = u64::from(W::BITS / 8);
@@ -183,16 +184,9 @@ pub(crate) fn compile<W: Word>(
             if !scratch_needed[w as usize] {
                 continue;
             }
-            let first_operand = narrow_u32(operands.len() as u64)?;
-            for &input in &gate.inputs {
-                operands.push(layouts[input].base + w);
-            }
-            ops.push(WOp::Eval {
-                kind: gate.kind,
-                dst: scratch + w,
-                first_operand,
-                operand_count: narrow_u16(gate.inputs.len())?,
-            });
+            slots.clear();
+            slots.extend(gate.inputs.iter().map(|&input| layouts[input].base + w));
+            ops.push(WOp::gate(gate.kind, scratch + w, &slots, &mut operands)?);
         }
         for w in 0..words {
             match class_of(out, w) {

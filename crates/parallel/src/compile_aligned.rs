@@ -171,6 +171,7 @@ pub(crate) fn compile<W: Word>(
 
     let mut ops = Vec::new();
     let mut operands = Vec::new();
+    let mut slots = Vec::new();
     let mut retained_shifts = 0usize;
     let mut trimmed_words = 0usize;
 
@@ -266,13 +267,13 @@ pub(crate) fn compile<W: Word>(
                 retained_shifts += 1;
                 let dst = scratch_base + scratch_used * scratch_stride;
                 scratch_used += 1;
-                ops.push(WOp::ShiftField {
+                ops.push(WOp::shift_field::<W>(
                     dst,
-                    dst_words: narrow_u16(gate_words as usize)?,
-                    src: in_layout.base,
-                    src_width: in_layout.width,
+                    gate_words,
+                    in_layout.base,
+                    in_layout.width,
                     shift,
-                });
+                )?);
                 Presentation::Scratch(dst)
             };
             presented.push((input, presentation));
@@ -307,16 +308,14 @@ pub(crate) fn compile<W: Word>(
             };
             match class {
                 WordClass::Active => {
-                    let first_operand = narrow_u32(operands.len() as u64)?;
-                    for &input in &gate.inputs {
-                        operands.push(operand_at(input, w));
-                    }
-                    ops.push(WOp::Eval {
-                        kind: gate.kind,
-                        dst: compute_base + w,
-                        first_operand,
-                        operand_count: narrow_u16(gate.inputs.len())?,
-                    });
+                    slots.clear();
+                    slots.extend(gate.inputs.iter().map(|&input| operand_at(input, w)));
+                    ops.push(WOp::gate(
+                        gate.kind,
+                        compute_base + w,
+                        &slots,
+                        &mut operands,
+                    )?);
                 }
                 WordClass::Gap => {
                     trimmed_words += 1;
@@ -332,13 +331,13 @@ pub(crate) fn compile<W: Word>(
             }
         }
         if output_shift != 0 {
-            ops.push(WOp::ShiftField {
-                dst: out_layout.base,
-                dst_words: narrow_u16(out_layout.words as usize)?,
-                src: stage_base,
-                src_width: compute_width,
-                shift: output_shift,
-            });
+            ops.push(WOp::shift_field::<W>(
+                out_layout.base,
+                out_layout.words,
+                stage_base,
+                compute_width,
+                output_shift,
+            )?);
         }
         if needs_ext[out] {
             ops.push(ext_broadcast(out));

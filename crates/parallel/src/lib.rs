@@ -55,6 +55,8 @@ mod compile_aligned;
 pub mod cycle_breaking;
 pub mod path_tracing;
 mod program;
+#[cfg(test)]
+mod shape_oracle;
 mod simulator;
 pub mod trimming;
 pub mod undirected;

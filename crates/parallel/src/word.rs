@@ -56,6 +56,10 @@ pub trait Word:
     /// word. `bits > BITS` is a caller bug.
     fn low_mask(bits: u32) -> Self;
 
+    /// `self << left`, then an arithmetic (sign-replicating) shift right
+    /// by `right` (both `< BITS`).
+    fn shl_sar(self, left: u32, right: u32) -> Self;
+
     /// Number of set bits.
     fn count_ones(self) -> u32;
 
@@ -65,7 +69,7 @@ pub trait Word:
 }
 
 macro_rules! impl_word {
-    ($ty:ty, $c_type:literal) => {
+    ($ty:ty, $signed:ty, $c_type:literal) => {
         impl Word for $ty {
             const BITS: u32 = <$ty>::BITS;
             const ZERO: Self = 0;
@@ -98,6 +102,11 @@ macro_rules! impl_word {
             }
 
             #[inline]
+            fn shl_sar(self, left: u32, right: u32) -> Self {
+                (((self << left) as $signed) >> right) as $ty
+            }
+
+            #[inline]
             fn count_ones(self) -> u32 {
                 <$ty>::count_ones(self)
             }
@@ -110,8 +119,8 @@ macro_rules! impl_word {
     };
 }
 
-impl_word!(u32, "uint32_t");
-impl_word!(u64, "uint64_t");
+impl_word!(u32, i32, "uint32_t");
+impl_word!(u64, i64, "uint64_t");
 
 #[cfg(test)]
 mod tests {
@@ -139,6 +148,17 @@ mod tests {
     #[cfg(debug_assertions)]
     fn low_mask_rejects_oversized_counts() {
         let _ = <u32 as Word>::low_mask(33);
+    }
+
+    #[test]
+    fn shl_sar_replicates_the_bit_it_moves_to_the_top() {
+        // Bit 2 to the top and back: every bit above it copies it.
+        assert_eq!(<u32 as Word>::shl_sar(0b0100, 29, 29), 0xFFFF_FFFC);
+        // ... or all the way down: a broadcast of bit 2.
+        assert_eq!(<u32 as Word>::shl_sar(0b0100, 29, 31), u32::MAX);
+        assert_eq!(<u32 as Word>::shl_sar(0b0110, 31, 31), 0, "bit 0 broadcast");
+        assert_eq!(<u32 as Word>::shl_sar(0xDEAD_BEEF, 0, 0), 0xDEAD_BEEF);
+        assert_eq!(<u64 as Word>::shl_sar(1 << 40, 23, 23), u64::MAX << 40);
     }
 
     #[test]

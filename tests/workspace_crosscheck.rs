@@ -3,14 +3,24 @@
 
 use unit_delay_sim::core::crosscheck;
 use unit_delay_sim::core::vectors::{Exhaustive, RandomVectors, WalkingOnes};
+use unit_delay_sim::core::{build_simulator_with_word, WordWidth};
 use unit_delay_sim::netlist::generators::adders::{ripple_carry_adder, AdderStyle};
 use unit_delay_sim::netlist::generators::alu::alu;
 use unit_delay_sim::netlist::generators::comparator::comparator;
 use unit_delay_sim::netlist::generators::iscas::{c17, Iscas85};
 use unit_delay_sim::netlist::generators::multiplier::array_multiplier;
+use unit_delay_sim::netlist::generators::random::{layered, LayeredConfig};
 use unit_delay_sim::netlist::generators::shifter::{barrel_shifter, priority_encoder};
 use unit_delay_sim::netlist::generators::trees::{decoder, mux_tree};
 use unit_delay_sim::prelude::*;
+
+const PARALLEL_ENGINES: [Engine; 5] = [
+    Engine::Parallel,
+    Engine::ParallelTrimming,
+    Engine::ParallelPathTracing,
+    Engine::ParallelPathTracingTrimming,
+    Engine::ParallelCycleBreaking,
+];
 
 fn all_engines(nl: &Netlist) -> Vec<Box<dyn UnitDelaySimulator>> {
     Engine::ALL
@@ -95,6 +105,43 @@ fn c6288_standin_four_word_fields() {
         build_simulator(&nl, Engine::ParallelPathTracingTrimming).unwrap(),
     ];
     crosscheck::run(&nl, &mut sims, RandomVectors::new(width, 8).take(4)).unwrap();
+}
+
+#[test]
+fn c6288_standin_cycle_breaking_and_64_bit_words() {
+    // The deep-field shift kernels on the multiplier: cycle breaking's
+    // left shifts and output re-alignments at 32 bits, and every
+    // parallel mode's 2-word fields at 64 bits.
+    let nl = Iscas85::C6288.build();
+    let width = nl.primary_inputs().len();
+    let mut sims = vec![
+        build_simulator(&nl, Engine::EventDriven).unwrap(),
+        build_simulator(&nl, Engine::ParallelCycleBreaking).unwrap(),
+    ];
+    for engine in PARALLEL_ENGINES {
+        sims.push(build_simulator_with_word(&nl, engine, WordWidth::W64).unwrap());
+    }
+    crosscheck::run(&nl, &mut sims, RandomVectors::new(width, 11).take(3)).unwrap();
+}
+
+#[test]
+fn layered_depth_129_five_word_fields_every_parallel_mode() {
+    // 130 time steps: 5-word fields at 32 bits, so shifted presentations
+    // run the generic (more than 4 words) funnel; 3 words at 64 bits.
+    let mut config = LayeredConfig::new("deep129", 400, 129);
+    config.primary_inputs = 12;
+    config.xor_fraction = 0.3;
+    config.inverter_fraction = 0.15;
+    let nl = layered(&config).unwrap();
+    assert_eq!(levelize(&nl).unwrap().depth, 129);
+    let width = nl.primary_inputs().len();
+    let mut sims = vec![build_simulator(&nl, Engine::EventDriven).unwrap()];
+    for word in [WordWidth::W32, WordWidth::W64] {
+        for engine in PARALLEL_ENGINES {
+            sims.push(build_simulator_with_word(&nl, engine, word).unwrap());
+        }
+    }
+    crosscheck::run(&nl, &mut sims, RandomVectors::new(width, 12).take(12)).unwrap();
 }
 
 #[test]
