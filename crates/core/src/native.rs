@@ -461,9 +461,6 @@ mod imp {
     struct NativePcSetSim {
         twin: PcSetSimulator,
         lib: Arc<NativeLib>,
-        /// The kernel's stream-broadcast input words, refilled each
-        /// vector.
-        pi: Vec<u64>,
         /// Scratch for the emitted `po` buffer (monitored finals) —
         /// the wrapper reads results from the twin's arena instead.
         po: Vec<u64>,
@@ -475,13 +472,9 @@ mod imp {
         }
 
         fn simulate_vector(&mut self, inputs: &[bool]) {
-            let (lib, pi, po) = (&self.lib, &mut self.pi, &mut self.po);
-            self.twin.simulate_vector_with(inputs, |arena| {
-                for (word, &b) in pi.iter_mut().zip(inputs) {
-                    *word = if b { !0 } else { 0 };
-                }
-                lib.call_pcset(arena, pi, po);
-            });
+            let (lib, po) = (&self.lib, &mut self.po);
+            self.twin
+                .simulate_vector_with(inputs, |arena, pi| lib.call_pcset(arena, pi, po));
         }
 
         fn final_value(&self, net: NetId) -> bool {
@@ -508,7 +501,6 @@ mod imp {
             Box::new(NativePcSetSim {
                 twin: self.twin.clone(),
                 lib: Arc::clone(&self.lib),
-                pi: self.pi.clone(),
                 po: self.po.clone(),
             })
         }
@@ -556,9 +548,8 @@ mod imp {
                     .map_err(|e| toolchain_error(format!("emit: {e}")))?;
                 let path = artifact_path(hash, "pcset", 64, monitoring, &source);
                 let lib = get_or_load(&path, &source, probe)?;
-                let pi = vec![0u64; netlist.primary_inputs().len()];
                 let po = vec![0u64; twin.monitored().len()];
-                return Ok(Box::new(NativePcSetSim { twin, lib, pi, po }));
+                return Ok(Box::new(NativePcSetSim { twin, lib, po }));
             }
             Engine::Parallel => Optimization::None,
             Engine::ParallelTrimming => Optimization::Trimming,
