@@ -309,10 +309,11 @@ pub struct BatchActivityObserver {
 
 impl BatchActivityObserver {
     /// Sized for a batch of `total` vectors over `jobs` workers — the
-    /// same partition [`shard_bounds`] gives the batch runner.
+    /// same partition [`shard_bounds`] gives the batch runner, with at
+    /// least one slot so an empty batch merges to an empty profile.
     pub fn new(netlist: &Netlist, levels: &Levels, total: usize, jobs: usize) -> Self {
-        let shards = shard_bounds(total, jobs)
-            .iter()
+        let slots = shard_bounds(total, jobs).len().max(1);
+        let shards = (0..slots)
             .map(|_| Mutex::new(ActivityProfiler::for_netlist(netlist, levels)))
             .collect();
         BatchActivityObserver { shards }
@@ -321,9 +322,7 @@ impl BatchActivityObserver {
     /// Merges every shard's profile, in shard order.
     pub fn merged(&self) -> ActivityProfiler {
         let mut iter = self.shards.iter();
-        let first = iter
-            .next()
-            .expect("shard_bounds yields at least one shard for a nonempty batch");
+        let first = iter.next().expect("the observer has at least one slot");
         let mut merged = first.lock().unwrap_or_else(|e| e.into_inner()).clone();
         for shard in iter {
             merged.merge(&shard.lock().unwrap_or_else(|e| e.into_inner()));

@@ -449,7 +449,8 @@ mod imp {
             // reports for `native` therefore describe the interpreted
             // twin's cost shape — which shares the native code's
             // per-level structure, just not its constant factor.
-            self.twin.simulate_vector_leveled(inputs, profile);
+            self.twin
+                .step(inputs, &mut uds_netlist::LevelTimer::new(profile));
         }
 
         fn level_static_profile(&self) -> Option<uds_netlist::LevelProfile> {
@@ -513,7 +514,8 @@ mod imp {
             // As in the parallel wrapper: the profiled path runs the
             // interpreted twin, whose per-level segments mirror the
             // emitted C's statement order.
-            self.twin.simulate_vector_leveled(inputs, profile);
+            self.twin
+                .step(inputs, &mut uds_netlist::LevelTimer::new(profile));
         }
 
         fn level_static_profile(&self) -> Option<uds_netlist::LevelProfile> {

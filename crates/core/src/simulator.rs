@@ -3,7 +3,9 @@
 use std::fmt;
 
 use uds_eventsim::EventDrivenUnitDelay;
-use uds_netlist::{levelize, LevelProfile, LevelTimer, LevelizeError, NetId, Netlist};
+use uds_netlist::{
+    levelize, LevelProfile, LevelSink, LevelTimer, LevelizeError, NetId, Netlist, Unprofiled,
+};
 use uds_parallel::{Optimization, ParallelSim, Word};
 use uds_pcset::PcSetSimulator;
 
@@ -155,7 +157,7 @@ impl UnitDelaySimulator for PcSetSimulator {
     }
 
     fn simulate_vector_leveled(&mut self, inputs: &[bool], profile: &mut LevelProfile) {
-        PcSetSimulator::simulate_vector_leveled(self, inputs, profile);
+        PcSetSimulator::step(self, inputs, &mut LevelTimer::new(profile));
     }
 
     fn level_static_profile(&self) -> Option<LevelProfile> {
@@ -208,7 +210,7 @@ impl<W: Word> UnitDelaySimulator for ParallelSim<W> {
     }
 
     fn simulate_vector_leveled(&mut self, inputs: &[bool], profile: &mut LevelProfile) {
-        ParallelSim::simulate_vector_leveled(self, inputs, profile);
+        ParallelSim::step(self, inputs, &mut LevelTimer::new(profile));
     }
 
     fn level_static_profile(&self) -> Option<LevelProfile> {
@@ -258,6 +260,25 @@ impl TracedEventSim {
     pub fn inner(&self) -> &EventDrivenUnitDelay<bool> {
         &self.inner
     }
+
+    /// The one per-vector body: rewinds every waveform row to its
+    /// settled value (per-vector setup, so level-0 work for a profiling
+    /// `sink`), then records the event-driven step's changes into it.
+    fn step<S: LevelSink>(&mut self, inputs: &[bool], sink: &mut S) {
+        for row in &mut self.waveform {
+            let last = *row.last().expect("rows are depth + 1 long");
+            row.fill(last);
+        }
+        let waveform = &mut self.waveform;
+        let stats = self.inner.step(inputs, sink, |t, net, v| {
+            for slot in &mut waveform[net.index()][t as usize..] {
+                *slot = v;
+            }
+        });
+        self.total_events += stats.events as u64;
+        self.total_toggles += stats.toggles as u64;
+        self.total_gate_evaluations += stats.gate_evaluations as u64;
+    }
 }
 
 impl UnitDelaySimulator for TracedEventSim {
@@ -266,20 +287,7 @@ impl UnitDelaySimulator for TracedEventSim {
     }
 
     fn simulate_vector(&mut self, inputs: &[bool]) {
-        for (net, row) in self.waveform.iter_mut().enumerate() {
-            let last = *row.last().expect("rows are depth + 1 long");
-            row.fill(last);
-            let _ = net;
-        }
-        let waveform = &mut self.waveform;
-        let stats = self.inner.simulate_vector_traced(inputs, |t, net, v| {
-            for slot in &mut waveform[net.index()][t as usize..] {
-                *slot = v;
-            }
-        });
-        self.total_events += stats.events as u64;
-        self.total_toggles += stats.toggles as u64;
-        self.total_gate_evaluations += stats.gate_evaluations as u64;
+        self.step(inputs, &mut Unprofiled);
     }
 
     fn final_value(&self, net: NetId) -> bool {
@@ -323,26 +331,7 @@ impl UnitDelaySimulator for TracedEventSim {
     }
 
     fn simulate_vector_leveled(&mut self, inputs: &[bool], profile: &mut LevelProfile) {
-        // The waveform rewind is per-vector setup: level-0 work.
-        let rewind = std::time::Instant::now();
-        for row in self.waveform.iter_mut() {
-            let last = *row.last().expect("rows are depth + 1 long");
-            row.fill(last);
-        }
-        let rewind_ns = u64::try_from(rewind.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let waveform = &mut self.waveform;
-        let stats = self
-            .inner
-            .simulate_vector_traced_leveled(inputs, profile, |t, net, v| {
-                for slot in &mut waveform[net.index()][t as usize..] {
-                    *slot = v;
-                }
-            });
-        profile.ensure_level(0);
-        profile.levels[0].self_ns += rewind_ns;
-        self.total_events += stats.events as u64;
-        self.total_toggles += stats.toggles as u64;
-        self.total_gate_evaluations += stats.gate_evaluations as u64;
+        self.step(inputs, &mut LevelTimer::new(profile));
     }
 }
 

@@ -12,7 +12,7 @@
 //! input gathering through the netlist data structures, and dynamic
 //! dispatch on the gate kind.
 
-use uds_netlist::{levelize, GateId, LevelProfile, LevelTimer, LevelizeError, NetId, Netlist};
+use uds_netlist::{levelize, GateId, LevelSink, LevelizeError, NetId, Netlist, Unprofiled};
 
 use crate::LogicFamily;
 
@@ -156,6 +156,28 @@ impl<L: LogicFamily> EventDrivenUnitDelay<L> {
     pub fn simulate_vector_traced(
         &mut self,
         inputs: &[L],
+        on_change: impl FnMut(u32, NetId, L),
+    ) -> SimStats {
+        self.step(inputs, &mut Unprofiled, on_change)
+    }
+
+    /// The simulator's one per-vector body: like
+    /// [`Self::simulate_vector_traced`], additionally reporting each
+    /// unit-delay time step to `sink`. The pre-loop input scan is level
+    /// 0 and the settling iteration at time `t` is level `t`. For an
+    /// event-driven simulator the time step *is* the natural analogue
+    /// of the compiled engines' netlist level — events committed at
+    /// time `t` are toggles of nets at levels `<= t` — so hotspot
+    /// reports from a [`uds_netlist::LevelTimer`] sink line up across
+    /// engines.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len()` differs from the primary input count.
+    pub fn step<S: LevelSink>(
+        &mut self,
+        inputs: &[L],
+        sink: &mut S,
         mut on_change: impl FnMut(u32, NetId, L),
     ) -> SimStats {
         assert_eq!(
@@ -164,6 +186,7 @@ impl<L: LogicFamily> EventDrivenUnitDelay<L> {
             "input vector length must match the primary input count"
         );
         let mut stats = SimStats::default();
+        let value_bytes = std::mem::size_of::<L>() as u64;
 
         debug_assert!(self.current.is_empty());
         for (&pi, &bit) in self.netlist.primary_inputs().iter().zip(inputs) {
@@ -171,10 +194,14 @@ impl<L: LogicFamily> EventDrivenUnitDelay<L> {
                 self.current.push((pi, bit));
             }
         }
+        let scanned = self.netlist.primary_inputs().len() as u64;
+        sink.segment(0, scanned, 0, scanned * value_bytes * 2);
 
         let mut time: u32 = 0;
         while !self.current.is_empty() {
             self.stamp += 1;
+            let step_events_start = stats.events;
+            let step_evals_start = stats.gate_evaluations;
             // Commit all changes for this time unit first, so gates see a
             // consistent snapshot of time `time`.
             let mut changed: Vec<NetId> = Vec::with_capacity(self.current.len());
@@ -205,86 +232,11 @@ impl<L: LogicFamily> EventDrivenUnitDelay<L> {
                 }
             }
             std::mem::swap(&mut self.current, &mut self.next);
-            time += 1;
-        }
-        stats
-    }
-
-    /// Like [`Self::simulate_vector_traced`], additionally attributing
-    /// wall time to `profile` per unit-delay time step: the pre-loop
-    /// input scan lands in level 0 and the settling iteration at time
-    /// `t` lands in level `t`. For an event-driven simulator the time
-    /// step *is* the natural analogue of the compiled engines' netlist
-    /// level — events committed at time `t` are toggles of nets at
-    /// levels `<= t` — so hotspot reports line up across engines.
-    ///
-    /// Timing is chunked through [`LevelTimer`], so clock reads are
-    /// amortized across steps on large circuits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from the primary input count.
-    pub fn simulate_vector_traced_leveled(
-        &mut self,
-        inputs: &[L],
-        profile: &mut LevelProfile,
-        mut on_change: impl FnMut(u32, NetId, L),
-    ) -> SimStats {
-        assert_eq!(
-            inputs.len(),
-            self.netlist.primary_inputs().len(),
-            "input vector length must match the primary input count"
-        );
-        let mut stats = SimStats::default();
-        let mut timer = LevelTimer::new(profile);
-        let value_bytes = std::mem::size_of::<L>() as u64;
-
-        debug_assert!(self.current.is_empty());
-        for (&pi, &bit) in self.netlist.primary_inputs().iter().zip(inputs) {
-            if self.value[pi] != bit {
-                self.current.push((pi, bit));
-            }
-        }
-        let scanned = self.netlist.primary_inputs().len() as u64;
-        timer.segment(0, scanned, 0, scanned * value_bytes * 2);
-
-        let mut time: u32 = 0;
-        while !self.current.is_empty() {
-            self.stamp += 1;
-            let step_events_start = stats.events;
-            let step_evals_start = stats.gate_evaluations;
-            let mut changed: Vec<NetId> = Vec::with_capacity(self.current.len());
-            let events = std::mem::take(&mut self.current);
-            for (net, new_value) in events {
-                if self.value[net] != new_value {
-                    self.value[net] = new_value;
-                    changed.push(net);
-                    stats.events += 1;
-                    stats.toggles += usize::from(time >= 1);
-                    stats.settle_time = time;
-                    on_change(time, net, new_value);
-                }
-            }
-            for net in changed {
-                for &gate in self.netlist.fanout(net) {
-                    if self.gate_stamp[gate.index()] == self.stamp {
-                        continue;
-                    }
-                    self.gate_stamp[gate.index()] = self.stamp;
-                    let new_out = self.evaluate(gate);
-                    stats.gate_evaluations += 1;
-                    let out_net = self.netlist.gate(gate).output;
-                    if new_out != self.value[out_net] {
-                        self.next.push((out_net, new_out));
-                    }
-                }
-            }
-            std::mem::swap(&mut self.current, &mut self.next);
             let step_events = (stats.events - step_events_start) as u64;
             let step_evals = (stats.gate_evaluations - step_evals_start) as u64;
             // Rough bytes: each event rewrites a value, each evaluation
             // gathers its inputs through the netlist (call it 4 values).
-            timer.segment(
+            sink.segment(
                 time as usize,
                 step_events,
                 step_evals,

@@ -3,9 +3,11 @@
 //!
 //! The paper's cost model says compiled-simulation time is dominated by
 //! per-level word operations over the levelized netlist; this module is
-//! the measurement side of that claim. An engine that supports leveled
-//! profiling walks its compiled program level by level and reports each
-//! sweep to a [`LevelTimer`], which attributes wall-clock **self time**
+//! the measurement side of that claim. Every engine has one per-vector
+//! body, generic over a [`LevelSink`]: the zero-sized [`Unprofiled`]
+//! sink runs the whole op stream in one call, while a [`LevelTimer`]
+//! walks the compiled program level by level and takes each sweep's
+//! report, attributing wall-clock **self time**
 //! to levels while reading the clock only every
 //! [`TIMER_GRANULARITY_WORD_OPS`] units of work — the amortization that
 //! keeps profiling overhead small on wide levels and bounded (two clock
@@ -24,6 +26,7 @@
 //! engines map simulated time step `t` to slot `t` (unit delay makes
 //! the two coincide for glitch-free propagation).
 
+use std::ops::Range;
 use std::time::Instant;
 
 /// Clock-read granularity of [`LevelTimer`], in weighted work units
@@ -118,8 +121,8 @@ impl LevelProfile {
 /// op range that belongs to a single netlist level, with its static
 /// work counts. The code generators emit ops grouped by the levelized
 /// worklist order, which is *not* sorted by level — so each compiler
-/// records the run-length segments of its own emission order and the
-/// leveled executor replays exactly those ranges. Op order is never
+/// records the run-length segments of its own emission order and a
+/// [`LevelSink::walk`] replays exactly those ranges. Op order is never
 /// changed for profiling.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LevelSegment {
@@ -206,8 +209,8 @@ pub fn static_profile(segments: &[LevelSegment]) -> LevelProfile {
 
 /// Chunked per-level wall-clock attributor for one profiled vector.
 ///
-/// Create one at the top of a leveled simulate call; report each level
-/// sweep with [`LevelTimer::segment`]; the timer reads the clock only
+/// Create one at the top of a leveled simulate call and hand it to the
+/// engine's body as its [`LevelSink`]; the timer reads the clock only
 /// when pending work crosses [`TIMER_GRANULARITY_WORD_OPS`] (or on
 /// drop) and splits the elapsed nanoseconds across the pending
 /// segments proportionally to their work. Dropping the timer flushes,
@@ -243,29 +246,6 @@ impl<'p> LevelTimer<'p> {
         timer
     }
 
-    /// Reports that the sweep of `level` just finished, having executed
-    /// `word_ops` word operations, `gate_evals` gate evaluations, and
-    /// touched ~`bytes` of state since the previous report.
-    pub fn segment(&mut self, level: usize, word_ops: u64, gate_evals: u64, bytes: u64) {
-        self.profile.ensure_level(level);
-        let slot = &mut self.profile.levels[level];
-        slot.word_ops = slot.word_ops.saturating_add(word_ops);
-        slot.gate_evals = slot.gate_evals.saturating_add(gate_evals);
-        slot.bytes_touched_est = slot.bytes_touched_est.saturating_add(bytes);
-        // Weight 1 floor: a segment with no counted ops (e.g. an empty
-        // level) still gets a share of elapsed time, keeping the total
-        // self time equal to the total elapsed time.
-        let weight = word_ops.max(gate_evals).max(1);
-        match self.pending.last_mut() {
-            Some((last, w)) if *last == level => *w += weight,
-            _ => self.pending.push((level, weight)),
-        }
-        self.pending_weight += weight;
-        if self.pending_weight >= self.granularity {
-            self.flush();
-        }
-    }
-
     /// Reads the clock once and distributes the elapsed time over the
     /// pending segments proportionally to their weights (remainder to
     /// the last segment, so no nanosecond is dropped).
@@ -295,6 +275,71 @@ impl<'p> LevelTimer<'p> {
     }
 }
 
+/// Where an engine's per-vector body sends its op stream and its level
+/// reports. Each engine has exactly one body, generic over the sink, so
+/// plain and profiled runs execute the same ops in the same order:
+/// [`Unprofiled`] compiles to the bare op-stream walk, [`LevelTimer`]
+/// walks it segment by segment and times each level.
+pub trait LevelSink {
+    /// Reports that the sweep of `level` just finished, having executed
+    /// `word_ops` word operations, `gate_evals` gate evaluations, and
+    /// touched ~`bytes` of state since the previous report.
+    fn segment(&mut self, level: usize, word_ops: u64, gate_evals: u64, bytes: u64);
+
+    /// Executes ops `0..total` of a compiled op stream by calling `run`
+    /// on consecutive ranges, in order: by default one level segment
+    /// at a time, reporting each (`segments` cover `0..total`).
+    fn walk(&mut self, segments: &[LevelSegment], total: usize, mut run: impl FnMut(Range<usize>)) {
+        debug_assert_eq!(segments.last().map_or(0, |s| s.end), total);
+        for segment in segments {
+            run(segment.start..segment.end);
+            self.segment(
+                segment.level,
+                segment.word_ops,
+                segment.gate_evals,
+                segment.bytes_touched_est,
+            );
+        }
+    }
+}
+
+/// The plain path's sink: no reports, and the whole op stream in one
+/// call. Walking level segments here would add one loop per segment —
+/// c432 under path tracing + trimming has 134 segments for 327 ops.
+pub struct Unprofiled;
+
+impl LevelSink for Unprofiled {
+    #[inline(always)]
+    fn segment(&mut self, _: usize, _: u64, _: u64, _: u64) {}
+
+    #[inline(always)]
+    fn walk(&mut self, _: &[LevelSegment], total: usize, mut run: impl FnMut(Range<usize>)) {
+        run(0..total);
+    }
+}
+
+impl LevelSink for LevelTimer<'_> {
+    fn segment(&mut self, level: usize, word_ops: u64, gate_evals: u64, bytes: u64) {
+        self.profile.ensure_level(level);
+        let slot = &mut self.profile.levels[level];
+        slot.word_ops = slot.word_ops.saturating_add(word_ops);
+        slot.gate_evals = slot.gate_evals.saturating_add(gate_evals);
+        slot.bytes_touched_est = slot.bytes_touched_est.saturating_add(bytes);
+        // Weight 1 floor: a segment with no counted ops (e.g. an empty
+        // level) still gets a share of elapsed time, keeping the total
+        // self time equal to the total elapsed time.
+        let weight = word_ops.max(gate_evals).max(1);
+        match self.pending.last_mut() {
+            Some((last, w)) if *last == level => *w += weight,
+            _ => self.pending.push((level, weight)),
+        }
+        self.pending_weight += weight;
+        if self.pending_weight >= self.granularity {
+            self.flush();
+        }
+    }
+}
+
 impl Drop for LevelTimer<'_> {
     fn drop(&mut self) {
         self.flush();
@@ -304,6 +349,36 @@ impl Drop for LevelTimer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unprofiled_walks_the_whole_stream_in_one_call() {
+        let segments = [
+            LevelSegment {
+                level: 0,
+                start: 0,
+                end: 2,
+                word_ops: 2,
+                gate_evals: 0,
+                bytes_touched_est: 0,
+            },
+            LevelSegment {
+                level: 1,
+                start: 2,
+                end: 5,
+                word_ops: 3,
+                gate_evals: 3,
+                bytes_touched_est: 0,
+            },
+        ];
+        let mut plain = Vec::new();
+        Unprofiled.walk(&segments, 5, |ops| plain.push(ops));
+        assert_eq!(plain, vec![0..5]);
+        let mut profile = LevelProfile::default();
+        let mut leveled = Vec::new();
+        LevelTimer::new(&mut profile).walk(&segments, 5, |ops| leveled.push(ops));
+        assert_eq!(leveled, vec![0..2, 2..5]);
+        assert_eq!(profile.levels[1].gate_evals, 3);
+    }
 
     #[test]
     fn segment_builder_merges_runs_and_tracks_the_cursor() {

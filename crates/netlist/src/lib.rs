@@ -66,7 +66,8 @@ pub use gate::{GateKind, Logic3, ParseGateKindError};
 pub use ids::{GateId, NetId};
 pub use levelize::{levelize, LevelizeError, Levels};
 pub use levelprof::{
-    static_profile, LevelCost, LevelProfile, LevelSegment, LevelTimer, SegmentBuilder,
+    static_profile, LevelCost, LevelProfile, LevelSegment, LevelSink, LevelTimer, SegmentBuilder,
+    Unprofiled,
 };
 pub use limits::{LimitExceeded, Resource, ResourceLimits};
 pub use netlist::{Gate, Netlist};

@@ -14,6 +14,8 @@
 //! the same [`Word`] type the compiler used; [`crate::ParallelSim`]
 //! pairs them by construction.
 
+use std::ops::Range;
+
 use uds_netlist::limits::{narrow_i16, narrow_u16, narrow_u32};
 use uds_netlist::{GateKind, LimitExceeded};
 
@@ -220,28 +222,13 @@ pub(crate) struct Program {
 }
 
 impl Program {
-    /// Executes one input vector. `W` must be the word type the program
-    /// was compiled for.
-    pub fn run<W: Word>(&self, arena: &mut [W], inputs: &[bool]) {
+    /// Executes the ops in `ops` — the whole stream for one input
+    /// vector, or one compile-time level segment of it when profiling.
+    /// `W` must be the word type the program was compiled for.
+    pub(crate) fn run<W: Word>(&self, arena: &mut [W], inputs: &[bool], ops: Range<usize>) {
         debug_assert_eq!(inputs.len(), self.input_count);
         debug_assert_eq!(arena.len(), self.arena_words);
-        for op in &self.ops {
-            self.exec_op(arena, inputs, op);
-        }
-    }
-
-    /// Executes the ops in `start..end` — one compile-time level
-    /// segment of the op stream. `run` is exactly
-    /// `run_op_range(0..ops.len())`; the leveled profiling executor
-    /// walks the same stream in segments, never reordering ops.
-    pub(crate) fn run_op_range<W: Word>(
-        &self,
-        arena: &mut [W],
-        inputs: &[bool],
-        start: usize,
-        end: usize,
-    ) {
-        for op in &self.ops[start..end] {
+        for op in &self.ops[ops] {
             self.exec_op(arena, inputs, op);
         }
     }
@@ -479,7 +466,7 @@ mod tests {
             input_count: 0,
         };
         let mut arena = vec![0x8000_0001u32, 0b0101, 0, 0];
-        program.run(&mut arena, &[]);
+        program.run(&mut arena, &[], 0..program.ops.len());
         assert_eq!(arena[2], 0b10);
         assert_eq!(arena[3], 0b1011, "carry bit 31 became bit 0");
     }
@@ -500,7 +487,7 @@ mod tests {
             input_count: 0,
         };
         let mut arena = vec![0x8000_0000_0000_0001u64, 0b0101, 0, 0];
-        program.run(&mut arena, &[]);
+        program.run(&mut arena, &[], 0..program.ops.len());
         assert_eq!(arena[2], 0b10);
         assert_eq!(arena[3], 0b1011, "carry bit 63 became bit 0");
     }
@@ -525,7 +512,7 @@ mod tests {
             input_count: 0,
         };
         let mut arena = vec![1u32 << 7, 0xDEAD, 0xBEEF];
-        program.run(&mut arena, &[]);
+        program.run(&mut arena, &[], 0..program.ops.len());
         assert_eq!(arena[1], 1);
         assert_eq!(arena[2], !0);
     }
@@ -543,9 +530,9 @@ mod tests {
             input_count: 1,
         };
         let mut arena = vec![0u32, 0];
-        program.run(&mut arena, &[true]);
+        program.run(&mut arena, &[true], 0..program.ops.len());
         assert_eq!(arena, vec![!0u32, !0]);
-        program.run(&mut arena, &[false]);
+        program.run(&mut arena, &[false], 0..program.ops.len());
         assert_eq!(arena, vec![0, 0]);
     }
 
@@ -564,10 +551,10 @@ mod tests {
             input_count: 1,
         };
         let mut arena = vec![0u32];
-        program.run(&mut arena, &[true]);
+        program.run(&mut arena, &[true], 0..program.ops.len());
         // prev was 0 (bit 2 of zeroed arena), new is 1.
         assert_eq!(arena[0] & 0b111, 0b100);
-        program.run(&mut arena, &[false]);
+        program.run(&mut arena, &[false], 0..program.ops.len());
         // prev is 1 now, new is 0.
         assert_eq!(arena[0] & 0b111, 0b011);
     }
@@ -587,7 +574,7 @@ mod tests {
             input_count: 1,
         };
         let mut arena = vec![0u32, 0];
-        program.run(&mut arena, &[true]);
+        program.run(&mut arena, &[true], 0..program.ops.len());
         assert_eq!(arena[0], 0);
         assert_eq!(arena[1], !0u32 << 8);
     }
@@ -608,7 +595,7 @@ mod tests {
             input_count: 1,
         };
         let mut arena = vec![0u64];
-        program.run(&mut arena, &[true]);
+        program.run(&mut arena, &[true], 0..program.ops.len());
         assert_eq!(arena[0], !0u64 << 40);
     }
 
@@ -624,7 +611,7 @@ mod tests {
             input_count: 0,
         };
         let mut arena = vec![0b1010u32, 0];
-        program.run(&mut arena, &[]);
+        program.run(&mut arena, &[], 0..program.ops.len());
         assert_eq!(arena[1], !0u32 << 1, "i0=0 then all 1s");
     }
 
@@ -639,7 +626,7 @@ mod tests {
             input_count: 0,
         };
         let mut arena = vec![0b0110u32, 0];
-        program.run(&mut arena, &[]);
+        program.run(&mut arena, &[], 0..program.ops.len());
         // presented[i] = src[i-2] clamped: i=0,1 -> src[0]=0; i=2 -> src[0]=0;
         // i=3 -> src[1]=1; i=4 -> src[2]=1; i=5 -> src[3]=0; i>=6 -> src[3]=0.
         assert_eq!(arena[1] & 0x3F, 0b011000);
@@ -655,7 +642,7 @@ mod tests {
             input_count: 0,
         };
         let mut arena = vec![0x1234_5678u32, 0x9A, 0, 0];
-        program.run(&mut arena, &[]);
+        program.run(&mut arena, &[], 0..program.ops.len());
         assert_eq!(arena[2], 0x9A12_3456);
         // Word 1: bits 40.. replicate top bit (bit 39 of src = 1).
         assert_eq!(arena[3], 0xFFFF_FFFF, "top replication above bit 39");
@@ -673,7 +660,7 @@ mod tests {
             input_count: 0,
         };
         let mut arena = vec![0x8000_0001u32, 0];
-        program.run(&mut arena, &[]);
+        program.run(&mut arena, &[], 0..program.ops.len());
         // presented[i] = src[i+1]: bits 0..=30 of src>>1, bit 31
         // replicates src bit 31 (= 1).
         assert_eq!(arena[1], 0xC000_0000);

@@ -56,7 +56,7 @@ fn check_op<W: Word>(
         arena_words: arena.len(),
         input_count: 0,
     };
-    program.run(&mut arena, &[]);
+    program.run(&mut arena, &[], 0..1);
     for (w, word) in arena.iter().enumerate() {
         for i in 0..W::BITS {
             let want = if written.contains(&w) {

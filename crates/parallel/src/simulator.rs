@@ -3,8 +3,8 @@
 use std::fmt;
 
 use uds_netlist::{
-    levelize, static_profile, LevelProfile, LevelSegment, LevelTimer, LevelizeError, LimitExceeded,
-    NetId, Netlist, NoopProbe, Probe, ProbeSpan, ResourceLimits,
+    levelize, static_profile, LevelProfile, LevelSegment, LevelSink, LevelizeError, LimitExceeded,
+    NetId, Netlist, NoopProbe, Probe, ProbeSpan, ResourceLimits, Unprofiled,
 };
 
 use crate::bitfield::FieldLayout;
@@ -164,8 +164,8 @@ pub struct ParallelSim<W: Word = u32> {
     alignment: Option<Alignment>,
     stats: ProgramStats,
     /// Run-length level segments of the op stream in emission order
-    /// (segment 0 is the level-0 init block). Drives the leveled
-    /// profiling executor; the plain path never reads it.
+    /// (segment 0 is the level-0 init block). A profiled step walks
+    /// them; the plain step never reads them.
     level_segments: Vec<LevelSegment>,
 }
 
@@ -543,49 +543,58 @@ impl<W: Word> ParallelSim<W> {
     ///
     /// Panics if `inputs.len()` differs from the primary-input count.
     pub fn simulate_vector(&mut self, inputs: &[bool]) {
-        assert_eq!(
-            inputs.len(),
-            self.program.input_count,
-            "input vector length must match the primary input count"
-        );
-        for &net in &self.tracked {
-            let layout = &self.layouts[net];
-            self.prev_final[net.index()] = layout.read_bit(&self.arena, layout.final_bit());
-        }
-        self.program.run(&mut self.arena, inputs);
+        self.step(inputs, &mut Unprofiled);
     }
 
-    /// As [`ParallelSim::simulate_vector`], but attributing wall time
-    /// and work to netlist levels in `profile` (level 0 holds the
-    /// per-vector initialization). Executes exactly the same word ops
-    /// in exactly the same order as the plain path — the op stream is
-    /// walked in compile-time level segments, with one amortized clock
-    /// read per ~4k word ops (see [`uds_netlist::levelprof`]).
+    /// Simulates one input vector through the interpreted op stream,
+    /// walked as `sink` directs: [`Unprofiled`] runs it in one call, a
+    /// [`uds_netlist::LevelTimer`] runs it in compile-time level
+    /// segments and attributes wall time and work to netlist levels
+    /// (level 0 holds the per-vector latch). Both execute exactly the
+    /// same word ops in exactly the same order.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len()` differs from the primary-input count.
-    pub fn simulate_vector_leveled(&mut self, inputs: &[bool], profile: &mut LevelProfile) {
+    pub fn step<S: LevelSink>(&mut self, inputs: &[bool], sink: &mut S) {
+        self.step_with(inputs, |program, segments, arena| {
+            sink.walk(segments, program.ops.len(), |ops| {
+                program.run(arena, inputs, ops);
+            });
+        });
+    }
+
+    /// Like [`ParallelSim::simulate_vector`], but with `kernel` running
+    /// the whole op stream on the arena in place of the interpreter.
+    /// The native engine passes its compiled shared object here, so
+    /// this simulator's arena stays the authoritative state and every
+    /// readback path (`history`, `final_value`, toggles) keeps working.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len()` differs from the primary-input count.
+    pub fn simulate_vector_with(&mut self, inputs: &[bool], kernel: impl FnOnce(&mut [W])) {
+        self.step_with(inputs, |_, _, arena| kernel(arena));
+    }
+
+    /// The engine's one per-vector body: checks the input width,
+    /// latches the tracked nets' previous finals, then hands the arena
+    /// to `body` to execute the op stream.
+    fn step_with(
+        &mut self,
+        inputs: &[bool],
+        body: impl FnOnce(&Program, &[LevelSegment], &mut [W]),
+    ) {
         assert_eq!(
             inputs.len(),
             self.program.input_count,
             "input vector length must match the primary input count"
         );
-        let mut timer = LevelTimer::new(profile);
         for &net in &self.tracked {
             let layout = &self.layouts[net];
             self.prev_final[net.index()] = layout.read_bit(&self.arena, layout.final_bit());
         }
-        for segment in &self.level_segments {
-            self.program
-                .run_op_range(&mut self.arena, inputs, segment.start, segment.end);
-            timer.segment(
-                segment.level,
-                segment.word_ops,
-                segment.gate_evals,
-                segment.bytes_touched_est,
-            );
-        }
+        body(&self.program, &self.level_segments, &mut self.arena);
     }
 
     /// The static per-level cost model of the compiled program (zero
@@ -594,29 +603,6 @@ impl<W: Word> ParallelSim<W> {
     /// hotspot comparison.
     pub fn level_static_profile(&self) -> LevelProfile {
         static_profile(&self.level_segments)
-    }
-
-    /// Like [`ParallelSim::simulate_vector`], but delegating the word
-    /// program itself to `run`, which receives the mutable arena after
-    /// the tracked previous-final values have been latched. The native
-    /// engine uses this to execute its compiled shared object against
-    /// the authoritative arena while every readback path (`history`,
-    /// `final_value`, toggles) keeps working unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from the primary-input count.
-    pub fn simulate_vector_with(&mut self, inputs: &[bool], run: impl FnOnce(&mut [W])) {
-        assert_eq!(
-            inputs.len(),
-            self.program.input_count,
-            "input vector length must match the primary input count"
-        );
-        for &net in &self.tracked {
-            let layout = &self.layouts[net];
-            self.prev_final[net.index()] = layout.read_bit(&self.arena, layout.final_bit());
-        }
-        run(&mut self.arena);
     }
 
     /// The final settled value of a net for the last vector.

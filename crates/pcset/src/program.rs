@@ -10,6 +10,8 @@
 //! belongs to stream `k`), giving the data-parallel multi-vector mode the
 //! paper credits the PC-set method with.
 
+use std::ops::Range;
+
 use uds_netlist::GateKind;
 
 /// One gate simulation: `arena[dst] = kind(arena[operands...])`.
@@ -45,28 +47,13 @@ pub(crate) struct Program {
 }
 
 impl Program {
-    /// Executes one vector (64 parallel streams; `inputs[i]` carries the
-    /// stream bits for primary input `i`).
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that `inputs` matches the input count and `arena`
-    /// the slot count; release builds index-check like any slice access.
-    pub fn run(&self, arena: &mut [u64], inputs: &[u64]) {
+    /// The per-vector prologue: retention copies (they read the
+    /// previous vector's state) followed by the primary-input stores
+    /// (`inputs[i]` carries the 64 stream bits of primary input `i`).
+    /// A profiled step times it as level-0 work.
+    pub(crate) fn run_prologue(&self, arena: &mut [u64], inputs: &[u64]) {
         debug_assert_eq!(inputs.len(), self.input_slots.len());
         debug_assert_eq!(arena.len(), self.slot_count);
-
-        self.run_prologue(arena, inputs);
-        for op in &self.ops {
-            self.exec_op(arena, op);
-        }
-    }
-
-    /// The per-vector prologue of [`Program::run`]: retention copies
-    /// followed by the primary-input stores. Split out so the leveled
-    /// profiling executor can time it as level-0 work; `run` itself
-    /// goes through here too, keeping the two paths one implementation.
-    pub(crate) fn run_prologue(&self, arena: &mut [u64], inputs: &[u64]) {
         for copy in &self.init {
             arena[copy.dst as usize] = arena[copy.src as usize];
         }
@@ -75,11 +62,10 @@ impl Program {
         }
     }
 
-    /// Executes the gate ops in `start..end` — one compile-time level
-    /// segment of the op stream. `run` is exactly `run_prologue` plus
-    /// `run_op_range(0..ops.len())`.
-    pub(crate) fn run_op_range(&self, arena: &mut [u64], start: usize, end: usize) {
-        for op in &self.ops[start..end] {
+    /// Executes the gate ops in `ops` — the whole stream after the
+    /// prologue, or one compile-time level segment of it when profiling.
+    pub(crate) fn run(&self, arena: &mut [u64], ops: Range<usize>) {
+        for op in &self.ops[ops] {
             self.exec_op(arena, op);
         }
     }
@@ -139,13 +125,16 @@ mod tests {
         };
         let mut arena = vec![0u64; 3];
         arena[2] = !0; // previous final value of c
-        program.run(&mut arena, &[!0]);
+        program.run_prologue(&mut arena, &[!0]);
+        program.run(&mut arena, 0..program.ops.len());
         assert_eq!(arena[0], !0, "copy ran before ops");
         assert_eq!(arena[2], !0, "AND of retained 1 and input 1");
 
-        program.run(&mut arena, &[0]);
+        program.run_prologue(&mut arena, &[0]);
+        program.run(&mut arena, 0..program.ops.len());
         assert_eq!(arena[2], 0);
-        program.run(&mut arena, &[!0]);
+        program.run_prologue(&mut arena, &[!0]);
+        program.run(&mut arena, 0..program.ops.len());
         assert_eq!(arena[0], 0, "retention picked up the 0 from last run");
         assert_eq!(arena[2], 0);
     }
@@ -166,7 +155,8 @@ mod tests {
             slot_count: 3,
         };
         let mut arena = vec![0u64; 3];
-        program.run(&mut arena, &[0b1100, 0b1010]);
+        program.run_prologue(&mut arena, &[0b1100, 0b1010]);
+        program.run(&mut arena, 0..program.ops.len());
         assert_eq!(arena[2], 0b0110);
     }
 }

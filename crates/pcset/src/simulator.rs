@@ -4,8 +4,8 @@ use std::fmt;
 
 use uds_netlist::limits::narrow_u32;
 use uds_netlist::{
-    levelize, static_profile, LevelProfile, LevelSegment, LevelTimer, LevelizeError, LimitExceeded,
-    NetId, Netlist, NoopProbe, Probe, ProbeSpan, ResourceLimits, SegmentBuilder,
+    levelize, static_profile, LevelProfile, LevelSegment, LevelSink, LevelizeError, LimitExceeded,
+    NetId, Netlist, NoopProbe, Probe, ProbeSpan, ResourceLimits, SegmentBuilder, Unprofiled,
 };
 
 use crate::program::{CopyOp, GateOp, Program};
@@ -94,11 +94,11 @@ pub struct PcSetSimulator {
     initial_arena: Vec<u64>,
     /// Run-length level segments of the op stream in emission order
     /// (segment 0 is the zero-length level-0 prologue carrying the
-    /// retention-copy/input-store static counts). Drives the leveled
-    /// profiling executor; the plain path never reads it.
+    /// retention-copy/input-store static counts). A profiled step walks
+    /// them; the plain step never reads them.
     level_segments: Vec<LevelSegment>,
-    /// The single-stream entry points' inputs broadcast to stream
-    /// words, kept across vectors so a step allocates nothing.
+    /// The current step's input stream words, kept across vectors so a
+    /// step allocates nothing.
     input_words: Vec<u64>,
 }
 
@@ -393,53 +393,21 @@ impl PcSetSimulator {
     ///
     /// Panics if `inputs.len()` differs from the primary-input count.
     pub fn simulate_vector(&mut self, inputs: &[bool]) {
-        assert_eq!(
-            inputs.len(),
-            self.input_count,
-            "input vector length must match the primary input count"
-        );
-        self.broadcast_inputs(inputs);
-        self.program.run(&mut self.arena, &self.input_words);
+        self.step(inputs, &mut Unprofiled);
     }
 
-    /// Broadcasts one vector's inputs to every stream, into the reused
-    /// `input_words` buffer.
-    fn broadcast_inputs(&mut self, inputs: &[bool]) {
-        self.input_words.clear();
-        self.input_words
-            .extend(inputs.iter().map(|&b| if b { !0u64 } else { 0 }));
-    }
-
-    /// As [`PcSetSimulator::simulate_vector`], but attributing wall
-    /// time and work to netlist levels in `profile` (level 0 holds the
-    /// retention/input prologue). Executes exactly the same ops in
-    /// exactly the same order as the plain path — the op stream is
-    /// walked in compile-time level segments, with one amortized clock
-    /// read per ~4k ops (see [`uds_netlist::levelprof`]).
+    /// Simulates one input vector through the interpreted program,
+    /// walked as `sink` directs: [`Unprofiled`] runs the op stream in
+    /// one call, a [`uds_netlist::LevelTimer`] runs it in compile-time
+    /// level segments and attributes wall time and work to netlist
+    /// levels (level 0 holds the retention/input prologue). Both
+    /// execute exactly the same ops in exactly the same order.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len()` differs from the primary-input count.
-    pub fn simulate_vector_leveled(&mut self, inputs: &[bool], profile: &mut LevelProfile) {
-        assert_eq!(
-            inputs.len(),
-            self.input_count,
-            "input vector length must match the primary input count"
-        );
-        let mut timer = LevelTimer::new(profile);
-        self.broadcast_inputs(inputs);
-        self.program
-            .run_prologue(&mut self.arena, &self.input_words);
-        for segment in &self.level_segments {
-            self.program
-                .run_op_range(&mut self.arena, segment.start, segment.end);
-            timer.segment(
-                segment.level,
-                segment.word_ops,
-                segment.gate_evals,
-                segment.bytes_touched_est,
-            );
-        }
+    pub fn step<S: LevelSink>(&mut self, inputs: &[bool], sink: &mut S) {
+        self.step_with(broadcast(inputs), interpreted(sink));
     }
 
     /// The static per-level cost model of the compiled program (zero
@@ -450,23 +418,21 @@ impl PcSetSimulator {
         static_profile(&self.level_segments)
     }
 
-    /// Simulates one vector with a caller-supplied execution body: `run`
-    /// is handed the arena and `inputs` broadcast to stream words
-    /// instead of the interpreted program running on them. The native
-    /// engine uses this to route the step through compiled C while this
-    /// simulator's arena stays the authoritative state.
+    /// Like [`PcSetSimulator::simulate_vector`], but with `kernel`
+    /// running the whole program in place of the interpreter: it is
+    /// handed the arena and `inputs` broadcast to stream words. The
+    /// native engine routes the step through compiled C this way while
+    /// this simulator's arena stays the authoritative state.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len()` differs from the primary-input count.
-    pub fn simulate_vector_with(&mut self, inputs: &[bool], run: impl FnOnce(&mut [u64], &[u64])) {
-        assert_eq!(
-            inputs.len(),
-            self.input_count,
-            "input vector length must match the primary input count"
-        );
-        self.broadcast_inputs(inputs);
-        run(&mut self.arena, &self.input_words);
+    pub fn simulate_vector_with(
+        &mut self,
+        inputs: &[bool],
+        kernel: impl FnOnce(&mut [u64], &[u64]),
+    ) {
+        self.step_with(broadcast(inputs), |_, _, arena, words| kernel(arena, words));
     }
 
     /// Simulates 64 independent vector streams at once: bit `k` of
@@ -478,12 +444,30 @@ impl PcSetSimulator {
     ///
     /// Panics if `inputs.len()` differs from the primary-input count.
     pub fn simulate_streams(&mut self, inputs: &[u64]) {
+        self.step_with(inputs.iter().copied(), interpreted(&mut Unprofiled));
+    }
+
+    /// The engine's one per-vector body: checks the input width, loads
+    /// the stream words into the reused `input_words` buffer, then
+    /// hands the arena and those words to `body` to execute the program.
+    fn step_with(
+        &mut self,
+        inputs: impl ExactSizeIterator<Item = u64>,
+        body: impl FnOnce(&Program, &[LevelSegment], &mut [u64], &[u64]),
+    ) {
         assert_eq!(
             inputs.len(),
             self.input_count,
             "input vector length must match the primary input count"
         );
-        self.program.run(&mut self.arena, inputs);
+        self.input_words.clear();
+        self.input_words.extend(inputs);
+        body(
+            &self.program,
+            &self.level_segments,
+            &mut self.arena,
+            &self.input_words,
+        );
     }
 
     /// The final settled value of any net for the last vector (stream 0).
@@ -546,6 +530,22 @@ impl PcSetSimulator {
 
     pub(crate) fn net_base(&self) -> &[u32] {
         &self.net_base
+    }
+}
+
+/// One vector's inputs broadcast to all 64 streams.
+fn broadcast(inputs: &[bool]) -> impl ExactSizeIterator<Item = u64> + '_ {
+    inputs.iter().map(|&b| if b { !0u64 } else { 0 })
+}
+
+/// The interpreted step body: the retention/input prologue, then the op
+/// stream walked as `sink` directs.
+fn interpreted<S: LevelSink>(
+    sink: &mut S,
+) -> impl FnOnce(&Program, &[LevelSegment], &mut [u64], &[u64]) + '_ {
+    |program, segments, arena, words| {
+        program.run_prologue(arena, words);
+        sink.walk(segments, program.ops.len(), |ops| program.run(arena, ops));
     }
 }
 

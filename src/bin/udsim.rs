@@ -98,6 +98,7 @@ use std::io::{self, BufWriter, Read as _, Write as _};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use unit_delay_sim::core::guard::EngineFactory;
 use unit_delay_sim::core::vcd::VcdRecorder;
 use unit_delay_sim::core::vectors::RandomVectors;
 use unit_delay_sim::core::{
@@ -348,162 +349,83 @@ fn parse_memory(value: &str) -> Result<u64, CliError> {
 }
 
 fn simulate(args: &[String]) -> Result<(), CliError> {
-    let mut file = None;
-    let mut engine: Option<Engine> = None;
-    let mut vectors = 16usize;
-    let mut seed = 1990u64;
     let mut vcd_path: Option<String> = None;
     let mut stats_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
-    let mut progress_path: Option<String> = None;
-    let mut progress_interval: Option<Duration> = None;
+    let mut progress = ProgressFlags::default();
     let mut fallback = false;
     let mut crosscheck = false;
-    let mut jobs: Option<usize> = None;
-    let mut word = WordWidth::default();
     let mut limits = ResourceLimits::unlimited();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--engine" => {
-                engine = Some(parse_engine(iter.next().ok_or("--engine needs a value")?)?)
-            }
-            "--jobs" => {
-                let value = iter.next().ok_or("--jobs needs a worker count")?;
-                let parsed: usize = value
-                    .parse()
-                    .map_err(|e| CliError::usage(format!("--jobs: {e}")))?;
-                if parsed == 0 {
-                    return Err(CliError::usage("--jobs: worker count must be at least 1"));
-                }
-                jobs = Some(parsed);
-            }
-            "--word" => {
-                let value = iter.next().ok_or("--word needs a width (32 or 64)")?;
-                word = WordWidth::parse(value)
-                    .ok_or_else(|| CliError::usage(format!("--word: `{value}` is not 32 or 64")))?;
-            }
-            "--vectors" => {
-                vectors = iter
-                    .next()
-                    .ok_or("--vectors needs a value")?
-                    .parse()
-                    .map_err(|e| CliError::usage(format!("--vectors: {e}")))?;
-            }
-            "--seed" => {
-                seed = iter
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| CliError::usage(format!("--seed: {e}")))?;
-            }
-            "--vcd" => vcd_path = Some(iter.next().ok_or("--vcd needs a path")?.clone()),
-            "--stats" => {
-                stats_path = Some(iter.next().ok_or("--stats needs a path (or `-`)")?.clone())
-            }
-            "--trace" => {
-                trace_path = Some(iter.next().ok_or("--trace needs a path (or `-`)")?.clone())
-            }
-            "--progress" => {
-                progress_path = Some(
-                    iter.next()
-                        .ok_or("--progress needs a path (or `-`)")?
-                        .clone(),
-                )
-            }
-            "--progress-interval" => {
-                progress_interval = Some(parse_progress_interval(
-                    iter.next()
-                        .ok_or("--progress-interval needs milliseconds")?,
-                )?)
-            }
+    let run = RunOptions::parse(args, 16, |flag, rest| {
+        match flag {
+            "--vcd" => vcd_path = Some(rest.next().ok_or("--vcd needs a path")?.clone()),
+            "--stats" => stats_path = Some(stream_path(flag, rest)?),
+            "--trace" => trace_path = Some(stream_path(flag, rest)?),
             "--fallback" => fallback = true,
             "--crosscheck" => crosscheck = true,
-            "--budget" => limits = parse_budget(iter.next().ok_or("--budget needs a spec")?)?,
-            other if file.is_none() && (other == "-" || !other.starts_with('-')) => {
-                file = Some(other.to_owned());
-            }
-            other => return Err(CliError::usage(format!("unexpected argument `{other}`"))),
+            "--budget" => limits = parse_budget(rest.next().ok_or("--budget needs a spec")?)?,
+            _ => return progress.parse(flag, rest),
         }
-    }
-    let file = file.ok_or("missing FILE.bench")?;
-    if progress_path.is_some() && jobs.is_none() {
-        return Err(CliError::usage(
-            "--progress streams batch heartbeats and requires --jobs",
-        ));
-    }
-    if progress_interval.is_some() && progress_path.is_none() {
-        return Err(CliError::usage(
-            "--progress-interval paces the --progress stream and requires it",
-        ));
-    }
+        Ok(true)
+    })?;
+    progress.check(run.jobs)?;
     // The stream flags share stdout under one contract: at most one `-`,
     // and any `-` moves the human output to stderr.
     let human = stream_contract(&[
         ("--stats", stats_path.as_deref()),
         ("--trace", trace_path.as_deref()),
-        ("--progress", progress_path.as_deref()),
+        ("--progress", progress.path.as_deref()),
     ])?;
     let telemetry = (stats_path.is_some() || trace_path.is_some()).then(Telemetry::new);
-    let nl = {
-        let _span = telemetry.as_ref().map(|t| t.span("parse"));
-        load(&file)?
-    };
-    if let Some(t) = &telemetry {
-        t.label("command", "simulate");
-        t.label("circuit", nl.name());
-        t.label("seed", seed.to_string());
-        t.label("vectors", vectors.to_string());
-        record_build_info(t, word.bits());
-    }
-    let width = nl.primary_inputs().len();
-    let stimulus = || RandomVectors::new(width, seed).take(vectors);
+    let nl = run.load("simulate", telemetry.as_ref())?;
+    let stimulus = || run.stimulus(&nl);
 
     // `--engine native` always runs through the full guarded chain: a
     // host without a C compiler degrades to the interpreted engines
     // instead of failing the run.
-    let native = engine == Some(Engine::Native);
+    let native = run.engine == Some(Engine::Native);
     let chain = if fallback || native {
-        chain_preferring(engine)
+        chain_preferring(run.engine)
     } else {
-        vec![engine.unwrap_or(Engine::ParallelPathTracingTrimming)]
+        vec![run.engine()]
     };
-    if let Some(jobs) = jobs {
-        if vcd_path.is_some() {
-            return Err(CliError::usage(
-                "--vcd needs the sequential waveform and cannot be combined with --jobs",
-            ));
-        }
-        let progress = progress_sink(progress_path.as_deref(), progress_interval)?;
-        simulate_batch(
+    if run.jobs.is_some() && vcd_path.is_some() {
+        return Err(CliError::usage(
+            "--vcd needs the sequential waveform and cannot be combined with --jobs",
+        ));
+    }
+    if run.jobs.is_none() && crosscheck && !(fallback || native) {
+        return Err(CliError::usage(
+            "--crosscheck requires --fallback or --jobs",
+        ));
+    }
+    let progress = progress.sink()?;
+    let factory = Box::new(DefaultEngineFactory::with_word(run.word));
+    let guard = build_guard(&nl, limits, &chain, factory, telemetry.as_ref())?;
+    if let Some(t) = &telemetry {
+        t.label("engine", guard.active_engine().to_string());
+    }
+    report_new_fallbacks(&guard, 0);
+    match run.jobs {
+        Some(jobs) => simulate_batch(
             &nl,
-            limits,
-            &chain,
-            word,
+            &guard,
             &stimulus().collect::<Vec<_>>(),
             jobs,
             crosscheck,
             telemetry.as_ref(),
             progress.as_ref().map(|p| p as &dyn BatchProbe),
             &human,
-        )?;
-    } else {
-        if crosscheck && !(fallback || native) {
-            return Err(CliError::usage(
-                "--crosscheck requires --fallback or --jobs",
-            ));
-        }
-        simulate_guarded(
+        )?,
+        None => simulate_guarded(
             &nl,
-            limits,
-            &chain,
-            word,
+            guard,
             stimulus,
             vcd_path,
             crosscheck,
             telemetry.as_ref(),
             &human,
-        )?;
+        )?,
     }
 
     if let Some(telemetry) = &telemetry {
@@ -530,30 +452,204 @@ fn stream_contract(flags: &[(&str, Option<&str>)]) -> Result<HumanOut, CliError>
     Ok(contract.human())
 }
 
-/// Opens the `--progress` NDJSON sink, if requested, paced at
-/// `--progress-interval` (default ~100 ms).
-fn progress_sink(
-    path: Option<&str>,
-    interval: Option<Duration>,
-) -> Result<Option<NdjsonProgress>, CliError> {
-    path.map(|dest| {
-        open_sink(dest)
-            .map(|out| match interval {
-                Some(interval) => NdjsonProgress::with_interval(out, interval),
-                None => NdjsonProgress::new(out),
-            })
-            .map_err(|e| CliError::class(format!("opening {dest}: {e}"), FailureClass::Usage))
-    })
-    .transpose()
+/// The value iterator every subcommand's flag loop walks.
+type Args<'a> = std::slice::Iter<'a, String>;
+
+/// The run flags `simulate`, `profile` and `hotspots` share: FILE,
+/// `--engine`, `--vectors`, `--seed`, `--jobs` and `--word`.
+struct RunOptions {
+    file: String,
+    engine: Option<Engine>,
+    vectors: usize,
+    seed: u64,
+    jobs: Option<usize>,
+    word: WordWidth,
 }
 
-/// Parses a `--progress-interval` value in milliseconds (0 = every
-/// heartbeat).
-fn parse_progress_interval(value: &str) -> Result<Duration, CliError> {
+impl RunOptions {
+    /// Parses `args`, running `vectors` vectors unless `--vectors` says
+    /// otherwise. Every other flag goes to `extra(flag, rest)`, which
+    /// takes its value from `rest` and answers `Ok(false)` for a flag
+    /// the subcommand does not know.
+    fn parse(
+        args: &[String],
+        vectors: usize,
+        mut extra: impl FnMut(&str, &mut Args<'_>) -> Result<bool, CliError>,
+    ) -> Result<Self, CliError> {
+        let mut file = None;
+        let mut run = RunOptions {
+            file: String::new(),
+            engine: None,
+            vectors,
+            seed: 1990,
+            jobs: None,
+            word: WordWidth::default(),
+        };
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            match arg.as_str() {
+                "--engine" => {
+                    run.engine = Some(parse_engine(rest.next().ok_or("--engine needs a value")?)?)
+                }
+                "--vectors" => run.vectors = number_value("--vectors", &mut rest)?,
+                "--seed" => run.seed = number_value("--seed", &mut rest)?,
+                "--jobs" => run.jobs = Some(jobs_value(&mut rest)?),
+                "--word" => run.word = word_value(&mut rest)?,
+                other if file.is_none() && (other == "-" || !other.starts_with('-')) => {
+                    file = Some(other.to_owned());
+                }
+                other => {
+                    if !extra(other, &mut rest)? {
+                        return Err(CliError::usage(format!("unexpected argument `{other}`")));
+                    }
+                }
+            }
+        }
+        run.file = file.ok_or("missing FILE.bench")?;
+        Ok(run)
+    }
+
+    /// The engine to run when no chain is asked for.
+    fn engine(&self) -> Engine {
+        self.engine.unwrap_or(Engine::ParallelPathTracingTrimming)
+    }
+
+    /// Loads FILE (under a `parse` span) and labels the trace with the
+    /// run's identity.
+    fn load(&self, command: &str, telemetry: Option<&Telemetry>) -> Result<Netlist, CliError> {
+        let nl = {
+            let _span = telemetry.map(|t| t.span("parse"));
+            load(&self.file)?
+        };
+        if let Some(t) = telemetry {
+            t.label("command", command);
+            t.label("circuit", nl.name());
+            t.label("seed", self.seed.to_string());
+            t.label("vectors", self.vectors.to_string());
+            record_build_info(t, self.word.bits());
+        }
+        Ok(nl)
+    }
+
+    /// The seeded random stimulus over `nl`'s primary inputs.
+    fn stimulus(&self, nl: &Netlist) -> impl Iterator<Item = Vec<bool>> {
+        RandomVectors::new(nl.primary_inputs().len(), self.seed).take(self.vectors)
+    }
+}
+
+/// Builds the guarded engine chain over `nl` (under a `compile` span).
+fn build_guard(
+    nl: &Netlist,
+    limits: ResourceLimits,
+    chain: &[Engine],
+    factory: Box<dyn EngineFactory>,
+    telemetry: Option<&Telemetry>,
+) -> Result<GuardedSimulator, CliError> {
+    let _span = telemetry.map(|t| t.span("compile"));
+    match telemetry {
+        Some(t) => GuardedSimulator::with_factory_telemetry(nl, limits, chain, factory, t.clone()),
+        None => GuardedSimulator::with_factory(nl, limits, chain, factory),
+    }
+    .map_err(|e| CliError::from(e.with_circuit(nl.name())))
+}
+
+/// Parses the value of a numeric flag.
+fn number_value<T: std::str::FromStr>(flag: &str, rest: &mut Args<'_>) -> Result<T, CliError>
+where
+    T::Err: std::fmt::Display,
+{
+    let value = rest
+        .next()
+        .ok_or_else(|| CliError::usage(format!("{flag} needs a value")))?;
     value
-        .parse::<u64>()
-        .map(Duration::from_millis)
-        .map_err(|e| CliError::usage(format!("--progress-interval: {e}")))
+        .parse()
+        .map_err(|e| CliError::usage(format!("{flag}: {e}")))
+}
+
+/// Parses the value of `--jobs`: a worker count of at least 1.
+fn jobs_value(rest: &mut Args<'_>) -> Result<usize, CliError> {
+    let value = rest.next().ok_or("--jobs needs a worker count")?;
+    match value.parse() {
+        Ok(0) => Err(CliError::usage("--jobs: worker count must be at least 1")),
+        Ok(jobs) => Ok(jobs),
+        Err(e) => Err(CliError::usage(format!("--jobs: {e}"))),
+    }
+}
+
+/// Parses the value of `--word`: 32 or 64.
+fn word_value(rest: &mut Args<'_>) -> Result<WordWidth, CliError> {
+    let value = rest.next().ok_or("--word needs a width (32 or 64)")?;
+    WordWidth::parse(value)
+        .ok_or_else(|| CliError::usage(format!("--word: `{value}` is not 32 or 64")))
+}
+
+/// Takes the destination of a stream flag (a path, or `-` for stdout).
+fn stream_path(flag: &str, rest: &mut Args<'_>) -> Result<String, CliError> {
+    rest.next()
+        .cloned()
+        .ok_or_else(|| CliError::usage(format!("{flag} needs a path (or `-`)")))
+}
+
+/// `--progress` and `--progress-interval`: the batch heartbeat stream
+/// of `simulate` and `profile`.
+#[derive(Default)]
+struct ProgressFlags {
+    path: Option<String>,
+    interval: Option<Duration>,
+}
+
+impl ProgressFlags {
+    /// Takes `flag` and its value if it is a progress flag.
+    fn parse(&mut self, flag: &str, rest: &mut Args<'_>) -> Result<bool, CliError> {
+        match flag {
+            "--progress" => self.path = Some(stream_path(flag, rest)?),
+            "--progress-interval" => {
+                // In milliseconds; 0 = every heartbeat.
+                let value = rest
+                    .next()
+                    .ok_or("--progress-interval needs milliseconds")?;
+                let ms = value
+                    .parse()
+                    .map_err(|e| CliError::usage(format!("--progress-interval: {e}")))?;
+                self.interval = Some(Duration::from_millis(ms));
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Rejects a progress flag that could not take effect.
+    fn check(&self, jobs: Option<usize>) -> Result<(), CliError> {
+        if self.path.is_some() && jobs.is_none() {
+            return Err(CliError::usage(
+                "--progress streams batch heartbeats and requires --jobs",
+            ));
+        }
+        if self.interval.is_some() && self.path.is_none() {
+            return Err(CliError::usage(
+                "--progress-interval paces the --progress stream and requires it",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Opens the NDJSON sink, if requested, paced at the interval
+    /// (default ~100 ms).
+    fn sink(&self) -> Result<Option<NdjsonProgress>, CliError> {
+        self.path
+            .as_deref()
+            .map(|dest| {
+                open_sink(dest)
+                    .map(|out| match self.interval {
+                        Some(interval) => NdjsonProgress::with_interval(out, interval),
+                        None => NdjsonProgress::new(out),
+                    })
+                    .map_err(|e| {
+                        CliError::class(format!("opening {dest}: {e}"), FailureClass::Usage)
+                    })
+            })
+            .transpose()
+    }
 }
 
 /// Best-effort pass compiling the techniques the run did not already
@@ -673,38 +769,20 @@ fn write_vcd(path: Option<String>, recorder: Option<VcdRecorder>) -> Result<(), 
     Ok(())
 }
 
-/// Every sequential run: the stimulus streams through a guard of
-/// `chain` (one engine unless `--fallback` or native), one vector at a
-/// time, so memory stays flat for any `--vectors`. With `--crosscheck`,
+/// Every sequential run: the stimulus streams through `guarded` (one
+/// engine unless `--fallback` or native), one vector at a time, so
+/// memory stays flat for any `--vectors`. With `--crosscheck`,
 /// `stimulus` is called again to feed the same stream to the
 /// event-driven baseline.
-#[allow(clippy::too_many_arguments)]
 fn simulate_guarded<I: Iterator<Item = Vec<bool>>>(
     nl: &Netlist,
-    limits: ResourceLimits,
-    chain: &[Engine],
-    word: WordWidth,
+    mut guarded: GuardedSimulator,
     stimulus: impl Fn() -> I,
     vcd_path: Option<String>,
     crosscheck: bool,
     telemetry: Option<&Telemetry>,
     human: &HumanOut,
 ) -> Result<(), CliError> {
-    let mut guarded = {
-        let _span = telemetry.map(|t| t.span("compile"));
-        let factory = Box::new(DefaultEngineFactory::with_word(word));
-        match telemetry {
-            Some(t) => {
-                GuardedSimulator::with_factory_telemetry(nl, limits, chain, factory, t.clone())
-            }
-            None => GuardedSimulator::with_factory(nl, limits, chain, factory),
-        }
-        .map_err(|e| CliError::from(e.with_circuit(nl.name())))?
-    };
-    if let Some(t) = telemetry {
-        t.label("engine", guarded.active_engine().to_string());
-    }
-    report_new_fallbacks(&guarded, 0);
     let mut recorder = vcd_path
         .as_ref()
         .map(|_| VcdRecorder::new(nl, nl.primary_outputs().to_vec()));
@@ -766,14 +844,12 @@ fn simulate_guarded<I: Iterator<Item = Vec<bool>>>(
 /// `--jobs N`: shards the stream across worker threads (each owning a
 /// fork of a guarded engine, seeded by the zero-delay prepass) and
 /// prints the assembled rows — byte-identical to the sequential path
-/// above for any N. With `--crosscheck`, re-runs sequentially and
-/// verifies the batch output row by row.
+/// above for any N. With `--crosscheck`, re-runs a fork of `prototype`
+/// sequentially and verifies the batch output row by row.
 #[allow(clippy::too_many_arguments)]
 fn simulate_batch(
     nl: &Netlist,
-    limits: ResourceLimits,
-    chain: &[Engine],
-    word: WordWidth,
+    prototype: &GuardedSimulator,
     stimulus: &[Vec<bool>],
     jobs: usize,
     crosscheck: bool,
@@ -782,22 +858,9 @@ fn simulate_batch(
     human: &HumanOut,
 ) -> Result<(), CliError> {
     let attach = |e: SimError| CliError::from(e.with_circuit(nl.name()));
-    let prototype = {
-        let _span = telemetry.map(|t| t.span("compile"));
-        let factory = Box::new(DefaultEngineFactory::with_word(word));
-        match telemetry {
-            Some(t) => {
-                GuardedSimulator::with_factory_telemetry(nl, limits, chain, factory, t.clone())
-            }
-            None => GuardedSimulator::with_factory(nl, limits, chain, factory),
-        }
-        .map_err(attach)?
-    };
     if let Some(t) = telemetry {
-        t.label("engine", prototype.active_engine().to_string());
         t.label("jobs", jobs.to_string());
     }
-    report_new_fallbacks(&prototype, 0);
     {
         // Not held across the run: a worker's panic report must not
         // wait on a lock of the stream it writes to.
@@ -809,7 +872,7 @@ fn simulate_batch(
         let _span = telemetry.map(|t| t.span("simulate"));
         run_batch_observed(
             nl,
-            &prototype,
+            prototype,
             stimulus,
             jobs,
             telemetry,
@@ -839,9 +902,7 @@ fn simulate_batch(
     }
     if crosscheck {
         let _span = telemetry.map(|t| t.span("crosscheck"));
-        let factory = Box::new(DefaultEngineFactory::with_word(word));
-        let mut reference =
-            GuardedSimulator::with_factory(nl, limits, chain, factory).map_err(attach)?;
+        let mut reference = prototype.fork();
         for (index, vector) in stimulus.iter().enumerate() {
             reference.simulate_vector(vector).map_err(attach)?;
             let row: Vec<bool> = nl
@@ -873,138 +934,57 @@ fn simulate_batch(
 /// / per-time histograms. The profile is a pure function of circuit and
 /// stimulus: byte-identical across engines, word widths and `--jobs`.
 fn profile(args: &[String]) -> Result<(), CliError> {
-    let mut file = None;
-    let mut engine: Option<Engine> = None;
-    let mut vectors = 256usize;
-    let mut seed = 1990u64;
-    let mut jobs: Option<usize> = None;
-    let mut word = WordWidth::default();
     let mut top = 10usize;
     let mut json_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
-    let mut progress_path: Option<String> = None;
-    let mut progress_interval: Option<Duration> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--engine" => {
-                engine = Some(parse_engine(iter.next().ok_or("--engine needs a value")?)?)
-            }
-            "--vectors" => {
-                vectors = iter
-                    .next()
-                    .ok_or("--vectors needs a value")?
-                    .parse()
-                    .map_err(|e| CliError::usage(format!("--vectors: {e}")))?;
-            }
-            "--seed" => {
-                seed = iter
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| CliError::usage(format!("--seed: {e}")))?;
-            }
-            "--jobs" => {
-                let value = iter.next().ok_or("--jobs needs a worker count")?;
-                let parsed: usize = value
-                    .parse()
-                    .map_err(|e| CliError::usage(format!("--jobs: {e}")))?;
-                if parsed == 0 {
-                    return Err(CliError::usage("--jobs: worker count must be at least 1"));
-                }
-                jobs = Some(parsed);
-            }
-            "--word" => {
-                let value = iter.next().ok_or("--word needs a width (32 or 64)")?;
-                word = WordWidth::parse(value)
-                    .ok_or_else(|| CliError::usage(format!("--word: `{value}` is not 32 or 64")))?;
-            }
+    let mut progress = ProgressFlags::default();
+    let run = RunOptions::parse(args, 256, |flag, rest| {
+        match flag {
             "--top" => {
-                top = iter
+                top = rest
                     .next()
                     .ok_or("--top needs a count")?
                     .parse()
                     .map_err(|e| CliError::usage(format!("--top: {e}")))?;
             }
-            "--json" => {
-                json_path = Some(iter.next().ok_or("--json needs a path (or `-`)")?.clone())
-            }
-            "--trace" => {
-                trace_path = Some(iter.next().ok_or("--trace needs a path (or `-`)")?.clone())
-            }
-            "--progress" => {
-                progress_path = Some(
-                    iter.next()
-                        .ok_or("--progress needs a path (or `-`)")?
-                        .clone(),
-                )
-            }
-            "--progress-interval" => {
-                progress_interval = Some(parse_progress_interval(
-                    iter.next()
-                        .ok_or("--progress-interval needs milliseconds")?,
-                )?)
-            }
-            other if file.is_none() && (other == "-" || !other.starts_with('-')) => {
-                file = Some(other.to_owned());
-            }
-            other => return Err(CliError::usage(format!("unexpected argument `{other}`"))),
+            "--json" => json_path = Some(stream_path(flag, rest)?),
+            "--trace" => trace_path = Some(stream_path(flag, rest)?),
+            _ => return progress.parse(flag, rest),
         }
-    }
-    let file = file.ok_or("missing FILE.bench")?;
-    if progress_path.is_some() && jobs.is_none() {
-        return Err(CliError::usage(
-            "--progress streams batch heartbeats and requires --jobs",
-        ));
-    }
-    if progress_interval.is_some() && progress_path.is_none() {
-        return Err(CliError::usage(
-            "--progress-interval paces the --progress stream and requires it",
-        ));
-    }
+        Ok(true)
+    })?;
+    progress.check(run.jobs)?;
     let human = stream_contract(&[
         ("--json", json_path.as_deref()),
         ("--trace", trace_path.as_deref()),
-        ("--progress", progress_path.as_deref()),
+        ("--progress", progress.path.as_deref()),
     ])?;
     let telemetry = trace_path.as_ref().map(|_| Telemetry::new());
-    let nl = {
-        let _span = telemetry.as_ref().map(|t| t.span("parse"));
-        load(&file)?
-    };
+    let nl = run.load("profile", telemetry.as_ref())?;
     let levels = levelize(&nl)
-        .map_err(|e| CliError::class(format!("{file}: {e}"), FailureClass::Structural))?;
-    let engine = engine.unwrap_or(Engine::ParallelPathTracingTrimming);
+        .map_err(|e| CliError::class(format!("{}: {e}", run.file), FailureClass::Structural))?;
+    let engine = run.engine();
     if let Some(t) = &telemetry {
-        t.label("command", "profile");
-        t.label("circuit", nl.name());
         t.label("engine", engine.to_string());
-        t.label("seed", seed.to_string());
-        t.label("vectors", vectors.to_string());
-        record_build_info(t, word.bits());
     }
-    let stimulus: Vec<Vec<bool>> = RandomVectors::new(nl.primary_inputs().len(), seed)
-        .take(vectors)
-        .collect();
-    let limits = ResourceLimits::unlimited();
+    let stimulus: Vec<Vec<bool>> = run.stimulus(&nl).collect();
+    // The monitoring factory keeps every net observable, whichever
+    // engine measures — that is what makes the totals engine-exact.
     let build = || {
-        let _span = telemetry.as_ref().map(|t| t.span("compile"));
-        // The monitoring factory keeps every net observable, whichever
-        // engine measures — that is what makes the totals engine-exact.
-        let factory = Box::new(MonitoringEngineFactory::with_word(word));
-        match &telemetry {
-            Some(t) => {
-                GuardedSimulator::with_factory_telemetry(&nl, limits, &[engine], factory, t.clone())
-            }
-            None => GuardedSimulator::with_factory(&nl, limits, &[engine], factory),
-        }
-        .map_err(|e| CliError::from(e.with_circuit(nl.name())))
+        let factory = Box::new(MonitoringEngineFactory::with_word(run.word));
+        build_guard(
+            &nl,
+            ResourceLimits::unlimited(),
+            &[engine],
+            factory,
+            telemetry.as_ref(),
+        )
     };
 
-    let profiler = if let Some(jobs) = jobs {
+    let profiler = if let Some(jobs) = run.jobs {
         let prototype = build()?;
         let observer = BatchActivityObserver::new(&nl, &levels, stimulus.len(), jobs);
-        let progress = progress_sink(progress_path.as_deref(), progress_interval)?;
+        let progress = progress.sink()?;
         let mut probes: Vec<&dyn BatchProbe> = vec![&observer];
         if let Some(progress) = &progress {
             probes.push(progress);
@@ -1038,9 +1018,9 @@ fn profile(args: &[String]) -> Result<(), CliError> {
 
     let mut report = profiler.report(&nl, &levels, top);
     report.label("engine", engine.to_string());
-    report.label("word", word.bits().to_string());
-    report.label("jobs", jobs.unwrap_or(1).to_string());
-    report.label("seed", seed.to_string());
+    report.label("word", run.word.bits().to_string());
+    report.label("jobs", run.jobs.unwrap_or(1).to_string());
+    report.label("seed", run.seed.to_string());
 
     human.line(format!(
         "# {}: {} nets, depth {}, {} vectors on {engine}",
@@ -1083,76 +1063,33 @@ fn profile(args: &[String]) -> Result<(), CliError> {
 /// `uds-hotspot-v1` document; `--folded` writes collapsed-stack lines
 /// (`engine;level_K NANOS`) that flamegraph tools ingest directly.
 fn hotspots(args: &[String]) -> Result<(), CliError> {
-    let mut file = None;
-    let mut engine: Option<Engine> = None;
-    let mut vectors = 256usize;
-    let mut seed = 1990u64;
-    let mut jobs = 1usize;
-    let mut word = WordWidth::default();
     let mut json_path: Option<String> = None;
     let mut folded_path: Option<String> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--engine" => {
-                engine = Some(parse_engine(iter.next().ok_or("--engine needs a value")?)?)
-            }
-            "--vectors" => {
-                vectors = iter
-                    .next()
-                    .ok_or("--vectors needs a value")?
-                    .parse()
-                    .map_err(|e| CliError::usage(format!("--vectors: {e}")))?;
-            }
-            "--seed" => {
-                seed = iter
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| CliError::usage(format!("--seed: {e}")))?;
-            }
-            "--jobs" => {
-                let value = iter.next().ok_or("--jobs needs a worker count")?;
-                jobs = value
-                    .parse()
-                    .map_err(|e| CliError::usage(format!("--jobs: {e}")))?;
-                if jobs == 0 {
-                    return Err(CliError::usage("--jobs: worker count must be at least 1"));
-                }
-            }
-            "--word" => {
-                let value = iter.next().ok_or("--word needs a width (32 or 64)")?;
-                word = WordWidth::parse(value)
-                    .ok_or_else(|| CliError::usage(format!("--word: `{value}` is not 32 or 64")))?;
-            }
-            "--json" => {
-                json_path = Some(iter.next().ok_or("--json needs a path (or `-`)")?.clone())
-            }
-            "--folded" => {
-                folded_path = Some(iter.next().ok_or("--folded needs a path (or `-`)")?.clone())
-            }
-            other if file.is_none() && (other == "-" || !other.starts_with('-')) => {
-                file = Some(other.to_owned());
-            }
-            other => return Err(CliError::usage(format!("unexpected argument `{other}`"))),
+    let run = RunOptions::parse(args, 256, |flag, rest| {
+        match flag {
+            "--json" => json_path = Some(stream_path(flag, rest)?),
+            "--folded" => folded_path = Some(stream_path(flag, rest)?),
+            _ => return Ok(false),
         }
-    }
-    let file = file.ok_or("missing FILE.bench")?;
+        Ok(true)
+    })?;
     let human = stream_contract(&[
         ("--json", json_path.as_deref()),
         ("--folded", folded_path.as_deref()),
     ])?;
-    let nl = load(&file)?;
-    let engine = engine.unwrap_or(Engine::ParallelPathTracingTrimming);
-    let stimulus: Vec<Vec<bool>> = RandomVectors::new(nl.primary_inputs().len(), seed)
-        .take(vectors)
-        .collect();
-    let limits = ResourceLimits::unlimited();
-    let factory = Box::new(DefaultEngineFactory::with_word(word));
-    let prototype = GuardedSimulator::with_factory(&nl, limits, &[engine], factory)
-        .map_err(|e| CliError::from(e.with_circuit(nl.name())))?;
+    let nl = run.load("hotspots", None)?;
+    let stimulus: Vec<Vec<bool>> = run.stimulus(&nl).collect();
+    let factory = Box::new(DefaultEngineFactory::with_word(run.word));
+    let prototype = build_guard(
+        &nl,
+        ResourceLimits::unlimited(),
+        &[run.engine()],
+        factory,
+        None,
+    )?;
+    let jobs = run.jobs.unwrap_or(1);
     let report =
-        unit_delay_sim::core::hotspot::collect(&nl, &prototype, &stimulus, jobs, word.bits())
+        unit_delay_sim::core::hotspot::collect(&nl, &prototype, &stimulus, jobs, run.word.bits())
             .map_err(|e| CliError::from(e.with_circuit(nl.name())))?;
 
     let total = report.measured.total();
@@ -1311,30 +1248,12 @@ fn serve(args: &[String]) -> Result<(), CliError> {
                     .map_err(|e| CliError::usage(format!("--cache: {e}")))?;
             }
             "--allow-quit" => allow_quit = true,
-            "--reqlog" => {
-                reqlog_path = Some(iter.next().ok_or("--reqlog needs a path (or `-`)")?.clone())
-            }
-            "--stats" => {
-                stats_path = Some(iter.next().ok_or("--stats needs a path (or `-`)")?.clone())
-            }
-            "--trace" => {
-                trace_path = Some(iter.next().ok_or("--trace needs a path (or `-`)")?.clone())
-            }
+            "--reqlog" => reqlog_path = Some(stream_path(arg, &mut iter)?),
+            "--stats" => stats_path = Some(stream_path(arg, &mut iter)?),
+            "--trace" => trace_path = Some(stream_path(arg, &mut iter)?),
             "--budget" => limits = parse_budget(iter.next().ok_or("--budget needs a spec")?)?,
-            "--word" => {
-                let value = iter.next().ok_or("--word needs a width (32 or 64)")?;
-                word = WordWidth::parse(value)
-                    .ok_or_else(|| CliError::usage(format!("--word: `{value}` is not 32 or 64")))?;
-            }
-            "--jobs" => {
-                let value = iter.next().ok_or("--jobs needs a worker count")?;
-                jobs = value
-                    .parse()
-                    .map_err(|e| CliError::usage(format!("--jobs: {e}")))?;
-                if jobs == 0 {
-                    return Err(CliError::usage("--jobs: worker count must be at least 1"));
-                }
-            }
+            "--word" => word = word_value(&mut iter)?,
+            "--jobs" => jobs = jobs_value(&mut iter)?,
             "--workers" => {
                 let value = iter.next().ok_or("--workers needs a thread count")?;
                 config.workers = parse_num("--workers", value)? as usize;

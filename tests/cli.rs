@@ -278,6 +278,65 @@ fn bad_word_width_is_a_usage_error() {
     assert!(err.contains("48"), "{err}");
 }
 
+/// `simulate`, `profile` and `hotspots` parse their shared run flags
+/// through one parser: each bad input fails the same way on all three,
+/// and each subcommand still rejects the flags it does not take.
+#[test]
+fn shared_run_flags_fail_the_same_way_on_every_run_subcommand() {
+    let path = fixture("shared17.bench", C17);
+    let file = path.to_str().unwrap();
+    let engines = "event-driven, pc-set, parallel, parallel+trim, parallel+pt, \
+                   parallel+pt+trim, parallel+cb, native";
+    let shared: [(&[&str], String); 7] = [
+        (
+            &[file, "--jobs", "0"],
+            "--jobs: worker count must be at least 1".to_owned(),
+        ),
+        (
+            &[file, "--word", "48"],
+            "--word: `48` is not 32 or 64".to_owned(),
+        ),
+        (
+            &[file, "--vectors", "x"],
+            "--vectors: invalid digit found in string".to_owned(),
+        ),
+        (
+            &[file, "--seed", "x"],
+            "--seed: invalid digit found in string".to_owned(),
+        ),
+        (
+            &[file, "--engine", "bogus"],
+            format!("unknown engine `bogus` (expected one of: {engines})"),
+        ),
+        (&["--vectors", "4"], "missing FILE.bench".to_owned()),
+        (
+            &[file, "second.bench"],
+            "unexpected argument `second.bench`".to_owned(),
+        ),
+    ];
+    let mut cases: Vec<(Vec<&str>, String)> = Vec::new();
+    for command in ["simulate", "profile", "hotspots"] {
+        for (args, message) in &shared {
+            let mut argv = vec![command];
+            argv.extend_from_slice(args);
+            cases.push((argv, message.clone()));
+        }
+    }
+    cases.push((
+        vec!["hotspots", file, "--progress", "-"],
+        "unexpected argument `--progress`".to_owned(),
+    ));
+    cases.push((
+        vec!["profile", file, "--budget", "production"],
+        "unexpected argument `--budget`".to_owned(),
+    ));
+    for (argv, message) in cases {
+        let out = udsim(&argv);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {}", stderr(&out));
+        assert_eq!(stderr(&out), format!("udsim: {message}\n"), "{argv:?}");
+    }
+}
+
 #[test]
 fn engines_subcommand_lists_every_engine() {
     let out = udsim(&["engines"]);

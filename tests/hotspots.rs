@@ -14,7 +14,9 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use unit_delay_sim::core::telemetry::json::Json;
-use unit_delay_sim::core::{hotspot, DefaultEngineFactory, Engine, GuardedSimulator, WordWidth};
+use unit_delay_sim::core::{
+    compiler_available, hotspot, DefaultEngineFactory, Engine, GuardedSimulator, WordWidth,
+};
 use unit_delay_sim::netlist::generators::iscas::Iscas85;
 use unit_delay_sim::netlist::{bench_format, ResourceLimits};
 use unit_delay_sim::prelude::Netlist;
@@ -201,30 +203,36 @@ fn leveled_entry_point_matches_plain_simulation_exactly() {
     let nl = Iscas85::C432.build();
     let vectors = patterns(64, nl.primary_inputs().len());
     let outputs = nl.primary_outputs().to_vec();
-    for engine in [
-        Engine::EventDriven,
-        Engine::PcSet,
-        Engine::ParallelPathTracingTrimming,
-    ] {
-        let mut plain = guard_for(&nl, engine, WordWidth::W32);
-        let mut leveled = guard_for(&nl, engine, WordWidth::W32);
-        let mut profile = unit_delay_sim::netlist::LevelProfile::default();
-        for vector in &vectors {
-            plain.simulate_vector(vector).expect("plain run");
-            leveled
-                .simulate_vector_leveled(vector, &mut profile)
-                .expect("leveled run");
-            for &po in &outputs {
-                assert_eq!(
-                    plain.final_value(po),
-                    leveled.final_value(po),
-                    "{engine}: leveled run diverged from the plain run"
-                );
+    // The native engine's plain step is its compiled kernel and its
+    // profiled step the interpreted twin: the pair must agree too.
+    let native = compiler_available().then_some(Engine::Native);
+    for engine in Engine::ALL.into_iter().chain(native) {
+        for word in [WordWidth::W32, WordWidth::W64] {
+            let mut plain = guard_for(&nl, engine, word);
+            let mut leveled = guard_for(&nl, engine, word);
+            let mut profile = unit_delay_sim::netlist::LevelProfile::default();
+            for (index, vector) in vectors.iter().enumerate() {
+                plain.simulate_vector(vector).expect("plain run");
+                leveled
+                    .simulate_vector_leveled(vector, &mut profile)
+                    .expect("leveled run");
+                for &po in &outputs {
+                    assert_eq!(
+                        plain.final_value(po),
+                        leveled.final_value(po),
+                        "{engine} {word:?} vector {index}: leveled final diverged"
+                    );
+                    assert_eq!(
+                        plain.active_simulator().history(po),
+                        leveled.active_simulator().history(po),
+                        "{engine} {word:?} vector {index}: leveled history diverged"
+                    );
+                }
             }
+            assert!(
+                profile.total_self_ns() > 0,
+                "{engine} {word:?}: the leveled run must attribute time"
+            );
         }
-        assert!(
-            profile.total_self_ns() > 0,
-            "{engine}: the leveled run must attribute time"
-        );
     }
 }

@@ -86,6 +86,28 @@ fn profile_totals_are_engine_and_jobs_invariant() {
 }
 
 #[test]
+fn an_empty_batch_profiles_like_an_empty_sequential_run() {
+    // `--jobs` over zero vectors has no shards to merge; it must still
+    // answer with the sequential run's empty report (exit 0, no panic).
+    let sequential = profile_doc(&["--vectors", "0"]);
+    let batch = profile_doc(&["--vectors", "0", "--jobs", "2"]);
+    assert_eq!(batch.get("vectors").and_then(Json::as_u64), Some(0));
+    for key in [
+        "nets",
+        "depth",
+        "vectors",
+        "total_toggles",
+        "activity_factor",
+        "hot_nets",
+        "toggles_by_level",
+        "toggles_by_time",
+        "unobserved_nets",
+    ] {
+        assert_eq!(batch.get(key), sequential.get(key), "{key}");
+    }
+}
+
+#[test]
 fn simulate_trace_writes_per_shard_timelines_on_distinct_threads() {
     let bench = fixture("trace17.bench", C17);
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
