@@ -340,7 +340,7 @@ pub fn hotspot_profile(
     .expect("combinational");
     let word_bits = WordWidth::W32.bits();
     let run = || {
-        uds_core::hotspot::collect(netlist, &guard, &stimulus, 1, word_bits)
+        uds_core::hotspot::collect(netlist, &guard, &stimulus, stimulus.len(), 1, word_bits)
             .expect("profiled run succeeds")
     };
     let mut last = run(); // warmup

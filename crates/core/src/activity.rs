@@ -17,16 +17,15 @@
 //! The profiler is deliberately engine-, word-width- and
 //! shard-agnostic: toggle totals are sums of per-vector counts, so the
 //! same stimulus yields byte-identical reports no matter which engine
-//! produced the histories or how many workers split the stream
-//! ([`BatchActivityObserver`] merges per-shard profiles in shard
-//! order).
-
-use std::sync::Mutex;
+//! produced the histories or how many shards split the stream (each
+//! shard of [`run_stream`](crate::batch::run_stream) owns a profiler as
+//! its [`Step`]; the shards' profiles merge into one).
 
 use uds_netlist::{Levels, NetId, Netlist};
 
-use crate::batch::shard_bounds;
-use crate::progress::BatchProbe;
+use crate::batch::Step;
+use crate::error::SimError;
+use crate::guard::GuardedSimulator;
 use crate::telemetry::json::Json;
 use crate::UnitDelaySimulator;
 
@@ -296,52 +295,13 @@ impl ActivityReport {
     }
 }
 
-/// A [`BatchProbe`] that profiles activity per shard during
-/// [`run_batch_observed`](crate::batch::run_batch_observed), then
-/// merges the shards into one stream-order profile.
-///
-/// Each shard owns its profiler behind a `Mutex`, so workers never
-/// contend with each other (a worker only ever locks its own shard's
-/// slot).
-pub struct BatchActivityObserver {
-    shards: Vec<Mutex<ActivityProfiler>>,
-}
-
-impl BatchActivityObserver {
-    /// Sized for a batch of `total` vectors over `jobs` workers — the
-    /// same partition [`shard_bounds`] gives the batch runner, with at
-    /// least one slot so an empty batch merges to an empty profile.
-    pub fn new(netlist: &Netlist, levels: &Levels, total: usize, jobs: usize) -> Self {
-        let slots = shard_bounds(total, jobs).len().max(1);
-        let shards = (0..slots)
-            .map(|_| Mutex::new(ActivityProfiler::for_netlist(netlist, levels)))
-            .collect();
-        BatchActivityObserver { shards }
-    }
-
-    /// Merges every shard's profile, in shard order.
-    pub fn merged(&self) -> ActivityProfiler {
-        let mut iter = self.shards.iter();
-        let first = iter.next().expect("the observer has at least one slot");
-        let mut merged = first.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        for shard in iter {
-            merged.merge(&shard.lock().unwrap_or_else(|e| e.into_inner()));
-        }
-        merged
-    }
-}
-
-impl BatchProbe for BatchActivityObserver {
-    fn wants_vectors(&self) -> bool {
-        true
-    }
-
-    fn vector_done(&self, shard: usize, sim: &dyn UnitDelaySimulator) {
-        if let Some(slot) = self.shards.get(shard) {
-            slot.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .record_vector(sim);
-        }
+/// The activity step: every vector's toggles fold into the shard's
+/// profiler.
+impl Step for ActivityProfiler {
+    fn step(&mut self, guard: &mut GuardedSimulator, inputs: &[bool]) -> Result<(), SimError> {
+        guard.simulate_vector(inputs)?;
+        self.record_vector(guard.active_simulator());
+        Ok(())
     }
 }
 

@@ -1,55 +1,72 @@
-//! Vector-batched multi-core execution.
+//! The streaming vector runner: the one loop that drives a
+//! [`GuardedSimulator`] over a vector stream, for every caller — the
+//! CLI's `simulate`, `profile` and `hotspots`, the serve daemon, and
+//! [`run_batch`].
 //!
-//! Unit-delay simulation of a vector stream looks inherently
-//! sequential: vector *i* starts from the settled state vector *i - 1*
-//! left behind (retention). The batch runner breaks that dependency
-//! with a cheap **zero-delay prepass**: for a combinational circuit the
-//! unit-delay settled state after vector *i* is exactly the zero-delay
-//! (levelized) evaluation of vector *i* alone — the fixpoint is unique
-//! and history-free (see
-//! [`stable_states`](uds_eventsim::zero_delay::stable_states)). So the
-//! stream splits into contiguous shards, each worker seeds its engine
-//! with the zero-delay state of the vector just before its shard, and
-//! all shards simulate independently — bit-exact with the sequential
-//! run for *any* shard count.
+//! Unit-delay simulation of a stream looks inherently sequential:
+//! vector *i* starts from the settled state vector *i - 1* left behind
+//! (retention). The runner breaks that dependency with a cheap
+//! **zero-delay prepass**: for a combinational circuit the unit-delay
+//! settled state after vector *i* is exactly the zero-delay (levelized)
+//! evaluation of vector *i* alone — the fixpoint is unique and
+//! history-free (see
+//! [`stable_states`](uds_eventsim::zero_delay::stable_states)).
 //!
-//! Each worker owns a [`GuardedSimulator`] fork, so a panicking or
-//! budget-blowing engine degrades only its own shard; the others keep
-//! their fast engines. Shard timings surface as `batch.shard.<k>`
-//! telemetry spans with `batch.shards` / `batch.vectors_per_shard`
-//! gauges.
+//! One shard runs inline on the calling thread: no thread, no prepass,
+//! no buffer. Several shards take the stream in windows of [`WINDOW`]
+//! vectors, one bulk-synchronous superstep each: the window is split
+//! into contiguous shards, every shard is seeded with the zero-delay
+//! state of the vector just before it (O(jobs) per window), the shards
+//! run on scoped threads, and after the barrier the window's rows go to
+//! the sink in stream order. Memory is O([`WINDOW`] · jobs) whatever
+//! the stream length, and the rows are bit-exact with a sequential run
+//! for any shard count.
+//!
+//! Each shard owns a [`GuardedSimulator`] that persists across windows,
+//! so a panicking or budget-blowing engine degrades only its own shard,
+//! and a fallback sticks to it. A per-shard [`Step`] decides what a
+//! vector does beyond simulating: per-level timing, activity, or a
+//! waveform dump ride the same loop. Shard timings surface as one
+//! `batch.shard.<k>` telemetry span per shard, with `batch.shards` /
+//! `batch.vectors_per_shard` gauges and one `batch.prepass` span.
 
 // SimError is large but cold; see guard.rs.
 #![allow(clippy::result_large_err)]
 
 use std::panic::{self, AssertUnwindSafe};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use uds_eventsim::zero_delay::stable_states;
-use uds_netlist::Netlist;
+use uds_eventsim::zero_delay::ZeroDelayCompiled;
+use uds_netlist::{NetId, Netlist};
 
 use crate::cancel::CancelToken;
 use crate::error::{SimError, SimErrorKind, SimPhase};
-use crate::guard::GuardedSimulator;
-use crate::progress::{BatchProbe, Heartbeat, NoopBatchProbe};
+use crate::guard::{panicked, GuardedSimulator};
+use crate::progress::{BatchProbe, Heartbeat};
 use crate::telemetry::{SpanNode, Telemetry};
 use crate::Engine;
 
-/// What one shard did: its slice of the stream, wall-clock time, and
+/// Vectors per window of a multi-shard run — what bounds its memory.
+pub const WINDOW: usize = 4096;
+
+/// The most worker threads one run may use; [`run_stream`] clamps to
+/// it, and the CLI and the serve daemon reject larger requests.
+pub const MAX_JOBS: usize = 256;
+
+/// What one shard did: its share of the stream, wall-clock time, and
 /// how its fallback chain fared.
 #[derive(Clone, Debug)]
 pub struct ShardReport {
-    /// Shard index (shards partition the stream in order).
+    /// Shard index: shard `k` takes the `k`-th slice of every window.
     pub index: usize,
-    /// First vector of the shard (index into the full stream).
-    pub start: usize,
     /// Vectors the shard simulated.
     pub vectors: usize,
     /// When the shard started, in nanoseconds since the telemetry
     /// registry's epoch (0 when the run carried no telemetry) — what
     /// places `batch.shard.<k>` spans on the exported timeline.
     pub start_ns: u64,
-    /// Wall-clock simulation time, excluding the prepass.
+    /// Wall-clock time the shard spent running its vectors, summed over
+    /// windows; excludes the prepass and the barrier waits.
     pub wall_ns: u64,
     /// The engine that survived the shard.
     pub engine: Engine,
@@ -63,20 +80,76 @@ pub struct BatchOutput {
     /// Per-vector primary-output settled values, in stream order —
     /// bit-identical to a sequential run regardless of shard count.
     pub rows: Vec<Vec<bool>>,
-    /// Per-shard execution reports, in shard order.
+    /// Per-shard execution reports, in shard order (none for an empty
+    /// stream).
     pub shards: Vec<ShardReport>,
 }
 
-/// What a worker hands back: its output rows and report, or the error
-/// that felled the shard.
-type ShardResult = Result<(Vec<Vec<bool>>, ShardReport), SimError>;
+/// What a shard does with each vector. `()` only simulates it; the
+/// other implementations (activity, per-level timing, waveforms) also
+/// record something into state the shard owns, handed back in
+/// [`Shard::step`] when the run ends.
+pub trait Step: Send {
+    /// Runs `inputs` on `guard`, recording whatever the step keeps.
+    ///
+    /// # Errors
+    ///
+    /// The guard's error when its whole fallback chain fails.
+    fn step(&mut self, guard: &mut GuardedSimulator, inputs: &[bool]) -> Result<(), SimError>;
+}
+
+impl Step for () {
+    fn step(&mut self, guard: &mut GuardedSimulator, inputs: &[bool]) -> Result<(), SimError> {
+        guard.simulate_vector(inputs).map(drop)
+    }
+}
+
+/// `None` steps plainly, so a step can be switched on per run.
+impl<S: Step> Step for Option<S> {
+    fn step(&mut self, guard: &mut GuardedSimulator, inputs: &[bool]) -> Result<(), SimError> {
+        match self {
+            Some(step) => step.step(guard, inputs),
+            None => ().step(guard, inputs),
+        }
+    }
+}
+
+/// How a run is split, watched and stopped. The default runs one shard
+/// inline, unobserved and uncancellable.
+#[derive(Clone, Copy, Default)]
+pub struct RunControl<'a> {
+    /// Worker threads; 0 and 1 both run inline, and more than
+    /// [`MAX_JOBS`] is clamped.
+    pub jobs: usize,
+    /// Receives the per-shard spans, the gauges and the prepass span.
+    pub telemetry: Option<&'a Telemetry>,
+    /// Receives per-shard heartbeats.
+    pub progress: Option<&'a dyn BatchProbe>,
+    /// Polled before every vector of every shard.
+    pub cancel: Option<&'a CancelToken>,
+}
+
+/// One shard of a finished run.
+pub struct Shard<H> {
+    /// What the shard did.
+    pub report: ShardReport,
+    /// The guard that ran it: the prototype itself for an inline run, a
+    /// fork otherwise.
+    pub guard: GuardedSimulator,
+    /// The shard's [`Step`] state.
+    pub step: H,
+}
+
+/// The sink for runs that keep only their shards' [`Step`] state.
+pub fn discard(_index: usize, _inputs: &[bool], _row: &[bool]) -> Result<(), SimError> {
+    Ok(())
+}
 
 /// Splits `total` vectors into `jobs` contiguous, near-equal shards
 /// (the first `total % jobs` shards get one extra vector). Returns
-/// `(start, len)` pairs; empty shards are dropped. Public so batch
-/// observers (the activity profiler) can size per-shard state to the
-/// exact partition the runner will use.
-pub fn shard_bounds(total: usize, jobs: usize) -> Vec<(usize, usize)> {
+/// `(start, len)` pairs; empty shards are dropped, so they are always
+/// the trailing ones.
+fn shard_bounds(total: usize, jobs: usize) -> Vec<(usize, usize)> {
     let jobs = jobs.clamp(1, total.max(1));
     let base = total / jobs;
     let extra = total % jobs;
@@ -92,251 +165,138 @@ pub fn shard_bounds(total: usize, jobs: usize) -> Vec<(usize, usize)> {
     bounds
 }
 
-/// Runs `vectors` through forks of `prototype`, sharded across `jobs`
-/// worker threads, and returns per-vector primary-output rows exactly
-/// as a sequential run would produce them.
-///
-/// `prototype` should be freshly built (its current engine state is the
-/// power-up state shard 0 starts from). Pass the session's [`Telemetry`]
-/// to collect per-shard spans and gauges.
-///
-/// # Errors
-///
-/// Any vector of the wrong width is a usage error; a zero-delay prepass
-/// failure surfaces as its structural class; a shard whose entire
-/// fallback chain dies returns that shard's [`SimError`].
-pub fn run_batch(
-    netlist: &Netlist,
-    prototype: &GuardedSimulator,
-    vectors: &[Vec<bool>],
-    jobs: usize,
-    telemetry: Option<&Telemetry>,
-) -> Result<BatchOutput, SimError> {
-    run_batch_observed(
-        netlist,
-        prototype,
-        vectors,
-        jobs,
-        telemetry,
-        &NoopBatchProbe,
-    )
+/// What every shard shares for one run.
+struct Context<'a> {
+    outputs: &'a [NetId],
+    control: RunControl<'a>,
+    interval: Duration,
 }
 
-/// [`run_batch`] with a [`BatchProbe`] observing the workers: periodic
-/// per-shard heartbeats (`--progress` in the CLI) and/or a borrow of
-/// each shard's engine after every vector (the activity profiler).
-/// Both hooks are capability-gated, so a probe that wants neither costs
-/// nothing in the per-vector loop.
-///
-/// # Errors
-///
-/// As [`run_batch`].
-pub fn run_batch_observed(
-    netlist: &Netlist,
-    prototype: &GuardedSimulator,
-    vectors: &[Vec<bool>],
-    jobs: usize,
-    telemetry: Option<&Telemetry>,
-    probe: &dyn BatchProbe,
-) -> Result<BatchOutput, SimError> {
-    run_batch_cancellable(
-        netlist,
-        prototype,
-        vectors,
-        jobs,
-        telemetry,
-        probe,
-        &CancelToken::new(),
-    )
+/// A shard's state across windows.
+struct Worker<H> {
+    index: usize,
+    guard: GuardedSimulator,
+    step: H,
+    /// Fallbacks the guard had fired before the run.
+    inherited: usize,
+    /// Vectors the shard owns over the whole run, and has finished.
+    total: usize,
+    done: usize,
+    /// The primary-output row of the last vector.
+    row: Vec<bool>,
+    started: Option<Instant>,
+    wall_ns: u64,
+    last_beat: Instant,
 }
 
-/// [`run_batch_observed`] with cooperative cancellation: every worker
-/// polls `cancel` between vectors, so a tripped token (an explicit
-/// cancel or a passed deadline) stops the batch within one vector per
-/// shard. The interrupted run returns [`SimErrorKind::Cancelled`]
-/// carrying how many vectors the reporting worker had finished — the
-/// partial-work figure the serve daemon's timeout telemetry records.
-///
-/// # Errors
-///
-/// As [`run_batch`], plus [`SimErrorKind::Cancelled`] when the token
-/// trips mid-run.
-pub fn run_batch_cancellable(
-    netlist: &Netlist,
-    prototype: &GuardedSimulator,
-    vectors: &[Vec<bool>],
-    jobs: usize,
-    telemetry: Option<&Telemetry>,
-    probe: &dyn BatchProbe,
-    cancel: &CancelToken,
-) -> Result<BatchOutput, SimError> {
-    let expected = netlist.primary_inputs().len();
-    for vector in vectors {
-        if vector.len() != expected {
-            return Err(SimError::new(
-                SimErrorKind::VectorWidth {
-                    expected,
-                    got: vector.len(),
-                },
-                SimPhase::Run,
-            ));
+impl<H: Step> Worker<H> {
+    fn new(index: usize, guard: GuardedSimulator, step: H, total: usize) -> Self {
+        Worker {
+            index,
+            inherited: guard.fallbacks().len(),
+            guard,
+            step,
+            total,
+            done: 0,
+            row: Vec::new(),
+            started: None,
+            wall_ns: 0,
+            last_beat: Instant::now(),
         }
     }
-    let bounds = shard_bounds(vectors.len(), jobs);
-    if let Some(telemetry) = telemetry {
-        telemetry.set_gauge("batch.shards", bounds.len() as u64);
-        telemetry.set_gauge(
-            "batch.vectors_per_shard",
-            bounds.iter().map(|&(_, len)| len as u64).max().unwrap_or(0),
-        );
+
+    /// Runs `vectors` (after seeding the guard with `seed`), handing each
+    /// vector's inputs and output row to `emit`. A tripped cancel token
+    /// stops the shard before its next vector; a panic anywhere in the
+    /// loop becomes this shard's error instead of unwinding further.
+    fn run<V: AsRef<[bool]>, E: From<SimError>>(
+        &mut self,
+        vectors: impl Iterator<Item = V>,
+        seed: Option<&[bool]>,
+        ctx: &Context<'_>,
+        emit: &mut impl FnMut(&[bool], &[bool]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let clock = Instant::now();
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            if let Some(seed) = seed {
+                self.guard.seed_stable(seed);
+            }
+            if self.started.is_none() {
+                self.started = Some(clock);
+                self.last_beat = clock;
+                self.beat(ctx);
+            }
+            for vector in vectors {
+                let inputs = vector.as_ref();
+                if let Some(cause) = ctx.control.cancel.and_then(CancelToken::cause) {
+                    let vectors_done = self.done;
+                    let kind = SimErrorKind::Cancelled {
+                        cause,
+                        vectors_done,
+                    };
+                    return Err(SimError::new(kind, SimPhase::Run).into());
+                }
+                self.step.step(&mut self.guard, inputs)?;
+                self.row.clear();
+                let guard = &self.guard;
+                self.row
+                    .extend(ctx.outputs.iter().map(|&po| guard.final_value(po)));
+                emit(inputs, &self.row)?;
+                self.done += 1;
+                if ctx.control.progress.is_some() {
+                    let now = Instant::now();
+                    if self.done == self.total || now.duration_since(self.last_beat) >= ctx.interval
+                    {
+                        self.last_beat = now;
+                        self.beat(ctx);
+                    }
+                }
+            }
+            Ok(())
+        }));
+        self.wall_ns = self.wall_ns.saturating_add(nanos(clock.elapsed()));
+        result.unwrap_or_else(|payload| {
+            Err(panicked(payload, SimPhase::Run, self.guard.active_engine()).into())
+        })
     }
-    if vectors.is_empty() {
-        // Even a degenerate batch announces completion: consumers keyed
-        // on `finished` (progress bars, the NDJSON stream) must never
-        // wait on a batch that will say nothing.
-        if probe.wants_heartbeats() {
-            probe.heartbeat(&Heartbeat {
-                shard: 0,
-                done: 0,
-                total: 0,
-                wall_ns: 0,
-                engine: prototype.active_engine(),
-                fallbacks: 0,
-                finished: true,
+
+    /// Sends the shard's progress record; it is final once every vector
+    /// the shard owns is done.
+    fn beat(&self, ctx: &Context<'_>) {
+        if let Some(progress) = ctx.control.progress {
+            progress.heartbeat(&Heartbeat {
+                shard: self.index,
+                done: self.done,
+                total: self.total,
+                wall_ns: self.started.map_or(0, |at| nanos(at.elapsed())),
+                engine: self.guard.active_engine(),
+                fallbacks: self.fallbacks(),
+                finished: self.done == self.total,
             });
         }
-        return Ok(BatchOutput {
-            rows: Vec::new(),
-            shards: Vec::new(),
-        });
     }
 
-    // Zero-delay prepass: the stable state at each shard boundary.
-    // Shard 0 starts from power-up; shard k > 0 from the settled state
-    // of the vector just before it — one levelized evaluation each.
-    let boundary_vectors: Vec<&[bool]> = bounds[1..]
-        .iter()
-        .map(|&(start, _)| vectors[start - 1].as_slice())
-        .collect();
-    let seeds = {
-        let _span = telemetry.map(|t| t.span("batch.prepass"));
-        stable_states(netlist, boundary_vectors)?
-    };
+    fn fallbacks(&self) -> usize {
+        self.guard.fallbacks().len() - self.inherited
+    }
 
-    let outputs = netlist.primary_outputs().to_vec();
-    let epoch = telemetry.map(Telemetry::epoch);
-    let heartbeats = probe.wants_heartbeats();
-    let observe_vectors = probe.wants_vectors();
-    let interval = probe.heartbeat_interval();
-    let mut results: Vec<Option<ShardResult>> = (0..bounds.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(bounds.len());
-        for (shard, &(start, len)) in bounds.iter().enumerate() {
-            let mut guard = prototype.fork();
-            let seed = (shard > 0).then(|| seeds[shard - 1].as_slice());
-            let slice = &vectors[start..start + len];
-            let outputs = &outputs;
-            handles.push(scope.spawn(move || {
-                let clock = Instant::now();
-                let start_ns = epoch
-                    .map(|epoch| {
-                        u64::try_from(clock.saturating_duration_since(epoch).as_nanos())
-                            .unwrap_or(u64::MAX)
-                    })
-                    .unwrap_or(0);
-                let beat = |guard: &GuardedSimulator, done: usize, finished: bool| {
-                    probe.heartbeat(&Heartbeat {
-                        shard,
-                        done,
-                        total: len,
-                        wall_ns: u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        engine: guard.active_engine(),
-                        fallbacks: guard.fallbacks().len(),
-                        finished,
-                    });
-                };
-                let body = || -> Result<Vec<Vec<bool>>, SimError> {
-                    if let Some(seed) = seed {
-                        guard.seed_stable(seed);
-                    }
-                    if heartbeats {
-                        beat(&guard, 0, false);
-                    }
-                    let mut last_beat = Instant::now();
-                    let mut rows = Vec::with_capacity(slice.len());
-                    for (done, vector) in slice.iter().enumerate() {
-                        if let Some(cause) = cancel.cause() {
-                            return Err(SimError::new(
-                                SimErrorKind::Cancelled {
-                                    cause,
-                                    vectors_done: done,
-                                },
-                                SimPhase::Run,
-                            ));
-                        }
-                        guard.simulate_vector(vector)?;
-                        rows.push(outputs.iter().map(|&po| guard.final_value(po)).collect());
-                        if observe_vectors {
-                            probe.vector_done(shard, guard.active_simulator());
-                        }
-                        if heartbeats {
-                            let finished = done + 1 == slice.len();
-                            let now = Instant::now();
-                            if finished || now.duration_since(last_beat) >= interval {
-                                last_beat = now;
-                                beat(&guard, done + 1, finished);
-                            }
-                        }
-                    }
-                    Ok(rows)
-                };
-                // The guard contains engine panics itself; this outer
-                // net catches anything above the engine layer so one
-                // shard cannot abort its siblings.
-                let rows = match panic::catch_unwind(AssertUnwindSafe(body)) {
-                    Ok(result) => result?,
-                    Err(payload) => {
-                        let message = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_owned())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_owned());
-                        return Err(SimError::new(
-                            SimErrorKind::EnginePanicked { message },
-                            SimPhase::Run,
-                        ));
-                    }
-                };
-                Ok((
-                    rows,
-                    ShardReport {
-                        index: shard,
-                        start,
-                        vectors: len,
-                        start_ns,
-                        wall_ns: u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        engine: guard.active_engine(),
-                        fallbacks: guard.fallbacks().len(),
-                    },
-                ))
-            }));
-        }
-        for (slot, handle) in results.iter_mut().zip(handles) {
-            *slot = Some(handle.join().unwrap_or_else(|payload| {
-                panic::resume_unwind(payload);
-            }));
-        }
-    });
-
-    let mut rows = Vec::with_capacity(vectors.len());
-    let mut shards = Vec::with_capacity(bounds.len());
-    for result in results.into_iter().flatten() {
-        let (shard_rows, report) = result?;
-        rows.extend(shard_rows);
-        if let Some(telemetry) = telemetry {
+    fn finish(self, telemetry: Option<&Telemetry>) -> Shard<H> {
+        let start_ns = match (telemetry, self.started) {
+            (Some(t), Some(at)) => nanos(at.saturating_duration_since(t.epoch())),
+            _ => 0,
+        };
+        let report = ShardReport {
+            index: self.index,
+            vectors: self.done,
+            start_ns,
+            wall_ns: self.wall_ns,
+            engine: self.guard.active_engine(),
+            fallbacks: self.fallbacks(),
+        };
+        if let (Some(telemetry), Some(_)) = (telemetry, self.started) {
             telemetry.attach_span(SpanNode {
                 name: format!("batch.shard.{}", report.index),
-                start_ns: report.start_ns,
+                start_ns,
                 wall_ns: report.wall_ns,
                 // Worker spans get their own timeline lane: tid 0 is
                 // the coordinating thread's span stack.
@@ -345,8 +305,250 @@ pub fn run_batch_cancellable(
             });
             telemetry.add("batch.shard_fallbacks", report.fallbacks as u64);
         }
-        shards.push(report);
+        Shard {
+            report,
+            guard: self.guard,
+            step: self.step,
+        }
     }
+}
+
+fn nanos(elapsed: Duration) -> u64 {
+    u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Runs the first `len` vectors of `stimulus` through `prototype` and
+/// hands each vector's index, inputs and primary-output row to `sink`,
+/// in stream order. `control.jobs` shards the stream (see the module
+/// docs); every shard gets its own `step()` state. The rows are
+/// bit-identical to a sequential run for any shard count. Returns the
+/// shards in order — always at least one, even for an empty stream.
+///
+/// `prototype` should be freshly built or seeded: its engine state is
+/// where the stream starts. An inline run steps the prototype itself
+/// (keeping its telemetry); a sharded one steps forks of it.
+///
+/// # Errors
+///
+/// A vector of the wrong width is a usage error, raised before its
+/// window's threads spawn. A zero-delay prepass failure surfaces as its
+/// structural class, a shard whose entire fallback chain dies returns
+/// that shard's [`SimError`], a tripped cancel token returns
+/// [`SimErrorKind::Cancelled`] with the vectors that shard had done,
+/// and whatever `sink` returns stops the run as it is.
+pub fn run_stream<V, H, E>(
+    netlist: &Netlist,
+    prototype: GuardedSimulator,
+    stimulus: impl IntoIterator<Item = V>,
+    len: usize,
+    control: RunControl<'_>,
+    mut step: impl FnMut() -> H,
+    mut sink: impl FnMut(usize, &[bool], &[bool]) -> Result<(), E>,
+) -> Result<Vec<Shard<H>>, E>
+where
+    V: AsRef<[bool]> + Sync,
+    H: Step,
+    E: From<SimError>,
+{
+    let jobs = control.jobs.clamp(1, MAX_JOBS);
+    // Every window but the last holds WINDOW vectors, so shard k's total
+    // is its share of a full window times the full windows, plus its
+    // share of the tail.
+    let full = shard_bounds(WINDOW, jobs);
+    let tail = shard_bounds(len % WINDOW, jobs);
+    let share = |bounds: &[(usize, usize)], k: usize| bounds.get(k).map_or(0, |&(_, n)| n);
+    let shards = shard_bounds(len.min(WINDOW), jobs).len();
+    let totals: Vec<usize> = (0..shards.max(1))
+        .map(|k| len / WINDOW * share(&full, k) + share(&tail, k))
+        .collect();
+    if let Some(telemetry) = control.telemetry {
+        telemetry.set_gauge("batch.shards", shards as u64);
+        telemetry.set_gauge(
+            "batch.vectors_per_shard",
+            totals.iter().copied().max().unwrap_or(0) as u64,
+        );
+    }
+    let ctx = Context {
+        outputs: netlist.primary_outputs(),
+        control,
+        interval: control
+            .progress
+            .map_or(Duration::ZERO, |progress| progress.heartbeat_interval()),
+    };
+    let mut stimulus = stimulus.into_iter().take(len);
+    let workers = if shards <= 1 {
+        let mut worker = Worker::new(0, prototype, step(), totals[0]);
+        if len == 0 {
+            // Even an empty run announces completion: consumers keyed on
+            // `finished` must never wait on a run that says nothing.
+            worker.beat(&ctx);
+        } else {
+            let mut index = 0;
+            worker.run(stimulus, None, &ctx, &mut |inputs, row| {
+                index += 1;
+                sink(index - 1, inputs, row)
+            })?;
+        }
+        vec![worker]
+    } else {
+        let mut workers: Vec<Worker<H>> = totals
+            .iter()
+            .enumerate()
+            .map(|(k, &total)| Worker::new(k, prototype.fork(), step(), total))
+            .collect();
+        run_windows(netlist, &mut workers, &mut stimulus, jobs, &ctx, &mut sink)?;
+        workers
+    };
+    Ok(workers
+        .into_iter()
+        .map(|worker| worker.finish(control.telemetry))
+        .collect())
+}
+
+/// The multi-shard loop: one superstep per window of [`WINDOW`] vectors.
+fn run_windows<V, H, E>(
+    netlist: &Netlist,
+    workers: &mut [Worker<H>],
+    stimulus: &mut impl Iterator<Item = V>,
+    jobs: usize,
+    ctx: &Context<'_>,
+    sink: &mut impl FnMut(usize, &[bool], &[bool]) -> Result<(), E>,
+) -> Result<(), E>
+where
+    V: AsRef<[bool]> + Sync,
+    H: Step,
+    E: From<SimError>,
+{
+    let expected = netlist.primary_inputs().len();
+    let width = ctx.outputs.len();
+    let mut zero_delay = ZeroDelayCompiled::compile(netlist).map_err(SimError::from)?;
+    let mut prepass: Option<(Instant, u64)> = None;
+    let mut window: Vec<V> = Vec::with_capacity(WINDOW);
+    let mut rows: Vec<Vec<bool>> = vec![Vec::new(); workers.len()];
+    // The last vector of the previous window: shard 0's boundary.
+    let mut before: Option<Vec<bool>> = None;
+    let mut first = 0;
+    loop {
+        window.clear();
+        window.extend(stimulus.by_ref().take(WINDOW));
+        if window.is_empty() {
+            break;
+        }
+        if let Some(got) = window
+            .iter()
+            .map(|vector| vector.as_ref().len())
+            .find(|&got| got != expected)
+        {
+            let kind = SimErrorKind::VectorWidth { expected, got };
+            return Err(SimError::new(kind, SimPhase::Run).into());
+        }
+        let bounds = shard_bounds(window.len(), jobs);
+
+        // Zero-delay prepass: the settled state before each shard's
+        // first vector. Only the stream's very first shard starts from
+        // the prototype's own state.
+        let clock = Instant::now();
+        let seeds: Vec<Option<Vec<bool>>> = bounds
+            .iter()
+            .map(|&(start, _)| {
+                let boundary = match start {
+                    0 => before.as_deref(),
+                    _ => Some(window[start - 1].as_ref()),
+                };
+                boundary.map(|vector| {
+                    zero_delay.simulate_vector(vector);
+                    zero_delay.values()
+                })
+            })
+            .collect();
+        let (_, prepass_ns) = prepass.get_or_insert((clock, 0));
+        *prepass_ns += nanos(clock.elapsed());
+
+        let results: Vec<Result<(), SimError>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = workers
+                .iter_mut()
+                .zip(&mut rows)
+                .zip(bounds.iter().zip(&seeds))
+                .map(|((worker, rows), (&(start, len), seed))| {
+                    let slice = &window[start..start + len];
+                    scope.spawn(move || {
+                        rows.clear();
+                        worker.run(slice.iter(), seed.as_deref(), ctx, &mut |_, row| {
+                            rows.extend_from_slice(row);
+                            Ok::<_, SimError>(())
+                        })
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| handle.join().unwrap_or_else(|p| panic::resume_unwind(p)))
+                .collect()
+        });
+        for result in results {
+            result?;
+        }
+        for (&(start, len), rows) in bounds.iter().zip(&rows) {
+            for offset in 0..len {
+                let at = start + offset;
+                let row = &rows[offset * width..(offset + 1) * width];
+                sink(first + at, window[at].as_ref(), row)?;
+            }
+        }
+        before = window.last().map(|vector| vector.as_ref().to_vec());
+        first += window.len();
+    }
+    if let (Some(telemetry), Some((at, wall_ns))) = (ctx.control.telemetry, prepass) {
+        telemetry.attach_span(SpanNode {
+            name: "batch.prepass".to_owned(),
+            start_ns: nanos(at.saturating_duration_since(telemetry.epoch())),
+            wall_ns,
+            tid: 0,
+            children: Vec::new(),
+        });
+    }
+    Ok(())
+}
+
+/// Runs `vectors` through `prototype` (forked, so it stays as it was)
+/// sharded across `jobs` worker threads, and returns per-vector
+/// primary-output rows exactly as a sequential run would produce them.
+/// Pass the session's [`Telemetry`] to collect per-shard spans and
+/// gauges.
+///
+/// # Errors
+///
+/// As [`run_stream`].
+pub fn run_batch(
+    netlist: &Netlist,
+    prototype: &GuardedSimulator,
+    vectors: &[Vec<bool>],
+    jobs: usize,
+    telemetry: Option<&Telemetry>,
+) -> Result<BatchOutput, SimError> {
+    let mut rows = Vec::with_capacity(vectors.len());
+    let control = RunControl {
+        jobs,
+        telemetry,
+        ..RunControl::default()
+    };
+    let shards = run_stream(
+        netlist,
+        prototype.fork(),
+        vectors,
+        vectors.len(),
+        control,
+        || (),
+        |_, _, row| {
+            rows.push(row.to_vec());
+            Ok::<_, SimError>(())
+        },
+    )?;
+    let shards = shards
+        .into_iter()
+        .map(|shard| shard.report)
+        .filter(|report| report.vectors > 0)
+        .collect();
     Ok(BatchOutput { rows, shards })
 }
 
@@ -354,6 +556,7 @@ pub fn run_batch_cancellable(
 mod tests {
     use super::*;
     use crate::guard::GuardedSimulator;
+    use std::sync::Mutex;
     use uds_netlist::generators::iscas::c17;
     use uds_netlist::ResourceLimits;
 
@@ -387,6 +590,38 @@ mod tests {
             .collect()
     }
 
+    fn guard() -> GuardedSimulator {
+        GuardedSimulator::new(&c17(), ResourceLimits::production()).unwrap()
+    }
+
+    /// Runs `vectors` with `control`, collecting the rows.
+    fn run(vectors: &[Vec<bool>], control: RunControl<'_>) -> Result<Vec<Vec<bool>>, SimError> {
+        let mut rows = Vec::new();
+        let sink = |_: usize, _: &[bool], row: &[bool]| {
+            rows.push(row.to_vec());
+            Ok::<_, SimError>(())
+        };
+        run_stream(
+            &c17(),
+            guard(),
+            vectors,
+            vectors.len(),
+            control,
+            || (),
+            sink,
+        )?;
+        Ok(rows)
+    }
+
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<Heartbeat>>);
+
+    impl BatchProbe for Recorder {
+        fn heartbeat(&self, beat: &Heartbeat) {
+            self.0.lock().unwrap().push(*beat);
+        }
+    }
+
     #[test]
     fn shard_bounds_partition_the_stream() {
         for total in [0usize, 1, 2, 7, 100] {
@@ -414,8 +649,7 @@ mod tests {
         let vectors = stimulus(23);
         let expected = sequential_rows(&vectors);
         for jobs in [1usize, 2, 5, 23, 64] {
-            let guard = GuardedSimulator::new(&nl, ResourceLimits::production()).unwrap();
-            let out = run_batch(&nl, &guard, &vectors, jobs, None).unwrap();
+            let out = run_batch(&nl, &guard(), &vectors, jobs, None).unwrap();
             assert_eq!(out.rows, expected, "jobs={jobs}");
             assert_eq!(
                 out.shards.iter().map(|s| s.vectors).sum::<usize>(),
@@ -426,33 +660,20 @@ mod tests {
 
     #[test]
     fn empty_stream_is_a_noop() {
-        let nl = c17();
-        let guard = GuardedSimulator::new(&nl, ResourceLimits::production()).unwrap();
-        let out = run_batch(&nl, &guard, &[], 4, None).unwrap();
+        let out = run_batch(&c17(), &guard(), &[], 4, None).unwrap();
         assert!(out.rows.is_empty());
         assert!(out.shards.is_empty());
     }
 
     #[test]
     fn empty_stream_still_announces_completion() {
-        use crate::progress::{BatchProbe, Heartbeat};
-        use std::sync::Mutex;
-
-        #[derive(Default)]
-        struct Recorder(Mutex<Vec<Heartbeat>>);
-        impl BatchProbe for Recorder {
-            fn wants_heartbeats(&self) -> bool {
-                true
-            }
-            fn heartbeat(&self, beat: &Heartbeat) {
-                self.0.lock().unwrap().push(*beat);
-            }
-        }
-
-        let nl = c17();
-        let guard = GuardedSimulator::new(&nl, ResourceLimits::production()).unwrap();
         let recorder = Recorder::default();
-        run_batch_observed(&nl, &guard, &[], 4, None, &recorder).unwrap();
+        let control = RunControl {
+            jobs: 4,
+            progress: Some(&recorder),
+            ..RunControl::default()
+        };
+        run(&[], control).unwrap();
         let beats = recorder.0.lock().unwrap();
         assert_eq!(beats.len(), 1, "exactly one completion record");
         assert!(beats[0].finished);
@@ -461,48 +682,46 @@ mod tests {
 
     #[test]
     fn wrong_width_vector_is_a_usage_error_before_any_thread_spawns() {
-        let nl = c17();
-        let guard = GuardedSimulator::new(&nl, ResourceLimits::production()).unwrap();
-        let err = run_batch(&nl, &guard, &[vec![true; 3]], 2, None).unwrap_err();
-        assert_eq!(err.class(), crate::FailureClass::Usage);
+        for vectors in [vec![vec![true; 3]], vec![vec![true; 5], vec![true; 3]]] {
+            let err = run_batch(&c17(), &guard(), &vectors, 2, None).unwrap_err();
+            assert_eq!(err.class(), crate::FailureClass::Usage);
+        }
     }
 
     #[test]
     fn observed_batch_fires_heartbeats_and_vector_hooks() {
-        use crate::progress::{BatchProbe, Heartbeat};
-        use std::sync::Mutex;
-
-        #[derive(Default)]
-        struct Recorder {
-            beats: Mutex<Vec<Heartbeat>>,
-            vectors: Mutex<Vec<usize>>,
-        }
-        impl BatchProbe for Recorder {
-            fn wants_heartbeats(&self) -> bool {
-                true
-            }
-            fn heartbeat(&self, beat: &Heartbeat) {
-                self.beats.lock().unwrap().push(*beat);
-            }
-            fn wants_vectors(&self) -> bool {
-                true
-            }
-            fn vector_done(&self, shard: usize, _sim: &dyn crate::UnitDelaySimulator) {
-                self.vectors.lock().unwrap().push(shard);
+        /// Counts the vectors its shard stepped.
+        struct Counted(usize);
+        impl Step for Counted {
+            fn step(
+                &mut self,
+                guard: &mut GuardedSimulator,
+                inputs: &[bool],
+            ) -> Result<(), SimError> {
+                self.0 += 1;
+                ().step(guard, inputs)
             }
         }
 
-        let nl = c17();
         let vectors = stimulus(10);
-        let guard = GuardedSimulator::new(&nl, ResourceLimits::production()).unwrap();
         let recorder = Recorder::default();
-        let out = run_batch_observed(&nl, &guard, &vectors, 3, None, &recorder).unwrap();
-        assert_eq!(
-            out.rows,
-            sequential_rows(&vectors),
-            "probe must not perturb"
+        let control = RunControl {
+            jobs: 3,
+            progress: Some(&recorder),
+            ..RunControl::default()
+        };
+        let shards = run_stream(
+            &c17(),
+            guard(),
+            &vectors,
+            10,
+            control,
+            || Counted(0),
+            discard,
         );
-        let beats = recorder.beats.lock().unwrap();
+        let stepped: Vec<usize> = shards.unwrap().iter().map(|s| s.step.0).collect();
+        assert_eq!(stepped, [4, 3, 3], "one step per vector, in its own shard");
+        let beats = recorder.0.lock().unwrap();
         for shard in 0..3 {
             assert!(
                 beats
@@ -511,57 +730,46 @@ mod tests {
                 "shard {shard} must emit a final heartbeat"
             );
         }
-        assert_eq!(
-            recorder.vectors.lock().unwrap().len(),
-            vectors.len(),
-            "one vector_done per vector"
-        );
     }
 
     #[test]
     fn tripped_token_stops_the_batch_as_budget_class() {
-        use crate::cancel::{CancelCause, CancelToken};
-        use crate::progress::NoopBatchProbe;
+        use crate::cancel::CancelCause;
 
-        let nl = c17();
         let vectors = stimulus(40);
-        let guard = GuardedSimulator::new(&nl, ResourceLimits::production()).unwrap();
         let cancel = CancelToken::new();
         cancel.cancel();
-        let err = run_batch_cancellable(&nl, &guard, &vectors, 2, None, &NoopBatchProbe, &cancel)
-            .unwrap_err();
-        assert_eq!(err.class(), crate::FailureClass::Budget);
-        match err.kind {
-            SimErrorKind::Cancelled {
-                cause,
-                vectors_done,
-            } => {
-                assert_eq!(cause, CancelCause::Cancelled);
-                assert_eq!(vectors_done, 0, "tripped before the first vector");
+        for jobs in [1, 2] {
+            let control = RunControl {
+                jobs,
+                cancel: Some(&cancel),
+                ..RunControl::default()
+            };
+            let err = run(&vectors, control).expect_err("cancelled");
+            assert_eq!(err.class(), crate::FailureClass::Budget);
+            match err.kind {
+                SimErrorKind::Cancelled {
+                    cause,
+                    vectors_done,
+                } => {
+                    assert_eq!(cause, CancelCause::Cancelled);
+                    assert_eq!(vectors_done, 0, "tripped before the first vector");
+                }
+                other => panic!("expected Cancelled, got {other:?}"),
             }
-            other => panic!("expected Cancelled, got {other:?}"),
         }
     }
 
     #[test]
     fn live_token_leaves_the_batch_bit_exact() {
-        use crate::cancel::CancelToken;
-        use crate::progress::NoopBatchProbe;
-
-        let nl = c17();
         let vectors = stimulus(23);
-        let guard = GuardedSimulator::new(&nl, ResourceLimits::production()).unwrap();
-        let out = run_batch_cancellable(
-            &nl,
-            &guard,
-            &vectors,
-            3,
-            None,
-            &NoopBatchProbe,
-            &CancelToken::new(),
-        )
-        .unwrap();
-        assert_eq!(out.rows, sequential_rows(&vectors));
+        let cancel = CancelToken::new();
+        let control = RunControl {
+            jobs: 3,
+            cancel: Some(&cancel),
+            ..RunControl::default()
+        };
+        assert_eq!(run(&vectors, control).unwrap(), sequential_rows(&vectors));
     }
 
     #[test]
@@ -569,8 +777,7 @@ mod tests {
         let nl = c17();
         let vectors = stimulus(10);
         let telemetry = Telemetry::new();
-        let guard = GuardedSimulator::new(&nl, ResourceLimits::production()).unwrap();
-        run_batch(&nl, &guard, &vectors, 2, Some(&telemetry)).unwrap();
+        run_batch(&nl, &guard(), &vectors, 2, Some(&telemetry)).unwrap();
         let report = telemetry.snapshot();
         let mut tids: Vec<u64> = (0..2)
             .map(|shard| {
@@ -590,8 +797,7 @@ mod tests {
         let nl = c17();
         let vectors = stimulus(10);
         let telemetry = Telemetry::new();
-        let guard = GuardedSimulator::new(&nl, ResourceLimits::production()).unwrap();
-        run_batch(&nl, &guard, &vectors, 3, Some(&telemetry)).unwrap();
+        run_batch(&nl, &guard(), &vectors, 3, Some(&telemetry)).unwrap();
         assert_eq!(telemetry.gauge_value("batch.shards"), Some(3));
         assert_eq!(telemetry.gauge_value("batch.vectors_per_shard"), Some(4));
         let report = telemetry.snapshot();

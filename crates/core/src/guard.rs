@@ -35,7 +35,7 @@ use crate::{crosscheck, Engine, TracedEventSim, UnitDelaySimulator, WordWidth};
 /// The typed error for a panic `engine` raised during `phase`. The
 /// message is the payload's text (panics carry `&str` or `String`;
 /// anything else gets a placeholder).
-fn panicked(payload: Box<dyn Any + Send>, phase: SimPhase, engine: Engine) -> SimError {
+pub(crate) fn panicked(payload: Box<dyn Any + Send>, phase: SimPhase, engine: Engine) -> SimError {
     let message = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -22,22 +22,21 @@
 //! call lands in *some* level, so per-level self-times sum to the time
 //! inside profiled calls. [`collect`] measures its span as the sum of
 //! per-shard wall clocks — not the enclosing wall time — so the
-//! contract holds under `jobs > 1` as well: profiles accumulate
-//! per-shard and merge levelwise.
+//! contract holds under `jobs > 1` as well: each shard of the streaming
+//! runner owns its profile, and the profiles merge levelwise.
 
 // SimError deliberately carries full context; see guard.rs.
 #![allow(clippy::result_large_err)]
 
 use std::collections::VecDeque;
-use std::panic::{self, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use uds_eventsim::zero_delay::stable_states;
 use uds_netlist::{LevelProfile, Netlist};
 
-use crate::error::{SimError, SimErrorKind, SimPhase};
+use crate::batch::{discard, run_stream, RunControl, Step};
+use crate::error::SimError;
 use crate::telemetry::json::Json;
-use crate::{shard_bounds, Engine, GuardedSimulator};
+use crate::{Engine, GuardedSimulator};
 
 /// Schema tag of [`HotspotReport::to_json`] and the serve daemon's
 /// `/debug/hotspots` document.
@@ -139,123 +138,69 @@ impl HotspotReport {
     }
 }
 
-/// Simulates `vectors` through forks of `prototype` across `jobs`
-/// worker threads — the batch runner's sharding, seeded identically —
-/// with every vector profiled, and returns the merged per-level
-/// breakdown. The span is the sum of per-shard simulate walls, so
-/// per-level self-times sum within timer granularity of it at any job
-/// count.
+/// The leveled step of the streaming runner: every vector runs through
+/// [`GuardedSimulator::simulate_vector_leveled`] into `profile`, and
+/// `span_ns` adds up the wall time of those calls — the span the
+/// per-level self-times sum toward.
+#[derive(Clone, Debug, Default)]
+pub struct LeveledStep {
+    /// Per-level costs of the shard's vectors.
+    pub profile: LevelProfile,
+    /// Wall time inside the profiled calls.
+    pub span_ns: u64,
+}
+
+impl Step for LeveledStep {
+    fn step(&mut self, guard: &mut GuardedSimulator, inputs: &[bool]) -> Result<(), SimError> {
+        let clock = Instant::now();
+        guard.simulate_vector_leveled(inputs, &mut self.profile)?;
+        let elapsed = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.span_ns = self.span_ns.saturating_add(elapsed);
+        Ok(())
+    }
+}
+
+/// Simulates the first `len` vectors of `stimulus` through a fork of
+/// `prototype` across `jobs` shards, with a [`LeveledStep`] in every
+/// shard, and returns the merged per-level breakdown. The span is the
+/// sum of the shards' profiled-call walls, so per-level self-times sum
+/// within timer granularity of it at any job count.
 ///
 /// # Errors
 ///
-/// Any vector of the wrong width is a usage error; the zero-delay
-/// prepass and shard failures surface exactly as in
-/// [`run_batch`](crate::run_batch).
-pub fn collect(
+/// As [`run_stream`].
+pub fn collect<V: AsRef<[bool]> + Sync>(
     netlist: &Netlist,
     prototype: &GuardedSimulator,
-    vectors: &[Vec<bool>],
+    stimulus: impl IntoIterator<Item = V>,
+    len: usize,
     jobs: usize,
     word_bits: u32,
 ) -> Result<HotspotReport, SimError> {
-    let expected = netlist.primary_inputs().len();
-    for vector in vectors {
-        if vector.len() != expected {
-            return Err(SimError::new(
-                SimErrorKind::VectorWidth {
-                    expected,
-                    got: vector.len(),
-                },
-                SimPhase::Run,
-            ));
-        }
-    }
-    let bounds = shard_bounds(vectors.len(), jobs);
-    if vectors.is_empty() {
-        return Ok(HotspotReport {
-            engine: prototype.active_engine(),
-            word_bits,
-            vectors: 0,
-            jobs: bounds.len().max(1),
-            span_ns: 0,
-            measured: LevelProfile::default(),
-            static_profile: prototype.level_static_profile(),
-        });
-    }
-
-    // Zero-delay prepass, exactly as the batch runner seeds shards.
-    let boundary_vectors: Vec<&[bool]> = bounds[1..]
-        .iter()
-        .map(|&(start, _)| vectors[start - 1].as_slice())
-        .collect();
-    let seeds = stable_states(netlist, boundary_vectors)?;
-
-    type ShardResult = Result<(LevelProfile, u64, Engine), SimError>;
-    let mut results: Vec<Option<ShardResult>> = (0..bounds.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(bounds.len());
-        for (shard, &(start, len)) in bounds.iter().enumerate() {
-            let mut guard = prototype.fork();
-            let seed = (shard > 0).then(|| seeds[shard - 1].as_slice());
-            let slice = &vectors[start..start + len];
-            handles.push(scope.spawn(move || -> ShardResult {
-                let body = || -> ShardResult {
-                    if let Some(seed) = seed {
-                        guard.seed_stable(seed);
-                    }
-                    let mut profile = LevelProfile::default();
-                    let clock = Instant::now();
-                    for vector in slice {
-                        guard.simulate_vector_leveled(vector, &mut profile)?;
-                    }
-                    let wall_ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    Ok((profile, wall_ns, guard.active_engine()))
-                };
-                match panic::catch_unwind(AssertUnwindSafe(body)) {
-                    Ok(result) => result,
-                    Err(payload) => {
-                        let message = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_owned())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_owned());
-                        Err(SimError::new(
-                            SimErrorKind::EnginePanicked { message },
-                            SimPhase::Run,
-                        ))
-                    }
-                }
-            }));
-        }
-        for (shard, handle) in handles.into_iter().enumerate() {
-            results[shard] = Some(handle.join().unwrap_or_else(|_| {
-                Err(SimError::new(
-                    SimErrorKind::EnginePanicked {
-                        message: "hotspot shard thread died".to_owned(),
-                    },
-                    SimPhase::Run,
-                ))
-            }));
-        }
-    });
-
+    let control = RunControl {
+        jobs,
+        ..RunControl::default()
+    };
+    let shards = run_stream(
+        netlist,
+        prototype.fork(),
+        stimulus,
+        len,
+        control,
+        LeveledStep::default,
+        discard,
+    )?;
     let mut measured = LevelProfile::default();
-    let mut span_ns = 0u64;
-    let mut engine = prototype.active_engine();
-    for result in results.into_iter().flatten() {
-        let (profile, wall_ns, shard_engine) = result?;
-        measured.merge(&profile);
-        span_ns = span_ns.saturating_add(wall_ns);
-        // Degradations are per-shard; report the engine furthest down
-        // the chain (the one whose cost shape dominated worst-case).
-        engine = shard_engine;
+    for shard in &shards {
+        measured.merge(&shard.step.profile);
     }
     Ok(HotspotReport {
-        engine,
+        // Degradations are per-shard; report the last shard's engine.
+        engine: shards[shards.len() - 1].report.engine,
         word_bits,
-        vectors: vectors.len(),
-        jobs: bounds.len(),
-        span_ns,
+        vectors: shards.iter().map(|s| s.report.vectors).sum(),
+        jobs: shards.len(),
+        span_ns: shards.iter().map(|s| s.step.span_ns).sum(),
         measured,
         static_profile: prototype.level_static_profile(),
     })
@@ -387,7 +332,7 @@ mod tests {
         let nl = c17();
         let guard = GuardedSimulator::new(&nl, ResourceLimits::production()).unwrap();
         let vectors = patterns(64, 5);
-        let report = collect(&nl, &guard, &vectors, 1, 32).unwrap();
+        let report = collect(&nl, &guard, &vectors, vectors.len(), 1, 32).unwrap();
         assert_eq!(report.vectors, 64);
         assert_eq!(report.measured.vectors, 64);
         // c17 has depth 3: levels 0..=3 must exist.
@@ -406,7 +351,7 @@ mod tests {
         let nl = c17();
         let guard = GuardedSimulator::new(&nl, ResourceLimits::production()).unwrap();
         let vectors = patterns(64, 5);
-        let report = collect(&nl, &guard, &vectors, 2, 32).unwrap();
+        let report = collect(&nl, &guard, &vectors, vectors.len(), 2, 32).unwrap();
         assert_eq!(report.jobs, 2);
         assert_eq!(report.measured.vectors, 64);
         assert!(report.measured.total_self_ns() <= report.span_ns);
@@ -416,7 +361,7 @@ mod tests {
     fn folded_lines_are_engine_level_count() {
         let nl = c17();
         let guard = GuardedSimulator::new(&nl, ResourceLimits::production()).unwrap();
-        let report = collect(&nl, &guard, &patterns(32, 5), 1, 32).unwrap();
+        let report = collect(&nl, &guard, patterns(32, 5), 32, 1, 32).unwrap();
         let folded = report.render_folded();
         assert!(!folded.is_empty());
         for line in folded.lines() {
@@ -433,7 +378,7 @@ mod tests {
     fn empty_stream_is_a_valid_empty_report() {
         let nl = c17();
         let guard = GuardedSimulator::new(&nl, ResourceLimits::production()).unwrap();
-        let report = collect(&nl, &guard, &[], 4, 32).unwrap();
+        let report = collect(&nl, &guard, Vec::<Vec<bool>>::new(), 0, 4, 32).unwrap();
         assert_eq!(report.vectors, 0);
         assert_eq!(report.span_ns, 0);
         assert!(report.render_folded().is_empty());
@@ -447,7 +392,7 @@ mod tests {
     fn json_carries_static_counts_for_compiled_engines() {
         let nl = c17();
         let guard = GuardedSimulator::new(&nl, ResourceLimits::production()).unwrap();
-        let report = collect(&nl, &guard, &patterns(8, 5), 1, 32).unwrap();
+        let report = collect(&nl, &guard, patterns(8, 5), 8, 1, 32).unwrap();
         assert!(report.static_profile.is_some(), "pt+trim has a cost model");
         let json = report.to_json();
         let levels = json.get("levels").and_then(Json::as_arr).unwrap();

@@ -86,9 +86,10 @@ pub mod vcd;
 pub mod vectors;
 pub mod waveform;
 
-pub use activity::{ActivityProfiler, ActivityReport, BatchActivityObserver, ACTIVITY_SCHEMA};
+pub use activity::{ActivityProfiler, ActivityReport, ACTIVITY_SCHEMA};
 pub use batch::{
-    run_batch, run_batch_cancellable, run_batch_observed, shard_bounds, BatchOutput, ShardReport,
+    discard, run_batch, run_stream, BatchOutput, RunControl, Shard, ShardReport, Step, MAX_JOBS,
+    WINDOW,
 };
 pub use cache::{netlist_hash, CacheKey, EngineCache};
 pub use cancel::{CancelCause, CancelToken};
@@ -98,13 +99,13 @@ pub use guard::{
     build_engine_with_limits_probed_word, build_engine_with_limits_word, chain_preferring,
     DefaultEngineFactory, GuardedSimulator, MonitoringEngineFactory,
 };
-pub use hotspot::{HotspotReport, HotspotRing, HotspotSample, HotspotWindow, HOTSPOT_SCHEMA};
+pub use hotspot::{
+    HotspotReport, HotspotRing, HotspotSample, HotspotWindow, LeveledStep, HOTSPOT_SCHEMA,
+};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport, LOADGEN_SCHEMA};
 pub use native::{build_native, build_native_monitoring, compiler_available};
 pub use perf::{calibrate, measure_perf, record_perf_class, Calibration, PerfClass, PerfReport};
-pub use progress::{
-    BatchProbe, FanoutProbe, Heartbeat, NdjsonProgress, NoopBatchProbe, PROGRESS_SCHEMA,
-};
+pub use progress::{BatchProbe, Heartbeat, NdjsonProgress, PROGRESS_SCHEMA};
 pub use serve::{
     install_signal_handlers, ServeConfig, ShutdownHandle, SimServer, JOB_SCHEMA, REQLOG_SCHEMA,
     SERVE_SCHEMA,

@@ -1,17 +1,10 @@
-//! Live observation hooks for the batch runner.
+//! Live progress for the streaming runner.
 //!
-//! [`run_batch_observed`](crate::batch::run_batch_observed) threads a
-//! [`BatchProbe`] through its workers. The probe is opt-in at two
-//! granularities, each gated by a cheap capability check so the default
-//! ([`NoopBatchProbe`]) costs nothing in the hot loop:
-//!
-//! * **heartbeats** — periodic per-shard progress records (vectors
-//!   done, throughput, fallback state), throttled to
-//!   [`BatchProbe::heartbeat_interval`] plus one final record per
-//!   shard;
-//! * **per-vector observation** — a borrow of the shard's engine after
-//!   every vector, which is how the activity profiler folds toggle
-//!   counts out of state the engine already holds.
+//! [`run_stream`](crate::batch::run_stream) hands each shard's progress
+//! to a [`BatchProbe`]: periodic records (vectors done, throughput,
+//! fallback state), throttled to [`BatchProbe::heartbeat_interval`],
+//! plus one final record per shard. A run without a probe pays nothing
+//! for the hook.
 //!
 //! [`NdjsonProgress`] is the CLI's heartbeat sink: one JSON object per
 //! line (`uds-progress-v1`), flushed per record so `--progress -` can
@@ -22,7 +15,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::telemetry::json::Json;
-use crate::{Engine, UnitDelaySimulator};
+use crate::Engine;
 
 /// Schema tag of [`NdjsonProgress`] records.
 pub const PROGRESS_SCHEMA: &str = "uds-progress-v1";
@@ -59,48 +52,19 @@ impl Heartbeat {
     }
 }
 
-/// What a batch observer wants to see. All methods default to "nothing"
-/// so implementors opt into exactly the hooks they need.
-///
-/// Probes are shared by every worker thread concurrently, hence
-/// `Sync`; implementations own their interior synchronization (see
-/// [`BatchActivityObserver`](crate::activity::BatchActivityObserver)
-/// for the per-shard-lock pattern that avoids contention).
+/// Where a run's heartbeats go. Probes are shared by every shard's
+/// thread concurrently, hence `Sync`; implementations own their
+/// interior synchronization.
 pub trait BatchProbe: Sync {
-    /// Opt into [`BatchProbe::heartbeat`] calls.
-    fn wants_heartbeats(&self) -> bool {
-        false
-    }
-
-    /// Minimum spacing between a shard's heartbeats (the final record
-    /// always fires).
+    /// Minimum spacing between a shard's heartbeats (the first and the
+    /// final record always fire).
     fn heartbeat_interval(&self) -> Duration {
         Duration::from_millis(100)
     }
 
-    /// A shard progress record. Called from worker threads.
-    fn heartbeat(&self, beat: &Heartbeat) {
-        let _ = beat;
-    }
-
-    /// Opt into [`BatchProbe::vector_done`] calls.
-    fn wants_vectors(&self) -> bool {
-        false
-    }
-
-    /// The shard's engine, right after it simulated a vector. Called
-    /// from worker threads; the borrow ends before the next vector
-    /// starts.
-    fn vector_done(&self, shard: usize, sim: &dyn UnitDelaySimulator) {
-        let _ = (shard, sim);
-    }
+    /// A shard progress record. Called from the shard's thread.
+    fn heartbeat(&self, beat: &Heartbeat);
 }
-
-/// The probe that observes nothing.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopBatchProbe;
-
-impl BatchProbe for NoopBatchProbe {}
 
 /// Streams heartbeats as newline-delimited JSON (`uds-progress-v1`),
 /// one object per line, flushed per record.
@@ -142,10 +106,6 @@ impl NdjsonProgress {
 }
 
 impl BatchProbe for NdjsonProgress {
-    fn wants_heartbeats(&self) -> bool {
-        true
-    }
-
     fn heartbeat_interval(&self) -> Duration {
         self.interval
     }
@@ -157,55 +117,6 @@ impl BatchProbe for NdjsonProgress {
         // is best-effort by design.
         let _ = writeln!(out, "{line}");
         let _ = out.flush();
-    }
-}
-
-/// Fans one batch run out to several probes (e.g. an activity observer
-/// *and* a progress stream). Capability checks take the union; the
-/// heartbeat cadence is the fastest requested.
-pub struct FanoutProbe<'a> {
-    probes: Vec<&'a dyn BatchProbe>,
-}
-
-impl<'a> FanoutProbe<'a> {
-    /// Combines the given probes.
-    pub fn new(probes: Vec<&'a dyn BatchProbe>) -> Self {
-        FanoutProbe { probes }
-    }
-}
-
-impl BatchProbe for FanoutProbe<'_> {
-    fn wants_heartbeats(&self) -> bool {
-        self.probes.iter().any(|p| p.wants_heartbeats())
-    }
-
-    fn heartbeat_interval(&self) -> Duration {
-        self.probes
-            .iter()
-            .filter(|p| p.wants_heartbeats())
-            .map(|p| p.heartbeat_interval())
-            .min()
-            .unwrap_or(Duration::from_millis(100))
-    }
-
-    fn heartbeat(&self, beat: &Heartbeat) {
-        for probe in &self.probes {
-            if probe.wants_heartbeats() {
-                probe.heartbeat(beat);
-            }
-        }
-    }
-
-    fn wants_vectors(&self) -> bool {
-        self.probes.iter().any(|p| p.wants_vectors())
-    }
-
-    fn vector_done(&self, shard: usize, sim: &dyn UnitDelaySimulator) {
-        for probe in &self.probes {
-            if probe.wants_vectors() {
-                probe.vector_done(shard, sim);
-            }
-        }
     }
 }
 
@@ -267,8 +178,6 @@ mod tests {
 
         let sink = Shared::default();
         let progress = NdjsonProgress::new(Box::new(sink.clone()));
-        assert!(progress.wants_heartbeats());
-        assert!(!progress.wants_vectors());
         for shard in 0..3 {
             progress.heartbeat(&Heartbeat {
                 shard,

@@ -98,14 +98,14 @@ use uds_netlist::{bench_format, Netlist, Probe, ResourceLimits};
 
 use crate::cache::{netlist_hash, CacheKey, EngineCache};
 use crate::cancel::{CancelCause, CancelToken};
-use crate::error::{FailureClass, SimError, SimErrorKind, SimPhase};
+use crate::error::{FailureClass, SimError, SimErrorKind};
 use crate::guard::{DefaultEngineFactory, GuardedSimulator};
-use crate::hotspot::{HotspotRing, HotspotSample, HOTSPOT_SCHEMA};
+use crate::hotspot::{HotspotRing, HotspotSample, LeveledStep, HOTSPOT_SCHEMA};
 use crate::http::{read_request, HttpError, Request, Response, TRACE_ID_HEADER};
-use crate::progress::{BatchProbe, Heartbeat, NoopBatchProbe};
+use crate::progress::{BatchProbe, Heartbeat};
 use crate::telemetry::json::Json;
 use crate::telemetry::{prom, trace, SpanNode, Telemetry};
-use crate::{run_batch_cancellable, Engine, WordWidth};
+use crate::{run_stream, Engine, RunControl, WordWidth, MAX_JOBS};
 
 /// Schema tag on every request-log line.
 pub const REQLOG_SCHEMA: &str = "uds-reqlog-v1";
@@ -837,10 +837,6 @@ struct JobProbe<'a> {
 }
 
 impl BatchProbe for JobProbe<'_> {
-    fn wants_heartbeats(&self) -> bool {
-        true
-    }
-
     fn heartbeat(&self, beat: &Heartbeat) {
         let mut job = self.job.lock().unwrap_or_else(|e| e.into_inner());
         job.progress.insert(beat.shard, *beat);
@@ -1342,8 +1338,7 @@ impl SimServer {
         parsed: &SimRequest,
         conn: u64,
         cancel: &CancelToken,
-        probe: &dyn BatchProbe,
-        force_batch: bool,
+        progress: Option<&dyn BatchProbe>,
         request_trace: &mut RequestTrace,
     ) -> Result<SimOutcome, (FailedAt, SimError)> {
         let hash = netlist_hash(&parsed.netlist);
@@ -1353,7 +1348,7 @@ impl SimServer {
             word: parsed.word,
         };
         let lookup = request_trace.phase("serve.cache_lookup", || self.cache.lookup(&key));
-        let (mut guard, cache_state) = match lookup {
+        let (guard, cache_state) = match lookup {
             Some(fork) => (fork, "hit"),
             None => {
                 let compile_clock = Instant::now();
@@ -1408,49 +1403,33 @@ impl SimServer {
         };
 
         let sim_clock = Instant::now();
-        let outputs = parsed.netlist.primary_outputs().to_vec();
-        // Hotspot sampling rides the inline single-job loop only: the
-        // batch runner owns its own sharded loop, and async jobs are
-        // about throughput, not per-request profiles. A daemon without
-        // `--hotspots` takes the seed-identical unprofiled path.
-        let sample_hotspots = self.hotspots.is_some() && parsed.jobs <= 1 && !force_batch;
-        let mut hotspot_profile = sample_hotspots.then(uds_netlist::LevelProfile::default);
-        let run = || -> Result<(Vec<Vec<bool>>, usize, Engine), SimError> {
-            if parsed.jobs > 1 || force_batch {
-                let out = run_batch_cancellable(
-                    &parsed.netlist,
-                    &guard,
-                    &parsed.stimulus,
-                    parsed.jobs,
-                    None,
-                    probe,
-                    cancel,
-                )?;
-                let fallbacks = out.shards.iter().map(|s| s.fallbacks).sum();
-                Ok((out.rows, fallbacks, guard.active_engine()))
-            } else {
-                let mut rows = Vec::with_capacity(parsed.stimulus.len());
-                for (done, vector) in parsed.stimulus.iter().enumerate() {
-                    if let Some(cause) = cancel.cause() {
-                        return Err(SimError::new(
-                            SimErrorKind::Cancelled {
-                                cause,
-                                vectors_done: done,
-                            },
-                            SimPhase::Run,
-                        ));
-                    }
-                    match &mut hotspot_profile {
-                        Some(profile) => guard.simulate_vector_leveled(vector, profile)?,
-                        None => guard.simulate_vector(vector)?,
-                    };
-                    rows.push(outputs.iter().map(|&po| guard.final_value(po)).collect());
-                }
-                Ok((rows, guard.fallbacks().len(), guard.active_engine()))
-            }
+        // With `--hotspots` every request rides the leveled step; a
+        // daemon without it takes the unprofiled one.
+        let sample_hotspots = self.hotspots.is_some();
+        let control = RunControl {
+            jobs: parsed.jobs,
+            progress,
+            cancel: Some(cancel),
+            ..RunControl::default()
         };
-        let result = request_trace.phase("serve.simulate", run);
-        let (rows, fallbacks, engine) = result.map_err(|error| (FailedAt::Run, error))?;
+        let mut rows = Vec::with_capacity(parsed.stimulus.len());
+        let result = request_trace.phase("serve.simulate", || {
+            run_stream(
+                &parsed.netlist,
+                guard,
+                &parsed.stimulus,
+                parsed.stimulus.len(),
+                control,
+                || sample_hotspots.then(LeveledStep::default),
+                |_, _, row| {
+                    rows.push(row.to_vec());
+                    Ok::<_, SimError>(())
+                },
+            )
+        });
+        let shards = result.map_err(|error| (FailedAt::Run, error))?;
+        let fallbacks = shards.iter().map(|shard| shard.report.fallbacks).sum();
+        let engine = shards[shards.len() - 1].report.engine;
         let wall_ns = u64::try_from(sim_clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.telemetry.record("serve.simulate_wall_ns", wall_ns);
         self.telemetry.add("serve.vectors", rows.len() as u64);
@@ -1463,14 +1442,22 @@ impl SimServer {
             rows.len() as u64,
             wall_ns,
         );
-        if let (Some(ring), Some(profile)) = (&self.hotspots, hotspot_profile) {
+        if let Some(ring) = &self.hotspots {
+            let mut profile = uds_netlist::LevelProfile::default();
+            for step in shards.iter().filter_map(|shard| shard.step.as_ref()) {
+                profile.merge(&step.profile);
+            }
             ring.lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .push(HotspotSample {
                     at: Instant::now(),
                     engine,
                     profile,
-                    span_ns: wall_ns,
+                    span_ns: shards
+                        .iter()
+                        .filter_map(|shard| shard.step.as_ref())
+                        .map(|step| step.span_ns)
+                        .sum(),
                     vectors: rows.len() as u64,
                 });
             self.telemetry.add("serve.hotspot_samples", 1);
@@ -1632,11 +1619,10 @@ impl SimServer {
             Some(deadline) => CancelToken::with_deadline(Instant::now() + deadline),
             None => CancelToken::new(),
         };
-        let outcome =
-            match self.run_simulation(&parsed, conn, &cancel, &NoopBatchProbe, false, trace) {
-                Ok(outcome) => outcome,
-                Err((at, error)) => return (self.failure_response(at, &error, &mut facts), facts),
-            };
+        let outcome = match self.run_simulation(&parsed, conn, &cancel, None, trace) {
+            Ok(outcome) => outcome,
+            Err((at, error)) => return (self.failure_response(at, &error, &mut facts), facts),
+        };
         facts.engine = Some(outcome.engine.to_string());
         facts.fallbacks = Some(outcome.fallbacks);
         facts.cache = Some(outcome.cache);
@@ -1738,7 +1724,7 @@ impl SimServer {
         let probe = JobProbe { job: &job_arc };
         let clock = Instant::now();
         let mut trace = RequestTrace::new(trace_id, self.telemetry.epoch(), JOB_TRACE_TID + id);
-        let result = self.run_simulation(&parsed, 0, &cancel, &probe, true, &mut trace);
+        let result = self.run_simulation(&parsed, 0, &cancel, Some(&probe), &mut trace);
         let job_wall_ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.export_trace(trace, "serve.job", clock, job_wall_ns);
         let mut job = job_arc.lock().unwrap_or_else(|e| e.into_inner());
@@ -1886,7 +1872,9 @@ impl SimServer {
         };
         let jobs = match doc.get("jobs").and_then(Json::as_u64) {
             Some(0) => return Err(bad("`jobs` must be at least 1".to_owned())),
-            Some(n) if n > 256 => return Err(bad("`jobs` is capped at 256".to_owned())),
+            Some(n) if n > MAX_JOBS as u64 => {
+                return Err(bad(format!("`jobs` is capped at {MAX_JOBS}")))
+            }
             Some(n) => n as usize,
             None => self.config.default_jobs,
         };

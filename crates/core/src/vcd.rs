@@ -10,6 +10,9 @@ use std::fmt::Write as _;
 
 use uds_netlist::{NetId, Netlist};
 
+use crate::batch::Step;
+use crate::error::SimError;
+use crate::guard::GuardedSimulator;
 use crate::UnitDelaySimulator;
 
 /// Accumulates unit-delay waveforms across vectors and renders VCD.
@@ -149,6 +152,15 @@ fn sanitize(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_whitespace() { '_' } else { c })
         .collect()
+}
+
+/// The waveform step: every vector's histories become a VCD frame.
+impl Step for VcdRecorder {
+    fn step(&mut self, guard: &mut GuardedSimulator, inputs: &[bool]) -> Result<(), SimError> {
+        guard.simulate_vector(inputs)?;
+        self.record(guard.active_simulator());
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@
 
 use uds_core::vectors::RandomVectors;
 use uds_core::{
-    run_batch_observed, ActivityProfiler, BatchActivityObserver, Engine, GuardedSimulator,
-    MonitoringEngineFactory, Telemetry, UnitDelaySimulator, WordWidth,
+    discard, run_stream, ActivityProfiler, Engine, GuardedSimulator, MonitoringEngineFactory,
+    RunControl, Telemetry, UnitDelaySimulator, WordWidth,
 };
 use uds_netlist::generators::random::{layered, LayeredConfig};
 use uds_netlist::{levelize, Netlist, ResourceLimits};
@@ -180,17 +180,25 @@ fn batch_sharding_preserves_toggle_counts() {
             telemetry.clone(),
         )
         .expect("compiles");
-        let observer = BatchActivityObserver::new(netlist, &levels, stimulus.len(), jobs);
-        run_batch_observed(
-            netlist,
-            &prototype,
-            &stimulus,
+        let control = RunControl {
             jobs,
-            Some(&telemetry),
-            &observer,
+            telemetry: Some(&telemetry),
+            ..RunControl::default()
+        };
+        let shards = run_stream(
+            netlist,
+            prototype,
+            &stimulus,
+            stimulus.len(),
+            control,
+            || ActivityProfiler::for_netlist(netlist, &levels),
+            discard,
         )
         .expect("batch succeeds");
-        let merged = observer.merged();
+        let mut merged = ActivityProfiler::for_netlist(netlist, &levels);
+        for shard in &shards {
+            merged.merge(&shard.step);
+        }
         assert_eq!(merged.vectors(), expected.vectors());
         assert_eq!(
             merged.total_toggles(),

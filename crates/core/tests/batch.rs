@@ -8,14 +8,14 @@ use uds_core::chaos::{ChaosFactory, Fault, FaultPlan};
 use uds_core::guard::EngineFactory;
 use uds_core::vectors::RandomVectors;
 use uds_core::{
-    build_native_monitoring, compiler_available, run_batch, DefaultEngineFactory, Engine,
-    GuardedSimulator, MonitoringEngineFactory, SimError, Telemetry, TracedEventSim,
-    UnitDelaySimulator, WordWidth,
+    build_native_monitoring, compiler_available, discard, run_batch, run_stream, ActivityProfiler,
+    DefaultEngineFactory, Engine, GuardedSimulator, MonitoringEngineFactory, RunControl, SimError,
+    Telemetry, TracedEventSim, UnitDelaySimulator, WordWidth, WINDOW,
 };
 use uds_eventsim::zero_delay::stable_states;
 use uds_netlist::generators::iscas::Iscas85;
 use uds_netlist::generators::random::{layered, LayeredConfig};
-use uds_netlist::{Netlist, NoopProbe, ResourceLimits};
+use uds_netlist::{levelize, Netlist, NoopProbe, ResourceLimits};
 
 /// A circuit deep enough that 32-bit parallel fields span two words and
 /// retention (each vector starting from the last one's settled state)
@@ -57,10 +57,20 @@ fn sequential_rows(
         .collect()
 }
 
+/// Stream lengths around the runner's window boundaries, each with the
+/// job counts that split them.
+fn window_cases() -> Vec<(usize, &'static [usize])> {
+    let mut cases: Vec<(usize, &'static [usize])> = vec![(40, &[1, 2, 7])];
+    for len in [0, 1, WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW + 3] {
+        cases.push((len, &[1, 2, 3]));
+    }
+    cases
+}
+
 #[test]
 fn batch_is_byte_identical_for_every_engine_job_count_and_width() {
     let nl = circuit();
-    let vectors = stimulus(&nl, 40);
+    let vectors = stimulus(&nl, 2 * WINDOW + 3);
     for engine in [
         Engine::ParallelPathTracingTrimming,
         Engine::Parallel,
@@ -70,21 +80,23 @@ fn batch_is_byte_identical_for_every_engine_job_count_and_width() {
         let chain = [engine];
         for word in [WordWidth::W32, WordWidth::W64] {
             let expected = sequential_rows(&nl, &chain, word, &vectors);
-            for jobs in [1usize, 2, 7] {
-                let factory = Box::new(DefaultEngineFactory::with_word(word));
-                let prototype = GuardedSimulator::with_factory(
-                    &nl,
-                    ResourceLimits::production(),
-                    &chain,
-                    factory,
-                )
-                .unwrap();
-                let out = run_batch(&nl, &prototype, &vectors, jobs, None).unwrap();
-                assert_eq!(
-                    out.rows, expected,
-                    "{engine} diverged at word={word} jobs={jobs}"
-                );
-                assert_eq!(out.shards.len(), jobs.min(vectors.len()));
+            for (len, jobs) in window_cases() {
+                for &jobs in jobs {
+                    let factory = Box::new(DefaultEngineFactory::with_word(word));
+                    let prototype = GuardedSimulator::with_factory(
+                        &nl,
+                        ResourceLimits::production(),
+                        &chain,
+                        factory,
+                    )
+                    .unwrap();
+                    let out = run_batch(&nl, &prototype, &vectors[..len], jobs, None).unwrap();
+                    assert!(
+                        out.rows == expected[..len],
+                        "{engine} diverged at word={word} jobs={jobs} len={len}"
+                    );
+                    assert_eq!(out.shards.len(), jobs.min(len));
+                }
             }
         }
     }
@@ -93,14 +105,7 @@ fn batch_is_byte_identical_for_every_engine_job_count_and_width() {
 #[test]
 fn batch_stays_exact_while_chaos_panics_an_engine_in_every_shard() {
     let nl = circuit();
-    let vectors = stimulus(&nl, 30);
     // The expected answers come from an unsabotaged sequential run.
-    let expected = sequential_rows(
-        &nl,
-        &GuardedSimulator::DEFAULT_CHAIN,
-        WordWidth::W32,
-        &vectors,
-    );
     // The lead engine panics at its third vector — in *each* shard,
     // since fault coordinates are engine-local. Every worker must
     // degrade independently and still produce the exact rows.
@@ -111,7 +116,16 @@ fn batch_stays_exact_while_chaos_panics_an_engine_in_every_shard() {
             vector: 2,
         },
     );
-    for jobs in [1usize, 2, 7] {
+    // The last case spans three windows: each shard's guard, and the
+    // fallback it took in the first, carries through the later ones.
+    for (len, jobs) in [(30, 1usize), (30, 2), (30, 7), (2 * WINDOW + 3, 3)] {
+        let vectors = stimulus(&nl, len);
+        let expected = sequential_rows(
+            &nl,
+            &GuardedSimulator::DEFAULT_CHAIN,
+            WordWidth::W32,
+            &vectors,
+        );
         let telemetry = Telemetry::new();
         let prototype = GuardedSimulator::with_factory_telemetry(
             &nl,
@@ -122,7 +136,7 @@ fn batch_stays_exact_while_chaos_panics_an_engine_in_every_shard() {
         )
         .unwrap();
         let out = run_batch(&nl, &prototype, &vectors, jobs, Some(&telemetry)).unwrap();
-        assert_eq!(out.rows, expected, "jobs={jobs}");
+        assert_eq!(out.rows, expected, "jobs={jobs} len={len}");
         for shard in &out.shards {
             assert!(
                 shard.fallbacks > 0,
@@ -267,6 +281,112 @@ fn a_fork_taken_mid_run_degrades_from_the_state_it_was_forked_in() {
         differing.is_empty(),
         "{} of {compared} net histories differ from the baseline: {differing:?}",
         differing.len()
+    );
+}
+
+#[test]
+fn every_window_seeds_every_shard_from_the_vector_before_it() {
+    // Settled rows are history-free, so only the transients can show a
+    // shard that started a window from the wrong state. Toggle counts
+    // are made of transients: over three windows they must match the
+    // sequential run's exactly.
+    let nl = circuit();
+    let levels = levelize(&nl).unwrap();
+    let vectors = stimulus(&nl, 2 * WINDOW + 3);
+    let monitored = || {
+        let factory = Box::new(MonitoringEngineFactory::with_word(WordWidth::W32));
+        let chain = [Engine::ParallelPathTracingTrimming];
+        GuardedSimulator::with_factory(&nl, ResourceLimits::production(), &chain, factory).unwrap()
+    };
+    let profile = |jobs: usize| {
+        let control = RunControl {
+            jobs,
+            ..RunControl::default()
+        };
+        let shards = run_stream(
+            &nl,
+            monitored(),
+            &vectors,
+            vectors.len(),
+            control,
+            || ActivityProfiler::for_netlist(&nl, &levels),
+            discard,
+        )
+        .unwrap();
+        let mut merged = ActivityProfiler::for_netlist(&nl, &levels);
+        for shard in &shards {
+            merged.merge(&shard.step);
+        }
+        merged
+    };
+    let sequential = profile(1);
+    for jobs in [2, 3] {
+        let sharded = profile(jobs);
+        assert_eq!(sharded.per_slot(), sequential.per_slot(), "jobs={jobs}");
+        for net in nl.net_ids() {
+            assert_eq!(
+                sharded.net_toggles(net),
+                sequential.net_toggles(net),
+                "jobs={jobs}: net {}",
+                nl.net_name(net)
+            );
+        }
+    }
+}
+
+/// Why a run stopped: a simulation error, or the sink refusing a row.
+#[derive(Debug, PartialEq)]
+enum Stopped {
+    Sim(String),
+    Sink(usize),
+}
+
+impl From<SimError> for Stopped {
+    fn from(err: SimError) -> Self {
+        Stopped::Sim(err.to_string())
+    }
+}
+
+#[test]
+fn a_sink_error_stops_the_run_as_it_is() {
+    let nl = circuit();
+    let vectors = stimulus(&nl, 10);
+    for jobs in [1, 2] {
+        let prototype = GuardedSimulator::new(&nl, ResourceLimits::production()).unwrap();
+        let control = RunControl {
+            jobs,
+            ..RunControl::default()
+        };
+        let mut seen = 0;
+        let sink = |index: usize, _: &[bool], _: &[bool]| {
+            seen += 1;
+            match index {
+                4 => Err(Stopped::Sink(index)),
+                _ => Ok(()),
+            }
+        };
+        let err = run_stream(&nl, prototype, &vectors, 10, control, || (), sink);
+        assert_eq!(err.err(), Some(Stopped::Sink(4)));
+        assert_eq!(seen, 5, "jobs={jobs}: no row after the failing one");
+    }
+}
+
+#[test]
+fn telemetry_stays_one_span_per_shard_over_many_windows() {
+    let nl = circuit();
+    let vectors = stimulus(&nl, 2 * WINDOW + 3);
+    let telemetry = Telemetry::new();
+    let prototype = GuardedSimulator::new(&nl, ResourceLimits::production()).unwrap();
+    run_batch(&nl, &prototype, &vectors, 2, Some(&telemetry)).unwrap();
+    let report = telemetry.snapshot();
+    let names: Vec<&str> = report.spans.iter().map(|s| s.name.as_str()).collect();
+    let count = |name: &str| names.iter().filter(|&&n| n == name).count();
+    assert_eq!(count("batch.prepass"), 1, "{names:?}");
+    assert_eq!(count("batch.shard.0"), 1, "{names:?}");
+    assert_eq!(count("batch.shard.1"), 1, "{names:?}");
+    assert_eq!(
+        telemetry.gauge_value("batch.vectors_per_shard"),
+        Some(WINDOW as u64 + 2)
     );
 }
 

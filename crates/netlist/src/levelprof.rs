@@ -109,7 +109,9 @@ impl LevelProfile {
 
     /// Folds another profile in (levelwise; vector counts add).
     pub fn merge(&mut self, other: &LevelProfile) {
-        self.ensure_level(other.levels.len().saturating_sub(1));
+        if let Some(top) = other.levels.len().checked_sub(1) {
+            self.ensure_level(top);
+        }
         for (slot, cost) in self.levels.iter_mut().zip(&other.levels) {
             slot.merge(cost);
         }

@@ -94,6 +94,9 @@
 //! missing compiler falls back to the interpreted engines (exit 0,
 //! fallback counted in `--stats`) rather than failing the run.
 
+// SimError is large but cold; see guard.rs.
+#![allow(clippy::result_large_err)]
+
 use std::io::{self, BufWriter, Read as _, Write as _};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -102,12 +105,11 @@ use unit_delay_sim::core::guard::EngineFactory;
 use unit_delay_sim::core::vcd::VcdRecorder;
 use unit_delay_sim::core::vectors::RandomVectors;
 use unit_delay_sim::core::{
-    chain_preferring, install_signal_handlers, measure_perf, open_sink, record_build_info,
-    record_perf_class, render_chrome_trace, run_batch_observed, run_loadgen, write_text,
-    ActivityProfiler, BatchActivityObserver, BatchProbe, DefaultEngineFactory, Engine,
-    FailureClass, FanoutProbe, GuardedSimulator, HumanOut, LoadgenConfig, MonitoringEngineFactory,
-    NdjsonProgress, NoopBatchProbe, ServeConfig, SimError, SimServer, StreamContract, Telemetry,
-    WordWidth,
+    chain_preferring, discard, install_signal_handlers, measure_perf, open_sink, record_build_info,
+    record_perf_class, render_chrome_trace, run_loadgen, run_stream, write_text, ActivityProfiler,
+    BatchProbe, DefaultEngineFactory, Engine, FailureClass, GuardedSimulator, HumanOut,
+    LoadgenConfig, MonitoringEngineFactory, NdjsonProgress, RunControl, ServeConfig, SimError,
+    SimServer, StreamContract, Telemetry, WordWidth, MAX_JOBS,
 };
 use unit_delay_sim::netlist::stats::CircuitStats;
 use unit_delay_sim::netlist::{levelize, Probe, ResourceLimits};
@@ -162,6 +164,30 @@ impl From<SimError> for CliError {
     fn from(err: SimError) -> Self {
         CliError::class(err.to_string(), err.class())
     }
+}
+
+/// Why a streamed run stopped early: the simulation failed, or writing
+/// or checking its rows did.
+enum Stop {
+    Sim(SimError),
+    Cli(CliError),
+}
+
+impl From<SimError> for Stop {
+    fn from(err: SimError) -> Self {
+        Stop::Sim(err)
+    }
+}
+
+impl From<CliError> for Stop {
+    fn from(err: CliError) -> Self {
+        Stop::Cli(err)
+    }
+}
+
+/// A simulation failure on `nl`, named after the circuit.
+fn on_circuit(nl: &Netlist) -> impl Fn(SimError) -> CliError + '_ {
+    |err| CliError::from(err.with_circuit(nl.name()))
 }
 
 fn main() -> ExitCode {
@@ -404,28 +430,114 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
     let guard = build_guard(&nl, limits, &chain, factory, telemetry.as_ref())?;
     if let Some(t) = &telemetry {
         t.label("engine", guard.active_engine().to_string());
+        if let Some(jobs) = run.jobs {
+            t.label("jobs", jobs.to_string());
+        }
     }
-    report_new_fallbacks(&guard, 0);
-    match run.jobs {
-        Some(jobs) => simulate_batch(
-            &nl,
-            &guard,
-            &stimulus().collect::<Vec<_>>(),
-            jobs,
-            crosscheck,
-            telemetry.as_ref(),
-            progress.as_ref().map(|p| p as &dyn BatchProbe),
-            &human,
-        )?,
-        None => simulate_guarded(
+    let seen_fallbacks = report_new_fallbacks(&guard, 0);
+    // With `--jobs`, `--crosscheck` steps a sequential fork in lockstep
+    // with the rows.
+    let mut reference = (crosscheck && run.jobs.is_some()).then(|| guard.fork());
+    let mut recorder = vcd_path
+        .as_ref()
+        .map(|_| VcdRecorder::new(&nl, nl.primary_outputs().to_vec()));
+    let mut out = RowOut::new(&human);
+    out.header(&nl, guard.active_engine())?;
+    let jobs = run.jobs.unwrap_or(1);
+    let control = RunControl {
+        jobs,
+        telemetry: telemetry.as_ref(),
+        progress: progress.as_ref().map(|p| p as &dyn BatchProbe),
+        cancel: None,
+    };
+    let mut shards = {
+        let _span = telemetry.as_ref().map(|t| t.span("simulate"));
+        run_stream(
             &nl,
             guard,
-            stimulus,
-            vcd_path,
-            crosscheck,
-            telemetry.as_ref(),
-            &human,
-        )?,
+            stimulus(),
+            run.vectors,
+            control,
+            || recorder.take(),
+            |index, inputs, row| -> Result<(), Stop> {
+                out.row(index, inputs, row)?;
+                if let Some(reference) = &mut reference {
+                    reference.simulate_vector(inputs)?;
+                    let outputs = nl.primary_outputs().iter();
+                    if outputs
+                        .zip(row)
+                        .any(|(&po, &bit)| reference.final_value(po) != bit)
+                    {
+                        return Err(Stop::Cli(CliError::class(
+                            format!(
+                                "batch output diverges from the sequential run at vector \
+                                 {index} (--jobs {jobs})"
+                            ),
+                            FailureClass::Mismatch,
+                        )));
+                    }
+                }
+                Ok(())
+            },
+        )
+        .map_err(|stop| match stop {
+            Stop::Sim(err) => on_circuit(&nl)(err),
+            Stop::Cli(err) => err,
+        })?
+    };
+    out.flush()?;
+    if let Some(t) = &telemetry {
+        t.add("run.vectors", run.vectors as u64);
+        // A shard may have degraded mid-run; record who survived.
+        let survivor = &shards[shards.len() - 1].report;
+        t.label("engine", survivor.engine.to_string());
+        for shard in &shards {
+            for (name, value) in shard.guard.run_counters() {
+                t.add(name, value);
+            }
+        }
+    }
+    if run.jobs.is_some() {
+        for shard in shards.iter().map(|shard| &shard.report) {
+            eprintln!(
+                "shard {}: {} vectors on {} ({} fallback{}, {:.1} ms)",
+                shard.index,
+                shard.vectors,
+                shard.engine,
+                shard.fallbacks,
+                if shard.fallbacks == 1 { "" } else { "s" },
+                shard.wall_ns as f64 / 1e6
+            );
+        }
+        if crosscheck {
+            eprintln!(
+                "cross-check: batch (--jobs {jobs}) matches the sequential run over {} vectors",
+                run.vectors
+            );
+        }
+    } else {
+        // One inline shard, run by the guard built above.
+        let shard = shards.remove(0);
+        let guarded = shard.guard;
+        report_new_fallbacks(&guarded, seen_fallbacks);
+        if crosscheck {
+            let _span = telemetry.as_ref().map(|t| t.span("crosscheck"));
+            guarded
+                .crosscheck_baseline(stimulus())
+                .map_err(on_circuit(&nl))?;
+            eprintln!(
+                "cross-check: {} agrees with the event-driven baseline over {} vectors",
+                guarded.active_engine(),
+                guarded.vectors_run()
+            );
+        }
+        let fired = guarded.fallbacks().len();
+        eprintln!(
+            "engine: {} ({fired} fallback{} fired)",
+            guarded.active_engine(),
+            if fired == 1 { "" } else { "s" }
+        );
+        write_vcd(vcd_path, shard.step)?;
     }
 
     if let Some(telemetry) = &telemetry {
@@ -550,7 +662,7 @@ fn build_guard(
         Some(t) => GuardedSimulator::with_factory_telemetry(nl, limits, chain, factory, t.clone()),
         None => GuardedSimulator::with_factory(nl, limits, chain, factory),
     }
-    .map_err(|e| CliError::from(e.with_circuit(nl.name())))
+    .map_err(on_circuit(nl))
 }
 
 /// Parses the value of a numeric flag.
@@ -566,11 +678,14 @@ where
         .map_err(|e| CliError::usage(format!("{flag}: {e}")))
 }
 
-/// Parses the value of `--jobs`: a worker count of at least 1.
+/// Parses the value of `--jobs`: a worker count from 1 to [`MAX_JOBS`].
 fn jobs_value(rest: &mut Args<'_>) -> Result<usize, CliError> {
     let value = rest.next().ok_or("--jobs needs a worker count")?;
     match value.parse() {
         Ok(0) => Err(CliError::usage("--jobs: worker count must be at least 1")),
+        Ok(jobs) if jobs > MAX_JOBS => Err(CliError::usage(format!(
+            "--jobs: worker count is capped at {MAX_JOBS}"
+        ))),
         Ok(jobs) => Ok(jobs),
         Err(e) => Err(CliError::usage(format!("--jobs: {e}"))),
     }
@@ -698,10 +813,12 @@ struct RowOut {
 
 impl RowOut {
     fn new(human: &HumanOut) -> Self {
+        // Unlocked: a worker's panic report must not wait on a lock of
+        // the stream it writes to.
         let stream: Box<dyn io::Write> = if human.to_stderr {
-            Box::new(io::stderr().lock())
+            Box::new(io::stderr())
         } else {
-            Box::new(io::stdout().lock())
+            Box::new(io::stdout())
         };
         RowOut {
             out: BufWriter::with_capacity(1 << 16, stream),
@@ -728,19 +845,14 @@ impl RowOut {
     }
 
     /// One row: `{index:>6} {inputs} -> {outputs}`.
-    fn row(
-        &mut self,
-        index: usize,
-        vector: &[bool],
-        finals: impl IntoIterator<Item = bool>,
-    ) -> Result<(), CliError> {
-        let bit = |b: bool| b'0' + u8::from(b);
+    fn row(&mut self, index: usize, vector: &[bool], finals: &[bool]) -> Result<(), CliError> {
+        let bit = |&b: &bool| b'0' + u8::from(b);
         let line = &mut self.line;
         line.clear();
         let _ = write!(line, "{index:>6} ");
-        line.extend(vector.iter().map(|&b| bit(b)));
+        line.extend(vector.iter().map(bit));
         line.extend_from_slice(b" -> ");
-        line.extend(finals.into_iter().map(bit));
+        line.extend(finals.iter().map(bit));
         line.push(b'\n');
         self.out.write_all(line).map_err(write_error)
     }
@@ -765,165 +877,6 @@ fn write_vcd(path: Option<String>, recorder: Option<VcdRecorder>) -> Result<(), 
         std::fs::write(&path, recorder.render())
             .map_err(|e| CliError::class(format!("writing {path}: {e}"), FailureClass::Usage))?;
         eprintln!("wrote {path}");
-    }
-    Ok(())
-}
-
-/// Every sequential run: the stimulus streams through `guarded` (one
-/// engine unless `--fallback` or native), one vector at a time, so
-/// memory stays flat for any `--vectors`. With `--crosscheck`,
-/// `stimulus` is called again to feed the same stream to the
-/// event-driven baseline.
-fn simulate_guarded<I: Iterator<Item = Vec<bool>>>(
-    nl: &Netlist,
-    mut guarded: GuardedSimulator,
-    stimulus: impl Fn() -> I,
-    vcd_path: Option<String>,
-    crosscheck: bool,
-    telemetry: Option<&Telemetry>,
-    human: &HumanOut,
-) -> Result<(), CliError> {
-    let mut recorder = vcd_path
-        .as_ref()
-        .map(|_| VcdRecorder::new(nl, nl.primary_outputs().to_vec()));
-    let mut out = RowOut::new(human);
-    out.header(nl, guarded.active_engine())?;
-    let mut seen_fallbacks = guarded.fallbacks().len();
-    {
-        let _span = telemetry.map(|t| t.span("simulate"));
-        for (index, vector) in stimulus().enumerate() {
-            guarded
-                .simulate_vector(&vector)
-                .map_err(|e| CliError::from(e.with_circuit(nl.name())))?;
-            if let Some(t) = telemetry {
-                t.add("run.vectors", 1);
-            }
-            if guarded.fallbacks().len() > seen_fallbacks {
-                out.flush()?;
-                seen_fallbacks = report_new_fallbacks(&guarded, seen_fallbacks);
-            }
-            if let Some(recorder) = recorder.as_mut() {
-                recorder.record(guarded.active_simulator());
-            }
-            let finals = nl.primary_outputs().iter().map(|&n| guarded.final_value(n));
-            out.row(index, &vector, finals)?;
-        }
-    }
-    out.flush()?;
-    if let Some(t) = telemetry {
-        // The chain may have degraded mid-run; record who survived.
-        t.label("engine", guarded.active_engine().to_string());
-        for (name, value) in guarded.run_counters() {
-            t.add(name, value);
-        }
-    }
-    if crosscheck {
-        let _span = telemetry.map(|t| t.span("crosscheck"));
-        guarded
-            .crosscheck_baseline(stimulus())
-            .map_err(|e| CliError::from(e.with_circuit(nl.name())))?;
-        eprintln!(
-            "cross-check: {} agrees with the event-driven baseline over {} vectors",
-            guarded.active_engine(),
-            guarded.vectors_run()
-        );
-    }
-    eprintln!(
-        "engine: {} ({} fallback{} fired)",
-        guarded.active_engine(),
-        guarded.fallbacks().len(),
-        if guarded.fallbacks().len() == 1 {
-            ""
-        } else {
-            "s"
-        }
-    );
-    write_vcd(vcd_path, recorder)
-}
-
-/// `--jobs N`: shards the stream across worker threads (each owning a
-/// fork of a guarded engine, seeded by the zero-delay prepass) and
-/// prints the assembled rows — byte-identical to the sequential path
-/// above for any N. With `--crosscheck`, re-runs a fork of `prototype`
-/// sequentially and verifies the batch output row by row.
-#[allow(clippy::too_many_arguments)]
-fn simulate_batch(
-    nl: &Netlist,
-    prototype: &GuardedSimulator,
-    stimulus: &[Vec<bool>],
-    jobs: usize,
-    crosscheck: bool,
-    telemetry: Option<&Telemetry>,
-    probe: Option<&dyn BatchProbe>,
-    human: &HumanOut,
-) -> Result<(), CliError> {
-    let attach = |e: SimError| CliError::from(e.with_circuit(nl.name()));
-    if let Some(t) = telemetry {
-        t.label("jobs", jobs.to_string());
-    }
-    {
-        // Not held across the run: a worker's panic report must not
-        // wait on a lock of the stream it writes to.
-        let mut header = RowOut::new(human);
-        header.header(nl, prototype.active_engine())?;
-        header.flush()?;
-    }
-    let out = {
-        let _span = telemetry.map(|t| t.span("simulate"));
-        run_batch_observed(
-            nl,
-            prototype,
-            stimulus,
-            jobs,
-            telemetry,
-            probe.unwrap_or(&NoopBatchProbe),
-        )
-        .map_err(attach)?
-    };
-    if let Some(t) = telemetry {
-        t.add("run.vectors", out.rows.len() as u64);
-    }
-    let mut rows = RowOut::new(human);
-    for (index, (vector, row)) in stimulus.iter().zip(&out.rows).enumerate() {
-        rows.row(index, vector, row.iter().copied())?;
-    }
-    rows.flush()?;
-    for shard in &out.shards {
-        eprintln!(
-            "shard {}: vectors {}..{} on {} ({} fallback{}, {:.1} ms)",
-            shard.index,
-            shard.start,
-            shard.start + shard.vectors,
-            shard.engine,
-            shard.fallbacks,
-            if shard.fallbacks == 1 { "" } else { "s" },
-            shard.wall_ns as f64 / 1e6
-        );
-    }
-    if crosscheck {
-        let _span = telemetry.map(|t| t.span("crosscheck"));
-        let mut reference = prototype.fork();
-        for (index, vector) in stimulus.iter().enumerate() {
-            reference.simulate_vector(vector).map_err(attach)?;
-            let row: Vec<bool> = nl
-                .primary_outputs()
-                .iter()
-                .map(|&po| reference.final_value(po))
-                .collect();
-            if row != out.rows[index] {
-                return Err(CliError::class(
-                    format!(
-                        "batch output diverges from the sequential run at vector {index} \
-                         (--jobs {jobs})"
-                    ),
-                    FailureClass::Mismatch,
-                ));
-            }
-        }
-        eprintln!(
-            "cross-check: batch (--jobs {jobs}) matches the sequential run over {} vectors",
-            stimulus.len()
-        );
     }
     Ok(())
 }
@@ -967,54 +920,40 @@ fn profile(args: &[String]) -> Result<(), CliError> {
     if let Some(t) = &telemetry {
         t.label("engine", engine.to_string());
     }
-    let stimulus: Vec<Vec<bool>> = run.stimulus(&nl).collect();
     // The monitoring factory keeps every net observable, whichever
     // engine measures — that is what makes the totals engine-exact.
-    let build = || {
-        let factory = Box::new(MonitoringEngineFactory::with_word(run.word));
-        build_guard(
-            &nl,
-            ResourceLimits::unlimited(),
-            &[engine],
-            factory,
-            telemetry.as_ref(),
-        )
+    let factory = Box::new(MonitoringEngineFactory::with_word(run.word));
+    let prototype = build_guard(
+        &nl,
+        ResourceLimits::unlimited(),
+        &[engine],
+        factory,
+        telemetry.as_ref(),
+    )?;
+    let progress = progress.sink()?;
+    let control = RunControl {
+        jobs: run.jobs.unwrap_or(1),
+        telemetry: telemetry.as_ref(),
+        progress: progress.as_ref().map(|p| p as &dyn BatchProbe),
+        cancel: None,
     };
-
-    let profiler = if let Some(jobs) = run.jobs {
-        let prototype = build()?;
-        let observer = BatchActivityObserver::new(&nl, &levels, stimulus.len(), jobs);
-        let progress = progress.sink()?;
-        let mut probes: Vec<&dyn BatchProbe> = vec![&observer];
-        if let Some(progress) = &progress {
-            probes.push(progress);
-        }
-        let fanout = FanoutProbe::new(probes);
-        {
-            let _span = telemetry.as_ref().map(|t| t.span("simulate"));
-            run_batch_observed(
-                &nl,
-                &prototype,
-                &stimulus,
-                jobs,
-                telemetry.as_ref(),
-                &fanout,
-            )
-            .map_err(|e| CliError::from(e.with_circuit(nl.name())))?;
-        }
-        observer.merged()
-    } else {
-        let mut guard = build()?;
-        let mut profiler = ActivityProfiler::for_netlist(&nl, &levels);
+    let shards = {
         let _span = telemetry.as_ref().map(|t| t.span("simulate"));
-        for vector in &stimulus {
-            guard
-                .simulate_vector(vector)
-                .map_err(|e| CliError::from(e.with_circuit(nl.name())))?;
-            profiler.record_vector(guard.active_simulator());
-        }
-        profiler
+        run_stream(
+            &nl,
+            prototype,
+            run.stimulus(&nl),
+            run.vectors,
+            control,
+            || ActivityProfiler::for_netlist(&nl, &levels),
+            discard,
+        )
+        .map_err(on_circuit(&nl))?
     };
+    let mut profiler = ActivityProfiler::for_netlist(&nl, &levels);
+    for shard in &shards {
+        profiler.merge(&shard.step);
+    }
 
     let mut report = profiler.report(&nl, &levels, top);
     report.label("engine", engine.to_string());
@@ -1078,7 +1017,6 @@ fn hotspots(args: &[String]) -> Result<(), CliError> {
         ("--folded", folded_path.as_deref()),
     ])?;
     let nl = run.load("hotspots", None)?;
-    let stimulus: Vec<Vec<bool>> = run.stimulus(&nl).collect();
     let factory = Box::new(DefaultEngineFactory::with_word(run.word));
     let prototype = build_guard(
         &nl,
@@ -1087,10 +1025,15 @@ fn hotspots(args: &[String]) -> Result<(), CliError> {
         factory,
         None,
     )?;
-    let jobs = run.jobs.unwrap_or(1);
-    let report =
-        unit_delay_sim::core::hotspot::collect(&nl, &prototype, &stimulus, jobs, run.word.bits())
-            .map_err(|e| CliError::from(e.with_circuit(nl.name())))?;
+    let report = unit_delay_sim::core::hotspot::collect(
+        &nl,
+        &prototype,
+        run.stimulus(&nl),
+        run.vectors,
+        run.jobs.unwrap_or(1),
+        run.word.bits(),
+    )
+    .map_err(on_circuit(&nl))?;
 
     let total = report.measured.total();
     human.line(format!(

@@ -23,7 +23,11 @@ fn fixture(name: &str, contents: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
     std::fs::create_dir_all(&dir).expect("tmpdir exists");
     let path = dir.join(name);
-    std::fs::write(&path, contents).expect("fixture written");
+    // Tests running in parallel share fixture names: write aside and
+    // rename, so a reader never sees a half-written file.
+    let staged = dir.join(format!("{name}.{:?}", std::thread::current().id()));
+    std::fs::write(&staged, contents).expect("fixture written");
+    std::fs::rename(&staged, &path).expect("fixture moved into place");
     path
 }
 
@@ -287,10 +291,14 @@ fn shared_run_flags_fail_the_same_way_on_every_run_subcommand() {
     let file = path.to_str().unwrap();
     let engines = "event-driven, pc-set, parallel, parallel+trim, parallel+pt, \
                    parallel+pt+trim, parallel+cb, native";
-    let shared: [(&[&str], String); 7] = [
+    let shared: [(&[&str], String); 8] = [
         (
             &[file, "--jobs", "0"],
             "--jobs: worker count must be at least 1".to_owned(),
+        ),
+        (
+            &[file, "--jobs", "100000"],
+            "--jobs: worker count is capped at 256".to_owned(),
         ),
         (
             &[file, "--word", "48"],

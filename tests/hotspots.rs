@@ -178,8 +178,9 @@ fn self_times_sum_within_20pct_of_span_across_engines_words_jobs() {
         for word in [WordWidth::W32, WordWidth::W64] {
             for jobs in [1usize, 2] {
                 let guard = guard_for(&nl, engine, word);
-                let report = hotspot::collect(&nl, &guard, &vectors, jobs, word.bits())
-                    .expect("collect succeeds");
+                let report =
+                    hotspot::collect(&nl, &guard, &vectors, vectors.len(), jobs, word.bits())
+                        .expect("collect succeeds");
                 let attributed = report.measured.total_self_ns();
                 let span = report.span_ns;
                 assert!(span > 0, "{engine} word={word:?} jobs={jobs}");

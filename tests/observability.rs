@@ -20,7 +20,11 @@ fn fixture(name: &str, contents: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
     std::fs::create_dir_all(&dir).expect("tmpdir exists");
     let path = dir.join(name);
-    std::fs::write(&path, contents).expect("fixture written");
+    // Tests running in parallel share fixture names: write aside and
+    // rename, so a reader never sees a half-written file.
+    let staged = dir.join(format!("{name}.{:?}", std::thread::current().id()));
+    std::fs::write(&staged, contents).expect("fixture written");
+    std::fs::rename(&staged, &path).expect("fixture moved into place");
     path
 }
 
