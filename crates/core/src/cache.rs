@@ -10,14 +10,25 @@
 //! gets a private engine in its power-up state while the compiled
 //! program is shared.
 //!
+//! An entry may also keep its [`Spelling`]: the raw `(name, bench)`
+//! text its circuit was parsed from. [`EngineCache::resolve`] matches a
+//! request's text against those byte for byte and hands back the
+//! entry's parsed netlist and canonical hash, so a repeat request skips
+//! the parse, the canonical rewrite and the hash. Text that matches no
+//! entry is parsed and keyed canonically as before, so two spellings of
+//! one circuit still share an entry. The spelling lives and dies with
+//! its entry: eviction frees both.
+//!
 //! The cache is its own telemetry surface: `cache.hits`,
-//! `cache.misses`, and `cache.evictions` counters plus a
-//! `cache.entries` level gauge, all visible in `/metrics` and the
-//! `--stats` snapshot. Eviction is least-recently-used with a linear
-//! scan — capacities are tens of circuits, not millions, and the scan
-//! is dwarfed by a single vector's simulation.
+//! `cache.misses`, `cache.spelling_hits` and `cache.evictions`
+//! counters plus a `cache.entries` level gauge, all visible in
+//! `/metrics` and the `--stats` snapshot. Eviction is
+//! least-recently-used with a linear scan — capacities are tens of
+//! circuits, not millions, and the scan is dwarfed by a single
+//! vector's simulation.
 
-use std::sync::Mutex;
+use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::{Arc, Mutex};
 
 use uds_netlist::{bench_format, Netlist};
 
@@ -58,9 +69,55 @@ pub struct CacheKey {
     pub word: WordWidth,
 }
 
+/// The raw `(name, bench)` text of a request, with a hash of it.
+/// Clones share the text.
+#[derive(Clone, Debug)]
+pub struct Spelling(Arc<SpellingText>);
+
+#[derive(Debug)]
+struct SpellingText {
+    hash: u64,
+    name: String,
+    bench: String,
+}
+
+impl Spelling {
+    fn copy(hash: u64, name: &str, bench: &str) -> Spelling {
+        Spelling(Arc::new(SpellingText {
+            hash,
+            name: name.to_owned(),
+            bench: bench.to_owned(),
+        }))
+    }
+
+    /// Byte-for-byte equality with `(name, bench)`; the hash only
+    /// rules candidates out.
+    fn matches(&self, hash: u64, name: &str, bench: &str) -> bool {
+        self.0.hash == hash && self.0.name == name && self.0.bench == bench
+    }
+}
+
+fn spelling_hash(name: &str, bench: &str) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    name.hash(&mut hasher);
+    bench.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// What [`EngineCache::resolve`] found for a request's text.
+pub struct Resolution {
+    /// The text: shared with the matching entry, or a fresh copy to
+    /// store with the entry this request compiles.
+    pub spelling: Spelling,
+    /// The matching entry's netlist and its [`netlist_hash`]; `None`
+    /// when no entry was compiled from this exact text.
+    pub known: Option<(Arc<Netlist>, u64)>,
+}
+
 struct Entry {
     key: CacheKey,
     prototype: GuardedSimulator,
+    spelling: Option<Spelling>,
     last_used: u64,
 }
 
@@ -129,10 +186,54 @@ impl EngineCache {
         }
     }
 
+    /// Finds an entry compiled from exactly this `(name, bench)` text.
+    /// A match returns that entry's netlist and canonical hash (and
+    /// bumps `cache.spelling_hits`); the caller then looks its own
+    /// [`CacheKey`] up as usual. Recency is left alone: only
+    /// [`EngineCache::lookup`] refreshes an entry.
+    pub fn resolve(&self, name: &str, bench: &str) -> Resolution {
+        let hash = spelling_hash(name, bench);
+        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let found = inner.entries.iter().find_map(|entry| {
+            let spelling = entry.spelling.as_ref()?;
+            spelling.matches(hash, name, bench).then(|| {
+                (
+                    spelling.clone(),
+                    Arc::clone(entry.prototype.netlist()),
+                    entry.key.netlist_hash,
+                )
+            })
+        });
+        drop(inner);
+        match found {
+            Some((spelling, netlist, netlist_hash)) => {
+                self.telemetry.add("cache.spelling_hits", 1);
+                Resolution {
+                    spelling,
+                    known: Some((netlist, netlist_hash)),
+                }
+            }
+            None => Resolution {
+                spelling: Spelling::copy(hash, name, bench),
+                known: None,
+            },
+        }
+    }
+
     /// Stores a freshly compiled prototype, evicting the
     /// least-recently-used entry when full. Re-inserting an existing
     /// key replaces the prototype (no eviction counted).
     pub fn insert(&self, key: CacheKey, prototype: GuardedSimulator) {
+        self.insert_entry(key, prototype, None);
+    }
+
+    /// [`EngineCache::insert`], keeping the text the prototype's
+    /// netlist was parsed from so [`EngineCache::resolve`] finds it.
+    pub fn insert_spelled(&self, key: CacheKey, prototype: GuardedSimulator, spelling: Spelling) {
+        self.insert_entry(key, prototype, Some(spelling));
+    }
+
+    fn insert_entry(&self, key: CacheKey, prototype: GuardedSimulator, spelling: Option<Spelling>) {
         if self.capacity == 0 {
             return;
         }
@@ -141,6 +242,7 @@ impl EngineCache {
         let tick = inner.tick;
         if let Some(entry) = inner.entries.iter_mut().find(|e| e.key == key) {
             entry.prototype = prototype;
+            entry.spelling = spelling;
             entry.last_used = tick;
             return;
         }
@@ -158,6 +260,7 @@ impl EngineCache {
         inner.entries.push(Entry {
             key,
             prototype,
+            spelling,
             last_used: tick,
         });
         self.telemetry
@@ -248,6 +351,74 @@ mod tests {
         assert!(cache.is_empty());
         assert!(cache.lookup(&key(1)).is_none());
         assert_eq!(telemetry.counter("cache.evictions"), 0);
+    }
+
+    /// c17's text, the netlist parsed from it, and a prototype over
+    /// that netlist.
+    fn spelled_c17(name: &str) -> (String, Arc<Netlist>, GuardedSimulator) {
+        let text = bench_format::write(&c17());
+        let netlist = Arc::new(bench_format::parse(&text, name).unwrap());
+        let prototype = GuardedSimulator::with_factory_probed(
+            Arc::clone(&netlist),
+            ResourceLimits::production(),
+            &GuardedSimulator::DEFAULT_CHAIN,
+            Box::new(crate::DefaultEngineFactory::default()),
+            &uds_netlist::NoopProbe,
+        )
+        .unwrap();
+        (text, netlist, prototype)
+    }
+
+    #[test]
+    fn resolve_reuses_the_entry_compiled_from_the_same_text() {
+        let telemetry = Telemetry::new();
+        let cache = EngineCache::new(4, telemetry.clone());
+        let (text, netlist, prototype) = spelled_c17("c17");
+        let miss = cache.resolve("c17", &text);
+        assert!(miss.known.is_none(), "nothing is cached yet");
+        let hash = netlist_hash(&netlist);
+        cache.insert_spelled(key(hash), prototype, miss.spelling);
+
+        let hit = cache.resolve("c17", &text);
+        let (shared, known_hash) = hit.known.expect("the same text resolves");
+        assert!(
+            Arc::ptr_eq(&shared, &netlist),
+            "the entry's netlist, not a copy"
+        );
+        assert_eq!(known_hash, hash);
+        assert_eq!(telemetry.counter("cache.spelling_hits"), 1);
+        // Any other text — another name, one more byte — is a miss.
+        assert!(cache.resolve("c17b", &text).known.is_none());
+        assert!(cache.resolve("c17", &format!("{text}\n")).known.is_none());
+        assert_eq!(telemetry.counter("cache.spelling_hits"), 1);
+        // Resolving neither counts a cache hit nor a miss.
+        assert_eq!(telemetry.counter("cache.hits"), 0);
+        assert_eq!(telemetry.counter("cache.misses"), 0);
+    }
+
+    #[test]
+    fn an_equal_hash_alone_is_not_a_match() {
+        let spelling = Spelling::copy(7, "c17", "INPUT(a)\n");
+        assert!(spelling.matches(7, "c17", "INPUT(a)\n"));
+        assert!(!spelling.matches(7, "c17", "INPUT(b)\n"));
+        assert!(!spelling.matches(7, "c18", "INPUT(a)\n"));
+        assert!(!spelling.matches(8, "c17", "INPUT(a)\n"));
+    }
+
+    #[test]
+    fn eviction_frees_the_spelling_with_its_entry() {
+        let cache = EngineCache::new(1, Telemetry::new());
+        let (text, netlist, prototype) = spelled_c17("c17");
+        let spelling = cache.resolve("c17", &text).spelling;
+        cache.insert_spelled(key(netlist_hash(&netlist)), prototype, spelling);
+        assert!(cache.resolve("c17", &text).known.is_some());
+        cache.insert(key(1), self::prototype());
+        assert!(cache.resolve("c17", &text).known.is_none());
+        assert_eq!(
+            Arc::strong_count(&netlist),
+            1,
+            "the evicted entry let go of it"
+        );
     }
 
     #[test]

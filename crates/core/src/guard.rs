@@ -22,6 +22,7 @@
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::Arc;
 
 use uds_eventsim::zero_delay::stable_states;
 use uds_netlist::{NetId, Netlist, NoopProbe, Probe, ResourceLimits};
@@ -376,7 +377,8 @@ pub struct FiredFallback {
 /// [`Checkpoint`] and re-runs the failed vector, so retained state (each
 /// vector's dependence on the previous one) is preserved bit-exactly.
 pub struct GuardedSimulator {
-    netlist: Netlist,
+    /// Shared with every fork: a fork never copies the circuit.
+    netlist: Arc<Netlist>,
     limits: ResourceLimits,
     chain: Vec<Engine>,
     position: usize,
@@ -460,6 +462,7 @@ impl GuardedSimulator {
     ) -> Result<Self, SimError> {
         Self::build(
             netlist,
+            None,
             limits,
             &Self::DEFAULT_CHAIN,
             Box::new(DefaultEngineFactory::default()),
@@ -491,6 +494,7 @@ impl GuardedSimulator {
     ) -> Result<Self, SimError> {
         Self::build(
             netlist,
+            None,
             limits,
             chain,
             Box::new(DefaultEngineFactory::default()),
@@ -507,7 +511,7 @@ impl GuardedSimulator {
         chain: &[Engine],
         factory: Box<dyn EngineFactory>,
     ) -> Result<Self, SimError> {
-        Self::build(netlist, limits, chain, factory, None, None)
+        Self::build(netlist, None, limits, chain, factory, None, None)
     }
 
     /// Builds with an explicit chain, engine factory, *and* telemetry
@@ -520,7 +524,7 @@ impl GuardedSimulator {
         factory: Box<dyn EngineFactory>,
         telemetry: Telemetry,
     ) -> Result<Self, SimError> {
-        Self::build(netlist, limits, chain, factory, Some(telemetry), None)
+        Self::build(netlist, None, limits, chain, factory, Some(telemetry), None)
     }
 
     /// Builds with an explicit chain, factory, and *compile probe*.
@@ -530,19 +534,33 @@ impl GuardedSimulator {
     /// passes one that routes compile phases into a per-request trace
     /// while forwarding counters to the registry. The guard keeps no
     /// telemetry handle, so runtime fallbacks are not recorded (the
-    /// caller reads [`GuardedSimulator::fallbacks`] instead).
+    /// caller reads [`GuardedSimulator::fallbacks`] instead). The guard
+    /// keeps `netlist` itself, so a cache can hand the same circuit to
+    /// several compiles without copying it.
     pub fn with_factory_probed(
-        netlist: &Netlist,
+        netlist: Arc<Netlist>,
         limits: ResourceLimits,
         chain: &[Engine],
         factory: Box<dyn EngineFactory>,
         probe: &dyn Probe,
     ) -> Result<Self, SimError> {
-        Self::build(netlist, limits, chain, factory, None, Some(probe))
+        Self::build(
+            &netlist,
+            Some(Arc::clone(&netlist)),
+            limits,
+            chain,
+            factory,
+            None,
+            Some(probe),
+        )
     }
 
+    /// `shared` is `netlist` behind an `Arc` when the caller has one;
+    /// otherwise the guard copies `netlist` once an engine compiled, so
+    /// the copy never coexists with the compiler's temporaries.
     fn build(
         netlist: &Netlist,
+        shared: Option<Arc<Netlist>>,
         limits: ResourceLimits,
         chain: &[Engine],
         factory: Box<dyn EngineFactory>,
@@ -561,7 +579,7 @@ impl GuardedSimulator {
             match factory.build_probed(netlist, engine, &limits, probe) {
                 Ok(active) => {
                     return Ok(GuardedSimulator {
-                        netlist: netlist.clone(),
+                        netlist: shared.unwrap_or_else(|| Arc::new(netlist.clone())),
                         limits,
                         chain: chain.to_vec(),
                         position,
@@ -609,15 +627,17 @@ impl GuardedSimulator {
     }
 
     /// A fresh guard sharing this one's netlist, budget, chain,
-    /// factory, checkpoint and active engine (cloned with its compiled
-    /// program and state), but no telemetry registry — workers report
+    /// factory, checkpoint and active engine, but no telemetry
+    /// registry. The netlist and the engine's compiled program are
+    /// shared, not copied: the fork owns only per-run state (arena,
+    /// retained values, checkpoint). Workers report
     /// timings back to the coordinating thread instead of contending on
     /// a shared registry. Fallbacks already fired are not inherited;
     /// each fork degrades independently, from the state it was forked
     /// in.
     pub fn fork(&self) -> GuardedSimulator {
         GuardedSimulator {
-            netlist: self.netlist.clone(),
+            netlist: Arc::clone(&self.netlist),
             limits: self.limits,
             chain: self.chain.clone(),
             position: self.position,
@@ -627,6 +647,11 @@ impl GuardedSimulator {
             checkpoint: self.checkpoint.clone(),
             telemetry: None,
         }
+    }
+
+    /// The circuit this guard simulates, shared with every fork.
+    pub fn netlist(&self) -> &Arc<Netlist> {
+        &self.netlist
     }
 
     /// Every fallback that fired, in order (compile-time and run-time).

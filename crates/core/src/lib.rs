@@ -84,6 +84,7 @@ pub mod stream;
 pub mod telemetry;
 pub mod vcd;
 pub mod vectors;
+mod wake;
 pub mod waveform;
 
 pub use activity::{ActivityProfiler, ActivityReport, ACTIVITY_SCHEMA};

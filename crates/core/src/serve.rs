@@ -13,7 +13,12 @@
 //! One acceptor thread plus a fixed pool of [`ServeConfig::workers`]
 //! worker threads, joined by a bounded work queue — thread count is
 //! statically bounded at `workers + 1` no matter the offered load.
-//! The acceptor only accepts and enqueues; workers own a connection
+//! The acceptor only accepts and enqueues, and between connections it
+//! blocks in `poll(2)` on the listener and a waker (see
+//! `crate::wake`): an idle daemon makes no wake-ups, and every drain
+//! trigger — a [`ShutdownHandle`], `/quitquitquit`, the last busy
+//! worker finishing during a drain, SIGTERM/SIGINT — wakes it at once.
+//! Workers own a connection
 //! for its whole keep-alive life and run a small state machine per
 //! request: read (bounded by read/idle timeouts, so slowloris senders
 //! are reaped, not leaked) → execute → write → loop while the client
@@ -59,6 +64,17 @@
 //! returns from [`SimServer::run`] so the caller can flush a final
 //! telemetry snapshot.
 //!
+//! # The hit path
+//!
+//! A cache hit should cost what its vectors cost. The cache keeps, with
+//! each compiled prototype, the raw `(name, bench)` text it was parsed
+//! from ([`crate::cache::Spelling`]); a request whose text matches one
+//! byte for byte reuses that entry's netlist and canonical hash and
+//! skips the parse, the canonical rewrite and the hash. Other text is
+//! parsed and keyed canonically, so re-spelled circuits still hit. The
+//! fork a hit runs on shares the prototype's netlist and compiled
+//! program and copies only per-run state.
+//!
 //! Telemetry: the daemon never opens spans on the shared registry
 //! (handler threads would interleave one span stack); compile times are
 //! attached as finished `serve.compile` spans with the connection id as
@@ -96,7 +112,7 @@ use std::time::{Duration, Instant};
 
 use uds_netlist::{bench_format, Netlist, Probe, ResourceLimits};
 
-use crate::cache::{netlist_hash, CacheKey, EngineCache};
+use crate::cache::{netlist_hash, CacheKey, EngineCache, Spelling};
 use crate::cancel::{CancelCause, CancelToken};
 use crate::error::{FailureClass, SimError, SimErrorKind};
 use crate::guard::{DefaultEngineFactory, GuardedSimulator};
@@ -105,7 +121,10 @@ use crate::http::{read_request, HttpError, Request, Response, TRACE_ID_HEADER};
 use crate::progress::{BatchProbe, Heartbeat};
 use crate::telemetry::json::Json;
 use crate::telemetry::{prom, trace, SpanNode, Telemetry};
+use crate::wake::Waker;
 use crate::{run_stream, Engine, RunControl, WordWidth, MAX_JOBS};
+
+pub use crate::wake::{install_signal_handlers, signal_shutdown_requested};
 
 /// Schema tag on every request-log line.
 pub const REQLOG_SCHEMA: &str = "uds-reqlog-v1";
@@ -122,38 +141,10 @@ pub const LATENCY_BOUNDS_MS: &[u64] = &[
     1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 30_000,
 ];
 
-/// Signal-handler flag: SIGTERM/SIGINT land here (a handler may only
-/// do an atomic store), and every running server polls it.
-static SIGNAL_SHUTDOWN: AtomicBool = AtomicBool::new(false);
-
-/// `true` once SIGTERM or SIGINT was received (after
-/// [`install_signal_handlers`]).
-pub fn signal_shutdown_requested() -> bool {
-    SIGNAL_SHUTDOWN.load(Ordering::Relaxed)
-}
-
-/// Routes SIGTERM and SIGINT into a graceful drain. Hand-rolled
-/// against libc's `signal` (std links libc on unix already); the
-/// handler is async-signal-safe — one relaxed store.
-#[cfg(unix)]
-pub fn install_signal_handlers() {
-    extern "C" fn on_signal(_signum: i32) {
-        SIGNAL_SHUTDOWN.store(true, Ordering::Relaxed);
-    }
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGTERM, on_signal);
-        signal(SIGINT, on_signal);
-    }
-}
-
-/// No signals to install off unix; `/quitquitquit` still drains.
-#[cfg(not(unix))]
-pub fn install_signal_handlers() {}
+/// How long the acceptor backs off after a failed `accept` (say, out
+/// of descriptors), so a listener that stays readable cannot spin it.
+/// Drain triggers still end the back-off at once.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(2);
 
 /// Tuning knobs for a [`SimServer`].
 #[derive(Debug)]
@@ -273,7 +264,13 @@ fn status_for(class: FailureClass) -> u16 {
 
 /// One parsed `POST /simulate` (or `POST /jobs`) body.
 struct SimRequest {
-    netlist: Netlist,
+    netlist: Arc<Netlist>,
+    /// [`netlist_hash`] of `netlist`, computed once per request (or
+    /// taken from the cache entry the body's text matched).
+    netlist_hash: u64,
+    /// The body's raw `(name, bench)` text, kept with the entry a
+    /// miss compiles.
+    spelling: Spelling,
     stimulus: Vec<Vec<bool>>,
     engine: Option<Engine>,
     word: WordWidth,
@@ -348,16 +345,20 @@ struct RequestTrace {
     epoch: Instant,
     /// Timeline lane: the connection id, or `JOB_TRACE_TID + job id`.
     tid: u64,
+    /// Where the root span starts: when the work was enqueued if it
+    /// waited in the queue, so every phase nests inside the root.
+    started: Instant,
     /// Finished phases, in completion order.
     phases: Vec<SpanNode>,
 }
 
 impl RequestTrace {
-    fn new(id: String, epoch: Instant, tid: u64) -> RequestTrace {
+    fn new(id: String, epoch: Instant, tid: u64, started: Instant) -> RequestTrace {
         RequestTrace {
             id,
             epoch,
             tid,
+            started,
             phases: Vec::new(),
         }
     }
@@ -377,13 +378,12 @@ impl RequestTrace {
         value
     }
 
-    /// Records a phase that ended just now after `wall_ns` (queue wait,
-    /// measured before the trace existed).
-    fn lead_phase(&mut self, name: &str, wall_ns: u64) {
-        let now_ns = ns_since(self.epoch, Instant::now());
+    /// Records a phase that began at `at` and lasted `wall_ns` (queue
+    /// wait, measured before the trace existed).
+    fn lead_phase(&mut self, name: &str, at: Instant, wall_ns: u64) {
         self.push(SpanNode {
             name: name.to_owned(),
-            start_ns: now_ns.saturating_sub(wall_ns),
+            start_ns: ns_since(self.epoch, at),
             wall_ns,
             tid: 0,
             children: Vec::new(),
@@ -413,12 +413,12 @@ impl RequestTrace {
     }
 
     /// Folds the collected phases into one root span on this trace's
-    /// timeline lane.
-    fn into_root(self, name: &str, started: Instant, wall_ns: u64) -> SpanNode {
+    /// timeline lane, from [`RequestTrace::started`] to now.
+    fn into_root(self, name: &str) -> SpanNode {
         SpanNode {
             name: name.to_owned(),
-            start_ns: ns_since(self.epoch, started),
-            wall_ns,
+            start_ns: ns_since(self.epoch, self.started),
+            wall_ns: u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX),
             tid: self.tid,
             children: self.phases,
         }
@@ -645,9 +645,12 @@ impl WorkQueue {
         }
     }
 
-    fn done(&self) {
+    /// Marks a popped item finished; `true` when nothing is queued or
+    /// busy any more.
+    fn done(&self) -> bool {
         let mut state = self.lock();
         state.busy = state.busy.saturating_sub(1);
+        state.items.is_empty() && state.busy == 0
     }
 
     /// `(queued, busy)` under one lock — the drain-completion check.
@@ -849,7 +852,7 @@ pub struct SimServer {
     config: ServeConfig,
     telemetry: Telemetry,
     cache: EngineCache,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<Shutdown>,
     reqlog: Option<Mutex<Box<dyn Write + Send>>>,
     trace: Option<Mutex<TraceSink>>,
     connections: AtomicU64,
@@ -863,15 +866,28 @@ pub struct SimServer {
     hotspots: Option<Mutex<HotspotRing>>,
 }
 
+/// A drain request and the waker that carries it to the acceptor.
+struct Shutdown {
+    requested: AtomicBool,
+    waker: Waker,
+}
+
+impl Shutdown {
+    fn request(&self) {
+        self.requested.store(true, Ordering::SeqCst);
+        self.waker.wake();
+    }
+}
+
 /// A clonable handle that asks a running server to drain and stop.
 #[derive(Clone)]
-pub struct ShutdownHandle(Arc<AtomicBool>);
+pub struct ShutdownHandle(Arc<Shutdown>);
 
 impl ShutdownHandle {
     /// Requests a graceful drain; [`SimServer::run`] returns once every
     /// queued and in-flight piece of work finished.
     pub fn request(&self) {
-        self.0.store(true, Ordering::Relaxed);
+        self.0.request();
     }
 }
 
@@ -883,7 +899,8 @@ impl SimServer {
     ///
     /// # Errors
     ///
-    /// Bind failures pass through.
+    /// Bind failures pass through, as do failures to set up the
+    /// acceptor's waker.
     pub fn bind(
         addr: impl ToSocketAddrs,
         config: ServeConfig,
@@ -891,10 +908,12 @@ impl SimServer {
         reqlog: Option<Box<dyn Write + Send>>,
     ) -> std::io::Result<SimServer> {
         let listener = TcpListener::bind(addr)?;
+        let waker = Waker::new(&listener)?;
         let cache = EngineCache::new(config.cache_capacity, telemetry.clone());
         telemetry.set_level("serve.in_flight", 0);
         telemetry.set_level("serve.queue_depth", 0);
         telemetry.set_level("serve.jobs.resident", 0);
+        telemetry.add("serve.accept_wakeups", 0);
         let queue = WorkQueue::new(config.queue_depth);
         let hotspots = config
             .hotspots
@@ -904,7 +923,10 @@ impl SimServer {
             config,
             telemetry,
             cache,
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown: Arc::new(Shutdown {
+                requested: AtomicBool::new(false),
+                waker,
+            }),
             reqlog: reqlog.map(Mutex::new),
             trace: None,
             connections: AtomicU64::new(0),
@@ -941,7 +963,7 @@ impl SimServer {
     }
 
     /// Streams one finished request/job tree to the trace sink, if any.
-    fn export_trace(&self, trace: RequestTrace, name: &str, started: Instant, wall_ns: u64) {
+    fn export_trace(&self, trace: RequestTrace, name: &str) {
         let Some(sink) = &self.trace else { return };
         let lane = if trace.tid >= JOB_TRACE_TID {
             format!("job {}", trace.tid - JOB_TRACE_TID)
@@ -949,7 +971,7 @@ impl SimServer {
             format!("conn {}", trace.tid)
         };
         let id = trace.id.clone();
-        let root = trace.into_root(name, started, wall_ns);
+        let root = trace.into_root(name);
         sink.lock()
             .unwrap_or_else(|e| e.into_inner())
             .write_span(&root, &id, &lane);
@@ -970,7 +992,7 @@ impl SimServer {
     }
 
     fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed) || signal_shutdown_requested()
+        self.shutdown.requested.load(Ordering::SeqCst) || signal_shutdown_requested()
     }
 
     fn note_queue_depth(&self) {
@@ -985,13 +1007,17 @@ impl SimServer {
     /// returning — `/readyz` answers `503 draining` for the whole
     /// tail. The caller owns the final telemetry snapshot.
     ///
+    /// Between connections the acceptor blocks in `poll(2)` (see
+    /// `crate::wake`); every drain trigger wakes it, and
+    /// `serve.accept_wakeups` counts how often it woke.
+    ///
     /// # Errors
     ///
-    /// Only listener-level failures (the nonblocking switch); per-
+    /// Only a failing `poll(2)`, after the drain it forces; per-
     /// connection errors are answered, logged, and counted instead.
     pub fn run(&self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         let workers = self.config.resolved_workers();
+        let mut failure = None;
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| self.worker_loop());
@@ -1023,11 +1049,20 @@ impl SimServer {
                         }
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
+                        let waited = self.shutdown.waker.wait(Some(&self.listener), None);
+                        self.telemetry.add("serve.accept_wakeups", 1);
+                        if let Err(error) = waited {
+                            // The acceptor cannot wait any more: the
+                            // workers drain what was admitted, and the
+                            // failure is reported.
+                            failure = Some(error);
+                            self.shutdown.request();
+                            break;
+                        }
                     }
                     Err(_) => {
                         self.telemetry.add("serve.accept_errors", 1);
-                        std::thread::sleep(Duration::from_millis(2));
+                        let _ = self.shutdown.waker.wait(None, Some(ACCEPT_ERROR_BACKOFF));
                     }
                 }
             }
@@ -1037,7 +1072,7 @@ impl SimServer {
         if let Some(sink) = &self.trace {
             sink.lock().unwrap_or_else(|e| e.into_inner()).close();
         }
-        Ok(())
+        failure.map_or(Ok(()), Err)
     }
 
     /// Enqueues an accepted connection, or sheds it with an immediate
@@ -1093,7 +1128,10 @@ impl SimServer {
                 } => self.serve_connection(stream, peer, conn, Some(enqueued)),
                 WorkItem::Job(id) => self.execute_job(id),
             }
-            self.queue.done();
+            // The acceptor waits for the last item of a drain.
+            if self.queue.done() && self.draining() {
+                self.shutdown.waker.wake();
+            }
         }
     }
 
@@ -1144,9 +1182,15 @@ impl SimServer {
                     let trace_id = request
                         .trace_id()
                         .unwrap_or_else(|| self.next_trace_id(conn));
-                    let mut trace = RequestTrace::new(trace_id, self.telemetry.epoch(), conn);
-                    if served == 1 && queue_wait_ns > 0 {
-                        trace.lead_phase("serve.queue_wait", queue_wait_ns);
+                    let queued = enqueued.filter(|_| served == 1 && queue_wait_ns > 0);
+                    let mut trace = RequestTrace::new(
+                        trace_id,
+                        self.telemetry.epoch(),
+                        conn,
+                        queued.unwrap_or(clock),
+                    );
+                    if let Some(at) = queued {
+                        trace.lead_phase("serve.queue_wait", at, queue_wait_ns);
                     }
                     let (response, facts) = self.route(&request, peer, context, &mut trace);
                     let response = response.with_header(TRACE_ID_HEADER, trace.id.clone());
@@ -1224,7 +1268,7 @@ impl SimServer {
             trace.as_ref(),
         );
         if let Some(trace) = trace {
-            self.export_trace(trace, "serve.request", started, wall_ns);
+            self.export_trace(trace, "serve.request");
         }
     }
 
@@ -1303,7 +1347,7 @@ impl SimServer {
             }
             ("POST", "/quitquitquit") => {
                 if self.config.allow_quit {
-                    self.shutdown.store(true, Ordering::Relaxed);
+                    self.shutdown.request();
                     (Response::text(200, "draining, goodbye\n"), no_facts)
                 } else {
                     (
@@ -1341,7 +1385,7 @@ impl SimServer {
         progress: Option<&dyn BatchProbe>,
         request_trace: &mut RequestTrace,
     ) -> Result<SimOutcome, (FailedAt, SimError)> {
-        let hash = netlist_hash(&parsed.netlist);
+        let hash = parsed.netlist_hash;
         let key = CacheKey {
             netlist_hash: hash,
             engine: parsed.engine,
@@ -1368,7 +1412,7 @@ impl SimServer {
                 // spans for this request's private tree.
                 let phase_probe = PhaseProbe::new(self.telemetry.clone());
                 let prototype = match GuardedSimulator::with_factory_probed(
-                    &parsed.netlist,
+                    Arc::clone(&parsed.netlist),
                     self.config.limits,
                     &chain,
                     factory,
@@ -1397,7 +1441,8 @@ impl SimServer {
                     children: phase_probe.into_children(),
                 });
                 let fork = prototype.fork();
-                self.cache.insert(key, prototype);
+                self.cache
+                    .insert_spelled(key, prototype, parsed.spelling.clone());
                 (fork, "miss")
             }
         };
@@ -1412,10 +1457,14 @@ impl SimServer {
             cancel: Some(cancel),
             ..RunControl::default()
         };
+        // Rows are read through the netlist the engine was compiled
+        // from. A re-spelled hit parsed its own copy, whose net ids may
+        // be numbered differently (say, OUTPUT lines after the gates).
+        let netlist = Arc::clone(guard.netlist());
         let mut rows = Vec::with_capacity(parsed.stimulus.len());
         let result = request_trace.phase("serve.simulate", || {
             run_stream(
-                &parsed.netlist,
+                &netlist,
                 guard,
                 &parsed.stimulus,
                 parsed.stimulus.len(),
@@ -1612,7 +1661,7 @@ impl SimServer {
             }
         };
         facts.circuit = Some(parsed.netlist.name().to_owned());
-        facts.netlist_hash = Some(netlist_hash(&parsed.netlist));
+        facts.netlist_hash = Some(parsed.netlist_hash);
         facts.vectors = Some(parsed.stimulus.len());
 
         let cancel = match self.config.request_timeout {
@@ -1722,11 +1771,14 @@ impl SimServer {
             (parsed, job.cancel.clone(), job.trace_id.clone())
         };
         let probe = JobProbe { job: &job_arc };
-        let clock = Instant::now();
-        let mut trace = RequestTrace::new(trace_id, self.telemetry.epoch(), JOB_TRACE_TID + id);
+        let mut trace = RequestTrace::new(
+            trace_id,
+            self.telemetry.epoch(),
+            JOB_TRACE_TID + id,
+            Instant::now(),
+        );
         let result = self.run_simulation(&parsed, 0, &cancel, Some(&probe), &mut trace);
-        let job_wall_ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.export_trace(trace, "serve.job", clock, job_wall_ns);
+        self.export_trace(trace, "serve.job");
         let mut job = job_arc.lock().unwrap_or_else(|e| e.into_inner());
         job.finished = Some(Instant::now());
         match result {
@@ -1855,8 +1907,18 @@ impl SimServer {
             .and_then(Json::as_str)
             .ok_or_else(|| bad("missing string field `bench`".to_owned()))?;
         let name = doc.get("name").and_then(Json::as_str).unwrap_or("request");
-        let netlist =
-            bench_format::parse(bench, name).map_err(|e| bad(format!("bench netlist: {e}")))?;
+        // Text some cache entry was compiled from needs no parse; any
+        // other text is parsed and keyed canonically.
+        let resolution = self.cache.resolve(name, bench);
+        let (netlist, netlist_hash) = match resolution.known {
+            Some(known) => known,
+            None => {
+                let netlist = bench_format::parse(bench, name)
+                    .map_err(|e| bad(format!("bench netlist: {e}")))?;
+                let hash = netlist_hash(&netlist);
+                (Arc::new(netlist), hash)
+            }
+        };
 
         let engine = match doc.get("engine").and_then(Json::as_str) {
             Some(wanted) => Some(
@@ -1937,6 +1999,8 @@ impl SimServer {
 
         Ok(SimRequest {
             netlist,
+            netlist_hash,
+            spelling: resolution.spelling,
             stimulus,
             engine,
             word,

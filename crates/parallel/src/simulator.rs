@@ -1,6 +1,7 @@
 //! The public compiled-simulator API for the parallel technique.
 
 use std::fmt;
+use std::sync::Arc;
 
 use uds_netlist::{
     levelize, static_profile, LevelProfile, LevelSegment, LevelSink, LevelizeError, LimitExceeded,
@@ -144,16 +145,25 @@ pub struct ProgramStats {
 /// name the two instantiations.
 #[derive(Clone, Debug)]
 pub struct ParallelSim<W: Word = u32> {
-    program: Program,
+    /// Everything compilation fixed, shared by every clone: a fork
+    /// copies only the per-run state below.
+    compiled: Arc<Compiled<W>>,
     arena: Vec<W>,
-    initial_arena: Vec<W>,
-    layouts: Vec<FieldLayout>,
     /// Settled value, before the current vector, of the nets whose
     /// history below their alignment cannot be read back from the field
     /// (exactly those with `align == minlevel > 0`; everywhere else bit 0
     /// recomputes the previous value). Indexed by [`NetId`]; only entries
     /// listed in `tracked` are refreshed per vector.
     prev_final: Vec<bool>,
+}
+
+/// The immutable half of a [`ParallelSim`]: the op stream and the
+/// tables that read it back.
+#[derive(Debug)]
+struct Compiled<W: Word> {
+    program: Program,
+    initial_arena: Vec<W>,
+    layouts: Vec<FieldLayout>,
     tracked: Vec<NetId>,
     /// Per net: `false` iff history below the alignment is unavailable
     /// (needs tracking but is not monitored).
@@ -441,24 +451,26 @@ impl<W: Word> ParallelSim<W> {
         };
         Ok(ParallelSim {
             arena: initial_arena.clone(),
-            initial_arena,
-            layouts,
             prev_final: settled_zero.clone(),
-            tracked,
-            trackable,
-            settled_zero,
-            depth,
-            optimization,
-            alignment,
-            stats,
-            program,
-            level_segments,
+            compiled: Arc::new(Compiled {
+                program,
+                initial_arena,
+                layouts,
+                tracked,
+                trackable,
+                settled_zero,
+                depth,
+                optimization,
+                alignment,
+                stats,
+                level_segments,
+            }),
         })
     }
 
     /// Circuit depth; histories cover times `0..=depth()`.
     pub fn depth(&self) -> u32 {
-        self.depth
+        self.compiled.depth
     }
 
     /// Bits per arena word this simulator was compiled for.
@@ -468,43 +480,49 @@ impl<W: Word> ParallelSim<W> {
 
     /// The optimization this simulator was compiled with.
     pub fn optimization(&self) -> Optimization {
-        self.optimization
+        self.compiled.optimization
     }
 
     /// The alignment in effect (None for the unoptimized/trimmed modes).
     pub fn alignment(&self) -> Option<&Alignment> {
-        self.alignment.as_ref()
+        self.compiled.alignment.as_ref()
     }
 
     /// Program size metrics.
     pub fn stats(&self) -> ProgramStats {
-        self.stats
+        self.compiled.stats
+    }
+
+    /// `true` when `other` runs the very same compiled program and
+    /// tables as `self` — as every clone of one compile does.
+    pub fn shares_compiled(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.compiled, &other.compiled)
     }
 
     /// The field layout of a net (for inspection and tests).
     pub fn field_layout(&self, net: NetId) -> FieldLayout {
-        self.layouts[net]
+        self.compiled.layouts[net]
     }
 
     /// Internal accessors used by the C emitter.
     pub(crate) fn program(&self) -> &Program {
-        &self.program
+        &self.compiled.program
     }
 
     pub(crate) fn initial_arena(&self) -> &[W] {
-        &self.initial_arena
+        &self.compiled.initial_arena
     }
 
     /// Number of per-net field layouts — the net count this simulator
     /// was compiled for (used by the C emitter's mismatch check).
     pub(crate) fn layout_count(&self) -> usize {
-        self.layouts.len()
+        self.compiled.layouts.len()
     }
 
     /// Restores the consistent power-up state.
     pub fn reset(&mut self) {
-        self.arena.copy_from_slice(&self.initial_arena);
-        self.prev_final.copy_from_slice(&self.settled_zero);
+        self.arena.copy_from_slice(&self.compiled.initial_arena);
+        self.prev_final.copy_from_slice(&self.compiled.settled_zero);
     }
 
     /// Overwrites the retained state as if the previous vector had
@@ -524,10 +542,10 @@ impl<W: Word> ParallelSim<W> {
     pub fn seed_stable(&mut self, stable: &[bool]) {
         assert_eq!(
             stable.len(),
-            self.layouts.len(),
+            self.compiled.layouts.len(),
             "seed length must match the net count"
         );
-        for (layout, &value) in self.layouts.iter().zip(stable) {
+        for (layout, &value) in self.compiled.layouts.iter().zip(stable) {
             let fill = W::splat(value);
             for w in 0..layout.words {
                 self.arena[(layout.base + w) as usize] = fill;
@@ -587,14 +605,18 @@ impl<W: Word> ParallelSim<W> {
     ) {
         assert_eq!(
             inputs.len(),
-            self.program.input_count,
+            self.compiled.program.input_count,
             "input vector length must match the primary input count"
         );
-        for &net in &self.tracked {
-            let layout = &self.layouts[net];
+        for &net in &self.compiled.tracked {
+            let layout = &self.compiled.layouts[net];
             self.prev_final[net.index()] = layout.read_bit(&self.arena, layout.final_bit());
         }
-        body(&self.program, &self.level_segments, &mut self.arena);
+        body(
+            &self.compiled.program,
+            &self.compiled.level_segments,
+            &mut self.arena,
+        );
     }
 
     /// The static per-level cost model of the compiled program (zero
@@ -602,12 +624,12 @@ impl<W: Word> ParallelSim<W> {
     /// estimated state bytes — the paper's side of a measured-vs-static
     /// hotspot comparison.
     pub fn level_static_profile(&self) -> LevelProfile {
-        static_profile(&self.level_segments)
+        static_profile(&self.compiled.level_segments)
     }
 
     /// The final settled value of a net for the last vector.
     pub fn final_value(&self, net: NetId) -> bool {
-        let layout = &self.layouts[net];
+        let layout = &self.compiled.layouts[net];
         layout.read_bit(&self.arena, layout.final_bit())
     }
 
@@ -617,16 +639,16 @@ impl<W: Word> ParallelSim<W> {
     /// when that value is not reconstructible (the net would need
     /// monitoring — see [`ParallelSim::compile_monitoring_all`]).
     pub fn value_at(&self, net: NetId, time: u32) -> Option<bool> {
-        let layout = &self.layouts[net];
+        let layout = &self.compiled.layouts[net];
         if i64::from(time) < i64::from(layout.align) {
             // Below the field: the net cannot have changed yet, so this
             // is the previous vector's settled value. When align is
             // strictly below the minlevel, bit 0 recomputes it; otherwise
             // it must have been tracked before this vector ran.
-            if !self.trackable[net.index()] {
+            if !self.compiled.trackable[net.index()] {
                 return None;
             }
-            if self.tracked.contains(&net) {
+            if self.compiled.tracked.contains(&net) {
                 return Some(self.prev_final[net.index()]);
             }
             return Some(layout.read_bit(&self.arena, 0));
@@ -639,7 +661,7 @@ impl<W: Word> ParallelSim<W> {
     /// reconstructible for this net (monitor it, or compile with
     /// [`ParallelSim::compile_monitoring_all`]).
     pub fn history(&self, net: NetId) -> Option<Vec<bool>> {
-        (0..=self.depth)
+        (0..=self.compiled.depth)
             .map(|t| self.value_at(net, t))
             .collect::<Option<Vec<bool>>>()
     }
@@ -651,7 +673,7 @@ impl<W: Word> ParallelSim<W> {
     /// outside this window, so this is the net's total switching
     /// activity for the vector.
     pub fn field_transition_count(&self, net: NetId) -> u32 {
-        let layout = &self.layouts[net];
+        let layout = &self.compiled.layouts[net];
         let mut count = 0u32;
         let mut carry_bit: Option<bool> = None;
         for w in 0..layout.words {
@@ -695,10 +717,10 @@ impl<W: Word> ParallelSim<W> {
     /// are masked off, and for positive alignment the boundary step
     /// from the pre-field value to bit 0 is checked separately.
     pub fn for_each_toggle_in_field(&self, net: NetId, visit: &mut dyn FnMut(u32)) -> Option<u32> {
-        if !self.trackable[net.index()] {
+        if !self.compiled.trackable[net.index()] {
             return None;
         }
-        let layout = &self.layouts[net];
+        let layout = &self.compiled.layouts[net];
         if layout.words == 0 {
             return Some(0);
         }
@@ -781,6 +803,24 @@ mod tests {
         assert_eq!(sim.history(d), Some(vec![false, true, true]));
         assert_eq!(sim.history(e), Some(vec![false, false, true]));
         assert!(sim.final_value(e));
+    }
+
+    #[test]
+    fn clones_share_the_compiled_program_but_not_the_state() {
+        let (nl, _, e) = fig6();
+        for optimization in Optimization::ALL {
+            let mut original = ParallelSimulator::compile(&nl, optimization).unwrap();
+            let mut fork = original.clone();
+            assert!(fork.shares_compiled(&original), "{optimization}");
+            let recompiled = ParallelSimulator::compile(&nl, optimization).unwrap();
+            assert!(!recompiled.shares_compiled(&original), "{optimization}");
+            fork.simulate_vector(&[true, true, true]);
+            assert!(fork.final_value(e));
+            assert!(!original.final_value(e), "{optimization}: own arena");
+            original.simulate_vector(&[false, true, true]);
+            assert!(fork.final_value(e), "{optimization}: own arena");
+            assert_eq!(fork.history(e), Some(vec![false, false, true]));
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The compiled PC-set simulator: compilation and execution.
 
 use std::fmt;
+use std::sync::Arc;
 
 use uds_netlist::limits::narrow_u32;
 use uds_netlist::{
@@ -81,8 +82,20 @@ pub struct ProgramStats {
 /// [`PcSetSimulator::simulate_streams`].
 #[derive(Clone, Debug)]
 pub struct PcSetSimulator {
-    program: Program,
+    /// Everything compilation fixed, shared by every clone: a fork
+    /// copies only the per-run state below.
+    compiled: Arc<Compiled>,
     arena: Vec<u64>,
+    /// The current step's input stream words, kept across vectors so a
+    /// step allocates nothing.
+    input_words: Vec<u64>,
+}
+
+/// The immutable half of a [`PcSetSimulator`]: the program and the
+/// slot tables that read it back.
+#[derive(Debug)]
+struct Compiled {
+    program: Program,
     /// Per net: PC-set times after zero insertion (slots are contiguous
     /// per net, in time order, starting at `net_base`).
     net_times: Vec<Vec<u32>>,
@@ -97,9 +110,6 @@ pub struct PcSetSimulator {
     /// retention-copy/input-store static counts). A profiled step walks
     /// them; the plain step never reads them.
     level_segments: Vec<LevelSegment>,
-    /// The current step's input stream words, kept across vectors so a
-    /// step allocates nothing.
-    input_words: Vec<u64>,
 }
 
 impl PcSetSimulator {
@@ -323,42 +333,50 @@ impl PcSetSimulator {
 
         Ok(PcSetSimulator {
             arena: initial_arena.clone(),
-            initial_arena,
-            net_times: sets.net.iter().map(|s| s.times().to_vec()).collect(),
-            net_base,
-            retention,
-            monitored: monitored.to_vec(),
-            input_count: netlist.primary_inputs().len(),
-            depth: levels.depth,
-            program,
-            level_segments,
             input_words: Vec::with_capacity(netlist.primary_inputs().len()),
+            compiled: Arc::new(Compiled {
+                initial_arena,
+                net_times: sets.net.iter().map(|s| s.times().to_vec()).collect(),
+                net_base,
+                retention,
+                monitored: monitored.to_vec(),
+                input_count: netlist.primary_inputs().len(),
+                depth: levels.depth,
+                program,
+                level_segments,
+            }),
         })
     }
 
     /// Circuit depth; histories cover times `0..=depth()`.
     pub fn depth(&self) -> u32 {
-        self.depth
+        self.compiled.depth
     }
 
     /// The monitored nets.
     pub fn monitored(&self) -> &[NetId] {
-        &self.monitored
+        &self.compiled.monitored
     }
 
     /// Program size metrics.
     pub fn stats(&self) -> ProgramStats {
         ProgramStats {
-            variables: self.program.slot_count,
-            gate_simulations: self.program.ops.len(),
-            retention_copies: self.program.init.len(),
+            variables: self.compiled.program.slot_count,
+            gate_simulations: self.compiled.program.ops.len(),
+            retention_copies: self.compiled.program.init.len(),
         }
+    }
+
+    /// `true` when `other` runs the very same compiled program and
+    /// slot tables as `self` — as every clone of one compile does.
+    pub fn shares_compiled(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.compiled, &other.compiled)
     }
 
     /// Restores the consistent power-up state (circuit settled under
     /// all-zero inputs).
     pub fn reset(&mut self) {
-        self.arena.copy_from_slice(&self.initial_arena);
+        self.arena.copy_from_slice(&self.compiled.initial_arena);
     }
 
     /// Replaces the power-up state with an arbitrary stable state
@@ -373,13 +391,13 @@ impl PcSetSimulator {
     pub fn seed_stable(&mut self, stable: &[bool]) {
         assert_eq!(
             stable.len(),
-            self.net_times.len(),
+            self.compiled.net_times.len(),
             "seed length must match the net count"
         );
         for (net, &value) in stable.iter().enumerate() {
-            let base = self.net_base[net] as usize;
+            let base = self.compiled.net_base[net] as usize;
             let fill = if value { !0u64 } else { 0 };
-            for slot in &mut self.arena[base..base + self.net_times[net].len()] {
+            for slot in &mut self.arena[base..base + self.compiled.net_times[net].len()] {
                 *slot = fill;
             }
         }
@@ -415,7 +433,7 @@ impl PcSetSimulator {
     /// and estimated state bytes — the paper's side of a
     /// measured-vs-static hotspot comparison.
     pub fn level_static_profile(&self) -> LevelProfile {
-        static_profile(&self.level_segments)
+        static_profile(&self.compiled.level_segments)
     }
 
     /// Like [`PcSetSimulator::simulate_vector`], but with `kernel`
@@ -457,14 +475,14 @@ impl PcSetSimulator {
     ) {
         assert_eq!(
             inputs.len(),
-            self.input_count,
+            self.compiled.input_count,
             "input vector length must match the primary input count"
         );
         self.input_words.clear();
         self.input_words.extend(inputs);
         body(
-            &self.program,
-            &self.level_segments,
+            &self.compiled.program,
+            &self.compiled.level_segments,
             &mut self.arena,
             &self.input_words,
         );
@@ -477,33 +495,33 @@ impl PcSetSimulator {
 
     /// Final settled value of `net` in all 64 streams.
     pub fn final_value_streams(&self, net: NetId) -> u64 {
-        let times = &self.net_times[net.index()];
+        let times = &self.compiled.net_times[net.index()];
         let last = times.len() - 1;
-        self.arena[(self.net_base[net.index()] as usize) + last]
+        self.arena[(self.compiled.net_base[net.index()] as usize) + last]
     }
 
     /// The value of `net` at time `time` for the last vector (stream 0),
     /// or `None` if the net's history at that time is not reconstructible
     /// (the net is unmonitored and has no PC element at or below `time`).
     pub fn value_at(&self, net: NetId, time: u32) -> Option<bool> {
-        let times = &self.net_times[net.index()];
+        let times = &self.compiled.net_times[net.index()];
         let idx = match times.binary_search(&time) {
             Ok(idx) => idx,
             Err(0) => return None,
             Err(idx) => idx - 1,
         };
-        Some(self.arena[(self.net_base[net.index()] as usize) + idx] & 1 != 0)
+        Some(self.arena[(self.compiled.net_base[net.index()] as usize) + idx] & 1 != 0)
     }
 
     /// The complete unit-delay history of `net` for the last vector
     /// (stream 0), at times `0..=depth()`. Returns `None` when time 0 is
     /// not reconstructible — monitor the net to guarantee it.
     pub fn history(&self, net: NetId) -> Option<Vec<bool>> {
-        if self.net_times[net.index()].first() != Some(&0) {
+        if self.compiled.net_times[net.index()].first() != Some(&0) {
             return None;
         }
         Some(
-            (0..=self.depth)
+            (0..=self.compiled.depth)
                 .map(|t| self.value_at(net, t).expect("time 0 exists"))
                 .collect(),
         )
@@ -512,24 +530,24 @@ impl PcSetSimulator {
     /// `true` if zero insertion forced this net to retain its previous
     /// vector's value.
     pub fn retains(&self, net: NetId) -> bool {
-        self.retention.retains[net]
+        self.compiled.retention.retains[net]
     }
 
     /// Internal accessors used by the C emitter.
     pub(crate) fn program(&self) -> &Program {
-        &self.program
+        &self.compiled.program
     }
 
     pub(crate) fn initial_arena(&self) -> &[u64] {
-        &self.initial_arena
+        &self.compiled.initial_arena
     }
 
     pub(crate) fn net_times(&self) -> &[Vec<u32>] {
-        &self.net_times
+        &self.compiled.net_times
     }
 
     pub(crate) fn net_base(&self) -> &[u32] {
-        &self.net_base
+        &self.compiled.net_base
     }
 }
 
@@ -564,6 +582,21 @@ mod tests {
         let e = b.gate(GateKind::And, &[d, c], "E").unwrap();
         b.output(e);
         (b.finish().unwrap(), a, bn, c, d, e)
+    }
+
+    #[test]
+    fn clones_share_the_compiled_program_but_not_the_state() {
+        let (nl, .., e) = fig4();
+        let mut original = PcSetSimulator::compile(&nl).unwrap();
+        let mut fork = original.clone();
+        assert!(fork.shares_compiled(&original));
+        let recompiled = PcSetSimulator::compile(&nl).unwrap();
+        assert!(!recompiled.shares_compiled(&original));
+        fork.simulate_vector(&[true, true, true]);
+        assert!(fork.final_value(e));
+        assert!(!original.final_value(e), "the original keeps its own arena");
+        original.simulate_vector(&[false, true, true]);
+        assert!(fork.final_value(e), "and the fork keeps its own");
     }
 
     #[test]

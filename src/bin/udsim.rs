@@ -1268,7 +1268,12 @@ fn serve(args: &[String]) -> Result<(), CliError> {
         default_jobs: jobs,
         ..config
     };
-    install_signal_handlers();
+    install_signal_handlers().map_err(|e| {
+        CliError::class(
+            format!("installing signal handlers: {e}"),
+            FailureClass::Usage,
+        )
+    })?;
     let mut server = SimServer::bind(&*addr, config, telemetry.clone(), reqlog)
         .map_err(|e| CliError::class(format!("binding {addr}: {e}"), FailureClass::Usage))?;
     if let Some(dest) = trace_path.as_deref() {

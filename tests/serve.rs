@@ -346,3 +346,319 @@ fn unknown_engine_and_bad_vectors_are_client_errors() {
 
     quit(daemon);
 }
+
+/// Polls `child` until it exits or `limit` passes; the exit status and
+/// how long the exit took after the call.
+fn exit_within(
+    child: &mut Child,
+    limit: std::time::Duration,
+) -> Option<(std::process::ExitStatus, std::time::Duration)> {
+    let clock = std::time::Instant::now();
+    while clock.elapsed() < limit {
+        if let Some(status) = child.try_wait().expect("wait on the daemon") {
+            return Some((status, clock.elapsed()));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    None
+}
+
+/// Value of counter `name` in a `/metrics` scrape.
+fn metric(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no {name} sample in {metrics}"))
+        .trim()
+        .parse()
+        .expect("integer counter")
+}
+
+#[test]
+fn quit_ends_an_idle_daemon_within_a_second() {
+    let mut daemon = spawn_daemon(&[]);
+    // A served request proves the acceptor is running, not starting.
+    assert_eq!(get(&daemon.addr, "/healthz").0, 200);
+    assert_eq!(post(&daemon.addr, "/quitquitquit", "").0, 200);
+    let (status, took) = exit_within(&mut daemon.child, std::time::Duration::from_secs(1))
+        .expect("/quitquitquit ends an idle daemon within 1 s");
+    assert!(status.success(), "{status:?} after {took:?}");
+}
+
+#[cfg(unix)]
+#[test]
+fn sigterm_ends_an_idle_daemon_within_a_second() {
+    let mut daemon = spawn_daemon(&[]);
+    assert_eq!(get(&daemon.addr, "/healthz").0, 200);
+    let killed = Command::new("kill")
+        .args(["-TERM", &daemon.child.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(killed.success());
+    let (status, took) = exit_within(&mut daemon.child, std::time::Duration::from_secs(1))
+        .expect("SIGTERM ends an idle daemon within 1 s");
+    assert_eq!(status.code(), Some(0), "a signal drains cleanly ({took:?})");
+    let mut rest = String::new();
+    daemon
+        .stderr
+        .read_to_string(&mut rest)
+        .expect("stderr drains");
+    assert!(rest.contains("goodbye"), "{rest}");
+}
+
+#[test]
+fn shutdown_handle_ends_an_idle_server_within_a_second() {
+    use unit_delay_sim::core::serve::{ServeConfig, SimServer};
+    use unit_delay_sim::core::Telemetry;
+
+    let server = SimServer::bind(
+        "127.0.0.1:0",
+        ServeConfig::default(),
+        Telemetry::new(),
+        None,
+    )
+    .expect("binds an ephemeral port");
+    let addr = server.local_addr().expect("bound").to_string();
+    let handle = server.shutdown_handle();
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let result = server.run();
+            done.send(result.is_ok()).expect("test waits");
+        });
+        assert_eq!(get(&addr, "/healthz").0, 200);
+        handle.request();
+        let ok = finished
+            .recv_timeout(std::time::Duration::from_secs(1))
+            .expect("the handle ends an idle server within 1 s");
+        assert!(ok, "run returns Ok after a drain");
+    });
+}
+
+#[test]
+fn the_last_busy_worker_ends_a_drain_within_a_second() {
+    use unit_delay_sim::core::serve::{ServeConfig, SimServer};
+    use unit_delay_sim::core::Telemetry;
+
+    let config = ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let server = SimServer::bind("127.0.0.1:0", config, Telemetry::new(), None)
+        .expect("binds an ephemeral port");
+    let addr = server.local_addr().expect("bound").to_string();
+    let handle = server.shutdown_handle();
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let result = server.run();
+            done.send(result.is_ok()).expect("test waits");
+        });
+        assert_eq!(get(&addr, "/healthz").0, 200);
+        // A worker reads a request whose body has not arrived, so the
+        // drain must wait for it.
+        let body = simulate_body();
+        let (head, tail) = body.split_at(body.len() / 2);
+        let mut slow = TcpStream::connect(&addr).expect("connect");
+        write!(
+            slow,
+            "POST /simulate HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\
+             Content-Length: {}\r\n\r\n{head}",
+            body.len()
+        )
+        .expect("send the first half");
+        // The other worker answers scrapes: two in flight means the
+        // slow request is on a worker, not in the acceptor's backlog.
+        while metric(&get(&addr, "/metrics").1, "uds_serve_in_flight") < 2 {}
+        handle.request();
+        assert!(
+            finished
+                .recv_timeout(std::time::Duration::from_millis(200))
+                .is_err(),
+            "the drain waits for the busy worker"
+        );
+        slow.write_all(tail.as_bytes()).expect("send the rest");
+        let mut reply = String::new();
+        slow.read_to_string(&mut reply).expect("reply");
+        assert!(reply.starts_with("HTTP/1.1 "), "{reply}");
+        let ok = finished
+            .recv_timeout(std::time::Duration::from_secs(1))
+            .expect("the worker's finish ends the drain within 1 s");
+        assert!(ok, "run returns Ok after a drain");
+    });
+}
+
+#[test]
+fn an_idle_daemon_never_wakes_its_acceptor() {
+    // Negative control for the blocking accept: a sleep-polling
+    // acceptor wakes every few milliseconds, about 150 times here.
+    let daemon = spawn_daemon(&[]);
+    let (_, before) = get(&daemon.addr, "/metrics");
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    let (_, after) = get(&daemon.addr, "/metrics");
+    let woke =
+        metric(&after, "uds_serve_accept_wakeups") - metric(&before, "uds_serve_accept_wakeups");
+    assert_eq!(
+        woke, 1,
+        "only the second scrape's connection woke the acceptor"
+    );
+    quit(daemon);
+}
+
+/// A `/simulate` body for `bench` under `name`, with a fixed stimulus.
+fn body_for(bench: &str, name: &str) -> String {
+    format!(
+        "{{\"bench\":{},\"name\":{},\"random\":{{\"count\":32,\"seed\":5}}}}",
+        Json::Str(bench.to_owned()).render(),
+        Json::Str(name.to_owned()).render()
+    )
+}
+
+/// Posts a `/simulate` body; the parsed `200` reply.
+fn simulate(addr: &str, body: &str) -> Json {
+    let (status, reply) = post(addr, "/simulate", body);
+    assert_eq!(status, 200, "{reply}");
+    Json::parse(reply.trim()).expect("reply parses")
+}
+
+fn field<'a>(doc: &'a Json, name: &str) -> &'a Json {
+    doc.get(name)
+        .unwrap_or_else(|| panic!("no `{name}` in {doc:?}"))
+}
+
+/// c17 spelled differently: comments, blank lines, indentation, and
+/// the OUTPUT lines moved below the gates (which numbers its nets in
+/// another order).
+fn c17_respelled() -> String {
+    let lines: Vec<&str> = C17.lines().collect();
+    let (outputs, rest): (Vec<&str>, Vec<&str>) =
+        lines.iter().partition(|l| l.starts_with("OUTPUT"));
+    let mut text = String::from("# c17, spelled another way\n\n");
+    for line in rest.iter().chain(&outputs) {
+        text.push_str(&format!("  {line}   # kept\n"));
+    }
+    text
+}
+
+#[test]
+fn repeated_and_respelled_text_hit_with_identical_rows() {
+    let daemon = spawn_daemon(&[]);
+    let addr = &daemon.addr;
+    let first = simulate(addr, &body_for(C17, "c17"));
+    let repeat = simulate(addr, &body_for(C17, "c17"));
+    let respelled = simulate(addr, &body_for(&c17_respelled(), "c17"));
+    assert_eq!(field(&first, "cache").as_str(), Some("miss"));
+    assert_eq!(field(&repeat, "cache").as_str(), Some("hit"));
+    assert_eq!(field(&respelled, "cache").as_str(), Some("hit"));
+    for doc in [&repeat, &respelled] {
+        assert_eq!(field(doc, "netlist_hash"), field(&first, "netlist_hash"));
+        assert_eq!(field(doc, "circuit"), field(&first, "circuit"));
+        assert_eq!(field(doc, "rows"), field(&first, "rows"), "{doc:?}");
+    }
+    let (_, metrics) = get(addr, "/metrics");
+    // Only the byte-identical repeat skipped the parse; the re-spelled
+    // text was parsed and found its entry canonically.
+    assert_eq!(metric(&metrics, "uds_cache_spelling_hits"), 1);
+    assert_eq!(metric(&metrics, "uds_cache_hits"), 2);
+    assert_eq!(metric(&metrics, "uds_cache_misses"), 1);
+    quit(daemon);
+}
+
+#[test]
+fn one_text_under_two_names_echoes_each_name() {
+    let daemon = spawn_daemon(&[]);
+    let addr = &daemon.addr;
+    let a = simulate(addr, &body_for(C17, "alpha"));
+    let b = simulate(addr, &body_for(C17, "beta"));
+    let a_again = simulate(addr, &body_for(C17, "alpha"));
+    assert_eq!(field(&a, "circuit").as_str(), Some("alpha"));
+    assert_eq!(field(&b, "circuit").as_str(), Some("beta"));
+    assert_eq!(field(&a_again, "circuit").as_str(), Some("alpha"));
+    // The name is part of the canonical text, so each name has its
+    // own entry; the rows agree all the same.
+    assert_eq!(field(&b, "cache").as_str(), Some("miss"));
+    assert_eq!(field(&a_again, "cache").as_str(), Some("hit"));
+    assert_ne!(field(&a, "netlist_hash"), field(&b, "netlist_hash"));
+    assert_eq!(field(&a_again, "netlist_hash"), field(&a, "netlist_hash"));
+    assert_eq!(field(&a, "rows"), field(&b, "rows"));
+    quit(daemon);
+}
+
+#[test]
+fn one_changed_gate_misses_with_its_own_rows() {
+    let daemon = spawn_daemon(&[]);
+    let addr = &daemon.addr;
+    let original = simulate(addr, &body_for(C17, "c17"));
+    let changed_text = C17.replace("22 = NAND(10, 16)", "22 = NOR(10, 16)");
+    assert_ne!(changed_text, C17);
+    let changed = simulate(addr, &body_for(&changed_text, "c17"));
+    assert_eq!(field(&changed, "cache").as_str(), Some("miss"));
+    assert_ne!(
+        field(&changed, "netlist_hash"),
+        field(&original, "netlist_hash")
+    );
+    assert_ne!(field(&changed, "rows"), field(&original, "rows"));
+    quit(daemon);
+}
+
+#[test]
+fn an_evicted_spelling_recompiles() {
+    let daemon = spawn_daemon(&["--cache", "1"]);
+    let addr = &daemon.addr;
+    let other = C17.replace("23 = NAND(16, 19)", "23 = AND(16, 19)");
+    let sequence: Vec<String> = [
+        (C17, "miss"),
+        (&*other, "miss"),
+        (C17, "miss"),
+        (C17, "hit"),
+    ]
+    .iter()
+    .map(|(text, expected)| {
+        let doc = simulate(addr, &body_for(text, "c17"));
+        assert_eq!(field(&doc, "cache").as_str(), Some(*expected), "{doc:?}");
+        field(&doc, "rows").render()
+    })
+    .collect();
+    assert_eq!(
+        sequence[0], sequence[2],
+        "the recompiled entry computes the same rows"
+    );
+    assert_eq!(sequence[2], sequence[3]);
+    let (_, metrics) = get(addr, "/metrics");
+    assert_eq!(metric(&metrics, "uds_cache_evictions"), 2);
+    assert_eq!(metric(&metrics, "uds_cache_spelling_hits"), 1);
+    quit(daemon);
+}
+
+#[test]
+fn jobs_reuse_the_spelling_a_simulate_compiled() {
+    let daemon = spawn_daemon(&[]);
+    let addr = &daemon.addr;
+    let body = body_for(C17, "c17");
+    let direct = simulate(addr, &body);
+    let (status, reply) = post(addr, "/jobs", &body);
+    assert_eq!(status, 202, "{reply}");
+    let id = Json::parse(reply.trim())
+        .ok()
+        .and_then(|doc| doc.get("job").and_then(Json::as_u64))
+        .expect("job id");
+    let result = (0..500)
+        .find_map(|_| {
+            let (status, text) = get(addr, &format!("/jobs/{id}/result"));
+            if status == 200 {
+                return Some(Json::parse(text.trim()).expect("result parses"));
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            None
+        })
+        .expect("the job finishes");
+    assert_eq!(field(&result, "cache").as_str(), Some("hit"));
+    assert_eq!(
+        field(&result, "netlist_hash"),
+        field(&direct, "netlist_hash")
+    );
+    assert_eq!(field(&result, "rows"), field(&direct, "rows"));
+    let (_, metrics) = get(addr, "/metrics");
+    assert_eq!(metric(&metrics, "uds_cache_spelling_hits"), 1);
+    quit(daemon);
+}

@@ -236,6 +236,29 @@ fn trace_id_propagates_header_to_reqlog_to_response_to_span_tree() {
                     == Some("e2e-trace-42")
         })
         .expect("a serve.request span labeled with the trace id");
+    let (root_dur, phase_dur) = root_and_phase_durations(events, root);
+    assert!(
+        phase_dur <= root_dur * 1.001,
+        "phase spans ({phase_dur} us) exceed the request span ({root_dur} us)"
+    );
+    // The root span starts when the connection was queued, so it covers
+    // the queue wait the reqlog keeps apart from `wall_ns` (in whole
+    // milliseconds, hence the extra one).
+    let queue_wait_ms = line
+        .get("queue_wait_ms")
+        .and_then(Json::as_u64)
+        .expect("queue_wait_ms recorded");
+    let reqlog_ns = wall_ns as f64 + (queue_wait_ms + 1) as f64 * 1e6;
+    assert!(
+        root_dur * 1000.0 <= reqlog_ns * 1.5 + 1_000_000.0,
+        "trace span ({root_dur} us) wildly exceeds reqlog wall ({wall_ns} ns) plus queue wait"
+    );
+}
+
+/// The duration of `root` and the summed durations of the phase spans
+/// on its lane (compile sub-phases excluded: they nest in
+/// `serve.compile`), both in microseconds.
+fn root_and_phase_durations(events: &[Json], root: &Json) -> (f64, f64) {
     let root_tid = root.get("tid").and_then(Json::as_u64).expect("root tid");
     let root_dur = root.get("dur").and_then(Json::as_f64).expect("root dur");
     let phase_dur: f64 = events
@@ -249,13 +272,99 @@ fn trace_id_propagates_header_to_reqlog_to_response_to_span_tree() {
         })
         .filter_map(|e| e.get("dur").and_then(Json::as_f64))
         .sum();
+    (root_dur, phase_dur)
+}
+
+#[test]
+fn a_queued_request_nests_its_queue_wait_inside_its_span() {
+    // One worker, held by a request whose body arrives late: the next
+    // connection waits in the queue for as long as the first one stalls.
+    let trace_path = tmpfile("queued_trace.json");
+    let reqlog_path = tmpfile("queued_trace_reqlog.ndjson");
+    let daemon = spawn_daemon(&[
+        "--workers",
+        "1",
+        "--trace",
+        trace_path.to_str().expect("utf8 path"),
+        "--reqlog",
+        reqlog_path.to_str().expect("utf8 path"),
+    ]);
+    // Served once the acceptor runs, so both connections below meet a
+    // running worker rather than a backlog.
+    let ready = get(&daemon.addr, "/healthz");
+    assert!(ready.starts_with("HTTP/1.1 200"), "{ready}");
+    let body = simulate_body();
+    let (head, tail) = body.split_at(body.len() / 2);
+    let mut slow = TcpStream::connect(&daemon.addr).expect("connect");
+    write!(
+        slow,
+        "POST /simulate HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\
+         x-uds-trace-id: slow-first\r\nContent-Length: {}\r\n\r\n{head}",
+        body.len()
+    )
+    .expect("send the first half");
+    std::thread::scope(|scope| {
+        let queued = scope.spawn(|| post_simulate_traced(&daemon.addr, "queued-second"));
+        // The stall is what the queued request waits out; its length
+        // only sets how long that wait is.
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        slow.write_all(tail.as_bytes()).expect("send the rest");
+        let mut reply = String::new();
+        slow.read_to_string(&mut reply).expect("first reply");
+        assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+        let reply = queued.join().expect("queued client");
+        assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+    });
+    quit(daemon);
+
+    let reqlog = std::fs::read_to_string(&reqlog_path).expect("reqlog readable");
+    let line = reqlog
+        .lines()
+        .map(|l| Json::parse(l).expect("reqlog line parses"))
+        .find(|doc| doc.get("trace_id").and_then(Json::as_str) == Some("queued-second"))
+        .expect("the queued request logs a line");
+    let queue_wait_ms = line.get("queue_wait_ms").and_then(Json::as_u64);
+    assert!(
+        queue_wait_ms.is_some_and(|ms| ms >= 100),
+        "the second request waited behind the first: {line:?}"
+    );
+    let trace = std::fs::read_to_string(&trace_path).expect("trace readable");
+    let doc = Json::parse(&trace).expect("trace file is valid JSON after close");
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("traceEvents array");
+    let root = events
+        .iter()
+        .find(|e| {
+            e.get("name").and_then(Json::as_str) == Some("serve.request")
+                && e.get("args")
+                    .and_then(|a| a.get("trace_id"))
+                    .and_then(Json::as_str)
+                    == Some("queued-second")
+        })
+        .expect("a serve.request span for the queued request");
+    let wait = events
+        .iter()
+        .find(|e| {
+            e.get("name").and_then(Json::as_str) == Some("serve.queue_wait")
+                && e.get("tid") == root.get("tid")
+        })
+        .expect("a queue_wait phase on the queued request's lane");
+    let ts = |e: &Json| e.get("ts").and_then(Json::as_f64).expect("ts");
+    let dur = |e: &Json| e.get("dur").and_then(Json::as_f64).expect("dur");
+    assert!(
+        ts(wait) >= ts(root) && ts(wait) + dur(wait) <= ts(root) + dur(root) + 1.0,
+        "queue_wait [{}, +{}] lies outside its request [{}, +{}]",
+        ts(wait),
+        dur(wait),
+        ts(root),
+        dur(root)
+    );
+    let (root_dur, phase_dur) = root_and_phase_durations(events, root);
     assert!(
         phase_dur <= root_dur * 1.001,
         "phase spans ({phase_dur} us) exceed the request span ({root_dur} us)"
-    );
-    assert!(
-        root_dur * 1000.0 <= wall_ns as f64 * 1.5 + 1_000_000.0,
-        "trace span ({root_dur} us) wildly exceeds reqlog wall ({wall_ns} ns)"
     );
 }
 
