@@ -199,6 +199,7 @@ pub fn parallel_telemetry(netlist: &Netlist, optimization: Optimization) -> Tele
     ParallelSimulator::compile_probed(
         netlist,
         optimization,
+        false,
         &ResourceLimits::unlimited(),
         &telemetry,
     )
@@ -263,6 +264,7 @@ pub fn shift_analysis(netlist: &Netlist) -> ShiftAnalysis {
         ParallelSimulator::compile_probed(
             netlist,
             optimization,
+            false,
             &ResourceLimits::unlimited(),
             &telemetry,
         )

@@ -358,12 +358,13 @@ mod tests {
     fn spelled_c17(name: &str) -> (String, Arc<Netlist>, GuardedSimulator) {
         let text = bench_format::write(&c17());
         let netlist = Arc::new(bench_format::parse(&text, name).unwrap());
-        let prototype = GuardedSimulator::with_factory_probed(
+        let prototype = GuardedSimulator::with_probe(
             Arc::clone(&netlist),
             ResourceLimits::production(),
             &GuardedSimulator::DEFAULT_CHAIN,
             Box::new(crate::DefaultEngineFactory::default()),
             &uds_netlist::NoopProbe,
+            None,
         )
         .unwrap();
         (text, netlist, prototype)

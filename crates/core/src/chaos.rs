@@ -14,7 +14,7 @@
 
 use std::panic::{self, AssertUnwindSafe};
 
-use uds_netlist::{LimitExceeded, NetId, Netlist, Resource, ResourceLimits};
+use uds_netlist::{LimitExceeded, NetId, Netlist, Probe, Resource, ResourceLimits};
 
 use crate::error::{SimError, SimErrorKind, SimPhase};
 use crate::guard::{DefaultEngineFactory, EngineFactory};
@@ -251,6 +251,7 @@ impl EngineFactory for ChaosFactory {
         netlist: &Netlist,
         engine: Engine,
         limits: &ResourceLimits,
+        probe: &dyn Probe,
     ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
         match self.plan.compile_fault(engine) {
             Some(&Fault::CompilePhasePanic { phase, .. }) => {
@@ -283,7 +284,7 @@ impl EngineFactory for ChaosFactory {
             }
             _ => {}
         }
-        let sim = self.inner.build(netlist, engine, limits)?;
+        let sim = self.inner.build(netlist, engine, limits, probe)?;
         let (panic_at, corrupt_from) = self.plan.run_faults(engine);
         if panic_at.is_some() || corrupt_from.is_some() {
             Ok(Box::new(ChaosSimulator::new(sim, panic_at, corrupt_from)))

@@ -53,44 +53,146 @@ pub(crate) fn panicked(payload: Box<dyn Any + Send>, phase: SimPhase, engine: En
 /// Factories are `Send` and cloneable so [`GuardedSimulator::fork`] can
 /// hand each batch worker a guard that degrades the same way.
 pub trait EngineFactory: Send {
-    /// Builds `engine` under `limits`, panic-contained.
+    /// Builds `engine` under `limits`, panic-contained, reporting
+    /// compile phases and static metrics into `probe`.
     fn build(
         &self,
         netlist: &Netlist,
         engine: Engine,
         limits: &ResourceLimits,
-    ) -> Result<Box<dyn UnitDelaySimulator>, SimError>;
-
-    /// Like [`EngineFactory::build`], reporting compile phases and
-    /// static metrics into `probe`. The default ignores the probe so
-    /// existing factories (the chaos harness's faulty ones included)
-    /// keep working unchanged.
-    fn build_probed(
-        &self,
-        netlist: &Netlist,
-        engine: Engine,
-        limits: &ResourceLimits,
         probe: &dyn Probe,
-    ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        let _ = probe;
-        self.build(netlist, engine, limits)
-    }
+    ) -> Result<Box<dyn UnitDelaySimulator>, SimError>;
 
     /// Clones the factory behind the trait object.
     fn clone_box(&self) -> Box<dyn EngineFactory>;
 }
 
-/// The factory that compiles the workspace's real engines.
+/// The factory that compiles the workspace's real engines. Its
+/// crate-private `compile` method is the one place an [`Engine`]
+/// becomes a compiled program: [`EngineFactory::build`] and every
+/// other builder —
+/// [`build_simulator`](crate::build_simulator),
+/// [`build_engine_with_limits_probed_word`](crate::build_engine_with_limits_probed_word),
+/// [`build_native`](crate::build_native) — is a thin call into it.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DefaultEngineFactory {
     /// Arena word width for the parallel-family engines.
     pub word: WordWidth,
+    /// Compile every engine with **all nets monitored**, so per-net
+    /// histories — and therefore toggle streams — are available on
+    /// every net regardless of which engine survives the chain. This is
+    /// the activity profiler's setting: left off, path tracing prunes
+    /// untracked fields, which is faster but leaves most nets
+    /// unobservable.
+    pub monitor_all: bool,
 }
 
 impl DefaultEngineFactory {
-    /// A factory compiling parallel engines at the given word width.
+    /// A factory compiling parallel engines at the given word width,
+    /// monitoring the primary outputs.
     pub fn with_word(word: WordWidth) -> Self {
-        DefaultEngineFactory { word }
+        DefaultEngineFactory {
+            word,
+            monitor_all: false,
+        }
+    }
+
+    /// Compiles `program`'s engine under `limits`, panic-contained;
+    /// with `native` the program is emitted as C and run as machine
+    /// code ([`Engine::Native`] itself names the pt+trim program).
+    /// Every error carries the engine.
+    pub(crate) fn compile(
+        &self,
+        netlist: &Netlist,
+        program: Engine,
+        native: bool,
+        limits: &ResourceLimits,
+        probe: &dyn Probe,
+    ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
+        let engine = if native { Engine::Native } else { program };
+        let build = || -> Result<Box<dyn UnitDelaySimulator>, SimError> {
+            match program {
+                Engine::EventDriven if native => Err(crate::native::toolchain_error(
+                    "the event-driven baseline has no C emitter",
+                )),
+                Engine::EventDriven => {
+                    // The baseline has no compiler, but the budget still
+                    // applies: its waveform store is nets × (depth + 1).
+                    // It traces every net already.
+                    let levels = uds_netlist::levelize(netlist)?;
+                    limits.check_depth(levels.depth)?;
+                    limits.check_gates(netlist.gate_count())?;
+                    limits.check_inputs(netlist.primary_inputs().len())?;
+                    limits.check_memory(
+                        (netlist.net_count() as u64).saturating_mul(u64::from(levels.depth) + 1),
+                    )?;
+                    limits.check_deadline()?;
+                    Ok(Box::new(TracedEventSim::new(netlist)?))
+                }
+                Engine::PcSet => {
+                    let all: Vec<NetId>;
+                    let monitored = if self.monitor_all {
+                        all = netlist.net_ids().collect();
+                        &all
+                    } else {
+                        netlist.primary_outputs()
+                    };
+                    let twin = PcSetSimulator::compile_probed(netlist, monitored, limits, probe)?;
+                    if native {
+                        crate::native::wrap_pcset(netlist, twin, self.monitor_all, probe)
+                    } else {
+                        Ok(Box::new(twin))
+                    }
+                }
+                _ => {
+                    let optimization = program
+                        .optimization()
+                        .expect("every other engine runs a parallel program");
+                    match self.word {
+                        WordWidth::W32 => {
+                            self.parallel::<u32>(netlist, optimization, native, limits, probe)
+                        }
+                        WordWidth::W64 => {
+                            self.parallel::<u64>(netlist, optimization, native, limits, probe)
+                        }
+                    }
+                }
+            }
+        };
+        match panic::catch_unwind(AssertUnwindSafe(build)) {
+            Ok(result) => result.map_err(|e| {
+                if e.engine.is_none() {
+                    e.with_engine(engine)
+                } else {
+                    e
+                }
+            }),
+            Err(payload) => Err(panicked(payload, SimPhase::Compile, engine)),
+        }
+    }
+
+    /// The parallel-family arm of [`DefaultEngineFactory::compile`] at
+    /// one word width.
+    fn parallel<W: Word>(
+        &self,
+        netlist: &Netlist,
+        optimization: Optimization,
+        native: bool,
+        limits: &ResourceLimits,
+        probe: &dyn Probe,
+    ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
+        let twin = ParallelSim::<W>::compile_probed(
+            netlist,
+            optimization,
+            self.monitor_all,
+            limits,
+            probe,
+        )?;
+        if native {
+            crate::native::wrap_parallel(netlist, twin, self.monitor_all, probe)
+        } else {
+            Ok(Box::new(twin))
+        }
     }
 }
 
@@ -100,242 +202,13 @@ impl EngineFactory for DefaultEngineFactory {
         netlist: &Netlist,
         engine: Engine,
         limits: &ResourceLimits,
-    ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        build_engine_with_limits_word(netlist, engine, limits, self.word)
-    }
-
-    fn build_probed(
-        &self,
-        netlist: &Netlist,
-        engine: Engine,
-        limits: &ResourceLimits,
         probe: &dyn Probe,
     ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        build_engine_with_limits_probed_word(netlist, engine, limits, probe, self.word)
+        self.compile(netlist, engine, engine == Engine::Native, limits, probe)
     }
 
     fn clone_box(&self) -> Box<dyn EngineFactory> {
         Box::new(*self)
-    }
-}
-
-/// A factory that compiles every engine with **all nets monitored**, so
-/// per-net histories — and therefore toggle streams — are available on
-/// every net regardless of which engine survives the chain. This is the
-/// activity profiler's factory: the default one lets path tracing prune
-/// untracked fields, which is faster but leaves most nets unobservable.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MonitoringEngineFactory {
-    /// Arena word width for the parallel-family engines.
-    pub word: WordWidth,
-}
-
-impl MonitoringEngineFactory {
-    /// A monitoring factory at the given word width.
-    pub fn with_word(word: WordWidth) -> Self {
-        MonitoringEngineFactory { word }
-    }
-}
-
-impl EngineFactory for MonitoringEngineFactory {
-    fn build(
-        &self,
-        netlist: &Netlist,
-        engine: Engine,
-        limits: &ResourceLimits,
-    ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        self.build_probed(netlist, engine, limits, &NoopProbe)
-    }
-
-    fn build_probed(
-        &self,
-        netlist: &Netlist,
-        engine: Engine,
-        limits: &ResourceLimits,
-        probe: &dyn Probe,
-    ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        let attach = |e: SimError| {
-            if e.engine.is_none() {
-                e.with_engine(engine)
-            } else {
-                e
-            }
-        };
-        let word = self.word;
-        let build = || -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-            Ok(match engine {
-                Engine::Native => crate::native::build_native_monitoring(
-                    netlist,
-                    Engine::ParallelPathTracingTrimming,
-                    word,
-                    limits,
-                    probe,
-                )?,
-                // The baseline traces every net already; budget checks
-                // match the default factory's.
-                Engine::EventDriven => {
-                    return build_engine_with_limits_probed_word(
-                        netlist, engine, limits, probe, word,
-                    )
-                }
-                Engine::PcSet => {
-                    let all: Vec<NetId> = netlist.net_ids().collect();
-                    Box::new(PcSetSimulator::compile_probed_with_monitors(
-                        netlist, &all, limits, probe,
-                    )?)
-                }
-                Engine::Parallel
-                | Engine::ParallelTrimming
-                | Engine::ParallelPathTracing
-                | Engine::ParallelPathTracingTrimming
-                | Engine::ParallelCycleBreaking => {
-                    let optimization = match engine {
-                        Engine::Parallel => Optimization::None,
-                        Engine::ParallelTrimming => Optimization::Trimming,
-                        Engine::ParallelPathTracing => Optimization::PathTracing,
-                        Engine::ParallelPathTracingTrimming => Optimization::PathTracingTrimming,
-                        _ => Optimization::CycleBreaking,
-                    };
-                    fn compile<W: Word>(
-                        netlist: &Netlist,
-                        optimization: Optimization,
-                        limits: &ResourceLimits,
-                        probe: &dyn Probe,
-                    ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-                        Ok(Box::new(ParallelSim::<W>::compile_monitoring_all_probed(
-                            netlist,
-                            optimization,
-                            limits,
-                            probe,
-                        )?))
-                    }
-                    match word {
-                        WordWidth::W32 => compile::<u32>(netlist, optimization, limits, probe)?,
-                        WordWidth::W64 => compile::<u64>(netlist, optimization, limits, probe)?,
-                    }
-                }
-            })
-        };
-        match panic::catch_unwind(AssertUnwindSafe(build)) {
-            Ok(result) => result.map_err(attach),
-            Err(payload) => Err(panicked(payload, SimPhase::Compile, engine)),
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn EngineFactory> {
-        Box::new(*self)
-    }
-}
-
-/// Builds any engine under a resource budget, with compile-time panic
-/// containment. Budget violations surface as [`SimErrorKind::Budget`],
-/// panics as [`SimErrorKind::EnginePanicked`]; every error carries the
-/// engine.
-pub fn build_engine_with_limits(
-    netlist: &Netlist,
-    engine: Engine,
-    limits: &ResourceLimits,
-) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-    build_engine_with_limits_probed(netlist, engine, limits, &NoopProbe)
-}
-
-/// [`build_engine_with_limits`] at an explicit parallel word width.
-pub fn build_engine_with_limits_word(
-    netlist: &Netlist,
-    engine: Engine,
-    limits: &ResourceLimits,
-    word: WordWidth,
-) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-    build_engine_with_limits_probed_word(netlist, engine, limits, &NoopProbe, word)
-}
-
-/// Like [`build_engine_with_limits`], reporting compile phases and the
-/// paper's static metrics (PC-set sizes, words trimmed, shifts
-/// retained/eliminated) into `probe` — pass a
-/// [`Telemetry`](crate::telemetry::Telemetry) to collect them.
-pub fn build_engine_with_limits_probed(
-    netlist: &Netlist,
-    engine: Engine,
-    limits: &ResourceLimits,
-    probe: &dyn Probe,
-) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-    build_engine_with_limits_probed_word(netlist, engine, limits, probe, WordWidth::default())
-}
-
-/// [`build_engine_with_limits_probed`] at an explicit parallel word
-/// width (the width only affects the parallel-family engines).
-pub fn build_engine_with_limits_probed_word(
-    netlist: &Netlist,
-    engine: Engine,
-    limits: &ResourceLimits,
-    probe: &dyn Probe,
-    word: WordWidth,
-) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-    let attach = |e: SimError| {
-        if e.engine.is_none() {
-            e.with_engine(engine)
-        } else {
-            e
-        }
-    };
-    let build = || -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        Ok(match engine {
-            Engine::Native => crate::native::build_native(
-                netlist,
-                Engine::ParallelPathTracingTrimming,
-                word,
-                limits,
-                probe,
-            )?,
-            Engine::EventDriven => {
-                // The baseline has no compiler, but the budget still
-                // applies: its waveform store is nets × (depth + 1).
-                let levels = uds_netlist::levelize(netlist)?;
-                limits.check_depth(levels.depth)?;
-                limits.check_gates(netlist.gate_count())?;
-                limits.check_inputs(netlist.primary_inputs().len())?;
-                limits.check_memory(
-                    (netlist.net_count() as u64).saturating_mul(u64::from(levels.depth) + 1),
-                )?;
-                limits.check_deadline()?;
-                Box::new(TracedEventSim::new(netlist)?)
-            }
-            Engine::PcSet => Box::new(PcSetSimulator::compile_probed(netlist, limits, probe)?),
-            Engine::Parallel
-            | Engine::ParallelTrimming
-            | Engine::ParallelPathTracing
-            | Engine::ParallelPathTracingTrimming
-            | Engine::ParallelCycleBreaking => {
-                let optimization = match engine {
-                    Engine::Parallel => Optimization::None,
-                    Engine::ParallelTrimming => Optimization::Trimming,
-                    Engine::ParallelPathTracing => Optimization::PathTracing,
-                    Engine::ParallelPathTracingTrimming => Optimization::PathTracingTrimming,
-                    _ => Optimization::CycleBreaking,
-                };
-                fn compile<W: Word>(
-                    netlist: &Netlist,
-                    optimization: Optimization,
-                    limits: &ResourceLimits,
-                    probe: &dyn Probe,
-                ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-                    Ok(Box::new(ParallelSim::<W>::compile_probed(
-                        netlist,
-                        optimization,
-                        limits,
-                        probe,
-                    )?))
-                }
-                match word {
-                    WordWidth::W32 => compile::<u32>(netlist, optimization, limits, probe)?,
-                    WordWidth::W64 => compile::<u64>(netlist, optimization, limits, probe)?,
-                }
-            }
-        })
-    };
-    match panic::catch_unwind(AssertUnwindSafe(build)) {
-        Ok(result) => result.map_err(attach),
-        Err(payload) => Err(panicked(payload, SimPhase::Compile, engine)),
     }
 }
 
@@ -450,99 +323,43 @@ impl GuardedSimulator {
 
     /// Builds with the default chain and factory.
     pub fn new(netlist: &Netlist, limits: ResourceLimits) -> Result<Self, SimError> {
-        Self::with_chain(netlist, limits, &Self::DEFAULT_CHAIN)
-    }
-
-    /// Builds with the default chain and factory, reporting compile
-    /// phases, static metrics, and every degradation into `telemetry`.
-    pub fn with_telemetry(
-        netlist: &Netlist,
-        limits: ResourceLimits,
-        telemetry: Telemetry,
-    ) -> Result<Self, SimError> {
-        Self::build(
-            netlist,
-            None,
-            limits,
-            &Self::DEFAULT_CHAIN,
-            Box::new(DefaultEngineFactory::default()),
-            Some(telemetry),
-            None,
-        )
-    }
-
-    /// Builds with an explicit chain (tried in order).
-    pub fn with_chain(
-        netlist: &Netlist,
-        limits: ResourceLimits,
-        chain: &[Engine],
-    ) -> Result<Self, SimError> {
         Self::with_factory(
             netlist,
             limits,
-            chain,
+            &Self::DEFAULT_CHAIN,
             Box::new(DefaultEngineFactory::default()),
         )
     }
 
-    /// Builds with an explicit chain and telemetry registry.
-    pub fn with_chain_telemetry(
-        netlist: &Netlist,
-        limits: ResourceLimits,
-        chain: &[Engine],
-        telemetry: Telemetry,
-    ) -> Result<Self, SimError> {
-        Self::build(
-            netlist,
-            None,
-            limits,
-            chain,
-            Box::new(DefaultEngineFactory::default()),
-            Some(telemetry),
-            None,
-        )
-    }
-
-    /// Builds with an explicit chain and engine factory (the chaos
-    /// harness injects faulty factories here).
+    /// Builds with an explicit chain (tried in order) and engine factory
+    /// (the chaos harness injects faulty factories here).
     pub fn with_factory(
         netlist: &Netlist,
         limits: ResourceLimits,
         chain: &[Engine],
         factory: Box<dyn EngineFactory>,
     ) -> Result<Self, SimError> {
-        Self::build(netlist, None, limits, chain, factory, None, None)
+        Self::build(netlist, None, limits, chain, factory, &NoopProbe, None)
     }
 
-    /// Builds with an explicit chain, engine factory, *and* telemetry
-    /// registry — the fully general constructor (the CLI uses it to
-    /// combine `--word`-aware factories with `--stats`).
-    pub fn with_factory_telemetry(
-        netlist: &Netlist,
-        limits: ResourceLimits,
-        chain: &[Engine],
-        factory: Box<dyn EngineFactory>,
-        telemetry: Telemetry,
-    ) -> Result<Self, SimError> {
-        Self::build(netlist, None, limits, chain, factory, Some(telemetry), None)
-    }
-
-    /// Builds with an explicit chain, factory, and *compile probe*.
-    /// Unlike [`GuardedSimulator::with_factory_telemetry`] — whose
-    /// probe is the shared registry and therefore its shared span
-    /// stack — the probe here can be request-scoped: the serve daemon
-    /// passes one that routes compile phases into a per-request trace
-    /// while forwarding counters to the registry. The guard keeps no
-    /// telemetry handle, so runtime fallbacks are not recorded (the
-    /// caller reads [`GuardedSimulator::fallbacks`] instead). The guard
-    /// keeps `netlist` itself, so a cache can hand the same circuit to
+    /// The general constructor: [`GuardedSimulator::with_factory`] that
+    /// reports compile phases and static metrics into `probe`, and
+    /// every degradation into `registry` when one is given — fallback
+    /// counters, plus the compile probe of each replacement engine.
+    /// The CLI passes one [`Telemetry`] as both. The probe may instead
+    /// be request-scoped: the serve daemon passes one that routes
+    /// compile phases into a per-request trace while forwarding
+    /// counters to the shared registry, and no registry (it reads
+    /// [`GuardedSimulator::fallbacks`] instead). The guard keeps
+    /// `netlist` itself, so a cache can hand the same circuit to
     /// several compiles without copying it.
-    pub fn with_factory_probed(
+    pub fn with_probe(
         netlist: Arc<Netlist>,
         limits: ResourceLimits,
         chain: &[Engine],
         factory: Box<dyn EngineFactory>,
         probe: &dyn Probe,
+        registry: Option<Telemetry>,
     ) -> Result<Self, SimError> {
         Self::build(
             &netlist,
@@ -550,8 +367,8 @@ impl GuardedSimulator {
             limits,
             chain,
             factory,
-            None,
-            Some(probe),
+            probe,
+            registry,
         )
     }
 
@@ -564,19 +381,13 @@ impl GuardedSimulator {
         limits: ResourceLimits,
         chain: &[Engine],
         factory: Box<dyn EngineFactory>,
+        probe: &dyn Probe,
         telemetry: Option<Telemetry>,
-        compile_probe: Option<&dyn Probe>,
     ) -> Result<Self, SimError> {
         assert!(!chain.is_empty(), "fallback chain must name an engine");
-        let noop = NoopProbe;
         let mut fired = Vec::new();
         for (position, &engine) in chain.iter().enumerate() {
-            let probe: &dyn Probe = match (compile_probe, &telemetry) {
-                (Some(p), _) => p,
-                (None, Some(t)) => t,
-                (None, None) => &noop,
-            };
-            match factory.build_probed(netlist, engine, &limits, probe) {
+            match factory.build(netlist, engine, &limits, probe) {
                 Ok(active) => {
                     return Ok(GuardedSimulator {
                         netlist: shared.unwrap_or_else(|| Arc::new(netlist.clone())),
@@ -784,7 +595,7 @@ impl GuardedSimulator {
             };
             let candidate = self
                 .factory
-                .build_probed(&self.netlist, engine, &self.limits, probe)
+                .build(&self.netlist, engine, &self.limits, probe)
                 .and_then(|mut sim| match &settled {
                     None => Ok(sim),
                     Some(state) => panic::catch_unwind(AssertUnwindSafe(|| sim.seed_stable(state)))
@@ -844,7 +655,9 @@ impl GuardedSimulator {
         let engine = self.active_engine();
         let baseline = TracedEventSim::new(&self.netlist)
             .map_err(|e| SimError::from(e).with_engine(engine))?;
-        let candidate = self.factory.build(&self.netlist, engine, &self.limits)?;
+        let candidate = self
+            .factory
+            .build(&self.netlist, engine, &self.limits, &NoopProbe)?;
         let mut sims: Vec<Box<dyn UnitDelaySimulator>> = vec![Box::new(baseline), candidate];
         let netlist = &self.netlist;
         let checked = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -901,7 +714,8 @@ mod tests {
             ..ResourceLimits::unlimited()
         };
         let chain = [Engine::Parallel, Engine::PcSet, Engine::EventDriven];
-        let mut guarded = GuardedSimulator::with_chain(&nl, limits, &chain).unwrap();
+        let factory = Box::new(DefaultEngineFactory::default());
+        let mut guarded = GuardedSimulator::with_factory(&nl, limits, &chain, factory).unwrap();
         assert_eq!(guarded.active_engine(), Engine::PcSet);
         let fired: Vec<Engine> = guarded.fallbacks().iter().map(|f| f.from).collect();
         assert_eq!(fired, vec![Engine::Parallel]);
@@ -953,8 +767,10 @@ mod tests {
         // engine takes over. Either way the answers cross-check.
         let nl = c17();
         let chain = chain_preferring(Some(Engine::Native));
+        let factory = Box::new(DefaultEngineFactory::default());
         let mut guarded =
-            GuardedSimulator::with_chain(&nl, ResourceLimits::production(), &chain).unwrap();
+            GuardedSimulator::with_factory(&nl, ResourceLimits::production(), &chain, factory)
+                .unwrap();
         if crate::native::compiler_available() {
             assert_eq!(guarded.active_engine(), Engine::Native);
             assert!(guarded.fallbacks().is_empty());
@@ -994,17 +810,25 @@ mod tests {
     fn monitoring_factory_makes_every_net_observable_on_every_engine() {
         let nl = c17();
         let limits = ResourceLimits::production();
-        for engine in Engine::ALL {
-            let mut sim = MonitoringEngineFactory::default()
-                .build(&nl, engine, &limits)
-                .unwrap();
-            sim.simulate_vector(&[true, false, true, false, true]);
-            for net in nl.net_ids() {
-                assert!(
-                    sim.for_each_toggle(net, &mut |_| {}).is_some(),
-                    "{engine}: net {} must expose a toggle stream",
-                    nl.net_name(net)
-                );
+        let mut engines = Engine::ALL.to_vec();
+        if crate::native::compiler_available() {
+            engines.push(Engine::Native);
+        }
+        for word in [WordWidth::W32, WordWidth::W64] {
+            let factory = DefaultEngineFactory {
+                word,
+                monitor_all: true,
+            };
+            for &engine in &engines {
+                let mut sim = factory.build(&nl, engine, &limits, &NoopProbe).unwrap();
+                sim.simulate_vector(&[true, false, true, false, true]);
+                for net in nl.net_ids() {
+                    assert!(
+                        sim.for_each_toggle(net, &mut |_| {}).is_some(),
+                        "{engine} w{word}: net {} must expose a toggle stream",
+                        nl.net_name(net)
+                    );
+                }
             }
         }
     }
@@ -1017,7 +841,8 @@ mod tests {
             ..ResourceLimits::unlimited()
         };
         for engine in Engine::ALL {
-            let err = build_engine_with_limits(&nl, engine, &limits)
+            let err = DefaultEngineFactory::default()
+                .build(&nl, engine, &limits, &NoopProbe)
                 .err()
                 .expect("a one-gate budget rejects c17");
             assert_eq!(err.class(), FailureClass::Budget, "{engine}");

@@ -5,8 +5,13 @@
 //! this crate ties them together for users who want to mix, compare or
 //! validate them:
 //!
-//! * [`UnitDelaySimulator`] — one trait over every engine, plus
-//!   [`build_simulator`] to construct any [`Engine`] by name;
+//! * [`UnitDelaySimulator`] — one trait over every engine, plus one
+//!   builder that turns any [`Engine`] into its compiled program:
+//!   [`DefaultEngineFactory`] (word width and monitor choice as
+//!   fields) through [`guard::EngineFactory::build`]. The free
+//!   functions [`build_simulator`], [`build_simulator_with_word`],
+//!   [`build_engine_with_limits_probed_word`] and [`build_native`] are
+//!   thin calls into it, and every error is a [`SimError`];
 //! * [`vectors`] — deterministic stimulus generators (random streams,
 //!   walking ones, exhaustive);
 //! * [`waveform`] — dense per-net time histories with edge/transition
@@ -95,11 +100,7 @@ pub use batch::{
 pub use cache::{netlist_hash, CacheKey, EngineCache};
 pub use cancel::{CancelCause, CancelToken};
 pub use error::{FailureClass, SimError, SimErrorKind, SimPhase};
-pub use guard::{
-    build_engine_with_limits, build_engine_with_limits_probed,
-    build_engine_with_limits_probed_word, build_engine_with_limits_word, chain_preferring,
-    DefaultEngineFactory, GuardedSimulator, MonitoringEngineFactory,
-};
+pub use guard::{chain_preferring, DefaultEngineFactory, GuardedSimulator};
 pub use hotspot::{
     HotspotReport, HotspotRing, HotspotSample, HotspotWindow, LeveledStep, HOTSPOT_SCHEMA,
 };
@@ -112,8 +113,8 @@ pub use serve::{
     SERVE_SCHEMA,
 };
 pub use simulator::{
-    build_simulator, build_simulator_with_word, BuildSimulatorError, Engine, TracedEventSim,
-    UnitDelaySimulator, WordWidth,
+    build_engine_with_limits_probed_word, build_simulator, build_simulator_with_word, Engine,
+    TracedEventSim, UnitDelaySimulator, WordWidth,
 };
 pub use stream::{open_sink, write_text, HumanOut, StreamContract};
 pub use telemetry::trace::{chrome_trace, render_chrome_trace};

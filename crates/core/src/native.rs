@@ -2,7 +2,8 @@
 //!
 //! Both technique crates emit the paper's C output; this module closes
 //! the loop at runtime. [`build_native`] compiles the chosen engine's
-//! interpreted twin, emits its C translation unit
+//! interpreted twin (through the one engine builder,
+//! [`DefaultEngineFactory`]), emits its C translation unit
 //! (`codegen_c::emit_native`), invokes the host C compiler (`cc
 //! -shared -fPIC -O1`), `dlopen`s the shared object, and wraps both in
 //! a [`UnitDelaySimulator`] whose `simulate_one_vector` is machine
@@ -53,11 +54,13 @@
 
 use uds_netlist::{Netlist, Probe, ResourceLimits};
 
+pub(crate) use imp::{wrap_parallel, wrap_pcset};
+
 use crate::error::{SimError, SimErrorKind, SimPhase};
-use crate::{Engine, UnitDelaySimulator, WordWidth};
+use crate::{DefaultEngineFactory, Engine, UnitDelaySimulator, WordWidth};
 
 /// A toolchain failure attributed to the native engine.
-fn toolchain_error(message: impl Into<String>) -> SimError {
+pub(crate) fn toolchain_error(message: impl Into<String>) -> SimError {
     SimError::new(
         SimErrorKind::Toolchain {
             message: message.into(),
@@ -85,7 +88,7 @@ pub fn build_native(
     limits: &ResourceLimits,
     probe: &dyn Probe,
 ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-    imp::build(netlist, flavor, word, limits, probe, false)
+    DefaultEngineFactory::with_word(word).compile(netlist, flavor, true, limits, probe)
 }
 
 /// [`build_native`] with **all nets monitored** on the twin (the
@@ -98,7 +101,11 @@ pub fn build_native_monitoring(
     limits: &ResourceLimits,
     probe: &dyn Probe,
 ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-    imp::build(netlist, flavor, word, limits, probe, true)
+    let factory = DefaultEngineFactory {
+        word,
+        monitor_all: true,
+    };
+    factory.compile(netlist, flavor, true, limits, probe)
 }
 
 /// `true` when the host C compiler (`$UDS_CC`, default `cc`) answers
@@ -127,14 +134,14 @@ mod imp {
     use std::process::Command;
     use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-    use uds_netlist::{NetId, Netlist, Probe, ResourceLimits};
-    use uds_parallel::{Optimization, ParallelSim, Word};
+    use uds_netlist::{NetId, Netlist, Probe};
+    use uds_parallel::{ParallelSim, Word};
     use uds_pcset::PcSetSimulator;
 
     use super::{cache_dir, toolchain_error};
     use crate::cache::{fnv1a, fnv1a_continue, netlist_hash};
     use crate::error::SimError;
-    use crate::{Engine, UnitDelaySimulator, WordWidth};
+    use crate::UnitDelaySimulator;
 
     /// The raw loader interface. glibc ships `dlopen` in libc proper,
     /// so no link flags are needed; the declarations stay local to keep
@@ -372,17 +379,6 @@ mod imp {
         cache_dir().join(format!("{hash:016x}-{flavor}{mon}-w{bits}-s{tag:016x}.so"))
     }
 
-    fn flavor_key(optimization: Optimization) -> &'static str {
-        match optimization {
-            Optimization::None => "par-none",
-            Optimization::Trimming => "par-trim",
-            Optimization::PathTracing => "par-pt",
-            Optimization::PathTracingTrimming => "par-pt-trim",
-            Optimization::CycleBreaking => "par-cb",
-            Optimization::CycleBreakingTrimming => "par-cb-trim",
-        }
-    }
-
     /// The parallel twin + its compiled shared object.
     struct NativeParallelSim<W: Word> {
         twin: ParallelSim<W>,
@@ -523,97 +519,71 @@ mod imp {
         }
     }
 
-    pub fn build(
+    /// Wraps a compiled parallel `twin` in its native simulator: emits
+    /// the C, then loads the artifact (compiling it on a cache miss).
+    /// `monitoring` says the twin monitors every net, which names a
+    /// distinct artifact.
+    pub fn wrap_parallel<W: Word>(
         netlist: &Netlist,
-        flavor: Engine,
-        word: WordWidth,
-        limits: &ResourceLimits,
-        probe: &dyn Probe,
+        twin: ParallelSim<W>,
         monitoring: bool,
+        probe: &dyn Probe,
     ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        let hash = netlist_hash(netlist);
-        let optimization = match flavor {
-            Engine::EventDriven => {
-                return Err(toolchain_error(
-                    "the event-driven baseline has no C emitter",
-                ))
-            }
-            Engine::Native => Optimization::PathTracingTrimming,
-            Engine::PcSet => {
-                let twin = if monitoring {
-                    let all: Vec<NetId> = netlist.net_ids().collect();
-                    PcSetSimulator::compile_probed_with_monitors(netlist, &all, limits, probe)?
-                } else {
-                    PcSetSimulator::compile_probed(netlist, limits, probe)?
-                };
-                let source = uds_pcset::codegen_c::emit_native(netlist, &twin)
-                    .map_err(|e| toolchain_error(format!("emit: {e}")))?;
-                let path = artifact_path(hash, "pcset", 64, monitoring, &source);
-                let lib = get_or_load(&path, &source, probe)?;
-                let po = vec![0u64; twin.monitored().len()];
-                return Ok(Box::new(NativePcSetSim { twin, lib, po }));
-            }
-            Engine::Parallel => Optimization::None,
-            Engine::ParallelTrimming => Optimization::Trimming,
-            Engine::ParallelPathTracing => Optimization::PathTracing,
-            Engine::ParallelPathTracingTrimming => Optimization::PathTracingTrimming,
-            Engine::ParallelCycleBreaking => Optimization::CycleBreaking,
-        };
-        fn parallel<W: Word>(
-            netlist: &Netlist,
-            optimization: Optimization,
-            limits: &ResourceLimits,
-            probe: &dyn Probe,
-            hash: u64,
-            monitoring: bool,
-        ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-            let twin = if monitoring {
-                ParallelSim::<W>::compile_monitoring_all_probed(
-                    netlist,
-                    optimization,
-                    limits,
-                    probe,
-                )?
-            } else {
-                ParallelSim::<W>::compile_probed(netlist, optimization, limits, probe)?
-            };
-            let source = uds_parallel::codegen_c::emit_native(netlist, &twin)
-                .map_err(|e| toolchain_error(format!("emit: {e}")))?;
-            let path = artifact_path(hash, flavor_key(optimization), W::BITS, monitoring, &source);
-            let lib = get_or_load(&path, &source, probe)?;
-            let pi = vec![W::ZERO; netlist.primary_inputs().len()];
-            Ok(Box::new(NativeParallelSim { twin, lib, pi }))
-        }
-        match word {
-            WordWidth::W32 => {
-                parallel::<u32>(netlist, optimization, limits, probe, hash, monitoring)
-            }
-            WordWidth::W64 => {
-                parallel::<u64>(netlist, optimization, limits, probe, hash, monitoring)
-            }
-        }
+        let source = uds_parallel::codegen_c::emit_native(netlist, &twin)
+            .map_err(|e| toolchain_error(format!("emit: {e}")))?;
+        let flavor = format!("par-{}", twin.optimization().key());
+        let path = artifact_path(netlist_hash(netlist), &flavor, W::BITS, monitoring, &source);
+        let lib = get_or_load(&path, &source, probe)?;
+        let pi = vec![W::ZERO; netlist.primary_inputs().len()];
+        Ok(Box::new(NativeParallelSim { twin, lib, pi }))
+    }
+
+    /// [`wrap_parallel`] for a PC-set `twin`.
+    pub fn wrap_pcset(
+        netlist: &Netlist,
+        twin: PcSetSimulator,
+        monitoring: bool,
+        probe: &dyn Probe,
+    ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
+        let source = uds_pcset::codegen_c::emit_native(netlist, &twin)
+            .map_err(|e| toolchain_error(format!("emit: {e}")))?;
+        let path = artifact_path(netlist_hash(netlist), "pcset", 64, monitoring, &source);
+        let lib = get_or_load(&path, &source, probe)?;
+        let po = vec![0u64; twin.monitored().len()];
+        Ok(Box::new(NativePcSetSim { twin, lib, po }))
     }
 }
 
 #[cfg(not(unix))]
 mod imp {
-    use uds_netlist::{Netlist, Probe, ResourceLimits};
+    use uds_netlist::{Netlist, Probe};
+    use uds_parallel::{ParallelSim, Word};
+    use uds_pcset::PcSetSimulator;
 
     use super::toolchain_error;
     use crate::error::SimError;
-    use crate::{Engine, UnitDelaySimulator, WordWidth};
+    use crate::UnitDelaySimulator;
 
-    pub fn build(
+    fn unsupported() -> SimError {
+        toolchain_error("runtime loading of compiled C requires a Unix host")
+    }
+
+    pub fn wrap_parallel<W: Word>(
         _netlist: &Netlist,
-        _flavor: Engine,
-        _word: WordWidth,
-        _limits: &ResourceLimits,
-        _probe: &dyn Probe,
+        _twin: ParallelSim<W>,
         _monitoring: bool,
+        _probe: &dyn Probe,
     ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        Err(toolchain_error(
-            "runtime loading of compiled C requires a Unix host",
-        ))
+        Err(unsupported())
+    }
+
+    pub fn wrap_pcset(
+        _netlist: &Netlist,
+        _twin: PcSetSimulator,
+        _monitoring: bool,
+        _probe: &dyn Probe,
+    ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
+        Err(unsupported())
     }
 
     pub fn compiler_available() -> bool {

@@ -6,10 +6,14 @@
 //! flip-flop's `D` back into its `Q` between clock cycles.
 //! [`SequentialSimulator`] packages that loop.
 
+// SimError deliberately carries full context and only travels on cold
+// failure paths; see guard.rs for the same trade.
+#![allow(clippy::result_large_err)]
+
 use uds_netlist::sequential::{cut_flip_flops, CutCircuit, CutError};
 use uds_netlist::{LevelizeError, NetId, Netlist};
 
-use crate::{build_simulator, BuildSimulatorError, Engine, UnitDelaySimulator};
+use crate::{build_simulator, Engine, SimError, UnitDelaySimulator};
 
 /// Error from [`SequentialSimulator::new`].
 #[derive(Debug)]
@@ -17,7 +21,7 @@ pub enum SequentialError {
     /// The flip-flop cut failed (malformed netlist).
     Cut(CutError),
     /// The cut circuit could not be compiled.
-    Build(BuildSimulatorError),
+    Build(SimError),
     /// The netlist is combinationally cyclic even after cutting.
     Levelize(LevelizeError),
 }

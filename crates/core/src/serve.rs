@@ -1411,12 +1411,13 @@ impl SimServer {
                 // them) into the shared registry and keeps the phase
                 // spans for this request's private tree.
                 let phase_probe = PhaseProbe::new(self.telemetry.clone());
-                let prototype = match GuardedSimulator::with_factory_probed(
+                let prototype = match GuardedSimulator::with_probe(
                     Arc::clone(&parsed.netlist),
                     self.config.limits,
                     &chain,
                     factory,
                     &phase_probe,
+                    None,
                 ) {
                     Ok(prototype) => prototype,
                     Err(error) => return Err((FailedAt::Compile, error)),

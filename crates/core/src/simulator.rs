@@ -1,13 +1,21 @@
 //! The engine-agnostic simulator trait and constructors.
 
+// SimError deliberately carries full context and only travels on cold
+// failure paths; see guard.rs for the same trade.
+#![allow(clippy::result_large_err)]
+
 use std::fmt;
 
 use uds_eventsim::EventDrivenUnitDelay;
 use uds_netlist::{
-    levelize, LevelProfile, LevelSink, LevelTimer, LevelizeError, NetId, Netlist, Unprofiled,
+    levelize, LevelProfile, LevelSink, LevelTimer, LevelizeError, NetId, Netlist, NoopProbe, Probe,
+    ResourceLimits, Unprofiled,
 };
 use uds_parallel::{Optimization, ParallelSim, Word};
 use uds_pcset::PcSetSimulator;
+
+use crate::guard::{DefaultEngineFactory, EngineFactory};
+use crate::SimError;
 
 /// A unit-delay simulator: feed vectors, read back settled values and
 /// (where supported) complete time histories.
@@ -354,9 +362,9 @@ pub enum Engine {
     ParallelCycleBreaking,
     /// The emitted C, actually compiled: `cc` + `dlopen` at runtime,
     /// driving the parallel pt+trim program as machine code. Requires a
-    /// C toolchain; build through the guarded chain
-    /// ([`crate::guard::build_engine_with_limits`]) so a missing
-    /// compiler degrades to an interpreted engine instead of failing.
+    /// C toolchain; run it in a [`GuardedSimulator`](crate::GuardedSimulator)
+    /// chain (see [`crate::chain_preferring`]) so a missing compiler
+    /// degrades to an interpreted engine instead of failing.
     Native,
 }
 
@@ -384,6 +392,22 @@ impl Engine {
             return Some(Engine::Native);
         }
         Engine::ALL.into_iter().find(|e| e.to_string() == name)
+    }
+
+    /// The parallel-technique program this engine runs, or `None` for
+    /// the event-driven baseline and the PC-set method.
+    /// [`Engine::Native`] runs the pt+trim program as machine code.
+    pub fn optimization(self) -> Option<Optimization> {
+        Some(match self {
+            Engine::EventDriven | Engine::PcSet => return None,
+            Engine::Parallel => Optimization::None,
+            Engine::ParallelTrimming => Optimization::Trimming,
+            Engine::ParallelPathTracing => Optimization::PathTracing,
+            Engine::ParallelPathTracingTrimming | Engine::Native => {
+                Optimization::PathTracingTrimming
+            }
+            Engine::ParallelCycleBreaking => Optimization::CycleBreaking,
+        })
     }
 }
 
@@ -440,93 +464,60 @@ impl fmt::Display for WordWidth {
     }
 }
 
-/// Error from [`build_simulator`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct BuildSimulatorError {
-    /// The engine that failed to build.
-    pub engine: Engine,
-    /// Why.
-    pub reason: String,
-}
-
-impl fmt::Display for BuildSimulatorError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cannot build {} simulator: {}", self.engine, self.reason)
-    }
-}
-
-impl std::error::Error for BuildSimulatorError {}
-
 /// Builds any engine as a boxed [`UnitDelaySimulator`] with the default
 /// 32-bit arena words.
 ///
 /// # Errors
 ///
-/// Returns [`BuildSimulatorError`] for cyclic or sequential netlists.
+/// Returns a [`SimError`] for cyclic or sequential netlists
+/// ([`FailureClass::Structural`](crate::FailureClass::Structural)) and,
+/// for [`Engine::Native`], a missing or failing C toolchain.
 pub fn build_simulator(
     netlist: &Netlist,
     engine: Engine,
-) -> Result<Box<dyn UnitDelaySimulator>, BuildSimulatorError> {
+) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
     build_simulator_with_word(netlist, engine, WordWidth::default())
 }
 
-/// Builds any engine as a boxed [`UnitDelaySimulator`]. Parallel-family
-/// engines pack their bit-fields into words of the requested width;
-/// other engines ignore it.
+/// Builds any engine as a boxed [`UnitDelaySimulator`], unbudgeted and
+/// unprobed. Parallel-family engines pack their bit-fields into words
+/// of the requested width; other engines ignore it.
 ///
 /// # Errors
 ///
-/// Returns [`BuildSimulatorError`] for cyclic or sequential netlists.
+/// As [`build_simulator`].
 pub fn build_simulator_with_word(
     netlist: &Netlist,
     engine: Engine,
     word: WordWidth,
-) -> Result<Box<dyn UnitDelaySimulator>, BuildSimulatorError> {
-    fn parallel<W: Word>(
-        netlist: &Netlist,
-        optimization: Optimization,
-        engine: Engine,
-    ) -> Result<Box<dyn UnitDelaySimulator>, BuildSimulatorError> {
-        Ok(Box::new(
-            ParallelSim::<W>::compile(netlist, optimization).map_err(|e| BuildSimulatorError {
-                engine,
-                reason: e.to_string(),
-            })?,
-        ))
-    }
+) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
+    build_engine_with_limits_probed_word(
+        netlist,
+        engine,
+        &ResourceLimits::unlimited(),
+        &NoopProbe,
+        word,
+    )
+}
 
-    let err = |reason: String| BuildSimulatorError { engine, reason };
-    let optimization = match engine {
-        Engine::EventDriven => {
-            return Ok(Box::new(
-                TracedEventSim::new(netlist).map_err(|e| err(e.to_string()))?,
-            ))
-        }
-        Engine::PcSet => {
-            return Ok(Box::new(
-                PcSetSimulator::compile(netlist).map_err(|e| err(e.to_string()))?,
-            ))
-        }
-        Engine::Parallel => Optimization::None,
-        Engine::ParallelTrimming => Optimization::Trimming,
-        Engine::ParallelPathTracing => Optimization::PathTracing,
-        Engine::ParallelPathTracingTrimming => Optimization::PathTracingTrimming,
-        Engine::ParallelCycleBreaking => Optimization::CycleBreaking,
-        Engine::Native => {
-            return crate::native::build_native(
-                netlist,
-                Engine::ParallelPathTracingTrimming,
-                word,
-                &uds_netlist::ResourceLimits::unlimited(),
-                &uds_netlist::NoopProbe,
-            )
-            .map_err(|e| err(e.to_string()))
-        }
-    };
-    match word {
-        WordWidth::W32 => parallel::<u32>(netlist, optimization, engine),
-        WordWidth::W64 => parallel::<u64>(netlist, optimization, engine),
-    }
+/// Builds any engine under a resource budget at the given word width,
+/// panic-contained, reporting compile phases and the paper's static
+/// metrics (PC-set sizes, words trimmed, shifts retained/eliminated)
+/// into `probe` — pass a [`Telemetry`](crate::telemetry::Telemetry) to
+/// collect them. Budget violations surface as
+/// [`SimErrorKind::Budget`](crate::SimErrorKind::Budget), panics as
+/// [`SimErrorKind::EnginePanicked`](crate::SimErrorKind::EnginePanicked);
+/// every error carries the engine. This is
+/// [`DefaultEngineFactory::build`](crate::guard::EngineFactory::build)
+/// without the factory.
+pub fn build_engine_with_limits_probed_word(
+    netlist: &Netlist,
+    engine: Engine,
+    limits: &ResourceLimits,
+    probe: &dyn Probe,
+    word: WordWidth,
+) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
+    DefaultEngineFactory::with_word(word).build(netlist, engine, limits, probe)
 }
 
 #[cfg(test)]
@@ -617,16 +608,31 @@ mod tests {
         b.output(y);
         let nl = b.finish().unwrap();
         for engine in Engine::ALL {
-            let result = build_simulator(&nl, engine);
-            assert!(result.is_err(), "{engine}");
+            let err = build_simulator(&nl, engine)
+                .err()
+                .expect("a cyclic netlist cannot build");
+            assert_eq!(
+                err.class(),
+                crate::FailureClass::Structural,
+                "{engine}: {err}"
+            );
+            assert_eq!(err.engine, Some(engine));
         }
     }
 
     #[test]
     fn engine_display_round_trips_names() {
+        let nl = c17();
+        let limits = ResourceLimits::production();
         for engine in Engine::ALL {
-            let sim = build_simulator(&c17(), engine).unwrap();
+            let sim = build_simulator(&nl, engine).unwrap();
             assert_eq!(sim.engine_name(), engine.to_string());
+            for word in [WordWidth::W32, WordWidth::W64] {
+                let sim = DefaultEngineFactory::with_word(word)
+                    .build(&nl, engine, &limits, &NoopProbe)
+                    .unwrap();
+                assert_eq!(sim.engine_name(), engine.to_string(), "w{word}");
+            }
         }
     }
 }

@@ -9,9 +9,11 @@
 //! both 32- and 64-bit words, and with the batch runner at any shard
 //! count.
 
+use std::sync::Arc;
 use uds_core::vectors::RandomVectors;
+
 use uds_core::{
-    discard, run_stream, ActivityProfiler, Engine, GuardedSimulator, MonitoringEngineFactory,
+    discard, run_stream, ActivityProfiler, DefaultEngineFactory, Engine, GuardedSimulator,
     RunControl, Telemetry, UnitDelaySimulator, WordWidth,
 };
 use uds_netlist::generators::random::{layered, LayeredConfig};
@@ -42,7 +44,10 @@ fn monitored(netlist: &Netlist, engine: Engine, word: WordWidth) -> GuardedSimul
         netlist,
         ResourceLimits::unlimited(),
         &[engine],
-        Box::new(MonitoringEngineFactory::with_word(word)),
+        Box::new(DefaultEngineFactory {
+            word,
+            monitor_all: true,
+        }),
     )
     .expect("combinational netlist compiles on every engine")
 }
@@ -172,12 +177,16 @@ fn batch_sharding_preserves_toggle_counts() {
 
     for jobs in [1, 2, 3, 5] {
         let telemetry = Telemetry::new();
-        let prototype = GuardedSimulator::with_factory_telemetry(
-            netlist,
+        let prototype = GuardedSimulator::with_probe(
+            Arc::new(netlist.clone()),
             ResourceLimits::unlimited(),
             &[Engine::ParallelPathTracingTrimming],
-            Box::new(MonitoringEngineFactory::with_word(WordWidth::W64)),
-            telemetry.clone(),
+            Box::new(DefaultEngineFactory {
+                word: WordWidth::W64,
+                monitor_all: true,
+            }),
+            &telemetry,
+            Some(telemetry.clone()),
         )
         .expect("compiles");
         let control = RunControl {

@@ -4,18 +4,20 @@
 //! mid-shard. Seeded and dependency-free (stimulus comes from
 //! [`RandomVectors`]).
 
+use std::sync::Arc;
+
 use uds_core::chaos::{ChaosFactory, Fault, FaultPlan};
 use uds_core::guard::EngineFactory;
 use uds_core::vectors::RandomVectors;
 use uds_core::{
     build_native_monitoring, compiler_available, discard, run_batch, run_stream, ActivityProfiler,
-    DefaultEngineFactory, Engine, GuardedSimulator, MonitoringEngineFactory, RunControl, SimError,
-    Telemetry, TracedEventSim, UnitDelaySimulator, WordWidth, WINDOW,
+    DefaultEngineFactory, Engine, GuardedSimulator, RunControl, SimError, Telemetry,
+    TracedEventSim, UnitDelaySimulator, WordWidth, WINDOW,
 };
 use uds_eventsim::zero_delay::stable_states;
 use uds_netlist::generators::iscas::Iscas85;
 use uds_netlist::generators::random::{layered, LayeredConfig};
-use uds_netlist::{levelize, Netlist, NoopProbe, ResourceLimits};
+use uds_netlist::{levelize, Netlist, NoopProbe, Probe, ResourceLimits};
 
 /// A circuit deep enough that 32-bit parallel fields span two words and
 /// retention (each vector starting from the last one's settled state)
@@ -127,12 +129,13 @@ fn batch_stays_exact_while_chaos_panics_an_engine_in_every_shard() {
             &vectors,
         );
         let telemetry = Telemetry::new();
-        let prototype = GuardedSimulator::with_factory_telemetry(
-            &nl,
+        let prototype = GuardedSimulator::with_probe(
+            Arc::new(nl.clone()),
             ResourceLimits::production(),
             &GuardedSimulator::DEFAULT_CHAIN,
             Box::new(ChaosFactory::new(plan.clone())),
-            telemetry.clone(),
+            &telemetry,
+            Some(telemetry.clone()),
         )
         .unwrap();
         let out = run_batch(&nl, &prototype, &vectors, jobs, Some(&telemetry)).unwrap();
@@ -200,12 +203,15 @@ fn a_seeded_engine_reproduces_the_sequential_waveforms_exactly() {
             ("default", Box::new(DefaultEngineFactory::with_word(word))),
             (
                 "monitoring",
-                Box::new(MonitoringEngineFactory::with_word(word)),
+                Box::new(DefaultEngineFactory {
+                    word,
+                    monitor_all: true,
+                }),
             ),
         ];
         for (factory_name, factory) in &factories {
             for engine in Engine::ALL {
-                let fresh = factory.build(&nl, engine, &limits).unwrap();
+                let fresh = factory.build(&nl, engine, &limits, &NoopProbe).unwrap();
                 let mut sequential = fresh.clone_box();
                 sequential.simulate_vector(&vectors[0]);
                 for k in 1..vectors.len() {
@@ -294,7 +300,10 @@ fn every_window_seeds_every_shard_from_the_vector_before_it() {
     let levels = levelize(&nl).unwrap();
     let vectors = stimulus(&nl, 2 * WINDOW + 3);
     let monitored = || {
-        let factory = Box::new(MonitoringEngineFactory::with_word(WordWidth::W32));
+        let factory = Box::new(DefaultEngineFactory {
+            word: WordWidth::W32,
+            monitor_all: true,
+        });
         let chain = [Engine::ParallelPathTracingTrimming];
         GuardedSimulator::with_factory(&nl, ResourceLimits::production(), &chain, factory).unwrap()
     };
@@ -404,8 +413,9 @@ impl EngineFactory for NativeFlavor {
         netlist: &Netlist,
         _engine: Engine,
         limits: &ResourceLimits,
+        probe: &dyn Probe,
     ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        build_native_monitoring(netlist, self.flavor, self.word, limits, &NoopProbe)
+        build_native_monitoring(netlist, self.flavor, self.word, limits, probe)
     }
 
     fn clone_box(&self) -> Box<dyn EngineFactory> {

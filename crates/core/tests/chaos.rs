@@ -6,8 +6,10 @@
 //! The faults are injected deterministically through a
 //! [`ChaosFactory`]; the guarded layer must contain each one.
 
+use std::sync::Arc;
+
 use uds_core::chaos::{truncate_bench, ChaosFactory, Fault, FaultPlan};
-use uds_core::{Engine, FailureClass, GuardedSimulator, SimError, SimErrorKind};
+use uds_core::{Engine, FailureClass, GuardedSimulator, SimError, SimErrorKind, Telemetry};
 use uds_netlist::bench_format;
 use uds_netlist::generators::iscas::c17;
 use uds_netlist::ResourceLimits;
@@ -114,6 +116,36 @@ fn compile_budget_trip_degrades_or_errors_for_every_engine() {
             }
         }
     }
+}
+
+#[test]
+fn chaos_factory_forwards_the_compile_probe_to_the_survivor() {
+    // The sabotaged head of the default chain trips its budget; the
+    // engine that takes over must still report its static metrics into
+    // the probe the guard was built with.
+    let nl = c17();
+    let plan = FaultPlan::single(
+        "compile-budget:parallel+pt+trim",
+        Fault::CompileBudget {
+            engine: Engine::ParallelPathTracingTrimming,
+        },
+    );
+    let telemetry = Telemetry::new();
+    let guarded = GuardedSimulator::with_probe(
+        Arc::new(nl),
+        ResourceLimits::production(),
+        &GuardedSimulator::DEFAULT_CHAIN,
+        Box::new(ChaosFactory::new(plan)),
+        &telemetry,
+        Some(telemetry.clone()),
+    )
+    .unwrap();
+    assert_eq!(guarded.active_engine(), Engine::Parallel);
+    assert_eq!(telemetry.counter("guard.budget_trips"), 1);
+    assert!(
+        telemetry.gauge_value("parallel.none.word_ops").is_some(),
+        "the survivor's compile gauges must reach the probe"
+    );
 }
 
 #[test]

@@ -14,7 +14,7 @@ use uds_core::{
     TracedEventSim, UnitDelaySimulator, WordWidth,
 };
 use uds_netlist::generators::iscas::{c17, Iscas85};
-use uds_netlist::{Netlist, NoopProbe, ResourceLimits};
+use uds_netlist::{Netlist, Probe, ResourceLimits};
 
 const FORKS: u64 = 3;
 const PREFIX: usize = 5;
@@ -33,8 +33,9 @@ impl EngineFactory for Native {
         netlist: &Netlist,
         _engine: Engine,
         limits: &ResourceLimits,
+        probe: &dyn Probe,
     ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        build_native(netlist, self.flavor, self.word, limits, &NoopProbe)
+        build_native(netlist, self.flavor, self.word, limits, probe)
     }
 
     fn clone_box(&self) -> Box<dyn EngineFactory> {

@@ -3,9 +3,12 @@
 //! metrics land in one registry, degradations are counted, and the
 //! JSON report is deterministic modulo wall-clock.
 
+use std::sync::Arc;
 use uds_core::telemetry::json::Json;
 use uds_core::telemetry::TIMING_KEYS;
-use uds_core::{build_engine_with_limits_probed, Engine, GuardedSimulator, Telemetry};
+
+use uds_core::guard::EngineFactory;
+use uds_core::{DefaultEngineFactory, Engine, GuardedSimulator, Telemetry};
 use uds_netlist::generators::iscas::c17;
 use uds_netlist::{GateKind, NetlistBuilder, ResourceLimits};
 
@@ -27,13 +30,14 @@ fn probed_build_records_compile_phases_and_gauges() {
     let telemetry = Telemetry::new();
     {
         let _span = telemetry.span("compile");
-        build_engine_with_limits_probed(
-            &nl,
-            Engine::ParallelPathTracingTrimming,
-            &ResourceLimits::unlimited(),
-            &telemetry,
-        )
-        .unwrap();
+        DefaultEngineFactory::default()
+            .build(
+                &nl,
+                Engine::ParallelPathTracingTrimming,
+                &ResourceLimits::unlimited(),
+                &telemetry,
+            )
+            .unwrap();
     }
     let report = telemetry.snapshot();
     let compile = report.find_span("compile").expect("compile span recorded");
@@ -60,8 +64,15 @@ fn guarded_degradation_is_counted() {
     };
     let telemetry = Telemetry::new();
     let chain = [Engine::Parallel, Engine::PcSet, Engine::EventDriven];
-    let mut guarded =
-        GuardedSimulator::with_chain_telemetry(&nl, limits, &chain, telemetry.clone()).unwrap();
+    let mut guarded = GuardedSimulator::with_probe(
+        Arc::new(nl.clone()),
+        limits,
+        &chain,
+        Box::new(DefaultEngineFactory::default()),
+        &telemetry,
+        Some(telemetry.clone()),
+    )
+    .unwrap();
     assert_eq!(guarded.active_engine(), Engine::PcSet);
     assert_eq!(telemetry.counter("guard.fallbacks"), 1);
     assert_eq!(telemetry.counter("guard.budget_trips"), 1);
@@ -75,13 +86,14 @@ fn guarded_degradation_is_counted() {
 #[test]
 fn event_driven_engine_reports_run_counters() {
     let nl = c17();
-    let mut sim = build_engine_with_limits_probed(
-        &nl,
-        Engine::EventDriven,
-        &ResourceLimits::unlimited(),
-        &Telemetry::new(),
-    )
-    .unwrap();
+    let mut sim = DefaultEngineFactory::default()
+        .build(
+            &nl,
+            Engine::EventDriven,
+            &ResourceLimits::unlimited(),
+            &Telemetry::new(),
+        )
+        .unwrap();
     assert_eq!(
         sim.run_counters(),
         vec![
@@ -147,13 +159,9 @@ fn gauge_reregistration_under_a_new_value_is_surfaced() {
 fn compiled_engines_have_no_run_counters() {
     let nl = c17();
     for engine in [Engine::PcSet, Engine::ParallelPathTracingTrimming] {
-        let mut sim = build_engine_with_limits_probed(
-            &nl,
-            engine,
-            &ResourceLimits::unlimited(),
-            &Telemetry::new(),
-        )
-        .unwrap();
+        let mut sim = DefaultEngineFactory::default()
+            .build(&nl, engine, &ResourceLimits::unlimited(), &Telemetry::new())
+            .unwrap();
         sim.simulate_vector(&[true; 5]);
         assert!(
             sim.run_counters().is_empty(),
@@ -169,13 +177,9 @@ fn report_is_deterministic_modulo_wall_clock() {
         let telemetry = Telemetry::new();
         let mut sim = {
             let _span = telemetry.span("compile");
-            build_engine_with_limits_probed(
-                &nl,
-                Engine::PcSet,
-                &ResourceLimits::unlimited(),
-                &telemetry,
-            )
-            .unwrap()
+            DefaultEngineFactory::default()
+                .build(&nl, Engine::PcSet, &ResourceLimits::unlimited(), &telemetry)
+                .unwrap()
         };
         {
             let _span = telemetry.span("simulate");

@@ -193,40 +193,13 @@ impl<W: Word> ParallelSim<W> {
     ///
     /// Returns [`CompileError`] for cyclic or sequential netlists.
     pub fn compile(netlist: &Netlist, optimization: Optimization) -> Result<Self, CompileError> {
-        Self::compile_inner(
+        Self::compile_probed(
             netlist,
             optimization,
             false,
             &ResourceLimits::unlimited(),
             &NoopProbe,
         )
-    }
-
-    /// Like [`ParallelSim::compile_with_limits`], but reporting
-    /// compile phases (levelize, alignment, codegen) and the paper's
-    /// static metrics (word ops, words trimmed, shifts retained and
-    /// eliminated, field widths) through `probe`. Gauge names are
-    /// namespaced by [`Optimization::key`]; see DESIGN.md §11.
-    pub fn compile_probed(
-        netlist: &Netlist,
-        optimization: Optimization,
-        limits: &ResourceLimits,
-        probe: &dyn Probe,
-    ) -> Result<Self, CompileError> {
-        Self::compile_inner(netlist, optimization, false, limits, probe)
-    }
-
-    /// Like [`ParallelSim::compile`], but enforcing a resource
-    /// budget: depth, gate, input, words-per-field, and estimated-memory
-    /// ceilings are checked *before* the corresponding allocations, and
-    /// the sizing arithmetic itself is overflow-checked. Violations
-    /// surface as [`CompileError::Limit`].
-    pub fn compile_with_limits(
-        netlist: &Netlist,
-        optimization: Optimization,
-        limits: &ResourceLimits,
-    ) -> Result<Self, CompileError> {
-        Self::compile_inner(netlist, optimization, false, limits, &NoopProbe)
     }
 
     /// Like [`ParallelSim::compile`], but keeps every net's history
@@ -238,7 +211,7 @@ impl<W: Word> ParallelSim<W> {
         netlist: &Netlist,
         optimization: Optimization,
     ) -> Result<Self, CompileError> {
-        Self::compile_inner(
+        Self::compile_probed(
             netlist,
             optimization,
             true,
@@ -247,29 +220,18 @@ impl<W: Word> ParallelSim<W> {
         )
     }
 
-    /// [`ParallelSim::compile_monitoring_all`] under a resource
-    /// budget — the combination verification harnesses want.
-    pub fn compile_monitoring_all_with_limits(
-        netlist: &Netlist,
-        optimization: Optimization,
-        limits: &ResourceLimits,
-    ) -> Result<Self, CompileError> {
-        Self::compile_inner(netlist, optimization, true, limits, &NoopProbe)
-    }
-
-    /// [`ParallelSim::compile_monitoring_all_with_limits`] reporting
-    /// compile phases and static metrics through `probe` — what the
-    /// activity profiler uses so every net's toggles are observable.
-    pub fn compile_monitoring_all_probed(
-        netlist: &Netlist,
-        optimization: Optimization,
-        limits: &ResourceLimits,
-        probe: &dyn Probe,
-    ) -> Result<Self, CompileError> {
-        Self::compile_inner(netlist, optimization, true, limits, probe)
-    }
-
-    fn compile_inner(
+    /// The general constructor. `monitor_all` chooses between
+    /// [`ParallelSim::compile`] and [`ParallelSim::compile_monitoring_all`].
+    /// `limits` is a resource budget: depth, gate, input,
+    /// words-per-field, and estimated-memory ceilings are checked
+    /// *before* the corresponding allocations, the sizing arithmetic
+    /// itself is overflow-checked, and violations surface as
+    /// [`CompileError::Limit`]. Compile phases (levelize, alignment,
+    /// codegen) and the paper's static metrics (word ops, words
+    /// trimmed, shifts retained and eliminated, field widths) are
+    /// reported through `probe`; gauge names are namespaced by
+    /// [`Optimization::key`] (see DESIGN.md §11).
+    pub fn compile_probed(
         netlist: &Netlist,
         optimization: Optimization,
         monitor_all: bool,
@@ -914,7 +876,7 @@ mod tests {
             ..ResourceLimits::unlimited()
         };
         for optimization in Optimization::ALL {
-            match ParallelSimulator::compile_with_limits(&nl, optimization, &tight) {
+            match ParallelSimulator::compile_probed(&nl, optimization, false, &tight, &NoopProbe) {
                 Err(CompileError::Limit(err)) => {
                     assert_eq!(err.resource, uds_netlist::Resource::Depth);
                     assert_eq!(err.needed, 2);
@@ -924,7 +886,14 @@ mod tests {
             }
         }
         let roomy = ResourceLimits::production();
-        assert!(ParallelSimulator::compile_with_limits(&nl, Optimization::None, &roomy).is_ok());
+        assert!(ParallelSimulator::compile_probed(
+            &nl,
+            Optimization::None,
+            false,
+            &roomy,
+            &NoopProbe
+        )
+        .is_ok());
     }
 
     #[test]
@@ -934,7 +903,8 @@ mod tests {
             deadline: Some(std::time::Instant::now() - std::time::Duration::from_millis(1)),
             ..ResourceLimits::unlimited()
         };
-        match ParallelSimulator::compile_with_limits(&nl, Optimization::None, &limits) {
+        match ParallelSimulator::compile_probed(&nl, Optimization::None, false, &limits, &NoopProbe)
+        {
             Err(CompileError::Limit(err)) => {
                 assert_eq!(err.resource, uds_netlist::Resource::Deadline)
             }

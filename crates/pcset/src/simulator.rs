@@ -122,17 +122,6 @@ impl PcSetSimulator {
         Self::compile_with_monitors(netlist, netlist.primary_outputs())
     }
 
-    /// Like [`PcSetSimulator::compile`], but enforcing a resource budget:
-    /// depth, gate, input, and estimated-memory ceilings are checked
-    /// before allocation, and slot arithmetic is overflow-checked.
-    /// Violations surface as [`CompileError::Limit`].
-    pub fn compile_with_limits(
-        netlist: &Netlist,
-        limits: &ResourceLimits,
-    ) -> Result<Self, CompileError> {
-        Self::compile_inner(netlist, netlist.primary_outputs(), limits, &NoopProbe)
-    }
-
     /// Compiles with an explicit set of monitored nets (the paper's
     /// `PRINT` pseudo-gate inputs). Monitored nets always have a full
     /// reconstructible history; other nets only expose their final value
@@ -146,35 +135,18 @@ impl PcSetSimulator {
         netlist: &Netlist,
         monitored: &[NetId],
     ) -> Result<Self, CompileError> {
-        Self::compile_inner(netlist, monitored, &ResourceLimits::unlimited(), &NoopProbe)
+        Self::compile_probed(netlist, monitored, &ResourceLimits::unlimited(), &NoopProbe)
     }
 
-    /// Like [`PcSetSimulator::compile_with_limits`], but reporting
-    /// compile phases and the paper's static metrics (PC-set size
-    /// distribution, zero insertions, program size) through `probe`.
-    /// See DESIGN.md §11 for the emitted span and gauge names.
+    /// The general constructor: [`PcSetSimulator::compile_with_monitors`]
+    /// under a resource budget, with compile phases and the paper's
+    /// static metrics (PC-set size distribution, zero insertions,
+    /// program size) reported through `probe` (see DESIGN.md §11 for
+    /// the span and gauge names). Depth, gate, input, and
+    /// estimated-memory ceilings are checked before allocation, slot
+    /// arithmetic is overflow-checked, and violations surface as
+    /// [`CompileError::Limit`].
     pub fn compile_probed(
-        netlist: &Netlist,
-        limits: &ResourceLimits,
-        probe: &dyn Probe,
-    ) -> Result<Self, CompileError> {
-        Self::compile_inner(netlist, netlist.primary_outputs(), limits, probe)
-    }
-
-    /// [`PcSetSimulator::compile_with_monitors`] under a resource budget
-    /// and with compile phases reported through `probe` — the fully
-    /// general constructor. The activity profiler monitors every net so
-    /// each one's history (and therefore its toggle count) exists.
-    pub fn compile_probed_with_monitors(
-        netlist: &Netlist,
-        monitored: &[NetId],
-        limits: &ResourceLimits,
-        probe: &dyn Probe,
-    ) -> Result<Self, CompileError> {
-        Self::compile_inner(netlist, monitored, limits, probe)
-    }
-
-    fn compile_inner(
         netlist: &Netlist,
         monitored: &[NetId],
         limits: &ResourceLimits,
@@ -711,7 +683,7 @@ mod tests {
             max_gates: Some(1),
             ..ResourceLimits::unlimited()
         };
-        match PcSetSimulator::compile_with_limits(&nl, &tight) {
+        match PcSetSimulator::compile_probed(&nl, nl.primary_outputs(), &tight, &NoopProbe) {
             Err(CompileError::Limit(err)) => {
                 assert_eq!(err.resource, uds_netlist::Resource::Gates);
                 assert_eq!(err.needed, 2);
@@ -719,7 +691,13 @@ mod tests {
             }
             other => panic!("expected gate-count violation, got {other:?}"),
         }
-        assert!(PcSetSimulator::compile_with_limits(&nl, &ResourceLimits::production()).is_ok());
+        assert!(PcSetSimulator::compile_probed(
+            &nl,
+            nl.primary_outputs(),
+            &ResourceLimits::production(),
+            &NoopProbe,
+        )
+        .is_ok());
     }
 
     #[test]

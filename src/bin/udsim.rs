@@ -99,6 +99,7 @@
 
 use std::io::{self, BufWriter, Read as _, Write as _};
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use unit_delay_sim::core::guard::EngineFactory;
@@ -108,8 +109,8 @@ use unit_delay_sim::core::{
     chain_preferring, discard, install_signal_handlers, measure_perf, open_sink, record_build_info,
     record_perf_class, render_chrome_trace, run_loadgen, run_stream, write_text, ActivityProfiler,
     BatchProbe, DefaultEngineFactory, Engine, FailureClass, GuardedSimulator, HumanOut,
-    LoadgenConfig, MonitoringEngineFactory, NdjsonProgress, RunControl, ServeConfig, SimError,
-    SimServer, StreamContract, Telemetry, WordWidth, MAX_JOBS,
+    LoadgenConfig, NdjsonProgress, RunControl, ServeConfig, SimError, SimServer, StreamContract,
+    Telemetry, WordWidth, MAX_JOBS,
 };
 use unit_delay_sim::netlist::stats::CircuitStats;
 use unit_delay_sim::netlist::{levelize, Probe, ResourceLimits};
@@ -628,7 +629,7 @@ impl RunOptions {
 
     /// Loads FILE (under a `parse` span) and labels the trace with the
     /// run's identity.
-    fn load(&self, command: &str, telemetry: Option<&Telemetry>) -> Result<Netlist, CliError> {
+    fn load(&self, command: &str, telemetry: Option<&Telemetry>) -> Result<Arc<Netlist>, CliError> {
         let nl = {
             let _span = telemetry.map(|t| t.span("parse"));
             load(&self.file)?
@@ -640,7 +641,7 @@ impl RunOptions {
             t.label("vectors", self.vectors.to_string());
             record_build_info(t, self.word.bits());
         }
-        Ok(nl)
+        Ok(Arc::new(nl))
     }
 
     /// The seeded random stimulus over `nl`'s primary inputs.
@@ -650,18 +651,27 @@ impl RunOptions {
 }
 
 /// Builds the guarded engine chain over `nl` (under a `compile` span).
+/// The guard shares `nl` rather than copying it.
 fn build_guard(
-    nl: &Netlist,
+    nl: &Arc<Netlist>,
     limits: ResourceLimits,
     chain: &[Engine],
     factory: Box<dyn EngineFactory>,
     telemetry: Option<&Telemetry>,
 ) -> Result<GuardedSimulator, CliError> {
     let _span = telemetry.map(|t| t.span("compile"));
-    match telemetry {
-        Some(t) => GuardedSimulator::with_factory_telemetry(nl, limits, chain, factory, t.clone()),
-        None => GuardedSimulator::with_factory(nl, limits, chain, factory),
-    }
+    let probe: &dyn Probe = match telemetry {
+        Some(t) => t,
+        None => &unit_delay_sim::netlist::NoopProbe,
+    };
+    GuardedSimulator::with_probe(
+        Arc::clone(nl),
+        limits,
+        chain,
+        factory,
+        probe,
+        telemetry.cloned(),
+    )
     .map_err(on_circuit(nl))
 }
 
@@ -775,7 +785,7 @@ impl ProgressFlags {
 fn collect_static_metrics(nl: &Netlist, limits: &ResourceLimits, telemetry: &Telemetry) {
     let _span = telemetry.span("static-metrics");
     let probe: &dyn Probe = telemetry;
-    let _ = PcSetSimulator::compile_probed(nl, limits, probe);
+    let _ = PcSetSimulator::compile_probed(nl, nl.primary_outputs(), limits, probe);
     for optimization in [
         Optimization::None,
         Optimization::Trimming,
@@ -783,7 +793,7 @@ fn collect_static_metrics(nl: &Netlist, limits: &ResourceLimits, telemetry: &Tel
         Optimization::PathTracingTrimming,
         Optimization::CycleBreaking,
     ] {
-        let _ = ParallelSimulator::compile_probed(nl, optimization, limits, probe);
+        let _ = ParallelSimulator::compile_probed(nl, optimization, false, limits, probe);
     }
 }
 
@@ -922,7 +932,10 @@ fn profile(args: &[String]) -> Result<(), CliError> {
     }
     // The monitoring factory keeps every net observable, whichever
     // engine measures — that is what makes the totals engine-exact.
-    let factory = Box::new(MonitoringEngineFactory::with_word(run.word));
+    let factory = Box::new(DefaultEngineFactory {
+        word: run.word,
+        monitor_all: true,
+    });
     let prototype = build_guard(
         &nl,
         ResourceLimits::unlimited(),
@@ -1501,14 +1514,15 @@ fn codegen(args: &[String]) -> Result<(), CliError> {
         let _span = telemetry.as_ref().map(|t| t.span("compile"));
         match technique.as_str() {
             "pc-set" | "pcset" => {
-                let sim = PcSetSimulator::compile_probed(&nl, &limits, probe)
+                let sim = PcSetSimulator::compile_probed(&nl, nl.primary_outputs(), &limits, probe)
                     .map_err(|e| CliError::class(e.to_string(), FailureClass::Structural))?;
                 pcset::codegen_c::emit(&nl, &sim)
                     .map_err(|e| CliError::class(e.to_string(), FailureClass::Structural))?
             }
             "parallel" => {
-                let sim = ParallelSimulator::compile_probed(&nl, optimization, &limits, probe)
-                    .map_err(|e| CliError::class(e.to_string(), FailureClass::Structural))?;
+                let sim =
+                    ParallelSimulator::compile_probed(&nl, optimization, false, &limits, probe)
+                        .map_err(|e| CliError::class(e.to_string(), FailureClass::Structural))?;
                 parallel::codegen_c::emit(&nl, &sim)
                     .map_err(|e| CliError::class(e.to_string(), FailureClass::Structural))?
             }
