@@ -64,7 +64,7 @@ use uds_bench::runner::{self, suite, Timing};
 use uds_bench::table::{ratio, seconds, Table};
 use uds_bench::trend::{self, TrendRecord};
 use uds_core::telemetry::json::Json;
-use uds_core::{write_text, Engine, HumanOut, StreamContract, WordWidth};
+use uds_core::{write_text, Engine, HumanOut, StreamContract};
 use uds_netlist::generators::iscas::Iscas85;
 use uds_parallel::Optimization;
 
@@ -119,24 +119,6 @@ impl Output {
             eprintln!("error: writing {path}: {e}");
         }
     }
-}
-
-/// The host fingerprint for this run: the core calibration plus the
-/// two knobs the bench layer owns (arena word width, timing reps).
-fn fingerprint() -> Json {
-    let calibration = uds_core::calibrate();
-    let Json::Obj(mut members) = calibration.to_json() else {
-        unreachable!("Calibration::to_json returns an object");
-    };
-    members.push((
-        "word_bits".to_owned(),
-        Json::UInt(u64::from(WordWidth::default().bits())),
-    ));
-    members.push((
-        "timing_reps".to_owned(),
-        Json::UInt(runner::timing_reps() as u64),
-    ));
-    Json::Obj(members)
 }
 
 fn main() {
@@ -232,7 +214,7 @@ fn main() {
     // The fingerprint is measured once, up front, on a quiet machine
     // state — never needed by `compare`, which reads the fingerprints
     // already recorded in its input documents.
-    let calibration = (json.is_some() && command != "compare").then(fingerprint);
+    let calibration = (json.is_some() && command != "compare").then(runner::fingerprint);
     let out = Output {
         human: contract.human(),
         json,

@@ -19,6 +19,7 @@
 
 use std::time::Instant;
 
+use uds_core::telemetry::json::Json;
 use uds_core::vectors::RandomVectors;
 use uds_core::{
     run_batch, ActivityProfiler, DefaultEngineFactory, Engine, GuardedSimulator, Telemetry,
@@ -34,6 +35,13 @@ use uds_pcset::PcSetSimulator;
 /// Stimulus seed used everywhere, so every engine sees the same stream.
 pub const STIMULUS_SEED: u64 = 0x5EED_1990;
 
+/// Arena word width of every engine the figures build: the paper's
+/// 32-bit machine model, whatever [`WordWidth::default`] the runtime
+/// uses. The fingerprint reports it as `word_bits`, and `tables
+/// compare` keys cells by it, so the committed `BENCH_*.json` stay
+/// comparable.
+pub const BENCH_WORD: WordWidth = WordWidth::W32;
+
 /// Default timed repetitions per measurement (after one untimed warmup
 /// pass). Override with the `UDS_BENCH_REPS` environment variable
 /// (minimum 1) when recording baselines on a noisy host.
@@ -47,6 +55,22 @@ pub fn timing_reps() -> usize {
         .and_then(|v| v.parse().ok())
         .filter(|&n| n >= 1)
         .unwrap_or(TIMING_REPS)
+}
+
+/// The host fingerprint stamped into every figure document: the core
+/// calibration plus the two knobs the bench layer owns (arena word
+/// width [`BENCH_WORD`], timing reps).
+pub fn fingerprint() -> Json {
+    let calibration = uds_core::calibrate();
+    let Json::Obj(mut members) = calibration.to_json() else {
+        unreachable!("Calibration::to_json returns an object");
+    };
+    members.push((
+        "word_bits".to_owned(),
+        Json::UInt(u64::from(BENCH_WORD.bits())),
+    ));
+    members.push(("timing_reps".to_owned(), Json::UInt(timing_reps() as u64)));
+    Json::Obj(members)
 }
 
 /// One timing measurement over [`timing_reps`] repetitions.
@@ -185,7 +209,7 @@ pub fn time_native(netlist: &Netlist, vectors: usize) -> Option<Timing> {
         return None;
     }
     let stimulus = stimulus(netlist, vectors);
-    let mut sim = uds_core::build_simulator(netlist, Engine::Native)
+    let mut sim = uds_core::build_simulator_with_word(netlist, Engine::Native, BENCH_WORD)
         .expect("native engine builds when a C compiler is present");
     Some(time_over(&stimulus, |v| {
         sim.simulate_vector(v);
@@ -290,7 +314,7 @@ pub fn time_batch(netlist: &Netlist, stimulus: &[Vec<bool>], jobs: usize) -> Tim
         netlist,
         ResourceLimits::unlimited(),
         &[Engine::ParallelPathTracingTrimming],
-        Box::new(DefaultEngineFactory::with_word(WordWidth::W32)),
+        Box::new(DefaultEngineFactory::with_word(BENCH_WORD)),
     )
     .expect("combinational");
     time_passes(|| {
@@ -337,10 +361,10 @@ pub fn hotspot_profile(
         netlist,
         ResourceLimits::unlimited(),
         &[engine],
-        Box::new(DefaultEngineFactory::with_word(WordWidth::W32)),
+        Box::new(DefaultEngineFactory::with_word(BENCH_WORD)),
     )
     .expect("combinational");
-    let word_bits = WordWidth::W32.bits();
+    let word_bits = BENCH_WORD.bits();
     let run = || {
         uds_core::hotspot::collect(netlist, &guard, &stimulus, stimulus.len(), 1, word_bits)
             .expect("profiled run succeeds")
@@ -387,6 +411,12 @@ pub fn suite() -> Vec<(Iscas85, Netlist)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fingerprint_reports_the_papers_word_whatever_the_runtime_default() {
+        let doc = fingerprint();
+        assert_eq!(doc.get("word_bits").and_then(Json::as_u64), Some(32));
+    }
 
     #[test]
     fn fig19_measures_all_four_techniques() {

@@ -320,7 +320,10 @@ mod tests {
             ..key(1)
         };
         let other_word = CacheKey {
-            word: WordWidth::W64,
+            word: match WordWidth::default() {
+                WordWidth::W32 => WordWidth::W64,
+                WordWidth::W64 => WordWidth::W32,
+            },
             ..key(1)
         };
         assert!(cache.lookup(&other_engine).is_none());

@@ -706,9 +706,10 @@ mod tests {
     #[test]
     fn degrades_when_budget_rejects_compiled_engines() {
         // A one-word budget the unoptimized parallel engine cannot
-        // satisfy on a circuit deeper than 31 (uniform fields span the
-        // whole depth) — pc-set has no bit-fields and takes over.
-        let nl = buffer_chain(40);
+        // satisfy on a circuit deeper than 63, at either word width
+        // (uniform fields span the whole depth) — pc-set has no
+        // bit-fields and takes over.
+        let nl = buffer_chain(70);
         let limits = ResourceLimits {
             max_field_words: Some(1),
             ..ResourceLimits::unlimited()

@@ -428,14 +428,15 @@ impl fmt::Display for Engine {
 
 /// Arena word width for the parallel technique. The paper's machine
 /// model packs time steps into 32-bit words; 64-bit words halve the
-/// word-op count of every multi-word field on deep circuits. Other
-/// engines ignore the width.
+/// word-op count of every multi-word field on deep circuits, so every
+/// runtime build defaults to them (DESIGN.md §12). Output rows are the
+/// same at either width. Other engines ignore the width.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum WordWidth {
-    /// 32-bit arena words (the default, matching the paper).
-    #[default]
+    /// 32-bit arena words, the paper's machine model (`--word 32`).
     W32,
-    /// 64-bit arena words.
+    /// 64-bit arena words (the default).
+    #[default]
     W64,
 }
 
@@ -465,7 +466,7 @@ impl fmt::Display for WordWidth {
 }
 
 /// Builds any engine as a boxed [`UnitDelaySimulator`] with the default
-/// 32-bit arena words.
+/// arena word width ([`WordWidth::default`], 64 bits).
 ///
 /// # Errors
 ///

@@ -55,9 +55,10 @@ fn probed_build_records_compile_phases_and_gauges() {
 #[test]
 fn guarded_degradation_is_counted() {
     // A one-word budget rejects the unoptimized parallel engine on a
-    // 40-deep chain; pc-set takes over and the registry must show both
-    // the fallback and its budget classification.
-    let nl = buffer_chain(40);
+    // 70-deep chain (more than one word at either width); pc-set takes
+    // over and the registry must show both the fallback and its budget
+    // classification.
+    let nl = buffer_chain(70);
     let limits = ResourceLimits {
         max_field_words: Some(1),
         ..ResourceLimits::unlimited()

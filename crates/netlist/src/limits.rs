@@ -106,8 +106,13 @@ pub struct ResourceLimits {
     pub max_gates: Option<u64>,
     /// Maximum primary inputs.
     pub max_inputs: Option<u64>,
-    /// Maximum words per bit-field (parallel technique; a circuit of
-    /// depth d needs `ceil((d + 1) / 32)` words per net).
+    /// Maximum words per bit-field (parallel technique). Words are
+    /// counted at the active arena width: a circuit of depth d needs
+    /// `ceil((d + 1) / 64)` words per net at the default 64-bit width
+    /// and `ceil((d + 1) / 32)` at 32, so a cap admits twice the depth
+    /// at 64 bits. [`ResourceLimits::production`]'s 128 words reach
+    /// depth 8191 at 64 bits and 4095 at 32; at 64 its `max_depth` of
+    /// 4096 binds first.
     pub max_field_words: Option<u32>,
     /// Maximum estimated bytes of simulator state.
     pub max_memory_bytes: Option<u64>,

@@ -4,8 +4,11 @@
 use crate::word::Word;
 
 /// Bits per machine word in the paper's own implementation. Its tables
-/// (1/2/4 words per field) are in terms of 32-bit words, so `u32` is the
-/// default arena word type; see [`Word`] for the 64-bit option.
+/// (1/2/4 words per field) are in terms of 32-bit words, so `u32` is
+/// this crate's default arena word type ([`ParallelSimulator`]); see
+/// [`Word`] for the 64-bit option, which the runtime engines default to.
+///
+/// [`ParallelSimulator`]: crate::ParallelSimulator
 pub const WORD_BITS: u32 = 32;
 
 /// Placement of one net's bit-field inside the word arena.

@@ -32,7 +32,7 @@ pub enum WordClass {
     Active,
 }
 
-/// Classifies every word of a 32-bit-word field (the default width).
+/// Classifies every word of a 32-bit-word field (the paper's width).
 ///
 /// `times` is the net's PC-set (ascending), `minlevel` its smallest
 /// element. Bit `i` of the field represents time `layout.align + i`.

@@ -36,8 +36,10 @@
 //! printed rows are byte-identical to a sequential run for any N. With
 //! `--jobs`, `--crosscheck` re-runs the stream sequentially and
 //! verifies the batch output against it (`--vcd` needs the sequential
-//! waveform and cannot be combined with `--jobs`). `--word 64` packs
-//! the parallel engines' bit-fields into 64-bit words instead of 32.
+//! waveform and cannot be combined with `--jobs`). The parallel
+//! engines pack their bit-fields into 64-bit words by default; `--word
+//! 32` runs the paper's 32-bit machine model instead. Rows are the same
+//! at either width.
 //!
 //! `--stats OUT.json` writes the telemetry report (span tree, runtime
 //! counters, and the paper's static compile metrics; schema
@@ -258,6 +260,9 @@ fn usage() -> String {
      [--path P] [--concurrency N] [--rate R] [--duration-ms MS] [--json OUT.json]\n  \
      udsim engines\n\n\
      SPEC: production | depth=N,gates=N,inputs=N,field-words=N,memory=N[K|M|G],deadline-ms=N\n\
+     (field-words counts arena words of the run's --word width).\n\
+     --word packs the parallel engines' bit-fields into 64-bit words (the default) or 32-bit\n\
+     words, the paper's machine model; rows are the same at either width.\n\
      stream flags (--stats, --trace, --progress, --json, --reqlog) accept `-` for stdout; at\n\
      most one per invocation may claim it, and human output then moves to stderr.\n\
      --trace exports the telemetry span tree as Chrome trace_event JSON (load in Perfetto);\n\
@@ -543,7 +548,7 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
 
     if let Some(telemetry) = &telemetry {
         if let Some(path) = &stats_path {
-            collect_static_metrics(&nl, &limits, telemetry);
+            collect_static_metrics(&nl, &limits, run.word, telemetry);
             write_stats(path, telemetry)?;
         }
         if let Some(path) = &trace_path {
@@ -780,20 +785,22 @@ impl ProgressFlags {
 /// Best-effort pass compiling the techniques the run did not already
 /// cover, so the report always carries the paper's full static-metric
 /// set (PC-set sizes and zero insertions, words trimmed, shifts
-/// retained/eliminated per optimization). Engines the budget rejects
-/// simply leave their gauges absent.
-fn collect_static_metrics(nl: &Netlist, limits: &ResourceLimits, telemetry: &Telemetry) {
+/// retained/eliminated per optimization). Each is compiled at the
+/// run's word width, so the word-op gauges it rewrites still describe
+/// the engine that ran. Engines the budget rejects simply leave their
+/// gauges absent.
+fn collect_static_metrics(
+    nl: &Netlist,
+    limits: &ResourceLimits,
+    word: WordWidth,
+    telemetry: &Telemetry,
+) {
     let _span = telemetry.span("static-metrics");
-    let probe: &dyn Probe = telemetry;
-    let _ = PcSetSimulator::compile_probed(nl, nl.primary_outputs(), limits, probe);
-    for optimization in [
-        Optimization::None,
-        Optimization::Trimming,
-        Optimization::PathTracing,
-        Optimization::PathTracingTrimming,
-        Optimization::CycleBreaking,
-    ] {
-        let _ = ParallelSimulator::compile_probed(nl, optimization, false, limits, probe);
+    let factory = DefaultEngineFactory::with_word(word);
+    for engine in Engine::ALL {
+        if engine != Engine::EventDriven {
+            let _ = factory.build(nl, engine, limits, telemetry);
+        }
     }
 }
 
@@ -1139,8 +1146,11 @@ fn stats(args: &[String]) -> Result<(), CliError> {
             .map_err(|e| CliError::class(e.to_string(), FailureClass::Structural))?;
         let s = sim.stats();
         println!(
-            "parallel ({optimization}): {} word ops, {} retained shifts, {} arena words",
-            s.word_ops, s.retained_shifts, s.arena_words
+            "parallel ({optimization}, {}-bit words): {} word ops, {} retained shifts, {} arena words",
+            sim.word_bits(),
+            s.word_ops,
+            s.retained_shifts,
+            s.arena_words
         );
     }
     Ok(())
@@ -1505,7 +1515,8 @@ fn codegen(args: &[String]) -> Result<(), CliError> {
         t.label("command", "codegen");
         t.label("circuit", nl.name());
         t.label("technique", technique.clone());
-        record_build_info(t, WordWidth::default().bits());
+        // The emitted C is the paper's: 32-bit words.
+        record_build_info(t, WordWidth::W32.bits());
     }
     let noop = unit_delay_sim::netlist::NoopProbe;
     let probe: &dyn Probe = telemetry.as_ref().map_or(&noop, |t| t as &dyn Probe);

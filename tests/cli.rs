@@ -115,12 +115,13 @@ fn exhausted_budget_with_fallback_still_exits_budget_when_nothing_fits() {
 
 #[test]
 fn fallback_degrades_and_reports_on_stderr() {
-    // A 40-deep buffer chain with a one-word field budget: the
-    // unoptimized parallel engine cannot fit, path tracing can. Asking
-    // for `parallel` with --fallback must degrade, succeed, and say so.
+    // A 70-deep buffer chain with a one-word field budget: the
+    // unoptimized parallel engine cannot fit at either word width, path
+    // tracing can. Asking for `parallel` with --fallback must degrade,
+    // succeed, and say so.
     let mut text = String::from("INPUT(a)\n");
     let mut prev = "a".to_owned();
-    for i in 0..40 {
+    for i in 0..70 {
         text.push_str(&format!("b{i} = BUF({prev})\n"));
         prev = format!("b{i}");
     }

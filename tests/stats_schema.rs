@@ -8,6 +8,10 @@ use std::process::{Command, Output};
 
 use unit_delay_sim::core::telemetry::json::Json;
 use unit_delay_sim::core::telemetry::{SCHEMA, TIMING_KEYS};
+use unit_delay_sim::core::WordWidth;
+use unit_delay_sim::netlist::bench_format;
+use unit_delay_sim::netlist::generators::iscas::Iscas85;
+use unit_delay_sim::parallel::{Optimization, ParallelSim};
 
 fn udsim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_udsim"))
@@ -104,7 +108,11 @@ fn report_carries_schema_spans_counters_and_gauges() {
         labels.get("build.version").unwrap().as_str(),
         Some(env!("CARGO_PKG_VERSION"))
     );
-    assert_eq!(labels.get("build.word_bits").unwrap().as_str(), Some("32"));
+    let default_bits = WordWidth::default().bits().to_string();
+    assert_eq!(
+        labels.get("build.word_bits").unwrap().as_str(),
+        Some(default_bits.as_str())
+    );
     assert!(
         matches!(
             labels.get("build.profile").unwrap().as_str(),
@@ -183,12 +191,12 @@ fn stats_to_file_keeps_stdout_human() {
 
 #[test]
 fn guarded_run_records_fallbacks_in_counters() {
-    // A 40-deep buffer chain with a one-word field budget: the
-    // unoptimized parallel engine cannot fit, so the chain degrades and
-    // the report must say so.
+    // A 70-deep buffer chain with a one-word field budget: the
+    // unoptimized parallel engine cannot fit at either word width, so
+    // the chain degrades and the report must say so.
     let mut text = String::from("INPUT(a)\n");
     let mut prev = "a".to_owned();
-    for i in 0..40 {
+    for i in 0..70 {
         text.push_str(&format!("b{i} = BUF({prev})\n"));
         prev = format!("b{i}");
     }
@@ -261,4 +269,50 @@ fn codegen_stats_reports_compile_metrics() {
     // The generated C moved to stderr.
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("#include"), "{stderr}");
+}
+
+#[test]
+fn word_op_gauges_describe_the_width_that_ran() {
+    // c6288's fields span several words at either width, so the
+    // pt+trim program's word-op count depends on the width; the gauge
+    // must be the count of the program the run compiled.
+    let netlist = Iscas85::C6288.build();
+    let path = fixture("statsc6288.bench", &bench_format::write(&netlist));
+    let netlist = bench_format::parse(&std::fs::read_to_string(&path).unwrap(), "c6288").unwrap();
+    let run = |word: &str| -> (String, u64) {
+        let out = udsim(&[
+            "simulate",
+            path.to_str().unwrap(),
+            "--word",
+            word,
+            "--vectors",
+            "1",
+            "--stats",
+            "-",
+        ]);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let doc = Json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
+        let bits = doc.get("labels").unwrap().get("build.word_bits").unwrap();
+        let ops = doc.get("gauges").unwrap().get("parallel.pt-trim.word_ops");
+        (
+            bits.as_str().unwrap().to_owned(),
+            ops.and_then(Json::as_u64).expect("pt-trim word_ops gauge"),
+        )
+    };
+    let w32 = ParallelSim::<u32>::compile(&netlist, Optimization::PathTracingTrimming)
+        .unwrap()
+        .stats()
+        .word_ops as u64;
+    let w64 = ParallelSim::<u64>::compile(&netlist, Optimization::PathTracingTrimming)
+        .unwrap()
+        .stats()
+        .word_ops as u64;
+    assert_ne!(w32, w64);
+    assert_eq!(run("32"), ("32".to_owned(), w32));
+    assert_eq!(run("64"), ("64".to_owned(), w64));
 }
