@@ -109,6 +109,32 @@ fn c432_random_every_flavor_and_width() {
 }
 
 #[test]
+fn c1908_default_flavor_at_both_widths() {
+    if skip_without_compiler("c1908_default_flavor_at_both_widths") {
+        return;
+    }
+    // Depth 40: 2-word fields at 32 bits, one word at the 64-bit
+    // default. c6288's deeper fields stay with the interpreted
+    // crosschecks: `cc` spends tens of seconds on its emitted C.
+    let nl = Iscas85::C1908.build();
+    let mut sims = vec![build_simulator(&nl, Engine::EventDriven).expect("baseline builds")];
+    for word in [WordWidth::W32, WordWidth::W64] {
+        sims.push(
+            build_native(
+                &nl,
+                Engine::ParallelPathTracingTrimming,
+                word,
+                &ResourceLimits::unlimited(),
+                &NoopProbe,
+            )
+            .unwrap_or_else(|e| panic!("c1908 at w{} must build: {e}", word.bits())),
+        );
+    }
+    let width = nl.primary_inputs().len();
+    crosscheck::run(&nl, &mut sims, RandomVectors::new(width, 1908).take(16)).unwrap();
+}
+
+#[test]
 fn nets_named_like_generated_words_keep_their_own_slots() {
     if skip_without_compiler("nets_named_like_generated_words_keep_their_own_slots") {
         return;

@@ -22,10 +22,14 @@ const PARALLEL_ENGINES: [Engine; 5] = [
     Engine::ParallelCycleBreaking,
 ];
 
+/// Every interpreted engine at both arena word widths: the paper's
+/// 32-bit words and the 64-bit runtime default.
 fn all_engines(nl: &Netlist) -> Vec<Box<dyn UnitDelaySimulator>> {
-    Engine::ALL
-        .iter()
-        .map(|&e| build_simulator(nl, e).expect("engine builds"))
+    [WordWidth::W32, WordWidth::W64]
+        .into_iter()
+        .flat_map(|word| {
+            Engine::ALL.map(|e| build_simulator_with_word(nl, e, word).expect("engine builds"))
+        })
         .collect()
 }
 
@@ -86,6 +90,7 @@ fn c432_standin_all_engines() {
 
 #[test]
 fn c1908_standin_two_word_fields() {
+    // Depth 40: 2-word fields at 32 bits, one word at 64.
     let nl = Iscas85::C1908.build();
     let width = nl.primary_inputs().len();
     let mut sims = all_engines(&nl);
@@ -94,16 +99,20 @@ fn c1908_standin_two_word_fields() {
 
 #[test]
 fn c6288_standin_four_word_fields() {
-    // The deepest circuit: 4-word bit-fields, the multiplier stand-in.
+    // The deepest circuit: 4-word bit-fields at the paper's 32-bit
+    // words, the multiplier stand-in.
     let nl = Iscas85::C6288.build();
     let width = nl.primary_inputs().len();
-    let mut sims: Vec<Box<dyn UnitDelaySimulator>> = vec![
-        build_simulator(&nl, Engine::EventDriven).unwrap(),
-        build_simulator(&nl, Engine::PcSet).unwrap(),
-        build_simulator(&nl, Engine::Parallel).unwrap(),
-        build_simulator(&nl, Engine::ParallelTrimming).unwrap(),
-        build_simulator(&nl, Engine::ParallelPathTracingTrimming).unwrap(),
-    ];
+    let mut sims: Vec<Box<dyn UnitDelaySimulator>> = [
+        Engine::EventDriven,
+        Engine::PcSet,
+        Engine::Parallel,
+        Engine::ParallelTrimming,
+        Engine::ParallelPathTracingTrimming,
+    ]
+    .into_iter()
+    .map(|e| build_simulator_with_word(&nl, e, WordWidth::W32).unwrap())
+    .collect();
     crosscheck::run(&nl, &mut sims, RandomVectors::new(width, 8).take(4)).unwrap();
 }
 
@@ -116,7 +125,7 @@ fn c6288_standin_cycle_breaking_and_64_bit_words() {
     let width = nl.primary_inputs().len();
     let mut sims = vec![
         build_simulator(&nl, Engine::EventDriven).unwrap(),
-        build_simulator(&nl, Engine::ParallelCycleBreaking).unwrap(),
+        build_simulator_with_word(&nl, Engine::ParallelCycleBreaking, WordWidth::W32).unwrap(),
     ];
     for engine in PARALLEL_ENGINES {
         sims.push(build_simulator_with_word(&nl, engine, WordWidth::W64).unwrap());
