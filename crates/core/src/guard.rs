@@ -139,7 +139,7 @@ impl DefaultEngineFactory {
                     };
                     let twin = PcSetSimulator::compile_probed(netlist, monitored, limits, probe)?;
                     if native {
-                        crate::native::wrap_pcset(netlist, twin, self.monitor_all, probe)
+                        crate::native::wrap(netlist, twin, self.monitor_all, probe)
                     } else {
                         Ok(Box::new(twin))
                     }
@@ -189,7 +189,7 @@ impl DefaultEngineFactory {
             probe,
         )?;
         if native {
-            crate::native::wrap_parallel(netlist, twin, self.monitor_all, probe)
+            crate::native::wrap(netlist, twin, self.monitor_all, probe)
         } else {
             Ok(Box::new(twin))
         }
@@ -766,6 +766,7 @@ mod tests {
         // With a C toolchain the native engine heads the chain; without
         // one the toolchain failure is contained and an interpreted
         // engine takes over. Either way the answers cross-check.
+        let _env = crate::native::env_lock();
         let nl = c17();
         let chain = chain_preferring(Some(Engine::Native));
         let factory = Box::new(DefaultEngineFactory::default());
@@ -809,6 +810,7 @@ mod tests {
 
     #[test]
     fn monitoring_factory_makes_every_net_observable_on_every_engine() {
+        let _env = crate::native::env_lock();
         let nl = c17();
         let limits = ResourceLimits::production();
         let mut engines = Engine::ALL.to_vec();

@@ -11,14 +11,16 @@
 //!
 //! # Arena-pointer ABI
 //!
-//! The emitted kernel keeps no state: `simulate_one_vector(word *uds_a,
-//! const word *pi[, word *po])` names every arena word as a slot of the
-//! `uds_a` it is handed. The authoritative state is the interpreted
-//! twin's arena, and each vector passes that arena to the kernel
-//! directly — no copy in or out, no lock. Clones, seeding, reset,
-//! history readback and checkpoint restores all act on the twin, and
-//! two simulators sharing one loaded object never share state, so calls
-//! from any number of threads are independent.
+//! Both techniques' kernels export one signature,
+//! `simulate_one_vector(word *uds_a, const word *pi)`, and keep no
+//! state: every arena word is a slot of the `uds_a` they are handed,
+//! and `pi` holds the primary inputs as words. The authoritative state
+//! is the interpreted twin's arena, and each vector passes that arena
+//! to the kernel directly — no copy in or out, no lock. Clones,
+//! seeding, reset, final-value and history readback and checkpoint
+//! restores all act on the twin, so one wrapper serves both techniques,
+//! and two simulators sharing one loaded object never share state:
+//! calls from any number of threads are independent.
 //!
 //! `-O1` rather than `-O2`: the arena form makes `cc` work harder than
 //! the paper's statics did, and `-O2` buys no kernel speed over `-O1`
@@ -52,12 +54,68 @@
 // failure paths; see guard.rs for the same trade.
 #![allow(clippy::result_large_err)]
 
+use uds_netlist::c_emit::EmitError;
 use uds_netlist::{Netlist, Probe, ResourceLimits};
+use uds_parallel::{ParallelSim, Word};
+use uds_pcset::PcSetSimulator;
 
-pub(crate) use imp::{wrap_parallel, wrap_pcset};
+pub(crate) use imp::wrap;
 
 use crate::error::{SimError, SimErrorKind, SimPhase};
 use crate::{DefaultEngineFactory, Engine, UnitDelaySimulator, WordWidth};
+
+/// An interpreted twin whose program the native engine compiles: it
+/// emits the kernel's C, names the artifact's flavor, and runs each
+/// vector by handing its arena and input words to the kernel.
+pub(crate) trait NativeTwin: UnitDelaySimulator + Clone + 'static {
+    /// The kernel's `word`.
+    type Word;
+
+    /// The artifact-name flavor key.
+    fn flavor(&self) -> String;
+
+    /// The kernel's C translation unit.
+    fn emit_native(&self, netlist: &Netlist) -> Result<String, EmitError>;
+
+    /// One vector with `kernel` in place of the interpreter.
+    fn simulate_vector_with(
+        &mut self,
+        inputs: &[bool],
+        kernel: impl FnOnce(&mut [Self::Word], &[Self::Word]),
+    );
+}
+
+impl<W: Word> NativeTwin for ParallelSim<W> {
+    type Word = W;
+
+    fn flavor(&self) -> String {
+        format!("par-{}", self.optimization().key())
+    }
+
+    fn emit_native(&self, netlist: &Netlist) -> Result<String, EmitError> {
+        uds_parallel::codegen_c::emit_native(netlist, self)
+    }
+
+    fn simulate_vector_with(&mut self, inputs: &[bool], kernel: impl FnOnce(&mut [W], &[W])) {
+        ParallelSim::simulate_vector_with(self, inputs, kernel);
+    }
+}
+
+impl NativeTwin for PcSetSimulator {
+    type Word = u64;
+
+    fn flavor(&self) -> String {
+        "pcset".to_owned()
+    }
+
+    fn emit_native(&self, netlist: &Netlist) -> Result<String, EmitError> {
+        uds_pcset::codegen_c::emit_native(netlist, self)
+    }
+
+    fn simulate_vector_with(&mut self, inputs: &[bool], kernel: impl FnOnce(&mut [u64], &[u64])) {
+        PcSetSimulator::simulate_vector_with(self, inputs, kernel);
+    }
+}
 
 /// A toolchain failure attributed to the native engine.
 pub(crate) fn toolchain_error(message: impl Into<String>) -> SimError {
@@ -125,6 +183,16 @@ pub fn cache_dir() -> std::path::PathBuf {
     }
 }
 
+/// Two tests here override `$UDS_CC` and `$UDS_NATIVE_CACHE`, which
+/// every native build reads live: any test that builds a native engine
+/// holds this so they cannot interleave.
+#[cfg(test)]
+pub(crate) fn env_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(unix)]
 mod imp {
     use std::collections::HashMap;
@@ -135,10 +203,8 @@ mod imp {
     use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
     use uds_netlist::{NetId, Netlist, Probe};
-    use uds_parallel::{ParallelSim, Word};
-    use uds_pcset::PcSetSimulator;
 
-    use super::{cache_dir, toolchain_error};
+    use super::{cache_dir, toolchain_error, NativeTwin};
     use crate::cache::{fnv1a, fnv1a_continue, netlist_hash};
     use crate::error::SimError;
     use crate::UnitDelaySimulator;
@@ -224,29 +290,16 @@ mod imp {
             }
         }
 
-        /// One parallel-flavor vector, run in place on `arena`.
-        fn call_parallel<W: Word>(&self, arena: &mut [W], pi: &[W]) {
+        /// One vector, run in place on `arena` with input words `pi`.
+        fn call<W>(&self, arena: &mut [W], pi: &[W]) {
             // Safety: the shared object was compiled from this twin's
             // program, so every slot it names is inside `arena` and it
-            // reads exactly `pi.len()` inputs; the signature is fixed
-            // by the emitter.
+            // reads exactly `pi.len()` inputs; the signature is the one
+            // both emitters' `emit_native` export.
             unsafe {
                 let sim: unsafe extern "C" fn(*mut W, *const W) =
                     std::mem::transmute(self.simulate);
                 sim(arena.as_mut_ptr(), pi.as_ptr());
-            }
-        }
-
-        /// One PC-set-flavor vector (inputs pre-broadcast to stream
-        /// words, monitored finals written to `po`), run in place on
-        /// `arena`.
-        fn call_pcset(&self, arena: &mut [u64], pi: &[u64], po: &mut [u64]) {
-            // Safety: as in `call_parallel`; `po` holds one word per
-            // monitored net, which is what the kernel writes.
-            unsafe {
-                let sim: unsafe extern "C" fn(*mut u64, *const u64, *mut u64) =
-                    std::mem::transmute(self.simulate);
-                sim(arena.as_mut_ptr(), pi.as_ptr(), po.as_mut_ptr());
             }
         }
     }
@@ -379,27 +432,22 @@ mod imp {
         cache_dir().join(format!("{hash:016x}-{flavor}{mon}-w{bits}-s{tag:016x}.so"))
     }
 
-    /// The parallel twin + its compiled shared object.
-    struct NativeParallelSim<W: Word> {
-        twin: ParallelSim<W>,
+    /// A twin + its compiled shared object.
+    #[derive(Clone)]
+    struct NativeSim<T> {
+        twin: T,
         lib: Arc<NativeLib>,
-        /// The kernel's input words, refilled each vector.
-        pi: Vec<W>,
     }
 
-    impl<W: Word> UnitDelaySimulator for NativeParallelSim<W> {
+    impl<T: NativeTwin> UnitDelaySimulator for NativeSim<T> {
         fn engine_name(&self) -> &'static str {
             "native"
         }
 
         fn simulate_vector(&mut self, inputs: &[bool]) {
-            let (lib, pi) = (&self.lib, &mut self.pi);
-            self.twin.simulate_vector_with(inputs, |arena| {
-                for (word, &b) in pi.iter_mut().zip(inputs) {
-                    *word = if b { W::ONE } else { W::ZERO };
-                }
-                lib.call_parallel(arena, pi);
-            });
+            let lib = &self.lib;
+            self.twin
+                .simulate_vector_with(inputs, |arena, pi| lib.call(arena, pi));
         }
 
         fn final_value(&self, net: NetId) -> bool {
@@ -423,15 +471,11 @@ mod imp {
         }
 
         fn clone_box(&self) -> Box<dyn UnitDelaySimulator> {
-            Box::new(NativeParallelSim {
-                twin: self.twin.clone(),
-                lib: Arc::clone(&self.lib),
-                pi: self.pi.clone(),
-            })
+            Box::new(self.clone())
         }
 
         fn for_each_toggle(&self, net: NetId, visit: &mut dyn FnMut(u32)) -> Option<u32> {
-            self.twin.for_each_toggle_in_field(net, visit)
+            self.twin.for_each_toggle(net, visit)
         }
 
         fn simulate_vector_leveled(
@@ -445,145 +489,57 @@ mod imp {
             // reports for `native` therefore describe the interpreted
             // twin's cost shape — which shares the native code's
             // per-level structure, just not its constant factor.
-            self.twin
-                .step(inputs, &mut uds_netlist::LevelTimer::new(profile));
+            self.twin.simulate_vector_leveled(inputs, profile);
         }
 
         fn level_static_profile(&self) -> Option<uds_netlist::LevelProfile> {
-            Some(self.twin.level_static_profile())
+            self.twin.level_static_profile()
         }
     }
 
-    /// The PC-set twin + its compiled shared object.
-    struct NativePcSetSim {
-        twin: PcSetSimulator,
-        lib: Arc<NativeLib>,
-        /// Scratch for the emitted `po` buffer (monitored finals) —
-        /// the wrapper reads results from the twin's arena instead.
-        po: Vec<u64>,
-    }
-
-    impl UnitDelaySimulator for NativePcSetSim {
-        fn engine_name(&self) -> &'static str {
-            "native"
-        }
-
-        fn simulate_vector(&mut self, inputs: &[bool]) {
-            let (lib, po) = (&self.lib, &mut self.po);
-            self.twin
-                .simulate_vector_with(inputs, |arena, pi| lib.call_pcset(arena, pi, po));
-        }
-
-        fn final_value(&self, net: NetId) -> bool {
-            self.twin.final_value(net)
-        }
-
-        fn history(&self, net: NetId) -> Option<Vec<bool>> {
-            self.twin.history(net)
-        }
-
-        fn depth(&self) -> u32 {
-            self.twin.depth()
-        }
-
-        fn reset(&mut self) {
-            self.twin.reset();
-        }
-
-        fn seed_stable(&mut self, stable: &[bool]) {
-            self.twin.seed_stable(stable);
-        }
-
-        fn clone_box(&self) -> Box<dyn UnitDelaySimulator> {
-            Box::new(NativePcSetSim {
-                twin: self.twin.clone(),
-                lib: Arc::clone(&self.lib),
-                po: self.po.clone(),
-            })
-        }
-
-        fn simulate_vector_leveled(
-            &mut self,
-            inputs: &[bool],
-            profile: &mut uds_netlist::LevelProfile,
-        ) {
-            // As in the parallel wrapper: the profiled path runs the
-            // interpreted twin, whose per-level segments mirror the
-            // emitted C's statement order.
-            self.twin
-                .step(inputs, &mut uds_netlist::LevelTimer::new(profile));
-        }
-
-        fn level_static_profile(&self) -> Option<uds_netlist::LevelProfile> {
-            Some(self.twin.level_static_profile())
-        }
-    }
-
-    /// Wraps a compiled parallel `twin` in its native simulator: emits
-    /// the C, then loads the artifact (compiling it on a cache miss).
+    /// Wraps a compiled `twin` in its native simulator: emits the C,
+    /// then loads the artifact (compiling it on a cache miss).
     /// `monitoring` says the twin monitors every net, which names a
     /// distinct artifact.
-    pub fn wrap_parallel<W: Word>(
+    pub fn wrap<T: NativeTwin>(
         netlist: &Netlist,
-        twin: ParallelSim<W>,
+        twin: T,
         monitoring: bool,
         probe: &dyn Probe,
     ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        let source = uds_parallel::codegen_c::emit_native(netlist, &twin)
+        let source = twin
+            .emit_native(netlist)
             .map_err(|e| toolchain_error(format!("emit: {e}")))?;
-        let flavor = format!("par-{}", twin.optimization().key());
-        let path = artifact_path(netlist_hash(netlist), &flavor, W::BITS, monitoring, &source);
+        let bits = 8 * std::mem::size_of::<T::Word>() as u32;
+        let path = artifact_path(
+            netlist_hash(netlist),
+            &twin.flavor(),
+            bits,
+            monitoring,
+            &source,
+        );
         let lib = get_or_load(&path, &source, probe)?;
-        let pi = vec![W::ZERO; netlist.primary_inputs().len()];
-        Ok(Box::new(NativeParallelSim { twin, lib, pi }))
-    }
-
-    /// [`wrap_parallel`] for a PC-set `twin`.
-    pub fn wrap_pcset(
-        netlist: &Netlist,
-        twin: PcSetSimulator,
-        monitoring: bool,
-        probe: &dyn Probe,
-    ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        let source = uds_pcset::codegen_c::emit_native(netlist, &twin)
-            .map_err(|e| toolchain_error(format!("emit: {e}")))?;
-        let path = artifact_path(netlist_hash(netlist), "pcset", 64, monitoring, &source);
-        let lib = get_or_load(&path, &source, probe)?;
-        let po = vec![0u64; twin.monitored().len()];
-        Ok(Box::new(NativePcSetSim { twin, lib, po }))
+        Ok(Box::new(NativeSim { twin, lib }))
     }
 }
 
 #[cfg(not(unix))]
 mod imp {
     use uds_netlist::{Netlist, Probe};
-    use uds_parallel::{ParallelSim, Word};
-    use uds_pcset::PcSetSimulator;
 
-    use super::toolchain_error;
+    use super::{toolchain_error, NativeTwin};
     use crate::error::SimError;
     use crate::UnitDelaySimulator;
 
-    fn unsupported() -> SimError {
-        toolchain_error("runtime loading of compiled C requires a Unix host")
-    }
-
-    pub fn wrap_parallel<W: Word>(
+    pub fn wrap<T: NativeTwin>(
         _netlist: &Netlist,
-        _twin: ParallelSim<W>,
+        _twin: T,
         _monitoring: bool,
         _probe: &dyn Probe,
     ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        Err(unsupported())
-    }
-
-    pub fn wrap_pcset(
-        _netlist: &Netlist,
-        _twin: PcSetSimulator,
-        _monitoring: bool,
-        _probe: &dyn Probe,
-    ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        Err(unsupported())
+        Err(toolchain_error(
+            "runtime loading of compiled C requires a Unix host",
+        ))
     }
 
     pub fn compiler_available() -> bool {
@@ -597,15 +553,6 @@ mod tests {
     use crate::TracedEventSim;
     use uds_netlist::generators::iscas::c17;
     use uds_netlist::NoopProbe;
-
-    /// The missing-compiler test overrides `$UDS_CC`, which every
-    /// native build reads live — hold this across any test that
-    /// touches the toolchain so they cannot interleave.
-    fn env_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     fn skip_notice() -> bool {
         if compiler_available() {

@@ -2340,6 +2340,7 @@ mod tests {
         // being a strict single-engine request: with a C toolchain the
         // answer comes from compiled C, without one an interpreted
         // engine answers — never a 4xx/5xx for a missing compiler.
+        let _env = crate::native::env_lock();
         with_server(ServeConfig::default(), Telemetry::new(), None, |addr| {
             let (status, body) = post(addr, "/simulate", &simulate_body(Some("native")));
             assert_eq!(status, 200, "{body}");

@@ -17,7 +17,8 @@
 //! * [`sequential`]: cutting synchronous circuits at their flip-flops so the
 //!   acyclic techniques apply (§1 of the paper);
 //! * [`validate`]: structural checks with typed errors, and [`stats`] for
-//!   circuit statistics.
+//!   circuit statistics;
+//! * [`c_emit`]: the C naming layer both techniques' code emitters share.
 //!
 //! # Example
 //!
@@ -46,6 +47,7 @@
 
 pub mod bench_format;
 mod builder;
+pub mod c_emit;
 pub mod cone;
 mod gate;
 pub mod generators;

@@ -155,6 +155,9 @@ pub struct ParallelSim<W: Word = u32> {
     /// recomputes the previous value). Indexed by [`NetId`]; only entries
     /// listed in `tracked` are refreshed per vector.
     prev_final: Vec<bool>,
+    /// The primary inputs as words (0 or 1), refilled by
+    /// [`ParallelSim::simulate_vector_with`] for the kernel it runs.
+    input_words: Vec<W>,
 }
 
 /// The immutable half of a [`ParallelSim`]: the op stream and the
@@ -414,6 +417,7 @@ impl<W: Word> ParallelSim<W> {
         Ok(ParallelSim {
             arena: initial_arena.clone(),
             prev_final: settled_zero.clone(),
+            input_words: Vec::new(),
             compiled: Arc::new(Compiled {
                 program,
                 initial_arena,
@@ -545,16 +549,21 @@ impl<W: Word> ParallelSim<W> {
     }
 
     /// Like [`ParallelSim::simulate_vector`], but with `kernel` running
-    /// the whole op stream on the arena in place of the interpreter.
-    /// The native engine passes its compiled shared object here, so
-    /// this simulator's arena stays the authoritative state and every
-    /// readback path (`history`, `final_value`, toggles) keeps working.
+    /// the whole op stream in place of the interpreter: it is handed the
+    /// arena and `inputs` as words (0 or 1). The native engine passes
+    /// its compiled shared object here, so this simulator's arena stays
+    /// the authoritative state and every readback path (`history`,
+    /// `final_value`, toggles) keeps working.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len()` differs from the primary-input count.
-    pub fn simulate_vector_with(&mut self, inputs: &[bool], kernel: impl FnOnce(&mut [W])) {
-        self.step_with(inputs, |_, _, arena| kernel(arena));
+    pub fn simulate_vector_with(&mut self, inputs: &[bool], kernel: impl FnOnce(&mut [W], &[W])) {
+        let mut words = std::mem::take(&mut self.input_words);
+        words.clear();
+        words.extend(inputs.iter().map(|&b| if b { W::ONE } else { W::ZERO }));
+        self.step_with(inputs, |_, _, arena| kernel(arena, &words));
+        self.input_words = words;
     }
 
     /// The engine's one per-vector body: checks the input width,
