@@ -364,33 +364,41 @@ fn unknown_command_exits_with_usage_code() {
 }
 
 /// `udsim simulate … | head`: the reader closes the pipe long before
-/// the run ends. Both row paths must stop quietly with exit 0.
+/// the run ends. Both row paths, and every other subcommand that prints
+/// to stdout, must stop quietly with exit 0.
 #[test]
 fn a_closed_pipe_ends_the_run_quietly() {
     use std::io::Read as _;
     use std::process::Stdio;
     let circuit = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/c432.bench");
-    for jobs in [None, Some("2")] {
-        let mut args = vec!["simulate", circuit, "--vectors", "100000"];
-        if let Some(jobs) = jobs {
-            args.extend(["--jobs", jobs]);
-        }
+    let rows = ["simulate", circuit, "--vectors", "100000"];
+    for args in [
+        &rows[..],
+        &[&rows[..], &["--jobs", "2"]].concat(),
+        &["stats", circuit],
+        &["codegen", circuit],
+        &["codegen", circuit, "--technique", "pc-set"],
+        &["profile", circuit],
+        &["hotspots", circuit],
+        &["cone", circuit, "n17_0"],
+        &["engines"],
+    ] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_udsim"))
-            .args(&args)
+            .args(args)
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
             .expect("udsim binary runs");
-        let mut first = [0u8; 64];
-        child
-            .stdout
-            .take()
-            .expect("piped stdout")
-            .read_exact(&mut first)
-            .expect("the header arrives");
-        // The read end is dropped here, with megabytes of rows to go.
+        let mut reader = child.stdout.take().expect("piped stdout");
+        if args[0] == "simulate" {
+            let mut first = [0u8; 64];
+            reader.read_exact(&mut first).expect("the header arrives");
+            assert!(first.starts_with(b"# c432"), "{args:?}");
+        }
+        // The read end is dropped here: before the first byte of the
+        // short reports, with megabytes of rows to go for `simulate`.
+        drop(reader);
         let out = child.wait_with_output().expect("udsim exits");
-        assert!(first.starts_with(b"# c432"), "{args:?}");
         let err = stderr(&out);
         assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
         assert!(!err.contains("panicked"), "{args:?}: {err}");
