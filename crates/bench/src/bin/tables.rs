@@ -55,8 +55,10 @@
 //! baseline's work scales with it, the compiled techniques' does not,
 //! so it contextualizes each circuit's speedup.
 
+use std::cell::{Cell, RefCell};
 use std::env;
 use std::fs;
+use std::io::{self, BufWriter, Write as _};
 
 use uds_bench::compare::{self, DEFAULT_TOLERANCE_PCT};
 use uds_bench::paper;
@@ -64,7 +66,7 @@ use uds_bench::runner::{self, suite, Timing};
 use uds_bench::table::{ratio, seconds, Table};
 use uds_bench::trend::{self, TrendRecord};
 use uds_core::telemetry::json::Json;
-use uds_core::{write_text, Engine, HumanOut, StreamContract};
+use uds_core::{is_closed_pipe, write_text, Engine, StreamContract};
 use uds_netlist::generators::iscas::Iscas85;
 use uds_parallel::Optimization;
 
@@ -78,9 +80,13 @@ enum JsonDest {
 }
 
 /// This invocation's output routing: rendered tables through the shared
-/// human sink, JSON documents to files or stdout.
+/// buffered human sink, JSON documents to files or stdout.
 struct Output {
-    human: HumanOut,
+    human: RefCell<BufWriter<Box<dyn io::Write>>>,
+    /// The exit code when a reader closes the pipe: 0, or a gate's
+    /// verdict once it is known, so `compare … | head` still fails a
+    /// regression.
+    closed_pipe_exit: Cell<i32>,
     json: Option<JsonDest>,
     /// The machine fingerprint stamped into every document this run
     /// writes (measured once, before any figure, so the score is not
@@ -89,9 +95,14 @@ struct Output {
 }
 
 impl Output {
-    /// Prints one table line through the stdout contract.
+    /// Prints one table line through the stdout contract, flushed so a
+    /// long run shows each table as its figure finishes.
     fn line(&self, text: impl std::fmt::Display) {
-        self.human.line(text);
+        let mut human = self.human.borrow_mut();
+        if let Err(e) = writeln!(human, "{text}").and_then(|()| human.flush()) {
+            self.write_failed("output", &e);
+            std::process::exit(2);
+        }
     }
 
     /// Emits a figure's rows as one `uds-bench-v1` document, when
@@ -116,8 +127,18 @@ impl Output {
             JsonDest::Files => format!("BENCH_{name}.json"),
         };
         if let Err(e) = write_text(&path, &rendered) {
-            eprintln!("error: writing {path}: {e}");
+            self.write_failed(&path, &e);
         }
+    }
+
+    /// Reports a failed write of `what`. A closed pipe (`tables fig21 |
+    /// head -1`) ends the run quietly, as in `udsim`, with
+    /// `closed_pipe_exit`.
+    fn write_failed(&self, what: &str, err: &io::Error) {
+        if is_closed_pipe(err) {
+            std::process::exit(self.closed_pipe_exit.get());
+        }
+        eprintln!("error: writing {what}: {err}");
     }
 }
 
@@ -216,7 +237,8 @@ fn main() {
     // already recorded in its input documents.
     let calibration = (json.is_some() && command != "compare").then(runner::fingerprint);
     let out = Output {
-        human: contract.human(),
+        human: RefCell::new(contract.human().writer()),
+        closed_pipe_exit: Cell::new(0),
         json,
         calibration,
     };
@@ -303,6 +325,8 @@ fn run_compare(old_path: &str, new_path: &str, tolerance: f64, out: &Output) -> 
     };
     let report = compare::compare_rendered(&read(old_path), &read(new_path), tolerance)
         .unwrap_or_else(|e| usage(&e.0));
+    let verdict = if report.gate_passes() { 0 } else { 1 };
+    out.closed_pipe_exit.set(verdict);
     out.line(report.render_table());
     if let Some(dest) = out.json {
         let mut rendered = report.to_json().render();
@@ -312,10 +336,10 @@ fn run_compare(old_path: &str, new_path: &str, tolerance: f64, out: &Output) -> 
             JsonDest::Files => format!("DELTA_{}.json", report.figure),
         };
         if let Err(e) = write_text(&path, &rendered) {
-            eprintln!("error: writing {path}: {e}");
+            out.write_failed(&path, &e);
         }
     }
-    std::process::exit(if report.gate_passes() { 0 } else { 1 });
+    std::process::exit(verdict);
 }
 
 /// The `trend` subcommand (DESIGN.md §18): optionally fold figure
@@ -361,8 +385,10 @@ fn run_trend(
         .unwrap_or_else(|e| usage(&format!("cannot read `{history_path}`: {e}")));
     let history = trend::parse_history(&text).unwrap_or_else(|e| usage(&e.0));
     let erosions = trend::detect_erosion(&history, window);
+    let verdict = if strict && !erosions.is_empty() { 1 } else { 0 };
+    out.closed_pipe_exit.set(verdict);
     out.line(trend::render_report(&history, &erosions).trim_end());
-    std::process::exit(if strict && !erosions.is_empty() { 1 } else { 0 });
+    std::process::exit(verdict);
 }
 
 /// Table cell for a timing: the minimum repetition, in seconds.

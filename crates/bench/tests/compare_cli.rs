@@ -196,3 +196,32 @@ fn delta_report_file_lands_next_to_the_cwd() {
     assert!(report.contains("\"gate\":\"fail\""), "{report}");
     assert!(report.contains("word_ops"), "{report}");
 }
+
+/// `tables codesize | head -1`: the reader closes the pipe before the
+/// first line. The run must stop quietly with exit 0, as `udsim` does,
+/// not panic in `println!` — except that `compare` keeps its verdict.
+#[test]
+fn a_closed_pipe_ends_tables_quietly() {
+    use std::process::Stdio;
+    let old = fixture("closed_pipe", "old.json", &doc(0.05, 1.0, 160));
+    let new = fixture("closed_pipe", "new.json", &doc(0.05, 1.0, 161));
+    let (old, new) = (old.to_str().unwrap(), new.to_str().unwrap());
+    for (args, code) in [
+        (&["codesize"][..], 0),
+        (&["compare", old, new][..], 1),
+        (&["compare", old, new, "--json", "-"][..], 1),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_tables"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("run tables");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("tables exits");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(!err.contains("error:"), "{args:?}: {err}");
+    }
+}

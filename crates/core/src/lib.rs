@@ -116,7 +116,7 @@ pub use simulator::{
     build_engine_with_limits_probed_word, build_simulator, build_simulator_with_word, Engine,
     TracedEventSim, UnitDelaySimulator, WordWidth,
 };
-pub use stream::{open_sink, write_text, HumanOut, StreamContract};
+pub use stream::{is_closed_pipe, open_sink, write_text, HumanOut, StreamContract};
 pub use telemetry::trace::{chrome_trace, render_chrome_trace};
 pub use telemetry::{
     record_build_info, Histogram, SpanNode, Telemetry, TelemetryReport, BUILD_INFO_GAUGE,

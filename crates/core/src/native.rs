@@ -14,7 +14,10 @@
 //! Both techniques' kernels export one signature,
 //! `simulate_one_vector(word *uds_a, const word *pi)`, and keep no
 //! state: every arena word is a slot of the `uds_a` they are handed,
-//! and `pi` holds the primary inputs as words. The authoritative state
+//! and `pi` holds the primary inputs as words. Inside, the kernel is a
+//! run of `static` part functions of whole netlist levels, which the
+//! entry calls in order (see [`uds_netlist::c_emit`]); only the entry
+//! is exported, so this module sees one symbol whatever the split. The authoritative state
 //! is the interpreted twin's arena, and each vector passes that arena
 //! to the kernel directly — no copy in or out, no lock. Clones,
 //! seeding, reset, final-value and history readback and checkpoint

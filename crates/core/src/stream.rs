@@ -10,10 +10,12 @@
 //!   stderr, so `udsim … --trace - | jq .` always parses.
 //!
 //! [`StreamContract`] tracks the claim while flags parse; [`HumanOut`]
-//! is the resulting human-output sink; [`open_sink`] / [`write_text`]
-//! resolve a destination (`-` or a path) consistently.
+//! is the resulting human-output sink, written through one buffer
+//! ([`HumanOut::writer`]) under the closed-pipe rule
+//! ([`is_closed_pipe`]); [`open_sink`] / [`write_text`] resolve a
+//! destination (`-` or a path) consistently.
 
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 
 /// Tracks which stream flag, if any, has claimed stdout.
 #[derive(Clone, Debug, Default)]
@@ -70,14 +72,26 @@ pub struct HumanOut {
 }
 
 impl HumanOut {
-    /// Prints one line to the routed stream.
-    pub fn line(&self, text: impl std::fmt::Display) {
-        if self.to_stderr {
-            eprintln!("{text}");
+    /// The routed stream behind one 64 KiB buffer. The stream is
+    /// unlocked: a worker's panic report must not wait on a lock of the
+    /// stream it writes to. A write error that [`is_closed_pipe`] means
+    /// the reader went away, and the run should end quietly; flush
+    /// before exiting, as the buffer may hold the last lines back.
+    pub fn writer(self) -> BufWriter<Box<dyn Write>> {
+        let stream: Box<dyn Write> = if self.to_stderr {
+            Box::new(io::stderr())
         } else {
-            println!("{text}");
-        }
+            Box::new(io::stdout())
+        };
+        BufWriter::with_capacity(1 << 16, stream)
     }
+}
+
+/// `true` when a write failed because its reader closed the pipe
+/// (`udsim simulate … | head`): the closed-pipe rule ends such a run
+/// quietly with exit 0, as `cat` would.
+pub fn is_closed_pipe(err: &io::Error) -> bool {
+    err.kind() == io::ErrorKind::BrokenPipe
 }
 
 /// Opens `dest` as a writable sink: `-` is stdout, anything else is a

@@ -12,14 +12,15 @@
 //! [`emit_native`] is the native engine's variant: the same statement
 //! body, but every arena word is a macro over a caller-owned arena
 //! (`#define D uds_a[3]`) instead of a static, so the compiled kernel
-//! holds no state of its own. The naming layer around the body is
-//! [`uds_netlist::c_emit`], shared with the PC-set emitter.
+//! holds no state of its own, and the body is cut into level-range
+//! part functions that `cc` compiles quickly. The naming layer around
+//! the body is [`uds_netlist::c_emit`], shared with the PC-set emitter.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
 pub use uds_netlist::c_emit::EmitError;
-use uds_netlist::c_emit::{claim, gate_expression, open_kernel, sanitize};
+use uds_netlist::c_emit::{claim, gate_expression, sanitize, Kernel};
 use uds_netlist::Netlist;
 
 use crate::program::WOp;
@@ -42,8 +43,9 @@ pub fn emit<W: Word>(netlist: &Netlist, simulator: &ParallelSim<W>) -> Result<St
 /// owns: `void simulate_one_vector(word *uds_a, const word *pi)`, where
 /// `uds_a` is the simulator's arena in arena-index order and each named
 /// word is `#define <name> uds_a[<slot>]`. The statement body is the
-/// same text [`emit`] produces; no statics are declared, so concurrent
-/// calls on distinct arenas never share state.
+/// same text [`emit`] produces, cut at level-segment ends into `static`
+/// parts that the entry calls in order; no statics are declared, so
+/// concurrent calls on distinct arenas never share state.
 ///
 /// # Errors
 ///
@@ -73,6 +75,16 @@ fn emit_impl<W: Word>(
     simulator: &ParallelSim<W>,
     native: bool,
 ) -> Result<String, EmitError> {
+    Ok(kernel(netlist, simulator, native)?.close(simulator.level_segments()))
+}
+
+/// The translation unit up to the end of the kernel's statement body:
+/// one run of statements per compiled word op.
+fn kernel<W: Word>(
+    netlist: &Netlist,
+    simulator: &ParallelSim<W>,
+    native: bool,
+) -> Result<Kernel, EmitError> {
     let program = simulator.program();
     EmitError::check(netlist, simulator.layout_count(), program.input_count)?;
     // Name every arena word: field words get net-derived names,
@@ -110,9 +122,9 @@ fn emit_impl<W: Word>(
     // (every field filled with the value the circuit settles to under
     // all-zero inputs), so the first vector's retained bits are right.
     let set = simulator.initial_arena().iter().map(|&w| w != W::ZERO);
-    open_kernel(&mut out, &names, set, native, "const word *pi");
-
+    let mut kernel = Kernel::open(out, &names, set, native, "const word *pi");
     for op in &program.ops {
+        let out = kernel.op();
         match *op {
             WOp::MergeShl1Low { dst, src } => {
                 let _ = writeln!(
@@ -290,8 +302,7 @@ fn emit_impl<W: Word>(
             }
         }
     }
-    let _ = writeln!(out, "}}");
-    Ok(out)
+    Ok(kernel)
 }
 
 /// Low-mask constant with the bottom `k` bits set, as a C literal.
@@ -307,6 +318,7 @@ fn mask_literal(k: u32) -> String {
 mod tests {
     use super::*;
     use crate::{Optimization, ParallelSimulator, ParallelSimulator64};
+    use uds_netlist::c_emit::PART_LINES;
     use uds_netlist::{GateKind, NetlistBuilder};
 
     fn fig6() -> Netlist {
@@ -372,12 +384,30 @@ mod tests {
         assert!(code.contains("t0_d1"), "{code}");
     }
 
-    /// `#define` names of a native kernel, in slot order.
+    /// `#define` names of a native kernel's arena words, in slot order.
     fn defines(code: &str) -> Vec<&str> {
         code.lines()
             .filter_map(|l| l.strip_prefix("#define "))
+            .filter(|l| l.contains(" uds_a["))
             .map(|l| l.split(' ').next().unwrap())
             .collect()
+    }
+
+    /// The bodies of a native kernel's part functions, in definition
+    /// order.
+    fn part_bodies(code: &str) -> Vec<&str> {
+        code.split("\nstatic UDS_NOINLINE void uds_part")
+            .skip(1)
+            .map(|part| {
+                let body = &part[part.find("\n{\n").unwrap() + 3..];
+                &body[..body.find("\n}\n").unwrap() + 1]
+            })
+            .collect()
+    }
+
+    /// The statement body of a paper-form kernel.
+    fn paper_body(code: &str) -> &str {
+        &code[code.find("\n{\n").unwrap() + 3..code.len() - 2]
     }
 
     #[test]
@@ -483,7 +513,10 @@ mod tests {
         let sim = ParallelSimulator::compile(&nl, Optimization::None).unwrap();
         let code = emit_native(&nl, &sim).unwrap();
         assert!(
-            code.contains("void simulate_one_vector(word *uds_a, const word *pi)\n{"),
+            code.ends_with(
+                "void simulate_one_vector(word *uds_a, const word *pi)\n{\n    \
+                 uds_part0(uds_a, pi);\n}\n"
+            ),
             "{code}"
         );
         // Every arena word, scratch included, is a slot of the caller's
@@ -497,9 +530,56 @@ mod tests {
         assert!(!code.contains("static word"), "{code}");
         assert!(!code.contains("uds_state_"), "{code}");
         assert!(!code.contains("uds_arena"), "{code}");
-        // The statement body is the paper emitter's, text for text.
-        let body = |c: &str| c[c.find("\n{\n").unwrap()..].to_owned();
-        assert_eq!(body(&code), body(&emit(&nl, &sim).unwrap()));
+        // The statement body is the paper emitter's, text for text, in
+        // the one part this small kernel needs.
+        assert_eq!(part_bodies(&code), [paper_body(&emit(&nl, &sim).unwrap())]);
+    }
+
+    #[test]
+    fn native_parts_regroup_the_paper_body_at_level_segment_ends() {
+        // c1908's kernel spans many parts. They hold the paper body's
+        // statements in its order, every cut falls on a level-segment
+        // end, and only a part of one segment may exceed the budget.
+        let nl = uds_netlist::generators::iscas::Iscas85::C1908.build();
+        let pt_trim = Optimization::PathTracingTrimming;
+        let sim32 = ParallelSimulator::compile(&nl, pt_trim).unwrap();
+        let sim64 = ParallelSimulator64::compile(&nl, pt_trim).unwrap();
+        check_parts(&nl, &sim32);
+        check_parts(&nl, &sim64);
+    }
+
+    fn check_parts<W: Word>(nl: &Netlist, sim: &ParallelSim<W>) {
+        let code = emit_native(nl, sim).unwrap();
+        let parts = part_bodies(&code);
+        assert!(parts.len() > 1, "one part for c1908 at w{}", W::BITS);
+        let calls: String = (0..parts.len())
+            .map(|k| format!("    uds_part{k}(uds_a, pi);\n"))
+            .collect();
+        let entry =
+            format!("void simulate_one_vector(word *uds_a, const word *pi)\n{{\n{calls}}}\n");
+        assert!(
+            code.ends_with(&entry),
+            "the entry calls every part in order"
+        );
+        assert_eq!(parts.concat(), paper_body(&emit(nl, sim).unwrap()));
+        let kernel = kernel(nl, sim, true).unwrap();
+        let ends: Vec<usize> = sim
+            .level_segments()
+            .iter()
+            .map(|segment| kernel.op_start(segment.end))
+            .collect();
+        let mut start = 0;
+        for part in &parts {
+            let end = start + part.len();
+            assert!(ends.contains(&end), "a part ends mid-segment at byte {end}");
+            let inner = ends.iter().filter(|&&e| start < e && e < end).count();
+            assert!(
+                part.lines().count() <= PART_LINES || inner == 0,
+                "a part of {} lines spans several segments",
+                part.lines().count()
+            );
+            start = end;
+        }
     }
 
     #[test]
@@ -579,15 +659,25 @@ void simulate_one_vector(const word *pi)
             assert_eq!(fnv(emit(&nl, &sim32).unwrap()), w32, "{optimization} w32");
             assert_eq!(fnv(emit(&nl, &sim64).unwrap()), w64, "{optimization} w64");
         }
+    }
+
+    #[test]
+    fn native_kernel_text_is_pinned() {
         // The native kernel's text names its artifact and is `cc`'s
         // input, so it is pinned too: c432 pt+trim at both widths, and
         // c1908 pt+trim at 64 bits.
+        let fnv = |text: String| {
+            text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let nl = uds_netlist::generators::iscas::Iscas85::C432.build();
         let c1908 = uds_netlist::generators::iscas::Iscas85::C1908.build();
         let pt_trim = Optimization::PathTracingTrimming;
         for (netlist, bits, pinned) in [
-            (&nl, 32, 0x8a7b_42de_699a_f92a),
-            (&nl, 64, 0xe4fd_1c77_e5a8_3430),
-            (&c1908, 64, 0xc280_a3f9_755d_4f1f),
+            (&nl, 32, 0x79d3_c439_8a8b_84c5),
+            (&nl, 64, 0x6ee7_360a_6c41_95eb),
+            (&c1908, 64, 0x5ea1_be2d_a20c_d7e6),
         ] {
             let source = if bits == 32 {
                 emit_native(

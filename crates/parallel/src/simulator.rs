@@ -475,6 +475,12 @@ impl<W: Word> ParallelSim<W> {
         &self.compiled.program
     }
 
+    /// The program's run-length level table, where the native kernel
+    /// may be cut into parts.
+    pub(crate) fn level_segments(&self) -> &[LevelSegment] {
+        &self.compiled.level_segments
+    }
+
     pub(crate) fn initial_arena(&self) -> &[W] {
         &self.compiled.initial_arena
     }

@@ -114,11 +114,11 @@ use unit_delay_sim::core::guard::EngineFactory;
 use unit_delay_sim::core::vcd::VcdRecorder;
 use unit_delay_sim::core::vectors::RandomVectors;
 use unit_delay_sim::core::{
-    chain_preferring, discard, install_signal_handlers, measure_perf, open_sink, record_build_info,
-    record_perf_class, render_chrome_trace, run_loadgen, run_stream, write_text, ActivityProfiler,
-    BatchProbe, DefaultEngineFactory, Engine, FailureClass, GuardedSimulator, HumanOut,
-    LoadgenConfig, NdjsonProgress, RunControl, ServeConfig, SimError, SimServer, StreamContract,
-    Telemetry, WordWidth, MAX_JOBS,
+    chain_preferring, discard, install_signal_handlers, is_closed_pipe, measure_perf, open_sink,
+    record_build_info, record_perf_class, render_chrome_trace, run_loadgen, run_stream, write_text,
+    ActivityProfiler, BatchProbe, DefaultEngineFactory, Engine, FailureClass, GuardedSimulator,
+    HumanOut, LoadgenConfig, NdjsonProgress, RunControl, ServeConfig, SimError, SimServer,
+    StreamContract, Telemetry, WordWidth, MAX_JOBS,
 };
 use unit_delay_sim::netlist::stats::CircuitStats;
 use unit_delay_sim::netlist::{levelize, Probe, ResourceLimits};
@@ -839,15 +839,8 @@ struct Out {
 
 impl Out {
     fn new(human: &HumanOut) -> Self {
-        // Unlocked: a worker's panic report must not wait on a lock of
-        // the stream it writes to.
-        let stream: Box<dyn io::Write> = if human.to_stderr {
-            Box::new(io::stderr())
-        } else {
-            Box::new(io::stdout())
-        };
         Out {
-            out: BufWriter::with_capacity(1 << 16, stream),
+            out: human.writer(),
             line: Vec::new(),
         }
     }
@@ -909,7 +902,7 @@ impl Out {
 /// any other failure is a usage-class error.
 fn write_error(what: &str) -> impl Fn(io::Error) -> CliError + '_ {
     move |err| {
-        if err.kind() == io::ErrorKind::BrokenPipe {
+        if is_closed_pipe(&err) {
             CliError::closed_pipe()
         } else {
             CliError::usage(format!("writing {what}: {err}"))

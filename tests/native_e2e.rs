@@ -108,15 +108,10 @@ fn c432_random_every_flavor_and_width() {
     check_all_flavors(&nl, &stimulus);
 }
 
-#[test]
-fn c1908_default_flavor_at_both_widths() {
-    if skip_without_compiler("c1908_default_flavor_at_both_widths") {
-        return;
-    }
-    // Depth 40: 2-word fields at 32 bits, one word at the 64-bit
-    // default. c6288's deeper fields stay with the interpreted
-    // crosschecks: `cc` spends tens of seconds on its emitted C.
-    let nl = Iscas85::C1908.build();
+/// Cross-checks the default native flavor (parallel pt+trim) of
+/// `circuit` at both widths against the event-driven baseline.
+fn check_default_flavor(circuit: Iscas85, seed: u64) {
+    let nl = circuit.build();
     let mut sims = vec![build_simulator(&nl, Engine::EventDriven).expect("baseline builds")];
     for word in [WordWidth::W32, WordWidth::W64] {
         sims.push(
@@ -127,11 +122,31 @@ fn c1908_default_flavor_at_both_widths() {
                 &ResourceLimits::unlimited(),
                 &NoopProbe,
             )
-            .unwrap_or_else(|e| panic!("c1908 at w{} must build: {e}", word.bits())),
+            .unwrap_or_else(|e| panic!("{} at w{} must build: {e}", nl.name(), word.bits())),
         );
     }
     let width = nl.primary_inputs().len();
-    crosscheck::run(&nl, &mut sims, RandomVectors::new(width, 1908).take(16)).unwrap();
+    crosscheck::run(&nl, &mut sims, RandomVectors::new(width, seed).take(16)).unwrap();
+}
+
+#[test]
+fn c1908_default_flavor_at_both_widths() {
+    if skip_without_compiler("c1908_default_flavor_at_both_widths") {
+        return;
+    }
+    // Depth 40: 2-word fields at 32 bits, one word at the 64-bit
+    // default.
+    check_default_flavor(Iscas85::C1908, 1908);
+}
+
+#[test]
+fn c6288_default_flavor_at_both_widths() {
+    if skip_without_compiler("c6288_default_flavor_at_both_widths") {
+        return;
+    }
+    // The 16x16 multiplier: the deepest circuit and the largest kernel
+    // of the suite, in over a hundred parts at either width.
+    check_default_flavor(Iscas85::C6288, 6288);
 }
 
 #[test]
@@ -157,6 +172,44 @@ fn nets_named_like_generated_words_keep_their_own_slots() {
     b.output(y);
     let nl = b.finish().unwrap();
     let stimulus: Vec<Vec<bool>> = RandomVectors::new(4, 0x40).take(24).collect();
+    check_all_flavors(&nl, &stimulus);
+}
+
+#[test]
+fn nets_named_like_kernel_parts_keep_their_own_slots() {
+    if skip_without_compiler("nets_named_like_kernel_parts_keep_their_own_slots") {
+        return;
+    }
+    // Nets named like the native kernel's part functions and its
+    // no-inline attribute must be renamed: `#define uds_part0 uds_a[0]`
+    // would turn the part's definition into nonsense. Sixty levels of
+    // a four-wide XOR ladder give every flavor several parts.
+    let mut b = NetlistBuilder::new();
+    let hostile: Vec<NetId> = ["uds_part0", "uds_part1", "UDS_NOINLINE", "__noinline__"]
+        .into_iter()
+        .map(|name| b.input(name))
+        .collect();
+    let mut rung = hostile.clone();
+    for level in 0..60 {
+        rung = (0..4)
+            .map(|j| {
+                let pair = [rung[j], rung[(j + 1) % 4]];
+                b.gate(GateKind::Xor, &pair, format!("g{level}_{j}"))
+                    .unwrap()
+            })
+            .collect();
+    }
+    let y = b
+        .gate(
+            GateKind::And,
+            &[rung[0], rung[1], hostile[2], hostile[3]],
+            "y",
+        )
+        .unwrap();
+    b.output(y);
+    b.output(rung[2]);
+    let nl = b.finish().unwrap();
+    let stimulus: Vec<Vec<bool>> = RandomVectors::new(4, 0x9a).take(24).collect();
     check_all_flavors(&nl, &stimulus);
 }
 
