@@ -21,12 +21,12 @@
 //! against the in-process parallel+pt+trim interpreter — the paper's
 //! actual deployment model; it prints a visible SKIP (and writes no
 //! JSON) when no C compiler is on `PATH`. `hotspots` runs the per-level
-//! execution profiler (DESIGN.md §19) on both compiled techniques and
-//! shows how well each compiler's static per-level cost model predicts
-//! where the simulate loop's time actually goes — the Pearson
-//! correlation of measured per-level self-time against static op
-//! counts; the gate watches the profiled-run throughput and the static
-//! totals, while the noisy per-level nanoseconds ride along un-gated.
+//! execution profiler (DESIGN.md §19) on both compiled techniques. Its
+//! per-level `self_ns` is apportioned, not clocked per level: the level
+//! timer reads the clock once per batch of word ops and splits each
+//! interval across levels by word-op weight. The gate watches the
+//! profiled-run throughput and the static totals; the per-level
+//! breakdown rides along un-gated.
 //!
 //! `compare` is the perf regression gate (DESIGN.md §16): it matches
 //! two `uds-bench-v1` documents cell by cell, normalizes throughput by
@@ -36,24 +36,15 @@
 //! lands in `DELTA_<figure>.json` (schema `uds-bench-compare-v1`);
 //! `--json -` streams it to stdout.
 //!
-//! `trend` is the perf history (DESIGN.md §18):
-//! `trend --append HISTORY.ndjson FIG.json ...` folds each figure
-//! document into one calibration-normalized `uds-bench-trend-v1`
-//! NDJSON line, then scans the whole history for monotone erosion —
-//! a series that slid on each of its last `--window K` (default 5)
-//! runs even though every individual `compare` passed. `--strict`
-//! turns a detected erosion into exit 1.
-//!
-//! Timed cells show the minimum of [`runner::timing_reps`] repetitions
-//! after a warmup pass; the JSON carries min, median, the
-//! outlier-trimmed mean the compare gate reads, and derived
-//! vectors/sec. When `--json` is active the run is fingerprinted with
-//! the host's [`uds_core::calibrate`] score so baselines recorded on
-//! different machines stay comparable. Static columns come from the
-//! compilers' telemetry gauges. Fig. 19 carries the measured activity
-//! factor (toggles / (nets × depth × vectors)) — the event-driven
-//! baseline's work scales with it, the compiled techniques' does not,
-//! so it contextualizes each circuit's speedup.
+//! Timed cells show the minimum of [`runner::TIMING_REPS`] repetitions
+//! after a warmup pass; the JSON carries min, the median the compare
+//! gate reads, and derived vectors/sec. When `--json` is active the
+//! run is fingerprinted with the host's [`uds_core::calibrate`] score
+//! so baselines recorded on different machines stay comparable. Static
+//! columns come from the compilers' telemetry gauges. Fig. 19 carries
+//! the measured activity factor (toggles / (nets × depth × vectors)) —
+//! the event-driven baseline's work scales with it, the compiled
+//! techniques' does not, so it contextualizes each circuit's speedup.
 
 use std::cell::{Cell, RefCell};
 use std::env;
@@ -64,7 +55,6 @@ use uds_bench::compare::{self, DEFAULT_TOLERANCE_PCT};
 use uds_bench::paper;
 use uds_bench::runner::{self, suite, Timing};
 use uds_bench::table::{ratio, seconds, Table};
-use uds_bench::trend::{self, TrendRecord};
 use uds_core::telemetry::json::Json;
 use uds_core::{is_closed_pipe, write_text, Engine, StreamContract};
 use uds_netlist::generators::iscas::Iscas85;
@@ -149,9 +139,6 @@ fn main() {
     let mut json: Option<JsonDest> = None;
     let mut tolerance: Option<f64> = None;
     let mut compare_paths: Vec<String> = Vec::new();
-    let mut append = false;
-    let mut strict = false;
-    let mut window: Option<usize> = None;
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -180,23 +167,11 @@ fn main() {
                     JsonDest::Files
                 });
             }
-            "--append" => append = true,
-            "--strict" => strict = true,
-            "--window" => {
-                window = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|v: &usize| *v >= trend::MIN_RUN)
-                        .unwrap_or_else(|| {
-                            usage(&format!("--window needs a number >= {}", trend::MIN_RUN))
-                        }),
-                );
-            }
             "fig19" | "fig20" | "fig21" | "fig22" | "fig23" | "fig24" | "zero-delay"
-            | "codesize" | "parallel" | "native" | "hotspots" | "all" | "compare" | "trend" => {
+            | "codesize" | "parallel" | "native" | "hotspots" | "all" | "compare" => {
                 command = arg.clone();
             }
-            other if (command == "compare" || command == "trend") && !other.starts_with('-') => {
+            other if command == "compare" && !other.starts_with('-') => {
                 compare_paths.push(other.to_owned());
             }
             other => usage(&format!("unknown argument `{other}`")),
@@ -207,23 +182,6 @@ fn main() {
     }
     if command != "compare" && tolerance.is_some() {
         usage("--tolerance only applies to `compare`");
-    }
-    if command != "trend" && (append || strict || window.is_some()) {
-        usage("--append/--strict/--window only apply to `trend`");
-    }
-    if command == "trend" {
-        if compare_paths.is_empty() {
-            usage("trend needs a history: trend [--append] HISTORY.ndjson [FIG.json ...]");
-        }
-        if append && compare_paths.len() < 2 {
-            usage("trend --append needs at least one figure document after the history");
-        }
-        if !append && compare_paths.len() > 1 {
-            usage("trend without --append reads only the history file");
-        }
-        if json.is_some() {
-            usage("--json does not apply to `trend` (the history file IS the artifact)");
-        }
     }
 
     // The same stdout contract as udsim's stream flags: `--json -`
@@ -264,15 +222,6 @@ fn main() {
             &out,
         );
     }
-    if command == "trend" {
-        run_trend(
-            &compare_paths[0],
-            if append { &compare_paths[1..] } else { &[] },
-            window.unwrap_or(trend::DEFAULT_WINDOW),
-            strict,
-            &out,
-        );
-    }
 
     match command.as_str() {
         "fig19" => fig19(vectors, &out),
@@ -308,8 +257,7 @@ fn usage(message: &str) -> ! {
     eprintln!(
         "usage: tables [fig19|fig20|fig21|fig22|fig23|fig24|zero-delay|codesize|parallel|native|hotspots|all] \
          [--vectors N | --quick] [--json [-]]\n\
-         \x20      tables compare OLD.json NEW.json [--tolerance PCT] [--json [-]]\n\
-         \x20      tables trend [--append] HISTORY.ndjson [FIG.json ...] [--window K] [--strict]"
+         \x20      tables compare OLD.json NEW.json [--tolerance PCT] [--json [-]]"
     );
     std::process::exit(2);
 }
@@ -342,73 +290,21 @@ fn run_compare(old_path: &str, new_path: &str, tolerance: f64, out: &Output) -> 
     std::process::exit(verdict);
 }
 
-/// The `trend` subcommand (DESIGN.md §18): optionally fold figure
-/// documents into the append-only NDJSON history, then scan the whole
-/// history for monotone erosion — series that slid on every one of
-/// their last `window` runs even though each individual `compare`
-/// gate passed.
-///
-/// Exit codes: 0 = no erosion (or erosion without `--strict`),
-/// 1 = erosion under `--strict`, 2 = unreadable or malformed inputs.
-fn run_trend(
-    history_path: &str,
-    figures: &[String],
-    window: usize,
-    strict: bool,
-    out: &Output,
-) -> ! {
-    for path in figures {
-        let text = fs::read_to_string(path)
-            .unwrap_or_else(|e| usage(&format!("cannot read `{path}`: {e}")));
-        let doc =
-            Json::parse(&text).unwrap_or_else(|e| usage(&format!("cannot parse `{path}`: {e:?}")));
-        let record = TrendRecord::from_doc(&doc).unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-        let mut line = record.render();
-        line.push('\n');
-        let appended = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(history_path)
-            .and_then(|mut file| std::io::Write::write_all(&mut file, line.as_bytes()));
-        if let Err(e) = appended {
-            usage(&format!("cannot append to `{history_path}`: {e}"));
-        }
-        out.line(format!(
-            "appended {} ({} cells) to {history_path}",
-            record.figure,
-            record.cells.len()
-        ));
-    }
-    // A missing history without --append is a usage error; with
-    // --append the file was just created above.
-    let text = fs::read_to_string(history_path)
-        .unwrap_or_else(|e| usage(&format!("cannot read `{history_path}`: {e}")));
-    let history = trend::parse_history(&text).unwrap_or_else(|e| usage(&e.0));
-    let erosions = trend::detect_erosion(&history, window);
-    let verdict = if strict && !erosions.is_empty() { 1 } else { 0 };
-    out.closed_pipe_exit.set(verdict);
-    out.line(trend::render_report(&history, &erosions).trim_end());
-    std::process::exit(verdict);
-}
-
 /// Table cell for a timing: the minimum repetition, in seconds.
 fn best(timing: Timing) -> String {
     seconds(timing.min_s)
 }
 
 /// JSON value for a timing: the raw statistics plus derived
-/// throughput. `trimmed_mean_s` is the statistic `compare` gates on;
-/// `min_s`/`median_s` keep their original meaning for existing
-/// consumers.
+/// throughput. `median_s` is the statistic `compare` gates on.
 fn timing_json(timing: Timing, vectors: usize) -> Json {
     Json::obj([
         ("min_s", Json::Float(timing.min_s)),
         ("median_s", Json::Float(timing.median_s)),
-        ("trimmed_mean_s", Json::Float(timing.trimmed_mean_s)),
         ("reps", Json::UInt(timing.reps as u64)),
         (
             "vectors_per_s",
-            Json::Float(vectors as f64 / timing.trimmed_mean_s.max(1e-12)),
+            Json::Float(vectors as f64 / timing.median_s.max(1e-12)),
         ),
     ])
 }
@@ -866,17 +762,16 @@ const HOTSPOT_ENGINES: [(&str, Engine); 2] = [
 
 fn hotspots(vectors: usize, out: &Output) {
     out.line(format!(
-        "\n== hotspots: per-level self-time vs static cost model, {vectors} vectors =="
+        "\n== hotspots: per-level self-time beside the static cost model, {vectors} vectors =="
     ));
-    out.line("== (corr = Pearson of measured level self_ns against the compiler's ==");
-    out.line("==  static per-level op counts, over gate levels 1..=depth) ==");
+    out.line("== (per-level self_ns is apportioned by word-op weight from clock reads ==");
+    out.line("==  taken once per batch of word ops, not clocked per level) ==");
     let mut table = Table::new(&[
         "circuit",
         "engine",
         "profiled",
         "attributed",
         "levels",
-        "corr",
         "hottest",
     ]);
     let mut rows = Vec::new();
@@ -897,15 +792,6 @@ fn hotspots(vectors: usize, out: &Output) {
                 .levels
                 .len()
                 .min(static_profile.levels.len());
-            let measured_ns: Vec<f64> = gate_levels
-                .clone()
-                .map(|l| report.measured.levels[l].self_ns as f64)
-                .collect();
-            let static_ops: Vec<f64> = gate_levels
-                .clone()
-                .map(|l| static_profile.levels[l].word_ops as f64)
-                .collect();
-            let corr = pearson(&measured_ns, &static_ops);
             let hottest = report
                 .measured
                 .levels
@@ -922,7 +808,6 @@ fn hotspots(vectors: usize, out: &Output) {
                     100.0 * attributed as f64 / report.span_ns.max(1) as f64
                 ),
                 report.measured.levels.len().to_string(),
-                format!("{corr:+.3}"),
                 format!("level_{hottest}"),
             ]);
             let level_rows: Vec<Json> = gate_levels
@@ -941,9 +826,8 @@ fn hotspots(vectors: usize, out: &Output) {
             // Gate-watched cells: the profiled-run timing (a timer-
             // overhead regression shows up as lost throughput) and the
             // deterministic static totals. The per-level nanoseconds
-            // and the correlation are too noisy to gate exactly, so
-            // they ride inside `<label>_profile`, a shape `compare`
-            // ignores additively.
+            // are too noisy to gate exactly, so they ride inside
+            // `<label>_profile`, a shape `compare` ignores additively.
             members.push((format!("{label}_profiled"), timing_json(timing, vectors)));
             members.push((
                 format!("{label}_static_word_ops"),
@@ -956,7 +840,12 @@ fn hotspots(vectors: usize, out: &Output) {
             members.push((
                 format!("{label}_profile"),
                 Json::obj([
-                    ("correlation", Json::Float(corr)),
+                    (
+                        "self_ns_source",
+                        Json::Str(
+                            "apportioned by word-op weight, not clocked per level".to_owned(),
+                        ),
+                    ),
                     ("span_ns", Json::UInt(report.span_ns)),
                     ("attributed_ns", Json::UInt(attributed)),
                     ("levels", Json::Arr(level_rows)),
@@ -973,52 +862,10 @@ fn hotspots(vectors: usize, out: &Output) {
     out.write_json("hotspots", Some(vectors), rows);
 }
 
-/// Pearson correlation coefficient of two equal-length series; 0.0
-/// when either side has no variance (a flat series predicts nothing).
-fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    let n = xs.len().min(ys.len());
-    if n < 2 {
-        return 0.0;
-    }
-    let (xs, ys) = (&xs[..n], &ys[..n]);
-    let mean = |s: &[f64]| s.iter().sum::<f64>() / n as f64;
-    let (mx, my) = (mean(xs), mean(ys));
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (x, y) in xs.iter().zip(ys) {
-        cov += (x - mx) * (y - my);
-        vx += (x - mx) * (x - mx);
-        vy += (y - my) * (y - my);
-    }
-    if vx <= 0.0 || vy <= 0.0 {
-        0.0
-    } else {
-        cov / (vx.sqrt() * vy.sqrt())
-    }
-}
-
 fn percent_gain(before: f64, after: f64) -> String {
     if before <= 0.0 {
         "-".to_owned()
     } else {
         format!("{:+.0}%", 100.0 * (1.0 - after / before))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::pearson;
-
-    #[test]
-    fn pearson_matches_known_series() {
-        assert!((pearson(&[1.0, 2.0, 3.0], &[2.0, 4.0, 6.0]) - 1.0).abs() < 1e-12);
-        assert!((pearson(&[1.0, 2.0, 3.0], &[6.0, 4.0, 2.0]) + 1.0).abs() < 1e-12);
-        assert_eq!(
-            pearson(&[1.0, 1.0, 1.0], &[2.0, 4.0, 6.0]),
-            0.0,
-            "flat series"
-        );
-        assert_eq!(pearson(&[1.0], &[2.0]), 0.0, "degenerate length");
     }
 }

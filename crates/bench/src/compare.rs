@@ -10,9 +10,7 @@
 //!    **circuit × engine × jobs × word** (the `batched` array of the
 //!    `parallel` figure contributes one cell per jobs level; the word
 //!    width rides in from the calibration fingerprint);
-//! 3. converts every timing cell to vectors/second (preferring the
-//!    noise-aware trimmed mean, falling back to the median and then
-//!    the min for documents recorded before those fields existed) and
+//! 3. converts every timing cell's median to vectors/second and
 //!    normalizes the NEW side by the **calibration ratio**
 //!    `old_score / new_score`, so replaying a baseline on a faster or
 //!    slower host does not masquerade as a perf change;
@@ -87,7 +85,7 @@ pub enum Cell {
     /// (higher is better). `seconds` keeps the raw statistic for the
     /// report.
     Timing {
-        /// The noise-aware statistic the cell was derived from.
+        /// The median the cell was derived from.
         seconds: f64,
         /// Throughput: document `vectors` / `seconds`.
         vectors_per_s: f64,
@@ -114,17 +112,6 @@ pub struct BenchDoc {
     pub profile: Option<String>,
     /// The comparable cells.
     pub cells: BTreeMap<CellKey, Cell>,
-}
-
-/// The timing statistic of one timing object: trimmed mean when
-/// present, else median, else min — so old baselines stay comparable.
-fn timing_statistic(obj: &Json) -> Option<f64> {
-    for key in ["trimmed_mean_s", "median_s", "min_s"] {
-        if let Some(v) = obj.get(key).and_then(Json::as_f64) {
-            return Some(v);
-        }
-    }
-    None
 }
 
 /// Parses one `uds-bench-v1` document into comparable cells.
@@ -171,8 +158,10 @@ pub fn parse_doc(doc: &Json) -> Result<BenchDoc, CompareError> {
                        key: CellKey,
                        obj: &Json|
      -> Result<(), CompareError> {
-        let seconds = timing_statistic(obj)
-            .ok_or_else(|| CompareError(format!("timing cell `{key}` has no timing statistic")))?;
+        let seconds = obj
+            .get("median_s")
+            .and_then(Json::as_f64)
+            .ok_or_else(|| CompareError(format!("timing cell `{key}` has no `median_s`")))?;
         // Throughput needs the vector count; a figure without one
         // (none today) would compare per-pass rates instead, which
         // is still consistent between two documents of the figure.
@@ -619,8 +608,7 @@ mod tests {
                "calibration":{{"score":{score},"alu_mops":300.0,"mem_mops":12.0,
                                "cores":1,"profile":"release","word_bits":32}},
                "rows":[{{"circuit":"c432",
-                         "parallel":{{"min_s":{seconds},"median_s":{seconds},
-                                      "trimmed_mean_s":{seconds},"reps":3}},
+                         "parallel":{{"min_s":{seconds},"median_s":{seconds},"reps":3}},
                          "word_ops":{ops},
                          "paper_parallel_s":9.9}}]}}"#
         )
@@ -739,10 +727,10 @@ mod tests {
             format!(
                 r#"{{"schema":"uds-bench-v1","figure":"parallel","vectors":500,"rows":[
                     {{"circuit":"c432",
-                      "sequential":{{"min_s":0.05,"median_s":0.05,"trimmed_mean_s":0.05}},
+                      "sequential":{{"min_s":0.05,"median_s":0.05}},
                       "batched":[
-                        {{"jobs":1,"timing":{{"min_s":0.06,"median_s":0.06,"trimmed_mean_s":0.06}}}},
-                        {{"jobs":4,"timing":{{"min_s":{j4},"median_s":{j4},"trimmed_mean_s":{j4}}}}}]}}]}}"#
+                        {{"jobs":1,"timing":{{"min_s":0.06,"median_s":0.06}}}},
+                        {{"jobs":4,"timing":{{"min_s":{j4},"median_s":{j4}}}}}]}}]}}"#
             )
         };
         let report = compare_rendered(&batched(0.02), &batched(0.02), 10.0).unwrap();
@@ -802,11 +790,45 @@ mod tests {
         let report = compare_rendered(legacy, legacy, 10.0).unwrap();
         assert_eq!(report.calibration_ratio, 1.0);
         assert!(report.gate_passes());
-        // The statistic fell back to the median, not the min.
+        // The statistic is the median, not the min.
         if let Some(Cell::Timing { seconds, .. }) = report.cells[0].old {
             assert_eq!(seconds, 0.06);
         } else {
             panic!("expected a timing cell");
         }
+    }
+
+    #[test]
+    fn committed_baselines_with_a_trimmed_mean_compare_to_documents_without() {
+        // Committed baselines carry `trimmed_mean_s` (equal to the median
+        // under three reps); current documents do not. The gate reads
+        // the median on both sides, so every cell matches.
+        let old = r#"{"schema":"uds-bench-v1","figure":"fig23","vectors":500,"rows":[
+            {"circuit":"c432",
+             "unoptimized":{"min_s":0.04,"median_s":0.05,"trimmed_mean_s":0.05,"reps":3},
+             "path_tracing":{"min_s":0.02,"median_s":0.03,"trimmed_mean_s":0.03,"reps":3},
+             "unoptimized_word_ops":1234}]}"#;
+        let new = r#"{"schema":"uds-bench-v1","figure":"fig23","vectors":500,"rows":[
+            {"circuit":"c432",
+             "unoptimized":{"min_s":0.04,"median_s":0.05,"reps":3,"vectors_per_s":10000.0},
+             "path_tracing":{"min_s":0.02,"median_s":0.03,"reps":3,"vectors_per_s":16666.7},
+             "unoptimized_word_ops":1234}]}"#;
+        let report = compare_rendered(old, new, 10.0).unwrap();
+        assert_eq!(report.cells.len(), 3);
+        assert_eq!(
+            report.count(CellClass::Unchanged),
+            3,
+            "{}",
+            report.summary()
+        );
+        assert!(report.gate_passes());
+    }
+
+    #[test]
+    fn a_timing_cell_without_a_median_is_a_usage_error() {
+        let min_only = r#"{"schema":"uds-bench-v1","figure":"fig19","vectors":500,"rows":[
+            {"circuit":"c432","parallel":{"min_s":0.05}}]}"#;
+        let err = compare_rendered(min_only, min_only, 10.0).unwrap_err();
+        assert!(err.0.contains("median_s"), "{err}");
     }
 }

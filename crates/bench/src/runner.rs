@@ -6,11 +6,12 @@
 //! stimulus generation (the paper excludes reading vectors, printing
 //! output, and compiling circuit descriptions). Each measurement runs
 //! one untimed warmup pass (page faults, cache and branch-predictor
-//! warming) and then [`timing_reps`] timed repetitions, reporting the
-//! minimum, median, and outlier-trimmed mean — min is the least
-//! noise-inflated estimate of the true cost, the median shows how
-//! stable it was, and the trimmed mean is the statistic the
-//! `tables compare` regression gate reads (DESIGN.md §16).
+//! warming) and then [`TIMING_REPS`] timed repetitions, reporting the
+//! minimum and the median — min is the least noise-inflated estimate
+//! of the true cost, and the median, which ignores one interference
+//! spike without letting the optimistic minimum hide a real slowdown,
+//! is the statistic the `tables compare` regression gate reads
+//! (DESIGN.md §16).
 //!
 //! Static metrics (word operations, retained shifts, levels/words) are
 //! sourced from the compilers' own telemetry gauges (DESIGN.md §11)
@@ -42,24 +43,12 @@ pub const STIMULUS_SEED: u64 = 0x5EED_1990;
 /// comparable.
 pub const BENCH_WORD: WordWidth = WordWidth::W32;
 
-/// Default timed repetitions per measurement (after one untimed warmup
-/// pass). Override with the `UDS_BENCH_REPS` environment variable
-/// (minimum 1) when recording baselines on a noisy host.
+/// Timed repetitions per measurement (after one untimed warmup pass).
 pub const TIMING_REPS: usize = 3;
 
-/// Timed repetitions this process uses: [`TIMING_REPS`] unless
-/// `UDS_BENCH_REPS` overrides it.
-pub fn timing_reps() -> usize {
-    std::env::var("UDS_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(TIMING_REPS)
-}
-
 /// The host fingerprint stamped into every figure document: the core
-/// calibration plus the two knobs the bench layer owns (arena word
-/// width [`BENCH_WORD`], timing reps).
+/// calibration plus the two constants the bench layer owns (arena word
+/// width [`BENCH_WORD`], [`TIMING_REPS`]).
 pub fn fingerprint() -> Json {
     let calibration = uds_core::calibrate();
     let Json::Obj(mut members) = calibration.to_json() else {
@@ -69,23 +58,17 @@ pub fn fingerprint() -> Json {
         "word_bits".to_owned(),
         Json::UInt(u64::from(BENCH_WORD.bits())),
     ));
-    members.push(("timing_reps".to_owned(), Json::UInt(timing_reps() as u64)));
+    members.push(("timing_reps".to_owned(), Json::UInt(TIMING_REPS as u64)));
     Json::Obj(members)
 }
 
-/// One timing measurement over [`timing_reps`] repetitions.
+/// One timing measurement over [`TIMING_REPS`] repetitions.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Timing {
     /// Fastest repetition — the best estimate of the true cost.
     pub min_s: f64,
-    /// Median repetition — how stable the measurement was.
+    /// Median repetition — the statistic `tables compare` gates on.
     pub median_s: f64,
-    /// Mean after dropping the fastest and slowest repetition (plain
-    /// mean under three reps that would leave fewer than one sample) —
-    /// the noise-aware statistic `tables compare` gates on: it ignores
-    /// a single interference spike without letting the optimistic
-    /// minimum hide a real slowdown.
-    pub trimmed_mean_s: f64,
     /// Repetitions behind the statistics above.
     pub reps: usize,
 }
@@ -100,15 +83,9 @@ impl Timing {
         assert!(!samples.is_empty(), "at least one timing sample");
         samples.sort_by(f64::total_cmp);
         let reps = samples.len();
-        let trimmed: &[f64] = if reps >= 3 {
-            &samples[1..reps - 1]
-        } else {
-            &samples
-        };
         Timing {
             min_s: samples[0],
             median_s: samples[reps / 2],
-            trimmed_mean_s: trimmed.iter().sum::<f64>() / trimmed.len() as f64,
             reps,
         }
     }
@@ -121,11 +98,11 @@ pub fn stimulus(netlist: &Netlist, vectors: usize) -> Vec<Vec<bool>> {
         .collect()
 }
 
-/// Runs `pass` once untimed (warmup), then [`timing_reps`] more times
+/// Runs `pass` once untimed (warmup), then [`TIMING_REPS`] more times
 /// under the clock.
 pub fn time_passes(mut pass: impl FnMut()) -> Timing {
     pass();
-    let samples: Vec<f64> = (0..timing_reps())
+    let samples: Vec<f64> = (0..TIMING_REPS)
         .map(|_| {
             let start = Instant::now();
             pass();
@@ -345,7 +322,7 @@ pub fn activity_factor(netlist: &Netlist, vectors: usize) -> f64 {
 }
 
 /// Profiled per-level measurement for one engine: one untimed warmup,
-/// then [`timing_reps`] fully profiled repetitions of the whole
+/// then [`TIMING_REPS`] fully profiled repetitions of the whole
 /// stimulus. The [`Timing`] is built from each repetition's profiled
 /// span (so the compare gate watches the *profiled* throughput — a
 /// timer-overhead regression shows up here), and the returned report is
@@ -370,7 +347,7 @@ pub fn hotspot_profile(
             .expect("profiled run succeeds")
     };
     let mut last = run(); // warmup
-    let samples: Vec<f64> = (0..timing_reps())
+    let samples: Vec<f64> = (0..TIMING_REPS)
         .map(|_| {
             last = run();
             last.span_ns as f64 / 1e9
@@ -428,36 +405,17 @@ mod tests {
                 timing.median_s >= timing.min_s,
                 "median cannot undercut the minimum"
             );
-            assert!(
-                timing.trimmed_mean_s >= timing.min_s,
-                "trimmed mean cannot undercut the minimum"
-            );
-            assert_eq!(timing.reps, timing_reps());
+            assert_eq!(timing.reps, TIMING_REPS);
         }
     }
 
     #[test]
     fn timing_statistics_from_samples() {
-        // Five reps: trimmed mean drops the 0.1 outlier and the 0.01
-        // minimum, leaving the stable middle.
+        // The median ignores the 0.1 outlier; min is the fastest rep.
         let t = Timing::from_samples(vec![0.03, 0.01, 0.1, 0.02, 0.04]);
-        assert_eq!(t.min_s, 0.01);
-        assert_eq!(t.median_s, 0.03);
-        assert!(
-            (t.trimmed_mean_s - 0.03).abs() < 1e-12,
-            "{}",
-            t.trimmed_mean_s
-        );
-        assert_eq!(t.reps, 5);
-        // Three reps: the trimmed mean degenerates to the median.
+        assert_eq!((t.min_s, t.median_s, t.reps), (0.01, 0.03, 5));
         let t = Timing::from_samples(vec![3.0, 1.0, 2.0]);
-        assert_eq!(
-            (t.min_s, t.median_s, t.trimmed_mean_s, t.reps),
-            (1.0, 2.0, 2.0, 3)
-        );
-        // Fewer than three: plain mean (nothing sane to trim).
-        let t = Timing::from_samples(vec![1.0, 3.0]);
-        assert_eq!(t.trimmed_mean_s, 2.0);
+        assert_eq!((t.min_s, t.median_s, t.reps), (1.0, 2.0, 3));
     }
 
     #[test]

@@ -39,8 +39,7 @@ fn doc(seconds: f64, score: f64, ops: u64) -> String {
            "calibration":{{"score":{score},"alu_mops":215.0,"mem_mops":23.0,
                            "cores":1,"profile":"release","word_bits":32,"timing_reps":3}},
            "rows":[{{"circuit":"c432",
-                     "parallel":{{"min_s":{seconds},"median_s":{seconds},
-                                  "trimmed_mean_s":{seconds},"reps":3,
+                     "parallel":{{"min_s":{seconds},"median_s":{seconds},"reps":3,
                                   "vectors_per_s":{vps}}},
                      "word_ops":{ops}}}]}}"#,
         vps = 500.0 / seconds,

@@ -247,7 +247,7 @@ pub struct FiredFallback {
 /// Construction tries each engine in the chain until one compiles
 /// within budget. Per-vector runs are panic-contained: a mid-run panic
 /// triggers a fallback, the next engine is restored to the
-/// [`Checkpoint`] and re-runs the failed vector, so retained state (each
+/// `Checkpoint` and re-runs the failed vector, so retained state (each
 /// vector's dependence on the previous one) is preserved bit-exactly.
 pub struct GuardedSimulator {
     /// Shared with every fork: a fork never copies the circuit.

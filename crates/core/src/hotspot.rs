@@ -7,14 +7,17 @@
 //! work counts to netlist levels (level 0 is per-vector setup, levels
 //! `1..=depth` are gate levels) using the engines' chunked
 //! [`LevelTimer`](uds_netlist::LevelTimer) hooks, and pairs the
-//! measurement with each engine's *static* per-level cost model so a
-//! report can show how well instruction counts predict time.
+//! measurement with each engine's *static* per-level cost model. The
+//! timer reads the clock once per batch of word ops and apportions each
+//! interval across levels by word-op weight, so per-level self-time
+//! follows the static counts within a batch; only the batch totals are
+//! clocked.
 //!
 //! Three consumers share the model here: the `udsim hotspots` command
 //! (JSON + collapsed-stack "folded" output any flamegraph tool
 //! ingests), the serve daemon's `/debug/hotspots` window over a
 //! bounded ring of per-request profiles, and the bench suite's
-//! measured-vs-static correlation figure.
+//! `tables hotspots` figure.
 //!
 //! # Attribution contract
 //!

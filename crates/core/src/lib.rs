@@ -105,7 +105,7 @@ pub use hotspot::{
     HotspotReport, HotspotRing, HotspotSample, HotspotWindow, LeveledStep, HOTSPOT_SCHEMA,
 };
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport, LOADGEN_SCHEMA};
-pub use native::{build_native, build_native_monitoring, compiler_available};
+pub use native::{build_native, compiler_available};
 pub use perf::{calibrate, measure_perf, record_perf_class, Calibration, PerfClass, PerfReport};
 pub use progress::{BatchProbe, Heartbeat, NdjsonProgress, PROGRESS_SCHEMA};
 pub use serve::{

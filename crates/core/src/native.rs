@@ -152,23 +152,6 @@ pub fn build_native(
     DefaultEngineFactory::with_word(word).compile(netlist, flavor, true, limits, probe)
 }
 
-/// [`build_native`] with **all nets monitored** on the twin (the
-/// activity profiler's variant). Monitoring changes the compiled
-/// program, so these artifacts are cached under a distinct flavor key.
-pub fn build_native_monitoring(
-    netlist: &Netlist,
-    flavor: Engine,
-    word: WordWidth,
-    limits: &ResourceLimits,
-    probe: &dyn Probe,
-) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-    let factory = DefaultEngineFactory {
-        word,
-        monitor_all: true,
-    };
-    factory.compile(netlist, flavor, true, limits, probe)
-}
-
 /// `true` when the host C compiler (`$UDS_CC`, default `cc`) answers
 /// `--version` — probed once per process. Tests and benches use this
 /// to skip with a visible notice instead of failing on toolchain-free
@@ -553,8 +536,11 @@ mod imp {
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
-    use crate::TracedEventSim;
-    use uds_netlist::generators::iscas::c17;
+    use crate::guard::EngineFactory;
+    use crate::vectors::RandomVectors;
+    use crate::{GuardedSimulator, TracedEventSim};
+    use uds_netlist::generators::iscas::{c17, Iscas85};
+    use uds_netlist::generators::random::{layered, LayeredConfig};
     use uds_netlist::NoopProbe;
 
     fn skip_notice() -> bool {
@@ -685,5 +671,106 @@ mod tests {
         crate::crosscheck::run(&nl, &mut [baseline, native], stimulus)
             .unwrap_or_else(|e| panic!("native diverged from the baseline: {e}"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Builds every chain entry as the all-nets-monitored native engine of
+    /// one flavor, so a guard over it keeps every net's history.
+    #[derive(Clone, Copy)]
+    struct NativeFlavor {
+        flavor: Engine,
+        word: WordWidth,
+    }
+
+    impl EngineFactory for NativeFlavor {
+        fn build(
+            &self,
+            netlist: &Netlist,
+            _engine: Engine,
+            limits: &ResourceLimits,
+            probe: &dyn Probe,
+        ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
+            let factory = DefaultEngineFactory {
+                word: self.word,
+                monitor_all: true,
+            };
+            factory.compile(netlist, self.flavor, true, limits, probe)
+        }
+
+        fn clone_box(&self) -> Box<dyn EngineFactory> {
+            Box::new(*self)
+        }
+    }
+
+    #[test]
+    fn native_forks_run_concurrently_on_one_loaded_object() {
+        // Forks of one native guard share one loaded kernel and nothing
+        // else: each call runs on its own fork's arena, with no lock. Two
+        // threads with different stimulus, released together, must each
+        // match the event-driven baseline row for row and history for
+        // history. The PC-set stream is always 64-bit, so it runs once.
+        let _env = env_lock();
+        if skip_notice() {
+            return;
+        }
+        let mut deep = LayeredConfig::new("batch-prop", 220, 40);
+        deep.primary_inputs = 8;
+        deep.seed = 0xBA7C;
+        deep.locality = 0.4;
+        deep.xor_fraction = 0.25;
+        for nl in [layered(&deep).unwrap(), Iscas85::C432.build()] {
+            let width = nl.primary_inputs().len();
+            let prefix: Vec<Vec<bool>> = RandomVectors::new(width, 0x0F0F).take(8).collect();
+            for (flavor, word) in [
+                (Engine::ParallelPathTracingTrimming, WordWidth::W32),
+                (Engine::ParallelPathTracingTrimming, WordWidth::W64),
+                (Engine::PcSet, WordWidth::W64),
+            ] {
+                let case = format!("{} {flavor} w{}", nl.name(), word.bits());
+                let factory = Box::new(NativeFlavor { flavor, word });
+                let mut prototype = GuardedSimulator::with_factory(
+                    &nl,
+                    ResourceLimits::production(),
+                    &[Engine::Native],
+                    factory,
+                )
+                .unwrap();
+                // Fork mid-run, so the forks start from a retained state.
+                for vector in &prefix {
+                    prototype.simulate_vector(vector).unwrap();
+                }
+                let barrier = std::sync::Barrier::new(2);
+                std::thread::scope(|scope| {
+                    for seed in [0xA11CE, 0xB0B] {
+                        let (mut fork, nl, prefix, barrier, case) =
+                            (prototype.fork(), &nl, &prefix, &barrier, &case);
+                        scope.spawn(move || {
+                            let mut baseline = TracedEventSim::new(nl).unwrap();
+                            for vector in prefix {
+                                UnitDelaySimulator::simulate_vector(&mut baseline, vector);
+                            }
+                            barrier.wait();
+                            for (index, vector) in
+                                RandomVectors::new(width, seed).take(300).enumerate()
+                            {
+                                fork.simulate_vector(&vector).unwrap();
+                                UnitDelaySimulator::simulate_vector(&mut baseline, &vector);
+                                assert_eq!(fork.active_engine(), Engine::Native, "{case}");
+                                for net in nl.net_ids() {
+                                    let history = fork.history(net);
+                                    assert!(history.is_some(), "{case}: every net is monitored");
+                                    assert_eq!(
+                                        history,
+                                        baseline.history(net),
+                                        "{case} seed {seed:#x}: vector {index}, net {}",
+                                        nl.net_name(net)
+                                    );
+                                    assert_eq!(fork.final_value(net), baseline.final_value(net));
+                                }
+                            }
+                        });
+                    }
+                });
+            }
+        }
     }
 }

@@ -88,8 +88,9 @@ pub struct Calibration {
 
 impl Calibration {
     /// The fingerprint as a JSON object (embedded under `calibration`
-    /// in `uds-bench-v1` documents; `word_bits` and `timing_reps` are
-    /// appended by the bench layer, which knows them).
+    /// in `uds-bench-v1` documents; the bench layer appends
+    /// `word_bits` and `timing_reps` from its `BENCH_WORD` and
+    /// `TIMING_REPS` constants).
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("score", Json::Float(self.score)),

@@ -91,7 +91,7 @@
 //! id. The id is echoed on the response, stamped on the `uds-reqlog-v1`
 //! line, and inherited by async jobs submitted under it. Handlers
 //! collect per-phase timings (queue wait, parse, cache lookup, compile,
-//! simulate, serialize) into a private [`RequestTrace`] — never the
+//! simulate, serialize) into a private `RequestTrace` — never the
 //! shared span stack — and a sink installed with
 //! [`SimServer::set_trace`] streams each finished request's span tree
 //! as Chrome `trace_event` JSON (`udsim serve --trace OUT`), one

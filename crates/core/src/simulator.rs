@@ -104,8 +104,8 @@ pub trait UnitDelaySimulator: Send {
 
     /// The engine's *static* per-level cost model — instruction/word-op
     /// counts fixed at compile time — or `None` for engines without
-    /// one (the hotspot report uses it to correlate measured time with
-    /// predicted cost). `vectors` is 0 in the returned profile.
+    /// one (the hotspot report shows it beside the measured profile).
+    /// `vectors` is 0 in the returned profile.
     fn level_static_profile(&self) -> Option<LevelProfile> {
         None
     }

@@ -2,7 +2,7 @@
 //!
 //! The startup warmup measures throughput once, on an idle process;
 //! a loaded daemon needs the same number sampled from real traffic.
-//! [`RollingState`] keeps a ring of one-second slots per key — 60 of
+//! `RollingState` keeps a ring of one-second slots per key — 60 of
 //! them, so a sample ages out exactly [`WINDOW_SECS`] seconds after it
 //! landed — plus an exponentially weighted moving average that reacts
 //! faster than the window but never forgets more than `1 - ALPHA` per

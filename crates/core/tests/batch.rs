@@ -10,14 +10,13 @@ use uds_core::chaos::{ChaosFactory, Fault, FaultPlan};
 use uds_core::guard::EngineFactory;
 use uds_core::vectors::RandomVectors;
 use uds_core::{
-    build_native_monitoring, compiler_available, discard, run_batch, run_stream, ActivityProfiler,
-    DefaultEngineFactory, Engine, GuardedSimulator, RunControl, SimError, Telemetry,
-    TracedEventSim, UnitDelaySimulator, WordWidth, WINDOW,
+    discard, run_batch, run_stream, ActivityProfiler, DefaultEngineFactory, Engine,
+    GuardedSimulator, RunControl, SimError, Telemetry, TracedEventSim, UnitDelaySimulator,
+    WordWidth, WINDOW,
 };
 use uds_eventsim::zero_delay::stable_states;
-use uds_netlist::generators::iscas::Iscas85;
 use uds_netlist::generators::random::{layered, LayeredConfig};
-use uds_netlist::{levelize, Netlist, NoopProbe, Probe, ResourceLimits};
+use uds_netlist::{levelize, Netlist, NoopProbe, ResourceLimits};
 
 /// A circuit deep enough that 32-bit parallel fields span two words and
 /// retention (each vector starting from the last one's settled state)
@@ -397,95 +396,4 @@ fn telemetry_stays_one_span_per_shard_over_many_windows() {
         telemetry.gauge_value("batch.vectors_per_shard"),
         Some(WINDOW as u64 + 2)
     );
-}
-
-/// Builds every chain entry as the all-nets-monitored native engine of
-/// one flavor, so a guard over it keeps every net's history.
-#[derive(Clone, Copy)]
-struct NativeFlavor {
-    flavor: Engine,
-    word: WordWidth,
-}
-
-impl EngineFactory for NativeFlavor {
-    fn build(
-        &self,
-        netlist: &Netlist,
-        _engine: Engine,
-        limits: &ResourceLimits,
-        probe: &dyn Probe,
-    ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        build_native_monitoring(netlist, self.flavor, self.word, limits, probe)
-    }
-
-    fn clone_box(&self) -> Box<dyn EngineFactory> {
-        Box::new(*self)
-    }
-}
-
-#[test]
-fn native_forks_run_concurrently_on_one_loaded_object() {
-    // Forks of one native guard share one loaded kernel and nothing
-    // else: each call runs on its own fork's arena, with no lock. Two
-    // threads with different stimulus, released together, must each
-    // match the event-driven baseline row for row and history for
-    // history. The PC-set stream is always 64-bit, so it runs once.
-    if !compiler_available() {
-        eprintln!("SKIP native_forks_run_concurrently_on_one_loaded_object: no C compiler on PATH");
-        return;
-    }
-    for nl in [circuit(), Iscas85::C432.build()] {
-        let width = nl.primary_inputs().len();
-        let prefix: Vec<Vec<bool>> = RandomVectors::new(width, 0x0F0F).take(8).collect();
-        for (flavor, word) in [
-            (Engine::ParallelPathTracingTrimming, WordWidth::W32),
-            (Engine::ParallelPathTracingTrimming, WordWidth::W64),
-            (Engine::PcSet, WordWidth::W64),
-        ] {
-            let case = format!("{} {flavor} w{}", nl.name(), word.bits());
-            let factory = Box::new(NativeFlavor { flavor, word });
-            let mut prototype = GuardedSimulator::with_factory(
-                &nl,
-                ResourceLimits::production(),
-                &[Engine::Native],
-                factory,
-            )
-            .unwrap();
-            // Fork mid-run, so the forks start from a retained state.
-            for vector in &prefix {
-                prototype.simulate_vector(vector).unwrap();
-            }
-            let barrier = std::sync::Barrier::new(2);
-            std::thread::scope(|scope| {
-                for seed in [0xA11CE, 0xB0B] {
-                    let (mut fork, nl, prefix, barrier, case) =
-                        (prototype.fork(), &nl, &prefix, &barrier, &case);
-                    scope.spawn(move || {
-                        let mut baseline = TracedEventSim::new(nl).unwrap();
-                        for vector in prefix {
-                            UnitDelaySimulator::simulate_vector(&mut baseline, vector);
-                        }
-                        barrier.wait();
-                        for (index, vector) in RandomVectors::new(width, seed).take(300).enumerate()
-                        {
-                            fork.simulate_vector(&vector).unwrap();
-                            UnitDelaySimulator::simulate_vector(&mut baseline, &vector);
-                            assert_eq!(fork.active_engine(), Engine::Native, "{case}");
-                            for net in nl.net_ids() {
-                                let history = fork.history(net);
-                                assert!(history.is_some(), "{case}: every net is monitored");
-                                assert_eq!(
-                                    history,
-                                    baseline.history(net),
-                                    "{case} seed {seed:#x}: vector {index}, net {}",
-                                    nl.net_name(net)
-                                );
-                                assert_eq!(fork.final_value(net), baseline.final_value(net));
-                            }
-                        }
-                    });
-                }
-            });
-        }
-    }
 }

@@ -14,7 +14,7 @@
 //! [`parse`] accepts the full format (including `DFF` from the sequential
 //! ISCAS-89 set and constant generators), tolerates forward references and
 //! arbitrary declaration order, and reports errors with line numbers.
-//! [`write`] emits text that `parse` round-trips bit-for-bit structurally.
+//! [`write`](fn@write) emits text that `parse` round-trips bit-for-bit structurally.
 
 mod parser;
 mod writer;

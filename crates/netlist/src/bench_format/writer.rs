@@ -30,7 +30,7 @@ pub fn write(netlist: &Netlist) -> String {
     out
 }
 
-/// Like [`write`], but appends to any [`std::fmt::Write`] sink.
+/// Like [`write`](fn@write), but appends to any [`std::fmt::Write`] sink.
 ///
 /// # Errors
 ///

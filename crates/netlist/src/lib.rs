@@ -8,7 +8,7 @@
 //!   handles and a [`NetlistBuilder`] for programmatic construction;
 //! * the ISCAS-85 `.bench` text format ([`bench_format`]), reader and
 //!   writer, including `DFF` for sequential circuits;
-//! * [`levelize`]: the levelization / minlevel worklist algorithm that both
+//! * [`levelize`](mod@levelize): the levelization / minlevel worklist algorithm that both
 //!   the PC-set method and the parallel technique are built on;
 //! * structural [`generators`] (adders, an array multiplier, parity and mux
 //!   trees, decoders, comparators, an ALU slice, random layered DAGs) and an
