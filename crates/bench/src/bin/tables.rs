@@ -37,7 +37,9 @@
 //! `--json -` streams it to stdout.
 //!
 //! Timed cells show the minimum of [`runner::TIMING_REPS`] repetitions
-//! after a warmup pass; the JSON carries min, the median the compare
+//! after a warmup pass, each repeating the pass for at least
+//! [`runner::MIN_REP_SECONDS`] and reporting seconds per pass; the
+//! JSON carries min, the median the compare
 //! gate reads, and derived vectors/sec. When `--json` is active the
 //! run is fingerprinted with the host's [`uds_core::calibrate`] score
 //! so baselines recorded on different machines stay comparable. Static

@@ -6,7 +6,9 @@
 //! stimulus generation (the paper excludes reading vectors, printing
 //! output, and compiling circuit descriptions). Each measurement runs
 //! one untimed warmup pass (page faults, cache and branch-predictor
-//! warming) and then [`TIMING_REPS`] timed repetitions, reporting the
+//! warming) and then [`TIMING_REPS`] timed repetitions of at least
+//! [`MIN_REP_SECONDS`] each (short passes repeat inside a repetition,
+//! and a sample is seconds per pass), reporting the
 //! minimum and the median — min is the least noise-inflated estimate
 //! of the true cost, and the median, which ignores one interference
 //! spike without letting the optimistic minimum hide a real slowdown,
@@ -98,15 +100,28 @@ pub fn stimulus(netlist: &Netlist, vectors: usize) -> Vec<Vec<bool>> {
         .collect()
 }
 
-/// Runs `pass` once untimed (warmup), then [`TIMING_REPS`] more times
-/// under the clock.
+/// Shortest timed repetition: a repetition repeats its pass until it
+/// has run this long, so a busy moment of the host is a small part of
+/// any sample even for a pass of a few milliseconds.
+pub const MIN_REP_SECONDS: f64 = 0.05;
+
+/// Runs `pass` once untimed (warmup), then [`TIMING_REPS`] timed
+/// repetitions, each of as many passes as it takes to reach
+/// [`MIN_REP_SECONDS`]. Samples are seconds per pass.
 pub fn time_passes(mut pass: impl FnMut()) -> Timing {
     pass();
     let samples: Vec<f64> = (0..TIMING_REPS)
         .map(|_| {
             let start = Instant::now();
-            pass();
-            start.elapsed().as_secs_f64()
+            let mut passes = 0u32;
+            loop {
+                pass();
+                passes += 1;
+                let elapsed = start.elapsed().as_secs_f64();
+                if elapsed >= MIN_REP_SECONDS {
+                    break elapsed / f64::from(passes);
+                }
+            }
         })
         .collect();
     Timing::from_samples(samples)
@@ -454,6 +469,23 @@ mod tests {
         let a = activity_factor(&nl, 50);
         assert!(a > 0.0 && a < 1.0, "c432 under random stimulus: {a}");
         assert_eq!(a, activity_factor(&nl, 50), "same stimulus, same factor");
+    }
+
+    #[test]
+    fn short_passes_repeat_to_the_minimum_repetition_time() {
+        let pass = std::time::Duration::from_millis(5);
+        let mut calls = 0;
+        let timing = time_passes(|| {
+            calls += 1;
+            std::thread::sleep(pass);
+        });
+        // Warmup, then at least 50 ms of 5 ms passes per repetition.
+        assert!(calls > 1 + TIMING_REPS * 9, "{calls} passes");
+        assert!(timing.min_s >= pass.as_secs_f64(), "per pass: {timing:?}");
+        assert!(
+            timing.min_s < MIN_REP_SECONDS,
+            "per pass, not per repetition"
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub use uds_netlist::c_emit::EmitError;
 use uds_netlist::c_emit::{claim, gate_expression, sanitize, Kernel};
 use uds_netlist::Netlist;
 
-use crate::program::WOp;
+use crate::program::{FieldShift, WOp};
 use crate::word::Word;
 use crate::ParallelSim;
 
@@ -220,25 +220,25 @@ fn kernel<W: Word>(
                 }
                 let _ = writeln!(out, "    }}");
             }
-            WOp::ShiftField {
-                dst,
-                src,
-                dst_words,
-                top_word,
-                base,
-                spare,
-                offset,
-            } => {
+            WOp::ShiftField { .. } | WOp::ShiftRight { .. } => {
                 // Materialize a shifted presentation of a field
                 // (Fig. 18). Bottom/top fills and the funnel offsets are
                 // compile-time constants; source and destination never
-                // overlap, so the per-word funnel unrolls directly.
-                let top_word = u32::from(top_word);
+                // overlap, so the per-word funnel unrolls directly. Both
+                // ops emit this one text: the executor's decode is not
+                // the C compiler's business.
+                let FieldShift {
+                    dst,
+                    dst_words,
+                    src,
+                    src_width,
+                    shift,
+                } = op.as_field_shift::<W>().expect("a shift op");
+                let top_word = (src_width - 1) / b;
                 // The bit of the top word that holds the field's top bit.
-                let top_bit = b - 1 - u32::from(spare);
-                let offset = i64::from(offset);
-                let base = i64::from(base);
-                let shift = -(base * i64::from(b) + offset);
+                let top_bit = (src_width - 1) % b;
+                let offset = (-i64::from(shift)).rem_euclid(i64::from(b));
+                let base = (-i64::from(shift) - offset) / i64::from(b);
                 let src_at = |i: i64| -> String {
                     if i < 0 {
                         "uds_bf".to_owned()
@@ -261,7 +261,7 @@ fn kernel<W: Word>(
                     out,
                     "        const word uds_tf = (word)0 - ({raw_top} >> {top_bit} & (word)1);"
                 );
-                if spare == 0 {
+                if top_bit == b - 1 {
                     // Full top word: the sanitization mask is all ones.
                     let _ = writeln!(out, "        const word uds_st = {raw_top};");
                 } else {

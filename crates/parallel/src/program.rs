@@ -86,7 +86,8 @@ pub(crate) enum WOp {
     /// Presented bit `i` is source bit `i - shift`, with bottom/top-bit
     /// replication outside `0..src_width`. Built by [`WOp::shift_field`],
     /// which decodes the shift into the funnel's word geometry once, at
-    /// compile time.
+    /// compile time. The general shape: any direction, any width; the
+    /// common right shift of a narrow field is a [`WOp::ShiftRight`].
     ShiftField {
         dst: u32,
         src: u32,
@@ -101,6 +102,42 @@ pub(crate) enum WOp {
         /// The bit of word `base` at which destination word 0 starts.
         offset: u8,
     },
+    /// A [`WOp::ShiftField`] presentation shifted right (`shift < 0`)
+    /// from a source of at most two words into at most two words —
+    /// every presentation of the ISCAS-85 stand-ins' 64-bit
+    /// path-tracing programs. The source's
+    /// top word, its `spare` bits above the field replaced by copies of
+    /// the top bit, and the word below it (the top word itself for a
+    /// one-word field) form a sign-extended double word `high:low`;
+    /// destination word `w` is that pair shifted right arithmetically
+    /// by `shift + w * B` ([`Word::sar_wide`]). Bits below the field
+    /// are never read, so no bottom fill is needed.
+    ShiftRight {
+        dst: u32,
+        src: u32,
+        /// Right shift of the pair for destination word 0: the
+        /// presentation's shift, plus `B` for a one-word source (whose
+        /// field starts at bit `B` of the pair).
+        shift: u16,
+        /// The source's top word, relative to `src`: 0 or 1.
+        top_word: u8,
+        /// Bits of the top word past `src_width`.
+        spare: u8,
+        /// 1 or 2.
+        dst_words: u8,
+    },
+}
+
+/// The parameters of a shifted field presentation, whichever op runs
+/// it: `dst_words` words at `dst` whose bit `i` is bit `i - shift` of
+/// the `src_width`-bit field at `src`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct FieldShift {
+    pub dst: u32,
+    pub dst_words: u32,
+    pub src: u32,
+    pub src_width: u32,
+    pub shift: i32,
 }
 
 impl WOp {
@@ -141,15 +178,45 @@ impl WOp {
         })
     }
 
-    /// A [`WOp::ShiftField`] writing `dst_words` words at `dst` whose
-    /// bit `i` is bit `i - shift` of the `src_width`-bit field at `src`,
-    /// for `W`-bit words.
+    /// The op writing `dst_words` words at `dst` whose bit `i` is bit
+    /// `i - shift` of the `src_width`-bit field at `src`, for `W`-bit
+    /// words: a [`WOp::ShiftRight`] where the shape allows, otherwise
+    /// the general [`WOp::ShiftField`] funnel.
     ///
     /// # Errors
     ///
     /// Returns [`LimitExceeded`] when the field or the shift outgrows
     /// the op's fields.
     pub(crate) fn shift_field<W: Word>(
+        dst: u32,
+        dst_words: u32,
+        src: u32,
+        src_width: u32,
+        shift: i32,
+    ) -> Result<WOp, LimitExceeded> {
+        let top_word = (src_width - 1) / W::BITS;
+        if shift < 0 && dst_words <= 2 && top_word <= 1 {
+            let pair_shift = u64::from(shift.unsigned_abs()) + u64::from((1 - top_word) * W::BITS);
+            if let Ok(pair_shift) = u16::try_from(pair_shift) {
+                return Ok(WOp::ShiftRight {
+                    dst,
+                    src,
+                    shift: pair_shift,
+                    top_word: top_word as u8,
+                    spare: (W::BITS - 1 - (src_width - 1) % W::BITS) as u8,
+                    dst_words: dst_words as u8,
+                });
+            }
+        }
+        WOp::funnel_field::<W>(dst, dst_words, src, src_width, shift)
+    }
+
+    /// The general [`WOp::ShiftField`] for any presentation shape.
+    ///
+    /// # Errors
+    ///
+    /// As [`WOp::shift_field`].
+    pub(crate) fn funnel_field<W: Word>(
         dst: u32,
         dst_words: u32,
         src: u32,
@@ -168,6 +235,44 @@ impl WOp {
             base: narrow_i16(base)?,
             spare: (W::BITS - 1 - top_bit % W::BITS) as u8,
             offset: offset as u8,
+        })
+    }
+
+    /// The presentation a shift op materializes, or `None` for every
+    /// other op. The inverse of [`WOp::shift_field`] for `W`-bit words.
+    pub(crate) fn as_field_shift<W: Word>(&self) -> Option<FieldShift> {
+        let b = W::BITS;
+        Some(match *self {
+            WOp::ShiftField {
+                dst,
+                src,
+                dst_words,
+                top_word,
+                base,
+                spare,
+                offset,
+            } => FieldShift {
+                dst,
+                dst_words: u32::from(dst_words),
+                src,
+                src_width: (u32::from(top_word) + 1) * b - u32::from(spare),
+                shift: -(i32::from(base) * b as i32 + i32::from(offset)),
+            },
+            WOp::ShiftRight {
+                dst,
+                src,
+                shift,
+                top_word,
+                spare,
+                dst_words,
+            } => FieldShift {
+                dst,
+                dst_words: u32::from(dst_words),
+                src,
+                src_width: (u32::from(top_word) + 1) * b - u32::from(spare),
+                shift: (1 - i32::from(top_word)) * b as i32 - i32::from(shift),
+            },
+            _ => return None,
         })
     }
 
@@ -205,6 +310,7 @@ impl WOp {
         match *self {
             WOp::InputBroadcast { words, .. } | WOp::InputAligned { words, .. } => u64::from(words),
             WOp::ShiftField { dst_words, .. } => u64::from(dst_words),
+            WOp::ShiftRight { dst_words, .. } => u64::from(dst_words),
             _ => 1,
         }
     }
@@ -336,6 +442,27 @@ impl Program {
                     words => window.funnel_n(arena, dst, usize::from(words)),
                 }
             }
+            WOp::ShiftRight {
+                dst,
+                src,
+                shift,
+                top_word,
+                spare,
+                dst_words,
+            } => {
+                debug_assert!(
+                    dst + u32::from(dst_words) <= src || src + u32::from(top_word) < dst,
+                    "shift source and destination must not overlap"
+                );
+                let spare = u32::from(spare);
+                let low = arena[src as usize];
+                let high = arena[(src + u32::from(top_word)) as usize].shl_sar(spare, spare);
+                let shift = u32::from(shift);
+                arena[dst as usize] = W::sar_wide(low, high, shift);
+                if dst_words == 2 {
+                    arena[dst as usize + 1] = W::sar_wide(low, high, shift + W::BITS);
+                }
+            }
         }
     }
 }
@@ -449,6 +576,7 @@ impl SourceWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shape_oracle::random_arena;
 
     #[test]
     fn merge_shl1_carries_across_words() {
@@ -664,6 +792,111 @@ mod tests {
         // presented[i] = src[i+1]: bits 0..=30 of src>>1, bit 31
         // replicates src bit 31 (= 1).
         assert_eq!(arena[1], 0xC000_0000);
+    }
+
+    /// Every shape [`WOp::shift_field`] can decode — source widths
+    /// `1..=2B+1`, right shifts `1..2B`, one or two destination words —
+    /// built by `decode` and by the general funnel and run on copies of
+    /// one random arena: the first shape whose words differ, if any.
+    fn first_decode_mismatch<W: Word>(
+        decode: impl Fn(u32, u32, u32, u32, i32) -> WOp,
+    ) -> Option<String> {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED_1990);
+        let b = W::BITS;
+        let run = |op: WOp, before: &[W]| {
+            let mut arena = before.to_vec();
+            let program = Program {
+                ops: vec![op],
+                operands: vec![],
+                arena_words: arena.len(),
+                input_count: 0,
+            };
+            program.run(&mut arena, &[], 0..1);
+            arena
+        };
+        for src_width in 1..=2 * b + 1 {
+            // A guard word below the source and one between it and the
+            // destination.
+            let src = 1;
+            let dst = src + src_width.div_ceil(b) + 1;
+            for right in 1..2 * b as i32 {
+                let before = random_arena::<W>(&mut rng, (dst + 3) as usize);
+                for dst_words in 1..=2 {
+                    let decoded = decode(dst, dst_words, src, src_width, -right);
+                    let funnel =
+                        WOp::funnel_field::<W>(dst, dst_words, src, src_width, -right).unwrap();
+                    if run(decoded.clone(), &before) != run(funnel, &before) {
+                        return Some(format!(
+                            "{b}-bit width {src_width}, shift -{right}, {dst_words} word(s): {decoded:?}"
+                        ));
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn decoded_right_shifts_match_the_funnel() {
+        fn check<W: Word>() {
+            let decode = |dst, dst_words, src, src_width: u32, shift| {
+                let op = WOp::shift_field::<W>(dst, dst_words, src, src_width, shift).unwrap();
+                assert_eq!(
+                    matches!(op, WOp::ShiftRight { .. }),
+                    src_width <= 2 * W::BITS,
+                    "{op:?}"
+                );
+                op
+            };
+            assert_eq!(first_decode_mismatch::<W>(decode), None);
+        }
+        check::<u32>();
+        check::<u64>();
+    }
+
+    /// Negative control: a decode whose pair shift is one bit short
+    /// must be caught.
+    #[test]
+    fn an_off_by_one_decode_is_caught() {
+        fn off_by_one<W: Word>(dst: u32, dst_words: u32, src: u32, width: u32, shift: i32) -> WOp {
+            match WOp::shift_field::<W>(dst, dst_words, src, width, shift).unwrap() {
+                WOp::ShiftRight {
+                    dst,
+                    src,
+                    shift,
+                    top_word,
+                    spare,
+                    dst_words,
+                } => WOp::ShiftRight {
+                    dst,
+                    src,
+                    shift: shift - 1,
+                    top_word,
+                    spare,
+                    dst_words,
+                },
+                funnel => funnel,
+            }
+        }
+        assert!(first_decode_mismatch::<u32>(off_by_one::<u32>).is_some());
+        assert!(first_decode_mismatch::<u64>(off_by_one::<u64>).is_some());
+    }
+
+    #[test]
+    fn shift_ops_recover_their_presentation() {
+        for (dst_words, src_width, shift) in [(1, 4, -2), (2, 40, -8), (1, 4, 2), (3, 70, -1)] {
+            let op = WOp::shift_field::<u32>(9, dst_words, 1, src_width, shift).unwrap();
+            let expected = FieldShift {
+                dst: 9,
+                dst_words,
+                src: 1,
+                src_width,
+                shift,
+            };
+            assert_eq!(op.as_field_shift::<u32>(), Some(expected), "{op:?}");
+        }
+        assert_eq!(WOp::Zero { dst: 0 }.as_field_shift::<u32>(), None);
     }
 
     #[test]

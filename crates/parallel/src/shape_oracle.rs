@@ -20,7 +20,7 @@ use crate::{Optimization, ParallelSim};
 
 const ARENA_WORDS: usize = 16;
 
-fn random_arena<W: Word>(rng: &mut StdRng, words: usize) -> Vec<W> {
+pub(crate) fn random_arena<W: Word>(rng: &mut StdRng, words: usize) -> Vec<W> {
     (0..words)
         .map(|_| {
             (0..W::BITS).fold(W::ZERO, |word, k| {
@@ -104,18 +104,26 @@ fn check_shift<W: Word>(rng: &mut StdRng, dst_words: u32, src_width: u32, shift:
     let src = 1usize;
     let dst = src + src_width.div_ceil(W::BITS) as usize + 1;
     let before = random_arena::<W>(rng, dst + dst_words as usize + 1);
-    let op = WOp::shift_field::<W>(dst as u32, dst_words, src as u32, src_width, shift).unwrap();
-    check_op(
-        op,
-        Vec::new(),
-        &before,
-        dst..dst + dst_words as usize,
-        |w, i| {
-            let presented = ((w - dst) as u32 * W::BITS + i) as i64;
-            let source = (presented - i64::from(shift)).clamp(0, i64::from(src_width) - 1);
-            field_bit(&before, src, source as u32)
-        },
-    );
+    // The op the compilers emit (decoded where the shape allows) and
+    // the general funnel, which the decoded shapes would otherwise
+    // never exercise.
+    let ops = [
+        WOp::shift_field::<W>(dst as u32, dst_words, src as u32, src_width, shift).unwrap(),
+        WOp::funnel_field::<W>(dst as u32, dst_words, src as u32, src_width, shift).unwrap(),
+    ];
+    for op in ops {
+        check_op(
+            op,
+            Vec::new(),
+            &before,
+            dst..dst + dst_words as usize,
+            |w, i| {
+                let presented = ((w - dst) as u32 * W::BITS + i) as i64;
+                let source = (presented - i64::from(shift)).clamp(0, i64::from(src_width) - 1);
+                field_bit(&before, src, source as u32)
+            },
+        );
+    }
 }
 
 fn check_every_shape<W: Word>(seed: u64) {
@@ -166,6 +174,30 @@ fn op_stays_within_twenty_bytes() {
         "{}",
         std::mem::size_of::<WOp>()
     );
+}
+
+/// Every presentation of the 64-bit path-tracing + trimming programs of
+/// the ISCAS-85 stand-ins (c432, c880, c1908 and c6288 are the
+/// benchmark's circuits) runs decoded, none through the funnel: a
+/// change that sends them back to the slow path fails here, not only
+/// in a timing.
+#[test]
+fn benchmark_presentations_are_decoded_at_64_bits() {
+    for circuit in Iscas85::ALL {
+        let nl = circuit.build();
+        let sim = ParallelSim::<u64>::compile(&nl, Optimization::PathTracingTrimming).unwrap();
+        let ops = &sim.program().ops;
+        let decoded = ops
+            .iter()
+            .filter(|op| matches!(op, WOp::ShiftRight { .. }))
+            .count();
+        let funnel: Vec<&WOp> = ops
+            .iter()
+            .filter(|op| matches!(op, WOp::ShiftField { .. }))
+            .collect();
+        assert!(decoded > 0, "{}: no presentation", nl.name());
+        assert!(funnel.is_empty(), "{}: funnel {:?}", nl.name(), funnel[0]);
+    }
 }
 
 /// No compiler emits a 1- or 2-input gate through the operand pool:

@@ -9,7 +9,7 @@ use uds_netlist::{
 };
 
 use crate::bitfield::FieldLayout;
-use crate::program::Program;
+use crate::program::{Program, WOp};
 use crate::word::Word;
 use crate::{cycle_breaking, path_tracing, Alignment};
 
@@ -131,6 +131,12 @@ pub struct ProgramStats {
     pub retained_shifts: usize,
     /// Words of gate simulation removed by trimming.
     pub trimmed_words: usize,
+    /// Shifted field presentations (Fig. 18) decoded at compile time
+    /// into one double-width arithmetic shift per word.
+    pub decoded_presentations: usize,
+    /// Shifted field presentations the general funnel runs: left
+    /// shifts, and sources or destinations wider than two words.
+    pub funnel_presentations: usize,
 }
 
 /// A compiled unit-delay simulator using the parallel technique (§3–§4).
@@ -408,11 +414,14 @@ impl<W: Word> ParallelSim<W> {
             }
         }
 
+        let count = |shape: fn(&WOp) -> bool| program.ops.iter().filter(|op| shape(op)).count();
         let stats = ProgramStats {
             word_ops: program.ops.len(),
             arena_words: program.arena_words,
             retained_shifts,
             trimmed_words,
+            decoded_presentations: count(|op| matches!(op, WOp::ShiftRight { .. })),
+            funnel_presentations: count(|op| matches!(op, WOp::ShiftField { .. })),
         };
         Ok(ParallelSim {
             arena: initial_arena.clone(),

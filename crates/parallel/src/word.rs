@@ -60,6 +60,13 @@ pub trait Word:
     /// by `right` (both `< BITS`).
     fn shl_sar(self, left: u32, right: u32) -> Self;
 
+    /// The low word of the double-width value `high:low`, sign-extended
+    /// from `high`'s top bit, after an arithmetic shift right by
+    /// `shift`. Shifts of `2 * BITS` or more leave the sign broadcast.
+    /// One shift of a wider signed integer: [`i64`] for [`u32`], [`i128`]
+    /// for [`u64`].
+    fn sar_wide(low: Self, high: Self, shift: u32) -> Self;
+
     /// Number of set bits.
     fn count_ones(self) -> u32;
 
@@ -69,7 +76,7 @@ pub trait Word:
 }
 
 macro_rules! impl_word {
-    ($ty:ty, $signed:ty, $c_type:literal) => {
+    ($ty:ty, $signed:ty, $wide:ty, $c_type:literal) => {
         impl Word for $ty {
             const BITS: u32 = <$ty>::BITS;
             const ZERO: Self = 0;
@@ -107,6 +114,12 @@ macro_rules! impl_word {
             }
 
             #[inline]
+            fn sar_wide(low: Self, high: Self, shift: u32) -> Self {
+                let pair = (<$wide>::from(high as $signed) << Self::BITS) | <$wide>::from(low);
+                (pair >> shift.min(2 * Self::BITS - 1)) as $ty
+            }
+
+            #[inline]
             fn count_ones(self) -> u32 {
                 <$ty>::count_ones(self)
             }
@@ -119,8 +132,8 @@ macro_rules! impl_word {
     };
 }
 
-impl_word!(u32, i32, "uint32_t");
-impl_word!(u64, i64, "uint64_t");
+impl_word!(u32, i32, i64, "uint32_t");
+impl_word!(u64, i64, i128, "uint64_t");
 
 #[cfg(test)]
 mod tests {
@@ -159,6 +172,27 @@ mod tests {
         assert_eq!(<u32 as Word>::shl_sar(0b0110, 31, 31), 0, "bit 0 broadcast");
         assert_eq!(<u32 as Word>::shl_sar(0xDEAD_BEEF, 0, 0), 0xDEAD_BEEF);
         assert_eq!(<u64 as Word>::shl_sar(1 << 40, 23, 23), u64::MAX << 40);
+    }
+
+    #[test]
+    fn sar_wide_shifts_the_sign_extended_pair() {
+        assert_eq!(
+            <u32 as Word>::sar_wide(0x89AB_CDEF, 0x0123_4567, 8),
+            0x6789_ABCD
+        );
+        assert_eq!(
+            <u32 as Word>::sar_wide(0x89AB_CDEF, 0x8123_4567, 40),
+            0xFF81_2345
+        );
+        assert_eq!(<u32 as Word>::sar_wide(0, 0x8000_0000, 63), u32::MAX);
+        assert_eq!(
+            <u32 as Word>::sar_wide(!0, 0x7FFF_FFFF, 99),
+            0,
+            "past the pair: sign"
+        );
+        assert_eq!(<u64 as Word>::sar_wide(1 << 63, 1, 63), 0b11);
+        assert_eq!(<u64 as Word>::sar_wide(0, 1 << 63, 64), 1 << 63);
+        assert_eq!(<u64 as Word>::sar_wide(0, 1 << 63, 200), u64::MAX);
     }
 
     #[test]

@@ -122,7 +122,7 @@ use unit_delay_sim::core::{
 };
 use unit_delay_sim::netlist::stats::CircuitStats;
 use unit_delay_sim::netlist::{levelize, Probe, ResourceLimits};
-use unit_delay_sim::parallel::{self, Optimization, ParallelSimulator};
+use unit_delay_sim::parallel::{self, Optimization, ParallelSimulator, ParallelSimulator64};
 use unit_delay_sim::pcset::{self, PcSetSimulator};
 use unit_delay_sim::prelude::{bench_format, Netlist};
 
@@ -1159,17 +1159,27 @@ fn stats(args: &[String]) -> Result<(), CliError> {
         "pc-set: {} variables, {} gate simulations, {} retention copies",
         program.variables, program.gate_simulations, program.retention_copies
     ))?;
+    // The runtime's 64-bit programs first, then the paper's 32-bit ones.
     for optimization in [Optimization::None, Optimization::PathTracingTrimming] {
-        let sim = ParallelSimulator::compile(&combinational, optimization)
-            .map_err(|e| CliError::class(e.to_string(), FailureClass::Structural))?;
-        let s = sim.stats();
-        out.line(format_args!(
-            "parallel ({optimization}, {}-bit words): {} word ops, {} retained shifts, {} arena words",
-            sim.word_bits(),
-            s.word_ops,
-            s.retained_shifts,
-            s.arena_words
-        ))?;
+        let programs = [
+            ParallelSimulator64::compile(&combinational, optimization)
+                .map(|sim| (sim.word_bits(), sim.stats())),
+            ParallelSimulator::compile(&combinational, optimization)
+                .map(|sim| (sim.word_bits(), sim.stats())),
+        ];
+        for program in programs {
+            let (bits, s) =
+                program.map_err(|e| CliError::class(e.to_string(), FailureClass::Structural))?;
+            out.line(format_args!(
+                "parallel ({optimization}, {bits}-bit words): {} word ops, {} retained shifts, \
+                 {} decoded + {} funnel presentations, {} arena words",
+                s.word_ops,
+                s.retained_shifts,
+                s.decoded_presentations,
+                s.funnel_presentations,
+                s.arena_words
+            ))?;
+        }
     }
     out.flush()
 }

@@ -42,6 +42,37 @@ fn success_exits_zero() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
 }
 
+/// `stats` reports the runtime's 64-bit programs beside the paper's
+/// 32-bit ones, and splits the shifted presentations by the path that
+/// runs them.
+#[test]
+fn stats_reports_both_word_widths_and_the_presentation_paths() {
+    let circuit = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/c432.bench");
+    let out = udsim(&["stats", circuit]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = String::from_utf8_lossy(&out.stdout);
+    let parallel: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("parallel ("))
+        .collect();
+    assert_eq!(parallel.len(), 4, "{text}");
+    for (line, prefix) in parallel.iter().zip([
+        "parallel (unoptimized, 64-bit words): ",
+        "parallel (unoptimized, 32-bit words): ",
+        "parallel (path-tracing+trimming, 64-bit words): ",
+        "parallel (path-tracing+trimming, 32-bit words): ",
+    ]) {
+        assert!(line.starts_with(prefix), "{line}");
+        assert!(line.contains(" decoded + "), "{line}");
+    }
+    // c432's 1-word fields: every path-tracing presentation is decoded.
+    assert!(
+        parallel[2].contains(" 0 funnel presentations") && !parallel[2].contains(" 0 decoded"),
+        "{}",
+        parallel[2]
+    );
+}
+
 #[test]
 fn missing_file_exits_with_parse_code_and_names_the_file() {
     let out = udsim(&["simulate", "definitely-not-here.bench"]);
