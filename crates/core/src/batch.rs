@@ -43,7 +43,7 @@ use crate::cancel::CancelToken;
 use crate::error::{SimError, SimErrorKind, SimPhase};
 use crate::guard::{panicked, GuardedSimulator};
 use crate::progress::{BatchProbe, Heartbeat};
-use crate::telemetry::{SpanNode, Telemetry};
+use crate::telemetry::{nanos, Telemetry};
 use crate::Engine;
 
 /// Vectors per window of a multi-shard run — what bounds its memory.
@@ -293,16 +293,15 @@ impl<H: Step> Worker<H> {
             engine: self.guard.active_engine(),
             fallbacks: self.fallbacks(),
         };
-        if let (Some(telemetry), Some(_)) = (telemetry, self.started) {
-            telemetry.attach_span(SpanNode {
-                name: format!("batch.shard.{}", report.index),
-                start_ns,
-                wall_ns: report.wall_ns,
-                // Worker spans get their own timeline lane: tid 0 is
-                // the coordinating thread's span stack.
-                tid: report.index as u64 + 1,
-                children: Vec::new(),
-            });
+        if let (Some(telemetry), Some(at)) = (telemetry, self.started) {
+            // Worker spans get their own timeline lane: tid 0 is the
+            // coordinating thread's span stack.
+            telemetry.attach_timed(
+                &format!("batch.shard.{}", report.index),
+                at,
+                report.wall_ns,
+                report.index as u64 + 1,
+            );
             telemetry.add("batch.shard_fallbacks", report.fallbacks as u64);
         }
         Shard {
@@ -311,10 +310,6 @@ impl<H: Step> Worker<H> {
             step: self.step,
         }
     }
-}
-
-fn nanos(elapsed: Duration) -> u64 {
-    u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Runs the first `len` vectors of `stimulus` through `prototype` and
@@ -499,13 +494,7 @@ where
         first += window.len();
     }
     if let (Some(telemetry), Some((at, wall_ns))) = (ctx.control.telemetry, prepass) {
-        telemetry.attach_span(SpanNode {
-            name: "batch.prepass".to_owned(),
-            start_ns: nanos(at.saturating_duration_since(telemetry.epoch())),
-            wall_ns,
-            tid: 0,
-            children: Vec::new(),
-        });
+        telemetry.attach_timed("batch.prepass", at, wall_ns, 0);
     }
     Ok(())
 }

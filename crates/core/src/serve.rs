@@ -75,11 +75,12 @@
 //! fork a hit runs on shares the prototype's netlist and compiled
 //! program and copies only per-run state.
 //!
-//! Telemetry: the daemon never opens spans on the shared registry
-//! (handler threads would interleave one span stack); compile times are
-//! attached as finished `serve.compile` spans with the connection id as
-//! their timeline lane. A cache hit therefore leaves *no* compile span
-//! — the observable proof that recompilation was skipped. Queue depth
+//! Telemetry: the daemon keeps no per-request spans in the shared
+//! registry (handler threads would interleave one span stack, and a
+//! span per miss would grow without bound). Each compile folds its wall
+//! time into the bounded `serve.compile_wall_ns` distribution, so its
+//! count is the number of compiles: a cache hit adds no sample — the
+//! observable proof that recompilation was skipped. Queue depth
 //! (`serve.queue_depth`), queue wait (`serve.queue_wait_ms`), end-to-
 //! end latency (`serve.request_ms`), and shed counts (`serve.shed.*`)
 //! export through the same registry as SLO-ready histograms.
@@ -90,9 +91,9 @@
 //! `x-uds-trace-id` header when the client sent one, else a generated
 //! id. The id is echoed on the response, stamped on the `uds-reqlog-v1`
 //! line, and inherited by async jobs submitted under it. Handlers
-//! collect per-phase timings (queue wait, parse, cache lookup, compile,
-//! simulate, serialize) into a private `RequestTrace` — never the
-//! shared span stack — and a sink installed with
+//! collect per-phase timings (queue wait, parse, cache lookup, compile
+//! with its compiler sub-phases, simulate, serialize) into a private
+//! `RequestTrace` — never the shared span stack — and a sink installed with
 //! [`SimServer::set_trace`] streams each finished request's span tree
 //! as Chrome `trace_event` JSON (`udsim serve --trace OUT`), one
 //! timeline lane per connection and per job. The same completions feed
@@ -103,6 +104,7 @@
 // SimError is large but cold; see guard.rs.
 #![allow(clippy::result_large_err)]
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufReader, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -120,7 +122,7 @@ use crate::hotspot::{HotspotRing, HotspotSample, LeveledStep, HOTSPOT_SCHEMA};
 use crate::http::{read_request, HttpError, Request, Response, TRACE_ID_HEADER};
 use crate::progress::{BatchProbe, Heartbeat};
 use crate::telemetry::json::Json;
-use crate::telemetry::{prom, trace, SpanNode, Telemetry};
+use crate::telemetry::{prom, trace, SpanNode, SpanStack, Telemetry};
 use crate::wake::Waker;
 use crate::{run_stream, Engine, RunControl, WordWidth, MAX_JOBS};
 
@@ -333,65 +335,54 @@ fn ns_since(epoch: Instant, at: Instant) -> u64 {
     u64::try_from(at.saturating_duration_since(epoch).as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The per-request span collector. Handler threads must never open
+/// The per-request span recorder. Handler threads must never open
 /// spans on the shared telemetry stack (they would interleave), so
-/// each request accumulates its phases here and the connection loop
-/// folds them into one `serve.request` (or `serve.job`) root exported
-/// to the trace sink and summarized as `phase_ms` on the reqlog line.
+/// each request records its phases on its own [`SpanStack`] and the
+/// connection loop folds them into one `serve.request` (or
+/// `serve.job`) root exported to the trace sink and summarized as
+/// `phase_ms` on the reqlog line. During a miss's compile the trace is
+/// the build [`Probe`]: compile sub-spans nest under `serve.compile`,
+/// counters (`native.cache.*` among them) go to the shared registry,
+/// and gauges and distributions are dropped — per-netlist static
+/// metrics from concurrent requests for different circuits would
+/// fight over one global value.
 struct RequestTrace {
     /// The request's trace id (inbound header or generated).
     id: String,
-    /// The telemetry epoch all `start_ns` values are relative to.
-    epoch: Instant,
     /// Timeline lane: the connection id, or `JOB_TRACE_TID + job id`.
     tid: u64,
     /// Where the root span starts: when the work was enqueued if it
     /// waited in the queue, so every phase nests inside the root.
     started: Instant,
-    /// Finished phases, in completion order.
-    phases: Vec<SpanNode>,
+    /// The shared registry, which takes the compile's counters.
+    telemetry: Telemetry,
+    /// The request's phases, on the telemetry epoch's timeline.
+    spans: RefCell<SpanStack>,
 }
 
 impl RequestTrace {
-    fn new(id: String, epoch: Instant, tid: u64, started: Instant) -> RequestTrace {
+    fn new(id: String, telemetry: &Telemetry, tid: u64, started: Instant) -> RequestTrace {
         RequestTrace {
             id,
-            epoch,
             tid,
             started,
-            phases: Vec::new(),
+            telemetry: telemetry.clone(),
+            spans: RefCell::new(SpanStack::new(telemetry.epoch())),
         }
     }
 
     /// Times `f` as one phase span.
-    fn phase<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
-        let clock = Instant::now();
-        let start_ns = ns_since(self.epoch, clock);
+    fn phase<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
+        self.span_start(name);
         let value = f();
-        self.push(SpanNode {
-            name: name.to_owned(),
-            start_ns,
-            wall_ns: u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            tid: 0,
-            children: Vec::new(),
-        });
+        self.span_end(name);
         value
     }
 
     /// Records a phase that began at `at` and lasted `wall_ns` (queue
     /// wait, measured before the trace existed).
-    fn lead_phase(&mut self, name: &str, at: Instant, wall_ns: u64) {
-        self.push(SpanNode {
-            name: name.to_owned(),
-            start_ns: ns_since(self.epoch, at),
-            wall_ns,
-            tid: 0,
-            children: Vec::new(),
-        });
-    }
-
-    fn push(&mut self, node: SpanNode) {
-        self.phases.push(node);
+    fn lead_phase(&self, name: &str, at: Instant, wall_ns: u64) {
+        self.spans.borrow_mut().attach_timed(name, at, wall_ns, 0);
     }
 
     /// `{"parse": 0.12, "simulate": 3.4, ...}` — phase wall times in
@@ -399,104 +390,41 @@ impl RequestTrace {
     /// Only phases that actually ran appear: a cache hit carries no
     /// `compile` key, a parse failure stops at `parse`. Consumers must
     /// treat the key set as the executed-phase set, never as a fixed
-    /// schema with zeros for skipped work.
-    fn phase_ms(&self) -> Json {
-        Json::Obj(
-            self.phases
-                .iter()
-                .map(|phase| {
-                    let short = phase.name.strip_prefix("serve.").unwrap_or(&phase.name);
-                    (short.to_owned(), Json::Float(phase.wall_ns as f64 / 1e6))
-                })
-                .collect(),
-        )
+    /// schema with zeros for skipped work. `None` when no phase ran.
+    fn phase_ms(&self) -> Option<Json> {
+        let spans = self.spans.borrow();
+        let phases = spans.finished();
+        (!phases.is_empty()).then(|| {
+            Json::Obj(
+                phases
+                    .iter()
+                    .map(|phase| {
+                        let short = phase.name.strip_prefix("serve.").unwrap_or(&phase.name);
+                        (short.to_owned(), Json::Float(phase.wall_ns as f64 / 1e6))
+                    })
+                    .collect(),
+            )
+        })
     }
 
-    /// Folds the collected phases into one root span on this trace's
+    /// Folds the finished phases into one root span on this trace's
     /// timeline lane, from [`RequestTrace::started`] to now.
     fn into_root(self, name: &str) -> SpanNode {
-        SpanNode {
-            name: name.to_owned(),
-            start_ns: ns_since(self.epoch, self.started),
-            wall_ns: u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            tid: self.tid,
-            children: self.phases,
-        }
+        let spans = self.spans.into_inner();
+        let wall_ns = ns_since(self.started, Instant::now());
+        let mut root = SpanNode::timed(name, spans.epoch(), self.started, wall_ns, self.tid);
+        root.children = spans.into_finished();
+        root
     }
 }
 
-/// A compile-time [`Probe`] for handler threads: counters forward to
-/// the shared registry (surfacing `native.cache.*` and friends in
-/// `/metrics`), spans are captured privately as the compile phase's
-/// children, and gauges are dropped — per-netlist static metrics from
-/// concurrent requests for different circuits would fight over one
-/// global value.
-struct PhaseProbe {
-    telemetry: Telemetry,
-    epoch: Instant,
-    stack: Mutex<Vec<OpenPhase>>,
-    finished: Mutex<Vec<SpanNode>>,
-}
-
-struct OpenPhase {
-    name: String,
-    clock: Instant,
-    start_ns: u64,
-    children: Vec<SpanNode>,
-}
-
-impl PhaseProbe {
-    fn new(telemetry: Telemetry) -> PhaseProbe {
-        let epoch = telemetry.epoch();
-        PhaseProbe {
-            telemetry,
-            epoch,
-            stack: Mutex::new(Vec::new()),
-            finished: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The completed top-level spans (compile sub-phases).
-    fn into_children(self) -> Vec<SpanNode> {
-        self.finished
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl Probe for PhaseProbe {
+impl Probe for RequestTrace {
     fn span_start(&self, name: &str) {
-        let clock = Instant::now();
-        let start_ns = ns_since(self.epoch, clock);
-        self.stack
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(OpenPhase {
-                name: name.to_owned(),
-                clock,
-                start_ns,
-                children: Vec::new(),
-            });
+        self.spans.borrow_mut().start(name);
     }
 
-    fn span_end(&self, _name: &str) {
-        let mut stack = self.stack.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(open) = stack.pop() else { return };
-        let node = SpanNode {
-            name: open.name,
-            start_ns: open.start_ns,
-            wall_ns: u64::try_from(open.clock.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            tid: 0,
-            children: open.children,
-        };
-        match stack.last_mut() {
-            Some(parent) => parent.children.push(node),
-            None => self
-                .finished
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(node),
-        }
+    fn span_end(&self, name: &str) {
+        self.spans.borrow_mut().end(name);
     }
 
     fn count(&self, name: &str, delta: u64) {
@@ -1183,16 +1111,12 @@ impl SimServer {
                         .trace_id()
                         .unwrap_or_else(|| self.next_trace_id(conn));
                     let queued = enqueued.filter(|_| served == 1 && queue_wait_ns > 0);
-                    let mut trace = RequestTrace::new(
-                        trace_id,
-                        self.telemetry.epoch(),
-                        conn,
-                        queued.unwrap_or(clock),
-                    );
+                    let trace =
+                        RequestTrace::new(trace_id, &self.telemetry, conn, queued.unwrap_or(clock));
                     if let Some(at) = queued {
                         trace.lead_phase("serve.queue_wait", at, queue_wait_ns);
                     }
-                    let (response, facts) = self.route(&request, peer, context, &mut trace);
+                    let (response, facts) = self.route(&request, peer, &trace);
                     let response = response.with_header(TRACE_ID_HEADER, trace.id.clone());
                     let keep_alive = request.keep_alive
                         && served < self.config.keep_alive_max.max(1)
@@ -1290,13 +1214,7 @@ impl SimServer {
         None
     }
 
-    fn route(
-        &self,
-        request: &Request,
-        peer: IpAddr,
-        context: RequestContext,
-        trace: &mut RequestTrace,
-    ) -> (Response, LogFacts) {
+    fn route(&self, request: &Request, peer: IpAddr, trace: &RequestTrace) -> (Response, LogFacts) {
         let no_facts = LogFacts::default();
         let (path, query) = request
             .path
@@ -1330,7 +1248,7 @@ impl SimServer {
                 if let Some(shed) = self.admission_check(peer, &mut facts) {
                     return (shed, facts);
                 }
-                self.simulate(request, context.conn, trace)
+                self.simulate(request, trace)
             }
             ("POST", "/jobs") => {
                 let mut facts = LogFacts::default();
@@ -1380,10 +1298,9 @@ impl SimServer {
     fn run_simulation(
         &self,
         parsed: &SimRequest,
-        conn: u64,
         cancel: &CancelToken,
         progress: Option<&dyn BatchProbe>,
-        request_trace: &mut RequestTrace,
+        trace: &RequestTrace,
     ) -> Result<SimOutcome, (FailedAt, SimError)> {
         let hash = parsed.netlist_hash;
         let key = CacheKey {
@@ -1391,12 +1308,10 @@ impl SimServer {
             engine: parsed.engine,
             word: parsed.word,
         };
-        let lookup = request_trace.phase("serve.cache_lookup", || self.cache.lookup(&key));
+        let lookup = trace.phase("serve.cache_lookup", || self.cache.lookup(&key));
         let (guard, cache_state) = match lookup {
             Some(fork) => (fork, "hit"),
             None => {
-                let compile_clock = Instant::now();
-                let start_ns = ns_since(self.telemetry.epoch(), compile_clock);
                 let chain: Vec<Engine> = match parsed.engine {
                     // Native opts into the full degradation chain so a
                     // host without a C toolchain still answers (the
@@ -1406,41 +1321,26 @@ impl SimServer {
                     None => GuardedSimulator::DEFAULT_CHAIN.to_vec(),
                 };
                 let factory = Box::new(DefaultEngineFactory::with_word(parsed.word));
-                // The phase probe forwards compile counters (the
-                // native cache's memory_hit/disk_hit/compile among
-                // them) into the shared registry and keeps the phase
-                // spans for this request's private tree.
-                let phase_probe = PhaseProbe::new(self.telemetry.clone());
-                let prototype = match GuardedSimulator::with_probe(
+                let compile_clock = Instant::now();
+                trace.span_start("serve.compile");
+                // A failed compile ends the request with its span still
+                // open, so neither the trace nor `phase_ms` shows it.
+                let prototype = GuardedSimulator::with_probe(
                     Arc::clone(&parsed.netlist),
                     self.config.limits,
                     &chain,
                     factory,
-                    &phase_probe,
+                    trace,
                     None,
-                ) {
-                    Ok(prototype) => prototype,
-                    Err(error) => return Err((FailedAt::Compile, error)),
-                };
-                let compile_wall_ns =
-                    u64::try_from(compile_clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                // Finished-span attach keeps the shared span stack
-                // untouched by handler threads; a cache hit attaches
-                // nothing, which is the no-recompile proof.
-                self.telemetry.attach_span(SpanNode {
-                    name: "serve.compile".to_owned(),
-                    start_ns,
-                    wall_ns: compile_wall_ns,
-                    tid: conn,
-                    children: Vec::new(),
-                });
-                request_trace.push(SpanNode {
-                    name: "serve.compile".to_owned(),
-                    start_ns,
-                    wall_ns: compile_wall_ns,
-                    tid: 0,
-                    children: phase_probe.into_children(),
-                });
+                )
+                .map_err(|error| (FailedAt::Compile, error))?;
+                trace.span_end("serve.compile");
+                // One bounded sample per miss; a cache hit records none,
+                // which is the no-recompile proof.
+                self.telemetry.record(
+                    "serve.compile_wall_ns",
+                    ns_since(compile_clock, Instant::now()),
+                );
                 let fork = prototype.fork();
                 self.cache
                     .insert_spelled(key, prototype, parsed.spelling.clone());
@@ -1463,7 +1363,7 @@ impl SimServer {
         // be numbered differently (say, OUTPUT lines after the gates).
         let netlist = Arc::clone(guard.netlist());
         let mut rows = Vec::with_capacity(parsed.stimulus.len());
-        let result = request_trace.phase("serve.simulate", || {
+        let result = trace.phase("serve.simulate", || {
             run_stream(
                 &netlist,
                 guard,
@@ -1647,12 +1547,7 @@ impl SimServer {
     /// answer. The simulation rows for a given request body are
     /// byte-identical whether the engine came from the cache or a fresh
     /// compile — forks always start from power-up state.
-    fn simulate(
-        &self,
-        request: &Request,
-        conn: u64,
-        trace: &mut RequestTrace,
-    ) -> (Response, LogFacts) {
+    fn simulate(&self, request: &Request, trace: &RequestTrace) -> (Response, LogFacts) {
         let mut facts = LogFacts::default();
         let parsed = match trace.phase("serve.parse", || self.parse_simulate(&request.body)) {
             Ok(parsed) => parsed,
@@ -1669,7 +1564,7 @@ impl SimServer {
             Some(deadline) => CancelToken::with_deadline(Instant::now() + deadline),
             None => CancelToken::new(),
         };
-        let outcome = match self.run_simulation(&parsed, conn, &cancel, None, trace) {
+        let outcome = match self.run_simulation(&parsed, &cancel, None, trace) {
             Ok(outcome) => outcome,
             Err((at, error)) => return (self.failure_response(at, &error, &mut facts), facts),
         };
@@ -1701,7 +1596,7 @@ impl SimServer {
     /// `POST /jobs`: parse eagerly (a malformed job fails now, not
     /// asynchronously), register in the bounded table, enqueue on the
     /// same worker queue connections ride.
-    fn submit_job(&self, request: &Request, trace: &mut RequestTrace) -> (Response, LogFacts) {
+    fn submit_job(&self, request: &Request, trace: &RequestTrace) -> (Response, LogFacts) {
         let mut facts = LogFacts::default();
         let parsed = match trace.phase("serve.parse", || self.parse_simulate(&request.body)) {
             Ok(parsed) => parsed,
@@ -1772,13 +1667,13 @@ impl SimServer {
             (parsed, job.cancel.clone(), job.trace_id.clone())
         };
         let probe = JobProbe { job: &job_arc };
-        let mut trace = RequestTrace::new(
+        let trace = RequestTrace::new(
             trace_id,
-            self.telemetry.epoch(),
+            &self.telemetry,
             JOB_TRACE_TID + id,
             Instant::now(),
         );
-        let result = self.run_simulation(&parsed, 0, &cancel, Some(&probe), &mut trace);
+        let result = self.run_simulation(&parsed, &cancel, Some(&probe), &trace);
         self.export_trace(trace, "serve.job");
         let mut job = job_arc.lock().unwrap_or_else(|e| e.into_inner());
         job.finished = Some(Instant::now());
@@ -2075,8 +1970,8 @@ impl SimServer {
         }
         if let Some(trace) = trace {
             members.push(("trace_id".to_owned(), Json::Str(trace.id.clone())));
-            if !trace.phases.is_empty() {
-                members.push(("phase_ms".to_owned(), trace.phase_ms()));
+            if let Some(phase_ms) = trace.phase_ms() {
+                members.push(("phase_ms".to_owned(), phase_ms));
             }
         }
         let line = Json::Obj(members).render();
@@ -2387,15 +2282,10 @@ mod tests {
         assert_eq!(telemetry.counter("cache.hits"), 1);
         assert_eq!(telemetry.counter("cache.misses"), 1);
         assert_eq!(telemetry.counter("serve.vectors"), 6);
-        // Exactly one compile span despite two requests: the hit
+        // Exactly one compile sample despite two requests: the hit
         // skipped recompilation.
         let report = telemetry.snapshot();
-        let compiles = report
-            .spans
-            .iter()
-            .filter(|s| s.name == "serve.compile")
-            .count();
-        assert_eq!(compiles, 1);
+        assert_eq!(report.distributions["serve.compile_wall_ns"].count, 1);
         // The request log carries one line per request, schema-tagged
         // and attributable to its connection.
         let bytes = log.0.lock().unwrap().clone();
@@ -2874,6 +2764,79 @@ mod tests {
             .find(|e| e.get("name").and_then(Json::as_str) == Some("serve.parse"))
             .unwrap();
         assert_eq!(parse.get("tid").and_then(Json::as_u64), Some(tid));
+    }
+
+    #[test]
+    fn compiles_leave_a_bounded_sample_and_nest_their_phases_in_the_trace() {
+        // K distinct circuits compile K times. The shared registry keeps
+        // one distribution sample per compile and no span at all; each
+        // request's own trace shows its compile with the compiler's
+        // phases inside it.
+        const K: usize = 3;
+        let telemetry = Telemetry::new();
+        let sink = Shared::default();
+        let config = ServeConfig {
+            allow_quit: true,
+            ..ServeConfig::default()
+        };
+        let mut server = SimServer::bind("127.0.0.1:0", config, telemetry.clone(), None).unwrap();
+        server.set_trace(Box::new(sink.clone()));
+        let addr = server.local_addr().unwrap();
+        std::thread::scope(|scope| {
+            let runner = scope.spawn(|| server.run().expect("serve"));
+            for k in 0..K {
+                // Circuit k is c17 plus k inverters on primary outputs.
+                let extra: String = (0..k)
+                    .map(|i| format!("OUTPUT(x{i})\nx{i} = NOT(1)\n"))
+                    .collect();
+                let bench = Json::Str(format!("{C17}{extra}")).render();
+                let body = format!("{{\"bench\":{bench},\"vectors\":[[0,1,0,1,0]]}}");
+                let (status, reply) = post(addr, "/simulate", &body);
+                assert_eq!(status, 200, "{reply}");
+                let doc = Json::parse(&reply).unwrap();
+                assert_eq!(doc.get("cache").unwrap().as_str(), Some("miss"));
+            }
+            let (status, _) = post(addr, "/quitquitquit", "");
+            assert_eq!(status, 200);
+            runner.join().expect("server thread");
+        });
+        let report = telemetry.snapshot();
+        assert!(report.spans.is_empty(), "{:?}", report.spans);
+        assert_eq!(
+            report.distributions["serve.compile_wall_ns"].count,
+            K as u64
+        );
+
+        let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+        let doc = Json::parse(&text).expect("trace document parses");
+        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        let named = |name: &'static str| {
+            events
+                .iter()
+                .filter(move |e| e.get("name").and_then(Json::as_str) == Some(name))
+        };
+        let compiles: Vec<&Json> = named("serve.compile").collect();
+        assert_eq!(compiles.len(), K);
+        for compile in compiles {
+            let field = |event: &Json, key: &str| event.get(key).and_then(Json::as_f64).unwrap();
+            let (start, end) = (
+                field(compile, "ts"),
+                field(compile, "ts") + field(compile, "dur"),
+            );
+            let tid = compile.get("tid").and_then(Json::as_u64);
+            let inside = |event: &&Json| {
+                event.get("tid").and_then(Json::as_u64) == tid
+                    // One nanosecond of slack for the microsecond floats.
+                    && field(event, "ts") >= start - 1e-3
+                    && field(event, "ts") + field(event, "dur") <= end + 1e-3
+            };
+            for phase in ["parallel.levelize", "parallel.codegen"] {
+                assert!(
+                    named(phase).any(|e| inside(&e)),
+                    "{phase} not inside serve.compile on lane {tid:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod trace;
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use uds_netlist::Probe;
 
@@ -68,6 +68,24 @@ pub struct SpanNode {
 }
 
 impl SpanNode {
+    /// A finished, childless span that began at `at` and lasted
+    /// `wall_ns`, placed on the timeline that starts at `epoch`.
+    pub(crate) fn timed(
+        name: impl Into<String>,
+        epoch: Instant,
+        at: Instant,
+        wall_ns: u64,
+        tid: u64,
+    ) -> SpanNode {
+        SpanNode {
+            name: name.into(),
+            start_ns: nanos(at.saturating_duration_since(epoch)),
+            wall_ns,
+            tid,
+            children: Vec::new(),
+        }
+    }
+
     fn to_json(&self) -> Json {
         Json::obj([
             ("name", Json::Str(self.name.clone())),
@@ -211,6 +229,11 @@ impl Histogram {
     }
 }
 
+/// Nanoseconds in `elapsed`, saturating at `u64::MAX`.
+pub(crate) fn nanos(elapsed: Duration) -> u64 {
+    u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// An in-flight span (still on the stack).
 #[derive(Debug)]
 struct OpenSpan {
@@ -219,31 +242,103 @@ struct OpenSpan {
     children: Vec<SpanNode>,
 }
 
+/// A span recorder: spans opened with [`SpanStack::start`] nest until
+/// [`SpanStack::end`] closes them, and closed outermost spans collect,
+/// in the order they close, as the finished roots. Spans timed elsewhere join
+/// the innermost open span through [`SpanStack::attach`]. The
+/// registry keeps one behind its lock; a serve request keeps its own.
+#[derive(Debug)]
+pub(crate) struct SpanStack {
+    /// Time zero for every `start_ns` recorded here.
+    epoch: Instant,
+    open: Vec<OpenSpan>,
+    finished: Vec<SpanNode>,
+}
+
+impl SpanStack {
+    pub(crate) fn new(epoch: Instant) -> SpanStack {
+        SpanStack {
+            epoch,
+            open: Vec::new(),
+            finished: Vec::new(),
+        }
+    }
+
+    pub(crate) fn epoch(&self) -> Instant {
+        self.epoch
+    }
+
+    /// Opens a span nested in the innermost open one.
+    pub(crate) fn start(&mut self, name: impl Into<String>) {
+        self.open.push(OpenSpan {
+            name: name.into(),
+            start: Instant::now(),
+            children: Vec::new(),
+        });
+    }
+
+    /// Closes the innermost open span; `name` must match its opener.
+    pub(crate) fn end(&mut self, name: &str) {
+        let Some(open) = self.open.pop() else {
+            debug_assert!(false, "span_end(`{name}`) with no open span");
+            return;
+        };
+        debug_assert_eq!(open.name, name, "span_end out of order");
+        let wall_ns = nanos(open.start.elapsed());
+        let mut node = SpanNode::timed(open.name, self.epoch, open.start, wall_ns, 0);
+        node.children = open.children;
+        self.attach(node);
+    }
+
+    /// Adds a finished span under the innermost open span, or as a
+    /// root when none is open.
+    pub(crate) fn attach(&mut self, node: SpanNode) {
+        match self.open.last_mut() {
+            Some(parent) => parent.children.push(node),
+            None => self.finished.push(node),
+        }
+    }
+
+    /// [`SpanStack::attach`] of a span that began at `at` and lasted
+    /// `wall_ns` on timeline lane `tid`.
+    pub(crate) fn attach_timed(&mut self, name: &str, at: Instant, wall_ns: u64, tid: u64) {
+        self.attach(SpanNode::timed(name, self.epoch, at, wall_ns, tid));
+    }
+
+    /// The closed outermost spans, in the order they closed.
+    pub(crate) fn finished(&self) -> &[SpanNode] {
+        &self.finished
+    }
+
+    /// Consumes the recorder for its finished roots; spans still open
+    /// are dropped unrecorded.
+    pub(crate) fn into_finished(self) -> Vec<SpanNode> {
+        self.finished
+    }
+}
+
 #[derive(Debug)]
 struct Inner {
-    /// Time zero for every `start_ns` in the registry (creation time).
-    epoch: Instant,
     labels: BTreeMap<String, String>,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, u64>,
     distributions: BTreeMap<String, Distribution>,
     histograms: BTreeMap<String, Histogram>,
-    finished: Vec<SpanNode>,
-    stack: Vec<OpenSpan>,
+    /// Its epoch (the registry's creation time) is time zero for every
+    /// `start_ns` in the registry.
+    spans: SpanStack,
     rolling: rolling::RollingState,
 }
 
 impl Default for Inner {
     fn default() -> Self {
         Inner {
-            epoch: Instant::now(),
             labels: BTreeMap::new(),
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
             distributions: BTreeMap::new(),
             histograms: BTreeMap::new(),
-            finished: Vec::new(),
-            stack: Vec::new(),
+            spans: SpanStack::new(Instant::now()),
             rolling: rolling::RollingState::default(),
         }
     }
@@ -276,40 +371,10 @@ impl Telemetry {
     /// Opens a span; it closes (and is recorded) when the guard drops.
     pub fn span(&self, name: impl Into<String>) -> SpanGuard {
         let name = name.into();
-        self.span_start_impl(name.clone());
+        self.lock().spans.start(name.clone());
         SpanGuard {
             telemetry: self.clone(),
             name,
-        }
-    }
-
-    fn span_start_impl(&self, name: String) {
-        self.lock().stack.push(OpenSpan {
-            name,
-            start: Instant::now(),
-            children: Vec::new(),
-        });
-    }
-
-    fn span_end_impl(&self, name: &str) {
-        let mut inner = self.lock();
-        let Some(open) = inner.stack.pop() else {
-            debug_assert!(false, "span_end(`{name}`) with no open span");
-            return;
-        };
-        debug_assert_eq!(open.name, name, "span_end out of order");
-        let start_ns = u64::try_from(open.start.saturating_duration_since(inner.epoch).as_nanos())
-            .unwrap_or(u64::MAX);
-        let node = SpanNode {
-            name: open.name,
-            start_ns,
-            wall_ns: u64::try_from(open.start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            tid: 0,
-            children: open.children,
-        };
-        match inner.stack.last_mut() {
-            Some(parent) => parent.children.push(node),
-            None => inner.finished.push(node),
         }
     }
 
@@ -320,7 +385,7 @@ impl Telemetry {
     ///
     /// [`attach_span`]: Telemetry::attach_span
     pub fn epoch(&self) -> Instant {
-        self.lock().epoch
+        self.lock().spans.epoch()
     }
 
     /// Attaches an already-finished span tree under the currently open
@@ -328,11 +393,13 @@ impl Telemetry {
     /// off-thread — batch workers time their shards with plain
     /// [`Instant`]s — appear in the single-threaded span hierarchy.
     pub fn attach_span(&self, node: SpanNode) {
-        let mut inner = self.lock();
-        match inner.stack.last_mut() {
-            Some(parent) => parent.children.push(node),
-            None => inner.finished.push(node),
-        }
+        self.lock().spans.attach(node);
+    }
+
+    /// [`Telemetry::attach_span`] of a childless span that began at
+    /// `at` and lasted `wall_ns`, on timeline lane `tid`.
+    pub(crate) fn attach_timed(&self, name: &str, at: Instant, wall_ns: u64, tid: u64) {
+        self.lock().spans.attach_timed(name, at, wall_ns, tid);
     }
 
     /// Adds `delta` to a monotonic counter (created at 0). Saturates at
@@ -378,7 +445,7 @@ impl Telemetry {
     /// `engine.vectors_per_s.ewma` (see [`rolling`]).
     pub fn record_throughput(&self, engine: &str, word_bits: u32, vectors: u64, wall_ns: u64) {
         let mut inner = self.lock();
-        let now_s = inner.epoch.elapsed().as_secs();
+        let now_s = inner.spans.epoch().elapsed().as_secs();
         inner
             .rolling
             .record_throughput(engine, word_bits, vectors, wall_ns, now_s);
@@ -391,7 +458,7 @@ impl Telemetry {
     /// `<name>.rolling{stat}`.
     pub fn observe_rolling(&self, name: &str, value: u64) {
         let mut inner = self.lock();
-        let now_s = inner.epoch.elapsed().as_secs();
+        let now_s = inner.spans.epoch().elapsed().as_secs();
         inner.rolling.observe_level(name, value, now_s);
     }
 
@@ -438,13 +505,13 @@ impl Telemetry {
     pub fn snapshot(&self) -> TelemetryReport {
         let inner = self.lock();
         debug_assert!(
-            inner.stack.is_empty(),
+            inner.spans.open.is_empty(),
             "snapshot with {} span(s) still open",
-            inner.stack.len()
+            inner.spans.open.len()
         );
         let mut labeled_gauges: BTreeMap<String, Vec<LabeledGauge>> = BTreeMap::new();
         if !inner.rolling.is_empty() {
-            let now_s = inner.epoch.elapsed().as_secs();
+            let now_s = inner.spans.epoch().elapsed().as_secs();
             for ((engine, word), stat) in inner.rolling.throughput_stats(now_s) {
                 let labels = vec![
                     ("engine".to_owned(), engine),
@@ -483,7 +550,7 @@ impl Telemetry {
         }
         TelemetryReport {
             labels: inner.labels.clone(),
-            spans: inner.finished.clone(),
+            spans: inner.spans.finished().to_vec(),
             counters: inner.counters.clone(),
             gauges: inner.gauges.clone(),
             labeled_gauges,
@@ -532,11 +599,11 @@ pub fn record_build_info(telemetry: &Telemetry, word_bits: u32) {
 /// [`Probe`] trait; counters map to add semantics, gauges to set.
 impl Probe for Telemetry {
     fn span_start(&self, name: &str) {
-        self.span_start_impl(name.to_owned());
+        self.lock().spans.start(name);
     }
 
     fn span_end(&self, name: &str) {
-        self.span_end_impl(name);
+        self.lock().spans.end(name);
     }
 
     fn count(&self, name: &str, delta: u64) {
@@ -561,7 +628,7 @@ pub struct SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        self.telemetry.span_end_impl(&self.name);
+        self.telemetry.lock().spans.end(&self.name);
     }
 }
 
@@ -710,6 +777,31 @@ mod tests {
         let names: Vec<&str> = compile.children.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["levelize", "codegen"]);
         assert!(report.find_span("levelize").is_some());
+    }
+
+    #[test]
+    fn timed_spans_attach_under_the_open_span() {
+        let telemetry = Telemetry::new();
+        let at = telemetry.epoch() + Duration::from_millis(3);
+        {
+            let _outer = telemetry.span("run");
+            telemetry.attach_timed("batch.shard.0", at, 5, 1);
+        }
+        telemetry.attach_timed("batch.prepass", at, 7, 0);
+        let report = telemetry.snapshot();
+        let names: Vec<&str> = report.spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["run", "batch.prepass"]);
+        let shard = &report.spans[0].children[0];
+        assert_eq!(
+            (
+                shard.name.as_str(),
+                shard.start_ns,
+                shard.wall_ns,
+                shard.tid
+            ),
+            ("batch.shard.0", 3_000_000, 5, 1)
+        );
+        assert!(report.spans[1].children.is_empty());
     }
 
     #[test]

@@ -17,19 +17,22 @@
 
 use uds_netlist::limits::{checked_add_u64, checked_mul_u64, narrow_u16, narrow_u32};
 use uds_netlist::{levelize, LevelSegment, Netlist, ResourceLimits, SegmentBuilder};
-use uds_pcset::PcSets;
 
 use crate::bitfield::FieldLayout;
 use crate::program::{Program, WOp};
 use crate::simulator::CompileError;
-use crate::trimming::{classify_words, WordClass};
+use crate::trimming::{WordClass, WordClasses};
 use crate::word::Word;
 
-/// Output of the unoptimized compiler.
+/// Output of both compilers: this one and the shift-eliminated one in
+/// `compile_aligned`.
 pub(crate) struct Compiled {
     pub program: Program,
     pub layouts: Vec<FieldLayout>,
     pub depth: u32,
+    /// Shifts the generated code retains: one per gate here, the
+    /// alignment's retained shifts in the aligned compiler.
+    pub retained_shifts: usize,
     /// Words of gate simulation skipped by trimming (0 when disabled).
     pub trimmed_words: usize,
     /// Run-length level segments of the op stream in emission order
@@ -62,27 +65,7 @@ pub(crate) fn compile<W: Word>(
     limits.check_memory(checked_mul_u64(arena_words as u64, u64::from(W::BITS / 8))?)?;
     limits.check_deadline()?;
 
-    let pcsets = if trim {
-        Some(PcSets::compute(netlist)?)
-    } else {
-        None
-    };
-    let word_classes: Vec<Vec<WordClass>> = match &pcsets {
-        Some(sets) => netlist
-            .net_ids()
-            .map(|net| {
-                let times = sets.net[net].times();
-                classify_words::<W>(&layouts[net], times, times[0])
-            })
-            .collect(),
-        None => Vec::new(),
-    };
-    let class_of = |net: uds_netlist::NetId, w: u32| -> WordClass {
-        match &pcsets {
-            Some(_) => word_classes[net][w as usize],
-            None => WordClass::Active,
-        }
-    };
+    let classes = WordClasses::compute::<W>(netlist, &layouts, trim)?;
 
     let mut ops = Vec::new();
     let mut operands = Vec::new();
@@ -111,12 +94,12 @@ pub(crate) fn compile<W: Word>(
         let final_src = base + final_word_offset;
         // Reads of the final bit (extract + low-constant broadcasts)
         // must precede the zeroing of upper words.
-        match class_of(net, 0) {
+        match classes.of(net, 0) {
             WordClass::LowConstant => {
                 // Broadcast the previous final value through every
                 // low-constant word (the minlevel is >= the word size).
                 for w in 0..words {
-                    if class_of(net, w) == WordClass::LowConstant {
+                    if classes.of(net, w) == WordClass::LowConstant {
                         ops.push(WOp::BroadcastBit {
                             dst: base + w,
                             src: final_src,
@@ -135,7 +118,7 @@ pub(crate) fn compile<W: Word>(
             WordClass::Gap => unreachable!("word 0 is low-constant or contains the minlevel"),
         }
         for w in 1..words {
-            if class_of(net, w) == WordClass::Active {
+            if classes.of(net, w) == WordClass::Active {
                 ops.push(WOp::Zero { dst: base + w });
             }
         }
@@ -168,7 +151,7 @@ pub(crate) fn compile<W: Word>(
         let mut scratch_needed = vec![false; words as usize];
         let mut any_active = false;
         for w in 0..words {
-            if class_of(out, w) == WordClass::Active {
+            if classes.of(out, w) == WordClass::Active {
                 any_active = true;
                 scratch_needed[w as usize] = true;
                 if w > 0 {
@@ -189,7 +172,7 @@ pub(crate) fn compile<W: Word>(
             ops.push(WOp::gate(gate.kind, scratch + w, &slots, &mut operands)?);
         }
         for w in 0..words {
-            match class_of(out, w) {
+            match classes.of(out, w) {
                 WordClass::Active => {
                     if w == 0 {
                         ops.push(WOp::MergeShl1Low {
@@ -233,6 +216,7 @@ pub(crate) fn compile<W: Word>(
         },
         layouts,
         depth: levels.depth,
+        retained_shifts: netlist.gate_count(),
         trimmed_words,
         level_segments: segments.finish(),
     })

@@ -19,35 +19,22 @@
 //! become broadcasts, exactly as in the unoptimized compiler.
 
 use uds_netlist::limits::{checked_add_u64, checked_mul_u64, narrow_u16, narrow_u32};
-use uds_netlist::{levelize, LevelSegment, NetId, Netlist, ResourceLimits, SegmentBuilder};
-use uds_pcset::PcSets;
+use uds_netlist::{levelize, NetId, Netlist, ResourceLimits, SegmentBuilder};
 
 use crate::bitfield::FieldLayout;
+use crate::compile::Compiled;
 use crate::program::{Program, WOp};
 use crate::simulator::CompileError;
-use crate::trimming::{classify_words, WordClass};
+use crate::trimming::{WordClass, WordClasses};
 use crate::word::Word;
 use crate::Alignment;
-
-/// Output of the aligned compiler.
-pub(crate) struct CompiledAligned {
-    pub program: Program,
-    pub layouts: Vec<FieldLayout>,
-    pub depth: u32,
-    pub retained_shifts: usize,
-    pub trimmed_words: usize,
-    /// Run-length level segments of the op stream in emission order
-    /// (the init block is level 0); drives the leveled profiling
-    /// executor and the static per-level cost model.
-    pub level_segments: Vec<LevelSegment>,
-}
 
 pub(crate) fn compile<W: Word>(
     netlist: &Netlist,
     alignment: &Alignment,
     trim: bool,
     limits: &ResourceLimits,
-) -> Result<CompiledAligned, CompileError> {
+) -> Result<Compiled, CompileError> {
     let levels = levelize(netlist)?;
     debug_assert!(alignment.validate(netlist, &levels).is_ok());
 
@@ -147,27 +134,7 @@ pub(crate) fn compile<W: Word>(
     limits.check_memory(checked_mul_u64(arena_words as u64, u64::from(W::BITS / 8))?)?;
     limits.check_deadline()?;
 
-    let pcsets = if trim {
-        Some(PcSets::compute(netlist)?)
-    } else {
-        None
-    };
-    let word_classes: Vec<Vec<WordClass>> = match &pcsets {
-        Some(sets) => netlist
-            .net_ids()
-            .map(|net| {
-                let times = sets.net[net].times();
-                classify_words::<W>(&layouts[net], times, times[0])
-            })
-            .collect(),
-        None => Vec::new(),
-    };
-    let class_of = |net: NetId, w: u32| -> WordClass {
-        match &pcsets {
-            Some(_) => word_classes[net][w as usize],
-            None => WordClass::Active,
-        }
-    };
+    let classes = WordClasses::compute::<W>(netlist, &layouts, trim)?;
 
     let mut ops = Vec::new();
     let mut operands = Vec::new();
@@ -197,7 +164,7 @@ pub(crate) fn compile<W: Word>(
             let layout = &layouts[net];
             let final_bit = layout.final_bit();
             for w in 0..layout.words {
-                if class_of(net, w) == WordClass::LowConstant {
+                if classes.of(net, w) == WordClass::LowConstant {
                     ops.push(WOp::BroadcastBit {
                         dst: layout.base + w,
                         src: layout.base + final_bit / W::BITS,
@@ -302,7 +269,7 @@ pub(crate) fn compile<W: Word>(
         let can_trim = output_shift == 0;
         for w in 0..gate_words {
             let class = if can_trim {
-                class_of(out, w)
+                classes.of(out, w)
             } else {
                 WordClass::Active
             };
@@ -352,7 +319,7 @@ pub(crate) fn compile<W: Word>(
         );
     }
 
-    Ok(CompiledAligned {
+    Ok(Compiled {
         program: Program {
             ops,
             operands,

@@ -256,67 +256,34 @@ impl<W: Word> ParallelSim<W> {
         limits.check_inputs(netlist.primary_inputs().len())?;
         limits.check_deadline()?;
 
-        let (program, layouts, depth, retained_shifts, trimmed_words, alignment, level_segments) =
-            match optimization {
-                Optimization::None | Optimization::Trimming => {
-                    let _span = ProbeSpan::new(probe, "parallel.codegen");
-                    let compiled =
-                        crate::compile::compile::<W>(netlist, optimization.trims(), limits)?;
-                    (
-                        compiled.program,
-                        compiled.layouts,
-                        compiled.depth,
-                        netlist.gate_count(),
-                        compiled.trimmed_words,
-                        None,
-                        compiled.level_segments,
-                    )
+        let alignment = match optimization {
+            Optimization::None | Optimization::Trimming => None,
+            Optimization::PathTracing | Optimization::PathTracingTrimming => {
+                let _span = ProbeSpan::new(probe, "parallel.alignment");
+                Some(path_tracing::align(netlist)?)
+            }
+            Optimization::CycleBreaking | Optimization::CycleBreakingTrimming => {
+                let _span = ProbeSpan::new(probe, "parallel.alignment");
+                Some(cycle_breaking::align(netlist)?.alignment)
+            }
+        };
+        let crate::compile::Compiled {
+            program,
+            layouts,
+            depth,
+            retained_shifts,
+            trimmed_words,
+            level_segments,
+        } = {
+            let _span = ProbeSpan::new(probe, "parallel.codegen");
+            let trim = optimization.trims();
+            match &alignment {
+                None => crate::compile::compile::<W>(netlist, trim, limits)?,
+                Some(alignment) => {
+                    crate::compile_aligned::compile::<W>(netlist, alignment, trim, limits)?
                 }
-                Optimization::PathTracing | Optimization::PathTracingTrimming => {
-                    let alignment = {
-                        let _span = ProbeSpan::new(probe, "parallel.alignment");
-                        path_tracing::align(netlist)?
-                    };
-                    let _span = ProbeSpan::new(probe, "parallel.codegen");
-                    let compiled = crate::compile_aligned::compile::<W>(
-                        netlist,
-                        &alignment,
-                        optimization.trims(),
-                        limits,
-                    )?;
-                    (
-                        compiled.program,
-                        compiled.layouts,
-                        compiled.depth,
-                        compiled.retained_shifts,
-                        compiled.trimmed_words,
-                        Some(alignment),
-                        compiled.level_segments,
-                    )
-                }
-                Optimization::CycleBreaking | Optimization::CycleBreakingTrimming => {
-                    let result = {
-                        let _span = ProbeSpan::new(probe, "parallel.alignment");
-                        cycle_breaking::align(netlist)?
-                    };
-                    let _span = ProbeSpan::new(probe, "parallel.codegen");
-                    let compiled = crate::compile_aligned::compile::<W>(
-                        netlist,
-                        &result.alignment,
-                        optimization.trims(),
-                        limits,
-                    )?;
-                    (
-                        compiled.program,
-                        compiled.layouts,
-                        compiled.depth,
-                        compiled.retained_shifts,
-                        compiled.trimmed_words,
-                        Some(result.alignment),
-                        compiled.level_segments,
-                    )
-                }
-            };
+            }
+        };
 
         // The paper's Fig. 20/23/24 static columns, namespaced by
         // optimization so several compiles can share one report.

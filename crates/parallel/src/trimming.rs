@@ -16,6 +16,9 @@
 //! Trimming has no effect on single-word fields, exactly as the paper's
 //! Fig. 20 shows (c432–c1355 unchanged).
 
+use uds_netlist::{LevelizeError, NetId, Netlist};
+use uds_pcset::PcSets;
+
 use crate::bitfield::FieldLayout;
 use crate::word::Word;
 
@@ -88,6 +91,42 @@ pub fn classify_words<W: Word>(
         "the minlevel word is active, so no gap precedes the first active word"
     );
     classes
+}
+
+/// The word classes of every net's field, read by both compilers:
+/// each field classified by its net's PC-set when trimming, every word
+/// active otherwise.
+pub(crate) struct WordClasses(Option<Vec<Vec<WordClass>>>);
+
+impl WordClasses {
+    /// Classifies the field `layouts` gives each net of `netlist` if
+    /// `trim` is set; computes no PC-sets otherwise.
+    pub(crate) fn compute<W: Word>(
+        netlist: &Netlist,
+        layouts: &[FieldLayout],
+        trim: bool,
+    ) -> Result<WordClasses, LevelizeError> {
+        if !trim {
+            return Ok(WordClasses(None));
+        }
+        let sets = PcSets::compute(netlist)?;
+        let classes = netlist
+            .net_ids()
+            .map(|net| {
+                let times = sets.net[net].times();
+                classify_words::<W>(&layouts[net.index()], times, times[0])
+            })
+            .collect();
+        Ok(WordClasses(Some(classes)))
+    }
+
+    /// The class of word `w` of `net`'s field.
+    pub(crate) fn of(&self, net: NetId, w: u32) -> WordClass {
+        match &self.0 {
+            Some(classes) => classes[net.index()][w as usize],
+            None => WordClass::Active,
+        }
+    }
 }
 
 /// Counts how many words of simulation work trimming removes

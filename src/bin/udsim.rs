@@ -12,7 +12,7 @@
 //! udsim hotspots FILE.bench [--engine NAME] [--vectors N] [--seed S] [--jobs N]
 //!                           [--word 32|64] [--json OUT.json] [--folded OUT.folded]
 //! udsim stats    FILE.bench
-//! udsim codegen  FILE.bench [--technique pc-set|parallel] [--opt none|trim|pt|pt-trim|cb]
+//! udsim codegen  FILE.bench [--technique pc-set|parallel] [--opt none|trim|pt|pt-trim|cb|cb-trim]
 //!                           [--stats OUT.json]
 //! udsim cone     FILE.bench OUTPUT_NET [...]   # fan-in cone as .bench on stdout
 //! udsim serve    [--addr HOST:PORT] [--cache N] [--allow-quit] [--reqlog OUT.ndjson]
@@ -255,7 +255,7 @@ fn usage() -> String {
      udsim hotspots FILE.bench [--engine NAME] [--vectors N] [--seed S] [--jobs N] [--word 32|64]\n                  \
      [--json OUT.json] [--folded OUT.folded]\n  \
      udsim stats FILE.bench\n  \
-     udsim codegen FILE.bench [--technique pc-set|parallel] [--opt none|trim|pt|pt-trim|cb]\n                 \
+     udsim codegen FILE.bench [--technique pc-set|parallel] [--opt none|trim|pt|pt-trim|cb|cb-trim]\n                 \
      [--stats OUT.json]\n  \
      udsim cone FILE.bench OUTPUT_NET [...]\n  \
      udsim serve [--addr HOST:PORT] [--cache N] [--allow-quit] [--reqlog OUT.ndjson]\n              \
@@ -1453,16 +1453,11 @@ fn codegen(args: &[String]) -> Result<(), CliError> {
                 technique = iter.next().ok_or("--technique needs a value")?.clone();
             }
             "--opt" => {
-                optimization = match iter.next().ok_or("--opt needs a value")?.as_str() {
-                    "none" => Optimization::None,
-                    "trim" => Optimization::Trimming,
-                    "pt" => Optimization::PathTracing,
-                    "pt-trim" => Optimization::PathTracingTrimming,
-                    "cb" => Optimization::CycleBreaking,
-                    other => {
-                        return Err(CliError::usage(format!("unknown optimization `{other}`")))
-                    }
-                };
+                let key = iter.next().ok_or("--opt needs a value")?;
+                optimization = Optimization::ALL
+                    .into_iter()
+                    .find(|opt| opt.key() == key)
+                    .ok_or_else(|| CliError::usage(format!("unknown optimization `{key}`")))?;
             }
             "--stats" => stats_path = Some(stream_path(arg, &mut iter)?),
             other if file.is_none() && (other == "-" || !other.starts_with('-')) => {

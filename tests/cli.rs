@@ -42,6 +42,24 @@ fn success_exits_zero() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
 }
 
+/// `--opt` takes every optimization key, cycle breaking with
+/// trimming included, and rejects anything else as a usage error.
+#[test]
+fn codegen_opt_takes_every_optimization_key() {
+    let path = fixture("opt.bench", C17);
+    let path = path.to_str().unwrap();
+    let out = udsim(&["codegen", path, "--opt", "cb-trim"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(!out.stdout.is_empty());
+    let out = udsim(&["codegen", path, "--opt", "frobnicate"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("unknown optimization"),
+        "{}",
+        stderr(&out)
+    );
+}
+
 /// `stats` reports the runtime's 64-bit programs beside the paper's
 /// 32-bit ones, and splits the shifted presentations by the path that
 /// runs them.

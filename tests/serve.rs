@@ -206,20 +206,21 @@ fn cache_serves_repeats_without_recompiling() {
 
     quit(daemon);
 
-    // The final stats snapshot: exactly one serve.compile span for two
-    // requests — the recompile never happened — plus the counters.
+    // The final stats snapshot: exactly one serve.compile_wall_ns
+    // sample for two requests — the recompile never happened — plus
+    // the counters.
     let stats_doc = Json::parse(
         std::fs::read_to_string(&stats)
             .expect("stats written")
             .trim(),
     )
     .expect("stats parse");
-    let spans = stats_doc.get("spans").expect("spans").as_arr().unwrap();
-    let compiles = spans
-        .iter()
-        .filter(|s| s.get("name").and_then(Json::as_str) == Some("serve.compile"))
-        .count();
-    assert_eq!(compiles, 1, "one compile for two identical requests");
+    let compiles = stats_doc
+        .get("distributions")
+        .and_then(|d| d.get("serve.compile_wall_ns"))
+        .and_then(|d| d.get("count"))
+        .and_then(Json::as_u64);
+    assert_eq!(compiles, Some(1), "one compile for two identical requests");
     let counters = stats_doc.get("counters").expect("counters");
     assert_eq!(counters.get("cache.hits").unwrap().as_u64(), Some(1));
     // Two simulates, the /metrics scrape, and the quit itself.
