@@ -206,11 +206,6 @@ impl UnitDelaySimulator for ChaosSimulator {
         self.inner.depth()
     }
 
-    fn reset(&mut self) {
-        self.inner.reset();
-        self.vectors_seen = 0;
-    }
-
     fn seed_stable(&mut self, stable: &[bool]) {
         // Fault coordinates stay relative to this wrapper's own vector
         // count — a seed moves the *state*, not the sabotage schedule.

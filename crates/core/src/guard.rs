@@ -139,7 +139,7 @@ impl DefaultEngineFactory {
                     };
                     let twin = PcSetSimulator::compile_probed(netlist, monitored, limits, probe)?;
                     if native {
-                        crate::native::wrap(netlist, twin, self.monitor_all, probe)
+                        crate::native::wrap(netlist, twin, probe)
                     } else {
                         Ok(Box::new(twin))
                     }
@@ -189,7 +189,7 @@ impl DefaultEngineFactory {
             probe,
         )?;
         if native {
-            crate::native::wrap(netlist, twin, self.monitor_all, probe)
+            crate::native::wrap(netlist, twin, probe)
         } else {
             Ok(Box::new(twin))
         }

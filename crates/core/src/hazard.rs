@@ -4,16 +4,19 @@
 //! hazard analysis cheap: "such analysis could be done quickly by using
 //! a binary search technique and comparison fields of the form 0...01...1
 //! and 1...10...0" — i.e. a field is hazard-free exactly when it is a
-//! *monotone* step function of time. This module implements that check:
+//! *monotone* step function of time, at most one transition. This
+//! module classifies a net's vector activity from that transition count:
 //!
-//! * [`classify`] inspects one history;
+//! * [`classify_toggle_count`] maps a count to an [`Activity`];
+//! * [`classify`] applies it to one history;
 //! * [`scan`] sweeps a whole simulator state after a vector and reports
-//!   every hazardous net;
-//! * [`is_monotone_step`] is the word-level primitive (the paper's
-//!   comparison-field test) applied to a packed history.
+//!   every hazardous net, counting through
+//!   [`UnitDelaySimulator::for_each_toggle`] — word-parallel on the
+//!   parallel engines' bit-fields.
 
 use uds_netlist::{NetId, Netlist};
 
+use crate::waveform::for_each_transition;
 use crate::UnitDelaySimulator;
 
 /// What one net did during one vector.
@@ -31,27 +34,13 @@ pub enum Activity {
 }
 
 /// Classifies one history (values at times `0..=depth`).
-///
-/// # Panics
-///
-/// Panics on an empty history.
 pub fn classify(history: &[bool]) -> Activity {
-    let transitions = history.windows(2).filter(|p| p[0] != p[1]).count();
-    let ends_equal = history[0] == *history.last().expect("histories are nonempty");
-    match (transitions, ends_equal) {
-        (0, _) => Activity::Stable,
-        (1, false) => Activity::CleanEdge,
-        (_, true) => Activity::StaticHazard,
-        (_, false) => Activity::DynamicHazard,
-    }
+    classify_toggle_count(for_each_transition(history, &mut |_| {}))
 }
 
-/// Classifies a net's vector activity from its toggle count alone —
-/// no history materialization. Works because unit-delay histories make
-/// the endpoints a parity function of the transitions: an even count
-/// returns to the initial value, an odd one ends opposite. Agrees with
-/// [`classify`] on every history; the activity profiler uses it on
-/// word-parallel popcounts.
+/// Classifies a net's vector activity from its toggle count alone. The
+/// endpoints are a parity function of the count: an even count returns
+/// to the initial value, an odd one ends opposite.
 pub fn classify_toggle_count(toggles: u32) -> Activity {
     match (toggles, toggles.is_multiple_of(2)) {
         (0, _) => Activity::Stable,
@@ -61,23 +50,6 @@ pub fn classify_toggle_count(toggles: u32) -> Activity {
     }
 }
 
-/// The paper's comparison-field test on a packed history: the `width`
-/// low bits of `field` are hazard-free iff they equal `0…01…1` or
-/// `1…10…0` or a constant — i.e. at most one transition.
-///
-/// # Panics
-///
-/// Panics if `width` is 0 or greater than 64.
-pub fn is_monotone_step(field: u64, width: u32) -> bool {
-    assert!((1..=64).contains(&width), "width must be in 1..=64");
-    let mask = if width == 64 { !0 } else { (1u64 << width) - 1 };
-    let field = field & mask;
-    // Transitions are the set bits of field XOR (field >> 1) within the
-    // low width-1 bits.
-    let transitions = (field ^ (field >> 1)) & (mask >> 1);
-    transitions.count_ones() <= 1
-}
-
 /// One hazardous net found by [`scan`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Hazard {
@@ -85,6 +57,8 @@ pub struct Hazard {
     pub net: NetId,
     /// Static or dynamic.
     pub activity: Activity,
+    /// Transitions during the vector (at least 2).
+    pub toggles: u32,
     /// The offending history.
     pub history: Vec<bool>,
 }
@@ -94,15 +68,18 @@ pub struct Hazard {
 pub fn scan(netlist: &Netlist, simulator: &dyn UnitDelaySimulator) -> Vec<Hazard> {
     let mut hazards = Vec::new();
     for net in netlist.net_ids() {
-        let Some(history) = simulator.history(net) else {
+        let Some(toggles) = simulator.for_each_toggle(net, &mut |_| {}) else {
             continue;
         };
-        let activity = classify(&history);
+        let activity = classify_toggle_count(toggles);
         if matches!(activity, Activity::StaticHazard | Activity::DynamicHazard) {
             hazards.push(Hazard {
                 net,
                 activity,
-                history,
+                toggles,
+                history: simulator
+                    .history(net)
+                    .expect("a net with a toggle count has a history"),
             });
         }
     }
@@ -128,42 +105,27 @@ mod tests {
     }
 
     #[test]
-    fn monotone_step_matches_classification() {
+    fn parity_classification_matches_the_endpoint_definition() {
+        // The definition on the variants: count the transitions, then
+        // tell static from dynamic by comparing the endpoints.
         for width in 1u32..=10 {
             for pattern in 0u64..(1 << width) {
                 let history: Vec<bool> = (0..width).map(|i| pattern >> i & 1 != 0).collect();
-                let hazard_free =
-                    matches!(classify(&history), Activity::Stable | Activity::CleanEdge);
+                let transitions = history.windows(2).filter(|p| p[0] != p[1]).count();
+                let ends_equal = history[0] == history[history.len() - 1];
+                let expected = match (transitions, ends_equal) {
+                    (0, _) => Activity::Stable,
+                    (1, _) => Activity::CleanEdge,
+                    (_, true) => Activity::StaticHazard,
+                    (_, false) => Activity::DynamicHazard,
+                };
                 assert_eq!(
-                    is_monotone_step(pattern, width),
-                    hazard_free,
-                    "width {width} pattern {pattern:b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn toggle_count_classification_matches_history_classification() {
-        for width in 1u32..=10 {
-            for pattern in 0u64..(1 << width) {
-                let history: Vec<bool> = (0..width).map(|i| pattern >> i & 1 != 0).collect();
-                let toggles = history.windows(2).filter(|p| p[0] != p[1]).count() as u32;
-                assert_eq!(
-                    classify_toggle_count(toggles),
                     classify(&history),
+                    expected,
                     "width {width} pattern {pattern:b}"
                 );
             }
         }
-    }
-
-    #[test]
-    fn monotone_step_full_width() {
-        assert!(is_monotone_step(!0u64, 64));
-        assert!(is_monotone_step(0, 64));
-        assert!(is_monotone_step(!0u64 << 20, 64));
-        assert!(!is_monotone_step(0b101, 64));
     }
 
     #[test]
@@ -175,14 +137,17 @@ mod tests {
         let y = b.gate(GateKind::And, &[a, na], "y").unwrap();
         b.output(y);
         let nl = b.finish().unwrap();
-        let mut sim = ParallelSimulator::compile(&nl, Optimization::None).unwrap();
-        sim.simulate_vector(&[false]);
-        assert!(scan(&nl, &sim).is_empty());
-        sim.simulate_vector(&[true]);
-        let hazards = scan(&nl, &sim);
-        assert_eq!(hazards.len(), 1);
-        assert_eq!(hazards[0].net, y);
-        assert_eq!(hazards[0].activity, Activity::StaticHazard);
-        assert_eq!(hazards[0].history, vec![false, true, false]);
+        for optimization in Optimization::ALL {
+            let mut sim = ParallelSimulator::compile(&nl, optimization).unwrap();
+            sim.simulate_vector(&[false]);
+            assert!(scan(&nl, &sim).is_empty(), "{optimization}");
+            sim.simulate_vector(&[true]);
+            let hazards = scan(&nl, &sim);
+            assert_eq!(hazards.len(), 1, "{optimization}");
+            assert_eq!(hazards[0].net, y);
+            assert_eq!(hazards[0].activity, Activity::StaticHazard);
+            assert_eq!(hazards[0].toggles, 2);
+            assert_eq!(hazards[0].history, vec![false, true, false]);
+        }
     }
 }

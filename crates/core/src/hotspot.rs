@@ -34,7 +34,7 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use uds_netlist::{LevelProfile, Netlist};
+use uds_netlist::{LevelCost, LevelProfile, Netlist};
 
 use crate::batch::{discard, run_stream, RunControl, Step};
 use crate::error::SimError;
@@ -44,6 +44,45 @@ use crate::{Engine, GuardedSimulator};
 /// Schema tag of [`HotspotReport::to_json`] and the serve daemon's
 /// `/debug/hotspots` document.
 pub const HOTSPOT_SCHEMA: &str = "uds-hotspot-v1";
+
+/// The `levels` rows and `totals` of a measured profile: the part of
+/// `uds-hotspot-v1` that [`HotspotReport::to_json`] and the serve
+/// daemon's `/debug/hotspots` share. A row carries `static_word_ops`
+/// and `static_gate_evals` where `static_levels` has its level.
+pub(crate) fn levels_and_totals(
+    measured: &LevelProfile,
+    static_levels: &[LevelCost],
+) -> [(&'static str, Json); 2] {
+    let costs = |cost: &LevelCost| {
+        vec![
+            ("self_ns".to_owned(), Json::UInt(cost.self_ns)),
+            ("word_ops".to_owned(), Json::UInt(cost.word_ops)),
+            ("gate_evals".to_owned(), Json::UInt(cost.gate_evals)),
+            (
+                "bytes_touched_est".to_owned(),
+                Json::UInt(cost.bytes_touched_est),
+            ),
+        ]
+    };
+    let levels = measured
+        .levels
+        .iter()
+        .enumerate()
+        .map(|(level, cost)| {
+            let mut members = vec![("level".to_owned(), Json::UInt(level as u64))];
+            members.extend(costs(cost));
+            if let Some(stat) = static_levels.get(level) {
+                members.push(("static_word_ops".to_owned(), Json::UInt(stat.word_ops)));
+                members.push(("static_gate_evals".to_owned(), Json::UInt(stat.gate_evals)));
+            }
+            Json::Obj(members)
+        })
+        .collect();
+    [
+        ("levels", Json::Arr(levels)),
+        ("totals", Json::Obj(costs(&measured.total()))),
+    ]
+}
 
 /// A measured per-level cost breakdown for one engine over one vector
 /// stream, with the engine's static cost model alongside when it has
@@ -78,48 +117,16 @@ impl HotspotReport {
             .as_ref()
             .map(|p| p.levels.as_slice())
             .unwrap_or(&[]);
-        let levels: Vec<Json> = self
-            .measured
-            .levels
-            .iter()
-            .enumerate()
-            .map(|(level, cost)| {
-                let mut members = vec![
-                    ("level".to_owned(), Json::UInt(level as u64)),
-                    ("self_ns".to_owned(), Json::UInt(cost.self_ns)),
-                    ("word_ops".to_owned(), Json::UInt(cost.word_ops)),
-                    ("gate_evals".to_owned(), Json::UInt(cost.gate_evals)),
-                    (
-                        "bytes_touched_est".to_owned(),
-                        Json::UInt(cost.bytes_touched_est),
-                    ),
-                ];
-                if let Some(stat) = static_levels.get(level) {
-                    members.push(("static_word_ops".to_owned(), Json::UInt(stat.word_ops)));
-                    members.push(("static_gate_evals".to_owned(), Json::UInt(stat.gate_evals)));
-                }
-                Json::Obj(members)
-            })
-            .collect();
-        let total = self.measured.total();
-        Json::obj([
+        let mut members = vec![
             ("schema", Json::Str(HOTSPOT_SCHEMA.to_owned())),
             ("engine", Json::Str(self.engine.to_string())),
             ("word_bits", Json::UInt(u64::from(self.word_bits))),
             ("vectors", Json::UInt(self.vectors as u64)),
             ("jobs", Json::UInt(self.jobs as u64)),
             ("span_ns", Json::UInt(self.span_ns)),
-            ("levels", Json::Arr(levels)),
-            (
-                "totals",
-                Json::obj([
-                    ("self_ns", Json::UInt(total.self_ns)),
-                    ("word_ops", Json::UInt(total.word_ops)),
-                    ("gate_evals", Json::UInt(total.gate_evals)),
-                    ("bytes_touched_est", Json::UInt(total.bytes_touched_est)),
-                ]),
-            ),
-        ])
+        ];
+        members.extend(levels_and_totals(&self.measured, static_levels));
+        Json::obj(members)
     }
 
     /// The report as collapsed-stack ("folded") lines — the format

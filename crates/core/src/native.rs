@@ -20,8 +20,8 @@
 //! is exported, so this module sees one symbol whatever the split. The authoritative state
 //! is the interpreted twin's arena, and each vector passes that arena
 //! to the kernel directly — no copy in or out, no lock. Clones,
-//! seeding, reset, final-value and history readback and checkpoint
-//! restores all act on the twin, so one wrapper serves both techniques,
+//! seeding, final-value and history readback and checkpoint restores
+//! all act on the twin, so one wrapper serves both techniques,
 //! and two simulators sharing one loaded object never share state:
 //! calls from any number of threads are independent.
 //!
@@ -33,15 +33,19 @@
 //!
 //! Compiled objects land in [`cache_dir`] (`$UDS_NATIVE_CACHE`, or
 //! `uds-native-cache` under the system temp dir) named
-//! `{netlist_hash:016x}-{flavor}[-mon]-w{bits}-s{source:016x}.so`,
+//! `{netlist_hash:016x}-{flavor}-w{bits}-s{source:016x}.so`,
 //! where the first hash is the same canonical-netlist FNV the serve LRU
 //! keys on ([`crate::cache::netlist_hash`]) and `source` is an FNV-1a
 //! of the emitted C and the `cc` flags: a change to the emitter, its
 //! ABI or the flags names a new artifact, so a stale object is never
-//! `dlopen`ed under a signature it was not built for. A fresh process
-//! finds the artifact on disk and skips the `cc` invocation entirely;
-//! within a process an additional registry shares one loaded library
-//! per path. Cache traffic is reported through the build probe as the
+//! `dlopen`ed under a signature it was not built for. The name says
+//! nothing the emitted C does not decide: a parallel engine that
+//! monitors every net emits the same C as one that does not (its twin
+//! does the tracking), so both load one artifact, while a monitored
+//! PC-set program emits different C and hashes to its own. A fresh
+//! process finds the artifact on disk and skips the `cc` invocation
+//! entirely; within a process an additional registry shares one loaded
+//! library per path. Cache traffic is reported through the build probe as the
 //! monotonic counters `native.cache.memory_hit`,
 //! `native.cache.disk_hit`, and `native.cache.compile`.
 //!
@@ -404,18 +408,11 @@ mod imp {
     /// Where the artifact for `source` lives. The trailing tag hashes
     /// the emitted C and [`CC_FLAGS`], so an object built by another
     /// emitter version or with other flags is never found under it.
-    pub(super) fn artifact_path(
-        hash: u64,
-        flavor: &str,
-        bits: u32,
-        monitoring: bool,
-        source: &str,
-    ) -> PathBuf {
-        let mon = if monitoring { "-mon" } else { "" };
+    pub(super) fn artifact_path(hash: u64, flavor: &str, bits: u32, source: &str) -> PathBuf {
         let tag = CC_FLAGS.iter().fold(fnv1a(source.as_bytes()), |h, flag| {
             fnv1a_continue(h, flag.as_bytes())
         });
-        cache_dir().join(format!("{hash:016x}-{flavor}{mon}-w{bits}-s{tag:016x}.so"))
+        cache_dir().join(format!("{hash:016x}-{flavor}-w{bits}-s{tag:016x}.so"))
     }
 
     /// A twin + its compiled shared object.
@@ -446,10 +443,6 @@ mod imp {
 
         fn depth(&self) -> u32 {
             self.twin.depth()
-        }
-
-        fn reset(&mut self) {
-            self.twin.reset();
         }
 
         fn seed_stable(&mut self, stable: &[bool]) {
@@ -485,25 +478,16 @@ mod imp {
 
     /// Wraps a compiled `twin` in its native simulator: emits the C,
     /// then loads the artifact (compiling it on a cache miss).
-    /// `monitoring` says the twin monitors every net, which names a
-    /// distinct artifact.
     pub fn wrap<T: NativeTwin>(
         netlist: &Netlist,
         twin: T,
-        monitoring: bool,
         probe: &dyn Probe,
     ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
         let source = twin
             .emit_native(netlist)
             .map_err(|e| toolchain_error(format!("emit: {e}")))?;
         let bits = 8 * std::mem::size_of::<T::Word>() as u32;
-        let path = artifact_path(
-            netlist_hash(netlist),
-            &twin.flavor(),
-            bits,
-            monitoring,
-            &source,
-        );
+        let path = artifact_path(netlist_hash(netlist), &twin.flavor(), bits, &source);
         let lib = get_or_load(&path, &source, probe)?;
         Ok(Box::new(NativeSim { twin, lib }))
     }
@@ -520,7 +504,6 @@ mod imp {
     pub fn wrap<T: NativeTwin>(
         _netlist: &Netlist,
         _twin: T,
-        _monitoring: bool,
         _probe: &dyn Probe,
     ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
         Err(toolchain_error(
@@ -619,7 +602,7 @@ mod tests {
         // same tag) must move the artifact, so a stale object built for
         // another kernel ABI is never `dlopen`ed under the new one.
         let name = |source: &str| {
-            let path = imp::artifact_path(0x1990, "par-pt-trim", 32, false, source);
+            let path = imp::artifact_path(0x1990, "par-pt-trim", 32, source);
             path.file_name().unwrap().to_str().unwrap().to_owned()
         };
         let (old, new) = (name("void simulate_one_vector(const word *pi)"), name(""));
@@ -671,6 +654,39 @@ mod tests {
         crate::crosscheck::run(&nl, &mut [baseline, native], stimulus)
             .unwrap_or_else(|e| panic!("native diverged from the baseline: {e}"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_monitored_parallel_engine_loads_the_unmonitored_artifact() {
+        // Monitoring lives in the interpreted twin; the emitted C is the
+        // same, so the monitored build must hit the loaded object
+        // instead of running `cc` on it a second time.
+        let _env = env_lock();
+        if skip_notice() {
+            return;
+        }
+        let dir = std::env::temp_dir().join(format!("uds-native-mon-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::env::set_var("UDS_NATIVE_CACHE", &dir);
+        let nl = c17();
+        let engine = Engine::ParallelPathTracingTrimming;
+        let limits = ResourceLimits::unlimited();
+        let (plain, monitored) = (crate::Telemetry::new(), crate::Telemetry::new());
+        let first = DefaultEngineFactory::with_word(WordWidth::W64)
+            .compile(&nl, engine, true, &limits, &plain);
+        let second = DefaultEngineFactory {
+            word: WordWidth::W64,
+            monitor_all: true,
+        }
+        .compile(&nl, engine, true, &limits, &monitored);
+        std::env::remove_var("UDS_NATIVE_CACHE");
+        let _ = std::fs::remove_dir_all(&dir);
+        first.unwrap();
+        let second = second.unwrap();
+        assert!(nl.net_ids().all(|net| second.history(net).is_some()));
+        assert_eq!(plain.counter("native.cache.compile"), 1);
+        assert_eq!(monitored.counter("native.cache.memory_hit"), 1);
+        assert_eq!(monitored.counter("native.cache.compile"), 0);
     }
 
     /// Builds every chain entry as the all-nets-monitored native engine of

@@ -50,6 +50,22 @@ impl Heartbeat {
             self.done as f64 * 1e9 / self.wall_ns as f64
         }
     }
+
+    /// The `uds-progress-v1` record: what `--progress` streams and what
+    /// the serve daemon's `GET /jobs/:id` lists per shard.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("schema", Json::Str(PROGRESS_SCHEMA.to_owned())),
+            ("shard", Json::UInt(self.shard as u64)),
+            ("done", Json::UInt(self.done as u64)),
+            ("total", Json::UInt(self.total as u64)),
+            ("wall_ns", Json::UInt(self.wall_ns)),
+            ("vectors_per_sec", Json::Float(self.vectors_per_sec())),
+            ("engine", Json::Str(self.engine.to_string())),
+            ("fallbacks", Json::UInt(self.fallbacks as u64)),
+            ("finished", Json::Bool(self.finished)),
+        ])
+    }
 }
 
 /// Where a run's heartbeats go. Probes are shared by every shard's
@@ -90,18 +106,7 @@ impl NdjsonProgress {
 
     /// Renders one heartbeat as its NDJSON line (no trailing newline).
     pub fn render(beat: &Heartbeat) -> String {
-        Json::obj([
-            ("schema", Json::Str(PROGRESS_SCHEMA.to_owned())),
-            ("shard", Json::UInt(beat.shard as u64)),
-            ("done", Json::UInt(beat.done as u64)),
-            ("total", Json::UInt(beat.total as u64)),
-            ("wall_ns", Json::UInt(beat.wall_ns)),
-            ("vectors_per_sec", Json::Float(beat.vectors_per_sec())),
-            ("engine", Json::Str(beat.engine.to_string())),
-            ("fallbacks", Json::UInt(beat.fallbacks as u64)),
-            ("finished", Json::Bool(beat.finished)),
-        ])
-        .render()
+        beat.to_json().render()
     }
 }
 

@@ -443,7 +443,6 @@ struct TraceSink {
     out: Box<dyn Write + Send>,
     started: bool,
     wrote_event: bool,
-    seen_tids: Vec<u64>,
 }
 
 impl TraceSink {
@@ -452,7 +451,6 @@ impl TraceSink {
             out,
             started: false,
             wrote_event: false,
-            seen_tids: Vec::new(),
         }
     }
 
@@ -471,12 +469,12 @@ impl TraceSink {
         self.wrote_event = true;
     }
 
-    /// Writes `root`'s subtree, naming its timeline lane on first
-    /// sight and stamping the trace id into the root event's `args`.
-    fn write_span(&mut self, root: &SpanNode, trace_id: &str, lane: &str) {
+    /// Writes `root`'s subtree, first naming its timeline lane when
+    /// `lane` is `Some` (the caller's first export on that lane), and
+    /// stamps the trace id into the root event's `args`.
+    fn write_span(&mut self, root: &SpanNode, trace_id: &str, lane: Option<&str>) {
         self.ensure_started();
-        if !self.seen_tids.contains(&root.tid) {
-            self.seen_tids.push(root.tid);
+        if let Some(lane) = lane {
             self.write_event(&trace::metadata_event("thread_name", root.tid, lane));
         }
         let mut events = Vec::new();
@@ -891,18 +889,22 @@ impl SimServer {
     }
 
     /// Streams one finished request/job tree to the trace sink, if any.
-    fn export_trace(&self, trace: RequestTrace, name: &str) {
+    /// `new_lane` says this is the first export on the trace's lane (a
+    /// connection's first routed request, or a job), which names it.
+    fn export_trace(&self, trace: RequestTrace, name: &str, new_lane: bool) {
         let Some(sink) = &self.trace else { return };
-        let lane = if trace.tid >= JOB_TRACE_TID {
-            format!("job {}", trace.tid - JOB_TRACE_TID)
-        } else {
-            format!("conn {}", trace.tid)
-        };
+        let lane = new_lane.then(|| {
+            if trace.tid >= JOB_TRACE_TID {
+                format!("job {}", trace.tid - JOB_TRACE_TID)
+            } else {
+                format!("conn {}", trace.tid)
+            }
+        });
         let id = trace.id.clone();
         let root = trace.into_root(name);
         sink.lock()
             .unwrap_or_else(|e| e.into_inner())
-            .write_span(&root, &id, &lane);
+            .write_span(&root, &id, lane.as_deref());
     }
 
     /// The bound address (the real port when bound to `:0`).
@@ -1192,7 +1194,7 @@ impl SimServer {
             trace.as_ref(),
         );
         if let Some(trace) = trace {
-            self.export_trace(trace, "serve.request");
+            self.export_trace(trace, "serve.request", context.requests_on_connection == 1);
         }
     }
 
@@ -1458,12 +1460,15 @@ impl SimServer {
             return error_response(404, "hotspot sampling disabled (run with --hotspots)");
         };
         let mut window_s = HOTSPOT_WINDOW_DEFAULT_S;
-        for pair in query.split('&').filter(|p| !p.is_empty()) {
-            let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
+        let parsed = parse_query(query, |key, value| {
             match (key, value.parse::<u64>()) {
                 ("window_s", Ok(s)) if s > 0 => window_s = s.min(86_400),
-                _ => return error_response(400, &format!("bad query parameter `{pair}`")),
+                _ => return false,
             }
+            true
+        });
+        if let Err(response) = parsed {
+            return response;
         }
         let window = ring
             .lock()
@@ -1473,34 +1478,9 @@ impl SimServer {
             .engines
             .iter()
             .map(|(engine, profile)| {
-                let total = profile.total();
-                let levels: Vec<Json> = profile
-                    .levels
-                    .iter()
-                    .enumerate()
-                    .map(|(level, cost)| {
-                        Json::obj([
-                            ("level", Json::UInt(level as u64)),
-                            ("self_ns", Json::UInt(cost.self_ns)),
-                            ("word_ops", Json::UInt(cost.word_ops)),
-                            ("gate_evals", Json::UInt(cost.gate_evals)),
-                            ("bytes_touched_est", Json::UInt(cost.bytes_touched_est)),
-                        ])
-                    })
-                    .collect();
-                Json::obj([
-                    ("engine", Json::Str(engine.to_string())),
-                    ("levels", Json::Arr(levels)),
-                    (
-                        "totals",
-                        Json::obj([
-                            ("self_ns", Json::UInt(total.self_ns)),
-                            ("word_ops", Json::UInt(total.word_ops)),
-                            ("gate_evals", Json::UInt(total.gate_evals)),
-                            ("bytes_touched_est", Json::UInt(total.bytes_touched_est)),
-                        ]),
-                    ),
-                ])
+                let mut members = vec![("engine", Json::Str(engine.to_string()))];
+                members.extend(crate::hotspot::levels_and_totals(profile, &[]));
+                Json::obj(members)
             })
             .collect();
         let mut text = Json::obj([
@@ -1674,7 +1654,7 @@ impl SimServer {
             Instant::now(),
         );
         let result = self.run_simulation(&parsed, &cancel, Some(&probe), &trace);
-        self.export_trace(trace, "serve.job");
+        self.export_trace(trace, "serve.job", true);
         let mut job = job_arc.lock().unwrap_or_else(|e| e.into_inner());
         job.finished = Some(Instant::now());
         match result {
@@ -1722,25 +1702,7 @@ impl SimServer {
         }
         let vectors_done: usize = job.progress.values().map(|beat| beat.done).sum();
         facts.vectors_done = Some(vectors_done);
-        let progress: Vec<Json> = job
-            .progress
-            .values()
-            .map(|beat| {
-                Json::obj([
-                    (
-                        "schema",
-                        Json::Str(crate::progress::PROGRESS_SCHEMA.to_owned()),
-                    ),
-                    ("shard", Json::UInt(beat.shard as u64)),
-                    ("done", Json::UInt(beat.done as u64)),
-                    ("total", Json::UInt(beat.total as u64)),
-                    ("wall_ns", Json::UInt(beat.wall_ns)),
-                    ("engine", Json::Str(beat.engine.to_string())),
-                    ("fallbacks", Json::UInt(beat.fallbacks as u64)),
-                    ("finished", Json::Bool(beat.finished)),
-                ])
-            })
-            .collect();
+        let progress: Vec<Json> = job.progress.values().map(Heartbeat::to_json).collect();
         let mut members = vec![
             ("schema".to_owned(), Json::Str(JOB_SCHEMA.to_owned())),
             ("job".to_owned(), Json::UInt(id)),
@@ -2019,13 +1981,16 @@ fn job_result_response(id: u64, job: &Job, query: &str) -> Response {
     };
     let mut offset = 0usize;
     let mut limit = 10_000usize;
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
+    let parsed = parse_query(query, |key, value| {
         match (key, value.parse::<usize>()) {
             ("offset", Ok(n)) => offset = n,
             ("limit", Ok(n)) => limit = n.clamp(1, 100_000),
-            _ => return error_response(400, &format!("bad query parameter `{pair}`")),
+            _ => return false,
         }
+        true
+    });
+    if let Err(response) = parsed {
+        return response;
     }
     let total = outcome.rows.len();
     let page_len = limit.min(total.saturating_sub(offset));
@@ -2049,6 +2014,21 @@ fn job_result_response(id: u64, job: &Job, query: &str) -> Response {
     .render();
     text.push('\n');
     Response::json(200, text)
+}
+
+/// Hands each `key=value` pair of a `&`-separated query to `apply`;
+/// the first pair it rejects (returns `false` for) is a 400.
+fn parse_query(query: &str, mut apply: impl FnMut(&str, &str) -> bool) -> Result<(), Response> {
+    for pair in query.split('&').filter(|p| !p.is_empty()) {
+        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
+        if !apply(key, value) {
+            return Err(error_response(
+                400,
+                &format!("bad query parameter `{pair}`"),
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn error_response(status: u16, message: &str) -> Response {
@@ -2527,6 +2507,47 @@ mod tests {
     }
 
     #[test]
+    fn job_progress_entries_are_the_progress_stream_records() {
+        let body = format!(
+            "{{\"bench\":{},\"random\":{{\"count\":10,\"seed\":3}}}}",
+            Json::Str(C17.to_owned()).render()
+        );
+        with_server(ServeConfig::default(), Telemetry::new(), None, |addr| {
+            let (status, submitted) = post(addr, "/jobs", &body);
+            assert_eq!(status, 202, "{submitted}");
+            let submitted = Json::parse(&submitted).unwrap();
+            let id = submitted.get("job").and_then(Json::as_u64).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let (text, doc) = loop {
+                let (status, text) = get(addr, &format!("/jobs/{id}"));
+                assert_eq!(status, 200, "{text}");
+                let doc = Json::parse(&text).unwrap();
+                if doc.get("state").unwrap().as_str() == Some("done") {
+                    break (text, doc);
+                }
+                assert!(Instant::now() < deadline, "job never finished");
+                std::thread::sleep(Duration::from_millis(5));
+            };
+            let entries = doc.get("progress").unwrap().as_arr().unwrap();
+            assert!(!entries.is_empty(), "{text}");
+            for entry in entries {
+                let uint = |key: &str| entry.get(key).and_then(Json::as_u64).unwrap();
+                let beat = Heartbeat {
+                    shard: uint("shard") as usize,
+                    done: uint("done") as usize,
+                    total: uint("total") as usize,
+                    wall_ns: uint("wall_ns"),
+                    engine: Engine::parse(entry.get("engine").unwrap().as_str().unwrap()).unwrap(),
+                    fallbacks: uint("fallbacks") as usize,
+                    finished: entry.get("finished") == Some(&Json::Bool(true)),
+                };
+                let record = crate::NdjsonProgress::render(&beat);
+                assert!(text.contains(&record), "{record} not in {text}");
+            }
+        });
+    }
+
+    #[test]
     fn trace_id_threads_from_header_to_reqlog_and_response() {
         let log = Shared::default();
         let (inbound_head, generated_head) = with_server(
@@ -2764,6 +2785,57 @@ mod tests {
             .find(|e| e.get("name").and_then(Json::as_str) == Some("serve.parse"))
             .unwrap();
         assert_eq!(parse.get("tid").and_then(Json::as_u64), Some(tid));
+    }
+
+    #[test]
+    fn trace_lanes_are_named_once_per_connection() {
+        // Two keep-alive requests on one connection, one on another:
+        // each lane is named by its first request only.
+        let sink = Shared::default();
+        let mut server = SimServer::bind(
+            "127.0.0.1:0",
+            ServeConfig::default(),
+            Telemetry::new(),
+            None,
+        )
+        .unwrap();
+        server.set_trace(Box::new(sink.clone()));
+        let addr = server.local_addr().unwrap();
+        let handle = server.shutdown_handle();
+        std::thread::scope(|scope| {
+            let runner = scope.spawn(|| server.run().expect("serve"));
+            let stream = TcpStream::connect(addr).unwrap();
+            let mut reader = BufReader::new(&stream);
+            for close in ["", "Connection: close\r\n"] {
+                (&stream)
+                    .write_all(
+                        format!("GET /healthz HTTP/1.1\r\nHost: t\r\n{close}\r\n").as_bytes(),
+                    )
+                    .unwrap();
+                assert_eq!(read_one_response(&mut reader).0, 200);
+            }
+            assert_eq!(get(addr, "/healthz").0, 200);
+            handle.request();
+            runner.join().expect("server thread");
+        });
+        let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+        let doc = Json::parse(&text).expect("trace document parses");
+        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        let tids = |name: &str| -> Vec<u64> {
+            let mut tids: Vec<u64> = events
+                .iter()
+                .filter(|e| e.get("name").and_then(Json::as_str) == Some(name))
+                .map(|e| e.get("tid").and_then(Json::as_u64).unwrap())
+                .collect();
+            tids.sort_unstable();
+            tids
+        };
+        let (lanes, roots) = (tids("thread_name"), tids("serve.request"));
+        assert_eq!(roots.len(), 3, "{text}");
+        let mut distinct = roots.clone();
+        distinct.dedup();
+        assert_eq!(lanes, distinct, "one thread_name per lane: {text}");
+        assert_eq!(lanes.len(), 2);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use uds_parallel::{Optimization, ParallelSim, Word};
 use uds_pcset::PcSetSimulator;
 
 use crate::guard::{DefaultEngineFactory, EngineFactory};
+use crate::waveform::for_each_transition;
 use crate::SimError;
 
 /// A unit-delay simulator: feed vectors, read back settled values and
@@ -49,10 +50,6 @@ pub trait UnitDelaySimulator: Send {
 
     /// Circuit depth (histories have `depth() + 1` entries).
     fn depth(&self) -> u32;
-
-    /// Restores the consistent power-up state (circuit settled under
-    /// all-zero inputs).
-    fn reset(&mut self);
 
     /// Replaces the engine's state with an arbitrary stable state
     /// (`stable` is parallel to the netlist's nets), as if every vector
@@ -119,15 +116,7 @@ pub trait UnitDelaySimulator: Send {
     /// order is unspecified: shift-eliminated fields do not map bit
     /// positions to times monotonically.
     fn for_each_toggle(&self, net: NetId, visit: &mut dyn FnMut(u32)) -> Option<u32> {
-        let history = self.history(net)?;
-        let mut count = 0u32;
-        for (t, pair) in history.windows(2).enumerate() {
-            if pair[0] != pair[1] {
-                count += 1;
-                visit(t as u32 + 1);
-            }
-        }
-        Some(count)
+        Some(for_each_transition(&self.history(net)?, visit))
     }
 }
 
@@ -150,10 +139,6 @@ impl UnitDelaySimulator for PcSetSimulator {
 
     fn depth(&self) -> u32 {
         PcSetSimulator::depth(self)
-    }
-
-    fn reset(&mut self) {
-        PcSetSimulator::reset(self);
     }
 
     fn seed_stable(&mut self, stable: &[bool]) {
@@ -199,10 +184,6 @@ impl<W: Word> UnitDelaySimulator for ParallelSim<W> {
 
     fn depth(&self) -> u32 {
         ParallelSim::depth(self)
-    }
-
-    fn reset(&mut self) {
-        ParallelSim::reset(self);
     }
 
     fn seed_stable(&mut self, stable: &[bool]) {
@@ -310,13 +291,6 @@ impl UnitDelaySimulator for TracedEventSim {
 
     fn depth(&self) -> u32 {
         self.depth
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-        for (net, row) in self.waveform.iter_mut().enumerate() {
-            row.fill(self.inner.value(NetId::from_index(net)));
-        }
     }
 
     fn seed_stable(&mut self, stable: &[bool]) {
@@ -582,19 +556,6 @@ mod tests {
         for engine in Engine::ALL {
             let sim = build_simulator(&nl, engine).unwrap();
             assert_eq!(sim.depth(), 3, "{engine}");
-        }
-    }
-
-    #[test]
-    fn reset_via_trait() {
-        let nl = c17();
-        for engine in Engine::ALL {
-            let mut sim = build_simulator(&nl, engine).unwrap();
-            let po = nl.primary_outputs()[0];
-            let before = sim.final_value(po);
-            sim.simulate_vector(&[true; 5]);
-            sim.reset();
-            assert_eq!(sim.final_value(po), before, "{engine}");
         }
     }
 

@@ -2,6 +2,22 @@
 
 use uds_netlist::NetId;
 
+/// Invokes `visit(t)` for every time `t` at which `history[t]` differs
+/// from `history[t - 1]`, in ascending order, and returns how many
+/// there were. The one transition walk over a dense history:
+/// [`Waveform`], [`crate::hazard::classify`] and the default
+/// [`crate::UnitDelaySimulator::for_each_toggle`] all count with it.
+pub fn for_each_transition(history: &[bool], visit: &mut dyn FnMut(u32)) -> u32 {
+    let mut count = 0;
+    for (i, pair) in history.windows(2).enumerate() {
+        if pair[0] != pair[1] {
+            count += 1;
+            visit(i as u32 + 1);
+        }
+    }
+    count
+}
+
 /// The unit-delay history of one net for one input vector: entry `t` is
 /// the net's value at time `t` (gate delays after the inputs changed).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -38,31 +54,16 @@ impl Waveform {
         self.values[0]
     }
 
-    /// Invokes `visit(t)` for every time `t` at which the value differs
-    /// from `t - 1`, in ascending order, and returns how many there were
-    /// — the streaming form of [`Waveform::transitions`] the activity
-    /// profiler folds into its histograms without allocating.
-    pub fn for_each_transition(&self, visit: &mut dyn FnMut(u32)) -> usize {
-        let mut count = 0;
-        for (i, pair) in self.values.windows(2).enumerate() {
-            if pair[0] != pair[1] {
-                count += 1;
-                visit(i as u32 + 1);
-            }
-        }
-        count
-    }
-
     /// Times `t` at which the value differs from `t - 1`.
     pub fn transitions(&self) -> Vec<u32> {
         let mut times = Vec::new();
-        self.for_each_transition(&mut |t| times.push(t));
+        for_each_transition(&self.values, &mut |t| times.push(t));
         times
     }
 
     /// Number of transitions.
     pub fn transition_count(&self) -> usize {
-        self.for_each_transition(&mut |_| {})
+        for_each_transition(&self.values, &mut |_| {}) as usize
     }
 
     /// `true` if the net never changed during this vector.

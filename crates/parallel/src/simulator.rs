@@ -619,39 +619,14 @@ impl<W: Word> ParallelSim<W> {
             .collect::<Option<Vec<bool>>>()
     }
 
-    /// Number of value transitions of `net` within its field window
-    /// (times `align ..= level`) for the last vector, computed
-    /// word-parallel directly on the bit-field — the fast analysis §3 of
-    /// the paper sketches with comparison fields. A net never changes
-    /// outside this window, so this is the net's total switching
-    /// activity for the vector.
-    pub fn field_transition_count(&self, net: NetId) -> u32 {
-        let layout = &self.compiled.layouts[net];
-        let mut count = 0u32;
-        let mut carry_bit: Option<bool> = None;
-        for w in 0..layout.words {
-            let word = self.arena[(layout.base + w) as usize];
-            // Bits of this word that belong to the field.
-            let valid = (layout.width - w * W::BITS).min(W::BITS);
-            // Transitions between adjacent field bits inside the word:
-            // bit i differs from bit i+1, for i in 0..valid-1.
-            let internal = (word ^ (word >> 1)) & W::low_mask(valid.saturating_sub(1));
-            count += internal.count_ones();
-            // Plus the boundary transition from the previous word's top
-            // field bit to this word's bit 0.
-            if let Some(previous_top) = carry_bit {
-                count += u32::from(previous_top != word.bit(0));
-            }
-            carry_bit = Some(word.bit(valid - 1));
-        }
-        count
-    }
-
-    /// `true` if `net`'s bit-field is a monotone step (at most one
-    /// transition) — hazard-free for the last vector, per the paper's
-    /// `0…01…1` / `1…10…0` comparison-field criterion.
-    pub fn is_hazard_free(&self, net: NetId) -> bool {
-        self.field_transition_count(net) <= 1
+    /// `Some(true)` if `net` changed at most once in the last vector —
+    /// hazard-free per the paper's `0…01…1` / `1…10…0` comparison-field
+    /// criterion — counted on the bit-field by
+    /// [`ParallelSim::for_each_toggle_in_field`]. `None` exactly when
+    /// [`ParallelSim::history`] is `None`.
+    pub fn is_hazard_free(&self, net: NetId) -> Option<bool> {
+        self.for_each_toggle_in_field(net, &mut |_| {})
+            .map(|toggles| toggles <= 1)
     }
 
     /// Visits every *history* toggle of `net` for the last vector —
@@ -662,13 +637,12 @@ impl<W: Word> ParallelSim<W> {
     /// history. Returns `None` exactly when [`ParallelSim::history`]
     /// does (the pre-alignment part is not reconstructible).
     ///
-    /// Unlike [`ParallelSim::field_transition_count`], which counts
-    /// transitions anywhere in the field window, this is
-    /// alignment-aware at both ends so it agrees bit-for-bit with a
-    /// toggle count derived from `history()`: pairs below time 0
-    /// (negative alignment places field bits before the vector starts)
-    /// are masked off, and for positive alignment the boundary step
-    /// from the pre-field value to bit 0 is checked separately.
+    /// The count is alignment-aware at both ends, so it agrees
+    /// bit-for-bit with one derived from `history()`: pairs below time
+    /// 0 (negative alignment places field bits before the vector
+    /// starts) are masked off, and for positive alignment — path
+    /// tracing sets it to the net's minlevel — the step from the
+    /// pre-field value into bit 0 is checked separately.
     pub fn for_each_toggle_in_field(&self, net: NetId, visit: &mut dyn FnMut(u32)) -> Option<u32> {
         if !self.compiled.trackable[net.index()] {
             return None;

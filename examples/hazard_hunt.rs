@@ -32,10 +32,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 Activity::DynamicHazard => dynamic_hazards += 1,
                 _ => {}
             }
-            let transitions = found.history.windows(2).filter(|p| p[0] != p[1]).count();
             let is_worse = worst
                 .as_ref()
-                .map(|(_, w)| transitions > w.history.windows(2).filter(|p| p[0] != p[1]).count())
+                .map(|(_, w)| found.toggles > w.toggles)
                 .unwrap_or(true);
             if is_worse {
                 worst = Some((index, found));

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example sequential_counter`
 
-use unit_delay_sim::netlist::sequential::cut_flip_flops;
+use unit_delay_sim::core::sequential::SequentialSimulator;
 use unit_delay_sim::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,35 +28,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let nl = b.finish()?;
     assert!(nl.is_sequential());
 
-    // Cut: flip-flop outputs become pseudo inputs, inputs pseudo outputs.
-    let cut = cut_flip_flops(&nl)?;
+    // Cut at the flip-flops (their outputs become pseudo inputs, their
+    // inputs pseudo outputs) and compile the combinational remainder;
+    // each clock cycle is one compiled vector with every D fed back
+    // into its Q.
+    let mut sim = SequentialSimulator::new(&nl, Engine::ParallelPathTracingTrimming)?;
     println!(
         "cut `{}`: {} state bits, combinational depth {}",
         nl.name(),
-        cut.state_bits(),
-        levelize(&cut.combinational)?.depth
+        sim.state_bits(),
+        levelize(&sim.cut().combinational)?.depth
     );
 
-    let mut sim =
-        ParallelSimulator::compile(&cut.combinational, Optimization::PathTracingTrimming)?;
-
-    // Clocking loop: one compiled vector per cycle, feeding each D back
-    // into its Q. Input order of the cut circuit: original PIs first,
-    // then the flip-flop outputs in cut order.
-    let mut state = vec![false; cut.state_bits()];
     println!("cycle  en  count");
     for cycle in 0..20 {
         let en_bit = cycle < 12; // stop counting after 12 cycles
-        let mut inputs = vec![en_bit];
-        inputs.extend_from_slice(&state);
-        sim.simulate_vector(&inputs);
-        for (slot, element) in state.iter_mut().zip(&cut.state) {
-            *slot = sim.final_value(element.d);
-        }
-        let count: u32 = state
+        sim.clock(&[en_bit]);
+        let count: u32 = q
             .iter()
             .enumerate()
-            .map(|(i, &b)| (b as u32) << i)
+            .map(|(i, &net)| (sim.output_bit(net) as u32) << i)
             .sum();
         println!("{cycle:>5}  {:>2}  {count:>5}", en_bit as u8);
         let expected = (cycle + 1).min(12) % 16;
