@@ -513,11 +513,15 @@ impl GuardedSimulator {
     /// per-vector setup by definition — keeping the sum contract
     /// ("everything inside a profiled call lands in some level")
     /// honest for small circuits where bookkeeping is a visible slice.
+    /// Returns the engine that ran the vector and the call's wall time
+    /// in nanoseconds, the span `profile` was credited against: a
+    /// caller adding up spans uses this one clock read rather than its
+    /// own, whose extra edges no level would hold.
     pub fn simulate_vector_leveled(
         &mut self,
         inputs: &[bool],
         profile: &mut uds_netlist::LevelProfile,
-    ) -> Result<Engine, SimError> {
+    ) -> Result<(Engine, u64), SimError> {
         let call_clock = std::time::Instant::now();
         let attributed_before = profile.total_self_ns();
         let engine = self.step(inputs, |sim, inputs| {
@@ -527,7 +531,7 @@ impl GuardedSimulator {
         let engine_ns = profile.total_self_ns() - attributed_before;
         profile.ensure_level(0);
         profile.levels[0].self_ns += call_ns.saturating_sub(engine_ns);
-        Ok(engine)
+        Ok((engine, call_ns))
     }
 
     /// The per-vector step both entry points share: checks width and

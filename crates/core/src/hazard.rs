@@ -10,7 +10,8 @@
 //! * [`classify_toggle_count`] maps a count to an [`Activity`];
 //! * [`classify`] applies it to one history;
 //! * [`scan`] sweeps a whole simulator state after a vector and reports
-//!   every hazardous net, counting through
+//!   every hazardous net among those the engine can read, and how many
+//!   it could not, counting through
 //!   [`UnitDelaySimulator::for_each_toggle`] — word-parallel on the
 //!   parallel engines' bit-fields.
 
@@ -63,17 +64,34 @@ pub struct Hazard {
     pub history: Vec<bool>,
 }
 
+/// What [`scan`] found after one vector. Every net of the netlist is
+/// counted once, in `examined` or in `unreadable`.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct Scan {
+    /// Every hazardous net among the examined ones, in net-id order.
+    pub hazards: Vec<Hazard>,
+    /// Nets whose toggle count the engine reported.
+    pub examined: usize,
+    /// Nets the engine keeps no history for (an unmonitored internal
+    /// net of a trimmed or path-traced program, say): nothing is known
+    /// of their hazards.
+    pub unreadable: usize,
+}
+
 /// Scans every net after a vector and returns all hazards, in net-id
-/// order. Nets whose engine does not expose a history are skipped.
-pub fn scan(netlist: &Netlist, simulator: &dyn UnitDelaySimulator) -> Vec<Hazard> {
-    let mut hazards = Vec::new();
+/// order, with how many nets were examined and how many the engine
+/// could not read.
+pub fn scan(netlist: &Netlist, simulator: &dyn UnitDelaySimulator) -> Scan {
+    let mut scan = Scan::default();
     for net in netlist.net_ids() {
         let Some(toggles) = simulator.for_each_toggle(net, &mut |_| {}) else {
+            scan.unreadable += 1;
             continue;
         };
+        scan.examined += 1;
         let activity = classify_toggle_count(toggles);
         if matches!(activity, Activity::StaticHazard | Activity::DynamicHazard) {
-            hazards.push(Hazard {
+            scan.hazards.push(Hazard {
                 net,
                 activity,
                 toggles,
@@ -83,7 +101,7 @@ pub fn scan(netlist: &Netlist, simulator: &dyn UnitDelaySimulator) -> Vec<Hazard
             });
         }
     }
-    hazards
+    scan
 }
 
 #[cfg(test)]
@@ -140,14 +158,40 @@ mod tests {
         for optimization in Optimization::ALL {
             let mut sim = ParallelSimulator::compile(&nl, optimization).unwrap();
             sim.simulate_vector(&[false]);
-            assert!(scan(&nl, &sim).is_empty(), "{optimization}");
+            assert!(scan(&nl, &sim).hazards.is_empty(), "{optimization}");
             sim.simulate_vector(&[true]);
-            let hazards = scan(&nl, &sim);
+            let hazards = scan(&nl, &sim).hazards;
             assert_eq!(hazards.len(), 1, "{optimization}");
             assert_eq!(hazards[0].net, y);
             assert_eq!(hazards[0].activity, Activity::StaticHazard);
             assert_eq!(hazards[0].toggles, 2);
             assert_eq!(hazards[0].history, vec![false, true, false]);
+        }
+    }
+
+    #[test]
+    fn scan_counts_every_net_it_cannot_read() {
+        // Unmonitored, path tracing keeps no history for internal nets
+        // whose field starts at their minlevel; monitoring every net
+        // makes them all readable. Either way every net is counted once,
+        // and the unreadable count is exactly the nets without a history.
+        let nl = uds_netlist::generators::alu::alu(4).unwrap();
+        let pt_trim = Optimization::PathTracingTrimming;
+        for monitor_all in [false, true] {
+            let mut sim = if monitor_all {
+                ParallelSimulator::compile_monitoring_all(&nl, pt_trim).unwrap()
+            } else {
+                ParallelSimulator::compile(&nl, pt_trim).unwrap()
+            };
+            let blind = nl.net_ids().filter(|&n| sim.history(n).is_none()).count();
+            assert_eq!(blind == 0, monitor_all, "{blind} nets without a history");
+            let width = nl.primary_inputs().len();
+            for vector in crate::vectors::RandomVectors::new(width, 0x4A2).take(64) {
+                sim.simulate_vector(&vector);
+                let found = scan(&nl, &sim);
+                assert_eq!(found.examined, nl.net_count() - blind);
+                assert_eq!(found.unreadable, blind);
+            }
         }
     }
 }

@@ -24,9 +24,11 @@
 //! Every nanosecond spent inside a profiled `simulate_vector_leveled`
 //! call lands in *some* level, so per-level self-times sum to the time
 //! inside profiled calls. [`collect`] measures its span as the sum of
-//! per-shard wall clocks — not the enclosing wall time — so the
-//! contract holds under `jobs > 1` as well: each shard of the streaming
-//! runner owns its profile, and the profiles merge levelwise.
+//! the call times the guard credited — one clock per call, the one the
+//! levels were filled against, not the enclosing wall time — so the
+//! contract holds exactly, and under `jobs > 1` as well: each shard of
+//! the streaming runner owns its profile, and the profiles merge
+//! levelwise.
 
 // SimError deliberately carries full context; see guard.rs.
 #![allow(clippy::result_large_err)]
@@ -150,8 +152,9 @@ impl HotspotReport {
 
 /// The leveled step of the streaming runner: every vector runs through
 /// [`GuardedSimulator::simulate_vector_leveled`] into `profile`, and
-/// `span_ns` adds up the wall time of those calls — the span the
-/// per-level self-times sum toward.
+/// `span_ns` adds up the wall time those calls report — the guard's own
+/// clock, whose every nanosecond lands in some level, so the per-level
+/// self-times sum to the span.
 #[derive(Clone, Debug, Default)]
 pub struct LeveledStep {
     /// Per-level costs of the shard's vectors.
@@ -162,10 +165,8 @@ pub struct LeveledStep {
 
 impl Step for LeveledStep {
     fn step(&mut self, guard: &mut GuardedSimulator, inputs: &[bool]) -> Result<(), SimError> {
-        let clock = Instant::now();
-        guard.simulate_vector_leveled(inputs, &mut self.profile)?;
-        let elapsed = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.span_ns = self.span_ns.saturating_add(elapsed);
+        let (_, call_ns) = guard.simulate_vector_leveled(inputs, &mut self.profile)?;
+        self.span_ns = self.span_ns.saturating_add(call_ns);
         Ok(())
     }
 }
@@ -173,8 +174,8 @@ impl Step for LeveledStep {
 /// Simulates the first `len` vectors of `stimulus` through a fork of
 /// `prototype` across `jobs` shards, with a [`LeveledStep`] in every
 /// shard, and returns the merged per-level breakdown. The span is the
-/// sum of the shards' profiled-call walls, so per-level self-times sum
-/// within timer granularity of it at any job count.
+/// sum of the shards' profiled-call times as the guard clocked them, so
+/// per-level self-times sum to it at any job count.
 ///
 /// # Errors
 ///

@@ -3,11 +3,12 @@
 //! Both technique crates emit the paper's C output; this module closes
 //! the loop at runtime. [`build_native`] compiles the chosen engine's
 //! interpreted twin (through the one engine builder,
-//! [`DefaultEngineFactory`]), emits its C translation unit
-//! (`codegen_c::emit_native`), invokes the host C compiler (`cc
-//! -shared -fPIC -O1`), `dlopen`s the shared object, and wraps both in
-//! a [`UnitDelaySimulator`] whose `simulate_one_vector` is machine
-//! code.
+//! [`DefaultEngineFactory`]), emits its C kernel
+//! (`codegen_c::emit_native`, a few translation units), compiles each
+//! unit with the host C compiler (`cc -fPIC -O1 -c`, one `cc` per core
+//! at most), links the objects (`cc -shared`), `dlopen`s the shared
+//! object, and wraps both in a [`UnitDelaySimulator`] whose
+//! `simulate_one_vector` is machine code.
 //!
 //! # Arena-pointer ABI
 //!
@@ -15,9 +16,11 @@
 //! `simulate_one_vector(word *uds_a, const word *pi)`, and keep no
 //! state: every arena word is a slot of the `uds_a` they are handed,
 //! and `pi` holds the primary inputs as words. Inside, the kernel is a
-//! run of `static` part functions of whole netlist levels, which the
-//! entry calls in order (see [`uds_netlist::c_emit`]); only the entry
-//! is exported, so this module sees one symbol whatever the split. The authoritative state
+//! run of part functions of whole netlist levels, spread over up to
+//! four translation units, which the entry calls in order (see
+//! [`uds_netlist::c_emit`]). The parts have hidden visibility, so the
+//! entry calls them directly and only the entry is exported: this
+//! module sees one symbol whatever the split. The authoritative state
 //! is the interpreted twin's arena, and each vector passes that arena
 //! to the kernel directly — no copy in or out, no lock. Clones,
 //! seeding, final-value and history readback and checkpoint restores
@@ -29,6 +32,17 @@
 //! the paper's statics did, and `-O2` buys no kernel speed over `-O1`
 //! on these straight-line bodies, only set-up time.
 //!
+//! # Cold builds
+//!
+//! The unit cut is a function of the kernel alone (see
+//! [`uds_netlist::c_emit::MAX_UNITS`]): c432 is one unit, c880 two,
+//! c1908 and c6288 four, on any host. A cold build writes each unit,
+//! after the shared prelude, to its own temp `.c` and runs at most
+//! `min(units, available cores)` compilers at once. Every `cc` is
+//! waited for before the build returns; when a unit fails, no further
+//! unit starts, the error quotes that unit's stderr, and every temp
+//! `.c`, `.o` and `.so` is removed, as it is after a success.
+//!
 //! # Artifact cache
 //!
 //! Compiled objects land in [`cache_dir`] (`$UDS_NATIVE_CACHE`, or
@@ -36,17 +50,18 @@
 //! `{netlist_hash:016x}-{flavor}-w{bits}-s{source:016x}.so`,
 //! where the first hash is the same canonical-netlist FNV the serve LRU
 //! keys on ([`crate::cache::netlist_hash`]) and `source` is an FNV-1a
-//! of the emitted C and the `cc` flags: a change to the emitter, its
-//! ABI or the flags names a new artifact, so a stale object is never
-//! `dlopen`ed under a signature it was not built for. The name says
-//! nothing the emitted C does not decide: a parallel engine that
-//! monitors every net emits the same C as one that does not (its twin
-//! does the tracking), so both load one artifact, while a monitored
-//! PC-set program emits different C and hashes to its own. A fresh
-//! process finds the artifact on disk and skips the `cc` invocation
-//! entirely; within a process an additional registry shares one loaded
-//! library per path. Cache traffic is reported through the build probe as the
-//! monotonic counters `native.cache.memory_hit`,
+//! of the emitted C, its unit cut and the `cc` flags: a change to the
+//! emitter, its ABI, the cut or the flags names a new artifact, so a
+//! stale object is never `dlopen`ed under a signature it was not built
+//! for. The name says nothing the emitted C does not decide: a parallel
+//! engine that monitors every net emits the same C as one that does
+//! not (its twin does the tracking), so both load one artifact, while a
+//! monitored PC-set program emits different C and hashes to its own. A
+//! fresh process finds the artifact on disk and skips `cc` entirely (a
+//! warm build emits the kernel text once to hash it, and nothing
+//! more); within a process an additional registry shares one loaded
+//! library per path. Cache traffic is reported through the build probe
+//! as the monotonic counters `native.cache.memory_hit`,
 //! `native.cache.disk_hit`, and `native.cache.compile`.
 //!
 //! # Degradation
@@ -61,7 +76,7 @@
 // failure paths; see guard.rs for the same trade.
 #![allow(clippy::result_large_err)]
 
-use uds_netlist::c_emit::EmitError;
+use uds_netlist::c_emit::{EmitError, NativeSource};
 use uds_netlist::{Netlist, Probe, ResourceLimits};
 use uds_parallel::{ParallelSim, Word};
 use uds_pcset::PcSetSimulator;
@@ -81,8 +96,8 @@ pub(crate) trait NativeTwin: UnitDelaySimulator + Clone + 'static {
     /// The artifact-name flavor key.
     fn flavor(&self) -> String;
 
-    /// The kernel's C translation unit.
-    fn emit_native(&self, netlist: &Netlist) -> Result<String, EmitError>;
+    /// The kernel's C, cut into translation units.
+    fn emit_native(&self, netlist: &Netlist) -> Result<NativeSource, EmitError>;
 
     /// One vector with `kernel` in place of the interpreter.
     fn simulate_vector_with(
@@ -99,7 +114,7 @@ impl<W: Word> NativeTwin for ParallelSim<W> {
         format!("par-{}", self.optimization().key())
     }
 
-    fn emit_native(&self, netlist: &Netlist) -> Result<String, EmitError> {
+    fn emit_native(&self, netlist: &Netlist) -> Result<NativeSource, EmitError> {
         uds_parallel::codegen_c::emit_native(netlist, self)
     }
 
@@ -115,7 +130,7 @@ impl NativeTwin for PcSetSimulator {
         "pcset".to_owned()
     }
 
-    fn emit_native(&self, netlist: &Netlist) -> Result<String, EmitError> {
+    fn emit_native(&self, netlist: &Netlist) -> Result<NativeSource, EmitError> {
         uds_pcset::codegen_c::emit_native(netlist, self)
     }
 
@@ -187,11 +202,15 @@ pub(crate) fn env_lock() -> std::sync::MutexGuard<'static, ()> {
 mod imp {
     use std::collections::HashMap;
     use std::ffi::CString;
+    use std::io::Write as _;
+    use std::num::NonZeroUsize;
     use std::os::raw::c_void;
     use std::path::{Path, PathBuf};
     use std::process::Command;
-    use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
+    use uds_netlist::c_emit::NativeSource;
     use uds_netlist::{NetId, Netlist, Probe};
 
     use super::{cache_dir, toolchain_error, NativeTwin};
@@ -244,9 +263,7 @@ mod imp {
     unsafe impl Sync for NativeLib {}
 
     fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-        mutex
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        mutex.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     impl NativeLib {
@@ -301,9 +318,11 @@ mod imp {
         REGISTRY.get_or_init(Mutex::default)
     }
 
-    /// The `cc` flags every artifact is built with. They are part of
-    /// the artifact name (see [`artifact_path`]).
-    const CC_FLAGS: [&str; 3] = ["-shared", "-fPIC", "-O1"];
+    /// The `cc` flags that compile one translation unit to an object,
+    /// and those that link the objects into the artifact. Both are part
+    /// of the artifact name (see [`artifact_path`]).
+    const CC_COMPILE: [&str; 3] = ["-fPIC", "-O1", "-c"];
+    const CC_LINK: [&str; 1] = ["-shared"];
 
     fn compiler() -> String {
         std::env::var("UDS_CC").unwrap_or_else(|_| "cc".to_owned())
@@ -320,10 +339,39 @@ mod imp {
         })
     }
 
-    /// Compiles `source` into `dest` atomically: write the C and the
-    /// object under temp names, `rename` into place, so a concurrent
-    /// process never observes a half-written artifact.
-    fn compile_so(source: &str, dest: &Path) -> Result<(), SimError> {
+    /// Runs `command` (a `cc` call doing `what`) to completion.
+    fn run_cc(cc: &str, mut command: Command, what: &str) -> Result<(), SimError> {
+        let output = command.output().map_err(|e| {
+            if e.kind() == std::io::ErrorKind::NotFound {
+                toolchain_error(format!(
+                    "no C compiler: `{cc}` is not on PATH (set $UDS_CC to override)"
+                ))
+            } else {
+                toolchain_error(format!("cannot run `{cc}`: {e}"))
+            }
+        })?;
+        if output.status.success() {
+            return Ok(());
+        }
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let excerpt: Vec<&str> = stderr.lines().take(8).collect();
+        Err(toolchain_error(format!(
+            "`{cc}` failed {what} ({}): {}",
+            output.status,
+            excerpt.join("; ")
+        )))
+    }
+
+    /// Compiles `source` into `dest` atomically. Each unit is written
+    /// after the prelude to its own temp `.c` and compiled to a temp
+    /// `.o`, with at most `min(units, cores)` compilers running at once;
+    /// the objects are linked into a temp `.so`, which is `rename`d into
+    /// place, so a concurrent process never observes a half-written
+    /// artifact. Every `cc` is waited for before this returns, and every
+    /// temp file is removed, whether the build succeeds or not. Once a
+    /// unit fails no further unit starts, and the error quotes the first
+    /// failure.
+    fn compile_so(source: &NativeSource, dest: &Path) -> Result<(), SimError> {
         let dir = dest.parent().expect("artifact paths live in the cache dir");
         std::fs::create_dir_all(dir)
             .map_err(|e| toolchain_error(format!("cannot create {}: {e}", dir.display())))?;
@@ -331,51 +379,72 @@ mod imp {
             .file_stem()
             .and_then(|s| s.to_str())
             .expect("artifact names are ascii");
-        let pid = std::process::id();
-        let c_path = dir.join(format!(".{stem}.{pid}.c"));
-        let so_tmp = dir.join(format!(".{stem}.{pid}.so"));
-        let cleanup = || {
-            let _ = std::fs::remove_file(&c_path);
-            let _ = std::fs::remove_file(&so_tmp);
-        };
-        std::fs::write(&c_path, source)
-            .map_err(|e| toolchain_error(format!("cannot write {}: {e}", c_path.display())))?;
+        // Temp names are unique per build, across processes and within one.
+        static BUILDS: AtomicU64 = AtomicU64::new(0);
+        let build = BUILDS.fetch_add(1, Ordering::Relaxed);
+        let tmp = format!(".{stem}.{}-{build}", std::process::id());
+        let units: Vec<&str> = source.units().collect();
+        let c_path = |k: usize| dir.join(format!("{tmp}.u{k}.c"));
+        let o_path = |k: usize| dir.join(format!("{tmp}.u{k}.o"));
+        let so_tmp = dir.join(format!("{tmp}.so"));
         let cc = compiler();
-        let output = Command::new(&cc)
-            .args(CC_FLAGS)
-            .arg("-o")
-            .arg(&so_tmp)
-            .arg(&c_path)
-            .output();
-        let output = match output {
-            Ok(output) => output,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                cleanup();
-                return Err(toolchain_error(format!(
-                    "no C compiler: `{cc}` is not on PATH (set $UDS_CC to override)"
-                )));
+
+        let compile = |k: usize| -> Result<(), SimError> {
+            let c = c_path(k);
+            std::fs::File::create(&c)
+                .and_then(|mut file| {
+                    file.write_all(source.prelude().as_bytes())?;
+                    file.write_all(units[k].as_bytes())
+                })
+                .map_err(|e| toolchain_error(format!("cannot write {}: {e}", c.display())))?;
+            let mut command = Command::new(&cc);
+            command.args(CC_COMPILE).arg("-o").arg(o_path(k)).arg(&c);
+            let what = format!("on unit {k} of {}", units.len());
+            run_cc(&cc, command, &what)
+        };
+        let next = AtomicUsize::new(0);
+        let failure: Mutex<Option<SimError>> = Mutex::new(None);
+        let worker = || loop {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            if k >= units.len() || lock(&failure).is_some() {
+                break;
             }
-            Err(e) => {
-                cleanup();
-                return Err(toolchain_error(format!("cannot run `{cc}`: {e}")));
+            if let Err(e) = compile(k) {
+                lock(&failure).get_or_insert(e);
+                break;
             }
         };
-        if !output.status.success() {
-            let stderr = String::from_utf8_lossy(&output.stderr);
-            let excerpt: Vec<&str> = stderr.lines().take(8).collect();
-            cleanup();
-            return Err(toolchain_error(format!(
-                "`{cc}` failed ({}): {}",
-                output.status,
-                excerpt.join("; ")
-            )));
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let jobs = units.len().min(cores);
+        // The scope joins every worker, and each waits for its `cc`.
+        std::thread::scope(|scope| {
+            for _ in 1..jobs {
+                scope.spawn(worker);
+            }
+            worker();
+        });
+        let built = match failure.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            Some(e) => Err(e),
+            None => {
+                let mut command = Command::new(&cc);
+                command.args(CC_LINK).arg("-o").arg(&so_tmp);
+                command.args((0..units.len()).map(o_path));
+                run_cc(&cc, command, "linking the kernel").and_then(|()| {
+                    std::fs::rename(&so_tmp, dest).map_err(|e| {
+                        toolchain_error(format!(
+                            "cannot move artifact into {}: {e}",
+                            dest.display()
+                        ))
+                    })
+                })
+            }
+        };
+        for k in 0..units.len() {
+            let _ = std::fs::remove_file(c_path(k));
+            let _ = std::fs::remove_file(o_path(k));
         }
-        let renamed = std::fs::rename(&so_tmp, dest);
-        let _ = std::fs::remove_file(&c_path);
-        renamed.map_err(|e| {
-            let _ = std::fs::remove_file(&so_tmp);
-            toolchain_error(format!("cannot move artifact into {}: {e}", dest.display()))
-        })
+        let _ = std::fs::remove_file(&so_tmp);
+        built
     }
 
     /// The loaded library for `path`, from (in order) the in-process
@@ -383,7 +452,7 @@ mod imp {
     /// `source`. Reports which tier answered through `probe`.
     fn get_or_load(
         path: &Path,
-        source: &str,
+        source: &NativeSource,
         probe: &dyn Probe,
     ) -> Result<Arc<NativeLib>, SimError> {
         // The registry lock is held across compile: a daemon taking
@@ -406,12 +475,23 @@ mod imp {
     }
 
     /// Where the artifact for `source` lives. The trailing tag hashes
-    /// the emitted C and [`CC_FLAGS`], so an object built by another
-    /// emitter version or with other flags is never found under it.
-    pub(super) fn artifact_path(hash: u64, flavor: &str, bits: u32, source: &str) -> PathBuf {
-        let tag = CC_FLAGS.iter().fold(fnv1a(source.as_bytes()), |h, flag| {
-            fnv1a_continue(h, flag.as_bytes())
+    /// everything `cc` sees (the emitted C and where its units begin)
+    /// and the compile and link flags, so an object built by another
+    /// emitter version, unit cut or flag set is never found under it.
+    pub(super) fn artifact_path(
+        hash: u64,
+        flavor: &str,
+        bits: u32,
+        source: &NativeSource,
+    ) -> PathBuf {
+        let tag = fnv1a(source.text().as_bytes());
+        let tag = source.unit_starts().iter().fold(tag, |h, &start| {
+            fnv1a_continue(h, &(start as u64).to_le_bytes())
         });
+        let tag = CC_COMPILE
+            .iter()
+            .chain(&CC_LINK)
+            .fold(tag, |h, flag| fnv1a_continue(h, flag.as_bytes()));
         cache_dir().join(format!("{hash:016x}-{flavor}-w{bits}-s{tag:016x}.so"))
     }
 
@@ -598,22 +678,185 @@ mod tests {
 
     #[test]
     fn the_artifact_name_tracks_the_emitted_source() {
-        // Any change to the emitted C (or to `CC_FLAGS`, folded into the
-        // same tag) must move the artifact, so a stale object built for
-        // another kernel ABI is never `dlopen`ed under the new one.
-        let name = |source: &str| {
+        // Any change to the emitted C, to its unit cut or to the `cc`
+        // flags (all folded into one tag) must move the artifact, so a
+        // stale object built for another kernel ABI is never `dlopen`ed
+        // under the new one. The same kernel, emitted again, names the
+        // same artifact: the cut depends on the kernel alone.
+        let name = |source: &NativeSource| {
             let path = imp::artifact_path(0x1990, "par-pt-trim", 32, source);
             path.file_name().unwrap().to_str().unwrap().to_owned()
         };
-        let (old, new) = (name("void simulate_one_vector(const word *pi)"), name(""));
-        assert_ne!(old, new);
-        for file in [old, new] {
+        let pt_trim = uds_parallel::Optimization::PathTracingTrimming;
+        let emit = |nl: &Netlist| {
+            let sim = uds_parallel::ParallelSimulator::compile(nl, pt_trim).unwrap();
+            sim.emit_native(nl).unwrap()
+        };
+        let (c17, c880) = (c17(), Iscas85::C880.build());
+        let multi = emit(&c880);
+        assert!(multi.units().count() > 1, "c880 is cut into units");
+        let par = name(&emit(&c17));
+        assert_eq!(par, name(&emit(&c17)));
+        assert_eq!(name(&multi), name(&emit(&c880)));
+        let pcset = PcSetSimulator::compile(&c17).unwrap().emit_native(&c17);
+        let names = [par, name(&multi), name(&pcset.unwrap())];
+        for (k, file) in names.iter().enumerate() {
+            assert!(!names[..k].contains(file), "{names:?}");
             let tag = file
                 .strip_prefix("0000000000001990-par-pt-trim-w32-s")
                 .and_then(|rest| rest.strip_suffix(".so"))
                 .unwrap_or_else(|| panic!("unexpected artifact name {file}"));
             assert_eq!(tag.len(), 16, "{file}");
             assert!(tag.bytes().all(|b| b.is_ascii_hexdigit()), "{file}");
+        }
+    }
+
+    /// The files in `dir` that a build leaves behind: C sources, objects
+    /// and shared objects, finished or not.
+    fn build_files(dir: &std::path::Path) -> Vec<String> {
+        let mut files: Vec<String> = std::fs::read_dir(dir)
+            .map(|entries| {
+                entries
+                    .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+                    .filter(|name| [".c", ".o", ".so"].iter().any(|ext| name.ends_with(ext)))
+                    .collect()
+            })
+            .unwrap_or_default();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn a_failing_unit_fails_the_build_and_leaves_nothing_behind() {
+        // `$UDS_CC` refuses unit 1 of c880's two. The build must wait for
+        // unit 0's compiler, remove every temp file, and report the
+        // refusal as a toolchain error; the real `cc` then builds the
+        // same artifact.
+        let _env = env_lock();
+        if skip_notice() {
+            return;
+        }
+        if std::env::var_os("UDS_CC").is_some() {
+            eprintln!("SKIP: $UDS_CC is set; not overriding the toolchain");
+            return;
+        }
+        let root = std::env::temp_dir().join(format!("uds-native-unit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (bin, cache) = (root.join("bin"), root.join("cache"));
+        std::fs::create_dir_all(&bin).unwrap();
+        let script = bin.join("cc-refusing-unit-1");
+        std::fs::write(
+            &script,
+            "#!/bin/sh\nfor arg in \"$@\"; do\n  case \"$arg\" in\n    *.u1.c) echo \"refusing $arg\" >&2; exit 1 ;;\n  esac\ndone\nexec cc \"$@\"\n",
+        )
+        .unwrap();
+        {
+            use std::os::unix::fs::PermissionsExt;
+            std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
+        }
+        // A process forked elsewhere in this test binary while the script
+        // was open for writing holds it until its own exec: wait that out
+        // (ETXTBSY) before the build runs it.
+        for _ in 0..100 {
+            match std::process::Command::new(&script)
+                .arg("--version")
+                .output()
+            {
+                Err(e) if e.raw_os_error() == Some(26) => {
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                }
+                _ => break,
+            }
+        }
+        let nl = Iscas85::C880.build();
+        let build = |probe: &dyn Probe| {
+            build_native(
+                &nl,
+                Engine::Native,
+                WordWidth::W64,
+                &ResourceLimits::unlimited(),
+                probe,
+            )
+        };
+        std::env::set_var("UDS_NATIVE_CACHE", &cache);
+        std::env::set_var("UDS_CC", &script);
+        let failed = build(&NoopProbe);
+        std::env::remove_var("UDS_CC");
+        let left = build_files(&cache);
+        let telemetry = crate::Telemetry::new();
+        let rebuilt = build(&telemetry);
+        let built = build_files(&cache);
+        std::env::remove_var("UDS_NATIVE_CACHE");
+        let _ = std::fs::remove_dir_all(&root);
+
+        let err = match failed {
+            Ok(_) => panic!("a refused unit cannot build"),
+            Err(err) => err,
+        };
+        assert_eq!(err.class(), crate::FailureClass::Toolchain);
+        let message = err.to_string();
+        assert!(message.contains("on unit 1 of 2"), "{message}");
+        assert!(
+            message.contains("refusing "),
+            "quotes the unit's stderr: {message}"
+        );
+        assert_eq!(
+            left,
+            Vec::<String>::new(),
+            "temp files survived a failed build"
+        );
+        rebuilt.unwrap_or_else(|e| panic!("the real `cc` builds: {e}"));
+        assert_eq!(telemetry.counter("native.cache.compile"), 1);
+        assert_eq!(built.len(), 1, "{built:?}");
+        assert!(
+            built[0].ends_with(".so") && !built[0].starts_with('.'),
+            "{built:?}"
+        );
+    }
+
+    #[test]
+    fn two_threads_building_one_artifact_share_one_object() {
+        // Two builds of one multi-unit kernel into an empty cache, released
+        // together: both load a working kernel, and the cache ends with
+        // the one finished artifact and no temp file.
+        let _env = env_lock();
+        if skip_notice() {
+            return;
+        }
+        let dir = std::env::temp_dir().join(format!("uds-native-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::env::set_var("UDS_NATIVE_CACHE", &dir);
+        let nl = Iscas85::C880.build();
+        let barrier = std::sync::Barrier::new(2);
+        let built: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        build_native(
+                            &nl,
+                            Engine::Native,
+                            WordWidth::W64,
+                            &ResourceLimits::unlimited(),
+                            &NoopProbe,
+                        )
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        std::env::remove_var("UDS_NATIVE_CACHE");
+        let files = build_files(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(files.len(), 1, "{files:?}");
+        assert!(!files[0].starts_with('.'), "{files:?}");
+        let width = nl.primary_inputs().len();
+        for native in built {
+            let native = native.unwrap_or_else(|e| panic!("both builds load: {e}"));
+            let baseline = Box::new(TracedEventSim::new(&nl).unwrap());
+            let stimulus = RandomVectors::new(width, 880).take(32);
+            crate::crosscheck::run(&nl, &mut [baseline, native], stimulus)
+                .unwrap_or_else(|e| panic!("native diverged from the baseline: {e}"));
         }
     }
 

@@ -10,12 +10,15 @@
 //! Every kernel comes in two forms. The paper form declares one
 //! `static word` per arena word, initialized to its power-up value,
 //! and holds the whole body in `simulate_one_vector`. The native form
-//! keeps no state and names each arena word as a slot of the caller's
-//! `uds_a`. Its body is cut at level-segment ends into `static`
-//! non-inlined part functions of about [`PART_LINES`] lines, and the one
-//! exported entry, `void simulate_one_vector(word *uds_a, const word
-//! *pi)`, calls them in order: `cc` compiles many small functions much
-//! faster than one straight-line body.
+//! ([`NativeSource`]) keeps no state and names each arena word as a
+//! slot of the caller's `uds_a`. Its body is cut at level-segment ends
+//! into hidden, non-inlined part functions of about [`PART_LINES`]
+//! lines, and the parts are grouped in order into at most
+//! [`MAX_UNITS`] translation units of at least [`UNIT_LINES`] lines.
+//! The one exported entry, `void simulate_one_vector(word *uds_a, const
+//! word *pi)`, sits in the last unit and calls the parts in order. `cc`
+//! compiles many small functions much faster than one straight-line
+//! body, and several units can compile at once, one `cc` per core.
 
 use std::collections::HashSet;
 use std::fmt::{self, Write as _};
@@ -125,7 +128,7 @@ pub fn gate_expression(kind: GateKind, operands: &[&str]) -> String {
 /// `word` typedef and the `<stdint.h>` types behind it, the entry point
 /// and its parameters (`uds_a` is the native kernel's arena), the
 /// native kernel's part functions `uds_part{k}` and the identifiers of
-/// its no-inline attribute, the block-local temporaries of the parallel
+/// their attributes, the block-local temporaries of the parallel
 /// emitter's unrolled aligned-load and shifted-presentation statements,
 /// and `defined`, which the preprocessor refuses as a macro name.
 fn is_reserved(name: &str) -> bool {
@@ -181,9 +184,11 @@ fn is_reserved(name: &str) -> bool {
             | "uds_st"
             | "uds_a"
             | "UDS_NOINLINE"
+            | "UDS_HIDDEN"
             | "__GNUC__"
             | "__attribute__"
             | "__noinline__"
+            | "__visibility__"
             | "defined"
     )
 }
@@ -230,18 +235,107 @@ pub fn claim(used: &mut HashSet<String>, candidate: String) -> String {
 /// body, and the kernel runs no slower.
 pub const PART_LINES: usize = 200;
 
-/// Keeps `cc` from inlining the parts back into the entry: gcc inlines
-/// a static function called once, even at `-O1`. Other compilers get an
-/// empty attribute and still compile the file.
-const NOINLINE: &str = "#ifdef __GNUC__
+/// Statement lines each translation unit of a native kernel holds at
+/// least: a kernel is cut into one unit per whole `UNIT_LINES` of its
+/// body, so a small kernel stays one unit (splitting c432 only adds
+/// `cc` start-ups) while c880 gets two.
+pub const UNIT_LINES: usize = 1000;
+
+/// Most translation units one native kernel is cut into. The cut is a
+/// function of the kernel alone, never of the host's core count, so an
+/// artifact's name does not depend on where it was built.
+pub const MAX_UNITS: usize = 4;
+
+/// The attributes of the native kernel's part functions. `noinline`
+/// keeps `cc` from inlining a part back into the entry (gcc inlines a
+/// function called once, even at `-O1`); `hidden` keeps each part out
+/// of the shared object's exports, so the entry calls it directly,
+/// without a PLT stub, from whichever unit defines it. Other compilers
+/// get empty attributes and still compile the kernel.
+const PART_ATTRIBUTES: &str = "#ifdef __GNUC__
 #define UDS_NOINLINE __attribute__((__noinline__))
+#define UDS_HIDDEN __attribute__((__visibility__(\"hidden\")))
 #else
 #define UDS_NOINLINE
+#define UDS_HIDDEN
 #endif
 ";
 
 /// The parameters of every native part and of the native entry.
 const NATIVE_PARAMS: &str = "word *uds_a, const word *pi";
+
+/// A native kernel's C, cut into translation units: one text that is a
+/// shared prelude (the `word` typedef, the arena `#define`s and the
+/// part attributes) followed by each unit in order. `cc` compiles the
+/// prelude followed by one unit, once per unit, and links the objects;
+/// the whole text is also one valid translation unit.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct NativeSource {
+    text: String,
+    /// Where each unit begins in `text`, in order.
+    unit_starts: Vec<usize>,
+}
+
+impl NativeSource {
+    /// The whole kernel: the prelude, then every unit.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// Where each unit begins in [`NativeSource::text`]; the prelude is
+    /// everything before the first.
+    pub fn unit_starts(&self) -> &[usize] {
+        &self.unit_starts
+    }
+
+    /// The text every unit is compiled after.
+    pub fn prelude(&self) -> &str {
+        &self.text[..self.unit_starts[0]]
+    }
+
+    /// The translation units, without the prelude, in order. The last
+    /// one holds the exported entry.
+    pub fn units(&self) -> impl Iterator<Item = &str> {
+        let ends = self.unit_starts[1..].iter().copied();
+        self.unit_starts
+            .iter()
+            .zip(ends.chain([self.text.len()]))
+            .map(|(&from, to)| &self.text[from..to])
+    }
+}
+
+/// The first part of each translation unit, given each part's
+/// statement lines: one unit per whole [`UNIT_LINES`] of the body, at
+/// least one and at most [`MAX_UNITS`], each closed at the part end
+/// nearest its share of the lines. The cut depends on the part sizes
+/// alone.
+fn unit_firsts(part_lines: &[usize]) -> Vec<usize> {
+    let total: usize = part_lines.iter().sum();
+    let units = (total / UNIT_LINES).clamp(1, MAX_UNITS);
+    let mut firsts = vec![0];
+    let mut filled = 0;
+    for (k, &lines) in part_lines.iter().enumerate() {
+        // Part `k` opens the next unit once its midpoint is past the
+        // current unit's share.
+        let share = firsts.len() * total / units;
+        if firsts.len() < units && filled > 0 && 2 * filled + lines > 2 * share {
+            firsts.push(k);
+        }
+        filled += lines;
+    }
+    firsts
+}
+
+/// One piece of a native kernel's text after the prelude's arena
+/// words, in order.
+enum Piece {
+    /// Generated text.
+    Text(String),
+    /// The body's bytes `from..to`, relative to its start.
+    Body(usize, usize),
+    /// Where a translation unit begins (no bytes).
+    Unit,
+}
 
 /// A translation unit being written: everything before the kernel's
 /// statement body, then the body, with where each compiled op's
@@ -269,7 +363,7 @@ impl Kernel {
     /// will hold the whole body. The native form (`native`) keeps no
     /// state: each word is `#define NAME uds_a[slot]` over the caller's
     /// arena, which carries the power-up state itself, and
-    /// [`Kernel::close`] cuts the body into parts.
+    /// [`Kernel::close_native`] cuts the body into parts and units.
     pub fn open(
         mut out: String,
         names: &[String],
@@ -318,18 +412,22 @@ impl Kernel {
             .unwrap_or(self.out.len() - self.body_start)
     }
 
+    /// The body's statement lines from byte `from` to byte `to`.
+    fn lines(&self, from: usize, to: usize) -> usize {
+        let body = &self.out.as_bytes()[self.body_start..];
+        body[from..to].iter().filter(|&&b| b == b'\n').count()
+    }
+
     /// Byte offsets in the body that cut it into parts of whole level
     /// segments, at most [`PART_LINES`] lines each unless one segment
     /// is longer: `0`, each cut, then the body's length. A prologue
     /// rides with the first segment; `segments` cover the ops in order.
     fn part_bounds(&self, segments: &[LevelSegment]) -> Vec<usize> {
-        let body = &self.out.as_bytes()[self.body_start..];
-        let lines = |from: usize, to: usize| body[from..to].iter().filter(|&&b| b == b'\n').count();
         let mut bounds = vec![0];
         let (mut at, mut filled) = (0, 0);
         for segment in segments {
             let end = self.op_start(segment.end);
-            let added = lines(at, end);
+            let added = self.lines(at, end);
             if filled > 0 && filled + added > PART_LINES {
                 bounds.push(at);
                 filled = 0;
@@ -337,62 +435,101 @@ impl Kernel {
             filled += added;
             at = end;
         }
-        bounds.push(body.len());
+        bounds.push(self.out.len() - self.body_start);
         bounds
     }
 
-    /// Closes the kernel and returns the translation unit.
+    /// Closes the paper form's `simulate_one_vector` and returns the
+    /// translation unit.
+    pub fn close(mut self) -> String {
+        debug_assert!(!self.native, "a native kernel closes into units");
+        self.out.push_str("}\n");
+        self.out
+    }
+
+    /// Closes the native form and returns its translation units.
     ///
-    /// The paper form closes `simulate_one_vector`. The native form
-    /// cuts the body at level-segment ends (`segments`, the program's
-    /// run-length level table) into `static` non-inlined parts
+    /// The body is cut at level-segment ends (`segments`, the program's
+    /// run-length level table) into non-inlined, hidden parts
     /// `uds_part0`, `uds_part1`, … of about [`PART_LINES`] lines, each
-    /// taking `word *uds_a, const word *pi`, and exports
-    /// `simulate_one_vector` with the same parameters, calling the
-    /// parts in order. The parts hold the body's statements in the
-    /// body's order.
-    pub fn close(mut self, segments: &[LevelSegment]) -> String {
-        if !self.native {
-            self.out.push_str("}\n");
-            return self.out;
-        }
+    /// taking `word *uds_a, const word *pi`, and the parts are grouped
+    /// in order into units of at least [`UNIT_LINES`] lines, at most
+    /// [`MAX_UNITS`] of them. Each unit opens with a `/* unit k of n */`
+    /// comment. The last unit also declares the parts the other units
+    /// define and exports `simulate_one_vector` with the same
+    /// parameters, calling every part in order. The parts hold the
+    /// body's statements in the body's order.
+    pub fn close_native(self, segments: &[LevelSegment]) -> NativeSource {
+        debug_assert!(self.native, "a paper kernel closes into one function");
         let bounds = self.part_bounds(segments);
         let parts = bounds.len() - 1;
-        let header =
-            |k: usize| format!("\nstatic UDS_NOINLINE void uds_part{k}({NATIVE_PARAMS})\n{{\n");
-        let mut entry = format!("\nvoid simulate_one_vector({NATIVE_PARAMS})\n{{\n");
+        let part_lines: Vec<usize> = bounds.windows(2).map(|b| self.lines(b[0], b[1])).collect();
+        let firsts = unit_firsts(&part_lines);
+        let units = firsts.len();
+        let last_first = firsts[units - 1];
+
+        let mut pieces = vec![Piece::Text(PART_ATTRIBUTES.to_owned())];
+        for k in 0..parts {
+            if let Ok(unit) = firsts.binary_search(&k) {
+                pieces.push(Piece::Unit);
+                pieces.push(Piece::Text(format!("\n/* unit {unit} of {units} */\n")));
+            }
+            pieces.push(Piece::Text(format!(
+                "\nUDS_HIDDEN UDS_NOINLINE void uds_part{k}({NATIVE_PARAMS})\n{{\n"
+            )));
+            pieces.push(Piece::Body(bounds[k], bounds[k + 1]));
+            pieces.push(Piece::Text("}\n".to_owned()));
+        }
+        let mut entry = String::from("\n");
+        for k in 0..last_first {
+            let _ = writeln!(entry, "UDS_HIDDEN void uds_part{k}({NATIVE_PARAMS});");
+        }
+        let _ = write!(entry, "\nvoid simulate_one_vector({NATIVE_PARAMS})\n{{\n");
         for k in 0..parts {
             let _ = writeln!(entry, "    uds_part{k}(uds_a, pi);");
         }
         entry.push_str("}\n");
-        let grow =
-            NOINLINE.len() + (0..parts).map(|k| header(k).len() + 2).sum::<usize>() + entry.len();
-        // Fill the grown buffer from its end: the entry, then each part
-        // (closing brace, body slice, header) from the last to the
-        // first, then the macro. Every slice moves up, never over a
-        // byte not yet moved.
-        let body_start = self.body_start;
-        let mut bytes = self.out.into_bytes();
-        let mut at = bytes.len() + grow;
-        bytes.resize(at, 0);
-        put_below(&mut bytes, &mut at, entry.as_bytes());
-        for k in (0..parts).rev() {
-            put_below(&mut bytes, &mut at, b"}\n");
-            let (from, to) = (body_start + bounds[k], body_start + bounds[k + 1]);
-            at -= to - from;
-            bytes.copy_within(from..to, at);
-            put_below(&mut bytes, &mut at, header(k).as_bytes());
-        }
-        put_below(&mut bytes, &mut at, NOINLINE.as_bytes());
-        debug_assert_eq!(at, body_start, "every byte moved once");
-        String::from_utf8(bytes).expect("whole ASCII pieces and UTF-8 slices cut at line ends")
-    }
-}
+        pieces.push(Piece::Text(entry));
 
-/// Writes `piece` just below `*at` in `bytes` and moves `at` down to it.
-fn put_below(bytes: &mut [u8], at: &mut usize, piece: &[u8]) {
-    *at -= piece.len();
-    bytes[*at..*at + piece.len()].copy_from_slice(piece);
+        let len = |piece: &Piece| match piece {
+            Piece::Text(text) => text.len(),
+            Piece::Body(from, to) => to - from,
+            Piece::Unit => 0,
+        };
+        let body_start = self.body_start;
+        let mut unit_starts = Vec::with_capacity(units);
+        let mut at = body_start;
+        for piece in &pieces {
+            if let Piece::Unit = piece {
+                unit_starts.push(at);
+            }
+            at += len(piece);
+        }
+        // Fill the grown buffer from its end, piece by piece from the
+        // last: every body slice moves up, never over a byte not yet
+        // moved.
+        let mut bytes = self.out.into_bytes();
+        bytes.resize(at, 0);
+        for piece in pieces.iter().rev() {
+            match *piece {
+                Piece::Text(ref text) => {
+                    at -= text.len();
+                    bytes[at..at + text.len()].copy_from_slice(text.as_bytes());
+                }
+                Piece::Body(from, to) => {
+                    at -= to - from;
+                    bytes.copy_within(body_start + from..body_start + to, at);
+                }
+                Piece::Unit => {}
+            }
+        }
+        debug_assert_eq!(at, body_start, "every byte moved once");
+        NativeSource {
+            text: String::from_utf8(bytes)
+                .expect("whole ASCII pieces and UTF-8 slices cut at line ends"),
+            unit_starts,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -408,8 +545,15 @@ mod tests {
         for reserved in ["if", "word", "pi", "po", "uds_a", "uds_st", "defined"] {
             assert_eq!(sanitize(reserved), format!("{reserved}_"));
         }
-        // The native kernel's part functions and no-inline attribute.
-        for reserved in ["uds_part0", "uds_part17", "UDS_NOINLINE", "__noinline__"] {
+        // The native kernel's part functions and their attributes.
+        for reserved in [
+            "uds_part0",
+            "uds_part17",
+            "UDS_NOINLINE",
+            "UDS_HIDDEN",
+            "__noinline__",
+            "__visibility__",
+        ] {
             assert_eq!(sanitize(reserved), format!("{reserved}_"));
         }
         for free in ["uds_part", "uds_part_0", "uds_part0x"] {
@@ -472,25 +616,87 @@ mod tests {
         let body = kernel.out[kernel.body_start..].to_owned();
         let part = |k: usize| &body[bounds[k]..bounds[k + 1]];
         let params = "(word *uds_a, const word *pi)\n{\n";
+        let source = kernel.close_native(&segments);
+        let prelude = format!("#define t0 uds_a[0]\n{PART_ATTRIBUTES}");
+        assert_eq!(source.prelude(), prelude);
         assert_eq!(
-            kernel.close(&segments),
+            source.text(),
             format!(
-                "#define t0 uds_a[0]\n{NOINLINE}\
-                 \nstatic UDS_NOINLINE void uds_part0{params}{}}}\n\
-                 \nstatic UDS_NOINLINE void uds_part1{params}{}}}\n\
-                 \nvoid simulate_one_vector{params}    \
+                "{prelude}\n/* unit 0 of 1 */\n\
+                 \nUDS_HIDDEN UDS_NOINLINE void uds_part0{params}{}}}\n\
+                 \nUDS_HIDDEN UDS_NOINLINE void uds_part1{params}{}}}\n\
+                 \n\nvoid simulate_one_vector{params}    \
                  uds_part0(uds_a, pi);\n    uds_part1(uds_a, pi);\n}}\n",
                 part(0),
                 part(1)
             )
         );
-        let (paper, segments) = kernel_and_segments(false, &[PART_LINES, PART_LINES]);
+        let (paper, _) = kernel_and_segments(false, &[PART_LINES, PART_LINES]);
         let body = paper.out[paper.body_start..].to_owned();
         assert_eq!(
-            paper.close(&segments),
+            paper.close(),
             format!(
                 "static word t0 = ~(word)0;\n\nvoid simulate_one_vector(const word *pi)\n{{\n{body}}}\n"
             )
+        );
+    }
+
+    #[test]
+    fn units_group_whole_parts_by_the_kernel_size_alone() {
+        // One unit per whole UNIT_LINES of body, capped at MAX_UNITS.
+        let units = |lines: usize| unit_firsts(&vec![PART_LINES; lines / PART_LINES]).len();
+        assert_eq!(units(0), 1);
+        assert_eq!(units(2 * UNIT_LINES - PART_LINES), 1);
+        assert_eq!(units(2 * UNIT_LINES), 2);
+        assert_eq!(units(4 * UNIT_LINES), 4);
+        assert_eq!(units(40 * UNIT_LINES), MAX_UNITS);
+        // Units close at the part end nearest their share of the lines;
+        // a unit is never empty, so there are never more than parts.
+        assert_eq!(unit_firsts(&[5, 5, 2000, 5]), [0, 2]);
+        assert_eq!(unit_firsts(&[4000, 1]), [0, 1]);
+        assert_eq!(unit_firsts(&[4000]), [0]);
+    }
+
+    #[test]
+    fn the_unit_cut_is_a_function_of_the_kernel_alone() {
+        // The same kernel closes into the same text and the same units
+        // every time: nothing about the host (its core count above all)
+        // enters the cut, so the artifact a kernel names is the same
+        // wherever it is built.
+        let lengths = [PART_LINES; 2 * UNIT_LINES / PART_LINES + 1];
+        let close = || {
+            let (kernel, segments) = kernel_and_segments(true, &lengths);
+            kernel.close_native(&segments)
+        };
+        let source = close();
+        assert_eq!(source, close());
+        let units: Vec<&str> = source.units().collect();
+        assert_eq!(units.len(), 2);
+        assert!(
+            units[0].starts_with("\n/* unit 0 of 2 */\n"),
+            "{}",
+            units[0]
+        );
+        assert!(
+            units[1].starts_with("\n/* unit 1 of 2 */\n"),
+            "{}",
+            units[1]
+        );
+        assert_eq!(
+            source.prelude().len() + units.concat().len(),
+            source.text().len()
+        );
+        // The first unit exports nothing; the last declares the parts
+        // the first defines and holds the entry, which calls them all.
+        assert!(!units[0].contains("simulate_one_vector"));
+        let first_parts = units[0].matches("UDS_NOINLINE void uds_part").count();
+        let declared = units[1].matches("\nUDS_HIDDEN void uds_part").count();
+        assert_eq!(declared, first_parts);
+        assert_eq!(
+            units[1].matches("(uds_a, pi);\n").count(),
+            lengths.len(),
+            "{}",
+            units[1]
         );
     }
 

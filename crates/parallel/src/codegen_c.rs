@@ -13,14 +13,15 @@
 //! body, but every arena word is a macro over a caller-owned arena
 //! (`#define D uds_a[3]`) instead of a static, so the compiled kernel
 //! holds no state of its own, and the body is cut into level-range
-//! part functions that `cc` compiles quickly. The naming layer around
+//! part functions, grouped into a few translation units, that `cc`
+//! compiles quickly. The naming layer around
 //! the body is [`uds_netlist::c_emit`], shared with the PC-set emitter.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
 pub use uds_netlist::c_emit::EmitError;
-use uds_netlist::c_emit::{claim, gate_expression, sanitize, Kernel};
+use uds_netlist::c_emit::{claim, gate_expression, sanitize, Kernel, NativeSource};
 use uds_netlist::Netlist;
 
 use crate::program::{FieldShift, WOp};
@@ -36,15 +37,16 @@ use crate::ParallelSim;
 /// Returns [`EmitError`] when `simulator` was not compiled from
 /// `netlist` (net or primary-input counts disagree).
 pub fn emit<W: Word>(netlist: &Netlist, simulator: &ParallelSim<W>) -> Result<String, EmitError> {
-    emit_impl(netlist, simulator, false)
+    Ok(kernel(netlist, simulator, false)?.close())
 }
 
 /// Like [`emit`], but as a stateless kernel over memory the caller
 /// owns: `void simulate_one_vector(word *uds_a, const word *pi)`, where
 /// `uds_a` is the simulator's arena in arena-index order and each named
 /// word is `#define <name> uds_a[<slot>]`. The statement body is the
-/// same text [`emit`] produces, cut at level-segment ends into `static`
-/// parts that the entry calls in order; no statics are declared, so
+/// same text [`emit`] produces, cut at level-segment ends into hidden
+/// parts that the entry calls in order, and the parts grouped into
+/// translation units ([`NativeSource`]); no statics are declared, so
 /// concurrent calls on distinct arenas never share state.
 ///
 /// # Errors
@@ -53,8 +55,8 @@ pub fn emit<W: Word>(netlist: &Netlist, simulator: &ParallelSim<W>) -> Result<St
 pub fn emit_native<W: Word>(
     netlist: &Netlist,
     simulator: &ParallelSim<W>,
-) -> Result<String, EmitError> {
-    emit_impl(netlist, simulator, true)
+) -> Result<NativeSource, EmitError> {
+    Ok(kernel(netlist, simulator, true)?.close_native(simulator.level_segments()))
 }
 
 /// Number of lines [`emit`] produces.
@@ -68,14 +70,6 @@ pub fn line_count<W: Word>(
     simulator: &ParallelSim<W>,
 ) -> Result<usize, EmitError> {
     Ok(emit(netlist, simulator)?.lines().count())
-}
-
-fn emit_impl<W: Word>(
-    netlist: &Netlist,
-    simulator: &ParallelSim<W>,
-    native: bool,
-) -> Result<String, EmitError> {
-    Ok(kernel(netlist, simulator, native)?.close(simulator.level_segments()))
 }
 
 /// The translation unit up to the end of the kernel's statement body:
@@ -396,7 +390,7 @@ mod tests {
     /// The bodies of a native kernel's part functions, in definition
     /// order.
     fn part_bodies(code: &str) -> Vec<&str> {
-        code.split("\nstatic UDS_NOINLINE void uds_part")
+        code.split("\nUDS_HIDDEN UDS_NOINLINE void uds_part")
             .skip(1)
             .map(|part| {
                 let body = &part[part.find("\n{\n").unwrap() + 3..];
@@ -435,7 +429,7 @@ mod tests {
             2,
             "the chain must span two words"
         );
-        let code = emit_native(&nl, &sim).unwrap();
+        let code = emit_native(&nl, &sim).unwrap().text().to_owned();
         let names = defines(&code);
         let unique: std::collections::HashSet<&str> = names.iter().copied().collect();
         assert_eq!(unique.len(), names.len(), "duplicate #define:\n{code}");
@@ -458,7 +452,7 @@ mod tests {
         b.output(y);
         let nl = b.finish().unwrap();
         let sim = ParallelSimulator::compile(&nl, Optimization::PathTracing).unwrap();
-        let code = emit_native(&nl, &sim).unwrap();
+        let code = emit_native(&nl, &sim).unwrap().text().to_owned();
         assert_eq!(&defines(&code)[..3], ["n_1_d1", "n_1", "n_1_d2"], "{code}");
     }
 
@@ -511,7 +505,7 @@ mod tests {
     fn native_emit_runs_on_the_callers_arena() {
         let nl = fig6();
         let sim = ParallelSimulator::compile(&nl, Optimization::None).unwrap();
-        let code = emit_native(&nl, &sim).unwrap();
+        let code = emit_native(&nl, &sim).unwrap().text().to_owned();
         assert!(
             code.ends_with(
                 "void simulate_one_vector(word *uds_a, const word *pi)\n{\n    \
@@ -549,7 +543,7 @@ mod tests {
     }
 
     fn check_parts<W: Word>(nl: &Netlist, sim: &ParallelSim<W>) {
-        let code = emit_native(nl, sim).unwrap();
+        let code = emit_native(nl, sim).unwrap().text().to_owned();
         let parts = part_bodies(&code);
         assert!(parts.len() > 1, "one part for c1908 at w{}", W::BITS);
         let calls: String = (0..parts.len())
@@ -675,9 +669,9 @@ void simulate_one_vector(const word *pi)
         let c1908 = uds_netlist::generators::iscas::Iscas85::C1908.build();
         let pt_trim = Optimization::PathTracingTrimming;
         for (netlist, bits, pinned) in [
-            (&nl, 32, 0x79d3_c439_8a8b_84c5),
-            (&nl, 64, 0x6ee7_360a_6c41_95eb),
-            (&c1908, 64, 0x5ea1_be2d_a20c_d7e6),
+            (&nl, 32, 0x590c_144e_d932_6106),
+            (&nl, 64, 0xb430_cb3b_c37a_c0ca),
+            (&c1908, 64, 0xcd27_935c_408b_8550),
         ] {
             let source = if bits == 32 {
                 emit_native(
@@ -691,7 +685,7 @@ void simulate_one_vector(const word *pi)
                 )
             };
             assert_eq!(
-                fnv(source.unwrap()),
+                fnv(source.unwrap().text().to_owned()),
                 pinned,
                 "{} native w{bits}",
                 netlist.name()
@@ -710,7 +704,7 @@ void simulate_one_vector(const word *pi)
         b.output(y);
         let nl = b.finish().unwrap();
         let sim = ParallelSimulator::compile(&nl, Optimization::None).unwrap();
-        let code = emit_native(&nl, &sim).unwrap();
+        let code = emit_native(&nl, &sim).unwrap().text().to_owned();
         assert!(code.contains("#define uds_a_ uds_a[0]\n"), "{code}");
         assert!(code.contains("#define defined_ uds_a[1]\n"), "{code}");
         assert!(!code.contains("#define uds_a "), "{code}");

@@ -1,7 +1,9 @@
-//! Hazard hunting with the parallel technique: because one compiled pass
-//! yields the *complete* unit-delay history of every net, glitch
-//! detection is a post-processing scan (the analysis §3 of the paper
-//! sketches with comparison fields).
+//! Hazard hunting with the parallel technique: one compiled pass yields
+//! the unit-delay history of every net the program keeps a field for,
+//! so glitch detection is a post-processing scan (the analysis §3 of
+//! the paper sketches with comparison fields). Without monitoring, path
+//! tracing keeps no history for some internal nets; the scan counts
+//! them and the totals below cover only the nets it could read.
 //!
 //! Run with: `cargo run --release --example hazard_hunt`
 
@@ -19,6 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut static_hazards = 0usize;
     let mut dynamic_hazards = 0usize;
     let mut worst: Option<(usize, hazard::Hazard)> = None;
+    let (mut examined, mut unreadable) = (0usize, 0usize);
 
     let vectors = 2_000;
     for (index, vector) in RandomVectors::new(nl.primary_inputs().len(), 0xA10)
@@ -26,7 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .enumerate()
     {
         sim.simulate_vector(&vector);
-        for found in hazard::scan(&nl, &sim) {
+        let scan = hazard::scan(&nl, &sim);
+        // The same nets are readable after every vector.
+        (examined, unreadable) = (scan.examined, scan.unreadable);
+        for found in scan.hazards {
             match found.activity {
                 Activity::StaticHazard => static_hazards += 1,
                 Activity::DynamicHazard => dynamic_hazards += 1,
@@ -43,6 +49,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("scanned {vectors} random vectors on `{}`:", nl.name());
+    println!(
+        "  nets scanned per vector:    {examined} of {} ({unreadable} keep no history)",
+        nl.net_count()
+    );
     println!("  static hazards (pulses):    {static_hazards}");
     println!("  dynamic hazards (stutters): {dynamic_hazards}");
     if let Some((vector_index, hazard)) = worst {

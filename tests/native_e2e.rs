@@ -15,6 +15,8 @@ use unit_delay_sim::netlist::generators::adders::{ripple_carry_adder, AdderStyle
 use unit_delay_sim::netlist::generators::iscas::{c17, Iscas85};
 use unit_delay_sim::netlist::generators::trees::mux_tree;
 use unit_delay_sim::netlist::{NoopProbe, ResourceLimits};
+use unit_delay_sim::parallel::codegen_c::emit_native;
+use unit_delay_sim::parallel::ParallelSimulator64;
 use unit_delay_sim::prelude::*;
 
 /// Every engine flavor the native builder can compile to C. The
@@ -108,12 +110,37 @@ fn c432_random_every_flavor_and_width() {
     check_all_flavors(&nl, &stimulus);
 }
 
+/// How many translation units the default native flavor (parallel
+/// pt+trim) of `netlist` is cut into at `word`.
+fn default_flavor_units(netlist: &Netlist, word: WordWidth) -> usize {
+    let pt_trim = Optimization::PathTracingTrimming;
+    let source = match word {
+        WordWidth::W32 => emit_native(
+            netlist,
+            &ParallelSimulator::compile(netlist, pt_trim).unwrap(),
+        ),
+        WordWidth::W64 => emit_native(
+            netlist,
+            &ParallelSimulator64::compile(netlist, pt_trim).unwrap(),
+        ),
+    };
+    source.unwrap().units().count()
+}
+
 /// Cross-checks the default native flavor (parallel pt+trim) of
-/// `circuit` at both widths against the event-driven baseline.
-fn check_default_flavor(circuit: Iscas85, seed: u64) {
+/// `circuit` at both widths against the event-driven baseline, after
+/// checking that its kernel is cut into `units` translation units.
+fn check_default_flavor(circuit: Iscas85, seed: u64, units: usize) {
     let nl = circuit.build();
     let mut sims = vec![build_simulator(&nl, Engine::EventDriven).expect("baseline builds")];
     for word in [WordWidth::W32, WordWidth::W64] {
+        assert_eq!(
+            default_flavor_units(&nl, word),
+            units,
+            "{} at w{}",
+            nl.name(),
+            word.bits()
+        );
         sims.push(
             build_native(
                 &nl,
@@ -130,13 +157,23 @@ fn check_default_flavor(circuit: Iscas85, seed: u64) {
 }
 
 #[test]
+fn c432_default_flavor_is_one_unit_at_both_widths() {
+    if skip_without_compiler("c432_default_flavor_is_one_unit_at_both_widths") {
+        return;
+    }
+    // Small kernels stay one translation unit: splitting them would
+    // only add `cc` start-ups.
+    check_default_flavor(Iscas85::C432, 432, 1);
+}
+
+#[test]
 fn c1908_default_flavor_at_both_widths() {
     if skip_without_compiler("c1908_default_flavor_at_both_widths") {
         return;
     }
     // Depth 40: 2-word fields at 32 bits, one word at the 64-bit
-    // default.
-    check_default_flavor(Iscas85::C1908, 1908);
+    // default; four translation units at either width.
+    check_default_flavor(Iscas85::C1908, 1908, 4);
 }
 
 #[test]
@@ -145,8 +182,9 @@ fn c6288_default_flavor_at_both_widths() {
         return;
     }
     // The 16x16 multiplier: the deepest circuit and the largest kernel
-    // of the suite, in over a hundred parts at either width.
-    check_default_flavor(Iscas85::C6288, 6288);
+    // of the suite, in over a hundred parts and four translation units
+    // at either width.
+    check_default_flavor(Iscas85::C6288, 6288, 4);
 }
 
 #[test]
@@ -180,10 +218,10 @@ fn nets_named_like_kernel_parts_keep_their_own_slots() {
     if skip_without_compiler("nets_named_like_kernel_parts_keep_their_own_slots") {
         return;
     }
-    // Nets named like the native kernel's part functions and its
-    // no-inline attribute must be renamed: `#define uds_part0 uds_a[0]`
-    // would turn the part's definition into nonsense. Sixty levels of
-    // a four-wide XOR ladder give every flavor several parts.
+    // Nets named like the native kernel's part functions and their
+    // attributes must be renamed: `#define uds_part0 uds_a[0]` would
+    // turn the part's definition into nonsense. Sixty levels of a
+    // four-wide XOR ladder give every flavor several parts.
     let mut b = NetlistBuilder::new();
     let hostile: Vec<NetId> = ["uds_part0", "uds_part1", "UDS_NOINLINE", "__noinline__"]
         .into_iter()
@@ -206,8 +244,13 @@ fn nets_named_like_kernel_parts_keep_their_own_slots() {
             "y",
         )
         .unwrap();
+    let hidden = b
+        .gate(GateKind::Xor, &[rung[0], rung[3]], "UDS_HIDDEN")
+        .unwrap();
+    let visibility = b.gate(GateKind::Not, &[hidden], "__visibility__").unwrap();
     b.output(y);
     b.output(rung[2]);
+    b.output(visibility);
     let nl = b.finish().unwrap();
     let stimulus: Vec<Vec<bool>> = RandomVectors::new(4, 0x9a).take(24).collect();
     check_all_flavors(&nl, &stimulus);
