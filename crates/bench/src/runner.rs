@@ -1,5 +1,4 @@
-//! Measurement code shared by the `tables` binary and the Criterion
-//! benches.
+//! Measurement code behind the `tables` binary.
 //!
 //! Methodology mirrors §5 of the paper: each circuit is driven with
 //! seeded random vectors; reported times exclude circuit compilation and

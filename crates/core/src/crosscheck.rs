@@ -3,11 +3,14 @@
 //! Runs any set of engines on the same stimulus and demands bit-exact
 //! agreement on final values everywhere and on histories wherever both
 //! engines expose one. This is the library form of the invariant the
-//! workspace's integration tests enforce.
+//! workspace's integration tests enforce: [`run`] and [`compare`] step
+//! engines side by side, and [`RowCheck`] checks the rows a run prints
+//! against the event-driven baseline as they stream out.
 
 use std::fmt;
 
-use uds_netlist::{NetId, Netlist};
+use uds_eventsim::EventDrivenUnitDelay;
+use uds_netlist::{LevelizeError, NetId, Netlist};
 
 use crate::UnitDelaySimulator;
 
@@ -48,12 +51,45 @@ impl fmt::Display for Mismatch {
 
 impl std::error::Error for Mismatch {}
 
-/// Feeds every vector of `stimulus` to all `simulators` and compares
-/// them against the first (the reference).
+/// Compares two engines that have both just run vector
+/// `vector_index`: the final value of every net, and the complete
+/// history of every net for which both report one.
 ///
-/// Checks, per vector: the final value of every net, and the complete
-/// history of every net for which both the reference and the candidate
-/// report one.
+/// # Errors
+///
+/// Returns the first [`Mismatch`] found.
+pub fn compare(
+    netlist: &Netlist,
+    vector_index: usize,
+    reference: &dyn UnitDelaySimulator,
+    candidate: &dyn UnitDelaySimulator,
+) -> Result<(), Mismatch> {
+    let mismatch = |net: NetId, expected: Vec<bool>, got: Vec<bool>| Mismatch {
+        vector_index,
+        reference: reference.engine_name(),
+        candidate: candidate.engine_name(),
+        net,
+        net_name: netlist.net_name(net).to_owned(),
+        expected,
+        got,
+    };
+    for net in netlist.net_ids() {
+        let expected = reference.final_value(net);
+        let got = candidate.final_value(net);
+        if expected != got {
+            return Err(mismatch(net, vec![expected], vec![got]));
+        }
+        if let (Some(expected), Some(got)) = (reference.history(net), candidate.history(net)) {
+            if expected != got {
+                return Err(mismatch(net, expected, got));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Feeds every vector of `stimulus` to all `simulators` and
+/// [`compare`]s each against the first (the reference).
 ///
 /// # Errors
 ///
@@ -76,41 +112,86 @@ pub fn run(
         for sim in simulators.iter_mut() {
             sim.simulate_vector(&vector);
         }
-        let (reference, candidates) = simulators.split_first_mut().expect("nonempty");
-        for candidate in candidates.iter() {
-            for net in netlist.net_ids() {
-                let expected_final = reference.final_value(net);
-                let got_final = candidate.final_value(net);
-                if expected_final != got_final {
-                    return Err(Mismatch {
-                        vector_index,
-                        reference: reference.engine_name(),
-                        candidate: candidate.engine_name(),
-                        net,
-                        net_name: netlist.net_name(net).to_owned(),
-                        expected: vec![expected_final],
-                        got: vec![got_final],
-                    });
-                }
-                if let (Some(expected), Some(got)) =
-                    (reference.history(net), candidate.history(net))
-                {
-                    if expected != got {
-                        return Err(Mismatch {
-                            vector_index,
-                            reference: reference.engine_name(),
-                            candidate: candidate.engine_name(),
-                            net,
-                            net_name: netlist.net_name(net).to_owned(),
-                            expected,
-                            got,
-                        });
-                    }
-                }
-            }
+        let (reference, candidates) = simulators.split_first().expect("nonempty");
+        for candidate in candidates {
+            compare(
+                netlist,
+                vector_index,
+                reference.as_ref(),
+                candidate.as_ref(),
+            )?;
         }
     }
     Ok(())
+}
+
+/// Checks a stream of primary-output rows, in vector order, against
+/// the event-driven baseline: each [`RowCheck::row`] steps the baseline
+/// on the row's inputs and compares its settled outputs with the row.
+/// This is what `udsim simulate --crosscheck` runs on every row it
+/// prints, whichever engine, fallback or shard produced it; internal
+/// nets and histories are [`compare`]'s job.
+pub struct RowCheck {
+    baseline: EventDrivenUnitDelay<bool>,
+    candidate: &'static str,
+    vectors: usize,
+}
+
+impl RowCheck {
+    /// A check of `candidate`'s rows on `netlist`, with the baseline at
+    /// power-up.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LevelizeError`] for cyclic or sequential netlists.
+    pub fn new(netlist: &Netlist, candidate: &'static str) -> Result<Self, LevelizeError> {
+        Ok(RowCheck {
+            baseline: EventDrivenUnitDelay::new(netlist)?,
+            candidate,
+            vectors: 0,
+        })
+    }
+
+    /// Steps the baseline on `inputs` and compares its primary outputs
+    /// with `row` (parallel to [`Netlist::primary_outputs`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`Mismatch`] naming this row's vector index and the
+    /// first output that differs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` or `row` does not match the netlist's ports.
+    pub fn row(&mut self, inputs: &[bool], row: &[bool]) -> Result<(), Mismatch> {
+        self.baseline.simulate_vector(inputs);
+        let netlist = self.baseline.netlist();
+        let outputs = netlist.primary_outputs();
+        assert_eq!(row.len(), outputs.len(), "one row bit per primary output");
+        let vector_index = self.vectors;
+        self.vectors += 1;
+        match outputs
+            .iter()
+            .zip(row)
+            .find(|&(&net, &got)| self.baseline.value(net) != got)
+        {
+            None => Ok(()),
+            Some((&net, &got)) => Err(Mismatch {
+                vector_index,
+                reference: "event-driven",
+                candidate: self.candidate,
+                net,
+                net_name: netlist.net_name(net).to_owned(),
+                expected: vec![!got],
+                got: vec![got],
+            }),
+        }
+    }
+
+    /// How many rows have been checked.
+    pub fn vectors(&self) -> usize {
+        self.vectors
+    }
 }
 
 #[cfg(test)]
@@ -151,5 +232,36 @@ mod tests {
         let err = run(&good, &mut sims, vec![vec![true]]).unwrap_err();
         assert_eq!(err.vector_index, 0);
         assert!(err.to_string().contains("disagrees"));
+    }
+
+    #[test]
+    fn the_row_check_passes_true_rows_and_names_a_flipped_output() {
+        let nl = c17();
+        let mut sim = build_simulator(&nl, Engine::ParallelPathTracingTrimming).unwrap();
+        let mut check = RowCheck::new(&nl, sim.engine_name()).unwrap();
+        let stimulus: Vec<Vec<bool>> = RandomVectors::new(5, 7).take(8).collect();
+        let row = |sim: &dyn UnitDelaySimulator| -> Vec<bool> {
+            nl.primary_outputs()
+                .iter()
+                .map(|&po| sim.final_value(po))
+                .collect()
+        };
+        for inputs in &stimulus[..5] {
+            sim.simulate_vector(inputs);
+            check.row(inputs, &row(sim.as_ref())).unwrap();
+        }
+        sim.simulate_vector(&stimulus[5]);
+        let mut flipped = row(sim.as_ref());
+        flipped[1] = !flipped[1];
+        let err = check.row(&stimulus[5], &flipped).unwrap_err();
+        let net = nl.primary_outputs()[1];
+        assert_eq!(err.vector_index, 5);
+        assert_eq!((err.net, err.net_name.as_str()), (net, nl.net_name(net)));
+        assert_eq!(
+            (err.reference, err.candidate),
+            ("event-driven", "parallel+pt+trim")
+        );
+        assert_eq!(err.got, vec![flipped[1]]);
+        assert_eq!(check.vectors(), 6);
     }
 }

@@ -31,7 +31,7 @@ use uds_pcset::PcSetSimulator;
 
 use crate::error::{FailureClass, SimError, SimErrorKind, SimPhase};
 use crate::telemetry::Telemetry;
-use crate::{crosscheck, Engine, TracedEventSim, UnitDelaySimulator, WordWidth};
+use crate::{Engine, TracedEventSim, UnitDelaySimulator, WordWidth};
 
 /// The typed error for a panic `engine` raised during `phase`. The
 /// message is the payload's text (panics carry `&str` or `String`;
@@ -645,46 +645,27 @@ impl GuardedSimulator {
     pub fn depth(&self) -> u32 {
         self.active.depth()
     }
-
-    /// Cross-checks the surviving engine against a fresh event-driven
-    /// baseline by running `stimulus` through both from power-up (using
-    /// [`crosscheck::run`]), panic-contained. Pass the stream this guard
-    /// ran to prove its answers: a divergence is a
-    /// [`SimErrorKind::Mismatch`]; agreement means every answer the
-    /// survivor gives on that stream is bit-exact with the baseline.
-    pub fn crosscheck_baseline(
-        &self,
-        stimulus: impl IntoIterator<Item = Vec<bool>>,
-    ) -> Result<(), SimError> {
-        let engine = self.active_engine();
-        let baseline = TracedEventSim::new(&self.netlist)
-            .map_err(|e| SimError::from(e).with_engine(engine))?;
-        let candidate = self
-            .factory
-            .build(&self.netlist, engine, &self.limits, &NoopProbe)?;
-        let mut sims: Vec<Box<dyn UnitDelaySimulator>> = vec![Box::new(baseline), candidate];
-        let netlist = &self.netlist;
-        let checked = panic::catch_unwind(AssertUnwindSafe(|| {
-            crosscheck::run(netlist, &mut sims, stimulus)
-        }));
-        match checked {
-            Ok(Ok(())) => Ok(()),
-            Ok(Err(mismatch)) => {
-                if let Some(telemetry) = &self.telemetry {
-                    telemetry.add("guard.crosscheck_mismatches", 1);
-                }
-                Err(SimError::from(mismatch).with_engine(engine))
-            }
-            Err(payload) => Err(panicked(payload, SimPhase::CrossCheck, engine)),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crosscheck;
     use crate::error::FailureClass;
     use uds_netlist::generators::iscas::c17;
+
+    /// Runs `stimulus` through `guarded` with a fresh baseline stepped
+    /// beside it, comparing the guard's active engine with the baseline
+    /// after every vector, across any fallback.
+    fn run_beside_baseline(guarded: &mut GuardedSimulator, stimulus: &[Vec<bool>]) {
+        let netlist = Arc::clone(guarded.netlist());
+        let mut baseline = TracedEventSim::new(&netlist).unwrap();
+        for (index, inputs) in stimulus.iter().enumerate() {
+            guarded.simulate_vector(inputs).unwrap();
+            baseline.simulate_vector(inputs);
+            crosscheck::compare(&netlist, index, &baseline, guarded.active_simulator()).unwrap();
+        }
+    }
 
     #[test]
     fn prefers_the_fastest_engine_within_budget() {
@@ -728,8 +709,7 @@ mod tests {
             assert_eq!(fallback.error.class(), FailureClass::Budget);
         }
         // The survivor still answers correctly.
-        guarded.simulate_vector(&[true]).unwrap();
-        guarded.crosscheck_baseline([vec![true]]).unwrap();
+        run_beside_baseline(&mut guarded, &[vec![true], vec![false], vec![true]]);
     }
 
     #[test]
@@ -739,11 +719,8 @@ mod tests {
         let stimulus: Vec<Vec<bool>> = (0u32..32)
             .map(|pattern| (0..5).map(|i| pattern >> i & 1 != 0).collect())
             .collect();
-        for inputs in &stimulus {
-            guarded.simulate_vector(inputs).unwrap();
-        }
+        run_beside_baseline(&mut guarded, &stimulus);
         assert_eq!(guarded.vectors_run(), 32);
-        guarded.crosscheck_baseline(stimulus).unwrap();
     }
 
     #[test]
@@ -789,10 +766,7 @@ mod tests {
         let stimulus: Vec<Vec<bool>> = (0u32..32)
             .map(|pattern| (0..5).map(|i| pattern >> i & 1 != 0).collect())
             .collect();
-        for inputs in &stimulus {
-            guarded.simulate_vector(inputs).unwrap();
-        }
-        guarded.crosscheck_baseline(stimulus).unwrap();
+        run_beside_baseline(&mut guarded, &stimulus);
     }
 
     #[test]

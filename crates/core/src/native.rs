@@ -53,7 +53,10 @@
 //! of the emitted C, its unit cut and the `cc` flags: a change to the
 //! emitter, its ABI, the cut or the flags names a new artifact, so a
 //! stale object is never `dlopen`ed under a signature it was not built
-//! for. The name says nothing the emitted C does not decide: a parallel
+//! for. A cold build that renames its object into place removes that
+//! key's other `-s*.so` files, so the cache holds one object per
+//! circuit × flavor × width rather than one per emitter version. The
+//! name says nothing the emitted C does not decide: a parallel
 //! engine that monitors every net emits the same C as one that does
 //! not (its twin does the tracking), so both load one artifact, while a
 //! monitored PC-set program emits different C and hashes to its own. A
@@ -435,7 +438,9 @@ mod imp {
                             "cannot move artifact into {}: {e}",
                             dest.display()
                         ))
-                    })
+                    })?;
+                    remove_stale_siblings(dest);
+                    Ok(())
                 })
             }
         };
@@ -445,6 +450,39 @@ mod imp {
         }
         let _ = std::fs::remove_file(&so_tmp);
         built
+    }
+
+    /// Removes the artifacts that share `dest`'s circuit, flavor and
+    /// width but not its tag (`{hash}-{flavor}-w{bits}-s*.so`): objects
+    /// an earlier emitter or flag set built, which no build of this one
+    /// names again. The cache then holds one object per key. A process
+    /// that already loaded a removed object keeps its mapping.
+    fn remove_stale_siblings(dest: &Path) {
+        let (Some(dir), Some(name)) = (dest.parent(), dest.file_name().and_then(|n| n.to_str()))
+        else {
+            return;
+        };
+        let Some(key) = name.rfind("-s").map(|tag| &name[..tag + 2]) else {
+            return;
+        };
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for entry in entries.flatten() {
+            let file = entry.file_name();
+            let stale = file.to_str().is_some_and(|file| {
+                file != name
+                    && file
+                        .strip_prefix(key)
+                        .and_then(|rest| rest.strip_suffix(".so"))
+                        .is_some_and(|tag| {
+                            tag.len() == 16 && tag.bytes().all(|b| b.is_ascii_hexdigit())
+                        })
+            });
+            if stale {
+                let _ = std::fs::remove_file(entry.path());
+            }
+        }
     }
 
     /// The loaded library for `path`, from (in order) the in-process
@@ -811,6 +849,48 @@ mod tests {
         assert!(
             built[0].ends_with(".so") && !built[0].starts_with('.'),
             "{built:?}"
+        );
+    }
+
+    #[test]
+    fn a_fresh_build_removes_only_its_own_stale_siblings() {
+        // An earlier emitter's object for the same circuit, flavor and
+        // width goes; the other width's and the other flavor's stay.
+        let _env = env_lock();
+        if skip_notice() {
+            return;
+        }
+        let dir = std::env::temp_dir().join(format!("uds-native-prune-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let nl = c17();
+        let hash = crate::cache::netlist_hash(&nl);
+        let stale = format!("{hash:016x}-par-pt-trim-w32-s0123456789abcdef.so");
+        let kept = [
+            format!("{hash:016x}-par-pt-trim-w64-s0123456789abcdef.so"),
+            format!("{hash:016x}-pcset-w32-s0123456789abcdef.so"),
+        ];
+        for file in kept.iter().chain([&stale]) {
+            std::fs::write(dir.join(file), b"an earlier build").unwrap();
+        }
+        std::env::set_var("UDS_NATIVE_CACHE", &dir);
+        let built = build_native(
+            &nl,
+            Engine::Native,
+            WordWidth::W32,
+            &ResourceLimits::unlimited(),
+            &NoopProbe,
+        );
+        std::env::remove_var("UDS_NATIVE_CACHE");
+        let files = build_files(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        built.unwrap();
+        assert_eq!(files.len(), 3, "{files:?}");
+        assert!(!files.contains(&stale), "{files:?}");
+        assert!(kept.iter().all(|file| files.contains(file)), "{files:?}");
+        assert!(
+            files.iter().any(|file| file.contains("-par-pt-trim-w32-s")),
+            "{files:?}"
         );
     }
 

@@ -9,7 +9,10 @@
 use std::sync::Arc;
 
 use uds_core::chaos::{truncate_bench, ChaosFactory, Fault, FaultPlan};
-use uds_core::{Engine, FailureClass, GuardedSimulator, SimError, SimErrorKind, Telemetry};
+use uds_core::{
+    crosscheck, Engine, FailureClass, GuardedSimulator, SimError, SimErrorKind, Telemetry,
+    TracedEventSim, UnitDelaySimulator,
+};
 use uds_netlist::bench_format;
 use uds_netlist::generators::iscas::c17;
 use uds_netlist::ResourceLimits;
@@ -47,9 +50,11 @@ enum Outcome {
     Verified { fallbacks: usize },
 }
 
-/// Runs one plan against one engine chain and classifies the outcome.
-/// This *is* the invariant: any path that neither errors in a typed way
-/// nor survives cross-checking panics the test.
+/// Runs one plan against one engine chain, with the event-driven
+/// baseline stepped beside the guard and compared with its active
+/// engine after every vector, and classifies the outcome. This *is* the
+/// invariant: any path that neither errors in a typed way nor survives
+/// cross-checking panics the test.
 fn run_plan(plan: &FaultPlan, chain: &[Engine]) -> Outcome {
     let nl = c17();
     let factory = Box::new(ChaosFactory::new(plan.clone()));
@@ -60,17 +65,21 @@ fn run_plan(plan: &FaultPlan, chain: &[Engine]) -> Outcome {
         };
     let mut stim = stimulus();
     plan.poison_stimulus(&mut stim);
-    for vector in &stim {
+    let mut baseline = TracedEventSim::new(&nl).unwrap();
+    for (index, vector) in stim.iter().enumerate() {
         if let Err(err) = guarded.simulate_vector(vector) {
             return Outcome::Typed(err);
         }
+        baseline.simulate_vector(vector);
+        if let Err(mismatch) =
+            crosscheck::compare(&nl, index, &baseline, guarded.active_simulator())
+        {
+            return Outcome::Typed(mismatch.into());
+        }
     }
     assert_eq!(guarded.vectors_run(), VECTORS);
-    match guarded.crosscheck_baseline(stim) {
-        Ok(()) => Outcome::Verified {
-            fallbacks: guarded.fallbacks().len(),
-        },
-        Err(err) => Outcome::Typed(err),
+    Outcome::Verified {
+        fallbacks: guarded.fallbacks().len(),
     }
 }
 
@@ -248,8 +257,11 @@ fn truncated_bench_input_never_panics_the_parser() {
                 let limits = ResourceLimits::production();
                 let width = nl.primary_inputs().len();
                 let mut guarded = GuardedSimulator::new(&nl, limits).unwrap();
-                guarded.simulate_vector(&vec![true; width]).unwrap();
-                guarded.crosscheck_baseline([vec![true; width]]).unwrap();
+                let mut baseline = TracedEventSim::new(&nl).unwrap();
+                let inputs = vec![true; width];
+                guarded.simulate_vector(&inputs).unwrap();
+                baseline.simulate_vector(&inputs);
+                crosscheck::compare(&nl, 0, &baseline, guarded.active_simulator()).unwrap();
             }
             // Otherwise: a typed, spanned error — never a panic.
             Err(err) => {

@@ -8,7 +8,10 @@ use uds_core::telemetry::json::Json;
 use uds_core::telemetry::TIMING_KEYS;
 
 use uds_core::guard::EngineFactory;
-use uds_core::{DefaultEngineFactory, Engine, GuardedSimulator, Telemetry};
+use uds_core::{
+    crosscheck, DefaultEngineFactory, Engine, GuardedSimulator, Telemetry, TracedEventSim,
+    UnitDelaySimulator,
+};
 use uds_netlist::generators::iscas::c17;
 use uds_netlist::{GateKind, NetlistBuilder, ResourceLimits};
 
@@ -79,9 +82,12 @@ fn guarded_degradation_is_counted() {
     assert_eq!(telemetry.counter("guard.budget_trips"), 1);
     // The survivor's compile metrics made it into the same registry.
     assert!(telemetry.gauge_value("pcset.variables").is_some());
-    guarded.simulate_vector(&[true]).unwrap();
-    guarded.crosscheck_baseline([vec![true]]).unwrap();
-    assert_eq!(telemetry.counter("guard.crosscheck_mismatches"), 0);
+    let mut baseline = TracedEventSim::new(&nl).unwrap();
+    for (index, inputs) in [[true], [false], [true]].iter().enumerate() {
+        guarded.simulate_vector(inputs).unwrap();
+        baseline.simulate_vector(inputs);
+        crosscheck::compare(&nl, index, &baseline, guarded.active_simulator()).unwrap();
+    }
 }
 
 #[test]

@@ -66,7 +66,6 @@ struct Event<L> {
 pub struct ConventionalEventDriven<L: LogicFamily> {
     netlist: Netlist,
     value: Vec<L>,
-    initial_state: Vec<L>,
     /// Timing wheel: head event index per slot.
     wheel: Vec<u32>,
     pool: Vec<Event<L>>,
@@ -110,8 +109,7 @@ impl<L: LogicFamily> ConventionalEventDriven<L> {
             .collect();
         Ok(ConventionalEventDriven {
             value: initial_state.clone(),
-            last_scheduled: initial_state.clone(),
-            initial_state,
+            last_scheduled: initial_state,
             models,
             wheel: vec![NIL; wheel_slots],
             pool: Vec::new(),
@@ -130,17 +128,6 @@ impl<L: LogicFamily> ConventionalEventDriven<L> {
     /// Current values of all nets, indexed by [`NetId`].
     pub fn values(&self) -> &[L] {
         &self.value
-    }
-
-    /// Returns every net to the consistent power-up state.
-    pub fn reset(&mut self) {
-        self.value.copy_from_slice(&self.initial_state);
-        self.wheel.fill(NIL);
-        self.pool.clear();
-        self.free_head = NIL;
-        self.pending_event.fill(NIL);
-        self.pending_time.fill(NIL);
-        self.last_scheduled.copy_from_slice(&self.initial_state);
     }
 
     /// Simulates one input vector to settlement.
@@ -353,16 +340,5 @@ mod tests {
         let stats = sim.simulate_vector(&[true; 5]);
         assert_eq!(stats.events, 0);
         assert_eq!(stats.gate_evaluations, 0);
-    }
-
-    #[test]
-    fn reset_restores_power_up() {
-        let nl = c17();
-        let mut sim = ConventionalEventDriven::<bool>::new(&nl).unwrap();
-        let before: Vec<bool> = nl.net_ids().map(|n| sim.value(n)).collect();
-        sim.simulate_vector(&[true; 5]);
-        sim.reset();
-        let after: Vec<bool> = nl.net_ids().map(|n| sim.value(n)).collect();
-        assert_eq!(before, after);
     }
 }

@@ -39,15 +39,12 @@ pub struct SimStats {
 /// three-valued one.
 ///
 /// State persists across vectors (as in the paper, where values computed
-/// from the previous input vector matter); use [`Self::reset`] to return
-/// to the power-up state.
+/// from the previous input vector matter); a fresh simulator starts
+/// from the power-up state.
 #[derive(Clone, Debug)]
 pub struct EventDrivenUnitDelay<L: LogicFamily> {
     netlist: Netlist,
     value: Vec<L>,
-    /// The consistent power-up state (circuit settled under
-    /// [`LogicFamily::initial`] inputs); [`Self::reset`] restores it.
-    initial_state: Vec<L>,
     /// Current / next event buckets: nets whose new value is pending.
     current: Vec<(NetId, L)>,
     next: Vec<(NetId, L)>,
@@ -81,8 +78,7 @@ impl<L: LogicFamily> EventDrivenUnitDelay<L> {
             initial_state[gate.output] = L::eval(gate.kind, &inputs);
         }
         Ok(EventDrivenUnitDelay {
-            value: initial_state.clone(),
-            initial_state,
+            value: initial_state,
             current: Vec::new(),
             next: Vec::new(),
             gate_stamp: vec![0; netlist.gate_count()],
@@ -104,13 +100,6 @@ impl<L: LogicFamily> EventDrivenUnitDelay<L> {
     /// Current values of all nets, indexed by [`NetId`].
     pub fn values(&self) -> &[L] {
         &self.value
-    }
-
-    /// Returns every net to the consistent power-up state.
-    pub fn reset(&mut self) {
-        self.value.copy_from_slice(&self.initial_state);
-        self.current.clear();
-        self.next.clear();
     }
 
     /// Overwrites every net's value with `values` (indexed by [`NetId`])
@@ -347,16 +336,6 @@ mod tests {
         let stats = sim.simulate_vector(&[true, true, true]);
         assert_eq!(stats.events, 0);
         assert_eq!(stats.gate_evaluations, 0);
-    }
-
-    #[test]
-    fn reset_returns_to_initial() {
-        let (nl, _, e) = fig1();
-        let mut sim = EventDrivenUnitDelay::<bool>::new(&nl).unwrap();
-        sim.simulate_vector(&[true, true, true]);
-        assert!(sim.value(e));
-        sim.reset();
-        assert!(!sim.value(e));
     }
 
     #[test]

@@ -177,7 +177,6 @@ struct Compiled<W: Word> {
     /// Per net: `false` iff history below the alignment is unavailable
     /// (needs tracking but is not monitored).
     trackable: Vec<bool>,
-    settled_zero: Vec<bool>,
     depth: u32,
     optimization: Optimization,
     alignment: Option<Alignment>,
@@ -392,7 +391,7 @@ impl<W: Word> ParallelSim<W> {
         };
         Ok(ParallelSim {
             arena: initial_arena.clone(),
-            prev_final: settled_zero.clone(),
+            prev_final: settled_zero,
             input_words: Vec::new(),
             compiled: Arc::new(Compiled {
                 program,
@@ -400,7 +399,6 @@ impl<W: Word> ParallelSim<W> {
                 layouts,
                 tracked,
                 trackable,
-                settled_zero,
                 depth,
                 optimization,
                 alignment,
@@ -467,18 +465,12 @@ impl<W: Word> ParallelSim<W> {
         self.compiled.layouts.len()
     }
 
-    /// Restores the consistent power-up state.
-    pub fn reset(&mut self) {
-        self.arena.copy_from_slice(&self.compiled.initial_arena);
-        self.prev_final.copy_from_slice(&self.compiled.settled_zero);
-    }
-
     /// Overwrites the retained state as if the previous vector had
     /// settled to `stable` (one value per net, primary inputs included).
     ///
     /// Every bit of every field is filled with the net's stable value —
-    /// exactly the shape [`ParallelSim::reset`] produces for the
-    /// all-zero settled state — so the next vector's retained bits
+    /// exactly the shape the power-up arena holds for the all-zero
+    /// settled state — so the next vector's retained bits
     /// (initialization extracts, negative-alignment input bits,
     /// trimming's low-constant broadcasts) read the seeded values.
     /// Scratch and extension words need no seeding: they are written
@@ -764,11 +756,10 @@ mod tests {
     #[test]
     fn all_optimizations_agree_on_fig6() {
         let (nl, d, e) = fig6();
-        let mut reference =
-            ParallelSimulator::compile_monitoring_all(&nl, Optimization::None).unwrap();
         for optimization in Optimization::ALL {
+            let mut reference =
+                ParallelSimulator::compile_monitoring_all(&nl, Optimization::None).unwrap();
             let mut sim = ParallelSimulator::compile_monitoring_all(&nl, optimization).unwrap();
-            reference.reset();
             for pattern in [0b111u32, 0b011, 0b101, 0b000, 0b111, 0b001] {
                 let inputs: Vec<bool> = (0..3).map(|i| pattern >> i & 1 != 0).collect();
                 sim.simulate_vector(&inputs);
@@ -800,16 +791,6 @@ mod tests {
         let (nl, ..) = fig6();
         let sim = ParallelSimulator::compile(&nl, Optimization::None).unwrap();
         assert_eq!(sim.stats().retained_shifts, nl.gate_count());
-    }
-
-    #[test]
-    fn reset_restores_power_up() {
-        let (nl, _, e) = fig6();
-        let mut sim = ParallelSimulator::compile(&nl, Optimization::None).unwrap();
-        sim.simulate_vector(&[true, true, true]);
-        assert!(sim.final_value(e));
-        sim.reset();
-        assert!(!sim.final_value(e));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use uds_netlist::{
 };
 
 use crate::program::{CopyOp, GateOp, Program};
-use crate::zero_insert::{insert_zeros, ZeroInsertion};
+use crate::zero_insert::insert_zeros;
 use crate::PcSets;
 
 /// Error returned by [`PcSetSimulator::compile`].
@@ -100,7 +100,6 @@ struct Compiled {
     /// per net, in time order, starting at `net_base`).
     net_times: Vec<Vec<u32>>,
     net_base: Vec<u32>,
-    retention: ZeroInsertion,
     monitored: Vec<NetId>,
     input_count: usize,
     depth: u32,
@@ -310,7 +309,6 @@ impl PcSetSimulator {
                 initial_arena,
                 net_times: sets.net.iter().map(|s| s.times().to_vec()).collect(),
                 net_base,
-                retention,
                 monitored: monitored.to_vec(),
                 input_count: netlist.primary_inputs().len(),
                 depth: levels.depth,
@@ -345,17 +343,11 @@ impl PcSetSimulator {
         Arc::ptr_eq(&self.compiled, &other.compiled)
     }
 
-    /// Restores the consistent power-up state (circuit settled under
-    /// all-zero inputs).
-    pub fn reset(&mut self) {
-        self.arena.copy_from_slice(&self.compiled.initial_arena);
-    }
-
     /// Replaces the power-up state with an arbitrary stable state
     /// (`stable` is parallel to the netlist's nets), so a simulation can
     /// resume mid-stream as if every earlier vector had been applied.
     /// Only the retained final bits influence later vectors, but every
-    /// slot is filled for consistency with [`Self::reset`]'s invariant.
+    /// slot is filled, as the power-up arena is.
     ///
     /// # Panics
     ///
@@ -499,12 +491,6 @@ impl PcSetSimulator {
         )
     }
 
-    /// `true` if zero insertion forced this net to retain its previous
-    /// vector's value.
-    pub fn retains(&self, net: NetId) -> bool {
-        self.compiled.retention.retains[net]
-    }
-
     /// Internal accessors used by the C emitter.
     pub(crate) fn program(&self) -> &Program {
         &self.compiled.program
@@ -633,16 +619,6 @@ mod tests {
         assert_eq!(sim.value_at(x, 0), None);
         assert_eq!(sim.value_at(x, 1), Some(false));
         assert_eq!(sim.history(x), None);
-    }
-
-    #[test]
-    fn reset_restores_power_up_state() {
-        let (nl, .., e) = fig4();
-        let mut sim = PcSetSimulator::compile(&nl).unwrap();
-        sim.simulate_vector(&[true, true, true]);
-        assert!(sim.final_value(e));
-        sim.reset();
-        assert!(!sim.final_value(e));
     }
 
     #[test]

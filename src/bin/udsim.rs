@@ -34,15 +34,18 @@
 //! `deadline-ms=N`, or the single word `production` for the stock
 //! untrusted-input budget. `--fallback` degrades down the engine chain
 //! (`parallel+pt+trim → parallel → pc-set → event-driven`) instead of
-//! failing; `--crosscheck` verifies the surviving engine against a
-//! fresh event-driven baseline after the run.
+//! failing. `--crosscheck`, with any engine, chain or `--jobs`, steps
+//! the event-driven baseline beside the run and checks every row before
+//! it is printed: a row that differs exits 7, and a run that agrees
+//! ends with one `cross-check:` line on stderr. It checks the primary
+//! outputs the CLI prints; internal nets and histories are the test
+//! suites' to check.
 //!
 //! `--jobs N` shards the vector stream across N worker threads, each
 //! owning its own engine; a zero-delay prepass seeds every shard so the
-//! printed rows are byte-identical to a sequential run for any N. With
-//! `--jobs`, `--crosscheck` re-runs the stream sequentially and
-//! verifies the batch output against it (`--vcd` needs the sequential
-//! waveform and cannot be combined with `--jobs`). The parallel
+//! printed rows are byte-identical to a sequential run for any N
+//! (`--vcd` needs the sequential waveform and cannot be combined with
+//! `--jobs`). The parallel
 //! engines pack their bit-fields into 64-bit words by default; `--word
 //! 32` runs the paper's 32-bit machine model instead. Rows are the same
 //! at either width.
@@ -110,6 +113,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use unit_delay_sim::core::crosscheck::RowCheck;
 use unit_delay_sim::core::guard::EngineFactory;
 use unit_delay_sim::core::vcd::VcdRecorder;
 use unit_delay_sim::core::vectors::RandomVectors;
@@ -287,6 +291,8 @@ fn usage() -> String {
      /metrics with uds_hotspot_level_self_ns gauges.\n\
      loadgen is closed-loop unless --rate sets open-loop arrivals; --bench makes the fleet\n\
      POST real work, otherwise it GETs --path (default /healthz).\n\n\
+     --crosscheck checks every printed row against the event-driven baseline (any engine,\n\
+     chain or --jobs); a row that differs exits 7.\n\
      --engine native compiles the emitted C (cc, or $UDS_CC) and dlopens it; without a C\n\
      compiler the run degrades to the interpreted chain (exit 0, fallback in --stats).\n\n\
      exit codes: 0 ok, 2 usage, 3 parse, 4 structural, 5 budget, 6 engine panic,\n\
@@ -417,7 +423,6 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
     ])?;
     let telemetry = (stats_path.is_some() || trace_path.is_some()).then(Telemetry::new);
     let nl = run.load("simulate", telemetry.as_ref())?;
-    let stimulus = || run.stimulus(&nl);
 
     // `--engine native` always runs through the full guarded chain: a
     // host without a C compiler degrades to the interpreted engines
@@ -433,11 +438,6 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
             "--vcd needs the sequential waveform and cannot be combined with --jobs",
         ));
     }
-    if run.jobs.is_none() && crosscheck && !(fallback || native) {
-        return Err(CliError::usage(
-            "--crosscheck requires --fallback or --jobs",
-        ));
-    }
     let progress = progress.sink()?;
     let factory = Box::new(DefaultEngineFactory::with_word(run.word));
     let guard = build_guard(&nl, limits, &chain, factory, telemetry.as_ref())?;
@@ -448,9 +448,12 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
         }
     }
     let seen_fallbacks = report_new_fallbacks(&guard, 0);
-    // With `--jobs`, `--crosscheck` steps a sequential fork in lockstep
-    // with the rows.
-    let mut reference = (crosscheck && run.jobs.is_some()).then(|| guard.fork());
+    // `--crosscheck` checks every printed row, in order, against the
+    // event-driven baseline.
+    let mut check = crosscheck
+        .then(|| RowCheck::new(&nl, guard.active_simulator().engine_name()))
+        .transpose()
+        .map_err(|e| on_circuit(&nl)(e.into()))?;
     let mut recorder = vcd_path
         .as_ref()
         .map(|_| VcdRecorder::new(&nl, nl.primary_outputs().to_vec()));
@@ -468,28 +471,15 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
         run_stream(
             &nl,
             guard,
-            stimulus(),
+            run.stimulus(&nl),
             run.vectors,
             control,
             || recorder.take(),
             |index, inputs, row| -> Result<(), Stop> {
-                out.row(index, inputs, row)?;
-                if let Some(reference) = &mut reference {
-                    reference.simulate_vector(inputs)?;
-                    let outputs = nl.primary_outputs().iter();
-                    if outputs
-                        .zip(row)
-                        .any(|(&po, &bit)| reference.final_value(po) != bit)
-                    {
-                        return Err(Stop::Cli(CliError::class(
-                            format!(
-                                "batch output diverges from the sequential run at vector \
-                                 {index} (--jobs {jobs})"
-                            ),
-                            FailureClass::Mismatch,
-                        )));
-                    }
+                if let Some(check) = &mut check {
+                    check.row(inputs, row).map_err(SimError::from)?;
                 }
+                out.row(index, inputs, row)?;
                 Ok(())
             },
         )
@@ -510,6 +500,14 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
             }
         }
     }
+    let agreed = |engine: Engine| {
+        if let Some(check) = &check {
+            eprintln!(
+                "cross-check: {engine} agrees with the event-driven baseline over {} vectors",
+                check.vectors()
+            );
+        }
+    };
     if run.jobs.is_some() {
         for shard in shards.iter().map(|shard| &shard.report) {
             eprintln!(
@@ -522,28 +520,13 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
                 shard.wall_ns as f64 / 1e6
             );
         }
-        if crosscheck {
-            eprintln!(
-                "cross-check: batch (--jobs {jobs}) matches the sequential run over {} vectors",
-                run.vectors
-            );
-        }
+        agreed(shards[shards.len() - 1].report.engine);
     } else {
         // One inline shard, run by the guard built above.
         let shard = shards.remove(0);
         let guarded = shard.guard;
         report_new_fallbacks(&guarded, seen_fallbacks);
-        if crosscheck {
-            let _span = telemetry.as_ref().map(|t| t.span("crosscheck"));
-            guarded
-                .crosscheck_baseline(stimulus())
-                .map_err(on_circuit(&nl))?;
-            eprintln!(
-                "cross-check: {} agrees with the event-driven baseline over {} vectors",
-                guarded.active_engine(),
-                guarded.vectors_run()
-            );
-        }
+        agreed(guarded.active_engine());
         let fired = guarded.fallbacks().len();
         eprintln!(
             "engine: {} ({fired} fallback{} fired)",

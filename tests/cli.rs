@@ -191,14 +191,37 @@ fn fallback_degrades_and_reports_on_stderr() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let err = stderr(&out);
     assert!(err.contains("fallback: parallel abandoned"), "{err}");
-    assert!(err.contains("cross-check"), "{err}");
+    assert_eq!(
+        crosscheck_lines(&out),
+        [format!(
+            "cross-check: parallel+pt+trim {ORACLE_LINE} 3 vectors"
+        )]
+    );
+}
+
+/// The one line every `--crosscheck` run ends with.
+const ORACLE_LINE: &str = "agrees with the event-driven baseline over";
+
+/// The `cross-check:` lines of a run's stderr.
+fn crosscheck_lines(output: &Output) -> Vec<String> {
+    stderr(output)
+        .lines()
+        .filter(|line| line.starts_with("cross-check:"))
+        .map(str::to_owned)
+        .collect()
 }
 
 #[test]
-fn crosscheck_without_fallback_is_a_usage_error() {
+fn crosscheck_alone_checks_every_row_against_the_baseline() {
     let path = fixture("ok5.bench", C17);
     let out = udsim(&["simulate", path.to_str().unwrap(), "--crosscheck"]);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert_eq!(
+        crosscheck_lines(&out),
+        [format!(
+            "cross-check: parallel+pt+trim {ORACLE_LINE} 16 vectors"
+        )]
+    );
 }
 
 #[test]
@@ -284,20 +307,32 @@ fn batch_output_is_byte_identical_to_sequential() {
 
 #[test]
 fn batch_crosscheck_passes_and_reports() {
+    // 8195 vectors cross three of the batch runner's windows; the check
+    // sees every row and leaves stdout alone.
     let path = fixture("batch2.bench", C17);
-    let out = udsim(&[
+    let args = [
         "simulate",
         path.to_str().unwrap(),
         "--vectors",
-        "16",
+        "8195",
         "--jobs",
-        "2",
-        "--crosscheck",
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let err = stderr(&out);
-    assert!(err.contains("cross-check"), "{err}");
-    assert!(err.contains("matches the sequential run"), "{err}");
+        "3",
+    ];
+    let plain = udsim(&args);
+    assert_eq!(plain.status.code(), Some(0), "{}", stderr(&plain));
+    assert!(crosscheck_lines(&plain).is_empty(), "{}", stderr(&plain));
+    let checked = udsim(&[&args[..], &["--crosscheck"]].concat());
+    assert_eq!(checked.status.code(), Some(0), "{}", stderr(&checked));
+    assert_eq!(
+        crosscheck_lines(&checked),
+        [format!(
+            "cross-check: parallel+pt+trim {ORACLE_LINE} 8195 vectors"
+        )]
+    );
+    assert!(
+        plain.stdout == checked.stdout,
+        "--crosscheck must not change a single output byte"
+    );
 }
 
 #[test]

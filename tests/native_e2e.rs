@@ -9,6 +9,10 @@
 //! compiler is on `PATH` (`$UDS_CC` overrides the default `cc`), so
 //! toolchain-free hosts stay green without silently losing coverage.
 
+use std::path::Path;
+use std::process::{Command, Output};
+use std::sync::Once;
+
 use unit_delay_sim::core::vectors::{Exhaustive, RandomVectors};
 use unit_delay_sim::core::{build_native, compiler_available, crosscheck, WordWidth};
 use unit_delay_sim::netlist::generators::adders::{ripple_carry_adder, AdderStyle};
@@ -35,8 +39,16 @@ fn flavors() -> Vec<(Engine, Vec<WordWidth>)> {
 }
 
 /// True (after printing the visible notice) when the suite cannot run
-/// because the host has no C compiler.
+/// because the host has no C compiler. Otherwise points every build in
+/// this binary at its own artifact cache, emptied once when the first
+/// test gets here, so each `cargo test` compiles every kernel cold.
 fn skip_without_compiler(test: &str) -> bool {
+    static CACHE: Once = Once::new();
+    CACHE.call_once(|| {
+        let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("native-e2e-cache");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::env::set_var("UDS_NATIVE_CACHE", &dir);
+    });
     if compiler_available() {
         return false;
     }
@@ -256,34 +268,100 @@ fn nets_named_like_kernel_parts_keep_their_own_slots() {
     check_all_flavors(&nl, &stimulus);
 }
 
+/// Runs `udsim simulate FILE --engine native --vectors N ARGS...` with
+/// the artifact cache at `cache` and, when given, `$UDS_CC` at `cc`.
+fn udsim_native(
+    file: &str,
+    vectors: &str,
+    args: &[&str],
+    cache: &Path,
+    cc: Option<&Path>,
+) -> Output {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_udsim"));
+    command
+        .args(["simulate", file, "--engine", "native", "--vectors", vectors])
+        .args(args)
+        .env("UDS_NATIVE_CACHE", cache);
+    if let Some(cc) = cc {
+        command.env("UDS_CC", cc);
+    }
+    command.output().expect("udsim binary runs")
+}
+
 #[test]
 fn cli_native_batch_crosschecks_on_c432() {
     if skip_without_compiler("cli_native_batch_crosschecks_on_c432") {
         return;
     }
     // Two shards run forks of one native engine concurrently on one
-    // loaded object; the batch must match the sequential run.
-    let cache = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("native-cli-cache");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_udsim"))
-        .args([
-            "simulate",
-            concat!(env!("CARGO_MANIFEST_DIR"), "/examples/c432.bench"),
-            "--engine",
-            "native",
-            "--vectors",
-            "2000",
-            "--jobs",
-            "2",
-            "--crosscheck",
-        ])
-        .env("UDS_NATIVE_CACHE", &cache)
-        .output()
-        .expect("udsim binary runs");
+    // loaded object; every row they print must match the baseline.
+    let cache = Path::new(env!("CARGO_TARGET_TMPDIR")).join("native-cli-cache");
+    let c432 = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/c432.bench");
+    let out = udsim_native(c432, "2000", &["--jobs", "2", "--crosscheck"], &cache, None);
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{err}");
     assert!(err.contains("on native"), "both shards run native: {err}");
     assert!(
-        err.contains("cross-check: batch (--jobs 2) matches the sequential run"),
+        err.contains("cross-check: native agrees with the event-driven baseline over 2000 vectors"),
         "{err}"
     );
+}
+
+#[test]
+fn cli_crosscheck_convicts_a_miscompiled_kernel_in_every_mode() {
+    if skip_without_compiler("cli_crosscheck_convicts_a_miscompiled_kernel_in_every_mode") {
+        return;
+    }
+    // A compiler that turns every NAND of c17's kernel into an AND: the
+    // kernel builds, loads and runs, and only the cross-check can tell
+    // its rows are wrong. Its artifact lands under the honest name, so
+    // it gets a cache of its own.
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("native-miscompile");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let cc = dir.join("cc-nand-to-and.sh");
+    let real_cc = std::env::var("UDS_CC").unwrap_or_else(|_| "cc".to_owned());
+    std::fs::write(
+        &cc,
+        format!(
+            "#!/bin/sh\nfor a in \"$@\"; do case \"$a\" in *.c) \
+             sed 's/ = ~(/ = (/' \"$a\" > \"$a.bad\" && mv \"$a.bad\" \"$a\";; esac; done\n\
+             exec {real_cc} \"$@\"\n"
+        ),
+    )
+    .unwrap();
+    use std::os::unix::fs::PermissionsExt as _;
+    std::fs::set_permissions(&cc, std::fs::Permissions::from_mode(0o755)).unwrap();
+    // A `udsim` another test forked while the script was open for
+    // writing holds it until its own exec: wait that out (ETXTBSY).
+    for _ in 0..100 {
+        match Command::new(&cc).arg("--version").output() {
+            Err(e) if e.raw_os_error() == Some(26) => {
+                std::thread::sleep(std::time::Duration::from_millis(10))
+            }
+            _ => break,
+        }
+    }
+    let cache = dir.join("cache");
+    let c17 = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/c17.bench");
+    let unchecked = udsim_native(c17, "64", &[], &cache, Some(&cc));
+    let err = String::from_utf8_lossy(&unchecked.stderr);
+    assert_eq!(unchecked.status.code(), Some(0), "{err}");
+    assert!(
+        err.contains("engine: native"),
+        "the miscompiled kernel runs: {err}"
+    );
+    for jobs in [None, Some("2"), Some("3")] {
+        let mut args = vec!["--crosscheck"];
+        args.extend(jobs.iter().flat_map(|jobs| ["--jobs", *jobs]));
+        let out = udsim_native(c17, "64", &args, &cache, Some(&cc));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(7), "--jobs {jobs:?}: {err}");
+        assert!(
+            err.contains("native disagrees with event-driven"),
+            "--jobs {jobs:?}: {err}"
+        );
+        assert!(!err.contains("cross-check:"), "--jobs {jobs:?}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
