@@ -324,6 +324,7 @@ fn fig19(vectors: usize, out: &Output) {
         "interp-3v",
         "interp-2v",
         "pc-set",
+        "pc-set block",
         "parallel",
         "pc speedup",
         "par speedup",
@@ -344,6 +345,7 @@ fn fig19(vectors: usize, out: &Output) {
             best(m.interpreted_3v),
             best(m.interpreted_2v),
             best(m.pc_set),
+            best(m.pc_set_block),
             best(m.parallel),
             ratio(m.interpreted_3v.min_s, m.pc_set.min_s),
             ratio(m.interpreted_3v.min_s, m.parallel.min_s),
@@ -356,6 +358,7 @@ fn fig19(vectors: usize, out: &Output) {
             ("interpreted_3v", timing_json(m.interpreted_3v, vectors)),
             ("interpreted_2v", timing_json(m.interpreted_2v, vectors)),
             ("pc_set", timing_json(m.pc_set, vectors)),
+            ("pc_set_block", timing_json(m.pc_set_block, vectors)),
             ("parallel", timing_json(m.parallel, vectors)),
             ("paper_interpreted_3v_s", Json::Float(p.interpreted_3v)),
             ("paper_pc_set_s", Json::Float(p.pc_set)),

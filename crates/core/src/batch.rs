@@ -24,9 +24,15 @@
 //!
 //! Each shard owns a [`GuardedSimulator`] that persists across windows,
 //! so a panicking or budget-blowing engine degrades only its own shard,
-//! and a fallback sticks to it. A per-shard [`Step`] decides what a
-//! vector does beyond simulating: per-level timing, activity, or a
-//! waveform dump ride the same loop. Shard timings surface as one
+//! and a fallback sticks to it. A shard steps its vectors in blocks
+//! ([`GuardedSimulator::simulate_block`]) of the active engine's
+//! [`GuardedSimulator::block_len`] — [`BLOCK`] on the PC-set engine,
+//! which runs a block on its 64 bit lanes, one vector on the others —
+//! and polls its cancel token once per block; heartbeats follow the
+//! rows as they go to the sink.
+//! A per-shard [`Step`] decides what a vector does beyond simulating:
+//! per-level timing, activity, or a waveform dump ride the same loop,
+//! one vector at a time. Shard timings surface as one
 //! `batch.shard.<k>` telemetry span per shard, with `batch.shards` /
 //! `batch.vectors_per_shard` gauges and one `batch.prepass` span.
 
@@ -43,8 +49,9 @@ use crate::cancel::CancelToken;
 use crate::error::{SimError, SimErrorKind, SimPhase};
 use crate::guard::{panicked, GuardedSimulator};
 use crate::progress::{BatchProbe, Heartbeat};
+use crate::simulator::pack_lane;
 use crate::telemetry::{nanos, Telemetry};
-use crate::Engine;
+use crate::{Engine, BLOCK};
 
 /// Vectors per window of a multi-shard run — what bounds its memory.
 pub const WINDOW: usize = 4096;
@@ -85,10 +92,10 @@ pub struct BatchOutput {
     pub shards: Vec<ShardReport>,
 }
 
-/// What a shard does with each vector. `()` only simulates it; the
-/// other implementations (activity, per-level timing, waveforms) also
-/// record something into state the shard owns, handed back in
-/// [`Shard::step`] when the run ends.
+/// What a shard does with each vector. `()` only simulates it, a block
+/// at a time; the other implementations (activity, per-level timing,
+/// waveforms) also record something per vector into state the shard
+/// owns, handed back in [`Shard::step`] when the run ends.
 pub trait Step: Send {
     /// Runs `inputs` on `guard`, recording whatever the step keeps.
     ///
@@ -96,11 +103,43 @@ pub trait Step: Send {
     ///
     /// The guard's error when its whole fallback chain fails.
     fn step(&mut self, guard: &mut GuardedSimulator, inputs: &[bool]) -> Result<(), SimError>;
+
+    /// Runs at most [`BLOCK`] consecutive vectors on `guard`; bit `k`
+    /// of `finals[o]` is then `outputs[o]` after `vectors[k]`. The
+    /// default calls [`Step::step`] per vector.
+    ///
+    /// # Errors
+    ///
+    /// As [`Step::step`].
+    fn step_block(
+        &mut self,
+        guard: &mut GuardedSimulator,
+        vectors: &[&[bool]],
+        outputs: &[NetId],
+        finals: &mut [u64],
+    ) -> Result<(), SimError> {
+        finals.fill(0);
+        for (lane, inputs) in vectors.iter().enumerate() {
+            self.step(guard, inputs)?;
+            pack_lane(finals, lane, outputs, |net| guard.final_value(net));
+        }
+        Ok(())
+    }
 }
 
 impl Step for () {
     fn step(&mut self, guard: &mut GuardedSimulator, inputs: &[bool]) -> Result<(), SimError> {
         guard.simulate_vector(inputs).map(drop)
+    }
+
+    fn step_block(
+        &mut self,
+        guard: &mut GuardedSimulator,
+        vectors: &[&[bool]],
+        outputs: &[NetId],
+        finals: &mut [u64],
+    ) -> Result<(), SimError> {
+        guard.simulate_block(vectors, outputs, finals).map(drop)
     }
 }
 
@@ -110,6 +149,19 @@ impl<S: Step> Step for Option<S> {
         match self {
             Some(step) => step.step(guard, inputs),
             None => ().step(guard, inputs),
+        }
+    }
+
+    fn step_block(
+        &mut self,
+        guard: &mut GuardedSimulator,
+        vectors: &[&[bool]],
+        outputs: &[NetId],
+        finals: &mut [u64],
+    ) -> Result<(), SimError> {
+        match self {
+            Some(step) => step.step_block(guard, vectors, outputs, finals),
+            None => ().step_block(guard, vectors, outputs, finals),
         }
     }
 }
@@ -125,7 +177,8 @@ pub struct RunControl<'a> {
     pub telemetry: Option<&'a Telemetry>,
     /// Receives per-shard heartbeats.
     pub progress: Option<&'a dyn BatchProbe>,
-    /// Polled before every vector of every shard.
+    /// Polled before every block of every shard (one vector, or 64 on
+    /// the PC-set engine).
     pub cancel: Option<&'a CancelToken>,
 }
 
@@ -182,8 +235,10 @@ struct Worker<H> {
     /// Vectors the shard owns over the whole run, and has finished.
     total: usize,
     done: usize,
-    /// The primary-output row of the last vector.
+    /// The primary-output row being emitted.
     row: Vec<bool>,
+    /// The current block's primary-output words, one lane per vector.
+    finals: Vec<u64>,
     started: Option<Instant>,
     wall_ns: u64,
     last_beat: Instant,
@@ -199,19 +254,21 @@ impl<H: Step> Worker<H> {
             total,
             done: 0,
             row: Vec::new(),
+            finals: Vec::new(),
             started: None,
             wall_ns: 0,
             last_beat: Instant::now(),
         }
     }
 
-    /// Runs `vectors` (after seeding the guard with `seed`), handing each
-    /// vector's inputs and output row to `emit`. A tripped cancel token
-    /// stops the shard before its next vector; a panic anywhere in the
-    /// loop becomes this shard's error instead of unwinding further.
+    /// Runs `vectors` (after seeding the guard with `seed`) in blocks of
+    /// the active engine's [`GuardedSimulator::block_len`], handing each
+    /// vector's inputs and output row to `emit`. A tripped cancel token stops the shard before its next
+    /// block; a panic anywhere in the loop becomes this shard's error
+    /// instead of unwinding further.
     fn run<V: AsRef<[bool]>, E: From<SimError>>(
         &mut self,
-        vectors: impl Iterator<Item = V>,
+        mut vectors: impl Iterator<Item = V>,
         seed: Option<&[bool]>,
         ctx: &Context<'_>,
         emit: &mut impl FnMut(&[bool], &[bool]) -> Result<(), E>,
@@ -226,8 +283,14 @@ impl<H: Step> Worker<H> {
                 self.last_beat = clock;
                 self.beat(ctx);
             }
-            for vector in vectors {
-                let inputs = vector.as_ref();
+            self.finals.resize(ctx.outputs.len(), 0);
+            let mut block: Vec<V> = Vec::with_capacity(BLOCK);
+            loop {
+                block.clear();
+                block.extend(vectors.by_ref().take(self.guard.block_len()));
+                if block.is_empty() {
+                    break;
+                }
                 if let Some(cause) = ctx.control.cancel.and_then(CancelToken::cause) {
                     let vectors_done = self.done;
                     let kind = SimErrorKind::Cancelled {
@@ -236,19 +299,27 @@ impl<H: Step> Worker<H> {
                     };
                     return Err(SimError::new(kind, SimPhase::Run).into());
                 }
-                self.step.step(&mut self.guard, inputs)?;
-                self.row.clear();
-                let guard = &self.guard;
-                self.row
-                    .extend(ctx.outputs.iter().map(|&po| guard.final_value(po)));
-                emit(inputs, &self.row)?;
-                self.done += 1;
-                if ctx.control.progress.is_some() {
-                    let now = Instant::now();
-                    if self.done == self.total || now.duration_since(self.last_beat) >= ctx.interval
-                    {
-                        self.last_beat = now;
-                        self.beat(ctx);
+                let mut lanes: [&[bool]; BLOCK] = [&[]; BLOCK];
+                for (lane, vector) in lanes.iter_mut().zip(&block) {
+                    *lane = vector.as_ref();
+                }
+                let lanes = &lanes[..block.len()];
+                self.step
+                    .step_block(&mut self.guard, lanes, ctx.outputs, &mut self.finals)?;
+                for (lane, inputs) in lanes.iter().enumerate() {
+                    self.row.clear();
+                    self.row
+                        .extend(self.finals.iter().map(|word| word >> lane & 1 != 0));
+                    emit(inputs, &self.row)?;
+                    self.done += 1;
+                    if ctx.control.progress.is_some() {
+                        let now = Instant::now();
+                        if self.done == self.total
+                            || now.duration_since(self.last_beat) >= ctx.interval
+                        {
+                            self.last_beat = now;
+                            self.beat(ctx);
+                        }
                     }
                 }
             }
@@ -743,6 +814,44 @@ mod tests {
                 } => {
                     assert_eq!(cause, CancelCause::Cancelled);
                     assert_eq!(vectors_done, 0, "tripped before the first vector");
+                }
+                other => panic!("expected Cancelled, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_token_tripped_mid_run_stops_within_one_block_of_the_engine() {
+        // Event-driven takes the default loop, so it stops after the
+        // very vector that tripped the token; the PC-set engine finishes
+        // the 64-lane block that vector rode in.
+        for (engine, stopped_after) in [(Engine::EventDriven, 6), (Engine::PcSet, 64)] {
+            let nl = c17();
+            let guard = GuardedSimulator::with_factory(
+                &nl,
+                ResourceLimits::production(),
+                &[engine],
+                Box::new(crate::DefaultEngineFactory::default()),
+            )
+            .unwrap();
+            let vectors = stimulus(200);
+            let cancel = CancelToken::new();
+            let control = RunControl {
+                cancel: Some(&cancel),
+                ..RunControl::default()
+            };
+            let sink = |index: usize, _: &[bool], _: &[bool]| {
+                if index == 5 {
+                    cancel.cancel();
+                }
+                Ok::<_, SimError>(())
+            };
+            let err = run_stream(&nl, guard, &vectors, 200, control, || (), sink)
+                .err()
+                .expect("cancelled");
+            match err.kind {
+                SimErrorKind::Cancelled { vectors_done, .. } => {
+                    assert_eq!(vectors_done, stopped_after, "{engine:?}");
                 }
                 other => panic!("expected Cancelled, got {other:?}"),
             }

@@ -184,6 +184,12 @@ impl UnitDelaySimulator for ChaosSimulator {
         self.vectors_seen += 1;
     }
 
+    /// The wrapped engine's, so a fault lands inside the blocks it
+    /// would be fed; the default loop places it on its vector.
+    fn block_len(&self) -> usize {
+        self.inner.block_len()
+    }
+
     fn final_value(&self, net: NetId) -> bool {
         let value = self.inner.final_value(net);
         if self.corrupting() {

@@ -245,10 +245,10 @@ pub struct FiredFallback {
 /// degradation down a chain of engines.
 ///
 /// Construction tries each engine in the chain until one compiles
-/// within budget. Per-vector runs are panic-contained: a mid-run panic
-/// triggers a fallback, the next engine is restored to the
-/// `Checkpoint` and re-runs the failed vector, so retained state (each
-/// vector's dependence on the previous one) is preserved bit-exactly.
+/// within budget. Runs are panic-contained: a mid-run panic triggers a
+/// fallback, the next engine is restored to the `Checkpoint` and
+/// re-runs the failed vector or block, so retained state (each vector's
+/// dependence on the previous one) is preserved bit-exactly.
 pub struct GuardedSimulator {
     /// Shared with every fork: a fork never copies the circuit.
     netlist: Arc<Netlist>,
@@ -476,6 +476,12 @@ impl GuardedSimulator {
         self.checkpoint.vectors
     }
 
+    /// [`UnitDelaySimulator::block_len`] of the active engine: how many
+    /// vectors to hand [`GuardedSimulator::simulate_block`] at a time.
+    pub fn block_len(&self) -> usize {
+        self.active.block_len()
+    }
+
     /// The active engine as a trait object — for consumers like the VCD
     /// recorder that take any [`UnitDelaySimulator`].
     pub fn active_simulator(&self) -> &dyn UnitDelaySimulator {
@@ -495,7 +501,37 @@ impl GuardedSimulator {
     /// restored to the checkpoint before re-running the vector. Returns
     /// the engine that (finally) ran the vector.
     pub fn simulate_vector(&mut self, inputs: &[bool]) -> Result<Engine, SimError> {
-        self.step(inputs, |sim, inputs| sim.simulate_vector(inputs))
+        self.step(&[inputs], |sim, vectors| sim.simulate_vector(vectors[0]))
+    }
+
+    /// Simulates at most [`BLOCK`](crate::BLOCK) consecutive vectors
+    /// through [`UnitDelaySimulator::simulate_block`] (bit `k` of
+    /// `finals[o]` is `outputs[o]` after `vectors[k]`), guarded as one
+    /// step: the deadline is checked once per block, and an engine panic
+    /// anywhere in it degrades from the checkpoint taken before the
+    /// block and re-runs the whole block. Returns the engine that ran
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// On more than [`BLOCK`](crate::BLOCK) vectors, or when `finals`
+    /// and `outputs` differ in length — before any engine runs, so a
+    /// caller's mistake is never taken for an engine failure.
+    pub fn simulate_block(
+        &mut self,
+        vectors: &[&[bool]],
+        outputs: &[NetId],
+        finals: &mut [u64],
+    ) -> Result<Engine, SimError> {
+        assert!(
+            vectors.len() <= crate::BLOCK,
+            "a block holds at most {} vectors",
+            crate::BLOCK
+        );
+        assert_eq!(finals.len(), outputs.len(), "one finals word per output");
+        self.step(vectors, |sim, vectors| {
+            sim.simulate_block(vectors, outputs, finals);
+        })
     }
 
     /// [`GuardedSimulator::simulate_vector`] with per-level time
@@ -524,8 +560,8 @@ impl GuardedSimulator {
     ) -> Result<(Engine, u64), SimError> {
         let call_clock = std::time::Instant::now();
         let attributed_before = profile.total_self_ns();
-        let engine = self.step(inputs, |sim, inputs| {
-            sim.simulate_vector_leveled(inputs, profile)
+        let engine = self.step(&[inputs], |sim, vectors| {
+            sim.simulate_vector_leveled(vectors[0], profile)
         })?;
         let call_ns = u64::try_from(call_clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let engine_ns = profile.total_self_ns() - attributed_before;
@@ -534,35 +570,34 @@ impl GuardedSimulator {
         Ok((engine, call_ns))
     }
 
-    /// The per-vector step both entry points share: checks width and
-    /// deadline, runs `run` on the active engine panic-contained
-    /// (degrading and retrying on a panic), then moves the checkpoint
-    /// to `inputs` — a copy into a reused buffer, no allocation.
+    /// The step every entry point shares, for one vector or a block:
+    /// checks each vector's width and the deadline, runs `run` on the
+    /// active engine panic-contained (degrading and re-running all of
+    /// `vectors` on a panic), then moves the checkpoint to the last
+    /// vector — a copy into a reused buffer, no allocation.
     fn step(
         &mut self,
-        inputs: &[bool],
-        mut run: impl FnMut(&mut dyn UnitDelaySimulator, &[bool]),
+        vectors: &[&[bool]],
+        mut run: impl FnMut(&mut dyn UnitDelaySimulator, &[&[bool]]),
     ) -> Result<Engine, SimError> {
         let expected = self.checkpoint.last_inputs.len();
-        if inputs.len() != expected {
-            return Err(SimError::new(
-                SimErrorKind::VectorWidth {
-                    expected,
-                    got: inputs.len(),
-                },
-                SimPhase::Run,
-            )
-            .with_engine(self.active_engine()));
+        if let Some(got) = vectors.iter().map(|v| v.len()).find(|&got| got != expected) {
+            return Err(
+                SimError::new(SimErrorKind::VectorWidth { expected, got }, SimPhase::Run)
+                    .with_engine(self.active_engine()),
+            );
         }
         self.limits
             .check_deadline()
             .map_err(|e| SimError::new(SimErrorKind::Budget(e), SimPhase::Run))?;
         loop {
             let active = self.active.as_mut();
-            match panic::catch_unwind(AssertUnwindSafe(|| run(active, inputs))) {
+            match panic::catch_unwind(AssertUnwindSafe(|| run(active, vectors))) {
                 Ok(()) => {
-                    self.checkpoint.last_inputs.copy_from_slice(inputs);
-                    self.checkpoint.vectors += 1;
+                    if let Some(last) = vectors.last() {
+                        self.checkpoint.last_inputs.copy_from_slice(last);
+                        self.checkpoint.vectors += vectors.len();
+                    }
                     return Ok(self.active_engine());
                 }
                 Err(payload) => {
@@ -729,7 +764,24 @@ mod tests {
         let mut guarded = GuardedSimulator::new(&nl, ResourceLimits::production()).unwrap();
         let err = guarded.simulate_vector(&[true]).unwrap_err();
         assert_eq!(err.class(), FailureClass::Usage);
+        let mut finals = [0u64; 2];
+        let block: [&[bool]; 2] = [&[true; 5], &[true]];
+        let err = guarded
+            .simulate_block(&block, nl.primary_outputs(), &mut finals)
+            .unwrap_err();
+        assert_eq!(err.class(), FailureClass::Usage);
         assert!(guarded.fallbacks().is_empty(), "no fallback on bad input");
+        assert_eq!(guarded.vectors_run(), 0, "no vector of the block ran");
+    }
+
+    #[test]
+    #[should_panic(expected = "a block holds at most 64 vectors")]
+    fn an_oversized_block_panics_before_any_engine_runs() {
+        let nl = c17();
+        let mut guarded = GuardedSimulator::new(&nl, ResourceLimits::production()).unwrap();
+        let vectors: [&[bool]; 65] = [&[false; 5]; 65];
+        let mut finals = [0u64; 2];
+        let _ = guarded.simulate_block(&vectors, nl.primary_outputs(), &mut finals);
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub use serve::{
 };
 pub use simulator::{
     build_engine_with_limits_probed_word, build_simulator, build_simulator_with_word, Engine,
-    TracedEventSim, UnitDelaySimulator, WordWidth,
+    TracedEventSim, UnitDelaySimulator, WordWidth, BLOCK,
 };
 pub use stream::{is_closed_pipe, open_sink, write_text, HumanOut, StreamContract};
 pub use telemetry::trace::{chrome_trace, render_chrome_trace};

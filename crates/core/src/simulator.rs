@@ -18,6 +18,23 @@ use crate::guard::{DefaultEngineFactory, EngineFactory};
 use crate::waveform::for_each_transition;
 use crate::SimError;
 
+/// The most vectors one [`UnitDelaySimulator::simulate_block`] takes:
+/// one per bit of its `u64` finals words.
+pub const BLOCK: usize = 64;
+
+/// ORs `value(outputs[o])` into bit `lane` of `finals[o]` for every
+/// output: one row of a block, packed.
+pub(crate) fn pack_lane(
+    finals: &mut [u64],
+    lane: usize,
+    outputs: &[NetId],
+    value: impl Fn(NetId) -> bool,
+) {
+    for (word, &net) in finals.iter_mut().zip(outputs) {
+        *word |= u64::from(value(net)) << lane;
+    }
+}
+
 /// A unit-delay simulator: feed vectors, read back settled values and
 /// (where supported) complete time histories.
 ///
@@ -39,6 +56,41 @@ pub trait UnitDelaySimulator: Send {
     /// Implementations panic if the vector length does not match the
     /// primary-input count.
     fn simulate_vector(&mut self, inputs: &[bool]);
+
+    /// Simulates at most [`BLOCK`] consecutive vectors, leaving the
+    /// engine exactly as running them one by one would: bit `k` of
+    /// `finals[o]` is the settled value of `outputs[o]` after
+    /// `vectors[k]`, and every readback answers for the last vector.
+    /// The default runs [`Self::simulate_vector`] per vector; the PC-set
+    /// engine runs the block on its 64 bit lanes.
+    ///
+    /// # Panics
+    ///
+    /// Implementations panic if a vector length does not match the
+    /// primary-input count, on more than [`BLOCK`] vectors, or when
+    /// `finals` and `outputs` differ in length.
+    fn simulate_block(&mut self, vectors: &[&[bool]], outputs: &[NetId], finals: &mut [u64]) {
+        assert!(
+            vectors.len() <= BLOCK,
+            "a block holds at most {BLOCK} vectors"
+        );
+        assert_eq!(finals.len(), outputs.len(), "one finals word per output");
+        finals.fill(0);
+        for (lane, inputs) in vectors.iter().enumerate() {
+            self.simulate_vector(inputs);
+            pack_lane(finals, lane, outputs, |net| self.final_value(net));
+        }
+    }
+
+    /// The vectors a streaming caller should hand
+    /// [`Self::simulate_block`] at a time: [`BLOCK`] for the PC-set
+    /// engine, whose block is one pass over its bit lanes, and 1 for an
+    /// engine that takes the default loop, where a longer block saves
+    /// nothing and would only space out the caller's cancellation and
+    /// deadline checks.
+    fn block_len(&self) -> usize {
+        1
+    }
 
     /// The settled value of any net for the last vector.
     fn final_value(&self, net: NetId) -> bool;
@@ -127,6 +179,14 @@ impl UnitDelaySimulator for PcSetSimulator {
 
     fn simulate_vector(&mut self, inputs: &[bool]) {
         PcSetSimulator::simulate_vector(self, inputs);
+    }
+
+    fn simulate_block(&mut self, vectors: &[&[bool]], outputs: &[NetId], finals: &mut [u64]) {
+        PcSetSimulator::simulate_block(self, vectors, outputs, finals);
+    }
+
+    fn block_len(&self) -> usize {
+        BLOCK
     }
 
     fn final_value(&self, net: NetId) -> bool {

@@ -22,11 +22,11 @@
 //! 4. [`codegen_c::emit`] — the same program as compilable C text,
 //!    exactly the code of the paper's Fig. 4.
 //!
-//! The executor is word-parallel: each call carries 64 independent input
-//! *streams* (bit `k` of every word belongs to stream `k`), which is the
-//! "bit-parallel simulation of multiple input vectors" the paper notes
-//! the PC-set method is amenable to (its advantage over the parallel
-//! technique).
+//! The executor is word-parallel: [`PcSetSimulator::simulate_block`]
+//! runs up to 64 consecutive vectors per pass, vector `k` on bit `k` of
+//! every word, which is the "bit-parallel simulation of multiple input
+//! vectors" the paper notes the PC-set method is amenable to (its
+//! advantage over the parallel technique).
 //!
 //! # Example
 //!

@@ -6,9 +6,10 @@
 //! the op stream: executing a vector is one pass over `init` (retention
 //! copies), the primary-input stores, and `ops` (gate simulations).
 //!
-//! Every arena word carries 64 independent simulation *streams* (bit `k`
-//! belongs to stream `k`), giving the data-parallel multi-vector mode the
-//! paper credits the PC-set method with.
+//! Every arena word carries 64 bit lanes. A one-vector step broadcasts
+//! its inputs to all of them; a block step puts 64 consecutive vectors
+//! on lanes `0..64` — the data-parallel multi-vector mode the paper
+//! credits the PC-set method with.
 
 use std::ops::Range;
 
@@ -40,6 +41,11 @@ pub(crate) struct Program {
     pub input_slots: Vec<u32>,
     /// Gate simulations in levelized order.
     pub ops: Vec<GateOp>,
+    /// The op of each gate that writes its net's final (largest-time)
+    /// slot, in `ops` order. Its operands are the inputs' final slots,
+    /// so running these alone is a zero-delay sweep: it settles every
+    /// final slot whatever the time-0 slots hold.
+    pub settle: Vec<GateOp>,
     /// Shared operand pool referenced by [`GateOp`].
     pub operands: Vec<u32>,
     /// Total arena slots.
@@ -62,10 +68,29 @@ impl Program {
         }
     }
 
+    /// The retention copies of a block's second pass: lane `k` of each
+    /// time-0 slot takes lane `k - 1` of the final slot (the previous
+    /// vector's settled value, left there by the first pass), and lane 0
+    /// keeps the carry the first pass's plain copy put there — the final
+    /// value of the vector before the block.
+    pub(crate) fn run_carried_retention(&self, arena: &mut [u64]) {
+        for copy in &self.init {
+            let carry = arena[copy.dst as usize] & 1;
+            arena[copy.dst as usize] = arena[copy.src as usize] << 1 | carry;
+        }
+    }
+
     /// Executes the gate ops in `ops` — the whole stream after the
     /// prologue, or one compile-time level segment of it when profiling.
     pub(crate) fn run(&self, arena: &mut [u64], ops: Range<usize>) {
         for op in &self.ops[ops] {
+            self.exec_op(arena, op);
+        }
+    }
+
+    /// Executes the [`Program::settle`] sweep.
+    pub(crate) fn run_settle(&self, arena: &mut [u64]) {
+        for op in &self.settle {
             self.exec_op(arena, op);
         }
     }
@@ -122,6 +147,7 @@ mod tests {
             }],
             operands: vec![0, 1],
             slot_count: 3,
+            ..Program::default()
         };
         let mut arena = vec![0u64; 3];
         arena[2] = !0; // previous final value of c
@@ -153,6 +179,7 @@ mod tests {
             }],
             operands: vec![0, 1],
             slot_count: 3,
+            ..Program::default()
         };
         let mut arena = vec![0u64; 3];
         program.run_prologue(&mut arena, &[0b1100, 0b1010]);

@@ -78,16 +78,16 @@ pub struct ProgramStats {
 /// unit-delay history of every monitored net is available afterwards via
 /// [`PcSetSimulator::history`].
 ///
-/// All state words carry 64 independent streams; see
-/// [`PcSetSimulator::simulate_streams`].
+/// Every state word has 64 bit lanes: [`PcSetSimulator::simulate_block`]
+/// runs up to 64 consecutive vectors in one pass over the program.
 #[derive(Clone, Debug)]
 pub struct PcSetSimulator {
     /// Everything compilation fixed, shared by every clone: a fork
     /// copies only the per-run state below.
     compiled: Arc<Compiled>,
     arena: Vec<u64>,
-    /// The current step's input stream words, kept across vectors so a
-    /// step allocates nothing.
+    /// The current step's input lane words, kept across steps so a step
+    /// allocates nothing.
     input_words: Vec<u64>,
 }
 
@@ -227,6 +227,7 @@ impl PcSetSimulator {
         // gate; operands use each input's largest PC element strictly
         // below the element being generated (Fig. 4).
         let mut ops = Vec::new();
+        let mut settle = Vec::new();
         let mut operands = Vec::new();
         // Level segments ride along in emission order (topo_gates is a
         // worklist order, *not* sorted by level, so runs of one level
@@ -266,6 +267,10 @@ impl PcSetSimulator {
                     operand_count: gate.inputs.len() as u32,
                 });
             }
+            // Times ascend, so the gate's last op writes its final slot.
+            if emitted > 0 {
+                settle.push(ops[ops.len() - 1]);
+            }
         }
         let level_segments = segments.finish();
         // The static per-level instruction distribution (one sample per
@@ -278,6 +283,7 @@ impl PcSetSimulator {
             init,
             input_slots,
             ops,
+            settle,
             operands,
             slot_count: slot_count as usize,
         };
@@ -367,7 +373,7 @@ impl PcSetSimulator {
         }
     }
 
-    /// Simulates one input vector (all 64 streams carry the same bits).
+    /// Simulates one input vector (all 64 lanes carry the same bits).
     ///
     /// `inputs` is parallel to the netlist's primary inputs.
     ///
@@ -389,7 +395,10 @@ impl PcSetSimulator {
     ///
     /// Panics if `inputs.len()` differs from the primary-input count.
     pub fn step<S: LevelSink>(&mut self, inputs: &[bool], sink: &mut S) {
-        self.step_with(broadcast(inputs), interpreted(sink));
+        self.step_with(broadcast(inputs), |program, segments, arena, words| {
+            program.run_prologue(arena, words);
+            sink.walk(segments, program.ops.len(), |ops| program.run(arena, ops));
+        });
     }
 
     /// The static per-level cost model of the compiled program (zero
@@ -402,7 +411,7 @@ impl PcSetSimulator {
 
     /// Like [`PcSetSimulator::simulate_vector`], but with `kernel`
     /// running the whole program in place of the interpreter: it is
-    /// handed the arena and `inputs` broadcast to stream words. The
+    /// handed the arena and `inputs` broadcast to lane words. The
     /// native engine routes the step through compiled C this way while
     /// this simulator's arena stays the authoritative state.
     ///
@@ -417,20 +426,64 @@ impl PcSetSimulator {
         self.step_with(broadcast(inputs), |_, _, arena, words| kernel(arena, words));
     }
 
-    /// Simulates 64 independent vector streams at once: bit `k` of
-    /// `inputs[i]` is the value of primary input `i` in stream `k`.
-    /// Stream `k`'s retained values come from stream `k`'s previous call
-    /// — 64 sequences advance in lockstep.
+    /// Simulates up to 64 consecutive vectors, exactly as if each had
+    /// run through [`PcSetSimulator::simulate_vector`] in turn: bit `k`
+    /// of `finals[o]` is the settled value of `outputs[o]` after
+    /// `vectors[k]`, and every readback afterwards answers for the last
+    /// vector.
+    ///
+    /// Vector `k` rides lane `k`. A combinational circuit's settled
+    /// values do not depend on retained state (DESIGN.md §12), so a
+    /// settle sweep — each gate's last op, whose operands are its inputs'
+    /// final slots — gives every lane its final values first. The
+    /// retention copies then hand lane `k` the finals of lane
+    /// `k - 1` (lane 0 those of the vector before the block), and one
+    /// pass of the op stream computes every lane's exact history.
+    /// Broadcasting lane `n - 1` over the arena leaves the state a
+    /// one-vector step would have left.
     ///
     /// # Panics
     ///
-    /// Panics if `inputs.len()` differs from the primary-input count.
-    pub fn simulate_streams(&mut self, inputs: &[u64]) {
-        self.step_with(inputs.iter().copied(), interpreted(&mut Unprofiled));
+    /// Panics if there are more than 64 vectors, if a vector's length
+    /// differs from the primary-input count, or if `finals` and
+    /// `outputs` differ in length.
+    pub fn simulate_block(&mut self, vectors: &[&[bool]], outputs: &[NetId], finals: &mut [u64]) {
+        assert!(vectors.len() <= 64, "a block holds at most 64 vectors");
+        assert_eq!(finals.len(), outputs.len(), "one finals word per output");
+        let Some(last) = vectors.len().checked_sub(1) else {
+            finals.fill(0);
+            return;
+        };
+        let width = self.compiled.input_count;
+        self.input_words.clear();
+        self.input_words.resize(width, 0);
+        for (lane, inputs) in vectors.iter().enumerate() {
+            assert_eq!(
+                inputs.len(),
+                width,
+                "input vector length must match the primary input count"
+            );
+            for (word, &bit) in self.input_words.iter_mut().zip(*inputs) {
+                *word |= u64::from(bit) << lane;
+            }
+        }
+        let program = &self.compiled.program;
+        // The plain copies leave each time-0 slot holding the carry.
+        program.run_prologue(&mut self.arena, &self.input_words);
+        program.run_settle(&mut self.arena);
+        program.run_carried_retention(&mut self.arena);
+        program.run(&mut self.arena, 0..program.ops.len());
+        let lanes = u64::MAX >> (63 - last);
+        for (word, &net) in finals.iter_mut().zip(outputs) {
+            *word = self.final_word(net) & lanes;
+        }
+        for slot in &mut self.arena {
+            *slot = 0u64.wrapping_sub(*slot >> last & 1);
+        }
     }
 
     /// The engine's one per-vector body: checks the input width, loads
-    /// the stream words into the reused `input_words` buffer, then
+    /// the lane words into the reused `input_words` buffer, then
     /// hands the arena and those words to `body` to execute the program.
     fn step_with(
         &mut self,
@@ -452,19 +505,19 @@ impl PcSetSimulator {
         );
     }
 
-    /// The final settled value of any net for the last vector (stream 0).
+    /// The final settled value of any net for the last vector.
     pub fn final_value(&self, net: NetId) -> bool {
-        self.final_value_streams(net) & 1 != 0
+        self.final_word(net) & 1 != 0
     }
 
-    /// Final settled value of `net` in all 64 streams.
-    pub fn final_value_streams(&self, net: NetId) -> u64 {
+    /// The word of `net`'s final slot, one lane per bit.
+    fn final_word(&self, net: NetId) -> u64 {
         let times = &self.compiled.net_times[net.index()];
         let last = times.len() - 1;
         self.arena[(self.compiled.net_base[net.index()] as usize) + last]
     }
 
-    /// The value of `net` at time `time` for the last vector (stream 0),
+    /// The value of `net` at time `time` for the last vector,
     /// or `None` if the net's history at that time is not reconstructible
     /// (the net is unmonitored and has no PC element at or below `time`).
     pub fn value_at(&self, net: NetId, time: u32) -> Option<bool> {
@@ -477,8 +530,8 @@ impl PcSetSimulator {
         Some(self.arena[(self.compiled.net_base[net.index()] as usize) + idx] & 1 != 0)
     }
 
-    /// The complete unit-delay history of `net` for the last vector
-    /// (stream 0), at times `0..=depth()`. Returns `None` when time 0 is
+    /// The complete unit-delay history of `net` for the last vector, at
+    /// times `0..=depth()`. Returns `None` when time 0 is
     /// not reconstructible — monitor the net to guarantee it.
     pub fn history(&self, net: NetId) -> Option<Vec<bool>> {
         if self.compiled.net_times[net.index()].first() != Some(&0) {
@@ -515,20 +568,9 @@ impl PcSetSimulator {
     }
 }
 
-/// One vector's inputs broadcast to all 64 streams.
+/// One vector's inputs broadcast to all 64 lanes.
 fn broadcast(inputs: &[bool]) -> impl ExactSizeIterator<Item = u64> + '_ {
     inputs.iter().map(|&b| if b { !0u64 } else { 0 })
-}
-
-/// The interpreted step body: the retention/input prologue, then the op
-/// stream walked as `sink` directs.
-fn interpreted<S: LevelSink>(
-    sink: &mut S,
-) -> impl FnOnce(&Program, &[LevelSegment], &mut [u64], &[u64]) + '_ {
-    |program, segments, arena, words| {
-        program.run_prologue(arena, words);
-        sink.walk(segments, program.ops.len(), |ops| program.run(arena, ops));
-    }
 }
 
 #[cfg(test)]
@@ -622,14 +664,24 @@ mod tests {
     }
 
     #[test]
-    fn streams_run_64_sequences() {
-        let (nl, .., e) = fig4();
+    fn a_block_carries_each_vector_into_the_next() {
+        let (nl, _, _, _, d, e) = fig4();
         let mut sim = PcSetSimulator::compile(&nl).unwrap();
-        // Stream k gets A=bit k of 0b10, B=1, C=1.
-        sim.simulate_streams(&[0b10, !0, !0]);
-        let finals = sim.final_value_streams(e);
-        assert_eq!(finals & 1, 0, "stream 0: A=0 -> E=0");
-        assert_eq!(finals >> 1 & 1, 1, "stream 1: A=1 -> E=1");
+        let mut finals = [0u64];
+        // Lane 1 drops A after lane 0 set every input: E glitches high
+        // at time 1 only because lane 1 retains lane 0's D.
+        sim.simulate_block(
+            &[&[true, true, true], &[false, true, true]],
+            &[e],
+            &mut finals,
+        );
+        assert_eq!(finals, [0b01]);
+        assert_eq!(sim.history(e).unwrap(), vec![true, true, false]);
+        assert!(!sim.final_value(d));
+        // Lane 0 retains the block's last vector.
+        sim.simulate_block(&[&[true, true, true]], &[e], &mut finals);
+        assert_eq!(finals, [0b1]);
+        assert_eq!(sim.history(e).unwrap(), vec![false, false, true]);
     }
 
     #[test]

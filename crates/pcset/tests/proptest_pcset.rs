@@ -132,45 +132,48 @@ proptest! {
     }
 
     #[test]
-    fn streams_match_sequential_simulation(
+    fn blocks_match_sequential_simulation(
         (nl, seed) in small_circuit_strategy(),
+        lengths in prop::collection::vec(1usize..=64, 1..5),
+        all_monitored in any::<bool>(),
     ) {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x1234);
         let width = nl.primary_inputs().len();
-
-        // Two vectors per lane, three lanes checked against sequential runs.
-        let vectors: Vec<Vec<Vec<bool>>> = (0..2)
-            .map(|_| {
-                (0..3)
-                    .map(|_| (0..width).map(|_| rng.gen()).collect())
-                    .collect()
-            })
+        let vectors: Vec<Vec<bool>> = (0..lengths.iter().sum::<usize>())
+            .map(|_| (0..width).map(|_| rng.gen()).collect())
             .collect();
-
-        let mut streamed = PcSetSimulator::compile(&nl).unwrap();
-        for step in &vectors {
-            let words: Vec<u64> = (0..width)
-                .map(|i| {
-                    let mut word = 0u64;
-                    for (lane, vector) in step.iter().enumerate() {
-                        word |= (vector[i] as u64) << lane;
-                    }
-                    word
-                })
-                .collect();
-            streamed.simulate_streams(&words);
-        }
-
-        for lane in 0..3usize {
-            let mut sequential = PcSetSimulator::compile(&nl).unwrap();
-            for step in &vectors {
-                sequential.simulate_vector(&step[lane]);
+        let monitored: Vec<_> = if all_monitored {
+            nl.net_ids().collect()
+        } else {
+            nl.primary_outputs().to_vec()
+        };
+        let outputs = nl.primary_outputs();
+        let mut blocked = PcSetSimulator::compile_with_monitors(&nl, &monitored).unwrap();
+        let mut sequential = blocked.clone();
+        let mut finals = vec![0u64; outputs.len()];
+        let mut start = 0;
+        for &len in &lengths {
+            let block: Vec<&[bool]> = vectors[start..start + len].iter().map(Vec::as_slice).collect();
+            // Lane j's history is the last one of the block's first j + 1
+            // lanes run from the same state.
+            for lanes in 1..=len {
+                sequential.simulate_vector(block[lanes - 1]);
+                let mut prefix = blocked.clone();
+                prefix.simulate_block(&block[..lanes], outputs, &mut finals);
+                for &net in &monitored {
+                    prop_assert_eq!(
+                        prefix.history(net),
+                        sequential.history(net),
+                        "vector {}, net {}", start + lanes - 1, net
+                    );
+                }
             }
-            for &po in nl.primary_outputs() {
-                let lane_bit = streamed.final_value_streams(po) >> lane & 1 != 0;
-                prop_assert_eq!(lane_bit, sequential.final_value(po), "lane {}", lane);
+            blocked.simulate_block(&block, outputs, &mut finals);
+            for net in nl.net_ids() {
+                prop_assert_eq!(blocked.final_value(net), sequential.final_value(net));
             }
+            start += len;
         }
     }
 }

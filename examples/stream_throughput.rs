@@ -1,70 +1,94 @@
-//! The PC-set method's data-parallel edge (paper §3/§6): its state
-//! words can carry 64 independent simulation streams, so 64 input
-//! sequences advance per pass — the "bit-parallel simulation of multiple
-//! input vectors" the paper notes the parallel technique cannot do
-//! (its word dimension is already spent on time).
+//! The PC-set method's data-parallel edge (paper §3/§6): every state
+//! word has 64 bit lanes, so one pass over the compiled program can
+//! carry 64 consecutive vectors of one stream — the "bit-parallel
+//! simulation of multiple input vectors" the paper notes the parallel
+//! technique cannot do (its word dimension is already spent on time).
+//! In a block, lane `k` retains the settled values of lane `k - 1`, so
+//! every vector sees exactly the history it would see run alone.
+//!
+//! This times one stream run a vector per pass and in blocks of 64,
+//! then checks every vector's primary-output history on both paths.
 //!
 //! Run with: `cargo run --release --example stream_throughput`
 
 use std::time::Instant;
 
 use unit_delay_sim::core::vectors::RandomVectors;
+use unit_delay_sim::core::BLOCK;
 use unit_delay_sim::netlist::generators::iscas::Iscas85;
 use unit_delay_sim::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let nl = Iscas85::C880.build();
-    let width = nl.primary_inputs().len();
-    let sequences = 64usize;
-    let steps = 2_000usize;
-
-    // 64 independent vector sequences.
-    let streams: Vec<Vec<Vec<bool>>> = (0..sequences)
-        .map(|lane| RandomVectors::new(width, lane as u64).take(steps).collect())
+    let outputs = nl.primary_outputs();
+    let vectors: Vec<Vec<bool>> = RandomVectors::new(nl.primary_inputs().len(), 1990)
+        .take(4096)
         .collect();
+    let blocks: Vec<Vec<&[bool]>> = vectors
+        .chunks(BLOCK)
+        .map(|block| block.iter().map(Vec::as_slice).collect())
+        .collect();
+    let compiled = PcSetSimulator::compile(&nl)?;
 
-    // Sequential: one simulator per sequence.
+    let mut sim = compiled.clone();
     let start = Instant::now();
-    let mut sequential_finals = Vec::new();
-    for lane in streams.iter() {
-        let mut sim = PcSetSimulator::compile(&nl)?;
-        for vector in lane {
-            sim.simulate_vector(vector);
+    for vector in &vectors {
+        sim.simulate_vector(vector);
+    }
+    let per_vector = start.elapsed().as_secs_f64();
+
+    let mut sim = compiled.clone();
+    let mut finals = vec![0u64; outputs.len()];
+    let start = Instant::now();
+    for block in &blocks {
+        sim.simulate_block(block, outputs, &mut finals);
+    }
+    let blocked = start.elapsed().as_secs_f64();
+
+    // Vector `s + j` of a block starting at `s` is the last vector of
+    // the block's first `j + 1` lanes, so running that prefix from the
+    // block's starting state exposes its history.
+    let mut reference = compiled.clone();
+    let mut sim = compiled;
+    let mut index = 0;
+    for block in &blocks {
+        for lanes in 1..=block.len() {
+            reference.simulate_vector(block[lanes - 1]);
+            let mut prefix = sim.clone();
+            prefix.simulate_block(&block[..lanes], outputs, &mut finals);
+            for &po in outputs {
+                assert_eq!(
+                    prefix.history(po),
+                    reference.history(po),
+                    "vector {index}, output {}",
+                    nl.net_name(po)
+                );
+            }
+            index += 1;
         }
-        sequential_finals.push(sim.final_value(nl.primary_outputs()[0]));
-    }
-    let sequential_time = start.elapsed().as_secs_f64();
-
-    // Data-parallel: all 64 sequences in one simulator, bit-sliced.
-    let start = Instant::now();
-    let mut sim = PcSetSimulator::compile(&nl)?;
-    for step in 0..steps {
-        let words: Vec<u64> = (0..width)
-            .map(|i| {
-                let mut word = 0u64;
-                for (lane, sequence) in streams.iter().enumerate() {
-                    word |= (sequence[step][i] as u64) << lane;
-                }
-                word
-            })
-            .collect();
-        sim.simulate_streams(&words);
-    }
-    let parallel_time = start.elapsed().as_secs_f64();
-
-    // The two executions must agree lane for lane.
-    let finals = sim.final_value_streams(nl.primary_outputs()[0]);
-    for (lane, &expected) in sequential_finals.iter().enumerate() {
-        assert_eq!(finals >> lane & 1 != 0, expected, "lane {lane} diverged");
+        sim.simulate_block(block, outputs, &mut finals);
+        for (&po, &word) in outputs.iter().zip(&finals) {
+            assert_eq!(
+                word >> (block.len() - 1) & 1 != 0,
+                reference.final_value(po)
+            );
+        }
     }
 
-    println!("{}: {} sequences x {} vectors", nl.name(), sequences, steps);
-    println!("  sequential:    {sequential_time:.3} s");
-    println!("  64-stream:     {parallel_time:.3} s");
+    let rate = |seconds: f64| vectors.len() as f64 / seconds;
+    println!("{}: one stream of {} vectors", nl.name(), vectors.len());
     println!(
-        "  speedup:       {:.1}x (upper bound 64x; overhead is the per-op dispatch)",
-        sequential_time / parallel_time
+        "  one vector per pass: {per_vector:.4} s ({:.0} vectors/s)",
+        rate(per_vector)
     );
-    println!("  lanes verified against sequential runs: all 64 agree");
+    println!(
+        "  {BLOCK} vectors per pass: {blocked:.4} s ({:.0} vectors/s)",
+        rate(blocked)
+    );
+    println!(
+        "  speedup:             {:.1}x (a block costs a settle sweep plus one pass)",
+        per_vector / blocked
+    );
+    println!("  every vector's output history agrees on both paths");
     Ok(())
 }
