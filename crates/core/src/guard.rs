@@ -215,10 +215,7 @@ impl EngineFactory for DefaultEngineFactory {
 /// The guarded degradation chain headed by `preferred`: the preferred
 /// engine (when given) followed by [`GuardedSimulator::DEFAULT_CHAIN`]
 /// minus duplicates. This is how [`Engine::Native`] — deliberately
-/// absent from the default chain — joins it: `--engine native
-/// --fallback` (and the daemon's `engine=native`) run
-/// `chain_preferring(Some(Engine::Native))`, so a host without a C
-/// toolchain degrades to the interpreted engines instead of failing.
+/// absent from the default chain — joins it (see [`chain_for`]).
 pub fn chain_preferring(preferred: Option<Engine>) -> Vec<Engine> {
     let mut chain = Vec::with_capacity(GuardedSimulator::DEFAULT_CHAIN.len() + 1);
     if let Some(engine) = preferred {
@@ -230,6 +227,18 @@ pub fn chain_preferring(preferred: Option<Engine>) -> Vec<Engine> {
         }
     }
     chain
+}
+
+/// The chain that serves a request for `requested`: with `fallback`,
+/// or for [`Engine::Native`] (which a host without a C compiler must
+/// survive), [`chain_preferring`]; otherwise the one engine requested,
+/// or the head of [`GuardedSimulator::DEFAULT_CHAIN`].
+pub fn chain_for(requested: Option<Engine>, fallback: bool) -> Vec<Engine> {
+    if fallback || requested == Some(Engine::Native) {
+        chain_preferring(requested)
+    } else {
+        vec![requested.unwrap_or(GuardedSimulator::DEFAULT_CHAIN[0])]
+    }
 }
 
 /// A fallback that fired: the engine given up on and why.
@@ -792,6 +801,24 @@ mod tests {
         assert_eq!(native[1..], GuardedSimulator::DEFAULT_CHAIN);
         let already = chain_preferring(Some(Engine::ParallelPathTracingTrimming));
         assert_eq!(already, GuardedSimulator::DEFAULT_CHAIN);
+    }
+
+    #[test]
+    fn chain_for_runs_one_engine_unless_asked_to_degrade() {
+        let head = GuardedSimulator::DEFAULT_CHAIN[0];
+        assert_eq!(chain_for(None, false), [head]);
+        assert_eq!(chain_for(Some(Engine::PcSet), false), [Engine::PcSet]);
+        assert_eq!(chain_for(None, true), GuardedSimulator::DEFAULT_CHAIN);
+        assert_eq!(
+            chain_for(Some(Engine::PcSet), true),
+            chain_preferring(Some(Engine::PcSet))
+        );
+        for fallback in [false, true] {
+            assert_eq!(
+                chain_for(Some(Engine::Native), fallback),
+                chain_preferring(Some(Engine::Native))
+            );
+        }
     }
 
     #[test]

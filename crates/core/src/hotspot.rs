@@ -163,6 +163,19 @@ pub struct LeveledStep {
     pub span_ns: u64,
 }
 
+impl LeveledStep {
+    /// The shards' steps folded into one: their profiles merged, their
+    /// spans added.
+    pub fn merged<'a>(steps: impl IntoIterator<Item = &'a LeveledStep>) -> LeveledStep {
+        let mut total = LeveledStep::default();
+        for step in steps {
+            total.profile.merge(&step.profile);
+            total.span_ns = total.span_ns.saturating_add(step.span_ns);
+        }
+        total
+    }
+}
+
 impl Step for LeveledStep {
     fn step(&mut self, guard: &mut GuardedSimulator, inputs: &[bool]) -> Result<(), SimError> {
         let (_, call_ns) = guard.simulate_vector_leveled(inputs, &mut self.profile)?;
@@ -201,18 +214,15 @@ pub fn collect<V: AsRef<[bool]> + Sync>(
         LeveledStep::default,
         discard,
     )?;
-    let mut measured = LevelProfile::default();
-    for shard in &shards {
-        measured.merge(&shard.step.profile);
-    }
+    let total = LeveledStep::merged(shards.iter().map(|shard| &shard.step));
     Ok(HotspotReport {
         // Degradations are per-shard; report the last shard's engine.
         engine: shards[shards.len() - 1].report.engine,
         word_bits,
         vectors: shards.iter().map(|s| s.report.vectors).sum(),
         jobs: shards.len(),
-        span_ns: shards.iter().map(|s| s.step.span_ns).sum(),
-        measured,
+        span_ns: total.span_ns,
+        measured: total.profile,
         static_profile: prototype.level_static_profile(),
     })
 }

@@ -22,6 +22,8 @@
 
 use std::io::{self, Read, Write};
 
+use crate::telemetry::json::Json;
+
 /// Maximum bytes of request line + headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
@@ -307,13 +309,14 @@ impl Response {
         }
     }
 
-    /// An `application/json` response.
-    pub fn json(status: u16, body: impl Into<String>) -> Response {
+    /// An `application/json` response: `document`, rendered, and a
+    /// newline.
+    pub fn json(status: u16, document: Json) -> Response {
+        let mut body = document.render();
+        body.push('\n');
         Response {
-            status,
             content_type: "application/json",
-            extra_headers: Vec::new(),
-            body: body.into().into_bytes(),
+            ..Response::text(status, body)
         }
     }
 
@@ -520,12 +523,14 @@ mod tests {
     #[test]
     fn response_renders_status_line_headers_and_body() {
         let mut out = Vec::new();
-        Response::json(200, "{}").write_to(&mut out, false).unwrap();
+        Response::json(200, Json::Obj(Vec::new()))
+            .write_to(&mut out, false)
+            .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
-        assert!(text.contains("Content-Length: 2\r\n"));
+        assert!(text.contains("Content-Length: 3\r\n"));
         assert!(text.contains("Connection: close\r\n"));
-        assert!(text.ends_with("\r\n\r\n{}"));
+        assert!(text.ends_with("\r\n\r\n{}\n"));
     }
 
     #[test]

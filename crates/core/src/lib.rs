@@ -100,7 +100,7 @@ pub use batch::{
 pub use cache::{netlist_hash, CacheKey, EngineCache};
 pub use cancel::{CancelCause, CancelToken};
 pub use error::{FailureClass, SimError, SimErrorKind, SimPhase};
-pub use guard::{chain_preferring, DefaultEngineFactory, GuardedSimulator};
+pub use guard::{chain_for, chain_preferring, DefaultEngineFactory, GuardedSimulator};
 pub use hotspot::{
     HotspotReport, HotspotRing, HotspotSample, HotspotWindow, LeveledStep, HOTSPOT_SCHEMA,
 };

@@ -11,8 +11,11 @@
 //! # Execution model
 //!
 //! One acceptor thread plus a fixed pool of [`ServeConfig::workers`]
-//! worker threads, joined by a bounded work queue — thread count is
-//! statically bounded at `workers + 1` no matter the offered load.
+//! worker threads, joined by a bounded work queue. A running request
+//! adds threads of its own: `jobs` > 1 steps its shards on that many
+//! scoped threads (at most [`MAX_JOBS`]), and a cold native build runs
+//! up to one `cc` helper per core. Whatever the load, that is at most
+//! `1 + workers × (1 + MAX_JOBS)` threads plus the builds' `cc` helpers.
 //! The acceptor only accepts and enqueues, and between connections it
 //! blocks in `poll(2)` on the listener and a waker (see
 //! `crate::wake`): an idle daemon makes no wake-ups, and every drain
@@ -117,7 +120,7 @@ use uds_netlist::{bench_format, Netlist, Probe, ResourceLimits};
 use crate::cache::{netlist_hash, CacheKey, EngineCache, Spelling};
 use crate::cancel::{CancelCause, CancelToken};
 use crate::error::{FailureClass, SimError, SimErrorKind};
-use crate::guard::{DefaultEngineFactory, GuardedSimulator};
+use crate::guard::{chain_for, DefaultEngineFactory, GuardedSimulator};
 use crate::hotspot::{HotspotRing, HotspotSample, LeveledStep, HOTSPOT_SCHEMA};
 use crate::http::{read_request, HttpError, Request, Response, TRACE_ID_HEADER};
 use crate::progress::{BatchProbe, Heartbeat};
@@ -166,7 +169,7 @@ pub struct ServeConfig {
     /// Largest accepted vector batch per request.
     pub max_vectors: usize,
     /// Worker threads serving connections and jobs (0 = one per
-    /// available core). Total thread count is `workers + 1` (acceptor).
+    /// available core); the module docs give the thread bound.
     pub workers: usize,
     /// Bounded backpressure queue: connections and jobs waiting for a
     /// worker. A full queue sheds with 429 + `Retry-After`.
@@ -1314,14 +1317,8 @@ impl SimServer {
         let (guard, cache_state) = match lookup {
             Some(fork) => (fork, "hit"),
             None => {
-                let chain: Vec<Engine> = match parsed.engine {
-                    // Native opts into the full degradation chain so a
-                    // host without a C toolchain still answers (the
-                    // fallback is counted, never silent).
-                    Some(Engine::Native) => crate::guard::chain_preferring(Some(Engine::Native)),
-                    Some(engine) => vec![engine],
-                    None => GuardedSimulator::DEFAULT_CHAIN.to_vec(),
-                };
+                // A request naming no engine runs the whole chain.
+                let chain = chain_for(parsed.engine, parsed.engine.is_none());
                 let factory = Box::new(DefaultEngineFactory::with_word(parsed.word));
                 let compile_clock = Instant::now();
                 trace.span_start("serve.compile");
@@ -1395,21 +1392,14 @@ impl SimServer {
             wall_ns,
         );
         if let Some(ring) = &self.hotspots {
-            let mut profile = uds_netlist::LevelProfile::default();
-            for step in shards.iter().filter_map(|shard| shard.step.as_ref()) {
-                profile.merge(&step.profile);
-            }
+            let sample = LeveledStep::merged(shards.iter().filter_map(|shard| shard.step.as_ref()));
             ring.lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .push(HotspotSample {
                     at: Instant::now(),
                     engine,
-                    profile,
-                    span_ns: shards
-                        .iter()
-                        .filter_map(|shard| shard.step.as_ref())
-                        .map(|step| step.span_ns)
-                        .sum(),
+                    profile: sample.profile,
+                    span_ns: sample.span_ns,
                     vectors: rows.len() as u64,
                 });
             self.telemetry.add("serve.hotspot_samples", 1);
@@ -1483,17 +1473,15 @@ impl SimServer {
                 Json::obj(members)
             })
             .collect();
-        let mut text = Json::obj([
+        let body = Json::obj([
             ("schema", Json::Str(HOTSPOT_SCHEMA.to_owned())),
             ("window_s", Json::UInt(window_s)),
             ("samples", Json::UInt(window.samples as u64)),
             ("vectors", Json::UInt(window.vectors)),
             ("span_ns", Json::UInt(window.span_ns)),
             ("engines", Json::Arr(engines)),
-        ])
-        .render();
-        text.push('\n');
-        Response::json(200, text)
+        ]);
+        Response::json(200, body)
     }
 
     /// Folds a failed simulation into counters, log facts, and the
@@ -1552,7 +1540,7 @@ impl SimServer {
         facts.fallbacks = Some(outcome.fallbacks);
         facts.cache = Some(outcome.cache);
 
-        let text = trace.phase("serve.serialize", || {
+        let response = trace.phase("serve.serialize", || {
             let body = Json::obj([
                 ("schema", Json::Str(SERVE_SCHEMA.to_owned())),
                 ("circuit", Json::Str(parsed.netlist.name().to_owned())),
@@ -1566,11 +1554,9 @@ impl SimServer {
                 ("rows", rows_json(&outcome.rows, 0, outcome.rows.len())),
                 ("wall_ns", Json::UInt(outcome.wall_ns)),
             ]);
-            let mut text = body.render();
-            text.push('\n');
-            text
+            Response::json(200, body)
         });
-        (Response::json(200, text), facts)
+        (response, facts)
     }
 
     /// `POST /jobs`: parse eagerly (a malformed job fails now, not
@@ -1616,14 +1602,12 @@ impl SimServer {
         self.note_queue_depth();
         self.telemetry.add("serve.jobs.submitted", 1);
         facts.job = Some(id);
-        let mut text = Json::obj([
+        let body = Json::obj([
             ("schema", Json::Str(JOB_SCHEMA.to_owned())),
             ("job", Json::UInt(id)),
             ("state", Json::Str("queued".to_owned())),
-        ])
-        .render();
-        text.push('\n');
-        (Response::json(202, text), facts)
+        ]);
+        (Response::json(202, body), facts)
     }
 
     /// A queued job, picked up by a worker: run it under the job's
@@ -1714,9 +1698,7 @@ impl SimServer {
         if let Some((_, message)) = &job.error {
             members.push(("error".to_owned(), Json::Str(message.clone())));
         }
-        let mut text = Json::Obj(members).render();
-        text.push('\n');
-        (Response::json(200, text), facts)
+        (Response::json(200, Json::Obj(members)), facts)
     }
 
     /// `DELETE /jobs/:id`: trip the job's cancellation token. A queued
@@ -1744,14 +1726,12 @@ impl SimServer {
             (202, "cancelling")
         };
         drop(job);
-        let mut text = Json::obj([
+        let body = Json::obj([
             ("schema", Json::Str(JOB_SCHEMA.to_owned())),
             ("job", Json::UInt(id)),
             ("state", Json::Str(state.to_owned())),
-        ])
-        .render();
-        text.push('\n');
-        (Response::json(status, text), facts)
+        ]);
+        (Response::json(status, body), facts)
     }
 
     /// Parses a `POST /simulate` body. Errors are `(status, message)`.
@@ -1994,7 +1974,7 @@ fn job_result_response(id: u64, job: &Job, query: &str) -> Response {
     }
     let total = outcome.rows.len();
     let page_len = limit.min(total.saturating_sub(offset));
-    let mut text = Json::obj([
+    let body = Json::obj([
         ("schema", Json::Str(JOB_SCHEMA.to_owned())),
         ("job", Json::UInt(id)),
         ("state", Json::Str("done".to_owned())),
@@ -2010,10 +1990,8 @@ fn job_result_response(id: u64, job: &Job, query: &str) -> Response {
             "complete",
             Json::Bool(offset.saturating_add(page_len) >= total),
         ),
-    ])
-    .render();
-    text.push('\n');
-    Response::json(200, text)
+    ]);
+    Response::json(200, body)
 }
 
 /// Hands each `key=value` pair of a `&`-separated query to `apply`;
@@ -2032,9 +2010,8 @@ fn parse_query(query: &str, mut apply: impl FnMut(&str, &str) -> bool) -> Result
 }
 
 fn error_response(status: u16, message: &str) -> Response {
-    let mut text = Json::obj([("error", Json::Str(message.to_owned()))]).render();
-    text.push('\n');
-    Response::json(status, text)
+    let body = Json::obj([("error", Json::Str(message.to_owned()))]);
+    Response::json(status, body)
 }
 
 #[cfg(test)]

@@ -41,14 +41,14 @@
 //! outputs the CLI prints; internal nets and histories are the test
 //! suites' to check.
 //!
+//! `--vcd OUT.vcd` writes the outputs' unit-delay waveforms as VCD while
+//! the run streams, in bounded memory; it needs a run without `--jobs`.
 //! `--jobs N` shards the vector stream across N worker threads, each
 //! owning its own engine; a zero-delay prepass seeds every shard so the
-//! printed rows are byte-identical to a sequential run for any N
-//! (`--vcd` needs the sequential waveform and cannot be combined with
-//! `--jobs`). The parallel
-//! engines pack their bit-fields into 64-bit words by default; `--word
-//! 32` runs the paper's 32-bit machine model instead. Rows are the same
-//! at either width.
+//! printed rows are byte-identical to a sequential run for any N. The
+//! parallel engines pack their bit-fields into 64-bit words by default;
+//! `--word 32` runs the paper's 32-bit machine model instead. Rows are
+//! the same at either width.
 //!
 //! `--stats OUT.json` writes the telemetry report (span tree, runtime
 //! counters, and the paper's static compile metrics; schema
@@ -108,6 +108,7 @@
 // SimError is large but cold; see guard.rs.
 #![allow(clippy::result_large_err)]
 
+use std::fs::File;
 use std::io::{self, BufWriter, Read as _, Write as _};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -115,10 +116,11 @@ use std::time::{Duration, Instant};
 
 use unit_delay_sim::core::crosscheck::RowCheck;
 use unit_delay_sim::core::guard::EngineFactory;
+use unit_delay_sim::core::telemetry::json::Json;
 use unit_delay_sim::core::vcd::VcdRecorder;
 use unit_delay_sim::core::vectors::RandomVectors;
 use unit_delay_sim::core::{
-    chain_preferring, discard, install_signal_handlers, is_closed_pipe, measure_perf, open_sink,
+    chain_for, discard, install_signal_handlers, is_closed_pipe, measure_perf, open_sink,
     record_build_info, record_perf_class, render_chrome_trace, run_loadgen, run_stream, write_text,
     ActivityProfiler, BatchProbe, DefaultEngineFactory, Engine, FailureClass, GuardedSimulator,
     HumanOut, LoadgenConfig, NdjsonProgress, RunControl, ServeConfig, SimError, SimServer,
@@ -280,7 +282,7 @@ fn usage() -> String {
      hotspots attributes simulate self-time to netlist levels (level 0 = per-vector setup):\n\
      --json writes the uds-hotspot-v1 report, --folded writes collapsed-stack lines\n\
      (`engine;level_K NANOS`) for flamegraph tools; both accept `-` under the shared contract.\n\
-     --progress streams per-shard NDJSON heartbeats during --jobs batch runs, at least\n\
+     --progress streams per-shard NDJSON heartbeats (one shard without --jobs), at least\n\
      --progress-interval ms apart (default 100).\n\
      serve answers POST /simulate, POST /jobs (+ GET/DELETE /jobs/:id), GET /metrics\n\
      (Prometheus), GET /healthz, GET /readyz; --cache N keeps N compiled prototypes resident\n\
@@ -291,6 +293,8 @@ fn usage() -> String {
      /metrics with uds_hotspot_level_self_ns gauges.\n\
      loadgen is closed-loop unless --rate sets open-loop arrivals; --bench makes the fleet\n\
      POST real work, otherwise it GETs --path (default /healthz).\n\n\
+     --vcd writes the outputs' unit-delay waveforms as VCD while the run streams, in bounded\n\
+     memory; it needs the sequential run (no --jobs).\n\
      --crosscheck checks every printed row against the event-driven baseline (any engine,\n\
      chain or --jobs); a row that differs exits 7.\n\
      --engine native compiles the emitted C (cc, or $UDS_CC) and dlopens it; without a C\n\
@@ -413,7 +417,7 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
         }
         Ok(true)
     })?;
-    progress.check(run.jobs)?;
+    progress.check()?;
     // The stream flags share stdout under one contract: at most one `-`,
     // and any `-` moves the human output to stderr.
     let human = stream_contract(&[
@@ -424,15 +428,6 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
     let telemetry = (stats_path.is_some() || trace_path.is_some()).then(Telemetry::new);
     let nl = run.load("simulate", telemetry.as_ref())?;
 
-    // `--engine native` always runs through the full guarded chain: a
-    // host without a C compiler degrades to the interpreted engines
-    // instead of failing the run.
-    let native = run.engine == Some(Engine::Native);
-    let chain = if fallback || native {
-        chain_preferring(run.engine)
-    } else {
-        vec![run.engine()]
-    };
     if run.jobs.is_some() && vcd_path.is_some() {
         return Err(CliError::usage(
             "--vcd needs the sequential waveform and cannot be combined with --jobs",
@@ -440,6 +435,7 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
     }
     let progress = progress.sink()?;
     let factory = Box::new(DefaultEngineFactory::with_word(run.word));
+    let chain = chain_for(run.engine, fallback);
     let guard = build_guard(&nl, limits, &chain, factory, telemetry.as_ref())?;
     if let Some(t) = &telemetry {
         t.label("engine", guard.active_engine().to_string());
@@ -454,9 +450,14 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
         .then(|| RowCheck::new(&nl, guard.active_simulator().engine_name()))
         .transpose()
         .map_err(|e| on_circuit(&nl)(e.into()))?;
-    let mut recorder = vcd_path
-        .as_ref()
-        .map(|_| VcdRecorder::new(&nl, nl.primary_outputs().to_vec()));
+    // The VCD file is opened before the first row and written as it streams.
+    let mut recorder = match &vcd_path {
+        Some(path) => {
+            let file = BufWriter::new(File::create(path).map_err(open_error(path))?);
+            Some(VcdRecorder::new(&nl, nl.primary_outputs().to_vec(), file))
+        }
+        None => None,
+    };
     let mut out = Out::new(&human);
     out.header(&nl, guard.active_engine())?;
     let jobs = run.jobs.unwrap_or(1);
@@ -533,7 +534,10 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
             guarded.active_engine(),
             if fired == 1 { "" } else { "s" }
         );
-        write_vcd(vcd_path, shard.step)?;
+        if let (Some(path), Some(recorder)) = (&vcd_path, shard.step) {
+            recorder.finish().map_err(write_error(path))?;
+            eprintln!("wrote {path}");
+        }
     }
 
     if let Some(telemetry) = &telemetry {
@@ -619,7 +623,7 @@ impl RunOptions {
 
     /// The engine to run when no chain is asked for.
     fn engine(&self) -> Engine {
-        self.engine.unwrap_or(Engine::ParallelPathTracingTrimming)
+        self.engine.unwrap_or(GuardedSimulator::DEFAULT_CHAIN[0])
     }
 
     /// Loads FILE (under a `parse` span) and labels the trace with the
@@ -717,8 +721,8 @@ fn stream_path(flag: &str, rest: &mut Args<'_>) -> Result<String, CliError> {
         .ok_or_else(|| CliError::usage(format!("{flag} needs a path (or `-`)")))
 }
 
-/// `--progress` and `--progress-interval`: the batch heartbeat stream
-/// of `simulate` and `profile`.
+/// `--progress` and `--progress-interval`: the per-shard heartbeat
+/// stream of `simulate` and `profile`, with or without `--jobs`.
 #[derive(Default)]
 struct ProgressFlags {
     path: Option<String>,
@@ -740,12 +744,7 @@ impl ProgressFlags {
     }
 
     /// Rejects a progress flag that could not take effect.
-    fn check(&self, jobs: Option<usize>) -> Result<(), CliError> {
-        if self.path.is_some() && jobs.is_none() {
-            return Err(CliError::usage(
-                "--progress streams batch heartbeats and requires --jobs",
-            ));
-        }
+    fn check(&self) -> Result<(), CliError> {
         if self.interval.is_some() && self.path.is_none() {
             return Err(CliError::usage(
                 "--progress-interval paces the --progress stream and requires it",
@@ -765,9 +764,7 @@ impl ProgressFlags {
                         Some(interval) => NdjsonProgress::with_interval(out, interval),
                         None => NdjsonProgress::new(out),
                     })
-                    .map_err(|e| {
-                        CliError::class(format!("opening {dest}: {e}"), FailureClass::Usage)
-                    })
+                    .map_err(open_error(dest))
             })
             .transpose()
     }
@@ -798,6 +795,11 @@ fn collect_static_metrics(
 /// Renders the telemetry report to `path` (`-` = stdout).
 fn write_stats(path: &str, telemetry: &Telemetry) -> Result<(), CliError> {
     write_text(path, &telemetry.snapshot().render_json()).map_err(write_error(path))
+}
+
+/// Writes `document` and a newline to `path` (`-` = stdout).
+fn write_json(path: &str, document: &Json) -> Result<(), CliError> {
+    write_text(path, &format!("{}\n", document.render())).map_err(write_error(path))
 }
 
 /// Renders the telemetry span tree as Chrome trace_event JSON to
@@ -881,6 +883,11 @@ impl Out {
     }
 }
 
+/// Maps a failure to open `dest` to a usage error.
+fn open_error(dest: &str) -> impl Fn(io::Error) -> CliError + '_ {
+    move |err| CliError::usage(format!("opening {dest}: {err}"))
+}
+
 /// Maps a failure to write `what`: a closed pipe ends the run quietly;
 /// any other failure is a usage-class error.
 fn write_error(what: &str) -> impl Fn(io::Error) -> CliError + '_ {
@@ -891,15 +898,6 @@ fn write_error(what: &str) -> impl Fn(io::Error) -> CliError + '_ {
             CliError::usage(format!("writing {what}: {err}"))
         }
     }
-}
-
-fn write_vcd(path: Option<String>, recorder: Option<VcdRecorder>) -> Result<(), CliError> {
-    if let (Some(path), Some(recorder)) = (path, recorder) {
-        std::fs::write(&path, recorder.render())
-            .map_err(|e| CliError::class(format!("writing {path}: {e}"), FailureClass::Usage))?;
-        eprintln!("wrote {path}");
-    }
-    Ok(())
 }
 
 /// `udsim profile`: simulates a random stream with every net monitored
@@ -921,7 +919,7 @@ fn profile(args: &[String]) -> Result<(), CliError> {
         }
         Ok(true)
     })?;
-    progress.check(run.jobs)?;
+    progress.check()?;
     let mut out = Out::new(&stream_contract(&[
         ("--json", json_path.as_deref()),
         ("--trace", trace_path.as_deref()),
@@ -1003,9 +1001,7 @@ fn profile(args: &[String]) -> Result<(), CliError> {
 
     out.flush()?;
     if let Some(path) = &json_path {
-        let mut rendered = report.to_json().render();
-        rendered.push('\n');
-        write_text(path, &rendered).map_err(write_error(path))?;
+        write_json(path, &report.to_json())?;
     }
     if let (Some(path), Some(telemetry)) = (&trace_path, &telemetry) {
         write_trace(path, telemetry)?;
@@ -1092,9 +1088,7 @@ fn hotspots(args: &[String]) -> Result<(), CliError> {
 
     out.flush()?;
     if let Some(path) = &json_path {
-        let mut rendered = report.to_json().render();
-        rendered.push('\n');
-        write_text(path, &rendered).map_err(write_error(path))?;
+        write_json(path, &report.to_json())?;
     }
     if let Some(path) = &folded_path {
         write_text(path, &report.render_folded()).map_err(write_error(path))?;
@@ -1257,10 +1251,7 @@ fn serve(args: &[String]) -> Result<(), CliError> {
     record_build_info(&telemetry, word.bits());
     let reqlog = reqlog_path
         .as_deref()
-        .map(|dest| {
-            open_sink(dest)
-                .map_err(|e| CliError::class(format!("opening {dest}: {e}"), FailureClass::Usage))
-        })
+        .map(|dest| open_sink(dest).map_err(open_error(dest)))
         .transpose()?;
     let config = ServeConfig {
         cache_capacity,
@@ -1270,22 +1261,17 @@ fn serve(args: &[String]) -> Result<(), CliError> {
         default_jobs: jobs,
         ..config
     };
-    install_signal_handlers().map_err(|e| {
-        CliError::class(
-            format!("installing signal handlers: {e}"),
-            FailureClass::Usage,
-        )
-    })?;
+    install_signal_handlers()
+        .map_err(|e| CliError::usage(format!("installing signal handlers: {e}")))?;
     let mut server = SimServer::bind(&*addr, config, telemetry.clone(), reqlog)
-        .map_err(|e| CliError::class(format!("binding {addr}: {e}"), FailureClass::Usage))?;
+        .map_err(|e| CliError::usage(format!("binding {addr}: {e}")))?;
     if let Some(dest) = trace_path.as_deref() {
-        let sink = open_sink(dest)
-            .map_err(|e| CliError::class(format!("opening {dest}: {e}"), FailureClass::Usage))?;
+        let sink = open_sink(dest).map_err(open_error(dest))?;
         server.set_trace(sink);
     }
     let local = server
         .local_addr()
-        .map_err(|e| CliError::class(format!("binding {addr}: {e}"), FailureClass::Usage))?;
+        .map_err(|e| CliError::usage(format!("binding {addr}: {e}")))?;
     eprintln!("udsim: listening on http://{local}");
     // Self-report the host's perf class before serving: calibrate the
     // machine and warm up on a canonical netlist, then publish the
@@ -1304,7 +1290,7 @@ fn serve(args: &[String]) -> Result<(), CliError> {
     );
     server
         .run()
-        .map_err(|e| CliError::class(format!("serving on {local}: {e}"), FailureClass::Usage))?;
+        .map_err(|e| CliError::usage(format!("serving on {local}: {e}")))?;
     if let Some(path) = &stats_path {
         write_stats(path, &telemetry)?;
     }
@@ -1319,8 +1305,6 @@ fn serve(args: &[String]) -> Result<(), CliError> {
 /// `POST /simulate` work (random stimulus built client-side);
 /// otherwise it probes `GET /healthz`-style read paths.
 fn loadgen(args: &[String]) -> Result<(), CliError> {
-    use unit_delay_sim::core::telemetry::json::Json;
-
     let mut config = LoadgenConfig::default();
     let mut bench_path: Option<String> = None;
     let mut path_override: Option<String> = None;
@@ -1417,9 +1401,7 @@ fn loadgen(args: &[String]) -> Result<(), CliError> {
     }
     out.flush()?;
     if let Some(dest) = &json_path {
-        let mut text = report.to_json().render();
-        text.push('\n');
-        write_text(dest, &text).map_err(write_error(dest))?;
+        write_json(dest, &report.to_json())?;
     }
     Ok(())
 }

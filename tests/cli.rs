@@ -351,6 +351,66 @@ fn batch_with_vcd_is_a_usage_error() {
     assert!(stderr(&out).contains("--vcd"), "{}", stderr(&out));
 }
 
+/// The VCD `udsim simulate examples/c432.bench --vectors N` writes, as
+/// the event-driven baseline sees the same seeded stimulus.
+fn reference_vcd(vectors: usize) -> Vec<u8> {
+    use unit_delay_sim::core::vcd::VcdRecorder;
+    use unit_delay_sim::core::vectors::RandomVectors;
+    use unit_delay_sim::core::{TracedEventSim, UnitDelaySimulator};
+
+    let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/examples/c432.bench"))
+        .expect("c432 example present");
+    let nl = unit_delay_sim::netlist::bench_format::parse(&text, "c432").expect("c432 parses");
+    let mut sim = TracedEventSim::new(&nl).expect("combinational");
+    let mut vcd = Vec::new();
+    let mut recorder = VcdRecorder::new(&nl, nl.primary_outputs().to_vec(), &mut vcd);
+    for inputs in RandomVectors::new(nl.primary_inputs().len(), 1990).take(vectors) {
+        sim.simulate_vector(&inputs);
+        recorder.record(&sim);
+    }
+    recorder.finish().expect("a Vec takes every write");
+    vcd
+}
+
+#[test]
+fn vcd_files_match_the_event_driven_baseline() {
+    let bench = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/c432.bench");
+    let expected = reference_vcd(4097);
+    for (name, flags) in [
+        ("default", &[][..]),
+        ("pc-set", &["--engine", "pc-set"][..]),
+        ("word32", &["--word", "32"][..]),
+    ] {
+        let vcd = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("c432-{name}.vcd"));
+        let mut args = vec!["simulate", bench, "--vectors", "4097"];
+        args.extend_from_slice(flags);
+        args.extend_from_slice(&["--vcd", vcd.to_str().unwrap()]);
+        let out = udsim(&args);
+        assert_eq!(out.status.code(), Some(0), "{name}: {}", stderr(&out));
+        let written = std::fs::read(&vcd).expect("VCD written");
+        assert!(
+            written == expected,
+            "{name}: VCD differs from the baseline's"
+        );
+    }
+}
+
+#[test]
+fn unwritable_vcd_path_exits_before_any_row() {
+    let path = fixture("vcd-nodir.bench", C17);
+    let out = udsim(&[
+        "simulate",
+        path.to_str().unwrap(),
+        "--vectors",
+        "4",
+        "--vcd",
+        "/nonexistent-dir-for-udsim-test/out.vcd",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(out.stdout.is_empty(), "rows printed before the failure");
+    assert!(stderr(&out).contains("out.vcd"), "{}", stderr(&out));
+}
+
 #[test]
 fn zero_jobs_is_a_usage_error() {
     let path = fixture("batch4.bench", C17);

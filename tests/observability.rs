@@ -295,12 +295,47 @@ fn two_stream_flags_cannot_both_claim_stdout() {
 }
 
 #[test]
-fn progress_without_jobs_is_a_usage_error() {
+fn progress_without_jobs_streams_the_one_shard() {
+    // Without --jobs the run is one inline shard, and it reports like
+    // any shard of a --jobs run: shard 0, ending in one final record.
     let bench = fixture("nojobs17.bench", C17);
-    let out = udsim(&["simulate", bench.to_str().unwrap(), "--progress", "-"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--jobs"), "{err}");
+    for command in ["simulate", "profile"] {
+        let out = udsim(&[
+            command,
+            bench.to_str().unwrap(),
+            "--vectors",
+            "300",
+            "--progress",
+            "-",
+        ]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{command}: {err}");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8");
+        let beats: Vec<Json> = stdout
+            .lines()
+            .map(|line| Json::parse(line).expect("every line is one JSON record"))
+            .collect();
+        assert!(!beats.is_empty(), "{command} sent no heartbeat");
+        for beat in &beats {
+            assert_eq!(
+                beat.get("schema").and_then(Json::as_str),
+                Some(PROGRESS_SCHEMA)
+            );
+            assert_eq!(beat.get("shard").and_then(Json::as_u64), Some(0));
+        }
+        let finished = |b: &Json| b.get("finished") == Some(&Json::Bool(true));
+        assert_eq!(beats.iter().filter(|b| finished(b)).count(), 1, "{stdout}");
+        let last = beats.last().expect("at least one heartbeat");
+        assert!(finished(last), "{command}: {stdout}");
+        assert_eq!(last.get("done").and_then(Json::as_u64), Some(300));
+        // The human output moved to stderr.
+        let human = if command == "simulate" {
+            "-> "
+        } else {
+            "toggles"
+        };
+        assert!(err.contains(human), "{command}: {err}");
+    }
 }
 
 #[test]
