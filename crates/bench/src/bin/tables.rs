@@ -58,7 +58,7 @@ use uds_bench::paper;
 use uds_bench::runner::{self, suite, Timing};
 use uds_bench::table::{ratio, seconds, Table};
 use uds_core::telemetry::json::Json;
-use uds_core::{is_closed_pipe, write_text, Engine, StreamContract};
+use uds_core::{is_closed_pipe, write_text, Engine, StreamContract, WordWidth};
 use uds_netlist::generators::iscas::Iscas85;
 use uds_parallel::Optimization;
 
@@ -595,6 +595,52 @@ fn fig24(vectors: usize, out: &Output) {
         100.0 * gain_total / 10.0,
         100.0 * paper::claims::SHIFT_ELIM_TRIM_AVG_IMPROVEMENT
     ));
+
+    // The same columns at the runtime's 64-bit words, the programs
+    // `udsim simulate` and `serve` run by default. Their rows carry
+    // `word_bits`, so `tables compare` keys them apart from the paper's
+    // 32-bit rows above.
+    let word = WordWidth::W64;
+    out.line(format!(
+        "\n== Fig. 24 at {}-bit words (the runtime default), {vectors} vectors ==",
+        word.bits()
+    ));
+    let mut table = Table::new(&[
+        "circuit",
+        "unopt",
+        "path-tracing",
+        "with trimming",
+        "time gain",
+        "op gain",
+    ]);
+    for (circuit, nl) in suite() {
+        let unopt = runner::time_parallel_at(&nl, Optimization::None, word, vectors);
+        let pt = runner::time_parallel_at(&nl, Optimization::PathTracing, word, vectors);
+        let both = runner::time_parallel_at(&nl, Optimization::PathTracingTrimming, word, vectors);
+        let unopt_ops = runner::word_ops_at(&nl, Optimization::None, word) as f64;
+        let both_ops = runner::word_ops_at(&nl, Optimization::PathTracingTrimming, word) as f64;
+        table.row(vec![
+            circuit.to_string(),
+            best(unopt),
+            best(pt),
+            best(both),
+            percent_gain(unopt.min_s, both.min_s),
+            percent_gain(unopt_ops, both_ops),
+        ]);
+        rows.push(Json::obj([
+            ("circuit", Json::Str(circuit.to_string())),
+            ("word_bits", Json::UInt(word.bits().into())),
+            ("unoptimized", timing_json(unopt, vectors)),
+            ("path_tracing", timing_json(pt, vectors)),
+            ("path_tracing_trimming", timing_json(both, vectors)),
+            ("unoptimized_word_ops", Json::UInt(unopt_ops as u64)),
+            (
+                "path_tracing_trimming_word_ops",
+                Json::UInt(both_ops as u64),
+            ),
+        ]));
+    }
+    out.line(Table::render(&table));
     out.write_json("fig24", Some(vectors), rows);
 }
 

@@ -9,7 +9,8 @@
 //! 2. flattens each document's rows into cells keyed by
 //!    **circuit × engine × jobs × word** (the `batched` array of the
 //!    `parallel` figure contributes one cell per jobs level; the word
-//!    width rides in from the calibration fingerprint);
+//!    width rides in from the calibration fingerprint, unless a row
+//!    names its own in a `word_bits` member);
 //! 3. converts every timing cell's median to vectors/second and
 //!    normalizes the NEW side by the **calibration ratio**
 //!    `old_score / new_score`, so replaying a baseline on a faster or
@@ -182,12 +183,14 @@ pub fn parse_doc(doc: &Json) -> Result<BenchDoc, CompareError> {
             .and_then(Json::as_str)
             .ok_or_else(|| CompareError("row without a `circuit` member".into()))?
             .to_owned();
+        // A row measured at another width than the document's says so.
+        let word = row.get("word_bits").and_then(Json::as_u64).unwrap_or(word);
         let members = row
             .as_obj()
             .ok_or_else(|| CompareError("row is not an object".into()))?;
         for (name, value) in members {
             // Paper transcriptions are constants, not measurements.
-            if name == "circuit" || name.starts_with("paper_") {
+            if name == "circuit" || name == "word_bits" || name.starts_with("paper_") {
                 continue;
             }
             let key = |engine: &str, jobs: u64| CellKey {
@@ -684,6 +687,20 @@ mod tests {
             .find(|c| c.key.engine == "word_ops")
             .unwrap();
         assert_eq!(cell.class, CellClass::Regressed);
+    }
+
+    #[test]
+    fn a_row_naming_its_word_width_keys_its_own_cells() {
+        // The same circuit measured at the document's 32-bit words and
+        // again at 64: two cells per column, neither a static member.
+        let text = r#"{"schema":"uds-bench-v1","figure":"fig24","vectors":500,
+            "calibration":{"score":1.0,"word_bits":32},"rows":[
+            {"circuit":"c432","word_ops":327},
+            {"circuit":"c432","word_bits":64,"word_ops":327}]}"#;
+        let doc = parse_doc(&Json::parse(text).unwrap()).unwrap();
+        let words: Vec<u64> = doc.cells.keys().map(|key| key.word).collect();
+        assert_eq!(words, [32, 64]);
+        assert!(doc.cells.keys().all(|key| key.engine == "word_ops"));
     }
 
     #[test]

@@ -31,7 +31,7 @@ use uds_eventsim::zero_delay::{ZeroDelayCompiled, ZeroDelayInterpreted};
 use uds_eventsim::ConventionalEventDriven;
 use uds_netlist::generators::iscas::Iscas85;
 use uds_netlist::{Logic3, Netlist, ResourceLimits};
-use uds_parallel::{Optimization, ParallelSimulator};
+use uds_parallel::{Optimization, ParallelSim, ParallelSimulator, Word};
 use uds_pcset::PcSetSimulator;
 
 /// Stimulus seed used everywhere, so every engine sees the same stream.
@@ -197,11 +197,28 @@ pub fn fig19(netlist: &Netlist, vectors: usize) -> Fig19Measurement {
     }
 }
 
-/// Measured timing for one parallel-technique optimization level.
+/// Measured timing for one parallel-technique optimization level, at
+/// the figures' [`BENCH_WORD`].
 pub fn time_parallel(netlist: &Netlist, optimization: Optimization, vectors: usize) -> Timing {
-    let stimulus = stimulus(netlist, vectors);
-    let mut sim = ParallelSimulator::compile(netlist, optimization).expect("combinational");
-    time_over(&stimulus, |v| sim.simulate_vector(v))
+    time_parallel_at(netlist, optimization, BENCH_WORD, vectors)
+}
+
+/// [`time_parallel`] at arena word width `word`.
+pub fn time_parallel_at(
+    netlist: &Netlist,
+    optimization: Optimization,
+    word: WordWidth,
+    vectors: usize,
+) -> Timing {
+    fn time<W: Word>(netlist: &Netlist, optimization: Optimization, vectors: usize) -> Timing {
+        let stimulus = stimulus(netlist, vectors);
+        let mut sim = ParallelSim::<W>::compile(netlist, optimization).expect("combinational");
+        time_over(&stimulus, |v| sim.simulate_vector(v))
+    }
+    match word {
+        WordWidth::W32 => time::<u32>(netlist, optimization, vectors),
+        WordWidth::W64 => time::<u64>(netlist, optimization, vectors),
+    }
 }
 
 /// Measured timing for the native engine: the emitted parallel
@@ -226,15 +243,30 @@ pub fn time_native(netlist: &Netlist, vectors: usize) -> Option<Timing> {
 /// Compiles `netlist` at `optimization` with a fresh telemetry registry
 /// attached and returns the registry (holding the compile gauges).
 pub fn parallel_telemetry(netlist: &Netlist, optimization: Optimization) -> Telemetry {
+    parallel_telemetry_at(netlist, optimization, BENCH_WORD)
+}
+
+/// [`parallel_telemetry`] for arena word width `word`.
+fn parallel_telemetry_at(
+    netlist: &Netlist,
+    optimization: Optimization,
+    word: WordWidth,
+) -> Telemetry {
+    fn compile<W: Word>(netlist: &Netlist, optimization: Optimization, telemetry: &Telemetry) {
+        ParallelSim::<W>::compile_probed(
+            netlist,
+            optimization,
+            false,
+            &ResourceLimits::unlimited(),
+            telemetry,
+        )
+        .expect("combinational");
+    }
     let telemetry = Telemetry::new();
-    ParallelSimulator::compile_probed(
-        netlist,
-        optimization,
-        false,
-        &ResourceLimits::unlimited(),
-        &telemetry,
-    )
-    .expect("combinational");
+    match word {
+        WordWidth::W32 => compile::<u32>(netlist, optimization, &telemetry),
+        WordWidth::W64 => compile::<u64>(netlist, optimization, &telemetry),
+    }
     telemetry
 }
 
@@ -253,7 +285,12 @@ fn gauge(telemetry: &Telemetry, name: &str) -> u64 {
 /// 24, while wall-clock on a modern out-of-order core compresses per-op
 /// differences (see EXPERIMENTS.md).
 pub fn word_ops(netlist: &Netlist, optimization: Optimization) -> usize {
-    let telemetry = parallel_telemetry(netlist, optimization);
+    word_ops_at(netlist, optimization, BENCH_WORD)
+}
+
+/// [`word_ops`] for arena word width `word`.
+pub fn word_ops_at(netlist: &Netlist, optimization: Optimization, word: WordWidth) -> usize {
+    let telemetry = parallel_telemetry_at(netlist, optimization, word);
     gauge(
         &telemetry,
         &format!("parallel.{}.word_ops", optimization.key()),

@@ -117,6 +117,7 @@ fn kernel<W: Word>(
     // all-zero inputs), so the first vector's retained bits are right.
     let set = simulator.initial_arena().iter().map(|&w| w != W::ZERO);
     let mut kernel = Kernel::open(out, &names, set, native, "const word *pi");
+    let mut staged: Vec<FieldShift> = Vec::new();
     for op in &program.ops {
         let out = kernel.op();
         match *op {
@@ -215,78 +216,46 @@ fn kernel<W: Word>(
                 let _ = writeln!(out, "    }}");
             }
             WOp::ShiftField { .. } | WOp::ShiftRight { .. } => {
-                // Materialize a shifted presentation of a field
-                // (Fig. 18). Bottom/top fills and the funnel offsets are
-                // compile-time constants; source and destination never
-                // overlap, so the per-word funnel unrolls directly. Both
-                // ops emit this one text: the executor's decode is not
-                // the C compiler's business.
-                let FieldShift {
-                    dst,
-                    dst_words,
-                    src,
-                    src_width,
-                    shift,
-                } = op.as_field_shift::<W>().expect("a shift op");
-                let top_word = (src_width - 1) / b;
-                // The bit of the top word that holds the field's top bit.
-                let top_bit = (src_width - 1) % b;
-                let offset = (-i64::from(shift)).rem_euclid(i64::from(b));
-                let base = (-i64::from(shift) - offset) / i64::from(b);
-                let src_at = |i: i64| -> String {
-                    if i < 0 {
-                        "uds_bf".to_owned()
-                    } else if i as u32 > top_word {
-                        "uds_tf".to_owned()
-                    } else if i as u32 == top_word {
-                        "uds_st".to_owned()
-                    } else {
-                        names[(src + i as u32) as usize].clone()
-                    }
-                };
-                let raw_top = names[(src + top_word) as usize].clone();
-                let _ = writeln!(out, "    {{ /* shifted field presentation ({shift:+}) */");
-                let _ = writeln!(
-                    out,
-                    "        const word uds_bf = (word)0 - ({} & (word)1);",
-                    names[src as usize]
-                );
-                let _ = writeln!(
-                    out,
-                    "        const word uds_tf = (word)0 - ({raw_top} >> {top_bit} & (word)1);"
-                );
-                if top_bit == b - 1 {
-                    // Full top word: the sanitization mask is all ones.
-                    let _ = writeln!(out, "        const word uds_st = {raw_top};");
+                // Both ops emit one text: the executor's decode is not
+                // the C compiler's business. An input presentation is
+                // held for the gate that reads it, which writes all its
+                // presentations, fused ones included, in staging order.
+                let shift = op.as_field_shift::<W>().expect("a shift op");
+                if program.staging.holds(shift.dst) {
+                    staged.push(shift);
                 } else {
-                    let mask = mask_literal(top_bit + 1);
-                    let _ = writeln!(
-                        out,
-                        "        const word uds_st = ({raw_top} & {mask}) | (uds_tf & ~{mask});"
-                    );
+                    write_presentation(out, &names, b, shift);
                 }
-                for w in 0..i64::from(dst_words) {
-                    let dname = names[(dst + w as u32) as usize].clone();
-                    if offset == 0 {
-                        let _ = writeln!(out, "        {dname} = {};", src_at(base + w));
-                    } else {
-                        let _ = writeln!(
-                            out,
-                            "        {dname} = ({} >> {offset}) | ({} << {});",
-                            src_at(base + w),
-                            src_at(base + w + 1),
-                            i64::from(b) - offset
-                        );
-                    }
-                }
-                let _ = writeln!(out, "    }}");
             }
             _ => {
-                let (kind, dst, slots) = op
+                let (kind, dst, operands) = op
                     .as_gate(&program.operands)
                     .expect("every other op is a gate evaluation");
+                // A fused operand reads the presentation the compiler
+                // staged for it: its gate's `k`-th distinct shifted
+                // input, counting the staged ones too.
+                let mut reads: Vec<u32> = operands.iter().map(|o| o.slot).collect();
+                if operands.iter().any(|o| o.shift.is_shift()) {
+                    let mut k = 0;
+                    for (i, operand) in operands.iter().enumerate() {
+                        if let Some(first) = operands[..i].iter().position(|o| o == operand) {
+                            reads[i] = reads[first];
+                        } else if operand.shift.is_shift() {
+                            reads[i] = program.staging.slot(k);
+                            staged.push(operand.shift.presentation::<W>(operand.slot, reads[i]));
+                            k += 1;
+                        } else if program.staging.holds(operand.slot) {
+                            debug_assert_eq!(operand.slot, program.staging.slot(k));
+                            k += 1;
+                        }
+                    }
+                    staged.sort_by_key(|shift| shift.dst);
+                }
+                for shift in staged.drain(..) {
+                    write_presentation(out, &names, b, shift);
+                }
                 let operands: Vec<&str> =
-                    slots.iter().map(|&s| names[s as usize].as_str()).collect();
+                    reads.iter().map(|&s| names[s as usize].as_str()).collect();
                 let _ = writeln!(
                     out,
                     "    {} = {};",
@@ -296,7 +265,74 @@ fn kernel<W: Word>(
             }
         }
     }
+    debug_assert!(staged.is_empty(), "every presentation has a reader");
     Ok(kernel)
+}
+
+/// Writes the statements materializing a shifted presentation of a
+/// field (Fig. 18). Bottom/top fills and the funnel offsets are
+/// compile-time constants; source and destination never overlap, so the
+/// per-word funnel unrolls directly.
+fn write_presentation(out: &mut String, names: &[String], b: u32, shift: FieldShift) {
+    let FieldShift {
+        dst,
+        dst_words,
+        src,
+        src_width,
+        shift,
+    } = shift;
+    let top_word = (src_width - 1) / b;
+    // The bit of the top word that holds the field's top bit.
+    let top_bit = (src_width - 1) % b;
+    let offset = (-i64::from(shift)).rem_euclid(i64::from(b));
+    let base = (-i64::from(shift) - offset) / i64::from(b);
+    let src_at = |i: i64| -> String {
+        if i < 0 {
+            "uds_bf".to_owned()
+        } else if i as u32 > top_word {
+            "uds_tf".to_owned()
+        } else if i as u32 == top_word {
+            "uds_st".to_owned()
+        } else {
+            names[(src + i as u32) as usize].clone()
+        }
+    };
+    let raw_top = names[(src + top_word) as usize].clone();
+    let _ = writeln!(out, "    {{ /* shifted field presentation ({shift:+}) */");
+    let _ = writeln!(
+        out,
+        "        const word uds_bf = (word)0 - ({} & (word)1);",
+        names[src as usize]
+    );
+    let _ = writeln!(
+        out,
+        "        const word uds_tf = (word)0 - ({raw_top} >> {top_bit} & (word)1);"
+    );
+    if top_bit == b - 1 {
+        // Full top word: the sanitization mask is all ones.
+        let _ = writeln!(out, "        const word uds_st = {raw_top};");
+    } else {
+        let mask = mask_literal(top_bit + 1);
+        let _ = writeln!(
+            out,
+            "        const word uds_st = ({raw_top} & {mask}) | (uds_tf & ~{mask});"
+        );
+    }
+    for w in 0..i64::from(dst_words) {
+        let dname = names[(dst + w as u32) as usize].clone();
+        if offset == 0 {
+            let _ = writeln!(out, "        {dname} = {};", src_at(base + w));
+        } else {
+            let _ = writeln!(
+                out,
+                "        {dname} = ({} >> {offset}) | ({} << {});",
+                src_at(base + w),
+                src_at(base + w + 1),
+                i64::from(b) - offset
+            );
+        }
+    }
+    let _ = writeln!(out, "    }}");
 }
 
 /// Low-mask constant with the bottom `k` bits set, as a C literal.

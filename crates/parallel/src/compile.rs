@@ -19,7 +19,7 @@ use uds_netlist::limits::{checked_add_u64, checked_mul_u64, narrow_u16, narrow_u
 use uds_netlist::{levelize, LevelSegment, Netlist, ResourceLimits, SegmentBuilder};
 
 use crate::bitfield::FieldLayout;
-use crate::program::{Program, WOp};
+use crate::program::{Operand, OperandPool, Program, Staging, WOp};
 use crate::simulator::CompileError;
 use crate::trimming::{WordClass, WordClasses};
 use crate::word::Word;
@@ -68,7 +68,7 @@ pub(crate) fn compile<W: Word>(
     let classes = WordClasses::compute::<W>(netlist, &layouts, trim)?;
 
     let mut ops = Vec::new();
-    let mut operands = Vec::new();
+    let mut operands = OperandPool::default();
     let mut slots = Vec::new();
     let mut trimmed_words = 0usize;
     let mut segments = SegmentBuilder::new();
@@ -168,7 +168,11 @@ pub(crate) fn compile<W: Word>(
                 continue;
             }
             slots.clear();
-            slots.extend(gate.inputs.iter().map(|&input| layouts[input].base + w));
+            slots.extend(
+                gate.inputs
+                    .iter()
+                    .map(|&input| Operand::plain(layouts[input].base + w)),
+            );
             ops.push(WOp::gate(gate.kind, scratch + w, &slots, &mut operands)?);
         }
         for w in 0..words {
@@ -213,6 +217,7 @@ pub(crate) fn compile<W: Word>(
             operands,
             arena_words,
             input_count: netlist.primary_inputs().len(),
+            staging: Staging::default(),
         },
         layouts,
         depth: levels.depth,

@@ -10,7 +10,9 @@
 //! * primary inputs use the negative-alignment load: bits at negative
 //!   times keep the previous input value;
 //! * retained shifts are generated **at gate inputs** (Fig. 18), as
-//!   multi-bit [`WOp::ShiftField`] materializations into scratch;
+//!   multi-bit [`WOp::ShiftField`] materializations into scratch — or,
+//!   for a right shift from one word into one word, fused into the
+//!   gate's operand ([`Fused`]), so the presentation costs no op;
 //!   cycle breaking may additionally retain an output re-alignment.
 //!
 //! With trimming, low-constant words are re-initialized by broadcast
@@ -23,7 +25,7 @@ use uds_netlist::{levelize, NetId, Netlist, ResourceLimits, SegmentBuilder};
 
 use crate::bitfield::FieldLayout;
 use crate::compile::Compiled;
-use crate::program::{Program, WOp};
+use crate::program::{Fused, Operand, OperandPool, Program, Staging, WOp};
 use crate::simulator::CompileError;
 use crate::trimming::{WordClass, WordClasses};
 use crate::word::Word;
@@ -122,11 +124,15 @@ pub(crate) fn compile<W: Word>(
     };
 
     let scratch_base = next_word;
-    let scratch_stride = max_gate_words;
     let stage_base = narrow_u32(checked_add_u64(
         u64::from(scratch_base),
-        checked_mul_u64(max_operands as u64, u64::from(scratch_stride))?,
+        checked_mul_u64(max_operands as u64, u64::from(max_gate_words))?,
     )?)?;
+    let staging = Staging {
+        base: scratch_base,
+        stride: max_gate_words,
+        end: stage_base,
+    };
     let arena_words = narrow_u32(checked_add_u64(
         u64::from(stage_base),
         u64::from(max_gate_words),
@@ -137,7 +143,7 @@ pub(crate) fn compile<W: Word>(
     let classes = WordClasses::compute::<W>(netlist, &layouts, trim)?;
 
     let mut ops = Vec::new();
-    let mut operands = Vec::new();
+    let mut operands = OperandPool::default();
     let mut slots = Vec::new();
     let mut retained_shifts = 0usize;
     let mut trimmed_words = 0usize;
@@ -179,7 +185,7 @@ pub(crate) fn compile<W: Word>(
     // op's word span.
     let mut segments = SegmentBuilder::new();
     let word_bytes = u64::from(W::BITS / 8);
-    let init_word_ops: u64 = ops.iter().map(WOp::weight).sum();
+    let init_word_ops: u64 = ops.iter().map(|op| op.weight(&operands)).sum();
     segments.emit(
         0,
         ops.len(),
@@ -207,14 +213,19 @@ pub(crate) fn compile<W: Word>(
             stage_base
         };
 
-        // Present each distinct input. Three cases: already aligned and
+        // Present each distinct input. Four cases: already aligned and
         // wide enough (read the field directly); aligned but narrower
         // (read the field, extension word beyond it); misaligned — a
-        // retained shift — materialize one shifted copy into scratch.
+        // retained shift — from one word into one word (the gate's
+        // operand reads the source word through the shift pair);
+        // otherwise materialize one shifted copy into scratch. A fused
+        // presentation still takes its scratch slot, which the emitted
+        // C writes.
         #[derive(Clone, Copy)]
         enum Presentation {
             Field { base: u32, words: u32, ext: u32 },
             Scratch(u32),
+            Fused(Operand),
         }
         let mut presented: Vec<(NetId, Presentation)> = Vec::new();
         let mut scratch_used = 0u32;
@@ -232,35 +243,42 @@ pub(crate) fn compile<W: Word>(
                 }
             } else {
                 retained_shifts += 1;
-                let dst = scratch_base + scratch_used * scratch_stride;
+                let dst = staging.slot(scratch_used);
                 scratch_used += 1;
-                ops.push(WOp::shift_field::<W>(
-                    dst,
-                    gate_words,
-                    in_layout.base,
-                    in_layout.width,
-                    shift,
-                )?);
-                Presentation::Scratch(dst)
+                match Fused::of::<W>(in_layout.width, shift, gate_words) {
+                    Some(shift) => Presentation::Fused(Operand {
+                        slot: in_layout.base,
+                        shift,
+                    }),
+                    None => {
+                        ops.push(WOp::shift_field::<W>(
+                            dst,
+                            gate_words,
+                            in_layout.base,
+                            in_layout.width,
+                            shift,
+                        )?);
+                        Presentation::Scratch(dst)
+                    }
+                }
             };
             presented.push((input, presentation));
         }
-        let operand_at = |net: NetId, w: u32| -> u32 {
+        let operand_at = |net: NetId, w: u32| -> Operand {
             let presentation = presented
                 .iter()
                 .find(|&&(n, _)| n == net)
                 .expect("every input was presented")
                 .1;
             match presentation {
-                Presentation::Field { base, words, ext } => {
-                    if w < words {
-                        base + w
-                    } else {
-                        debug_assert_ne!(ext, u32::MAX, "extension word allocated");
-                        ext
-                    }
-                }
-                Presentation::Scratch(base) => base + w,
+                Presentation::Field { base, words, ext } => Operand::plain(if w < words {
+                    base + w
+                } else {
+                    debug_assert_ne!(ext, u32::MAX, "extension word allocated");
+                    ext
+                }),
+                Presentation::Scratch(base) => Operand::plain(base + w),
+                Presentation::Fused(operand) => operand,
             }
         };
 
@@ -309,7 +327,10 @@ pub(crate) fn compile<W: Word>(
         if needs_ext[out] {
             ops.push(ext_broadcast(out));
         }
-        let gate_word_ops: u64 = ops[gate_ops_start..].iter().map(WOp::weight).sum();
+        let gate_word_ops: u64 = ops[gate_ops_start..]
+            .iter()
+            .map(|op| op.weight(&operands))
+            .sum();
         segments.emit(
             levels.gate_level[gid.index()] as usize,
             ops.len() - gate_ops_start,
@@ -325,6 +346,7 @@ pub(crate) fn compile<W: Word>(
             operands,
             arena_words,
             input_count: netlist.primary_inputs().len(),
+            staging,
         },
         layouts,
         depth: levels.depth,

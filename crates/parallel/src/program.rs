@@ -27,8 +27,12 @@ use crate::word::Word;
 /// have a variant with their operand slots inline, so the executor runs
 /// one of them with a single dispatch and two loads, and only wider
 /// (3+ input) and constant gates go through the operand pool of
-/// [`WOp::Eval`]. [`WOp::gate`] is the one constructor that picks the
-/// shape; [`WOp::as_gate`] recovers the gate from any of them.
+/// [`WOp::Eval`]. A gate that reads a one-word shifted presentation
+/// (Fig. 18) has a fused twin of its shape (`FusedAnd2`, …,
+/// [`WOp::FusedEval`]) whose operands each carry a [`Fused`] shift
+/// pair, so the presentation costs no op of its own. [`WOp::gate`] is
+/// the one constructor that picks the shape; [`WOp::as_gate`] recovers
+/// the gate from any of them.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub(crate) enum WOp {
     /// `arena[dst] = arena[a] & arena[b]`.
@@ -51,6 +55,66 @@ pub(crate) enum WOp {
     /// bit-parallel evaluation of a gate with 3+ inputs (or none, for
     /// the constants), its operand slots in [`Program::operands`].
     Eval {
+        kind: GateKind,
+        dst: u32,
+        first_operand: u32,
+        operand_count: u16,
+    },
+    /// [`WOp::And2`] over fused operands: `arena[dst] = sa(a) & sb(b)`,
+    /// where `s(x)` reads `arena[x]` through [`Fused`] shift pair `s`.
+    FusedAnd2 {
+        dst: u32,
+        a: u32,
+        b: u32,
+        sa: Fused,
+        sb: Fused,
+    },
+    /// `arena[dst] = !(sa(a) & sb(b))`.
+    FusedNand2 {
+        dst: u32,
+        a: u32,
+        b: u32,
+        sa: Fused,
+        sb: Fused,
+    },
+    /// `arena[dst] = sa(a) | sb(b)`.
+    FusedOr2 {
+        dst: u32,
+        a: u32,
+        b: u32,
+        sa: Fused,
+        sb: Fused,
+    },
+    /// `arena[dst] = !(sa(a) | sb(b))`.
+    FusedNor2 {
+        dst: u32,
+        a: u32,
+        b: u32,
+        sa: Fused,
+        sb: Fused,
+    },
+    /// `arena[dst] = sa(a) ^ sb(b)`.
+    FusedXor2 {
+        dst: u32,
+        a: u32,
+        b: u32,
+        sa: Fused,
+        sb: Fused,
+    },
+    /// `arena[dst] = !(sa(a) ^ sb(b))`.
+    FusedXnor2 {
+        dst: u32,
+        a: u32,
+        b: u32,
+        sa: Fused,
+        sb: Fused,
+    },
+    /// `arena[dst] = !shift(src)`.
+    FusedNot { dst: u32, src: u32, shift: Fused },
+    /// `arena[dst] = shift(src)`.
+    FusedBuf { dst: u32, src: u32, shift: Fused },
+    /// [`WOp::Eval`] over fused operands, in [`OperandPool::fused`].
+    FusedEval {
         kind: GateKind,
         dst: u32,
         first_operand: u32,
@@ -140,11 +204,93 @@ pub(crate) struct FieldShift {
     pub shift: i32,
 }
 
+/// A one-word shifted presentation fused into the operand that reads
+/// it: the operand is `((x << left) as signed) >> right` of its arena
+/// word `x`. A right shift by `s` of a `width`-bit field in one word
+/// into one word is exactly `left = B - width` (the spare bits above
+/// the field, shifted out so the field's top bit becomes the sign) and
+/// `right = left + s` (the sign fills the bits past the field). The
+/// pair `(0, 0)` reads the word unchanged.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct Fused {
+    pub left: u8,
+    pub right: u8,
+}
+
+impl Fused {
+    /// The unshifted read.
+    pub const NONE: Fused = Fused { left: 0, right: 0 };
+
+    /// The pair presenting the `src_width`-bit field shifted by `shift`
+    /// into `dst_words` words of `W`, if that presentation fuses: a
+    /// right shift, within the field, from one word into one word.
+    pub(crate) fn of<W: Word>(src_width: u32, shift: i32, dst_words: u32) -> Option<Fused> {
+        let right = shift.unsigned_abs();
+        (shift < 0 && dst_words == 1 && src_width <= W::BITS && right < src_width).then(|| {
+            let left = W::BITS - src_width;
+            Fused {
+                left: left as u8,
+                right: (left + right) as u8,
+            }
+        })
+    }
+
+    /// Whether this operand reads a shifted presentation.
+    pub(crate) fn is_shift(self) -> bool {
+        self != Fused::NONE
+    }
+
+    /// The presentation this pair reads from the field whose one word
+    /// is `src`, staged at `dst` — the inverse of [`Fused::of`].
+    pub(crate) fn presentation<W: Word>(self, src: u32, dst: u32) -> FieldShift {
+        FieldShift {
+            dst,
+            dst_words: 1,
+            src,
+            src_width: W::BITS - u32::from(self.left),
+            shift: i32::from(self.left) - i32::from(self.right),
+        }
+    }
+
+    /// The operand's value: `arena[slot]` through the pair.
+    #[inline(always)]
+    fn read<W: Word>(self, arena: &[W], slot: u32) -> W {
+        arena[slot as usize].shl_sar(u32::from(self.left), u32::from(self.right))
+    }
+}
+
+/// One operand of a gate: arena word `slot`, read through `shift`
+/// ([`Fused::NONE`] for a plain read).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct Operand {
+    pub slot: u32,
+    pub shift: Fused,
+}
+
+impl Operand {
+    /// The plain read of `slot`.
+    pub(crate) fn plain(slot: u32) -> Operand {
+        Operand {
+            slot,
+            shift: Fused::NONE,
+        }
+    }
+}
+
+/// The operands of the pooled gates: plain slots for [`WOp::Eval`],
+/// slots with their shift pairs for [`WOp::FusedEval`].
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub(crate) struct OperandPool {
+    pub plain: Vec<u32>,
+    pub fused: Vec<Operand>,
+}
+
 impl WOp {
-    /// One word of a gate evaluation, `arena[dst] = kind(arena[inputs])`,
-    /// in its shape: `Not`/`Buf` and 2-input gates inline their operand
-    /// slots; any other fan-in (3+ inputs, or the constants' none)
-    /// appends its slots to `pool` and becomes a [`WOp::Eval`].
+    /// One word of a gate evaluation, `arena[dst] = kind(inputs)`, in
+    /// its shape: `Not`/`Buf` and 2-input gates inline their operands;
+    /// any other fan-in (3+ inputs, or the constants' none) appends its
+    /// operands to `pool` and becomes a pooled evaluation. A gate with a
+    /// shifted operand takes the fused twin of its shape.
     ///
     /// # Errors
     ///
@@ -153,22 +299,91 @@ impl WOp {
     pub(crate) fn gate(
         kind: GateKind,
         dst: u32,
-        inputs: &[u32],
-        pool: &mut Vec<u32>,
+        inputs: &[Operand],
+        pool: &mut OperandPool,
     ) -> Result<WOp, LimitExceeded> {
+        if !inputs.iter().any(|input| input.shift.is_shift()) {
+            let slot = |k: usize| inputs[k].slot;
+            return Ok(match (kind, inputs.len()) {
+                (GateKind::Not, 1) => WOp::Not { dst, src: slot(0) },
+                (GateKind::Buf, 1) => WOp::Buf { dst, src: slot(0) },
+                (GateKind::And, 2) => WOp::And2 {
+                    dst,
+                    a: slot(0),
+                    b: slot(1),
+                },
+                (GateKind::Nand, 2) => WOp::Nand2 {
+                    dst,
+                    a: slot(0),
+                    b: slot(1),
+                },
+                (GateKind::Or, 2) => WOp::Or2 {
+                    dst,
+                    a: slot(0),
+                    b: slot(1),
+                },
+                (GateKind::Nor, 2) => WOp::Nor2 {
+                    dst,
+                    a: slot(0),
+                    b: slot(1),
+                },
+                (GateKind::Xor, 2) => WOp::Xor2 {
+                    dst,
+                    a: slot(0),
+                    b: slot(1),
+                },
+                (GateKind::Xnor, 2) => WOp::Xnor2 {
+                    dst,
+                    a: slot(0),
+                    b: slot(1),
+                },
+                _ => {
+                    let first_operand = narrow_u32(pool.plain.len() as u64)?;
+                    pool.plain.extend(inputs.iter().map(|input| input.slot));
+                    WOp::Eval {
+                        kind,
+                        dst,
+                        first_operand,
+                        operand_count: narrow_u16(inputs.len())?,
+                    }
+                }
+            });
+        }
         Ok(match (kind, inputs) {
-            (GateKind::Not, &[src]) => WOp::Not { dst, src },
-            (GateKind::Buf, &[src]) => WOp::Buf { dst, src },
-            (GateKind::And, &[a, b]) => WOp::And2 { dst, a, b },
-            (GateKind::Nand, &[a, b]) => WOp::Nand2 { dst, a, b },
-            (GateKind::Or, &[a, b]) => WOp::Or2 { dst, a, b },
-            (GateKind::Nor, &[a, b]) => WOp::Nor2 { dst, a, b },
-            (GateKind::Xor, &[a, b]) => WOp::Xor2 { dst, a, b },
-            (GateKind::Xnor, &[a, b]) => WOp::Xnor2 { dst, a, b },
+            (GateKind::Not, &[Operand { slot, shift }]) => WOp::FusedNot {
+                dst,
+                src: slot,
+                shift,
+            },
+            (GateKind::Buf, &[Operand { slot, shift }]) => WOp::FusedBuf {
+                dst,
+                src: slot,
+                shift,
+            },
+            (
+                GateKind::And
+                | GateKind::Nand
+                | GateKind::Or
+                | GateKind::Nor
+                | GateKind::Xor
+                | GateKind::Xnor,
+                &[a, b],
+            ) => {
+                let (sa, sb) = (a.shift, b.shift);
+                let (a, b) = (a.slot, b.slot);
+                match kind {
+                    GateKind::And => WOp::FusedAnd2 { dst, a, b, sa, sb },
+                    GateKind::Nand => WOp::FusedNand2 { dst, a, b, sa, sb },
+                    GateKind::Or => WOp::FusedOr2 { dst, a, b, sa, sb },
+                    GateKind::Nor => WOp::FusedNor2 { dst, a, b, sa, sb },
+                    GateKind::Xor => WOp::FusedXor2 { dst, a, b, sa, sb },
+                    _ => WOp::FusedXnor2 { dst, a, b, sa, sb },
+                }
+            }
             _ => {
-                let first_operand = narrow_u32(pool.len() as u64)?;
-                pool.extend_from_slice(inputs);
-                WOp::Eval {
+                let first_operand = narrow_u32(pool.fused.len() as u64)?;
+                pool.fused.extend_from_slice(inputs);
+                WOp::FusedEval {
                     kind,
                     dst,
                     first_operand,
@@ -277,18 +492,20 @@ impl WOp {
     }
 
     /// The gate an evaluation op computes — its kind, destination and
-    /// operand slots (`pool` resolves [`WOp::Eval`]'s) — or `None` for
-    /// every other op. The inverse of [`WOp::gate`].
-    pub(crate) fn as_gate(&self, pool: &[u32]) -> Option<(GateKind, u32, Vec<u32>)> {
+    /// operands (`pool` resolves the pooled ones) — or `None` for every
+    /// other op. The inverse of [`WOp::gate`].
+    pub(crate) fn as_gate(&self, pool: &OperandPool) -> Option<(GateKind, u32, Vec<Operand>)> {
+        let plain = Operand::plain;
+        let fused = |slot, shift| Operand { slot, shift };
         Some(match *self {
-            WOp::And2 { dst, a, b } => (GateKind::And, dst, vec![a, b]),
-            WOp::Nand2 { dst, a, b } => (GateKind::Nand, dst, vec![a, b]),
-            WOp::Or2 { dst, a, b } => (GateKind::Or, dst, vec![a, b]),
-            WOp::Nor2 { dst, a, b } => (GateKind::Nor, dst, vec![a, b]),
-            WOp::Xor2 { dst, a, b } => (GateKind::Xor, dst, vec![a, b]),
-            WOp::Xnor2 { dst, a, b } => (GateKind::Xnor, dst, vec![a, b]),
-            WOp::Not { dst, src } => (GateKind::Not, dst, vec![src]),
-            WOp::Buf { dst, src } => (GateKind::Buf, dst, vec![src]),
+            WOp::And2 { dst, a, b } => (GateKind::And, dst, vec![plain(a), plain(b)]),
+            WOp::Nand2 { dst, a, b } => (GateKind::Nand, dst, vec![plain(a), plain(b)]),
+            WOp::Or2 { dst, a, b } => (GateKind::Or, dst, vec![plain(a), plain(b)]),
+            WOp::Nor2 { dst, a, b } => (GateKind::Nor, dst, vec![plain(a), plain(b)]),
+            WOp::Xor2 { dst, a, b } => (GateKind::Xor, dst, vec![plain(a), plain(b)]),
+            WOp::Xnor2 { dst, a, b } => (GateKind::Xnor, dst, vec![plain(a), plain(b)]),
+            WOp::Not { dst, src } => (GateKind::Not, dst, vec![plain(src)]),
+            WOp::Buf { dst, src } => (GateKind::Buf, dst, vec![plain(src)]),
             WOp::Eval {
                 kind,
                 dst,
@@ -296,23 +513,95 @@ impl WOp {
                 operand_count,
             } => {
                 let first = first_operand as usize;
-                let slots = pool[first..first + usize::from(operand_count)].to_vec();
-                (kind, dst, slots)
+                let slots = &pool.plain[first..first + usize::from(operand_count)];
+                (kind, dst, slots.iter().copied().map(plain).collect())
+            }
+            WOp::FusedAnd2 { dst, a, b, sa, sb } => {
+                (GateKind::And, dst, vec![fused(a, sa), fused(b, sb)])
+            }
+            WOp::FusedNand2 { dst, a, b, sa, sb } => {
+                (GateKind::Nand, dst, vec![fused(a, sa), fused(b, sb)])
+            }
+            WOp::FusedOr2 { dst, a, b, sa, sb } => {
+                (GateKind::Or, dst, vec![fused(a, sa), fused(b, sb)])
+            }
+            WOp::FusedNor2 { dst, a, b, sa, sb } => {
+                (GateKind::Nor, dst, vec![fused(a, sa), fused(b, sb)])
+            }
+            WOp::FusedXor2 { dst, a, b, sa, sb } => {
+                (GateKind::Xor, dst, vec![fused(a, sa), fused(b, sb)])
+            }
+            WOp::FusedXnor2 { dst, a, b, sa, sb } => {
+                (GateKind::Xnor, dst, vec![fused(a, sa), fused(b, sb)])
+            }
+            WOp::FusedNot { dst, src, shift } => (GateKind::Not, dst, vec![fused(src, shift)]),
+            WOp::FusedBuf { dst, src, shift } => (GateKind::Buf, dst, vec![fused(src, shift)]),
+            WOp::FusedEval {
+                kind,
+                dst,
+                first_operand,
+                operand_count,
+            } => {
+                let first = first_operand as usize;
+                let operands = &pool.fused[first..first + usize::from(operand_count)];
+                (kind, dst, operands.to_vec())
             }
             _ => return None,
         })
     }
 
+    /// The shifted presentations fused into this op's operands: one
+    /// per distinct shifted operand (a gate reading one presentation
+    /// twice fuses it twice but stages it once), 0 for every op but a
+    /// fused gate.
+    pub(crate) fn fused_presentations(&self, pool: &OperandPool) -> u64 {
+        let Some((_, _, operands)) = self.as_gate(pool) else {
+            return 0;
+        };
+        let first_reads = operands
+            .iter()
+            .enumerate()
+            .filter(|&(k, operand)| operand.shift.is_shift() && !operands[..k].contains(operand));
+        first_reads.count() as u64
+    }
+
     /// Approximate word writes this op performs — the static work
     /// weight the level profiler uses (most ops touch one word; the
-    /// multi-word loads and shifts touch their whole span).
-    pub(crate) fn weight(&self) -> u64 {
+    /// multi-word loads and shifts touch their whole span). A fused
+    /// gate also counts each presentation it fused, the word the
+    /// generated code still writes.
+    pub(crate) fn weight(&self, pool: &OperandPool) -> u64 {
         match *self {
             WOp::InputBroadcast { words, .. } | WOp::InputAligned { words, .. } => u64::from(words),
             WOp::ShiftField { dst_words, .. } => u64::from(dst_words),
             WOp::ShiftRight { dst_words, .. } => u64::from(dst_words),
-            _ => 1,
+            _ => 1 + self.fused_presentations(pool),
         }
+    }
+}
+
+/// Where the shift-eliminated compiler stages gate-input presentations:
+/// a gate's `k`-th distinct shifted input is presented at
+/// `base + k * stride`, and every staging word lies in `base..end`.
+/// A fused presentation keeps its staging word in the arena, unwritten
+/// by the executor, so the emitted C (which still writes it) and the
+/// interpreter share one layout.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub(crate) struct Staging {
+    pub base: u32,
+    pub stride: u32,
+    pub end: u32,
+}
+
+impl Staging {
+    /// Whether arena word `word` stages a presentation.
+    pub(crate) fn holds(&self, word: u32) -> bool {
+        (self.base..self.end).contains(&word)
+    }
+
+    /// The word presentation `k` of a gate starts at.
+    pub(crate) fn slot(&self, k: u32) -> u32 {
+        self.base + k * self.stride
     }
 }
 
@@ -320,14 +609,33 @@ impl WOp {
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub(crate) struct Program {
     pub ops: Vec<WOp>,
-    /// Operand pool for the [`WOp::Eval`] gates (3+ inputs).
-    pub operands: Vec<u32>,
+    /// Operand pool for the pooled gates (3+ inputs).
+    pub operands: OperandPool,
     /// Total arena words (fields + scratch).
     pub arena_words: usize,
     pub input_count: usize,
+    /// The presentation staging words (empty for the unoptimized
+    /// compiler, which stages none).
+    pub staging: Staging,
 }
 
 impl Program {
+    /// Shifted presentations fused into gate operands.
+    pub(crate) fn fused_presentations(&self) -> usize {
+        let fused = self
+            .ops
+            .iter()
+            .map(|op| op.fused_presentations(&self.operands));
+        fused.sum::<u64>() as usize
+    }
+
+    /// The word operations the program stands for: one per op, plus one
+    /// per fused presentation — the count before fusion, which the
+    /// paper's op-count figures and the generated C still have.
+    pub(crate) fn word_ops(&self) -> usize {
+        self.ops.len() + self.fused_presentations()
+    }
+
     /// Executes the ops in `ops` — the whole stream for one input
     /// vector, or one compile-time level segment of it when profiling.
     /// `W` must be the word type the program was compiled for.
@@ -370,9 +678,40 @@ impl Program {
                 first_operand,
                 operand_count,
             } => {
-                let operands = &self.operands
+                let operands = &self.operands.plain
                     [first_operand as usize..(first_operand as usize + operand_count as usize)];
-                arena[dst as usize] = eval_word(kind, operands, arena);
+                let words = operands.iter().map(|&slot| arena[slot as usize]);
+                arena[dst as usize] = eval_word(kind, words);
+            }
+            WOp::FusedAnd2 { dst, a, b, sa, sb } => {
+                arena[dst as usize] = sa.read(arena, a) & sb.read(arena, b);
+            }
+            WOp::FusedNand2 { dst, a, b, sa, sb } => {
+                arena[dst as usize] = !(sa.read(arena, a) & sb.read(arena, b));
+            }
+            WOp::FusedOr2 { dst, a, b, sa, sb } => {
+                arena[dst as usize] = sa.read(arena, a) | sb.read(arena, b);
+            }
+            WOp::FusedNor2 { dst, a, b, sa, sb } => {
+                arena[dst as usize] = !(sa.read(arena, a) | sb.read(arena, b));
+            }
+            WOp::FusedXor2 { dst, a, b, sa, sb } => {
+                arena[dst as usize] = sa.read(arena, a) ^ sb.read(arena, b);
+            }
+            WOp::FusedXnor2 { dst, a, b, sa, sb } => {
+                arena[dst as usize] = !(sa.read(arena, a) ^ sb.read(arena, b));
+            }
+            WOp::FusedNot { dst, src, shift } => arena[dst as usize] = !shift.read(arena, src),
+            WOp::FusedBuf { dst, src, shift } => arena[dst as usize] = shift.read(arena, src),
+            WOp::FusedEval {
+                kind,
+                dst,
+                first_operand,
+                operand_count,
+            } => {
+                let operands = &self.operands.fused
+                    [first_operand as usize..(first_operand as usize + operand_count as usize)];
+                arena[dst as usize] = eval_fused(kind, operands, arena);
             }
             WOp::MergeShl1Low { dst, src } => {
                 let merged = arena[src as usize] << 1;
@@ -468,33 +807,31 @@ impl Program {
 }
 
 /// Evaluates one word of a pooled gate — the 3+ input kinds and the
-/// constants; the 1- and 2-input kinds have shapes of their own.
-fn eval_word<W: Word>(kind: GateKind, operands: &[u32], arena: &[W]) -> W {
+/// constants; the 1- and 2-input kinds have shapes of their own —
+/// from its operand words.
+fn eval_word<W: Word>(kind: GateKind, mut words: impl Iterator<Item = W>) -> W {
     match kind {
-        GateKind::And => operands
-            .iter()
-            .fold(W::ONES, |acc, &s| acc & arena[s as usize]),
-        GateKind::Nand => !operands
-            .iter()
-            .fold(W::ONES, |acc, &s| acc & arena[s as usize]),
-        GateKind::Or => operands
-            .iter()
-            .fold(W::ZERO, |acc, &s| acc | arena[s as usize]),
-        GateKind::Nor => !operands
-            .iter()
-            .fold(W::ZERO, |acc, &s| acc | arena[s as usize]),
-        GateKind::Xor => operands
-            .iter()
-            .fold(W::ZERO, |acc, &s| acc ^ arena[s as usize]),
-        GateKind::Xnor => !operands
-            .iter()
-            .fold(W::ZERO, |acc, &s| acc ^ arena[s as usize]),
-        GateKind::Not => !arena[operands[0] as usize],
-        GateKind::Buf => arena[operands[0] as usize],
+        GateKind::And => words.fold(W::ONES, |acc, w| acc & w),
+        GateKind::Nand => !words.fold(W::ONES, |acc, w| acc & w),
+        GateKind::Or => words.fold(W::ZERO, |acc, w| acc | w),
+        GateKind::Nor => !words.fold(W::ZERO, |acc, w| acc | w),
+        GateKind::Xor => words.fold(W::ZERO, |acc, w| acc ^ w),
+        GateKind::Xnor => !words.fold(W::ZERO, |acc, w| acc ^ w),
+        GateKind::Not => !words.next().expect("a NOT has one operand"),
+        GateKind::Buf => words.next().expect("a BUF has one operand"),
         GateKind::Const0 => W::ZERO,
         GateKind::Const1 => W::ONES,
         GateKind::Dff => unreachable!("sequential gates are rejected at compile time"),
     }
+}
+
+/// [`eval_word`] over fused operands. Out of line: inlined into the
+/// dispatch loop, the six shifted folds slowed every other op (c6288's
+/// unoptimized program by about a fifth, measured through `udsim
+/// simulate`), while one call per pooled gate is small beside its fold.
+#[inline(never)]
+fn eval_fused<W: Word>(kind: GateKind, operands: &[Operand], arena: &[W]) -> W {
+    eval_word(kind, operands.iter().map(|o| o.shift.read(arena, o.slot)))
 }
 
 /// The source side of a [`WOp::ShiftField`]: the field words a shifted
@@ -589,7 +926,8 @@ mod tests {
                     carry: 0,
                 },
             ],
-            operands: vec![],
+            operands: OperandPool::default(),
+            staging: Staging::default(),
             arena_words: 4,
             input_count: 0,
         };
@@ -610,7 +948,8 @@ mod tests {
                     carry: 0,
                 },
             ],
-            operands: vec![],
+            operands: OperandPool::default(),
+            staging: Staging::default(),
             arena_words: 4,
             input_count: 0,
         };
@@ -635,7 +974,8 @@ mod tests {
                     bit: 7,
                 },
             ],
-            operands: vec![],
+            operands: OperandPool::default(),
+            staging: Staging::default(),
             arena_words: 3,
             input_count: 0,
         };
@@ -653,7 +993,8 @@ mod tests {
                 words: 2,
                 index: 0,
             }],
-            operands: vec![],
+            operands: OperandPool::default(),
+            staging: Staging::default(),
             arena_words: 2,
             input_count: 1,
         };
@@ -674,7 +1015,8 @@ mod tests {
                 neg_bits: 2,
                 index: 0,
             }],
-            operands: vec![],
+            operands: OperandPool::default(),
+            staging: Staging::default(),
             arena_words: 1,
             input_count: 1,
         };
@@ -697,7 +1039,8 @@ mod tests {
                 neg_bits: 40,
                 index: 0,
             }],
-            operands: vec![],
+            operands: OperandPool::default(),
+            staging: Staging::default(),
             arena_words: 2,
             input_count: 1,
         };
@@ -718,7 +1061,8 @@ mod tests {
                 neg_bits: 40,
                 index: 0,
             }],
-            operands: vec![],
+            operands: OperandPool::default(),
+            staging: Staging::default(),
             arena_words: 1,
             input_count: 1,
         };
@@ -734,7 +1078,8 @@ mod tests {
         // presented bits: i0=src2=0, i1=src3=1, i2..=replicate src3=1.
         let program = Program {
             ops: vec![WOp::shift_field::<u32>(1, 1, 0, 4, -2).unwrap()],
-            operands: vec![],
+            operands: OperandPool::default(),
+            staging: Staging::default(),
             arena_words: 2,
             input_count: 0,
         };
@@ -749,7 +1094,8 @@ mod tests {
         // presented[2] = src[0] = 0, presented[3] = src[1] = 1, ...
         let program = Program {
             ops: vec![WOp::shift_field::<u32>(1, 1, 0, 4, 2).unwrap()],
-            operands: vec![],
+            operands: OperandPool::default(),
+            staging: Staging::default(),
             arena_words: 2,
             input_count: 0,
         };
@@ -765,7 +1111,8 @@ mod tests {
         // 40-bit field over two words; right shift by 8.
         let program = Program {
             ops: vec![WOp::shift_field::<u32>(2, 2, 0, 40, -8).unwrap()],
-            operands: vec![],
+            operands: OperandPool::default(),
+            staging: Staging::default(),
             arena_words: 4,
             input_count: 0,
         };
@@ -783,7 +1130,8 @@ mod tests {
         // ones, not a shift panic (the consolidated-helper regression).
         let program = Program {
             ops: vec![WOp::shift_field::<u32>(1, 1, 0, 32, -1).unwrap()],
-            operands: vec![],
+            operands: OperandPool::default(),
+            staging: Staging::default(),
             arena_words: 2,
             input_count: 0,
         };
@@ -808,7 +1156,8 @@ mod tests {
             let mut arena = before.to_vec();
             let program = Program {
                 ops: vec![op],
-                operands: vec![],
+                operands: OperandPool::default(),
+                staging: Staging::default(),
                 arena_words: arena.len(),
                 input_count: 0,
             };
@@ -901,13 +1250,12 @@ mod tests {
 
     #[test]
     fn eval_word_all_kinds() {
-        let arena = vec![0b1100u32, 0b1010];
-        let operands = vec![0u32, 1];
-        assert_eq!(eval_word(GateKind::And, &operands, &arena), 0b1000);
-        assert_eq!(eval_word(GateKind::Or, &operands, &arena), 0b1110);
-        assert_eq!(eval_word(GateKind::Xor, &operands, &arena), 0b0110);
-        assert_eq!(eval_word(GateKind::Nand, &operands, &arena), !0b1000u32);
-        assert_eq!(eval_word(GateKind::Not, &operands[..1], &arena), !0b1100u32);
-        assert_eq!(eval_word(GateKind::Const1, &[], &arena), !0u32);
+        let words = || [0b1100u32, 0b1010].into_iter();
+        assert_eq!(eval_word(GateKind::And, words()), 0b1000);
+        assert_eq!(eval_word(GateKind::Or, words()), 0b1110);
+        assert_eq!(eval_word(GateKind::Xor, words()), 0b0110);
+        assert_eq!(eval_word(GateKind::Nand, words()), !0b1000u32);
+        assert_eq!(eval_word(GateKind::Not, words().take(1)), !0b1100u32);
+        assert_eq!(eval_word(GateKind::Const1, words().take(0)), !0u32);
     }
 }

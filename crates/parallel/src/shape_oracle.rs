@@ -5,7 +5,8 @@
 //! by bit — the gate's truth table ([`GateKind::eval_bits`]) at that bit
 //! position, or, for a shifted presentation, source bit
 //! `clamp(i - shift, 0, width - 1)` — never with the executor's own word
-//! arithmetic. Words the op does not own must come back unchanged.
+//! arithmetic. A fused gate's operand is that presentation too, fed to
+//! the truth table. Words the op does not own must come back unchanged.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -14,7 +15,7 @@ use uds_netlist::generators::iscas::Iscas85;
 use uds_netlist::generators::random::{layered, LayeredConfig};
 use uds_netlist::GateKind;
 
-use crate::program::{Program, WOp};
+use crate::program::{Fused, Operand, OperandPool, Program, WOp};
 use crate::word::Word;
 use crate::{Optimization, ParallelSim};
 
@@ -41,20 +42,20 @@ fn field_bit<W: Word>(arena: &[W], base: usize, i: u32) -> bool {
 
 /// Runs `op` on a copy of `before` and checks every bit: `expected`
 /// defines bit `i` of each word in `written`; every other word must be
-/// unchanged.
-fn check_op<W: Word>(
-    op: WOp,
-    pool: Vec<u32>,
+/// unchanged. Returns the first bit that differs.
+fn first_mismatch<W: Word>(
+    op: &WOp,
+    pool: OperandPool,
     before: &[W],
     written: std::ops::Range<usize>,
     expected: impl Fn(usize, u32) -> bool,
-) {
+) -> Option<String> {
     let mut arena = before.to_vec();
     let program = Program {
         ops: vec![op.clone()],
         operands: pool,
         arena_words: arena.len(),
-        input_count: 0,
+        ..Program::default()
     };
     program.run(&mut arena, &[], 0..1);
     for (w, word) in arena.iter().enumerate() {
@@ -64,36 +65,93 @@ fn check_op<W: Word>(
             } else {
                 before[w].bit(i)
             };
-            assert_eq!(
-                word.bit(i),
-                want,
-                "{op:?} at {} bits: word {w}, bit {i}",
-                W::BITS
-            );
+            if word.bit(i) != want {
+                return Some(format!("{op:?} at {} bits: word {w}, bit {i}", W::BITS));
+            }
+        }
+    }
+    None
+}
+
+/// [`first_mismatch`], which must find none.
+fn check_op<W: Word>(
+    op: WOp,
+    pool: OperandPool,
+    before: &[W],
+    written: std::ops::Range<usize>,
+    expected: impl Fn(usize, u32) -> bool,
+) {
+    if let Some(mismatch) = first_mismatch(&op, pool, before, written, expected) {
+        panic!("{mismatch}");
+    }
+}
+
+/// A gate operand and, when it reads a one-word right-shift
+/// presentation, that presentation's field width and right shift.
+type Input = (Operand, Option<(u32, u32)>);
+
+/// Bit `i` of `input` by definition: the source word's bit `i`, or for
+/// a presentation of a `width`-bit field shifted right by `right`,
+/// field bit `clamp(i + right, 0, width - 1)`.
+fn input_bit<W: Word>(before: &[W], input: &Input, i: u32) -> bool {
+    let (operand, presentation) = input;
+    match *presentation {
+        None => before[operand.slot as usize].bit(i),
+        Some((width, right)) => {
+            field_bit(before, operand.slot as usize, (i + right).min(width - 1))
         }
     }
 }
 
-fn check_gate<W: Word>(rng: &mut StdRng, kind: GateKind, fan_in: usize) {
+/// A random operand slot, read through a random one-word right-shift
+/// presentation when `shifted`.
+fn random_input<W: Word>(rng: &mut StdRng, shifted: bool) -> Input {
+    let slot = rng.gen_range(0..ARENA_WORDS as u32);
+    if !shifted {
+        return (Operand::plain(slot), None);
+    }
+    let width = rng.gen_range(2..=W::BITS);
+    let right = rng.gen_range(1..width);
+    let shift = Fused::of::<W>(width, -(right as i32), 1).expect("a one-word right shift fuses");
+    (Operand { slot, shift }, Some((width, right)))
+}
+
+/// A `kind` gate over `fan_in` random operands, operand `k` read
+/// through a presentation when `shifted(k)`.
+fn check_gate<W: Word>(
+    rng: &mut StdRng,
+    kind: GateKind,
+    fan_in: usize,
+    shifted: impl Fn(usize) -> bool,
+) {
     let before = random_arena::<W>(rng, ARENA_WORDS);
     // Operands may repeat and may include the destination: every read
     // happens before the write.
-    let inputs: Vec<u32> = (0..fan_in)
-        .map(|_| rng.gen_range(0..ARENA_WORDS as u32))
+    let inputs: Vec<Input> = (0..fan_in)
+        .map(|k| random_input::<W>(rng, shifted(k)))
         .collect();
+    let operands: Vec<Operand> = inputs.iter().map(|input| input.0).collect();
     let dst = rng.gen_range(0..ARENA_WORDS as u32);
-    // A pool that already holds another gate's operands.
-    let mut pool = vec![3, 1, 4];
-    let op = WOp::gate(kind, dst, &inputs, &mut pool).unwrap();
-    let pooled = matches!(op, WOp::Eval { .. });
+    // A pool that already holds other gates' operands.
+    let mut pool = OperandPool {
+        plain: vec![3, 1, 4],
+        fused: vec![Operand::plain(5)],
+    };
+    let op = WOp::gate(kind, dst, &operands, &mut pool).unwrap();
+    let pooled = matches!(op, WOp::Eval { .. } | WOp::FusedEval { .. });
     assert_eq!(
         pooled,
         !(1..=2).contains(&fan_in),
         "{kind} with {fan_in} inputs became {op:?}"
     );
-    assert_eq!(op.as_gate(&pool), Some((kind, dst, inputs.clone())));
+    let any_shifted = inputs.iter().any(|input| input.1.is_some());
+    assert_eq!(op.fused_presentations(&pool) > 0, any_shifted, "{op:?}");
+    assert_eq!(op.as_gate(&pool), Some((kind, dst, operands)));
     check_op(op, pool, &before, dst as usize..dst as usize + 1, |_, i| {
-        let bits: Vec<bool> = inputs.iter().map(|&s| before[s as usize].bit(i)).collect();
+        let bits: Vec<bool> = inputs
+            .iter()
+            .map(|input| input_bit(&before, input, i))
+            .collect();
         kind.eval_bits(&bits)
     });
 }
@@ -114,7 +172,7 @@ fn check_shift<W: Word>(rng: &mut StdRng, dst_words: u32, src_width: u32, shift:
     for op in ops {
         check_op(
             op,
-            Vec::new(),
+            OperandPool::default(),
             &before,
             dst..dst + dst_words as usize,
             |w, i| {
@@ -138,13 +196,20 @@ fn check_every_shape<W: Word>(seed: u64) {
         GateKind::Xnor,
     ] {
         for fan_in in 2..=6 {
-            check_gate::<W>(&mut rng, kind, fan_in);
+            check_gate::<W>(&mut rng, kind, fan_in, |_| false);
+            // The fused twin: every operand shifted, then each mix.
+            check_gate::<W>(&mut rng, kind, fan_in, |_| true);
+            for mask in 1..(1u32 << fan_in) - 1 {
+                check_gate::<W>(&mut rng, kind, fan_in, |k| mask >> k & 1 == 1);
+            }
         }
     }
-    check_gate::<W>(&mut rng, GateKind::Not, 1);
-    check_gate::<W>(&mut rng, GateKind::Buf, 1);
-    check_gate::<W>(&mut rng, GateKind::Const0, 0);
-    check_gate::<W>(&mut rng, GateKind::Const1, 0);
+    for kind in [GateKind::Not, GateKind::Buf] {
+        check_gate::<W>(&mut rng, kind, 1, |_| false);
+        check_gate::<W>(&mut rng, kind, 1, |_| true);
+    }
+    check_gate::<W>(&mut rng, GateKind::Const0, 0, |_| false);
+    check_gate::<W>(&mut rng, GateKind::Const1, 0, |_| false);
     for dst_words in 1..=6 {
         for src_width in [W::BITS - 1, W::BITS, W::BITS + 1, 2 * W::BITS + 1] {
             // Whole-word shifts (funnel offset 0) and offsets inside a
@@ -176,27 +241,107 @@ fn op_stays_within_twenty_bytes() {
     );
 }
 
-/// Every presentation of the 64-bit path-tracing + trimming programs of
-/// the ISCAS-85 stand-ins (c432, c880, c1908 and c6288 are the
-/// benchmark's circuits) runs decoded, none through the funnel: a
-/// change that sends them back to the slow path fails here, not only
-/// in a timing.
+/// A fused BUF of every one-word right shift — field widths `2..=B`,
+/// shifts `1..width` — with the pair `fuse(width, right)`, checked bit
+/// by bit against the presentation's definition: the first shape that
+/// differs, if any.
+fn first_fused_mismatch<W: Word>(fuse: impl Fn(u32, u32) -> Fused) -> Option<String> {
+    let mut rng = StdRng::seed_from_u64(0x5EED_F05E);
+    for width in 2..=W::BITS {
+        for right in 1..width {
+            let before = random_arena::<W>(&mut rng, 3);
+            let input = (
+                Operand {
+                    slot: 1,
+                    shift: fuse(width, right),
+                },
+                Some((width, right)),
+            );
+            let op = WOp::FusedBuf {
+                dst: 2,
+                src: 1,
+                shift: input.0.shift,
+            };
+            let mismatch = first_mismatch(&op, OperandPool::default(), &before, 2..3, |_, i| {
+                input_bit(&before, &input, i)
+            });
+            if mismatch.is_some() {
+                return mismatch.map(|m| format!("width {width}, right {right}: {m}"));
+            }
+        }
+    }
+    None
+}
+
 #[test]
-fn benchmark_presentations_are_decoded_at_64_bits() {
-    for circuit in Iscas85::ALL {
+fn fused_right_shifts_match_their_definition() {
+    fn check<W: Word>() {
+        let fuse = |width, right: u32| Fused::of::<W>(width, -(right as i32), 1).unwrap();
+        assert_eq!(first_fused_mismatch::<W>(fuse), None);
+    }
+    check::<u32>();
+    check::<u64>();
+}
+
+/// Negative control: a fused right shift one bit short must be caught.
+#[test]
+fn an_off_by_one_fusion_is_caught() {
+    fn short<W: Word>(width: u32, right: u32) -> Fused {
+        let fused = Fused::of::<W>(width, -(right as i32), 1).unwrap();
+        Fused {
+            right: fused.right - 1,
+            ..fused
+        }
+    }
+    assert!(first_fused_mismatch::<u32>(short::<u32>).is_some());
+    assert!(first_fused_mismatch::<u64>(short::<u64>).is_some());
+}
+
+/// The path each presentation of the path-tracing + trimming programs
+/// takes, pinned on the benchmark's circuits (c432, c880, c1908 and
+/// c6288) at both widths: every right shift from one word into one word
+/// is fused into its gate, so no op materializes one; the rest (c6288's
+/// two-word fields) stay decoded [`WOp::ShiftRight`] ops. At 64 bits no
+/// presentation of any ISCAS-85 stand-in runs through the funnel. A
+/// change that sends presentations back to a slower path fails here,
+/// not only in a timing.
+#[test]
+fn benchmark_presentations_take_the_fused_or_decoded_path() {
+    fn check<W: Word>(circuit: Iscas85) {
         let nl = circuit.build();
-        let sim = ParallelSim::<u64>::compile(&nl, Optimization::PathTracingTrimming).unwrap();
-        let ops = &sim.program().ops;
-        let decoded = ops
-            .iter()
-            .filter(|op| matches!(op, WOp::ShiftRight { .. }))
-            .count();
-        let funnel: Vec<&WOp> = ops
-            .iter()
-            .filter(|op| matches!(op, WOp::ShiftField { .. }))
-            .collect();
-        assert!(decoded > 0, "{}: no presentation", nl.name());
-        assert!(funnel.is_empty(), "{}: funnel {:?}", nl.name(), funnel[0]);
+        let sim = ParallelSim::<W>::compile(&nl, Optimization::PathTracingTrimming).unwrap();
+        let program = sim.program();
+        let stats = sim.stats();
+        let name = format!("{} at {} bits", nl.name(), W::BITS);
+        for op in &program.ops {
+            if let Some(shift) = op.as_field_shift::<W>() {
+                let fuses = Fused::of::<W>(shift.src_width, shift.shift, shift.dst_words);
+                assert_eq!(fuses, None, "{name}: unfused {op:?}");
+            }
+        }
+        assert_eq!(
+            stats.fused_presentations + stats.decoded_presentations + stats.funnel_presentations,
+            stats.retained_shifts,
+            "{name}"
+        );
+        if W::BITS == 64 {
+            assert_eq!(stats.funnel_presentations, 0, "{name}");
+        }
+        let benchmark = [Iscas85::C432, Iscas85::C880, Iscas85::C1908, Iscas85::C6288];
+        if !benchmark.contains(&circuit) {
+            return;
+        }
+        assert!(stats.fused_presentations > 0, "{name}: nothing fused");
+        if W::BITS == 64 {
+            // Depth 124: c6288's fields reach two 64-bit words; the
+            // other circuits' all fit one.
+            let multi_word = circuit == Iscas85::C6288;
+            assert_eq!(stats.decoded_presentations > 0, multi_word, "{name}");
+        }
+    }
+    for circuit in Iscas85::ALL {
+        check::<u32>(circuit);
+        check::<u64>(circuit);
     }
 }
 
@@ -228,11 +373,13 @@ fn compilers_never_pool_narrow_gates() {
                 let mut shaped = 0;
                 for op in &program.ops {
                     match *op {
-                        WOp::Eval { operand_count, .. } => assert!(
-                            operand_count == 0 || operand_count >= 3,
-                            "{}: {optimization} pooled {op:?}",
-                            nl.name()
-                        ),
+                        WOp::Eval { operand_count, .. } | WOp::FusedEval { operand_count, .. } => {
+                            assert!(
+                                operand_count == 0 || operand_count >= 3,
+                                "{}: {optimization} pooled {op:?}",
+                                nl.name()
+                            )
+                        }
                         _ if op.as_gate(&program.operands).is_some() => shaped += 1,
                         _ => {}
                     }

@@ -131,8 +131,13 @@ pub struct ProgramStats {
     pub retained_shifts: usize,
     /// Words of gate simulation removed by trimming.
     pub trimmed_words: usize,
-    /// Shifted field presentations (Fig. 18) decoded at compile time
-    /// into one double-width arithmetic shift per word.
+    /// Shifted field presentations (Fig. 18) fused into the operand of
+    /// the gate that reads them: right shifts from one word into one
+    /// word, which cost no op of their own.
+    pub fused_presentations: usize,
+    /// Shifted field presentations decoded at compile time into one
+    /// double-width arithmetic shift per word: the right shifts that do
+    /// not fuse (a two-word source or destination).
     pub decoded_presentations: usize,
     /// Shifted field presentations the general funnel runs: left
     /// shifts, and sources or destinations wider than two words.
@@ -287,10 +292,8 @@ impl<W: Word> ParallelSim<W> {
         // The paper's Fig. 20/23/24 static columns, namespaced by
         // optimization so several compiles can share one report.
         let key = optimization.key();
-        probe.gauge(
-            &format!("parallel.{key}.word_ops"),
-            program.ops.len() as u64,
-        );
+        let word_ops = program.word_ops();
+        probe.gauge(&format!("parallel.{key}.word_ops"), word_ops as u64);
         probe.gauge(
             &format!("parallel.{key}.arena_words"),
             program.arena_words as u64,
@@ -307,6 +310,21 @@ impl<W: Word> ParallelSim<W> {
             &format!("parallel.{key}.words_trimmed"),
             trimmed_words as u64,
         );
+        // Which path runs each retained input shift.
+        let count = |shape: fn(&WOp) -> bool| program.ops.iter().filter(|op| shape(op)).count();
+        let fused_presentations = program.fused_presentations();
+        let decoded_presentations = count(|op| matches!(op, WOp::ShiftRight { .. }));
+        let funnel_presentations = count(|op| matches!(op, WOp::ShiftField { .. }));
+        for (path, presentations) in [
+            ("fused", fused_presentations),
+            ("decoded", decoded_presentations),
+            ("funnel", funnel_presentations),
+        ] {
+            probe.gauge(
+                &format!("parallel.{key}.{path}_presentations"),
+                presentations as u64,
+            );
+        }
         let max_width_bits = match &alignment {
             Some(alignment) => alignment.stats(netlist, &levels).max_width_bits,
             None => depth + 1,
@@ -380,14 +398,14 @@ impl<W: Word> ParallelSim<W> {
             }
         }
 
-        let count = |shape: fn(&WOp) -> bool| program.ops.iter().filter(|op| shape(op)).count();
         let stats = ProgramStats {
-            word_ops: program.ops.len(),
+            word_ops,
             arena_words: program.arena_words,
             retained_shifts,
             trimmed_words,
-            decoded_presentations: count(|op| matches!(op, WOp::ShiftRight { .. })),
-            funnel_presentations: count(|op| matches!(op, WOp::ShiftField { .. })),
+            fused_presentations,
+            decoded_presentations,
+            funnel_presentations,
         };
         Ok(ParallelSim {
             arena: initial_arena.clone(),

@@ -43,6 +43,7 @@
 //!
 //! `--vcd OUT.vcd` writes the outputs' unit-delay waveforms as VCD while
 //! the run streams, in bounded memory; it needs a run without `--jobs`.
+//! `--vcd -` writes the VCD to stdout and moves the rows to stderr.
 //! `--jobs N` shards the vector stream across N worker threads, each
 //! owning its own engine; a zero-delay prepass seeds every shard so the
 //! printed rows are byte-identical to a sequential run for any N. The
@@ -108,7 +109,6 @@
 // SimError is large but cold; see guard.rs.
 #![allow(clippy::result_large_err)]
 
-use std::fs::File;
 use std::io::{self, BufWriter, Read as _, Write as _};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -294,7 +294,7 @@ fn usage() -> String {
      loadgen is closed-loop unless --rate sets open-loop arrivals; --bench makes the fleet\n\
      POST real work, otherwise it GETs --path (default /healthz).\n\n\
      --vcd writes the outputs' unit-delay waveforms as VCD while the run streams, in bounded\n\
-     memory; it needs the sequential run (no --jobs).\n\
+     memory; it needs the sequential run (no --jobs). --vcd - writes it to stdout.\n\
      --crosscheck checks every printed row against the event-driven baseline (any engine,\n\
      chain or --jobs); a row that differs exits 7.\n\
      --engine native compiles the emitted C (cc, or $UDS_CC) and dlopens it; without a C\n\
@@ -407,7 +407,7 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
     let mut limits = ResourceLimits::unlimited();
     let run = RunOptions::parse(args, 16, |flag, rest| {
         match flag {
-            "--vcd" => vcd_path = Some(rest.next().ok_or("--vcd needs a path")?.clone()),
+            "--vcd" => vcd_path = Some(stream_path(flag, rest)?),
             "--stats" => stats_path = Some(stream_path(flag, rest)?),
             "--trace" => trace_path = Some(stream_path(flag, rest)?),
             "--fallback" => fallback = true,
@@ -421,6 +421,7 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
     // The stream flags share stdout under one contract: at most one `-`,
     // and any `-` moves the human output to stderr.
     let human = stream_contract(&[
+        ("--vcd", vcd_path.as_deref()),
         ("--stats", stats_path.as_deref()),
         ("--trace", trace_path.as_deref()),
         ("--progress", progress.path.as_deref()),
@@ -453,8 +454,8 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
     // The VCD file is opened before the first row and written as it streams.
     let mut recorder = match &vcd_path {
         Some(path) => {
-            let file = BufWriter::new(File::create(path).map_err(open_error(path))?);
-            Some(VcdRecorder::new(&nl, nl.primary_outputs().to_vec(), file))
+            let sink = BufWriter::new(open_sink(path).map_err(open_error(path))?);
+            Some(VcdRecorder::new(&nl, nl.primary_outputs().to_vec(), sink))
         }
         None => None,
     };
@@ -536,7 +537,9 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
         );
         if let (Some(path), Some(recorder)) = (&vcd_path, shard.step) {
             recorder.finish().map_err(write_error(path))?;
-            eprintln!("wrote {path}");
+            if path != "-" {
+                eprintln!("wrote {path}");
+            }
         }
     }
 
@@ -1149,9 +1152,10 @@ fn stats(args: &[String]) -> Result<(), CliError> {
                 program.map_err(|e| CliError::class(e.to_string(), FailureClass::Structural))?;
             out.line(format_args!(
                 "parallel ({optimization}, {bits}-bit words): {} word ops, {} retained shifts, \
-                 {} decoded + {} funnel presentations, {} arena words",
+                 {} fused + {} decoded + {} funnel presentations, {} arena words",
                 s.word_ops,
                 s.retained_shifts,
+                s.fused_presentations,
                 s.decoded_presentations,
                 s.funnel_presentations,
                 s.arena_words

@@ -81,11 +81,16 @@ fn stats_reports_both_word_widths_and_the_presentation_paths() {
         "parallel (path-tracing+trimming, 32-bit words): ",
     ]) {
         assert!(line.starts_with(prefix), "{line}");
-        assert!(line.contains(" decoded + "), "{line}");
+        assert!(
+            line.contains(" fused + ") && line.contains(" decoded + "),
+            "{line}"
+        );
     }
-    // c432's 1-word fields: every path-tracing presentation is decoded.
+    // c432's 1-word fields: every path-tracing presentation is fused
+    // into the gate that reads it.
     assert!(
-        parallel[2].contains(" 0 funnel presentations") && !parallel[2].contains(" 0 decoded"),
+        parallel[2].contains(" 0 decoded + 0 funnel presentations")
+            && !parallel[2].contains(" 0 fused"),
         "{}",
         parallel[2]
     );
@@ -393,6 +398,44 @@ fn vcd_files_match_the_event_driven_baseline() {
             "{name}: VCD differs from the baseline's"
         );
     }
+}
+
+/// `--vcd -` takes stdout under the stream contract `--stats -` uses:
+/// the VCD it prints is byte for byte what `--vcd FILE` writes, the
+/// rows move to stderr, no file named `-` appears, and a second stream
+/// claiming stdout is a usage error.
+#[test]
+fn vcd_dash_streams_the_waveform_to_stdout() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("vcd-dash");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("run dir");
+    let bench = fixture("vcd-dash.bench", C17);
+    let run = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_udsim"))
+            .current_dir(&dir)
+            .args(["simulate", bench.to_str().unwrap(), "--vectors", "300"])
+            .args(extra)
+            .output()
+            .expect("udsim binary runs")
+    };
+    let file = dir.join("out.vcd");
+    let to_file = run(&["--vcd", file.to_str().unwrap()]);
+    assert_eq!(to_file.status.code(), Some(0), "{}", stderr(&to_file));
+    let to_stdout = run(&["--vcd", "-"]);
+    assert_eq!(to_stdout.status.code(), Some(0), "{}", stderr(&to_stdout));
+    assert!(
+        to_stdout.stdout == std::fs::read(&file).expect("VCD written"),
+        "stdout differs from the file's VCD"
+    );
+    let rows = String::from_utf8_lossy(&to_file.stdout);
+    assert!(rows.lines().count() > 300, "{rows}");
+    assert!(
+        stderr(&to_stdout).contains(rows.as_ref()),
+        "rows not on stderr"
+    );
+    assert!(!dir.join("-").exists(), "a file named `-` was written");
+    let both = run(&["--vcd", "-", "--stats", "-"]);
+    assert_eq!(both.status.code(), Some(2), "{}", stderr(&both));
 }
 
 #[test]

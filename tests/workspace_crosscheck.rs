@@ -3,7 +3,7 @@
 
 use unit_delay_sim::core::crosscheck;
 use unit_delay_sim::core::vectors::{Exhaustive, RandomVectors, WalkingOnes};
-use unit_delay_sim::core::{build_simulator_with_word, WordWidth};
+use unit_delay_sim::core::{build_simulator_with_word, TracedEventSim, WordWidth};
 use unit_delay_sim::netlist::generators::adders::{ripple_carry_adder, AdderStyle};
 use unit_delay_sim::netlist::generators::alu::alu;
 use unit_delay_sim::netlist::generators::comparator::comparator;
@@ -12,6 +12,7 @@ use unit_delay_sim::netlist::generators::multiplier::array_multiplier;
 use unit_delay_sim::netlist::generators::random::{layered, LayeredConfig};
 use unit_delay_sim::netlist::generators::shifter::{barrel_shifter, priority_encoder};
 use unit_delay_sim::netlist::generators::trees::{decoder, mux_tree};
+use unit_delay_sim::parallel::ParallelSimulator64;
 use unit_delay_sim::prelude::*;
 
 const PARALLEL_ENGINES: [Engine; 5] = [
@@ -95,6 +96,25 @@ fn c1908_standin_two_word_fields() {
     let width = nl.primary_inputs().len();
     let mut sims = all_engines(&nl);
     crosscheck::run(&nl, &mut sims, RandomVectors::new(width, 7).take(6)).unwrap();
+}
+
+#[test]
+fn pooled_gate_circuits_keep_every_nets_history_under_fused_presentations() {
+    // c1908 and c5315 are where path tracing + trimming reads the most
+    // shifted presentations, most of them fused into pooled 3+-input
+    // gates. Every net's whole waveform, not only the outputs, must
+    // match the event-driven oracle at both word widths.
+    for circuit in [Iscas85::C1908, Iscas85::C5315] {
+        let nl = circuit.build();
+        let width = nl.primary_inputs().len();
+        let pt_trim = Optimization::PathTracingTrimming;
+        let mut sims: Vec<Box<dyn UnitDelaySimulator>> = vec![
+            Box::new(TracedEventSim::new(&nl).unwrap()),
+            Box::new(ParallelSimulator::compile_monitoring_all(&nl, pt_trim).unwrap()),
+            Box::new(ParallelSimulator64::compile_monitoring_all(&nl, pt_trim).unwrap()),
+        ];
+        crosscheck::run(&nl, &mut sims, RandomVectors::new(width, 30).take(500)).unwrap();
+    }
 }
 
 #[test]
