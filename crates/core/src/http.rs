@@ -20,6 +20,7 @@
 //! as their own variants so the connection loop can tell an idle peer
 //! (reap silently) from a slowloris mid-head stall (answer 408).
 
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 
 use crate::telemetry::json::Json;
@@ -331,25 +332,27 @@ impl Response {
     /// Writes the response (status line, headers, body) to `stream`,
     /// announcing `Connection: keep-alive` or `close` per the caller's
     /// decision — the caller, not the response, knows whether the
-    /// connection loop will read another request.
+    /// connection loop will read another request. The head goes out in
+    /// one write and the body in one more, never copied: a socket sends
+    /// a few segments per response, not one per header line.
     ///
     /// # Errors
     ///
     /// Socket write failures pass through.
     pub fn write_to(&self, stream: &mut impl Write, keep_alive: bool) -> io::Result<()> {
-        write!(
-            stream,
+        let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             reason(self.status),
             self.content_type,
             self.body.len(),
             if keep_alive { "keep-alive" } else { "close" },
-        )?;
+        );
         for (name, value) in &self.extra_headers {
-            write!(stream, "{name}: {value}\r\n")?;
+            let _ = write!(head, "{name}: {value}\r\n");
         }
-        stream.write_all(b"\r\n")?;
+        head.push_str("\r\n");
+        stream.write_all(head.as_bytes())?;
         stream.write_all(&self.body)?;
         stream.flush()
     }
@@ -531,6 +534,39 @@ mod tests {
         assert!(text.contains("Content-Length: 3\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\n{}\n"));
+    }
+
+    #[test]
+    fn a_response_is_at_most_two_writes() {
+        // One write per header line made a keep-alive client wait out
+        // its delayed ACK on every response; head and body go out whole.
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let response = Response::text(200, "x".repeat(1 << 16))
+            .with_header("Retry-After", "1")
+            .with_header("x-uds-trace-id", "abc");
+        let mut out = Counting {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        response.write_to(&mut out, true).unwrap();
+        assert!(out.writes <= 2, "{} writes", out.writes);
+        let mut whole = Vec::new();
+        response.write_to(&mut whole, true).unwrap();
+        assert_eq!(out.bytes, whole);
+        assert!(whole.ends_with(&response.body));
     }
 
     #[test]

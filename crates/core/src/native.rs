@@ -16,8 +16,8 @@
 //! `simulate_one_vector(word *uds_a, const word *pi)`, and keep no
 //! state: every arena word is a slot of the `uds_a` they are handed,
 //! and `pi` holds the primary inputs as words. Inside, the kernel is a
-//! run of part functions of whole netlist levels, spread over up to
-//! four translation units, which the entry calls in order (see
+//! run of part functions of whole netlist levels, spread over one, two
+//! or four translation units, which the entry calls in order (see
 //! [`uds_netlist::c_emit`]). The parts have hidden visibility, so the
 //! entry calls them directly and only the entry is exported: this
 //! module sees one symbol whatever the split. The authoritative state
@@ -36,7 +36,8 @@
 //!
 //! The unit cut is a function of the kernel alone (see
 //! [`uds_netlist::c_emit::MAX_UNITS`]): c432 is one unit, c880 two,
-//! c1908 and c6288 four, on any host. A cold build writes each unit,
+//! c1908 two at 64 bits and four at 32, c6288 four, on any host. A cold
+//! build writes each unit,
 //! after the shared prelude, to its own temp `.c` and runs at most
 //! `min(units, available cores)` compilers at once. Every `cc` is
 //! waited for before the build returns; when a unit fails, no further

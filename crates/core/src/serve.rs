@@ -86,7 +86,10 @@
 //! observable proof that recompilation was skipped. Queue depth
 //! (`serve.queue_depth`), queue wait (`serve.queue_wait_ms`), end-to-
 //! end latency (`serve.request_ms`), and shed counts (`serve.shed.*`)
-//! export through the same registry as SLO-ready histograms.
+//! export through the same registry as SLO-ready histograms. A
+//! request's latency, like the reqlog line's `wall_ns`, counts from
+//! when its connection was queued for a first request that waited, and
+//! from the start of its read otherwise: the instant its trace starts.
 //!
 //! # Request tracing
 //!
@@ -967,9 +970,13 @@ impl SimServer {
                         // Accepted sockets always get timeouts before
                         // any read — an unconfigured socket blocks
                         // forever and a stalled client would pin
-                        // whichever thread touches it.
+                        // whichever thread touches it. No Nagle delay:
+                        // a response's body would otherwise wait for the
+                        // peer's delayed ACK of its head on a keep-alive
+                        // connection.
                         let _ = stream.set_read_timeout(socket_timeout(self.config.read_timeout));
                         let _ = stream.set_write_timeout(socket_timeout(self.config.read_timeout));
+                        let _ = stream.set_nodelay(true);
                         let conn = self.connections.fetch_add(1, Ordering::Relaxed) + 1;
                         if self.draining() {
                             // Inline, short-fused service keeps the
@@ -1102,7 +1109,13 @@ impl SimServer {
                 // the mid-request read budget.
                 let _ = stream.set_read_timeout(socket_timeout(self.config.idle_timeout));
             }
-            let clock = Instant::now();
+            // A request's wall time starts where its trace does: when
+            // the connection was queued for its first request, so the
+            // time covers the queue-wait phase that request leads with,
+            // and when its read began for every other.
+            let queued = enqueued.filter(|_| served == 0 && queue_wait_ns > 0);
+            let started = queued.unwrap_or_else(Instant::now);
+            let waited_ms = if served == 0 { queue_wait_ms } else { 0 };
             match read_request(&mut reader, self.config.max_body_bytes) {
                 Ok(request) => {
                     let _ = stream.set_read_timeout(socket_timeout(self.config.read_timeout));
@@ -1110,14 +1123,12 @@ impl SimServer {
                     let context = RequestContext {
                         conn,
                         requests_on_connection: served,
-                        queue_wait_ms: if served == 1 { queue_wait_ms } else { 0 },
+                        queue_wait_ms: waited_ms,
                     };
                     let trace_id = request
                         .trace_id()
                         .unwrap_or_else(|| self.next_trace_id(conn));
-                    let queued = enqueued.filter(|_| served == 1 && queue_wait_ns > 0);
-                    let trace =
-                        RequestTrace::new(trace_id, &self.telemetry, conn, queued.unwrap_or(clock));
+                    let trace = RequestTrace::new(trace_id, &self.telemetry, conn, started);
                     if let Some(at) = queued {
                         trace.lead_phase("serve.queue_wait", at, queue_wait_ns);
                     }
@@ -1131,7 +1142,7 @@ impl SimServer {
                     self.finish_request(
                         Some(&request),
                         &response,
-                        clock,
+                        started,
                         context,
                         &facts,
                         Some(trace),
@@ -1147,7 +1158,7 @@ impl SimServer {
                         let context = RequestContext {
                             conn,
                             requests_on_connection: served + 1,
-                            queue_wait_ms: 0,
+                            queue_wait_ms: waited_ms,
                         };
                         let facts = LogFacts {
                             error: Some(error.to_string()),
@@ -1155,7 +1166,7 @@ impl SimServer {
                                 .then_some("timeout"),
                             ..LogFacts::default()
                         };
-                        self.finish_request(None, &response, clock, context, &facts, None);
+                        self.finish_request(None, &response, started, context, &facts, None);
                     }
                     break;
                 }
@@ -2127,10 +2138,12 @@ mod tests {
         let handle = server.shutdown_handle();
         std::thread::scope(|scope| {
             let runner = scope.spawn(|| server.run().expect("serve"));
-            let result = body(addr);
+            // A failed assertion in `body` must still stop the server,
+            // or the scope would wait for it forever.
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(addr)));
             handle.request();
             runner.join().expect("server thread");
-            result
+            result.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
         })
     }
 
@@ -2389,6 +2402,42 @@ mod tests {
     }
 
     #[test]
+    fn keep_alive_responses_do_not_wait_for_delayed_acks() {
+        // A response sent as many small writes waited, under Nagle's
+        // algorithm, for the client's delayed ACK (about 40 ms on
+        // Linux) on every keep-alive request: 20 requests on one
+        // connection must take well under 20 x 40 ms (half of it, to
+        // leave room for a loaded test host).
+        with_server(ServeConfig::default(), Telemetry::new(), None, |addr| {
+            let stream = TcpStream::connect(addr).unwrap();
+            let mut reader = BufReader::new(&stream);
+            let body = simulate_body(None);
+            let request = format!(
+                "POST /simulate HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            // The first request compiles c17; time the cache hits.
+            (&stream).write_all(request.as_bytes()).unwrap();
+            assert_eq!(read_one_response(&mut reader).0, 200);
+            let started = Instant::now();
+            for round in 0..20 {
+                (&stream).write_all(request.as_bytes()).unwrap();
+                let (status, head, _) = read_one_response(&mut reader);
+                assert_eq!(status, 200, "round {round}: {head}");
+                assert!(
+                    head.to_ascii_lowercase().contains("connection: keep-alive"),
+                    "{head}"
+                );
+            }
+            let elapsed = started.elapsed();
+            assert!(
+                elapsed < Duration::from_millis(400),
+                "20 keep-alive requests took {elapsed:?}"
+            );
+        });
+    }
+
+    #[test]
     fn keep_alive_max_closes_the_connection() {
         let config = ServeConfig {
             keep_alive_max: 2,
@@ -2595,6 +2644,63 @@ mod tests {
         assert!(
             sum_ms <= wall_ns as f64 / 1e6,
             "phases ({sum_ms} ms) exceed request wall ({wall_ns} ns)"
+        );
+    }
+
+    #[test]
+    fn a_queued_requests_wall_time_covers_its_phases() {
+        // One worker, held by a connection that has not sent its
+        // request: the second connection waits in the queue, and its
+        // reqlog line leads with that wait. Its wall time must count
+        // from the same instant, so the phases fit inside it.
+        let log = Shared::default();
+        let telemetry = Telemetry::new();
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let request = b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
+        let until = |name: &str, value: u64| {
+            while telemetry.gauge_value(name) != Some(value) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        let reqlog: Box<dyn Write + Send> = Box::new(log.clone());
+        with_server(config, telemetry.clone(), Some(reqlog), |addr| {
+            let holder = TcpStream::connect(addr).unwrap();
+            until("serve.in_flight", 1);
+            let queued = TcpStream::connect(addr).unwrap();
+            (&queued).write_all(request).unwrap();
+            until("serve.queue_depth", 1);
+            // The wait the queued request's line must account for.
+            std::thread::sleep(Duration::from_millis(50));
+            (&holder).write_all(request).unwrap();
+            assert_eq!(read_one_response(&mut BufReader::new(&holder)).0, 200);
+            assert_eq!(read_one_response(&mut BufReader::new(&queued)).0, 200);
+        });
+        let bytes = log.0.lock().unwrap().clone();
+        let lines: Vec<Json> = String::from_utf8(bytes)
+            .unwrap()
+            .lines()
+            .map(|l| Json::parse(l).expect("reqlog line parses"))
+            .collect();
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        let waited = lines
+            .iter()
+            .find(|doc| doc.get("queue_wait_ms").and_then(Json::as_u64) >= Some(40))
+            .unwrap_or_else(|| panic!("no request waited in the queue: {lines:?}"));
+        let wall_ms = waited.get("wall_ns").unwrap().as_u64().unwrap() as f64 / 1e6;
+        let Some(Json::Obj(phases)) = waited.get("phase_ms") else {
+            panic!("phase_ms missing: {waited:?}");
+        };
+        assert!(
+            phases.iter().any(|(name, _)| name == "queue_wait"),
+            "{phases:?}"
+        );
+        let sum_ms: f64 = phases.iter().filter_map(|(_, v)| v.as_f64()).sum();
+        assert!(
+            sum_ms <= wall_ms,
+            "phases ({sum_ms} ms) exceed request wall ({wall_ms} ms)"
         );
     }
 

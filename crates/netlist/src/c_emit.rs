@@ -13,8 +13,8 @@
 //! ([`NativeSource`]) keeps no state and names each arena word as a
 //! slot of the caller's `uds_a`. Its body is cut at level-segment ends
 //! into hidden, non-inlined part functions of about [`PART_LINES`]
-//! lines, and the parts are grouped in order into at most
-//! [`MAX_UNITS`] translation units of at least [`UNIT_LINES`] lines.
+//! lines, and the parts are grouped in order into 1, 2 or [`MAX_UNITS`]
+//! translation units of at least [`UNIT_LINES`] lines each.
 //! The one exported entry, `void simulate_one_vector(word *uds_a, const
 //! word *pi)`, sits in the last unit and calls the parts in order. `cc`
 //! compiles many small functions much faster than one straight-line
@@ -232,18 +232,23 @@ pub fn claim(used: &mut HashSet<String>, candidate: String) -> String {
 /// budget (a single larger segment gets a part of its own). `cc -O1`'s
 /// time grows faster than linearly with function size, so many small
 /// parts compile in well under half the time of one straight-line
-/// body, and the kernel runs no slower.
-pub const PART_LINES: usize = 200;
+/// body, and the kernel runs no slower. A gate line that reads its
+/// shifted operands in place carries several lines' worth of work, so
+/// the budget is kept small.
+pub const PART_LINES: usize = 100;
 
 /// Statement lines each translation unit of a native kernel holds at
 /// least: a kernel is cut into one unit per whole `UNIT_LINES` of its
-/// body, so a small kernel stays one unit (splitting c432 only adds
-/// `cc` start-ups) while c880 gets two.
-pub const UNIT_LINES: usize = 1000;
+/// body, rounded down to a power of two, so a small kernel stays one
+/// unit (splitting c432 only adds `cc` start-ups) while c880 and c1908
+/// at 64 bits get two.
+pub const UNIT_LINES: usize = 300;
 
 /// Most translation units one native kernel is cut into. The cut is a
 /// function of the kernel alone, never of the host's core count, so an
-/// artifact's name does not depend on where it was built.
+/// artifact's name does not depend on where it was built. Unit counts
+/// are powers of two, so 1, 2 or 4 compilers at once finish together:
+/// no unit is left to compile alone after the others.
 pub const MAX_UNITS: usize = 4;
 
 /// The attributes of the native kernel's part functions. `noinline`
@@ -306,12 +311,12 @@ impl NativeSource {
 
 /// The first part of each translation unit, given each part's
 /// statement lines: one unit per whole [`UNIT_LINES`] of the body, at
-/// least one and at most [`MAX_UNITS`], each closed at the part end
-/// nearest its share of the lines. The cut depends on the part sizes
-/// alone.
+/// least one and at most [`MAX_UNITS`], rounded down to a power of two,
+/// each closed at the part end nearest its share of the lines. The cut
+/// depends on the part sizes alone.
 fn unit_firsts(part_lines: &[usize]) -> Vec<usize> {
     let total: usize = part_lines.iter().sum();
-    let units = (total / UNIT_LINES).clamp(1, MAX_UNITS);
+    let units = 1 << (total / UNIT_LINES).clamp(1, MAX_UNITS).ilog2();
     let mut firsts = vec![0];
     let mut filled = 0;
     for (k, &lines) in part_lines.iter().enumerate() {
@@ -453,7 +458,7 @@ impl Kernel {
     /// run-length level table) into non-inlined, hidden parts
     /// `uds_part0`, `uds_part1`, … of about [`PART_LINES`] lines, each
     /// taking `word *uds_a, const word *pi`, and the parts are grouped
-    /// in order into units of at least [`UNIT_LINES`] lines, at most
+    /// in order into units of at least [`UNIT_LINES`] lines, 1, 2 or
     /// [`MAX_UNITS`] of them. Each unit opens with a `/* unit k of n */`
     /// comment. The last unit also declares the parts the other units
     /// define and exports `simulate_one_vector` with the same
@@ -643,18 +648,25 @@ mod tests {
 
     #[test]
     fn units_group_whole_parts_by_the_kernel_size_alone() {
-        // One unit per whole UNIT_LINES of body, capped at MAX_UNITS.
-        let units = |lines: usize| unit_firsts(&vec![PART_LINES; lines / PART_LINES]).len();
+        // One unit per whole UNIT_LINES of body, rounded down to a
+        // power of two and capped at MAX_UNITS.
+        let units = |lines: usize| unit_firsts(&vec![1; lines]).len();
         assert_eq!(units(0), 1);
-        assert_eq!(units(2 * UNIT_LINES - PART_LINES), 1);
+        assert_eq!(units(2 * UNIT_LINES - 1), 1);
         assert_eq!(units(2 * UNIT_LINES), 2);
+        assert_eq!(
+            units(4 * UNIT_LINES - 1),
+            2,
+            "three units round down to two"
+        );
         assert_eq!(units(4 * UNIT_LINES), 4);
         assert_eq!(units(40 * UNIT_LINES), MAX_UNITS);
+        assert!(MAX_UNITS.is_power_of_two());
         // Units close at the part end nearest their share of the lines;
         // a unit is never empty, so there are never more than parts.
-        assert_eq!(unit_firsts(&[5, 5, 2000, 5]), [0, 2]);
-        assert_eq!(unit_firsts(&[4000, 1]), [0, 1]);
-        assert_eq!(unit_firsts(&[4000]), [0]);
+        assert_eq!(unit_firsts(&[5, 5, 2 * UNIT_LINES, 5]), [0, 2]);
+        assert_eq!(unit_firsts(&[4 * UNIT_LINES, 1]), [0, 1]);
+        assert_eq!(unit_firsts(&[4 * UNIT_LINES]), [0]);
     }
 
     #[test]

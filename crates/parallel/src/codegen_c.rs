@@ -9,13 +9,15 @@
 //! identifier is defined in the same translation unit — so `cc` can
 //! compile it directly.
 //!
-//! [`emit_native`] is the native engine's variant: the same statement
-//! body, but every arena word is a macro over a caller-owned arena
-//! (`#define D uds_a[3]`) instead of a static, so the compiled kernel
-//! holds no state of its own, and the body is cut into level-range
-//! part functions, grouped into a few translation units, that `cc`
-//! compiles quickly. The naming layer around
-//! the body is [`uds_netlist::c_emit`], shared with the PC-set emitter.
+//! [`emit_native`] is the native engine's variant: every arena word is
+//! a macro over a caller-owned arena (`#define D uds_a[3]`) instead of a
+//! static, so the compiled kernel holds no state of its own, and the
+//! body is cut into level-range part functions, grouped into a few
+//! translation units, that `cc` compiles quickly. Its body is the paper
+//! body with each fused presentation read in place by its gate, as the
+//! interpreter runs it, instead of staged in a scratch word. The naming
+//! layer around the body is [`uds_netlist::c_emit`], shared with the
+//! PC-set emitter.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -24,7 +26,7 @@ pub use uds_netlist::c_emit::EmitError;
 use uds_netlist::c_emit::{claim, gate_expression, sanitize, Kernel, NativeSource};
 use uds_netlist::Netlist;
 
-use crate::program::{FieldShift, WOp};
+use crate::program::{FieldShift, Fused, WOp};
 use crate::word::Word;
 use crate::ParallelSim;
 
@@ -44,10 +46,14 @@ pub fn emit<W: Word>(netlist: &Netlist, simulator: &ParallelSim<W>) -> Result<St
 /// owns: `void simulate_one_vector(word *uds_a, const word *pi)`, where
 /// `uds_a` is the simulator's arena in arena-index order and each named
 /// word is `#define <name> uds_a[<slot>]`. The statement body is the
-/// same text [`emit`] produces, cut at level-segment ends into hidden
-/// parts that the entry calls in order, and the parts grouped into
-/// translation units ([`NativeSource`]); no statics are declared, so
-/// concurrent calls on distinct arenas never share state.
+/// text [`emit`] produces, except that a gate reads each fused operand
+/// in place, as the executor does (`(word)((int64_t)(x << left) >>
+/// right)` at 64 bits), where [`emit`] first writes the presentation
+/// into a staging word (which the native kernel leaves unwritten). The
+/// body is cut at level-segment ends into hidden parts that the entry
+/// calls in order, and the parts grouped into translation units
+/// ([`NativeSource`]); no statics are declared, so concurrent calls on
+/// distinct arenas never share state.
 ///
 /// # Errors
 ///
@@ -231,31 +237,44 @@ fn kernel<W: Word>(
                 let (kind, dst, operands) = op
                     .as_gate(&program.operands)
                     .expect("every other op is a gate evaluation");
-                // A fused operand reads the presentation the compiler
-                // staged for it: its gate's `k`-th distinct shifted
-                // input, counting the staged ones too.
-                let mut reads: Vec<u32> = operands.iter().map(|o| o.slot).collect();
-                if operands.iter().any(|o| o.shift.is_shift()) {
-                    let mut k = 0;
-                    for (i, operand) in operands.iter().enumerate() {
-                        if let Some(first) = operands[..i].iter().position(|o| o == operand) {
-                            reads[i] = reads[first];
-                        } else if operand.shift.is_shift() {
-                            reads[i] = program.staging.slot(k);
-                            staged.push(operand.shift.presentation::<W>(operand.slot, reads[i]));
-                            k += 1;
-                        } else if program.staging.holds(operand.slot) {
+                // The paper form reads a fused operand from the
+                // presentation the compiler staged for it: its gate's
+                // `k`-th distinct shifted input, counting the staged
+                // ones too. The native form reads it in place, through
+                // the executor's shift pair, and leaves that staging
+                // word unwritten.
+                let fused = operands.iter().any(|o| o.shift.is_shift());
+                let mut reads: Vec<String> = Vec::with_capacity(operands.len());
+                let mut k = 0;
+                for (i, operand) in operands.iter().enumerate() {
+                    if let Some(first) = operands[..i].iter().position(|o| o == operand) {
+                        let read = reads[first].clone();
+                        reads.push(read);
+                    } else if operand.shift.is_shift() {
+                        let source = &names[operand.slot as usize];
+                        reads.push(if native {
+                            fused_read::<W>(source, operand.shift)
+                        } else {
+                            let slot = program.staging.slot(k);
+                            staged.push(operand.shift.presentation::<W>(operand.slot, slot));
+                            names[slot as usize].clone()
+                        });
+                        k += 1;
+                    } else {
+                        if fused && program.staging.holds(operand.slot) {
                             debug_assert_eq!(operand.slot, program.staging.slot(k));
                             k += 1;
                         }
+                        reads.push(names[operand.slot as usize].clone());
                     }
+                }
+                if fused {
                     staged.sort_by_key(|shift| shift.dst);
                 }
                 for shift in staged.drain(..) {
                     write_presentation(out, &names, b, shift);
                 }
-                let operands: Vec<&str> =
-                    reads.iter().map(|&s| names[s as usize].as_str()).collect();
+                let operands: Vec<&str> = reads.iter().map(String::as_str).collect();
                 let _ = writeln!(
                     out,
                     "    {} = {};",
@@ -333,6 +352,18 @@ fn write_presentation(out: &mut String, names: &[String], b: u32, shift: FieldSh
         }
     }
     let _ = writeln!(out, "    }}");
+}
+
+/// The C expression of a fused operand read in place: `source` shifted
+/// left by the pair's `left`, then arithmetically right by its `right`
+/// through the signed word type (the executor's [`Word::shl_sar`]).
+fn fused_read<W: Word>(source: &str, shift: Fused) -> String {
+    format!(
+        "(word)(({})({source} << {}) >> {})",
+        W::C_SIGNED_TYPE,
+        shift.left,
+        shift.right
+    )
 }
 
 /// Low-mask constant with the bottom `k` bits set, as a C literal.
@@ -438,6 +469,78 @@ mod tests {
     /// The statement body of a paper-form kernel.
     fn paper_body(code: &str) -> &str {
         &code[code.find("\n{\n").unwrap() + 3..code.len() - 2]
+    }
+
+    /// The paper body with every fused presentation read in place, the
+    /// body the native parts must hold: each block presenting a one-word
+    /// field shifted right into one staging word is dropped, and the
+    /// statement after the blocks reads the field through the shift
+    /// pair instead of the staging word. Other blocks stay as they are.
+    fn inlined_paper_body<W: Word>(nl: &Netlist, sim: &ParallelSim<W>) -> String {
+        let paper = emit(nl, sim).unwrap();
+        let names: Vec<&str> = paper
+            .lines()
+            .filter_map(|l| l.strip_prefix("static word "))
+            .map(|l| l.split(' ').next().unwrap())
+            .collect();
+        let staging = |name: &str| {
+            let slot = names.iter().position(|&n| n == name).unwrap();
+            sim.program().staging.holds(slot as u32)
+        };
+        // The identifier between `prefix` and `suffix` in `line`.
+        let between = |line: &str, prefix: &str, suffix: &str| {
+            let rest = &line[line.find(prefix).unwrap() + prefix.len()..];
+            rest[..rest.find(suffix).unwrap()].to_owned()
+        };
+        let mut out = String::new();
+        let mut inline: Vec<(String, String)> = Vec::new();
+        let mut lines = paper_body(&paper).lines();
+        while let Some(line) = lines.next() {
+            let Some(rest) = line.strip_prefix("    { /* shifted field presentation (") else {
+                out.push_str(&replace_identifiers(line, &inline));
+                out.push('\n');
+                inline.clear();
+                continue;
+            };
+            let shift: i32 = rest.strip_suffix(") */").unwrap().parse().unwrap();
+            let block: Vec<&str> = lines.by_ref().take_while(|&l| l != "    }").collect();
+            let src = between(block[0], "(word)0 - (", " & ");
+            let top = between(block[1], "(word)0 - (", " >> ");
+            let top_bit: u32 = between(block[1], " >> ", " & ").parse().unwrap();
+            let dst = between(block[3], "        ", " = ");
+            let pair = Fused::of::<W>(top_bit + 1, shift, 1);
+            match pair {
+                Some(pair) if top == src && block.len() == 4 && staging(&dst) => {
+                    inline.push((dst, fused_read::<W>(&src, pair)));
+                }
+                _ => {
+                    for line in [line].into_iter().chain(block).chain(["    }"]) {
+                        out.push_str(line);
+                        out.push('\n');
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// `line` with every identifier that `map` names replaced by its
+    /// expression.
+    fn replace_identifiers(line: &str, map: &[(String, String)]) -> String {
+        let mut out = String::new();
+        let mut identifier = String::new();
+        for c in line.chars().chain(['\n']) {
+            if c.is_ascii_alphanumeric() || c == '_' {
+                identifier.push(c);
+                continue;
+            }
+            let read = map.iter().find(|(name, _)| *name == identifier);
+            out.push_str(read.map_or(&identifier, |(_, read)| read));
+            identifier.clear();
+            out.push(c);
+        }
+        out.pop();
+        out
     }
 
     #[test]
@@ -560,16 +663,20 @@ mod tests {
         assert!(!code.contains("static word"), "{code}");
         assert!(!code.contains("uds_state_"), "{code}");
         assert!(!code.contains("uds_arena"), "{code}");
-        // The statement body is the paper emitter's, text for text, in
-        // the one part this small kernel needs.
-        assert_eq!(part_bodies(&code), [paper_body(&emit(&nl, &sim).unwrap())]);
+        // The statement body is the paper emitter's, text for text (the
+        // unoptimized kernel fuses nothing), in the one part this small
+        // kernel needs.
+        let paper = emit(&nl, &sim).unwrap();
+        assert_eq!(part_bodies(&code), [paper_body(&paper)]);
+        assert_eq!(inlined_paper_body(&nl, &sim), paper_body(&paper));
     }
 
     #[test]
     fn native_parts_regroup_the_paper_body_at_level_segment_ends() {
         // c1908's kernel spans many parts. They hold the paper body's
-        // statements in its order, every cut falls on a level-segment
-        // end, and only a part of one segment may exceed the budget.
+        // statements in its order, each fused presentation read in place
+        // by its gate; every cut falls on a level-segment end, and only a
+        // part of one segment may exceed the budget.
         let nl = uds_netlist::generators::iscas::Iscas85::C1908.build();
         let pt_trim = Optimization::PathTracingTrimming;
         let sim32 = ParallelSimulator::compile(&nl, pt_trim).unwrap();
@@ -591,7 +698,7 @@ mod tests {
             code.ends_with(&entry),
             "the entry calls every part in order"
         );
-        assert_eq!(parts.concat(), paper_body(&emit(nl, sim).unwrap()));
+        assert_eq!(parts.concat(), inlined_paper_body(nl, sim));
         let kernel = kernel(nl, sim, true).unwrap();
         let ends: Vec<usize> = sim
             .level_segments()
@@ -610,6 +717,38 @@ mod tests {
             );
             start = end;
         }
+    }
+
+    #[test]
+    fn native_c1908_writes_no_fused_presentation() {
+        // The native kernel writes a block for each decoded or funnel
+        // presentation and none for a fused one, which its gate reads in
+        // place; the paper form writes a block for all three. At 64 bits
+        // every presentation of c1908 fuses.
+        let nl = uds_netlist::generators::iscas::Iscas85::C1908.build();
+        let pt_trim = Optimization::PathTracingTrimming;
+        let sim32 = ParallelSimulator::compile(&nl, pt_trim).unwrap();
+        let sim64 = ParallelSimulator64::compile(&nl, pt_trim).unwrap();
+        assert_eq!(check_blocks(&nl, &sim64), 0);
+        check_blocks(&nl, &sim32);
+    }
+
+    /// Checks the presentation blocks of both forms against the
+    /// program's counts; returns the native kernel's block count.
+    fn check_blocks<W: Word>(nl: &Netlist, sim: &ParallelSim<W>) -> usize {
+        let stats = sim.stats();
+        let blocks = |code: &str| code.matches("{ /* shifted field presentation").count();
+        let native = blocks(emit_native(nl, sim).unwrap().text());
+        let staged = stats.decoded_presentations + stats.funnel_presentations;
+        assert_eq!(native, staged, "w{}", W::BITS);
+        assert!(stats.fused_presentations > 0, "w{}", W::BITS);
+        assert_eq!(
+            blocks(&emit(nl, sim).unwrap()),
+            stats.fused_presentations + staged,
+            "w{}",
+            W::BITS
+        );
+        native
     }
 
     #[test]
@@ -705,9 +844,9 @@ void simulate_one_vector(const word *pi)
         let c1908 = uds_netlist::generators::iscas::Iscas85::C1908.build();
         let pt_trim = Optimization::PathTracingTrimming;
         for (netlist, bits, pinned) in [
-            (&nl, 32, 0x590c_144e_d932_6106),
-            (&nl, 64, 0xb430_cb3b_c37a_c0ca),
-            (&c1908, 64, 0xcd27_935c_408b_8550),
+            (&nl, 32, 0x1cbe_6666_b373_a559),
+            (&nl, 64, 0x2b9e_f95d_9774_6f11),
+            (&c1908, 64, 0xe6d8_6a30_85b0_0813),
         ] {
             let source = if bits == 32 {
                 emit_native(

@@ -569,7 +569,7 @@ impl WOp {
     /// weight the level profiler uses (most ops touch one word; the
     /// multi-word loads and shifts touch their whole span). A fused
     /// gate also counts each presentation it fused, the word the
-    /// generated code still writes.
+    /// paper-form C still writes.
     pub(crate) fn weight(&self, pool: &OperandPool) -> u64 {
         match *self {
             WOp::InputBroadcast { words, .. } | WOp::InputAligned { words, .. } => u64::from(words),
@@ -584,8 +584,9 @@ impl WOp {
 /// a gate's `k`-th distinct shifted input is presented at
 /// `base + k * stride`, and every staging word lies in `base..end`.
 /// A fused presentation keeps its staging word in the arena, unwritten
-/// by the executor, so the emitted C (which still writes it) and the
-/// interpreter share one layout.
+/// by the executor and the native kernel, so the paper-form C (which
+/// still writes it), the native kernel and the interpreter share one
+/// layout.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub(crate) struct Staging {
     pub base: u32,

@@ -42,6 +42,9 @@ pub trait Word:
     const ONES: Self;
     /// The C type the code generator emits for this width.
     const C_TYPE: &'static str;
+    /// The signed C type of the same width: the native kernel's fused
+    /// operands shift through it arithmetically, as [`Word::shl_sar`].
+    const C_SIGNED_TYPE: &'static str;
 
     /// All bits set to `bit` (the broadcast fill the paper's Fig. 9
     /// trimming statements use).
@@ -76,13 +79,14 @@ pub trait Word:
 }
 
 macro_rules! impl_word {
-    ($ty:ty, $signed:ty, $wide:ty, $c_type:literal) => {
+    ($ty:ty, $signed:ty, $wide:ty, $c_type:literal, $c_signed_type:literal) => {
         impl Word for $ty {
             const BITS: u32 = <$ty>::BITS;
             const ZERO: Self = 0;
             const ONE: Self = 1;
             const ONES: Self = !0;
             const C_TYPE: &'static str = $c_type;
+            const C_SIGNED_TYPE: &'static str = $c_signed_type;
 
             #[inline]
             fn splat(bit: bool) -> Self {
@@ -132,8 +136,8 @@ macro_rules! impl_word {
     };
 }
 
-impl_word!(u32, i32, i64, "uint32_t");
-impl_word!(u64, i64, i128, "uint64_t");
+impl_word!(u32, i32, i64, "uint32_t", "int32_t");
+impl_word!(u64, i64, i128, "uint64_t", "int64_t");
 
 #[cfg(test)]
 mod tests {
