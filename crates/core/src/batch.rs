@@ -27,14 +27,16 @@
 //! and a fallback sticks to it. A shard steps its vectors in blocks
 //! ([`GuardedSimulator::simulate_block`]) of the active engine's
 //! [`GuardedSimulator::block_len`] — [`BLOCK`] on the PC-set engine,
-//! which runs a block on its 64 bit lanes, one vector on the others —
+//! which runs a block on its 64 bit lanes, and on the parallel engines
+//! whose 64-lane arena fits their budget; one vector on the others —
 //! and polls its cancel token once per block; heartbeats follow the
 //! rows as they go to the sink.
 //! A per-shard [`Step`] decides what a vector does beyond simulating:
 //! per-level timing, activity, or a waveform dump ride the same loop,
 //! one vector at a time. Shard timings surface as one
 //! `batch.shard.<k>` telemetry span per shard, with `batch.shards` /
-//! `batch.vectors_per_shard` gauges and one `batch.prepass` span.
+//! `batch.vectors_per_shard` / `batch.block_len` gauges and one
+//! `batch.prepass` span.
 
 // SimError is large but cold; see guard.rs.
 #![allow(clippy::result_large_err)]
@@ -177,8 +179,9 @@ pub struct RunControl<'a> {
     pub telemetry: Option<&'a Telemetry>,
     /// Receives per-shard heartbeats.
     pub progress: Option<&'a dyn BatchProbe>,
-    /// Polled before every block of every shard (one vector, or 64 on
-    /// the PC-set engine).
+    /// Polled before every block of every shard: the active engine's
+    /// `block_len` vectors, 64 on the PC-set engine and on a parallel
+    /// engine whose lane arena fits its budget, one vector otherwise.
     pub cancel: Option<&'a CancelToken>,
 }
 
@@ -429,6 +432,7 @@ where
         .collect();
     if let Some(telemetry) = control.telemetry {
         telemetry.set_gauge("batch.shards", shards as u64);
+        telemetry.set_gauge("batch.block_len", prototype.block_len() as u64);
         telemetry.set_gauge(
             "batch.vectors_per_shard",
             totals.iter().copied().max().unwrap_or(0) as u64,

@@ -18,7 +18,7 @@ use uds_netlist::{LimitExceeded, NetId, Netlist, Probe, Resource, ResourceLimits
 
 use crate::error::{SimError, SimErrorKind, SimPhase};
 use crate::guard::{DefaultEngineFactory, EngineFactory};
-use crate::{Engine, UnitDelaySimulator};
+use crate::{Engine, UnitDelaySimulator, WordWidth};
 
 /// One injected fault.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -239,9 +239,14 @@ pub struct ChaosFactory {
 impl ChaosFactory {
     /// A factory injecting `plan`.
     pub fn new(plan: FaultPlan) -> Self {
+        Self::with_word(plan, WordWidth::default())
+    }
+
+    /// A factory injecting `plan` into engines built at `word`.
+    pub fn with_word(plan: FaultPlan, word: WordWidth) -> Self {
         ChaosFactory {
             plan,
-            inner: DefaultEngineFactory::default(),
+            inner: DefaultEngineFactory::with_word(word),
         }
     }
 }

@@ -62,7 +62,8 @@ pub trait UnitDelaySimulator: Send {
     /// `finals[o]` is the settled value of `outputs[o]` after
     /// `vectors[k]`, and every readback answers for the last vector.
     /// The default runs [`Self::simulate_vector`] per vector; the PC-set
-    /// engine runs the block on its 64 bit lanes.
+    /// engine runs the block on its 64 bit lanes, the parallel engines
+    /// on the 64 word lanes of a lane-major arena.
     ///
     /// # Panics
     ///
@@ -83,11 +84,12 @@ pub trait UnitDelaySimulator: Send {
     }
 
     /// The vectors a streaming caller should hand
-    /// [`Self::simulate_block`] at a time: [`BLOCK`] for the PC-set
-    /// engine, whose block is one pass over its bit lanes, and 1 for an
-    /// engine that takes the default loop, where a longer block saves
-    /// nothing and would only space out the caller's cancellation and
-    /// deadline checks.
+    /// [`Self::simulate_block`] at a time: [`BLOCK`] for an engine whose
+    /// block is one pass of its program — the PC-set engine, and a
+    /// parallel engine whose 64-lane arena fits its fixed budget (not
+    /// c6288's) — and 1 for an engine that steps vector by vector, where
+    /// a longer block saves nothing and would only space out the
+    /// caller's cancellation and deadline checks.
     fn block_len(&self) -> usize {
         1
     }
@@ -232,6 +234,14 @@ impl<W: Word> UnitDelaySimulator for ParallelSim<W> {
 
     fn simulate_vector(&mut self, inputs: &[bool]) {
         ParallelSim::simulate_vector(self, inputs);
+    }
+
+    fn simulate_block(&mut self, vectors: &[&[bool]], outputs: &[NetId], finals: &mut [u64]) {
+        ParallelSim::simulate_block(self, vectors, outputs, finals);
+    }
+
+    fn block_len(&self) -> usize {
+        ParallelSim::block_len(self)
     }
 
     fn final_value(&self, net: NetId) -> bool {

@@ -1,8 +1,10 @@
-//! The PC-set block path against the event-driven oracle, history by
-//! history: a stream fed to [`PcSetSimulator::simulate_block`] (vector
-//! `k` of a block on bit lane `k`) must give every vector the waveform
-//! of every monitored net that [`TracedEventSim`] records running the
-//! vectors one by one.
+//! The block paths against the event-driven oracle, history by
+//! history: a stream fed to `simulate_block` — vector `k` of a block on
+//! bit lane `k` of the PC-set engine, on word lane `k` of the parallel
+//! technique's lane arena — must give every vector the waveform of
+//! every net that [`TracedEventSim`] records running the vectors one by
+//! one. The parallel engines run every optimization at both word
+//! widths.
 //!
 //! Settled rows — what `--crosscheck` compares — do not depend on
 //! retained state, so a retention bug leaves them intact; the histories
@@ -20,10 +22,11 @@ use uds_core::chaos::{ChaosFactory, Fault, FaultPlan};
 use uds_core::vectors::RandomVectors;
 use uds_core::{
     crosscheck, run_stream, Engine, FailureClass, GuardedSimulator, RunControl, SimError,
-    TracedEventSim, UnitDelaySimulator, BLOCK,
+    TracedEventSim, UnitDelaySimulator, WordWidth, BLOCK,
 };
 use uds_eventsim::zero_delay::stable_states;
 use uds_netlist::{bench_format, NetId, Netlist, ResourceLimits};
+use uds_parallel::{Optimization, ParallelSim, Word};
 use uds_pcset::PcSetSimulator;
 
 fn c432() -> Netlist {
@@ -36,13 +39,47 @@ fn stimulus(nl: &Netlist, len: usize, seed: u64) -> Vec<Vec<bool>> {
         .collect()
 }
 
-/// Feeds `vectors` to a PC-set engine monitoring every net, in blocks
-/// of `lengths` (cycled; 0 is one `simulate_vector` call), from `seed`
-/// when given, and checks every vector against the oracle: every net's
-/// final value and history, and the block's packed output words.
-fn check_stream(nl: &Netlist, vectors: &[Vec<bool>], lengths: &[usize], seed: Option<&[bool]>) {
+fn parallel<W: Word>(nl: &Netlist, optimization: Optimization) -> Box<dyn UnitDelaySimulator> {
+    Box::new(ParallelSim::<W>::compile_monitoring_all(nl, optimization).unwrap())
+}
+
+/// Every block engine, each monitoring every net, with a label: the
+/// PC-set engine, then every parallel optimization at 32 and 64 bits.
+fn block_engines(nl: &Netlist) -> Vec<(String, Box<dyn UnitDelaySimulator>)> {
     let monitored: Vec<NetId> = nl.net_ids().collect();
-    let mut engine = PcSetSimulator::compile_with_monitors(nl, &monitored).unwrap();
+    let pc_set = PcSetSimulator::compile_with_monitors(nl, &monitored).unwrap();
+    let mut engines: Vec<(String, Box<dyn UnitDelaySimulator>)> =
+        vec![("pc-set".to_owned(), Box::new(pc_set))];
+    for optimization in Optimization::ALL {
+        engines.push((
+            format!("{optimization} w32"),
+            parallel::<u32>(nl, optimization),
+        ));
+        engines.push((
+            format!("{optimization} w64"),
+            parallel::<u64>(nl, optimization),
+        ));
+    }
+    for (label, engine) in &engines {
+        assert_eq!(engine.block_len(), BLOCK, "{label}: c432 runs in blocks");
+    }
+    engines
+}
+
+/// Feeds `vectors` to a copy of `engine` in blocks of `lengths`
+/// (cycled; 0 is one `simulate_vector` call), from `seed` when given,
+/// and checks every vector against the oracle: the block's packed
+/// output words, and — every vector's with `prefixes`, else each
+/// block's last — every net's final value and history.
+fn check_stream(
+    nl: &Netlist,
+    (label, engine): &(String, Box<dyn UnitDelaySimulator>),
+    vectors: &[Vec<bool>],
+    lengths: &[usize],
+    seed: Option<&[bool]>,
+    prefixes: bool,
+) {
+    let mut engine = engine.clone_box();
     let mut oracle = TracedEventSim::new(nl).unwrap();
     if let Some(state) = seed {
         engine.seed_stable(state);
@@ -58,7 +95,7 @@ fn check_stream(nl: &Netlist, vectors: &[Vec<bool>], lengths: &[usize], seed: Op
         if len == 0 {
             engine.simulate_vector(&vectors[start]);
             oracle.simulate_vector(&vectors[start]);
-            crosscheck::compare(nl, start, &oracle, &engine).unwrap();
+            crosscheck::compare(nl, start, &oracle, engine.as_ref()).unwrap();
             start += 1;
             continue;
         }
@@ -72,13 +109,21 @@ fn check_stream(nl: &Netlist, vectors: &[Vec<bool>], lengths: &[usize], seed: Op
             for (word, &po) in expected.iter_mut().zip(outputs) {
                 *word |= u64::from(oracle.final_value(po)) << (lanes - 1);
             }
-            let mut prefix = engine.clone();
-            prefix.simulate_block(&block[..lanes], outputs, &mut finals);
-            crosscheck::compare(nl, start + lanes - 1, &oracle, &prefix).unwrap();
+            if prefixes {
+                let mut prefix = engine.clone_box();
+                prefix.simulate_block(&block[..lanes], outputs, &mut finals);
+                let at = start + lanes - 1;
+                if let Err(mismatch) = crosscheck::compare(nl, at, &oracle, prefix.as_ref()) {
+                    panic!("{label}: {mismatch}");
+                }
+            }
         }
         engine.simulate_block(&block, outputs, &mut finals);
-        assert_eq!(finals, expected, "block at vector {start}");
-        crosscheck::compare(nl, start + block.len() - 1, &oracle, &engine).unwrap();
+        assert_eq!(finals, expected, "{label}: block at vector {start}");
+        let last = start + block.len() - 1;
+        if let Err(mismatch) = crosscheck::compare(nl, last, &oracle, engine.as_ref()) {
+            panic!("{label}: {mismatch}");
+        }
         start += block.len();
     }
 }
@@ -86,21 +131,30 @@ fn check_stream(nl: &Netlist, vectors: &[Vec<bool>], lengths: &[usize], seed: Op
 #[test]
 fn streams_at_block_edges_match_the_oracle_on_every_history() {
     let nl = c432();
-    for len in [1, 63, 64, 65] {
-        check_stream(&nl, &stimulus(&nl, len, len as u64), &[BLOCK], None);
+    for engine in &block_engines(&nl) {
+        for len in [1, 63, 64, 65] {
+            let vectors = stimulus(&nl, len, len as u64);
+            check_stream(&nl, engine, &vectors, &[BLOCK], None, true);
+        }
     }
 }
 
 #[test]
 fn ragged_blocks_match_the_oracle_on_every_history() {
     let nl = c432();
-    check_stream(&nl, &stimulus(&nl, 300, 7), &[1, 63, 64, 2, 17, 40], None);
+    for engine in &block_engines(&nl) {
+        let vectors = stimulus(&nl, 200, 7);
+        check_stream(&nl, engine, &vectors, &[1, 63, 64, 2, 17, 40], None, true);
+    }
 }
 
 #[test]
-fn a_4097_vector_stream_matches_the_oracle_on_every_history() {
+fn a_4097_vector_stream_matches_the_oracle_on_every_row() {
     let nl = c432();
-    check_stream(&nl, &stimulus(&nl, 4097, 1990), &[BLOCK], None);
+    let vectors = stimulus(&nl, 4097, 1990);
+    for engine in &block_engines(&nl) {
+        check_stream(&nl, engine, &vectors, &[BLOCK], None, false);
+    }
 }
 
 #[test]
@@ -112,13 +166,18 @@ fn blocks_after_seed_stable_start_from_the_seed() {
         .unwrap()
         .pop()
         .unwrap();
-    check_stream(&nl, &vectors, &[BLOCK], Some(&seed));
+    for engine in &block_engines(&nl) {
+        check_stream(&nl, engine, &vectors, &[BLOCK], Some(&seed), true);
+    }
 }
 
 #[test]
 fn blocks_mixed_with_single_vectors_match_the_oracle() {
     let nl = c432();
-    check_stream(&nl, &stimulus(&nl, 200, 13), &[0, 5, 0, 0, 64, 0, 30], None);
+    let vectors = stimulus(&nl, 150, 13);
+    for engine in &block_engines(&nl) {
+        check_stream(&nl, engine, &vectors, &[0, 5, 0, 0, 64, 0, 30], None, true);
+    }
 }
 
 /// The oracle's primary-output rows for `vectors`, run one by one.
@@ -182,6 +241,45 @@ fn guarded_pc_set_rows_match_the_oracle_at_block_edges() {
     }
 }
 
+/// The parallel engines [`Engine`] names: every optimization but
+/// cycle breaking with trimming, which only the direct checks above
+/// reach.
+const PARALLEL_ENGINES: [Engine; 5] = [
+    Engine::Parallel,
+    Engine::ParallelTrimming,
+    Engine::ParallelPathTracing,
+    Engine::ParallelPathTracingTrimming,
+    Engine::ParallelCycleBreaking,
+];
+
+#[test]
+fn guarded_parallel_rows_match_the_oracle_at_block_edges() {
+    let nl = c432();
+    for len in [1, 63, 64, 65, 4097] {
+        let vectors = stimulus(&nl, len, 3);
+        let expected = oracle_rows(&nl, &vectors);
+        for engine in PARALLEL_ENGINES {
+            for word in [WordWidth::W32, WordWidth::W64] {
+                for jobs in [1, 2] {
+                    let guard = GuardedSimulator::with_factory(
+                        &nl,
+                        ResourceLimits::production(),
+                        &[engine],
+                        Box::new(uds_core::DefaultEngineFactory::with_word(word)),
+                    )
+                    .unwrap();
+                    assert_eq!(guard.block_len(), BLOCK, "{engine} w{word}");
+                    let (rows, _) = stream_rows(&nl, guard, &vectors, jobs);
+                    assert_eq!(
+                        rows, expected,
+                        "{engine} w{word}: {len} vectors, jobs {jobs}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn a_panic_inside_a_block_degrades_and_reruns_the_block_bit_exactly() {
     let nl = c432();
@@ -189,12 +287,17 @@ fn a_panic_inside_a_block_degrades_and_reruns_the_block_bit_exactly() {
     let expected = oracle_rows(&nl, &vectors);
     // Vector 100 sits inside the block of vectors 64..128: the failing
     // engine's whole block is re-run by the next one, from the
-    // checkpoint at vector 63. Once pc-set fails over to the baseline,
-    // once it takes over from a failing parallel engine.
-    for chain in [
-        [Engine::PcSet, Engine::EventDriven],
-        [Engine::ParallelPathTracingTrimming, Engine::PcSet],
-    ] {
+    // checkpoint at vector 63. Once pc-set fails over to the baseline;
+    // then each parallel engine fails over to pc-set, and takes over
+    // from a failing pc-set, re-running the block on its lane arena.
+    let mut chains = vec![([Engine::PcSet, Engine::EventDriven], WordWidth::W64)];
+    for engine in PARALLEL_ENGINES {
+        for word in [WordWidth::W32, WordWidth::W64] {
+            chains.push(([engine, Engine::PcSet], word));
+            chains.push(([Engine::PcSet, engine], word));
+        }
+    }
+    for (chain, word) in chains {
         let plan = FaultPlan::single(
             "panic in a block",
             Fault::RunPanicAt {
@@ -206,11 +309,11 @@ fn a_panic_inside_a_block_degrades_and_reruns_the_block_bit_exactly() {
             &nl,
             ResourceLimits::production(),
             &chain,
-            Box::new(ChaosFactory::new(plan)),
+            Box::new(ChaosFactory::with_word(plan, word)),
         )
         .unwrap();
         let (rows, guard) = stream_rows(&nl, guard, &vectors, 1);
-        assert_eq!(rows, expected, "{chain:?}");
+        assert_eq!(rows, expected, "{chain:?} w{word}");
         assert_eq!(guard.active_engine(), chain[1]);
         let fired = guard.fallbacks();
         assert_eq!(fired.len(), 1, "{chain:?}");

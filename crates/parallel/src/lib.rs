@@ -49,6 +49,7 @@
 
 mod alignment;
 mod bitfield;
+mod block;
 pub mod codegen_c;
 mod compile;
 mod compile_aligned;

@@ -11,15 +11,19 @@
 //!
 //! The op encodings bake in the word size the program was compiled for
 //! (word counts, bit positions), so [`Program::run`] must be driven with
-//! the same [`Word`] type the compiler used; [`crate::ParallelSim`]
-//! pairs them by construction.
+//! cells of the same [`Word`] type the compiler used; [`crate::ParallelSim`]
+//! pairs them by construction. The executor is written once over
+//! [`Cell`]: a word runs one vector per pass, a [`Lanes`] row runs a
+//! block of vectors, each in its own lane.
+//!
+//! [`Lanes`]: crate::word::Lanes
 
 use std::ops::Range;
 
 use uds_netlist::limits::{narrow_i16, narrow_u16, narrow_u32};
 use uds_netlist::{GateKind, LimitExceeded};
 
-use crate::word::Word;
+use crate::word::{Cell, Word};
 
 /// One word-level operation.
 ///
@@ -254,7 +258,7 @@ impl Fused {
 
     /// The operand's value: `arena[slot]` through the pair.
     #[inline(always)]
-    fn read<W: Word>(self, arena: &[W], slot: u32) -> W {
+    fn read<C: Cell>(self, arena: &[C], slot: u32) -> C {
         arena[slot as usize].shl_sar(u32::from(self.left), u32::from(self.right))
     }
 }
@@ -565,6 +569,73 @@ impl WOp {
         first_reads.count() as u64
     }
 
+    /// The arena words this op touches, for a `W`-bit program: calls
+    /// `read(word, bit)` for each word it reads — `bit` is `Some` when
+    /// the op reads that one bit of the word alone — and returns the
+    /// words it writes. Every read comes before the op's first write.
+    pub(crate) fn accesses<W: Word>(
+        &self,
+        pool: &OperandPool,
+        mut read: impl FnMut(u32, Option<u32>),
+    ) -> Range<u32> {
+        let span = |dst: u32, words: u32| dst..dst + words;
+        match *self {
+            WOp::MergeShl1Low { dst, src } => {
+                read(src, None);
+                read(dst, None);
+                span(dst, 1)
+            }
+            WOp::MergeShl1 { dst, src, carry } => {
+                read(src, None);
+                read(carry, None);
+                read(dst, None);
+                span(dst, 1)
+            }
+            WOp::BroadcastBit { dst, src, bit } | WOp::ExtractBit { dst, src, bit } => {
+                read(src, Some(u32::from(bit)));
+                span(dst, 1)
+            }
+            WOp::Zero { dst } => span(dst, 1),
+            WOp::InputBroadcast { dst, words, .. } => span(dst, u32::from(words)),
+            WOp::InputAligned {
+                dst,
+                words,
+                neg_bits,
+                ..
+            } => {
+                let neg_bits = u32::from(neg_bits);
+                read(dst + neg_bits / W::BITS, Some(neg_bits % W::BITS));
+                span(dst, u32::from(words))
+            }
+            WOp::ShiftField {
+                dst,
+                src,
+                dst_words,
+                top_word,
+                ..
+            } => {
+                (src..=src + u32::from(top_word)).for_each(|word| read(word, None));
+                span(dst, u32::from(dst_words))
+            }
+            WOp::ShiftRight {
+                dst,
+                src,
+                top_word,
+                dst_words,
+                ..
+            } => {
+                read(src, None);
+                read(src + u32::from(top_word), None);
+                span(dst, u32::from(dst_words))
+            }
+            _ => {
+                let (_, dst, operands) = self.as_gate(pool).expect("every other op is a gate");
+                operands.iter().for_each(|operand| read(operand.slot, None));
+                span(dst, 1)
+            }
+        }
+    }
+
     /// Approximate word writes this op performs — the static work
     /// weight the level profiler uses (most ops touch one word; the
     /// multi-word loads and shifts touch their whole span). A fused
@@ -637,10 +708,13 @@ impl Program {
         self.ops.len() + self.fused_presentations()
     }
 
-    /// Executes the ops in `ops` — the whole stream for one input
-    /// vector, or one compile-time level segment of it when profiling.
-    /// `W` must be the word type the program was compiled for.
-    pub(crate) fn run<W: Word>(&self, arena: &mut [W], inputs: &[bool], ops: Range<usize>) {
+    /// Executes the ops in `ops` — the whole stream, or one
+    /// compile-time level segment of it when profiling — over `arena`,
+    /// with primary input `i` broadcast through `inputs[i]` (all ones
+    /// or all zeros in each lane). A word cell runs one vector; a lane
+    /// row runs one vector per lane. The cell's word type must be the
+    /// one the program was compiled for.
+    pub(crate) fn run<C: Cell>(&self, arena: &mut [C], inputs: &[C], ops: Range<usize>) {
         debug_assert_eq!(inputs.len(), self.input_count);
         debug_assert_eq!(arena.len(), self.arena_words);
         for op in &self.ops[ops] {
@@ -651,7 +725,7 @@ impl Program {
     /// Runs one op: a single dispatch on its shape, every arena index
     /// bounds-checked.
     #[inline(always)]
-    fn exec_op<W: Word>(&self, arena: &mut [W], inputs: &[bool], op: &WOp) {
+    fn exec_op<C: Cell>(&self, arena: &mut [C], inputs: &[C], op: &WOp) {
         match *op {
             WOp::And2 { dst, a, b } => {
                 arena[dst as usize] = arena[a as usize] & arena[b as usize];
@@ -719,18 +793,20 @@ impl Program {
                 arena[dst as usize] |= merged;
             }
             WOp::MergeShl1 { dst, src, carry } => {
-                let merged = (arena[src as usize] << 1) | (arena[carry as usize] >> (W::BITS - 1));
+                let merged =
+                    (arena[src as usize] << 1) | (arena[carry as usize] >> (C::Word::BITS - 1));
                 arena[dst as usize] |= merged;
             }
             WOp::BroadcastBit { dst, src, bit } => {
-                arena[dst as usize] = W::splat(arena[src as usize].bit(u32::from(bit)));
+                arena[dst as usize] = arena[src as usize].broadcast_bit(u32::from(bit));
             }
             WOp::ExtractBit { dst, src, bit } => {
-                arena[dst as usize] = (arena[src as usize] >> u32::from(bit)) & W::ONE;
+                let one = C::splat_word(C::Word::ONE);
+                arena[dst as usize] = (arena[src as usize] >> u32::from(bit)) & one;
             }
-            WOp::Zero { dst } => arena[dst as usize] = W::ZERO,
+            WOp::Zero { dst } => arena[dst as usize] = C::ZERO,
             WOp::InputBroadcast { dst, words, index } => {
-                let fill = W::splat(inputs[index as usize]);
+                let fill = inputs[index as usize];
                 for w in 0..words {
                     arena[(dst + u32::from(w)) as usize] = fill;
                 }
@@ -744,13 +820,14 @@ impl Program {
                 // The previous value currently occupies every
                 // non-negative-time bit; bit `neg_bits` is time 0.
                 let neg_bits = u32::from(neg_bits);
-                let prev_word = arena[(dst + neg_bits / W::BITS) as usize];
-                let prev = W::splat(prev_word.bit(neg_bits % W::BITS));
-                let new = W::splat(inputs[index as usize]);
+                let b = C::Word::BITS;
+                let prev = arena[(dst + neg_bits / b) as usize].broadcast_bit(neg_bits % b);
+                let new = inputs[index as usize];
                 for w in 0..u32::from(words) {
                     // Word `w` keeps the previous value in its low
                     // `neg_bits - w*B` bits (none, some, or all).
-                    let keep = W::low_mask(neg_bits.saturating_sub(w * W::BITS).min(W::BITS));
+                    let keep =
+                        C::splat_word(C::Word::low_mask(neg_bits.saturating_sub(w * b).min(b)));
                     arena[(dst + w) as usize] = (prev & keep) | (new & !keep);
                 }
             }
@@ -775,10 +852,10 @@ impl Program {
                     offset: u32::from(offset),
                 };
                 match dst_words {
-                    1 => window.funnel::<W, 1>(arena, dst),
-                    2 => window.funnel::<W, 2>(arena, dst),
-                    3 => window.funnel::<W, 3>(arena, dst),
-                    4 => window.funnel::<W, 4>(arena, dst),
+                    1 => window.funnel::<C, 1>(arena, dst),
+                    2 => window.funnel::<C, 2>(arena, dst),
+                    3 => window.funnel::<C, 3>(arena, dst),
+                    4 => window.funnel::<C, 4>(arena, dst),
                     words => window.funnel_n(arena, dst, usize::from(words)),
                 }
             }
@@ -798,9 +875,9 @@ impl Program {
                 let low = arena[src as usize];
                 let high = arena[(src + u32::from(top_word)) as usize].shl_sar(spare, spare);
                 let shift = u32::from(shift);
-                arena[dst as usize] = W::sar_wide(low, high, shift);
+                arena[dst as usize] = C::sar_wide(low, high, shift);
                 if dst_words == 2 {
-                    arena[dst as usize + 1] = W::sar_wide(low, high, shift + W::BITS);
+                    arena[dst as usize + 1] = C::sar_wide(low, high, shift + C::Word::BITS);
                 }
             }
         }
@@ -810,18 +887,18 @@ impl Program {
 /// Evaluates one word of a pooled gate — the 3+ input kinds and the
 /// constants; the 1- and 2-input kinds have shapes of their own —
 /// from its operand words.
-fn eval_word<W: Word>(kind: GateKind, mut words: impl Iterator<Item = W>) -> W {
+fn eval_word<C: Cell>(kind: GateKind, mut words: impl Iterator<Item = C>) -> C {
     match kind {
-        GateKind::And => words.fold(W::ONES, |acc, w| acc & w),
-        GateKind::Nand => !words.fold(W::ONES, |acc, w| acc & w),
-        GateKind::Or => words.fold(W::ZERO, |acc, w| acc | w),
-        GateKind::Nor => !words.fold(W::ZERO, |acc, w| acc | w),
-        GateKind::Xor => words.fold(W::ZERO, |acc, w| acc ^ w),
-        GateKind::Xnor => !words.fold(W::ZERO, |acc, w| acc ^ w),
+        GateKind::And => words.fold(C::ONES, |acc, w| acc & w),
+        GateKind::Nand => !words.fold(C::ONES, |acc, w| acc & w),
+        GateKind::Or => words.fold(C::ZERO, |acc, w| acc | w),
+        GateKind::Nor => !words.fold(C::ZERO, |acc, w| acc | w),
+        GateKind::Xor => words.fold(C::ZERO, |acc, w| acc ^ w),
+        GateKind::Xnor => !words.fold(C::ZERO, |acc, w| acc ^ w),
         GateKind::Not => !words.next().expect("a NOT has one operand"),
         GateKind::Buf => words.next().expect("a BUF has one operand"),
-        GateKind::Const0 => W::ZERO,
-        GateKind::Const1 => W::ONES,
+        GateKind::Const0 => C::ZERO,
+        GateKind::Const1 => C::ONES,
         GateKind::Dff => unreachable!("sequential gates are rejected at compile time"),
     }
 }
@@ -831,7 +908,7 @@ fn eval_word<W: Word>(kind: GateKind, mut words: impl Iterator<Item = W>) -> W {
 /// unoptimized program by about a fifth, measured through `udsim
 /// simulate`), while one call per pooled gate is small beside its fold.
 #[inline(never)]
-fn eval_fused<W: Word>(kind: GateKind, operands: &[Operand], arena: &[W]) -> W {
+fn eval_fused<C: Cell>(kind: GateKind, operands: &[Operand], arena: &[C]) -> C {
     eval_word(kind, operands.iter().map(|o| o.shift.read(arena, o.slot)))
 }
 
@@ -861,9 +938,9 @@ struct SourceWindow {
 impl SourceWindow {
     /// Window word `index`.
     #[inline(always)]
-    fn word<W: Word>(&self, arena: &[W], index: isize) -> W {
+    fn word<C: Cell>(&self, arena: &[C], index: isize) -> C {
         let raw = arena[self.src + index.max(0).min(self.top_word) as usize];
-        let full = W::BITS - 1;
+        let full = C::Word::BITS - 1;
         let below = full & 0u32.wrapping_sub(u32::from(index < 0));
         let at_top = self.spare & 0u32.wrapping_sub(u32::from(index >= self.top_word));
         let above = (full - self.spare) & 0u32.wrapping_sub(u32::from(index > self.top_word));
@@ -880,8 +957,8 @@ impl SourceWindow {
     ///
     /// [`funnel_n`]: SourceWindow::funnel_n
     #[inline(always)]
-    fn funnel<W: Word, const N: usize>(&self, arena: &mut [W], dst: u32) {
-        let mut window = [W::ZERO; 5];
+    fn funnel<C: Cell, const N: usize>(&self, arena: &mut [C], dst: u32) {
+        let mut window = [C::ZERO; 5];
         for (k, slot) in window[..=N].iter_mut().enumerate() {
             *slot = self.word(arena, self.base + k as isize);
         }
@@ -893,7 +970,7 @@ impl SourceWindow {
 
     /// [`SourceWindow::funnel`] for any word count: each window word
     /// is read once and carried to the next destination word.
-    fn funnel_n<W: Word>(&self, arena: &mut [W], dst: u32, words: usize) {
+    fn funnel_n<C: Cell>(&self, arena: &mut [C], dst: u32, words: usize) {
         let mut low = self.word(arena, self.base);
         for k in 0..words {
             let high = self.word(arena, self.base + k as isize + 1);
@@ -906,8 +983,8 @@ impl SourceWindow {
     /// high word's contribution shifts in two steps, so offset 0 (the
     /// whole of `low`) needs no branch.
     #[inline(always)]
-    fn join<W: Word>(&self, low: W, high: W) -> W {
-        (low >> self.offset) | ((high << 1) << (W::BITS - 1 - self.offset))
+    fn join<C: Cell>(&self, low: C, high: C) -> C {
+        (low >> self.offset) | ((high << 1) << (C::Word::BITS - 1 - self.offset))
     }
 }
 
@@ -1000,9 +1077,9 @@ mod tests {
             input_count: 1,
         };
         let mut arena = vec![0u32, 0];
-        program.run(&mut arena, &[true], 0..program.ops.len());
+        program.run(&mut arena, &[!0u32], 0..program.ops.len());
         assert_eq!(arena, vec![!0u32, !0]);
-        program.run(&mut arena, &[false], 0..program.ops.len());
+        program.run(&mut arena, &[0u32], 0..program.ops.len());
         assert_eq!(arena, vec![0, 0]);
     }
 
@@ -1022,10 +1099,10 @@ mod tests {
             input_count: 1,
         };
         let mut arena = vec![0u32];
-        program.run(&mut arena, &[true], 0..program.ops.len());
+        program.run(&mut arena, &[!0u32], 0..program.ops.len());
         // prev was 0 (bit 2 of zeroed arena), new is 1.
         assert_eq!(arena[0] & 0b111, 0b100);
-        program.run(&mut arena, &[false], 0..program.ops.len());
+        program.run(&mut arena, &[0u32], 0..program.ops.len());
         // prev is 1 now, new is 0.
         assert_eq!(arena[0] & 0b111, 0b011);
     }
@@ -1046,7 +1123,7 @@ mod tests {
             input_count: 1,
         };
         let mut arena = vec![0u32, 0];
-        program.run(&mut arena, &[true], 0..program.ops.len());
+        program.run(&mut arena, &[!0u32], 0..program.ops.len());
         assert_eq!(arena[0], 0);
         assert_eq!(arena[1], !0u32 << 8);
     }
@@ -1068,7 +1145,7 @@ mod tests {
             input_count: 1,
         };
         let mut arena = vec![0u64];
-        program.run(&mut arena, &[true], 0..program.ops.len());
+        program.run(&mut arena, &[!0u64], 0..program.ops.len());
         assert_eq!(arena[0], !0u64 << 40);
     }
 

@@ -16,7 +16,7 @@ use uds_netlist::generators::random::{layered, LayeredConfig};
 use uds_netlist::GateKind;
 
 use crate::program::{Fused, Operand, OperandPool, Program, WOp};
-use crate::word::Word;
+use crate::word::{Lanes, Word, LANES};
 use crate::{Optimization, ParallelSim};
 
 const ARENA_WORDS: usize = 16;
@@ -230,6 +230,121 @@ proptest! {
         check_every_shape::<u32>(seed);
         check_every_shape::<u64>(seed);
     }
+}
+
+/// One op of every shape, over a random arena of `words` words: gates
+/// of every kind and fan-in, plain and fused; shifted presentations,
+/// decoded and funneled, both directions; and the loads and fills.
+fn one_of_each_shape<W: Word>(rng: &mut StdRng, words: u32) -> Vec<(WOp, OperandPool)> {
+    let mut ops = Vec::new();
+    let slot = |rng: &mut StdRng| rng.gen_range(0..words);
+    for kind in [
+        GateKind::And,
+        GateKind::Nor,
+        GateKind::Xnor,
+        GateKind::Not,
+        GateKind::Const1,
+    ] {
+        let fan_ins: &[usize] = match kind {
+            GateKind::Not => &[1],
+            GateKind::Const1 => &[0],
+            _ => &[2, 3],
+        };
+        for &fan_in in fan_ins {
+            for shifted in [false, true] {
+                let mut pool = OperandPool::default();
+                let operands: Vec<Operand> = (0..fan_in)
+                    .map(|_| random_input::<W>(rng, shifted).0)
+                    .map(|operand| Operand {
+                        slot: operand.slot % words,
+                        ..operand
+                    })
+                    .collect();
+                let op = WOp::gate(kind, slot(rng), &operands, &mut pool).unwrap();
+                ops.push((op, pool));
+            }
+        }
+    }
+    let b = W::BITS as i32;
+    for (dst_words, src_width, shift) in [
+        (1, W::BITS, -3),
+        (2, 2 * W::BITS - 1, -5),
+        (3, W::BITS + 1, 7),
+    ] {
+        let dst = words - 3;
+        for op in [
+            WOp::shift_field::<W>(dst, dst_words, 0, src_width, shift).unwrap(),
+            WOp::funnel_field::<W>(dst, dst_words, 0, src_width, shift - b).unwrap(),
+        ] {
+            ops.push((op, OperandPool::default()));
+        }
+    }
+    let (dst, src) = (slot(rng), slot(rng));
+    for op in [
+        WOp::MergeShl1Low { dst, src },
+        WOp::MergeShl1 {
+            dst,
+            src,
+            carry: slot(rng),
+        },
+        WOp::BroadcastBit { dst, src, bit: 5 },
+        WOp::ExtractBit { dst, src, bit: 7 },
+        WOp::Zero { dst },
+        WOp::InputBroadcast {
+            dst: 0,
+            words: 2,
+            index: 1,
+        },
+        WOp::InputAligned {
+            dst: 0,
+            words: 3,
+            neg_bits: W::BITS as u16 + 9,
+            index: 0,
+        },
+    ] {
+        ops.push((op, OperandPool::default()));
+    }
+    ops
+}
+
+/// Every op shape run once over a lane arena whose lanes hold different
+/// random arenas and inputs: each lane must come out as the one-lane
+/// executor leaves that lane's arena alone.
+#[test]
+fn lanes_run_each_shape_as_its_lane_alone() {
+    fn check<W: Word>() {
+        let mut rng = StdRng::seed_from_u64(0x1A9E_5EED);
+        let words = ARENA_WORDS;
+        for (op, pool) in one_of_each_shape::<W>(&mut rng, words as u32) {
+            let lane_arenas: Vec<Vec<W>> = (0..LANES)
+                .map(|_| random_arena::<W>(&mut rng, words))
+                .collect();
+            let lane_inputs: Vec<[bool; 2]> = (0..LANES).map(|_| [rng.gen(), rng.gen()]).collect();
+            let program = Program {
+                ops: vec![op.clone()],
+                operands: pool,
+                arena_words: words,
+                input_count: 2,
+                ..Program::default()
+            };
+            let mut lanes: Vec<Lanes<W>> = (0..words)
+                .map(|w| Lanes(std::array::from_fn(|k| lane_arenas[k][w])))
+                .collect();
+            let inputs: Vec<Lanes<W>> = (0..2)
+                .map(|i| Lanes(std::array::from_fn(|k| W::splat(lane_inputs[k][i]))))
+                .collect();
+            program.run(&mut lanes, &inputs, 0..1);
+            for (k, before) in lane_arenas.iter().enumerate() {
+                let mut alone = before.clone();
+                let inputs = lane_inputs[k].map(W::splat);
+                program.run(&mut alone, &inputs, 0..1);
+                let lane: Vec<W> = lanes.iter().map(|row| row.0[k]).collect();
+                assert_eq!(lane, alone, "{op:?} at {} bits, lane {k}", W::BITS);
+            }
+        }
+    }
+    check::<u32>();
+    check::<u64>();
 }
 
 #[test]

@@ -9,8 +9,9 @@ use uds_netlist::{
 };
 
 use crate::bitfield::FieldLayout;
+use crate::block::{BlockPlan, LaneScratch};
 use crate::program::{Program, WOp};
-use crate::word::Word;
+use crate::word::{Word, LANES};
 use crate::{cycle_breaking, path_tracing, Alignment};
 
 /// Which §4 optimizations to apply at compile time.
@@ -149,6 +150,8 @@ pub struct ProgramStats {
 /// One call to [`ParallelSim::simulate_vector`] computes the whole
 /// unit-delay time history of every net for that vector; read it back
 /// with [`ParallelSim::history`] or [`ParallelSim::value_at`].
+/// [`ParallelSim::simulate_block`] runs up to 64 consecutive vectors in
+/// one pass of the op stream, one per lane of a lane-major arena.
 ///
 /// The word type `W` fixes the arena width: [`u32`] reproduces the
 /// paper's tables, [`u64`] halves the word count of multi-word fields
@@ -166,9 +169,13 @@ pub struct ParallelSim<W: Word = u32> {
     /// recomputes the previous value). Indexed by [`NetId`]; only entries
     /// listed in `tracked` are refreshed per vector.
     prev_final: Vec<bool>,
-    /// The primary inputs as words (0 or 1), refilled by
-    /// [`ParallelSim::simulate_vector_with`] for the kernel it runs.
+    /// The primary inputs as words, refilled per vector: broadcast for
+    /// the interpreter, 0 or 1 for a [`ParallelSim::simulate_vector_with`]
+    /// kernel.
     input_words: Vec<W>,
+    /// The lane arena of [`ParallelSim::simulate_block`]: allocated by
+    /// the first block of more than one vector, never cloned.
+    lanes: LaneScratch<W>,
 }
 
 /// The immutable half of a [`ParallelSim`]: the op stream and the
@@ -190,6 +197,9 @@ struct Compiled<W: Word> {
     /// (segment 0 is the level-0 init block). A profiled step walks
     /// them; the plain step never reads them.
     level_segments: Vec<LevelSegment>,
+    /// How a block runs, or `None` when this program steps one vector
+    /// per pass (its lane arena would outgrow the budget).
+    block: Option<BlockPlan>,
 }
 
 /// The paper's 32-bit-word instantiation of [`ParallelSim`] — the
@@ -398,6 +408,7 @@ impl<W: Word> ParallelSim<W> {
             }
         }
 
+        let block = BlockPlan::new::<W>(netlist, &levels, &program, &layouts);
         let stats = ProgramStats {
             word_ops,
             arena_words: program.arena_words,
@@ -410,7 +421,8 @@ impl<W: Word> ParallelSim<W> {
         Ok(ParallelSim {
             arena: initial_arena.clone(),
             prev_final: settled_zero,
-            input_words: Vec::new(),
+            input_words: vec![W::ZERO; program.input_count],
+            lanes: LaneScratch::default(),
             compiled: Arc::new(Compiled {
                 program,
                 initial_arena,
@@ -422,6 +434,7 @@ impl<W: Word> ParallelSim<W> {
                 alignment,
                 stats,
                 level_segments,
+                block,
             }),
         })
     }
@@ -533,11 +546,103 @@ impl<W: Word> ParallelSim<W> {
     ///
     /// Panics if `inputs.len()` differs from the primary-input count.
     pub fn step<S: LevelSink>(&mut self, inputs: &[bool], sink: &mut S) {
+        let words = self.load_inputs(inputs, W::ONES);
         self.step_with(inputs, |program, segments, arena| {
             sink.walk(segments, program.ops.len(), |ops| {
-                program.run(arena, inputs, ops);
+                program.run(arena, &words, ops);
             });
         });
+        self.input_words = words;
+    }
+
+    /// The vectors [`ParallelSim::simulate_block`] runs in one pass:
+    /// 64, or 1 when the program's lane arena (64 words per arena
+    /// word) would outgrow a fixed 256 KiB budget — c1908's and c6288's
+    /// do.
+    pub fn block_len(&self) -> usize {
+        if self.compiled.block.is_some() {
+            LANES
+        } else {
+            1
+        }
+    }
+
+    /// The arena words a block seeds per lane before its pass — those
+    /// an op reads before any op writes them — or `None` when this
+    /// program steps one vector per pass.
+    pub fn block_live_ins(&self) -> Option<usize> {
+        self.compiled.block.as_ref().map(BlockPlan::live_ins)
+    }
+
+    /// Simulates up to 64 consecutive vectors, leaving the simulator
+    /// exactly as running each through [`ParallelSim::simulate_vector`]
+    /// in turn would: bit `k` of `finals[o]` is the settled value of
+    /// `outputs[o]` after `vectors[k]`, and every readback afterwards
+    /// answers for the last vector.
+    ///
+    /// Vector `k` runs in lane `k` of a lane-major arena, so each op is
+    /// dispatched once per block (see the `block` module). A program
+    /// whose [`ParallelSim::block_len`] is 1, and a block of one
+    /// vector, step vector by vector instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than 64 vectors, if a vector's length
+    /// differs from the primary-input count, or if `finals` and
+    /// `outputs` differ in length.
+    pub fn simulate_block(&mut self, vectors: &[&[bool]], outputs: &[NetId], finals: &mut [u64]) {
+        self.simulate_block_seeded(vectors, outputs, finals, 1);
+    }
+
+    /// [`ParallelSim::simulate_block`] with lane `k`'s settled live-ins
+    /// taken from vector `k - lag` (the tests' negative control sets
+    /// `lag` to 0).
+    fn simulate_block_seeded(
+        &mut self,
+        vectors: &[&[bool]],
+        outputs: &[NetId],
+        finals: &mut [u64],
+        lag: usize,
+    ) {
+        assert!(vectors.len() <= LANES, "a block holds at most 64 vectors");
+        assert_eq!(finals.len(), outputs.len(), "one finals word per output");
+        finals.fill(0);
+        let compiled = &*self.compiled;
+        let plan = compiled.block.as_ref().filter(|_| vectors.len() > 1);
+        let Some(plan) = plan else {
+            for (lane, inputs) in vectors.iter().enumerate() {
+                self.simulate_vector(inputs);
+                for (word, &net) in finals.iter_mut().zip(outputs) {
+                    *word |= u64::from(self.final_value(net)) << lane;
+                }
+            }
+            return;
+        };
+        for inputs in vectors {
+            assert_eq!(
+                inputs.len(),
+                compiled.program.input_count,
+                "input vector length must match the primary input count"
+            );
+        }
+        plan.run(
+            &compiled.program,
+            &mut self.arena,
+            &mut self.lanes,
+            vectors,
+            lag,
+        );
+        let last = vectors.len() - 1;
+        let final_bit = |net: NetId, lane: usize| {
+            let layout = &compiled.layouts[net];
+            self.lanes.bit(layout, layout.final_bit(), lane)
+        };
+        for (word, &net) in finals.iter_mut().zip(outputs) {
+            *word = (0..=last).fold(0, |word, k| word | u64::from(final_bit(net, k)) << k);
+        }
+        for &net in &compiled.tracked {
+            self.prev_final[net.index()] = final_bit(net, last - 1);
+        }
     }
 
     /// Like [`ParallelSim::simulate_vector`], but with `kernel` running
@@ -551,11 +656,18 @@ impl<W: Word> ParallelSim<W> {
     ///
     /// Panics if `inputs.len()` differs from the primary-input count.
     pub fn simulate_vector_with(&mut self, inputs: &[bool], kernel: impl FnOnce(&mut [W], &[W])) {
-        let mut words = std::mem::take(&mut self.input_words);
-        words.clear();
-        words.extend(inputs.iter().map(|&b| if b { W::ONE } else { W::ZERO }));
+        let words = self.load_inputs(inputs, W::ONE);
         self.step_with(inputs, |_, _, arena| kernel(arena, &words));
         self.input_words = words;
+    }
+
+    /// `inputs` as words, `one` for each set input and 0 otherwise, in
+    /// the reused input buffer (hand it back to `input_words`).
+    fn load_inputs(&mut self, inputs: &[bool], one: W) -> Vec<W> {
+        let mut words = std::mem::take(&mut self.input_words);
+        words.clear();
+        words.extend(inputs.iter().map(|&b| if b { one } else { W::ZERO }));
+        words
     }
 
     /// The engine's one per-vector body: checks the input width,
@@ -874,6 +986,162 @@ mod tests {
             }
             other => panic!("expected deadline violation, got {other:?}"),
         }
+    }
+
+    /// Runs `vectors` through a copy of `sim` in blocks of `lengths`
+    /// (cycled) with lane `k` seeded from vector `k - lag`, and through
+    /// another copy one vector at a time. After every block, the first
+    /// mismatch: in the packed finals, the one-lane arena or
+    /// `prev_final`.
+    fn first_block_mismatch<W: Word>(
+        sim: &ParallelSim<W>,
+        outputs: &[NetId],
+        vectors: &[Vec<bool>],
+        lengths: &[usize],
+        lag: usize,
+    ) -> Option<String> {
+        let (mut blocked, mut stepped) = (sim.clone(), sim.clone());
+        let mut finals = vec![0u64; outputs.len()];
+        let mut start = 0;
+        for &len in lengths.iter().cycle() {
+            if start == vectors.len() {
+                return None;
+            }
+            let block: Vec<&[bool]> = vectors[start..vectors.len().min(start + len)]
+                .iter()
+                .map(Vec::as_slice)
+                .collect();
+            blocked.simulate_block_seeded(&block, outputs, &mut finals, lag);
+            let mut expected = vec![0u64; outputs.len()];
+            for (lane, inputs) in block.iter().enumerate() {
+                stepped.simulate_vector(inputs);
+                for (word, &net) in expected.iter_mut().zip(outputs) {
+                    *word |= u64::from(stepped.final_value(net)) << lane;
+                }
+            }
+            let at = format!("{} bits, block at vector {start}", W::BITS);
+            if finals != expected {
+                return Some(format!("{at}: finals"));
+            }
+            if blocked.arena != stepped.arena {
+                return Some(format!("{at}: arena"));
+            }
+            if blocked.prev_final != stepped.prev_final {
+                return Some(format!("{at}: prev_final"));
+            }
+            start += block.len();
+        }
+        None
+    }
+
+    fn random_vectors(inputs: usize, len: usize, seed: u64) -> Vec<Vec<bool>> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..len)
+            .map(|_| (0..inputs).map(|_| rng.gen()).collect())
+            .collect()
+    }
+
+    fn check_blocks<W: Word>(nl: &Netlist, lag: usize) -> Vec<String> {
+        let vectors = random_vectors(nl.primary_inputs().len(), 300, 1990);
+        let mut mismatches = Vec::new();
+        for optimization in Optimization::ALL {
+            for sim in [
+                ParallelSim::<W>::compile(nl, optimization).unwrap(),
+                ParallelSim::<W>::compile_monitoring_all(nl, optimization).unwrap(),
+            ] {
+                assert_eq!(sim.block_len(), LANES, "{optimization} at {} bits", W::BITS);
+                let lengths = [64, 1, 63, 2, 40, 17];
+                let found =
+                    first_block_mismatch(&sim, nl.primary_outputs(), &vectors, &lengths, lag);
+                mismatches.extend(found.map(|m| format!("{optimization}: {m}")));
+            }
+        }
+        mismatches
+    }
+
+    #[test]
+    fn a_block_leaves_the_state_of_one_vector_per_pass() {
+        use uds_netlist::generators::iscas::Iscas85;
+        for nl in [Iscas85::C432.build(), Iscas85::C880.build()] {
+            assert_eq!(check_blocks::<u32>(&nl, 1), Vec::<String>::new());
+            assert_eq!(check_blocks::<u64>(&nl, 1), Vec::<String>::new());
+        }
+    }
+
+    /// A net no gate drives keeps whatever state it was seeded with:
+    /// a block must read its carried words, in the settle sweep, in
+    /// every lane and in its finals, as a step does.
+    #[test]
+    fn a_block_keeps_an_undriven_net_as_seeded() {
+        let mut b = NetlistBuilder::new();
+        let a = b.input("A");
+        let floating = b.fresh_net();
+        let x = b.gate(GateKind::Xor, &[a, floating], "X").unwrap();
+        let y = b.gate(GateKind::Not, &[x], "Y").unwrap();
+        let unread = b.fresh_net();
+        b.output(y);
+        b.output(unread);
+        let nl = b.finish().unwrap();
+        let vectors = random_vectors(1, 100, 5);
+        for optimization in Optimization::ALL {
+            let mut sim = ParallelSimulator::compile_monitoring_all(&nl, optimization).unwrap();
+            let mut stable = vec![false; nl.net_count()];
+            stable[floating.index()] = true;
+            stable[unread.index()] = true;
+            stable[x.index()] = true;
+            sim.seed_stable(&stable);
+            assert_eq!(sim.block_len(), LANES, "{optimization}");
+            let outputs = [x, y, floating, unread];
+            let found = first_block_mismatch(&sim, &outputs, &vectors, &[64, 3, 33], 1);
+            assert_eq!(found, None, "{optimization}");
+        }
+    }
+
+    /// Negative control: seeding lane `k` from vector `k` instead of
+    /// `k - 1` must be caught on every optimization.
+    #[test]
+    fn seeding_lanes_from_their_own_vector_is_caught() {
+        use uds_netlist::generators::iscas::Iscas85;
+        let nl = Iscas85::C432.build();
+        for mismatches in [check_blocks::<u32>(&nl, 0), check_blocks::<u64>(&nl, 0)] {
+            assert_eq!(
+                mismatches.len(),
+                2 * Optimization::ALL.len(),
+                "{mismatches:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_arena_over_the_lane_budget_steps_one_vector_per_pass() {
+        use uds_netlist::generators::iscas::Iscas85;
+        let nl = Iscas85::C6288.build();
+        let sim = ParallelSimulator64::compile(&nl, Optimization::PathTracingTrimming).unwrap();
+        let lane_bytes = sim.stats().arena_words * LANES * 8;
+        assert!(lane_bytes > crate::block::LANE_ARENA_BUDGET, "{lane_bytes}");
+        assert_eq!(sim.block_len(), 1);
+        assert_eq!(sim.block_live_ins(), None);
+        let vectors = random_vectors(nl.primary_inputs().len(), 70, 7);
+        let outputs = nl.primary_outputs();
+        assert_eq!(
+            first_block_mismatch(&sim, outputs, &vectors, &[64], 1),
+            None
+        );
+    }
+
+    #[test]
+    fn clones_leave_the_lane_arena_behind() {
+        use uds_netlist::generators::iscas::Iscas85;
+        let nl = Iscas85::C432.build();
+        let mut sim = ParallelSimulator64::compile(&nl, Optimization::PathTracingTrimming).unwrap();
+        let vectors = random_vectors(nl.primary_inputs().len(), 64, 3);
+        let block: Vec<&[bool]> = vectors.iter().map(Vec::as_slice).collect();
+        let mut finals = vec![0u64; nl.primary_outputs().len()];
+        assert_eq!(sim.lanes.slots(), 0, "no block has run");
+        sim.simulate_block(&block, nl.primary_outputs(), &mut finals);
+        assert_eq!(sim.lanes.slots(), sim.stats().arena_words);
+        assert_eq!(sim.clone().lanes.slots(), 0, "a clone starts without it");
     }
 
     #[test]

@@ -89,3 +89,25 @@ fn a_parallel_step_allocates_nothing_at_w32() {
 fn a_parallel_step_allocates_nothing_at_w64() {
     parallel_step_allocates_nothing::<u64>();
 }
+
+/// A block allocates its lane arena once, on the first block of more
+/// than one vector; every later block reuses it.
+#[test]
+fn only_the_first_parallel_block_allocates() {
+    let nl = Iscas85::C432.build();
+    let mut sim = ParallelSim::<u64>::compile(&nl, Optimization::PathTracingTrimming).unwrap();
+    let vectors = stimulus(nl.primary_inputs().len());
+    let block: Vec<&[bool]> = vectors.iter().map(Vec::as_slice).collect();
+    let outputs = nl.primary_outputs();
+    let mut finals = vec![0u64; outputs.len()];
+    assert_eq!(sim.block_len(), 64);
+    let first = allocations_during(|| sim.simulate_block(&block, outputs, &mut finals));
+    assert!(first > 0, "the first block allocates the lane arena");
+    let later = allocations_during(|| {
+        for _ in 0..4 {
+            sim.simulate_block(&block, outputs, &mut finals);
+            sim.simulate_block(&block[..1], outputs, &mut finals);
+        }
+    });
+    assert_eq!(later, 0, "later blocks allocated {later} times");
+}

@@ -1,94 +1,141 @@
-//! The PC-set method's data-parallel edge (paper §3/§6): every state
-//! word has 64 bit lanes, so one pass over the compiled program can
-//! carry 64 consecutive vectors of one stream — the "bit-parallel
-//! simulation of multiple input vectors" the paper notes the parallel
-//! technique cannot do (its word dimension is already spent on time).
-//! In a block, lane `k` retains the settled values of lane `k - 1`, so
-//! every vector sees exactly the history it would see run alone.
+//! Blocks: one pass of a compiled program carries up to 64 consecutive
+//! vectors of one stream, on both techniques.
 //!
-//! This times one stream run a vector per pass and in blocks of 64,
-//! then checks every vector's primary-output history on both paths.
+//! The PC-set method (paper §2/§6) carries them in the bits of its
+//! state words: vector `k` rides bit lane `k`. The parallel technique
+//! (§3) has already spent each word's bits on time, so it carries them
+//! in more words instead: a lane-major arena holds one word per vector
+//! for every slot, and each op is dispatched once per block and runs
+//! over its 64 lanes. In a block, lane `k` starts from the settled
+//! values of lane `k - 1`, so every vector sees exactly the history it
+//! would see run alone.
 //!
-//! Run with: `cargo run --release --example stream_throughput`
+//! This times one stream a vector per pass and in blocks of 64 on the
+//! PC-set engine and on the parallel technique's default program
+//! (path tracing with trimming, 64-bit words), then checks every
+//! vector's primary-output history on the block path.
+//!
+//! Run with: `cargo run --release --example stream_throughput`, or add
+//! `.bench` files to time those instead of the c880 stand-in.
 
 use std::time::Instant;
 
 use unit_delay_sim::core::vectors::RandomVectors;
 use unit_delay_sim::core::BLOCK;
 use unit_delay_sim::netlist::generators::iscas::Iscas85;
+use unit_delay_sim::parallel::ParallelSimulator64;
 use unit_delay_sim::prelude::*;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let nl = Iscas85::C880.build();
+/// The best of three timings of `run` on fresh copies of `compiled`.
+fn best_of_three(
+    compiled: &dyn UnitDelaySimulator,
+    mut run: impl FnMut(&mut dyn UnitDelaySimulator),
+) -> f64 {
+    (0..3)
+        .map(|_| {
+            let mut sim = compiled.clone_box();
+            let start = Instant::now();
+            run(sim.as_mut());
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Times `engine` on `vectors` both ways and checks every vector's
+/// output history on the block path against one vector per pass.
+fn time_engine(nl: &Netlist, engine: Engine, vectors: &[Vec<bool>]) -> Result<(), String> {
     let outputs = nl.primary_outputs();
-    let vectors: Vec<Vec<bool>> = RandomVectors::new(nl.primary_inputs().len(), 1990)
-        .take(4096)
-        .collect();
     let blocks: Vec<Vec<&[bool]>> = vectors
         .chunks(BLOCK)
         .map(|block| block.iter().map(Vec::as_slice).collect())
         .collect();
-    let compiled = PcSetSimulator::compile(&nl)?;
-
-    let mut sim = compiled.clone();
-    let start = Instant::now();
-    for vector in &vectors {
-        sim.simulate_vector(vector);
-    }
-    let per_vector = start.elapsed().as_secs_f64();
-
-    let mut sim = compiled.clone();
+    let compiled = build_simulator(nl, engine).map_err(|e| e.to_string())?;
     let mut finals = vec![0u64; outputs.len()];
-    let start = Instant::now();
-    for block in &blocks {
-        sim.simulate_block(block, outputs, &mut finals);
-    }
-    let blocked = start.elapsed().as_secs_f64();
+
+    let per_vector = best_of_three(compiled.as_ref(), |sim| {
+        for vector in vectors {
+            sim.simulate_vector(vector);
+        }
+    });
+    let blocked = best_of_three(compiled.as_ref(), |sim| {
+        for block in &blocks {
+            sim.simulate_block(block, outputs, &mut finals);
+        }
+    });
 
     // Vector `s + j` of a block starting at `s` is the last vector of
     // the block's first `j + 1` lanes, so running that prefix from the
     // block's starting state exposes its history.
-    let mut reference = compiled.clone();
+    let mut reference = compiled.clone_box();
     let mut sim = compiled;
     let mut index = 0;
     for block in &blocks {
         for lanes in 1..=block.len() {
             reference.simulate_vector(block[lanes - 1]);
-            let mut prefix = sim.clone();
+            let mut prefix = sim.clone_box();
             prefix.simulate_block(&block[..lanes], outputs, &mut finals);
             for &po in outputs {
-                assert_eq!(
-                    prefix.history(po),
-                    reference.history(po),
-                    "vector {index}, output {}",
-                    nl.net_name(po)
-                );
+                if prefix.history(po) != reference.history(po) {
+                    return Err(format!(
+                        "{engine}: vector {index}, output {}",
+                        nl.net_name(po)
+                    ));
+                }
             }
             index += 1;
         }
         sim.simulate_block(block, outputs, &mut finals);
         for (&po, &word) in outputs.iter().zip(&finals) {
-            assert_eq!(
-                word >> (block.len() - 1) & 1 != 0,
-                reference.final_value(po)
-            );
+            if word >> (block.len() - 1) & 1 != u64::from(reference.final_value(po)) {
+                return Err(format!("{engine}: block final of {}", nl.net_name(po)));
+            }
         }
     }
 
-    let rate = |seconds: f64| vectors.len() as f64 / seconds;
-    println!("{}: one stream of {} vectors", nl.name(), vectors.len());
+    let ns = |seconds: f64| seconds * 1e9 / vectors.len() as f64;
     println!(
-        "  one vector per pass: {per_vector:.4} s ({:.0} vectors/s)",
-        rate(per_vector)
-    );
-    println!(
-        "  {BLOCK} vectors per pass: {blocked:.4} s ({:.0} vectors/s)",
-        rate(blocked)
-    );
-    println!(
-        "  speedup:             {:.1}x (a block costs a settle sweep plus one pass)",
+        "  {engine:<17} one vector per pass {:>7.0} ns/vector, {} per pass {:>7.0} ns/vector ({:.1}x)",
+        ns(per_vector),
+        sim.block_len(),
+        ns(blocked),
         per_vector / blocked
     );
-    println!("  every vector's output history agrees on both paths");
+    Ok(())
+}
+
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let paths: Vec<String> = std::env::args().skip(1).collect();
+    let netlists = if paths.is_empty() {
+        vec![Iscas85::C880.build()]
+    } else {
+        let read = |path: &String| -> Result<Netlist, Box<dyn std::error::Error>> {
+            let name = std::path::Path::new(path)
+                .file_stem()
+                .and_then(|stem| stem.to_str())
+                .unwrap_or("circuit");
+            Ok(bench_format::parse(&std::fs::read_to_string(path)?, name)?)
+        };
+        paths.iter().map(read).collect::<Result<_, _>>()?
+    };
+    for nl in &netlists {
+        let vectors: Vec<Vec<bool>> = RandomVectors::new(nl.primary_inputs().len(), 1990)
+            .take(4096)
+            .collect();
+        let parallel = ParallelSimulator64::compile(nl, Optimization::PathTracingTrimming)?;
+        let lane_arena_kib = parallel.stats().arena_words * BLOCK * 8 / 1024;
+        let live_ins = parallel
+            .block_live_ins()
+            .map_or("none: steps one vector per pass".to_owned(), |n| {
+                n.to_string()
+            });
+        println!(
+            "{}: one stream of {} vectors; pt+trim lane arena {lane_arena_kib} KiB, live-in words {live_ins}",
+            nl.name(),
+            vectors.len()
+        );
+        time_engine(nl, Engine::PcSet, &vectors)?;
+        time_engine(nl, Engine::ParallelPathTracingTrimming, &vectors)?;
+    }
+    println!("every vector's output history agrees on both paths");
     Ok(())
 }

@@ -220,6 +220,13 @@ fn run() -> Result<(), CliError> {
     let mut args = std::env::args().skip(1);
     let command = args.next().ok_or_else(usage)?;
     let rest: Vec<String> = args.collect();
+    // `--help` after a subcommand asks for the usage too.
+    let asks_help = |arg: &str| matches!(arg, "--help" | "-h");
+    if command == "help" || asks_help(&command) || rest.iter().any(|arg| asks_help(arg)) {
+        let mut out = Out::stdout();
+        out.line(usage())?;
+        return out.flush();
+    }
     match command.as_str() {
         "simulate" => simulate(&rest),
         "profile" => profile(&rest),
@@ -239,10 +246,6 @@ fn run() -> Result<(), CliError> {
                 out.line(engine)?;
             }
             out.flush()
-        }
-        "--help" | "-h" | "help" => {
-            eprintln!("{}", usage());
-            Ok(())
         }
         other => Err(CliError::usage(format!(
             "unknown command `{other}`\n{}",

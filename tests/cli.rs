@@ -544,6 +544,22 @@ fn engines_subcommand_lists_every_engine() {
 }
 
 #[test]
+fn help_after_a_subcommand_prints_the_usage() {
+    for args in [
+        &["simulate", "--help"][..],
+        &["codegen", "examples/c432.bench", "--help"],
+        &["serve", "-h"],
+        &["--help"],
+    ] {
+        let out = udsim(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(stdout.starts_with("usage:"), "{args:?}: {stdout}");
+        assert!(stdout.contains("udsim serve"), "{args:?}: {stdout}");
+    }
+}
+
+#[test]
 fn unknown_command_exits_with_usage_code() {
     let out = udsim(&["frobnicate"]);
     assert_eq!(out.status.code(), Some(2));

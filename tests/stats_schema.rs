@@ -89,6 +89,7 @@ fn report_carries_schema_spans_counters_and_gauges() {
         "parallel.pt-trim.shifts_eliminated",
         "parallel.pt-trim.words_trimmed",
         "parallel.cb.shifts_retained",
+        "batch.block_len",
     ] {
         assert!(
             gauges.get(gauge).and_then(Json::as_u64).is_some(),
@@ -269,6 +270,55 @@ fn codegen_stats_reports_compile_metrics() {
     // The generated C moved to stderr.
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("#include"), "{stderr}");
+}
+
+#[test]
+fn block_len_gauge_says_whether_the_run_went_in_blocks() {
+    let block_len = |doc: &Json| {
+        doc.get("gauges")
+            .unwrap()
+            .get("batch.block_len")
+            .and_then(Json::as_u64)
+    };
+    assert_eq!(block_len(&stats_doc(&["--vectors", "8"])), Some(64));
+    assert_eq!(
+        block_len(&stats_doc(&[
+            "--vectors",
+            "8",
+            "--word",
+            "32",
+            "--engine",
+            "parallel"
+        ])),
+        Some(64)
+    );
+    assert_eq!(
+        block_len(&stats_doc(&["--vectors", "8", "--engine", "pc-set"])),
+        Some(64)
+    );
+    assert_eq!(
+        block_len(&stats_doc(&["--vectors", "8", "--engine", "event-driven"])),
+        Some(1)
+    );
+    // c6288's 64-lane arena outgrows the budget: one vector per pass.
+    let netlist = Iscas85::C6288.build();
+    let path = fixture("blockc6288.bench", &bench_format::write(&netlist));
+    let out = udsim(&[
+        "simulate",
+        path.to_str().unwrap(),
+        "--vectors",
+        "2",
+        "--stats",
+        "-",
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = Json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
+    assert_eq!(block_len(&doc), Some(1));
 }
 
 #[test]
