@@ -21,9 +21,8 @@
 //! the input itself.
 
 use std::any::Any;
-use std::fmt;
+use std::cell::RefCell;
 use std::ops::Range;
-use std::sync::{Mutex, PoisonError};
 
 use uds_netlist::{GateKind, Levels, NetId, Netlist};
 
@@ -65,7 +64,7 @@ struct SettleGate {
 }
 
 /// The zero-delay sweep a block runs when a live-in word is not a
-/// primary-input field.
+/// primary-input field, flattened at compile time.
 #[derive(Clone, Debug)]
 struct Settle {
     /// In topological order.
@@ -88,6 +87,10 @@ pub(crate) struct BlockPlan {
     /// The net count: one settled-value word per net.
     nets: usize,
     settle: Option<Settle>,
+    /// How many vectors back lane `k`'s settled live-ins come from: 1,
+    /// except where a test shows that a wrong seed is caught.
+    #[cfg(test)]
+    pub(crate) lag: usize,
 }
 
 impl BlockPlan {
@@ -154,37 +157,6 @@ impl BlockPlan {
         let needs_settle = live_ins
             .iter()
             .any(|live| matches!(live.seed, Seed::Settled(net) if !is_input(net)));
-        let settle = needs_settle.then(|| {
-            let mut operands = Vec::new();
-            let gates = levels
-                .topo_gates
-                .iter()
-                .map(|&gid| {
-                    let gate = netlist.gate(gid);
-                    let start = operands.len();
-                    operands.extend_from_slice(&gate.inputs);
-                    SettleGate {
-                        kind: gate.kind,
-                        output: gate.output,
-                        operands: start..operands.len(),
-                    }
-                })
-                .collect();
-            let undriven = netlist
-                .net_ids()
-                .filter(|&net| netlist.driver(net).is_none() && !is_input(net))
-                .map(|net| {
-                    let layout = &layouts[net.index()];
-                    let bit = layout.final_bit();
-                    (net, layout.base + bit / W::BITS, bit % W::BITS)
-                })
-                .collect();
-            Settle {
-                gates,
-                operands,
-                undriven,
-            }
-        });
         Some(BlockPlan {
             live_ins,
             written: (0..program.arena_words as u32)
@@ -192,11 +164,14 @@ impl BlockPlan {
                 .collect(),
             inputs,
             nets: netlist.net_count(),
-            settle,
+            settle: needs_settle.then(|| Settle::new::<W>(netlist, levels, layouts)),
+            #[cfg(test)]
+            lag: 1,
         })
     }
 
     /// The live-in words a block seeds.
+    #[cfg(test)]
     pub(crate) fn live_ins(&self) -> usize {
         self.live_ins.len()
     }
@@ -205,16 +180,13 @@ impl BlockPlan {
     /// input count) as one pass of `program` over `lanes`, starting
     /// from the one-lane `arena`, then copies the last lane of every
     /// word the pass writes back into `arena`, which then holds what
-    /// one-vector steps would have left. `lag` is how many vectors back
-    /// lane `k`'s settled live-ins come from: 1, except in the tests
-    /// that show a wrong seed is caught.
+    /// one-vector steps would have left.
     pub(crate) fn run<W: Word>(
         &self,
         program: &Program,
         arena: &mut [W],
         lanes: &mut LaneScratch<W>,
         vectors: &[&[bool]],
-        lag: usize,
     ) {
         let n = vectors.len();
         debug_assert!((2..=LANES).contains(&n));
@@ -238,6 +210,10 @@ impl BlockPlan {
             row[0] = arena[word];
             match live.seed {
                 Seed::Settled(net) => {
+                    #[cfg(not(test))]
+                    let lag = 1;
+                    #[cfg(test)]
+                    let lag = self.lag;
                     let settled = lanes.values[net.index()];
                     for (k, lane) in row.iter_mut().enumerate().take(n).skip(1) {
                         *lane = W::splat(settled >> (k - lag) & 1 != 0);
@@ -254,6 +230,41 @@ impl BlockPlan {
 }
 
 impl Settle {
+    /// The sweep over `netlist`'s gates in topological order, reading
+    /// an undriven net's final bit from `W`-bit fields at `layouts`.
+    fn new<W: Word>(netlist: &Netlist, levels: &Levels, layouts: &[FieldLayout]) -> Settle {
+        let mut operands = Vec::new();
+        let gates = levels
+            .topo_gates
+            .iter()
+            .map(|&gid| {
+                let gate = netlist.gate(gid);
+                let start = operands.len();
+                operands.extend_from_slice(&gate.inputs);
+                SettleGate {
+                    kind: gate.kind,
+                    output: gate.output,
+                    operands: start..operands.len(),
+                }
+            })
+            .collect();
+        let inputs = netlist.primary_inputs();
+        let undriven = netlist
+            .net_ids()
+            .filter(|&net| netlist.driver(net).is_none() && !inputs.contains(&net))
+            .map(|net| {
+                let layout = &layouts[net.index()];
+                let bit = layout.final_bit();
+                (net, layout.base + bit / W::BITS, bit % W::BITS)
+            })
+            .collect();
+        Settle {
+            gates,
+            operands,
+            undriven,
+        }
+    }
+
     /// Settles every lane: bit `k` of `values[net]` becomes the net's
     /// zero-delay value under vector `k`, whose input bits `values`
     /// already holds. An undriven net keeps its carried final bit.
@@ -261,30 +272,65 @@ impl Settle {
         for &(net, word, bit) in &self.undriven {
             values[net.index()] = 0u64.wrapping_sub(u64::from(arena[word as usize].bit(bit)));
         }
-        for gate in &self.gates {
-            operands.clear();
-            let nets = &self.operands[gate.operands.clone()];
-            operands.extend(nets.iter().map(|net| values[net.index()]));
-            values[gate.output.index()] = gate.kind.eval_words(operands);
-        }
+        let gates = self.gates.iter().map(|gate| {
+            let inputs = &self.operands[gate.operands.clone()];
+            (gate.kind, gate.output, inputs)
+        });
+        sweep_gates(gates, values, operands);
     }
 }
 
-/// Lane arenas of finished runs (`Vec<Lanes<W>>` of either width),
-/// kept for the next run to take, at most [`SPARE_LIMIT`] of them. A
-/// daemon then holds one lane arena per run in flight. Allocating one
-/// per request instead and freeing it afterwards raised glibc's mmap
-/// threshold, after which the workers' heaps kept the freed arenas.
-static SPARE_ARENAS: Mutex<Vec<Box<dyn Any + Send>>> = Mutex::new(Vec::new());
+/// Settles `netlist` under the input bits `values` holds, one lane per
+/// bit: the power-up state is lane 0 of the sweep under all-0 inputs.
+/// Undriven nets keep what `values` holds.
+pub(crate) fn settle(netlist: &Netlist, levels: &Levels, values: &mut [u64]) {
+    let gates = levels.topo_gates.iter().map(|&gid| {
+        let gate = netlist.gate(gid);
+        (gate.kind, gate.output, gate.inputs.as_slice())
+    });
+    sweep_gates(gates, values, &mut Vec::new());
+}
 
-/// The most lane arenas [`SPARE_ARENAS`] keeps.
-const SPARE_LIMIT: usize = 8;
+/// The one zero-delay sweep: each gate `(kind, output, inputs)`, in
+/// topological order, sets bit `k` of its output's word to its value
+/// under bit `k` of its inputs' words.
+fn sweep_gates<'a>(
+    gates: impl Iterator<Item = (GateKind, NetId, &'a [NetId])>,
+    values: &mut [u64],
+    operands: &mut Vec<u64>,
+) {
+    for (kind, output, inputs) in gates {
+        operands.clear();
+        operands.extend(inputs.iter().map(|net| values[net.index()]));
+        values[output.index()] = kind.eval_words(operands);
+    }
+}
 
-/// A simulator's per-run block scratch: the lane arena and the lane
-/// inputs, taken by the first block of more than one vector. A clone
-/// starts without them, so a fork or a cached prototype never carries
-/// a lane arena; a dropped scratch hands its lane arena back to
-/// [`SPARE_ARENAS`].
+thread_local! {
+    /// This thread's block scratch, one per word width. A run borrows
+    /// it for one block; every block overwrites what it reads, so
+    /// nothing carries over from another run. The lane arena is
+    /// allocated once per thread with the whole budget's capacity and
+    /// kept until the thread ends: freeing it after each run raised
+    /// glibc's mmap threshold, after which a daemon's worker heaps kept
+    /// the freed arenas.
+    static SCRATCH: RefCell<(LaneScratch<u32>, LaneScratch<u64>)> = RefCell::default();
+}
+
+/// Runs `body` on this thread's block scratch for `W`-bit words.
+pub(crate) fn with_scratch<W: Word, R>(body: impl FnOnce(&mut LaneScratch<W>) -> R) -> R {
+    SCRATCH.with_borrow_mut(|(narrow, wide)| {
+        let scratch: &mut dyn Any = if W::BITS == 32 { narrow } else { wide };
+        let scratch = scratch
+            .downcast_mut()
+            .expect("a lane scratch per word width");
+        body(scratch)
+    })
+}
+
+/// A block's scratch: the lane arena, the lane inputs and the settled
+/// values of the block's vectors.
+#[derive(Default)]
 pub(crate) struct LaneScratch<W: Word> {
     arena: Vec<Lanes<W>>,
     inputs: Vec<Lanes<W>>,
@@ -294,76 +340,21 @@ pub(crate) struct LaneScratch<W: Word> {
 
 impl<W: Word> LaneScratch<W> {
     /// Makes the buffers hold `words` arena slots, `inputs` primary
-    /// inputs and `nets` nets. A lane arena is a spare one when there
-    /// is one, else a new one with the whole budget's capacity, of
-    /// which only the rows in use are touched. Its rows may hold
-    /// another run's words: a block writes every word before reading
-    /// it, apart from the live-ins it seeds.
+    /// inputs and `nets` nets. The first lane arena takes the whole
+    /// budget's capacity, of which only the rows in use are touched.
+    /// Its rows may hold another run's words: a block writes every
+    /// word before reading it, apart from the live-ins it seeds.
     fn prepare(&mut self, words: usize, inputs: usize, nets: usize) {
-        if self.arena.len() != words {
-            if self.arena.capacity() == 0 {
-                self.arena = spare_arena();
-            }
-            self.arena.resize(words, Lanes::ZERO);
+        if self.arena.capacity() == 0 {
+            self.arena = Vec::with_capacity(LANE_ARENA_BUDGET / std::mem::size_of::<Lanes<W>>());
         }
+        self.arena.resize(words, Lanes::ZERO);
         self.inputs.resize(inputs, Lanes::ZERO);
         self.values.resize(nets, 0);
-    }
-
-    /// Arena slots the lane arena holds: 0 until the first block.
-    pub(crate) fn slots(&self) -> usize {
-        self.arena.len()
     }
 
     /// Bit `bit` of `layout`'s field in lane `lane` of the last block.
     pub(crate) fn bit(&self, layout: &FieldLayout, bit: u32, lane: usize) -> bool {
         self.arena[layout.base as usize + (bit / W::BITS) as usize].0[lane].bit(bit % W::BITS)
-    }
-}
-
-/// A lane arena from [`SPARE_ARENAS`], or a new empty one.
-fn spare_arena<W: Word>() -> Vec<Lanes<W>> {
-    let mut spares = SPARE_ARENAS.lock().unwrap_or_else(PoisonError::into_inner);
-    let spare = spares.iter().position(|spare| spare.is::<Vec<Lanes<W>>>());
-    match spare.map(|index| spares.swap_remove(index).downcast()) {
-        Some(Ok(arena)) => *arena,
-        _ => Vec::with_capacity(LANE_ARENA_BUDGET / std::mem::size_of::<Lanes<W>>()),
-    }
-}
-
-impl<W: Word> Drop for LaneScratch<W> {
-    fn drop(&mut self) {
-        if self.arena.capacity() == 0 {
-            return;
-        }
-        let mut spares = SPARE_ARENAS.lock().unwrap_or_else(PoisonError::into_inner);
-        if spares.len() < SPARE_LIMIT {
-            spares.push(Box::new(std::mem::take(&mut self.arena)));
-        }
-    }
-}
-
-impl<W: Word> Default for LaneScratch<W> {
-    fn default() -> Self {
-        LaneScratch {
-            arena: Vec::new(),
-            inputs: Vec::new(),
-            values: Vec::new(),
-            operands: Vec::new(),
-        }
-    }
-}
-
-impl<W: Word> Clone for LaneScratch<W> {
-    fn clone(&self) -> Self {
-        LaneScratch::default()
-    }
-}
-
-impl<W: Word> fmt::Debug for LaneScratch<W> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LaneScratch")
-            .field("slots", &self.slots())
-            .finish()
     }
 }

@@ -9,7 +9,7 @@ use uds_netlist::{
 };
 
 use crate::bitfield::FieldLayout;
-use crate::block::{BlockPlan, LaneScratch};
+use crate::block::{self, BlockPlan};
 use crate::program::{Program, WOp};
 use crate::word::{Word, LANES};
 use crate::{cycle_breaking, path_tracing, Alignment};
@@ -173,9 +173,6 @@ pub struct ParallelSim<W: Word = u32> {
     /// the interpreter, 0 or 1 for a [`ParallelSim::simulate_vector_with`]
     /// kernel.
     input_words: Vec<W>,
-    /// The lane arena of [`ParallelSim::simulate_block`]: allocated by
-    /// the first block of more than one vector, never cloned.
-    lanes: LaneScratch<W>,
 }
 
 /// The immutable half of a [`ParallelSim`]: the op stream and the
@@ -360,11 +357,7 @@ impl<W: Word> ParallelSim<W> {
         // Consistent power-up state: settle under all-0 inputs and fill
         // every bit of every field with the settled value.
         let mut settled = vec![0u64; netlist.net_count()];
-        for &gid in &levels.topo_gates {
-            let gate = netlist.gate(gid);
-            let bits: Vec<u64> = gate.inputs.iter().map(|&n| settled[n]).collect();
-            settled[gate.output] = gate.kind.eval_words(&bits) & 1;
-        }
+        block::settle(netlist, &levels, &mut settled);
         let settled_zero: Vec<bool> = settled.iter().map(|&v| v != 0).collect();
         let mut initial_arena = vec![W::ZERO; program.arena_words];
         for net in netlist.net_ids() {
@@ -422,7 +415,6 @@ impl<W: Word> ParallelSim<W> {
             arena: initial_arena.clone(),
             prev_final: settled_zero,
             input_words: vec![W::ZERO; program.input_count],
-            lanes: LaneScratch::default(),
             compiled: Arc::new(Compiled {
                 program,
                 initial_arena,
@@ -567,13 +559,6 @@ impl<W: Word> ParallelSim<W> {
         }
     }
 
-    /// The arena words a block seeds per lane before its pass — those
-    /// an op reads before any op writes them — or `None` when this
-    /// program steps one vector per pass.
-    pub fn block_live_ins(&self) -> Option<usize> {
-        self.compiled.block.as_ref().map(BlockPlan::live_ins)
-    }
-
     /// Simulates up to 64 consecutive vectors, leaving the simulator
     /// exactly as running each through [`ParallelSim::simulate_vector`]
     /// in turn would: bit `k` of `finals[o]` is the settled value of
@@ -591,19 +576,6 @@ impl<W: Word> ParallelSim<W> {
     /// differs from the primary-input count, or if `finals` and
     /// `outputs` differ in length.
     pub fn simulate_block(&mut self, vectors: &[&[bool]], outputs: &[NetId], finals: &mut [u64]) {
-        self.simulate_block_seeded(vectors, outputs, finals, 1);
-    }
-
-    /// [`ParallelSim::simulate_block`] with lane `k`'s settled live-ins
-    /// taken from vector `k - lag` (the tests' negative control sets
-    /// `lag` to 0).
-    fn simulate_block_seeded(
-        &mut self,
-        vectors: &[&[bool]],
-        outputs: &[NetId],
-        finals: &mut [u64],
-        lag: usize,
-    ) {
         assert!(vectors.len() <= LANES, "a block holds at most 64 vectors");
         assert_eq!(finals.len(), outputs.len(), "one finals word per output");
         finals.fill(0);
@@ -625,24 +597,20 @@ impl<W: Word> ParallelSim<W> {
                 "input vector length must match the primary input count"
             );
         }
-        plan.run(
-            &compiled.program,
-            &mut self.arena,
-            &mut self.lanes,
-            vectors,
-            lag,
-        );
-        let last = vectors.len() - 1;
-        let final_bit = |net: NetId, lane: usize| {
-            let layout = &compiled.layouts[net];
-            self.lanes.bit(layout, layout.final_bit(), lane)
-        };
-        for (word, &net) in finals.iter_mut().zip(outputs) {
-            *word = (0..=last).fold(0, |word, k| word | u64::from(final_bit(net, k)) << k);
-        }
-        for &net in &compiled.tracked {
-            self.prev_final[net.index()] = final_bit(net, last - 1);
-        }
+        block::with_scratch(|lanes| {
+            plan.run(&compiled.program, &mut self.arena, lanes, vectors);
+            let last = vectors.len() - 1;
+            let final_bit = |net: NetId, lane: usize| {
+                let layout = &compiled.layouts[net];
+                lanes.bit(layout, layout.final_bit(), lane)
+            };
+            for (word, &net) in finals.iter_mut().zip(outputs) {
+                *word = (0..=last).fold(0, |word, k| word | u64::from(final_bit(net, k)) << k);
+            }
+            for &net in &compiled.tracked {
+                self.prev_final[net.index()] = final_bit(net, last - 1);
+            }
+        });
     }
 
     /// Like [`ParallelSim::simulate_vector`], but with `kernel` running
@@ -989,16 +957,14 @@ mod tests {
     }
 
     /// Runs `vectors` through a copy of `sim` in blocks of `lengths`
-    /// (cycled) with lane `k` seeded from vector `k - lag`, and through
-    /// another copy one vector at a time. After every block, the first
-    /// mismatch: in the packed finals, the one-lane arena or
-    /// `prev_final`.
+    /// (cycled), and through another copy one vector at a time. After
+    /// every block, the first mismatch: in the packed finals, the
+    /// one-lane arena or `prev_final`.
     fn first_block_mismatch<W: Word>(
         sim: &ParallelSim<W>,
         outputs: &[NetId],
         vectors: &[Vec<bool>],
         lengths: &[usize],
-        lag: usize,
     ) -> Option<String> {
         let (mut blocked, mut stepped) = (sim.clone(), sim.clone());
         let mut finals = vec![0u64; outputs.len()];
@@ -1011,7 +977,7 @@ mod tests {
                 .iter()
                 .map(Vec::as_slice)
                 .collect();
-            blocked.simulate_block_seeded(&block, outputs, &mut finals, lag);
+            blocked.simulate_block(&block, outputs, &mut finals);
             let mut expected = vec![0u64; outputs.len()];
             for (lane, inputs) in block.iter().enumerate() {
                 stepped.simulate_vector(inputs);
@@ -1042,18 +1008,21 @@ mod tests {
             .collect()
     }
 
+    /// Checks blocks against one-vector steps on every optimization,
+    /// with lane `k`'s settled live-ins seeded from vector `k - lag`.
     fn check_blocks<W: Word>(nl: &Netlist, lag: usize) -> Vec<String> {
         let vectors = random_vectors(nl.primary_inputs().len(), 300, 1990);
         let mut mismatches = Vec::new();
         for optimization in Optimization::ALL {
-            for sim in [
+            for mut sim in [
                 ParallelSim::<W>::compile(nl, optimization).unwrap(),
                 ParallelSim::<W>::compile_monitoring_all(nl, optimization).unwrap(),
             ] {
                 assert_eq!(sim.block_len(), LANES, "{optimization} at {} bits", W::BITS);
+                let compiled = Arc::get_mut(&mut sim.compiled).expect("a fresh compile");
+                compiled.block.as_mut().unwrap().lag = lag;
                 let lengths = [64, 1, 63, 2, 40, 17];
-                let found =
-                    first_block_mismatch(&sim, nl.primary_outputs(), &vectors, &lengths, lag);
+                let found = first_block_mismatch(&sim, nl.primary_outputs(), &vectors, &lengths);
                 mismatches.extend(found.map(|m| format!("{optimization}: {m}")));
             }
         }
@@ -1093,7 +1062,7 @@ mod tests {
             sim.seed_stable(&stable);
             assert_eq!(sim.block_len(), LANES, "{optimization}");
             let outputs = [x, y, floating, unread];
-            let found = first_block_mismatch(&sim, &outputs, &vectors, &[64, 3, 33], 1);
+            let found = first_block_mismatch(&sim, &outputs, &vectors, &[64, 3, 33]);
             assert_eq!(found, None, "{optimization}");
         }
     }
@@ -1113,6 +1082,17 @@ mod tests {
         }
     }
 
+    /// The default program's live-in words on c432 are the 36 input
+    /// fields its `InputAligned` ops read.
+    #[test]
+    fn c432_blocks_seed_only_input_fields() {
+        let text = include_str!("../../../examples/c432.bench");
+        let nl = uds_netlist::bench_format::parse(text, "c432").unwrap();
+        let sim = ParallelSimulator64::compile(&nl, Optimization::PathTracingTrimming).unwrap();
+        let live_ins = sim.compiled.block.as_ref().map(BlockPlan::live_ins);
+        assert_eq!(live_ins, Some(nl.primary_inputs().len()));
+    }
+
     #[test]
     fn an_arena_over_the_lane_budget_steps_one_vector_per_pass() {
         use uds_netlist::generators::iscas::Iscas85;
@@ -1121,27 +1101,10 @@ mod tests {
         let lane_bytes = sim.stats().arena_words * LANES * 8;
         assert!(lane_bytes > crate::block::LANE_ARENA_BUDGET, "{lane_bytes}");
         assert_eq!(sim.block_len(), 1);
-        assert_eq!(sim.block_live_ins(), None);
+        assert!(sim.compiled.block.is_none());
         let vectors = random_vectors(nl.primary_inputs().len(), 70, 7);
         let outputs = nl.primary_outputs();
-        assert_eq!(
-            first_block_mismatch(&sim, outputs, &vectors, &[64], 1),
-            None
-        );
-    }
-
-    #[test]
-    fn clones_leave_the_lane_arena_behind() {
-        use uds_netlist::generators::iscas::Iscas85;
-        let nl = Iscas85::C432.build();
-        let mut sim = ParallelSimulator64::compile(&nl, Optimization::PathTracingTrimming).unwrap();
-        let vectors = random_vectors(nl.primary_inputs().len(), 64, 3);
-        let block: Vec<&[bool]> = vectors.iter().map(Vec::as_slice).collect();
-        let mut finals = vec![0u64; nl.primary_outputs().len()];
-        assert_eq!(sim.lanes.slots(), 0, "no block has run");
-        sim.simulate_block(&block, nl.primary_outputs(), &mut finals);
-        assert_eq!(sim.lanes.slots(), sim.stats().arena_words);
-        assert_eq!(sim.clone().lanes.slots(), 0, "a clone starts without it");
+        assert_eq!(first_block_mismatch(&sim, outputs, &vectors, &[64]), None);
     }
 
     #[test]

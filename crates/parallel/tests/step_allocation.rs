@@ -90,8 +90,8 @@ fn a_parallel_step_allocates_nothing_at_w64() {
     parallel_step_allocates_nothing::<u64>();
 }
 
-/// A block allocates its lane arena once, on the first block of more
-/// than one vector; every later block reuses it.
+/// A thread allocates its lane arena once, on its first block of more
+/// than one vector; every later block on it reuses that arena.
 #[test]
 fn only_the_first_parallel_block_allocates() {
     let nl = Iscas85::C432.build();

@@ -123,13 +123,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect();
         let parallel = ParallelSimulator64::compile(nl, Optimization::PathTracingTrimming)?;
         let lane_arena_kib = parallel.stats().arena_words * BLOCK * 8 / 1024;
-        let live_ins = parallel
-            .block_live_ins()
-            .map_or("none: steps one vector per pass".to_owned(), |n| {
-                n.to_string()
-            });
+        let passes = match parallel.block_len() {
+            1 => "one vector per pass",
+            _ => "runs in blocks",
+        };
         println!(
-            "{}: one stream of {} vectors; pt+trim lane arena {lane_arena_kib} KiB, live-in words {live_ins}",
+            "{}: one stream of {} vectors; pt+trim lane arena {lane_arena_kib} KiB, {passes}",
             nl.name(),
             vectors.len()
         );

@@ -220,38 +220,51 @@ fn run() -> Result<(), CliError> {
     let mut args = std::env::args().skip(1);
     let command = args.next().ok_or_else(usage)?;
     let rest: Vec<String> = args.collect();
-    // `--help` after a subcommand asks for the usage too.
-    let asks_help = |arg: &str| matches!(arg, "--help" | "-h");
-    if command == "help" || asks_help(&command) || rest.iter().any(|arg| asks_help(arg)) {
-        let mut out = Out::stdout();
-        out.line(usage())?;
-        return out.flush();
-    }
-    match command.as_str() {
-        "simulate" => simulate(&rest),
-        "profile" => profile(&rest),
-        "hotspots" => hotspots(&rest),
-        "stats" => stats(&rest),
-        "codegen" => codegen(&rest),
-        "cone" => cone(&rest),
-        "serve" => serve(&rest),
-        "loadgen" => loadgen(&rest),
-        "engines" => {
-            // `native` is not in `Engine::ALL` (it is a compilation
-            // strategy over the parallel technique, not an interpreted
-            // engine), but it is a valid `--engine` name, so list it.
-            let mut out = Out::stdout();
-            out.line(Engine::Native)?;
-            for engine in Engine::ALL {
-                out.line(engine)?;
-            }
-            out.flush()
+    let subcommand: fn(&[String]) -> Result<(), CliError> = match command.as_str() {
+        "simulate" => simulate,
+        "profile" => profile,
+        "hotspots" => hotspots,
+        "stats" => stats,
+        "codegen" => codegen,
+        "cone" => cone,
+        "serve" => serve,
+        "loadgen" => loadgen,
+        "engines" => engines,
+        "--help" | "-h" | "help" => return print_usage(),
+        other => {
+            return Err(CliError::usage(format!(
+                "unknown command `{other}`\n{}",
+                usage()
+            )))
         }
-        other => Err(CliError::usage(format!(
-            "unknown command `{other}`\n{}",
-            usage()
-        ))),
+    };
+    // `--help` after a known subcommand asks for the usage too.
+    if rest
+        .iter()
+        .any(|arg| matches!(arg.as_str(), "--help" | "-h"))
+    {
+        return print_usage();
     }
+    subcommand(&rest)
+}
+
+fn print_usage() -> Result<(), CliError> {
+    let mut out = Out::stdout();
+    out.line(usage())?;
+    out.flush()
+}
+
+/// `udsim engines`: every valid `--engine` name.
+fn engines(_: &[String]) -> Result<(), CliError> {
+    // `native` is not in `Engine::ALL` (it is a compilation strategy
+    // over the parallel technique, not an interpreted engine), but it
+    // is a valid `--engine` name, so list it.
+    let mut out = Out::stdout();
+    out.line(Engine::Native)?;
+    for engine in Engine::ALL {
+        out.line(engine)?;
+    }
+    out.flush()
 }
 
 fn usage() -> String {

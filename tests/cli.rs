@@ -557,6 +557,10 @@ fn help_after_a_subcommand_prints_the_usage() {
         assert!(stdout.starts_with("usage:"), "{args:?}: {stdout}");
         assert!(stdout.contains("udsim serve"), "{args:?}: {stdout}");
     }
+    // An unknown command stays an error, `--help` or not.
+    let out = udsim(&["frobnicate", "--help"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("unknown command"), "{}", stderr(&out));
 }
 
 #[test]
