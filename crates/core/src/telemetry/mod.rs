@@ -578,13 +578,15 @@ pub struct LabeledGauge {
 pub const BUILD_INFO_GAUGE: &str = "build_info";
 
 /// Registers the standard build-info gauge: `build_info = 1` plus
-/// `build.version` / `build.word_bits` / `build.profile` labels, so
-/// every `--stats` report and `/metrics` scrape identifies the binary
-/// that produced it.
+/// `build.version` / `build.word_bits` / `build.profile` /
+/// `build.block_isa` labels, so every `--stats` report and `/metrics`
+/// scrape identifies the binary that produced it and the parallel block
+/// executor it runs on this CPU.
 pub fn record_build_info(telemetry: &Telemetry, word_bits: u32) {
     telemetry.set_gauge(BUILD_INFO_GAUGE, 1);
     telemetry.label("build.version", env!("CARGO_PKG_VERSION"));
     telemetry.label("build.word_bits", word_bits.to_string());
+    telemetry.label("build.block_isa", uds_parallel::block_isa());
     telemetry.label(
         "build.profile",
         if cfg!(debug_assertions) {
@@ -892,6 +894,10 @@ mod tests {
         assert!(matches!(
             report.labels["build.profile"].as_str(),
             "debug" | "release"
+        ));
+        assert!(matches!(
+            report.labels["build.block_isa"].as_str(),
+            "x86-64-v4" | "x86-64-v3" | "baseline"
         ));
         // Registering twice is idempotent — no gauge conflict.
         record_build_info(&telemetry, 64);

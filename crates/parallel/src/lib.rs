@@ -65,6 +65,7 @@ mod word;
 
 pub use alignment::{Alignment, AlignmentStats, ShiftKind};
 pub use bitfield::{FieldLayout, WORD_BITS};
+pub use block::block_isa;
 pub use simulator::{
     CompileError, Optimization, ParallelSim, ParallelSimulator, ParallelSimulator64, ProgramStats,
 };

@@ -289,6 +289,23 @@ pub(crate) struct OperandPool {
     pub fused: Vec<Operand>,
 }
 
+impl OperandPool {
+    /// Every operand slot `w` moved to `at(w)`, as [`WOp::renumber`].
+    pub(crate) fn renumber(&self, at: impl Fn(u32) -> u32) -> OperandPool {
+        OperandPool {
+            plain: self.plain.iter().map(|&slot| at(slot)).collect(),
+            fused: self
+                .fused
+                .iter()
+                .map(|operand| Operand {
+                    slot: at(operand.slot),
+                    shift: operand.shift,
+                })
+                .collect(),
+        }
+    }
+}
+
 impl WOp {
     /// One word of a gate evaluation, `arena[dst] = kind(inputs)`, in
     /// its shape: `Not`/`Buf` and 2-input gates inline their operands;
@@ -649,6 +666,48 @@ impl WOp {
             _ => 1 + self.fused_presentations(pool),
         }
     }
+
+    /// This op with every arena word `w` it names moved to `at(w)`. The
+    /// words an op addresses as one run from a base (a multi-word write,
+    /// a shift's source field) must move as one run; the pooled gates'
+    /// operands move with [`OperandPool::renumber`].
+    pub(crate) fn renumber(&self, at: impl Fn(u32) -> u32) -> WOp {
+        let mut op = self.clone();
+        match &mut op {
+            WOp::And2 { dst, a, b }
+            | WOp::Nand2 { dst, a, b }
+            | WOp::Or2 { dst, a, b }
+            | WOp::Nor2 { dst, a, b }
+            | WOp::Xor2 { dst, a, b }
+            | WOp::Xnor2 { dst, a, b }
+            | WOp::FusedAnd2 { dst, a, b, .. }
+            | WOp::FusedNand2 { dst, a, b, .. }
+            | WOp::FusedOr2 { dst, a, b, .. }
+            | WOp::FusedNor2 { dst, a, b, .. }
+            | WOp::FusedXor2 { dst, a, b, .. }
+            | WOp::FusedXnor2 { dst, a, b, .. } => {
+                (*dst, *a, *b) = (at(*dst), at(*a), at(*b));
+            }
+            WOp::Not { dst, src }
+            | WOp::Buf { dst, src }
+            | WOp::FusedNot { dst, src, .. }
+            | WOp::FusedBuf { dst, src, .. }
+            | WOp::MergeShl1Low { dst, src }
+            | WOp::BroadcastBit { dst, src, .. }
+            | WOp::ExtractBit { dst, src, .. }
+            | WOp::ShiftField { dst, src, .. }
+            | WOp::ShiftRight { dst, src, .. } => (*dst, *src) = (at(*dst), at(*src)),
+            WOp::MergeShl1 { dst, src, carry } => {
+                (*dst, *src, *carry) = (at(*dst), at(*src), at(*carry));
+            }
+            WOp::Eval { dst, .. }
+            | WOp::FusedEval { dst, .. }
+            | WOp::Zero { dst }
+            | WOp::InputBroadcast { dst, .. }
+            | WOp::InputAligned { dst, .. } => *dst = at(*dst),
+        }
+        op
+    }
 }
 
 /// Where the shift-eliminated compiler stages gate-input presentations:
@@ -715,6 +774,14 @@ impl Program {
     /// row runs one vector per lane. The cell's word type must be the
     /// one the program was compiled for.
     pub(crate) fn run<C: Cell>(&self, arena: &mut [C], inputs: &[C], ops: Range<usize>) {
+        self.run_inline(arena, inputs, ops);
+    }
+
+    /// [`Program::run`], inlined into its caller: the block pass's
+    /// x86-64-v3 and v4 instances compile the op loop with their own
+    /// target features this way.
+    #[inline(always)]
+    pub(crate) fn run_inline<C: Cell>(&self, arena: &mut [C], inputs: &[C], ops: Range<usize>) {
         debug_assert_eq!(inputs.len(), self.input_count);
         debug_assert_eq!(arena.len(), self.arena_words);
         for op in &self.ops[ops] {

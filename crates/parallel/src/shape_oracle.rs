@@ -15,6 +15,7 @@ use uds_netlist::generators::iscas::Iscas85;
 use uds_netlist::generators::random::{layered, LayeredConfig};
 use uds_netlist::GateKind;
 
+use crate::block::LaneIsa;
 use crate::program::{Fused, Operand, OperandPool, Program, WOp};
 use crate::word::{Lanes, Word, LANES};
 use crate::{Optimization, ParallelSim};
@@ -308,11 +309,12 @@ fn one_of_each_shape<W: Word>(rng: &mut StdRng, words: u32) -> Vec<(WOp, Operand
 }
 
 /// Every op shape run once over a lane arena whose lanes hold different
-/// random arenas and inputs: each lane must come out as the one-lane
-/// executor leaves that lane's arena alone.
+/// random arenas and inputs, in every instance of the block pass this
+/// CPU supports: each lane must come out as the one-lane executor
+/// leaves that lane's arena alone.
 #[test]
 fn lanes_run_each_shape_as_its_lane_alone() {
-    fn check<W: Word>() {
+    fn check<W: Word>(isa: LaneIsa) {
         let mut rng = StdRng::seed_from_u64(0x1A9E_5EED);
         let words = ARENA_WORDS;
         for (op, pool) in one_of_each_shape::<W>(&mut rng, words as u32) {
@@ -330,21 +332,27 @@ fn lanes_run_each_shape_as_its_lane_alone() {
             let mut lanes: Vec<Lanes<W>> = (0..words)
                 .map(|w| Lanes(std::array::from_fn(|k| lane_arenas[k][w])))
                 .collect();
-            let inputs: Vec<Lanes<W>> = (0..2)
+            let mut inputs: Vec<Lanes<W>> = (0..2)
                 .map(|i| Lanes(std::array::from_fn(|k| W::splat(lane_inputs[k][i]))))
                 .collect();
-            program.run(&mut lanes, &inputs, 0..1);
+            isa.run(&program, &mut lanes, &mut inputs);
             for (k, before) in lane_arenas.iter().enumerate() {
                 let mut alone = before.clone();
                 let inputs = lane_inputs[k].map(W::splat);
                 program.run(&mut alone, &inputs, 0..1);
                 let lane: Vec<W> = lanes.iter().map(|row| row.0[k]).collect();
-                assert_eq!(lane, alone, "{op:?} at {} bits, lane {k}", W::BITS);
+                assert_eq!(lane, alone, "{isa:?}: {op:?} at {} bits, lane {k}", W::BITS);
             }
         }
     }
-    check::<u32>();
-    check::<u64>();
+    for isa in LaneIsa::ALL {
+        if isa.supported() {
+            check::<u32>(isa);
+            check::<u64>(isa);
+        } else {
+            println!("skipped the {} block pass: not supported here", isa.name());
+        }
+    }
 }
 
 #[test]

@@ -9,7 +9,7 @@ use uds_netlist::{
 };
 
 use crate::bitfield::FieldLayout;
-use crate::block::{self, BlockPlan};
+use crate::block::{self, BlockPlan, NoBlocks};
 use crate::program::{Program, WOp};
 use crate::word::{Word, LANES};
 use crate::{cycle_breaking, path_tracing, Alignment};
@@ -126,6 +126,10 @@ pub struct ProgramStats {
     pub word_ops: usize,
     /// Arena words (fields + scratch).
     pub arena_words: usize,
+    /// Rows of a block's liveness-packed lane arena, each one word per
+    /// lane: the arena words live at once, whether or not the rows fit
+    /// the block budget (0 when the program cannot run in blocks).
+    pub lane_arena_words: usize,
     /// Shifts retained in the generated code: equals the gate count for
     /// the unoptimized/trimmed compilers (one per gate simulation), and
     /// the alignment-derived count for the shift-eliminated ones.
@@ -401,10 +405,28 @@ impl<W: Word> ParallelSim<W> {
             }
         }
 
-        let block = BlockPlan::new::<W>(netlist, &levels, &program, &layouts);
+        // A block reads the lanes of the primary outputs (its finals)
+        // and of the tracked nets (their previous finals).
+        let pinned: Vec<NetId> = netlist
+            .primary_outputs()
+            .iter()
+            .chain(&tracked)
+            .copied()
+            .collect();
+        let block = BlockPlan::new::<W>(netlist, &levels, &program, &layouts, &pinned);
+        let lane_rows = match &block {
+            Ok(plan) => Some(plan.rows()),
+            Err(NoBlocks::OverBudget { rows }) => Some(*rows),
+            Err(NoBlocks::UnsettledRead) => None,
+        };
+        if let Some(rows) = lane_rows {
+            probe.gauge(&format!("parallel.{key}.lane_arena_words"), rows as u64);
+        }
+        let lane_arena_words = lane_rows.unwrap_or(0);
         let stats = ProgramStats {
             word_ops,
             arena_words: program.arena_words,
+            lane_arena_words,
             retained_shifts,
             trimmed_words,
             fused_presentations,
@@ -426,7 +448,7 @@ impl<W: Word> ParallelSim<W> {
                 alignment,
                 stats,
                 level_segments,
-                block,
+                block: block.ok(),
             }),
         })
     }
@@ -548,9 +570,9 @@ impl<W: Word> ParallelSim<W> {
     }
 
     /// The vectors [`ParallelSim::simulate_block`] runs in one pass:
-    /// 64, or 1 when the program's lane arena (64 words per arena
-    /// word) would outgrow a fixed 256 KiB budget — c1908's and c6288's
-    /// do.
+    /// 64, or 1 when the program's lane arena (a row of 64 words per
+    /// arena word live at once) would outgrow a fixed 256 KiB budget —
+    /// c6288's does; c432's, c880's and c1908's fit.
     pub fn block_len(&self) -> usize {
         if self.compiled.block.is_some() {
             LANES
@@ -566,9 +588,12 @@ impl<W: Word> ParallelSim<W> {
     /// answers for the last vector.
     ///
     /// Vector `k` runs in lane `k` of a lane-major arena, so each op is
-    /// dispatched once per block (see the `block` module). A program
-    /// whose [`ParallelSim::block_len`] is 1, and a block of one
-    /// vector, step vector by vector instead.
+    /// dispatched once per block (see the `block` module); the last
+    /// vector then runs once more over the one-lane arena. A program
+    /// whose [`ParallelSim::block_len`] is 1, a block of one vector, and
+    /// a block asked for a net that is neither a primary output nor
+    /// tracked (whose lanes a block does not keep) step vector by
+    /// vector instead.
     ///
     /// # Panics
     ///
@@ -580,7 +605,10 @@ impl<W: Word> ParallelSim<W> {
         assert_eq!(finals.len(), outputs.len(), "one finals word per output");
         finals.fill(0);
         let compiled = &*self.compiled;
-        let plan = compiled.block.as_ref().filter(|_| vectors.len() > 1);
+        let plan = compiled
+            .block
+            .as_ref()
+            .filter(|plan| vectors.len() > 1 && outputs.iter().all(|&net| plan.pins(net)));
         let Some(plan) = plan else {
             for (lane, inputs) in vectors.iter().enumerate() {
                 self.simulate_vector(inputs);
@@ -597,15 +625,18 @@ impl<W: Word> ParallelSim<W> {
                 "input vector length must match the primary input count"
             );
         }
+        let arena = &mut self.arena;
         block::with_scratch(|lanes| {
-            plan.run(&compiled.program, &mut self.arena, lanes, vectors);
+            plan.run(&compiled.program, arena, lanes, vectors);
             let last = vectors.len() - 1;
             let final_bit = |net: NetId, lane: usize| {
-                let layout = &compiled.layouts[net];
-                lanes.bit(layout, layout.final_bit(), lane)
+                let bit = compiled.layouts[net].final_bit();
+                plan.lane_bit(lanes, net, bit, lane)
             };
             for (word, &net) in finals.iter_mut().zip(outputs) {
-                *word = (0..=last).fold(0, |word, k| word | u64::from(final_bit(net, k)) << k);
+                let layout = &compiled.layouts[net];
+                let lanes = (0..last).fold(0, |word, k| word | u64::from(final_bit(net, k)) << k);
+                *word = lanes | u64::from(layout.read_bit(arena, layout.final_bit())) << last;
             }
             for &net in &compiled.tracked {
                 self.prev_final[net.index()] = final_bit(net, last - 1);
@@ -795,6 +826,7 @@ impl<W: Word> ParallelSim<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::{LaneIsa, LaneScratch};
     use uds_netlist::{GateKind, NetlistBuilder};
 
     /// Fig. 6's network: D = A & B; E = D & C.
@@ -956,10 +988,23 @@ mod tests {
         }
     }
 
+    /// Runs `check` under every instance of the block pass this CPU
+    /// supports, and says which it skipped.
+    fn for_each_isa(mut check: impl FnMut(LaneIsa)) {
+        for isa in LaneIsa::ALL {
+            if isa.supported() {
+                block::with_isa(isa, || check(isa));
+            } else {
+                println!("skipped the {} block pass: not supported here", isa.name());
+            }
+        }
+    }
+
     /// Runs `vectors` through a copy of `sim` in blocks of `lengths`
     /// (cycled), and through another copy one vector at a time. After
     /// every block, the first mismatch: in the packed finals, the
-    /// one-lane arena or `prev_final`.
+    /// one-lane arena or `prev_final`, or, in an instance of the block
+    /// pass other than the baseline, in any lane row the block used.
     fn first_block_mismatch<W: Word>(
         sim: &ParallelSim<W>,
         outputs: &[NetId],
@@ -977,7 +1022,20 @@ mod tests {
                 .iter()
                 .map(Vec::as_slice)
                 .collect();
+            let mut baseline = blocked.clone();
             blocked.simulate_block(&block, outputs, &mut finals);
+            let rows = block::with_scratch(|lanes: &mut LaneScratch<W>| lanes.rows(block.len()));
+            let at = format!("{} bits, block at vector {start}", W::BITS);
+            if LaneIsa::current() != LaneIsa::Baseline {
+                block::with_isa(LaneIsa::Baseline, || {
+                    baseline.simulate_block(&block, outputs, &mut vec![0; outputs.len()])
+                });
+                let expected =
+                    block::with_scratch(|lanes: &mut LaneScratch<W>| lanes.rows(block.len()));
+                if rows != expected {
+                    return Some(format!("{at}: lane rows differ from the baseline pass"));
+                }
+            }
             let mut expected = vec![0u64; outputs.len()];
             for (lane, inputs) in block.iter().enumerate() {
                 stepped.simulate_vector(inputs);
@@ -985,7 +1043,6 @@ mod tests {
                     *word |= u64::from(stepped.final_value(net)) << lane;
                 }
             }
-            let at = format!("{} bits, block at vector {start}", W::BITS);
             if finals != expected {
                 return Some(format!("{at}: finals"));
             }
@@ -1008,8 +1065,9 @@ mod tests {
             .collect()
     }
 
-    /// Checks blocks against one-vector steps on every optimization,
-    /// with lane `k`'s settled live-ins seeded from vector `k - lag`.
+    /// Checks blocks against one-vector steps on every optimization that
+    /// runs `nl` in blocks, with lane `k`'s settled live-ins seeded from
+    /// vector `k - lag`.
     fn check_blocks<W: Word>(nl: &Netlist, lag: usize) -> Vec<String> {
         let vectors = random_vectors(nl.primary_inputs().len(), 300, 1990);
         let mut mismatches = Vec::new();
@@ -1018,9 +1076,11 @@ mod tests {
                 ParallelSim::<W>::compile(nl, optimization).unwrap(),
                 ParallelSim::<W>::compile_monitoring_all(nl, optimization).unwrap(),
             ] {
-                assert_eq!(sim.block_len(), LANES, "{optimization} at {} bits", W::BITS);
                 let compiled = Arc::get_mut(&mut sim.compiled).expect("a fresh compile");
-                compiled.block.as_mut().unwrap().lag = lag;
+                let Some(plan) = compiled.block.as_mut() else {
+                    continue;
+                };
+                plan.lag = lag;
                 let lengths = [64, 1, 63, 2, 40, 17];
                 let found = first_block_mismatch(&sim, nl.primary_outputs(), &vectors, &lengths);
                 mismatches.extend(found.map(|m| format!("{optimization}: {m}")));
@@ -1029,13 +1089,48 @@ mod tests {
         mismatches
     }
 
+    /// The optimizations that run `nl` in blocks at `W` bits.
+    fn blocking<W: Word>(nl: &Netlist) -> Vec<Optimization> {
+        let blocks = |&optimization: &Optimization| {
+            let sim = ParallelSim::<W>::compile(nl, optimization).unwrap();
+            sim.block_len() == LANES
+        };
+        Optimization::ALL.into_iter().filter(blocks).collect()
+    }
+
     #[test]
     fn a_block_leaves_the_state_of_one_vector_per_pass() {
         use uds_netlist::generators::iscas::Iscas85;
-        for nl in [Iscas85::C432.build(), Iscas85::C880.build()] {
-            assert_eq!(check_blocks::<u32>(&nl, 1), Vec::<String>::new());
-            assert_eq!(check_blocks::<u64>(&nl, 1), Vec::<String>::new());
+        let c1908 = Iscas85::C1908.build();
+        // The unoptimized and trimmed programs write every field in
+        // their init block, so packing leaves c1908's rows over budget;
+        // the default program's fit.
+        for blocking in [blocking::<u32>(&c1908), blocking::<u64>(&c1908)] {
+            assert!(
+                blocking.contains(&Optimization::PathTracingTrimming),
+                "{blocking:?}"
+            );
+            assert!(!blocking.contains(&Optimization::None), "{blocking:?}");
         }
+        for_each_isa(|isa| {
+            for nl in [Iscas85::C432.build(), Iscas85::C880.build()] {
+                assert_eq!(blocking::<u32>(&nl), Optimization::ALL, "{}", nl.name());
+                assert_eq!(blocking::<u64>(&nl), Optimization::ALL, "{}", nl.name());
+            }
+            for nl in [Iscas85::C432.build(), Iscas85::C880.build(), c1908.clone()] {
+                let name = nl.name();
+                assert_eq!(
+                    check_blocks::<u32>(&nl, 1),
+                    Vec::<String>::new(),
+                    "{isa:?} {name}"
+                );
+                assert_eq!(
+                    check_blocks::<u64>(&nl, 1),
+                    Vec::<String>::new(),
+                    "{isa:?} {name}"
+                );
+            }
+        });
     }
 
     /// A net no gate drives keeps whatever state it was seeded with:
@@ -1049,22 +1144,43 @@ mod tests {
         let x = b.gate(GateKind::Xor, &[a, floating], "X").unwrap();
         let y = b.gate(GateKind::Not, &[x], "Y").unwrap();
         let unread = b.fresh_net();
-        b.output(y);
-        b.output(unread);
+        let outputs = [x, y, floating, unread];
+        for net in outputs {
+            b.output(net);
+        }
         let nl = b.finish().unwrap();
         let vectors = random_vectors(1, 100, 5);
-        for optimization in Optimization::ALL {
-            let mut sim = ParallelSimulator::compile_monitoring_all(&nl, optimization).unwrap();
-            let mut stable = vec![false; nl.net_count()];
-            stable[floating.index()] = true;
-            stable[unread.index()] = true;
-            stable[x.index()] = true;
-            sim.seed_stable(&stable);
-            assert_eq!(sim.block_len(), LANES, "{optimization}");
-            let outputs = [x, y, floating, unread];
-            let found = first_block_mismatch(&sim, &outputs, &vectors, &[64, 3, 33]);
-            assert_eq!(found, None, "{optimization}");
-        }
+        for_each_isa(|isa| {
+            for optimization in Optimization::ALL {
+                let mut sim = ParallelSimulator::compile_monitoring_all(&nl, optimization).unwrap();
+                let mut stable = vec![false; nl.net_count()];
+                stable[floating.index()] = true;
+                stable[unread.index()] = true;
+                stable[x.index()] = true;
+                sim.seed_stable(&stable);
+                assert_eq!(sim.block_len(), LANES, "{optimization}");
+                let found = first_block_mismatch(&sim, &outputs, &vectors, &[64, 3, 33]);
+                assert_eq!(found, None, "{isa:?} {optimization}");
+            }
+        });
+    }
+
+    /// A block asked for nets whose lanes it does not keep — neither
+    /// primary outputs nor tracked — steps them one vector per pass.
+    #[test]
+    fn a_block_of_internal_nets_steps() {
+        use uds_netlist::generators::iscas::Iscas85;
+        let nl = Iscas85::C432.build();
+        let sim = ParallelSimulator64::compile(&nl, Optimization::PathTracingTrimming).unwrap();
+        let plan = sim.compiled.block.as_ref().unwrap();
+        let internal: Vec<NetId> = nl
+            .net_ids()
+            .filter(|&net| !plan.pins(net))
+            .take(20)
+            .collect();
+        assert_eq!(internal.len(), 20);
+        let vectors = random_vectors(nl.primary_inputs().len(), 130, 3);
+        assert_eq!(first_block_mismatch(&sim, &internal, &vectors, &[64]), None);
     }
 
     /// Negative control: seeding lane `k` from vector `k` instead of
@@ -1078,6 +1194,94 @@ mod tests {
                 mismatches.len(),
                 2 * Optimization::ALL.len(),
                 "{mismatches:?}"
+            );
+        }
+    }
+
+    /// The packed plan of every optimization of `nl` at `W` bits, rows
+    /// freed `early` half-steps before their last use, over any budget.
+    fn packed_plans<W: Word>(
+        nl: &Netlist,
+        early: u32,
+    ) -> Vec<(Optimization, BlockPlan, ParallelSim<W>)> {
+        let levels = uds_netlist::levelize(nl).unwrap();
+        Optimization::ALL
+            .into_iter()
+            .map(|optimization| {
+                let sim = ParallelSim::<W>::compile(nl, optimization).unwrap();
+                let compiled = &sim.compiled;
+                let pinned: Vec<NetId> = nl
+                    .primary_outputs()
+                    .iter()
+                    .chain(&compiled.tracked)
+                    .copied()
+                    .collect();
+                let plan = BlockPlan::unbudgeted::<W>(
+                    nl,
+                    &levels,
+                    &compiled.program,
+                    &compiled.layouts,
+                    &pinned,
+                    early,
+                );
+                (optimization, plan, sim)
+            })
+            .collect()
+    }
+
+    /// Every packed pass reads each row while it still holds the word
+    /// the program reads there, and ends with the pinned fields intact.
+    #[test]
+    fn packed_passes_read_only_live_rows() {
+        use uds_netlist::generators::iscas::Iscas85;
+        fn check<W: Word>(nl: &Netlist) {
+            for (optimization, plan, sim) in packed_plans::<W>(nl, 0) {
+                let compiled = &sim.compiled;
+                let stale = plan.first_stale_read::<W>(&compiled.program, &compiled.layouts);
+                assert_eq!(
+                    stale,
+                    None,
+                    "{} {optimization} at {} bits",
+                    nl.name(),
+                    W::BITS
+                );
+                assert!(plan.rows() <= compiled.program.arena_words);
+            }
+        }
+        for circuit in [Iscas85::C432, Iscas85::C880, Iscas85::C1908, Iscas85::C6288] {
+            let nl = circuit.build();
+            check::<u32>(&nl);
+            check::<u64>(&nl);
+        }
+    }
+
+    /// Negative control: a packing that frees every object one op
+    /// before its last use must fail the row check and the blocks. The
+    /// aligned programs share rows; the unoptimized and trimmed ones
+    /// write every field in their init block, so nothing is freed
+    /// before its rows are all taken and freeing early changes nothing.
+    #[test]
+    fn a_packing_that_frees_a_word_early_is_caught() {
+        use uds_netlist::generators::iscas::Iscas85;
+        let nl = Iscas85::C432.build();
+        let vectors = random_vectors(nl.primary_inputs().len(), 128, 11);
+        let plans = packed_plans::<u64>(&nl, 2).into_iter();
+        let aligned = plans.filter(|(optimization, ..)| {
+            !matches!(optimization, Optimization::None | Optimization::Trimming)
+        });
+        for (optimization, plan, mut sim) in aligned {
+            let compiled = &sim.compiled;
+            let stale = plan.first_stale_read::<u64>(&compiled.program, &compiled.layouts);
+            assert!(stale.is_some(), "{optimization}: the row check missed it");
+            Arc::get_mut(&mut sim.compiled).unwrap().block = Some(plan);
+            // A debug build may stop sooner, at the executor's check
+            // that a shift's source and destination do not overlap.
+            let found = std::panic::catch_unwind(|| {
+                first_block_mismatch(&sim, nl.primary_outputs(), &vectors, &[64])
+            });
+            assert!(
+                !matches!(found, Ok(None)),
+                "{optimization}: the blocks missed it"
             );
         }
     }
@@ -1098,7 +1302,7 @@ mod tests {
         use uds_netlist::generators::iscas::Iscas85;
         let nl = Iscas85::C6288.build();
         let sim = ParallelSimulator64::compile(&nl, Optimization::PathTracingTrimming).unwrap();
-        let lane_bytes = sim.stats().arena_words * LANES * 8;
+        let lane_bytes = sim.stats().lane_arena_words * LANES * 8;
         assert!(lane_bytes > crate::block::LANE_ARENA_BUDGET, "{lane_bytes}");
         assert_eq!(sim.block_len(), 1);
         assert!(sim.compiled.block.is_none());

@@ -206,11 +206,16 @@ impl<W: Word> Cell for W {
 /// A block's arena slot: lane `k` is the slot's word for the block's
 /// vector `k`. An arena of these is lane-major — slot `s`, lane `k` at
 /// word `s * LANES + k` — so each op reads and writes whole rows.
+///
+/// `INLINE_SHIFTS` says where [`Cell::shl_sar`] runs: out of line in
+/// the baseline executor (`false`), inlined into the x86-64-v3 and v4
+/// instances of the block pass (`true`, see the `block` module). The
+/// two types share one layout ([`Lanes::inline_shifts`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[repr(align(64))]
-pub(crate) struct Lanes<W>(pub [W; LANES]);
+#[repr(C, align(64))]
+pub(crate) struct Lanes<W, const INLINE_SHIFTS: bool = false>(pub [W; LANES]);
 
-impl<W: Word> Lanes<W> {
+impl<W: Word, const I: bool> Lanes<W, I> {
     #[inline(always)]
     fn map(self, f: impl Fn(W) -> W) -> Self {
         Lanes(std::array::from_fn(|k| f(self.0[k])))
@@ -220,11 +225,27 @@ impl<W: Word> Lanes<W> {
     fn zip(self, other: Self, f: impl Fn(W, W) -> W) -> Self {
         Lanes(std::array::from_fn(|k| f(self.0[k], other.0[k])))
     }
+
+    /// [`Word::shl_sar`] in every lane, inlined wherever it is called.
+    #[inline(always)]
+    fn shl_sar_inline(self, left: u32, right: u32) -> Self {
+        self.map(|w| w.shl_sar(left, right))
+    }
+}
+
+impl<W: Word> Lanes<W> {
+    /// The same rows as the type whose executor inlines its shifts.
+    pub(crate) fn inline_shifts(rows: &mut [Self]) -> &mut [Lanes<W, true>] {
+        // SAFETY: `Lanes` is `repr(C)` over one `[W; LANES]` field, so
+        // both instantiations have the same size, alignment and layout;
+        // the cast slice borrows `rows` mutably for its whole life.
+        unsafe { std::slice::from_raw_parts_mut(rows.as_mut_ptr().cast(), rows.len()) }
+    }
 }
 
 macro_rules! lanes_binary_op {
     ($trait:ident, $method:ident, $op:tt) => {
-        impl<W: Word> $trait for Lanes<W> {
+        impl<W: Word, const I: bool> $trait for Lanes<W, I> {
             type Output = Self;
 
             #[inline(always)]
@@ -239,7 +260,7 @@ lanes_binary_op!(BitAnd, bitand, &);
 lanes_binary_op!(BitOr, bitor, |);
 lanes_binary_op!(BitXor, bitxor, ^);
 
-impl<W: Word> Not for Lanes<W> {
+impl<W: Word, const I: bool> Not for Lanes<W, I> {
     type Output = Self;
 
     #[inline(always)]
@@ -248,7 +269,7 @@ impl<W: Word> Not for Lanes<W> {
     }
 }
 
-impl<W: Word> Shl<u32> for Lanes<W> {
+impl<W: Word, const I: bool> Shl<u32> for Lanes<W, I> {
     type Output = Self;
 
     #[inline(always)]
@@ -257,7 +278,7 @@ impl<W: Word> Shl<u32> for Lanes<W> {
     }
 }
 
-impl<W: Word> Shr<u32> for Lanes<W> {
+impl<W: Word, const I: bool> Shr<u32> for Lanes<W, I> {
     type Output = Self;
 
     #[inline(always)]
@@ -266,22 +287,34 @@ impl<W: Word> Shr<u32> for Lanes<W> {
     }
 }
 
-impl<W: Word> BitOrAssign for Lanes<W> {
+impl<W: Word, const I: bool> BitOrAssign for Lanes<W, I> {
     #[inline(always)]
     fn bitor_assign(&mut self, rhs: Self) {
         *self = *self | rhs;
     }
 }
 
-/// Every operation runs lane by lane; most unroll into a few vector
-/// instructions per row. `shl_sar` is out of line: the arithmetic shift
-/// runs one lane at a time (SSE2 has no 64-bit arithmetic shift), and
-/// inlined into every fused gate arm, each of which reads one or two
-/// operands through it, it made the block executor several times
-/// larger, which a block run pays for in resident code pages. Measured
-/// on c432 through `udsim simulate`, outlining the shifts cost blocks
-/// about 8% and took about 0.06 MiB off the peak resident set.
-impl<W: Word> Cell for Lanes<W> {
+/// The shifts inlined into `shl_sar` (each fused gate arm reads one or
+/// two operands through it), but in the baseline x86-64 executor only.
+#[inline(never)]
+fn shl_sar_outlined<W: Word>(lanes: Lanes<W>, left: u32, right: u32) -> Lanes<W> {
+    lanes.shl_sar_inline(left, right)
+}
+
+/// Every operation runs lane by lane and unrolls into vector
+/// instructions over the row: 32 SSE2 ops for a row of 64 `u64` lanes
+/// in the baseline x86-64 executor, 16 AVX2 ops in the x86-64-v3
+/// instance, 8 AVX-512 ops in the v4 instance.
+///
+/// `shl_sar` is the exception in the baseline executor: SSE2 has no
+/// 64-bit arithmetic shift, so it runs one lane at a time, and inlined
+/// into every fused gate arm it made that executor several times larger,
+/// which a block run pays for in resident code pages (outlining cost
+/// blocks about 8% on c432 through `udsim simulate` and took about
+/// 0.06 MiB off the peak resident set). The v3 and v4 instances inline
+/// it (`vpsraq` on v4). `sar_wide` picks its case once per row, since
+/// the shift is the same in every lane, so each case vectorizes.
+impl<W: Word, const INLINE_SHIFTS: bool> Cell for Lanes<W, INLINE_SHIFTS> {
     type Word = W;
     const ZERO: Self = Lanes([W::ZERO; LANES]);
     const ONES: Self = Lanes([W::ONES; LANES]);
@@ -296,14 +329,26 @@ impl<W: Word> Cell for Lanes<W> {
         self.map(|w| W::splat(w.bit(index)))
     }
 
-    #[inline(never)]
+    #[inline(always)]
     fn shl_sar(self, left: u32, right: u32) -> Self {
-        self.map(|w| w.shl_sar(left, right))
+        if INLINE_SHIFTS {
+            self.shl_sar_inline(left, right)
+        } else {
+            let rows = shl_sar_outlined(Lanes(self.0), left, right);
+            Lanes(rows.0)
+        }
     }
 
     #[inline(always)]
     fn sar_wide(low: Self, high: Self, shift: u32) -> Self {
-        low.zip(high, |low, high| W::sar_wide(low, high, shift))
+        let b = W::BITS;
+        if shift == 0 {
+            low
+        } else if shift < b {
+            low.zip(high, |low, high| (low >> shift) | (high << (b - shift)))
+        } else {
+            high.shl_sar_inline(0, (shift - b).min(b - 1))
+        }
     }
 }
 
@@ -365,6 +410,32 @@ mod tests {
         assert_eq!(<u64 as Word>::sar_wide(1 << 63, 1, 63), 0b11);
         assert_eq!(<u64 as Word>::sar_wide(0, 1 << 63, 64), 1 << 63);
         assert_eq!(<u64 as Word>::sar_wide(0, 1 << 63, 200), u64::MAX);
+    }
+
+    /// The lane `sar_wide`, which picks its case per row, against the
+    /// word's double-width shift in every lane, over every shift count.
+    #[test]
+    fn lane_sar_wide_matches_each_word() {
+        fn check<W: Word>(word: impl Fn(u64) -> W) {
+            let mut state = 0x5EED_1990_u64;
+            let mut next = || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                word(state)
+            };
+            let low: Lanes<W> = Lanes(std::array::from_fn(|_| next()));
+            let high: Lanes<W, true> = Lanes(std::array::from_fn(|_| next()));
+            for shift in 0..=2 * W::BITS + 1 {
+                let lanes = Cell::sar_wide(Lanes(low.0), high, shift);
+                for k in 0..LANES {
+                    let expected = W::sar_wide(low.0[k], high.0[k], shift);
+                    assert_eq!(lanes.0[k], expected, "{} bits, shift {shift}", W::BITS);
+                }
+            }
+        }
+        check::<u32>(|bits| (bits >> 32) as u32);
+        check::<u64>(|bits| bits);
     }
 
     #[test]

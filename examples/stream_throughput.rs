@@ -15,6 +15,10 @@
 //! (path tracing with trimming, 64-bit words), then checks every
 //! vector's primary-output history on the block path.
 //!
+//! It prints which instance of the lane pass this CPU runs (x86-64-v4,
+//! x86-64-v3 or baseline) and, per circuit, the size of the pt+trim
+//! program's liveness-packed lane arena and whether it runs in blocks.
+//!
 //! Run with: `cargo run --release --example stream_throughput`, or add
 //! `.bench` files to time those instead of the c880 stand-in.
 
@@ -117,12 +121,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         paths.iter().map(read).collect::<Result<_, _>>()?
     };
+    println!(
+        "parallel blocks run the {} instance of the lane pass",
+        unit_delay_sim::parallel::block_isa()
+    );
     for nl in &netlists {
         let vectors: Vec<Vec<bool>> = RandomVectors::new(nl.primary_inputs().len(), 1990)
             .take(4096)
             .collect();
         let parallel = ParallelSimulator64::compile(nl, Optimization::PathTracingTrimming)?;
-        let lane_arena_kib = parallel.stats().arena_words * BLOCK * 8 / 1024;
+        let lane_arena_kib = parallel.stats().lane_arena_words * BLOCK * 8 / 1024;
         let passes = match parallel.block_len() {
             1 => "one vector per pass",
             _ => "runs in blocks",

@@ -89,6 +89,8 @@ fn report_carries_schema_spans_counters_and_gauges() {
         "parallel.pt-trim.shifts_eliminated",
         "parallel.pt-trim.words_trimmed",
         "parallel.cb.shifts_retained",
+        "parallel.pt-trim.arena_words",
+        "parallel.pt-trim.lane_arena_words",
         "batch.block_len",
     ] {
         assert!(
@@ -118,6 +120,13 @@ fn report_carries_schema_spans_counters_and_gauges() {
         matches!(
             labels.get("build.profile").unwrap().as_str(),
             Some("debug" | "release")
+        ),
+        "{labels:?}"
+    );
+    assert!(
+        matches!(
+            labels.get("build.block_isa").unwrap().as_str(),
+            Some("x86-64-v4" | "x86-64-v3" | "baseline")
         ),
         "{labels:?}"
     );
