@@ -181,18 +181,31 @@ impl DefaultEngineFactory {
         limits: &ResourceLimits,
         probe: &dyn Probe,
     ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        let twin = ParallelSim::<W>::compile_probed(
-            netlist,
-            optimization,
-            self.monitor_all,
-            limits,
-            probe,
-        )?;
+        let twin = self.parallel_program::<W>(netlist, optimization, native, limits, probe)?;
         if native {
             crate::native::wrap(netlist, twin, probe)
         } else {
             Ok(Box::new(twin))
         }
+    }
+
+    /// The parallel program an engine runs. A native kernel's twin
+    /// steps one vector per call, so it is compiled without a block
+    /// plan rather than holding one it never runs.
+    fn parallel_program<W: Word>(
+        &self,
+        netlist: &Netlist,
+        optimization: Optimization,
+        native: bool,
+        limits: &ResourceLimits,
+        probe: &dyn Probe,
+    ) -> Result<ParallelSim<W>, uds_parallel::CompileError> {
+        let compile = if native {
+            ParallelSim::<W>::compile_stepping
+        } else {
+            ParallelSim::<W>::compile_probed
+        };
+        compile(netlist, optimization, self.monitor_all, limits, probe)
     }
 }
 
@@ -708,6 +721,30 @@ mod tests {
             guarded.simulate_vector(inputs).unwrap();
             baseline.simulate_vector(inputs);
             crosscheck::compare(&netlist, index, &baseline, guarded.active_simulator()).unwrap();
+        }
+    }
+
+    /// The native engine's twin never runs a block, so it holds no
+    /// plan for one; the interpreted engine of the same program does.
+    #[test]
+    fn the_native_twin_holds_no_block_plan() {
+        let nl = uds_netlist::generators::iscas::Iscas85::C432.build();
+        let pt_trim = Optimization::PathTracingTrimming;
+        let limits = ResourceLimits::production();
+        for word in [WordWidth::W32, WordWidth::W64] {
+            let factory = DefaultEngineFactory::with_word(word);
+            let lanes = |native: bool| match word {
+                WordWidth::W32 => factory
+                    .parallel_program::<u32>(&nl, pt_trim, native, &limits, &NoopProbe)
+                    .map(|sim| (sim.block_len(), sim.stats().lane_arena_words)),
+                WordWidth::W64 => factory
+                    .parallel_program::<u64>(&nl, pt_trim, native, &limits, &NoopProbe)
+                    .map(|sim| (sim.block_len(), sim.stats().lane_arena_words)),
+            };
+            assert_eq!(lanes(true).unwrap(), (1, 0), "w{word}: the native twin");
+            let (block_len, rows) = lanes(false).unwrap();
+            assert_eq!(block_len, crate::BLOCK, "w{word}");
+            assert!(rows > 0, "w{word}");
         }
     }
 

@@ -66,6 +66,32 @@ fn block_engines(nl: &Netlist) -> Vec<(String, Box<dyn UnitDelaySimulator>)> {
     engines
 }
 
+/// The programs whose blocks run in groups of 8 lanes: c1908's
+/// unoptimized and trimmed programs, each monitoring every net, at both
+/// widths. They write every field in their init block, so their packed
+/// 64-lane rows outgrow the lane budget and their 8-lane rows fit.
+fn eight_lane_engines(nl: &Netlist) -> Vec<(String, Box<dyn UnitDelaySimulator>)> {
+    fn eight_lane<W: Word>(
+        nl: &Netlist,
+        optimization: Optimization,
+    ) -> (String, Box<dyn UnitDelaySimulator>) {
+        let sim = ParallelSim::<W>::compile_monitoring_all(nl, optimization).unwrap();
+        let label = format!("{} {optimization} w{}", nl.name(), W::BITS);
+        assert_eq!((sim.block_len(), sim.block_lanes()), (BLOCK, 8), "{label}");
+        (label, Box::new(sim))
+    }
+    let mut engines = Vec::new();
+    for optimization in [Optimization::None, Optimization::Trimming] {
+        engines.push(eight_lane::<u32>(nl, optimization));
+        engines.push(eight_lane::<u64>(nl, optimization));
+    }
+    engines
+}
+
+fn c1908() -> Netlist {
+    uds_netlist::generators::iscas::Iscas85::C1908.build()
+}
+
 /// Feeds `vectors` to a copy of `engine` in blocks of `lengths`
 /// (cycled; 0 is one `simulate_vector` call), from `seed` when given,
 /// and checks every vector against the oracle: the block's packed
@@ -139,6 +165,19 @@ fn streams_at_block_edges_match_the_oracle_on_every_history() {
     }
 }
 
+/// Streams that end inside, at and just past an 8-lane group's edge,
+/// every vector's history checked.
+#[test]
+fn eight_lane_streams_at_group_edges_match_the_oracle_on_every_history() {
+    let nl = c1908();
+    for engine in &eight_lane_engines(&nl) {
+        for len in [2, 7, 8, 9, 15, 64, 65] {
+            let vectors = stimulus(&nl, len, len as u64);
+            check_stream(&nl, engine, &vectors, &[BLOCK], None, true);
+        }
+    }
+}
+
 #[test]
 fn ragged_blocks_match_the_oracle_on_every_history() {
     let nl = c432();
@@ -149,8 +188,8 @@ fn ragged_blocks_match_the_oracle_on_every_history() {
 }
 
 /// Every vector's history on the PC-set engine; each block's last
-/// vector's on the parallel engines, whose every prefix the shorter
-/// streams check.
+/// vector's on the parallel engines, c432's and c1908's 8-lane
+/// programs, whose every prefix the shorter streams check.
 #[test]
 fn a_4097_vector_stream_matches_the_oracle_on_every_history() {
     let nl = c432();
@@ -158,6 +197,18 @@ fn a_4097_vector_stream_matches_the_oracle_on_every_history() {
     for engine in &block_engines(&nl) {
         let prefixes = engine.0 == "pc-set";
         check_stream(&nl, engine, &vectors, &[BLOCK], None, prefixes);
+    }
+    // One 8-lane program per width keeps the oracle's time in bounds.
+    let nl = c1908();
+    let vectors = stimulus(&nl, 4097, 1990);
+    let engines = eight_lane_engines(&nl);
+    let one_per_width: Vec<_> = engines
+        .iter()
+        .filter(|(label, _)| label.ends_with("unoptimized w32") || label.ends_with("trimming w64"))
+        .collect();
+    assert_eq!(one_per_width.len(), 2);
+    for engine in one_per_width {
+        check_stream(&nl, engine, &vectors, &[BLOCK], None, false);
     }
 }
 

@@ -4,28 +4,6 @@
 //! The parallel technique spends each word's bits on time, so it cannot
 //! carry several vectors in the bits of a word the way the PC-set block
 //! does. It carries them in more words instead: a block runs the
-//! program once over a lane-major arena of [`Lanes`] cells, vector `k`
-//! in lane `k` of every slot, so each op is dispatched once per block.
-//!
-//! Lane `k` must start from the state vector `k - 1` left behind. The
-//! pass reads that state only through its *live-in* words — the words
-//! an op reads before any op of the pass writes them — and, as compile
-//! time checks, each such read is either one bit of a net's field at or
-//! after the net's level (its settled value) or a word the pass never
-//! writes. A combinational circuit's settled values do not depend on
-//! retained state, so a zero-delay sweep over the block's vectors gives
-//! every lane its predecessor's settled values first; a settled
-//! live-in word of lane `k` is then that value broadcast, and lane 0
-//! takes the carried word itself. The sweep is skipped when every
-//! settled live-in is a primary-input field, whose settled value is
-//! the input itself.
-
-//! Blocks: up to [`LANES`] consecutive vectors of one stream share one
-//! pass of the op stream.
-//!
-//! The parallel technique spends each word's bits on time, so it cannot
-//! carry several vectors in the bits of a word the way the PC-set block
-//! does. It carries them in more words instead: a block runs the
 //! program once over a lane-major arena of [`Lanes`] rows, vector `k`
 //! in lane `k` of every row, so each op is dispatched once per block.
 //!
@@ -49,10 +27,26 @@
 //! access to its last; the fields of the primary outputs and tracked
 //! nets live to the end of the pass, where a block reads their lanes.
 //! Objects whose lives do not overlap share rows, and the block runs a
-//! copy of the op stream renumbered onto them. Packed rows no longer
-//! hold the whole arena, so the block's last vector then runs once more,
-//! one lane over the full arena, from its predecessor's settled values:
+//! copy of the op stream renumbered onto them. The copy leaves out the
+//! ops whose words neither a later op of the copy nor a pinned field
+//! reads — on c6288's default program, 880 of its 8014 ops, trimming's
+//! fills of words only a history readback reads — so their words take
+//! no rows. Packed rows no longer hold the whole arena, so the block's
+//! last vector then runs once more, through the whole program, one lane
+//! over the full arena, from its predecessor's settled values:
 //! afterwards the arena is what one-vector steps would have left.
+//!
+//! *Lane groups.* A row is 64 lanes wide when the packed rows fit
+//! [`LANE_ARENA_BUDGET`] at that width, and [`GROUP_LANES`] (8) wide
+//! when only the narrow rows do (c6288's default program).
+//! A block still carries 64 vectors: the inputs are folded and the
+//! settle sweep runs once for all of them, then the rows carry them 8
+//! at a time, one pass of the packed program per group. Lane 0 of
+//! group `g > 0` is seeded like any other lane, from the sweep's settled
+//! values after the vector just before it; only the block's first
+//! vector takes the carried words. Each group's pinned lanes are read
+//! before the next group's pass, and the last vector's one-lane rerun
+//! comes once, after the last group.
 //!
 //! The pass over the rows runs in the widest instance of the executor
 //! the CPU supports ([`LaneIsa`]), picked once per process.
@@ -68,22 +62,27 @@ use uds_netlist::{GateKind, Levels, NetId, Netlist};
 
 use crate::bitfield::FieldLayout;
 use crate::program::{Program, Staging, WOp};
-use crate::word::{Cell, Lanes, Word, LANES};
+use crate::word::{Lanes, Word, GROUP_LANES, LANES};
 
-/// The most bytes a block's packed lane arena may take: an engine whose
-/// rows need more steps one vector per pass. At 64-bit words the
+/// The most bytes a block's packed lane arena may take, and the size of
+/// each thread's lane scratch. A program whose 64-lane rows need more
+/// runs its blocks through rows of 8 lanes; one whose 8-lane rows need
+/// more too steps one vector per pass. At 64-bit words the
 /// path-tracing+trimming programs of c432 (29 KiB), c880 (51 KiB) and
-/// c1908 (101 KiB) fit; c6288's (about 1.4 MiB) does not. Unpacked, at
-/// one row per arena word, c1908 took 459 KiB, and a 512 KiB budget that
-/// took it in left a daemon serving it among other circuits about
-/// 2 MiB higher: the allocator kept its freed lane arenas
-/// (EXPERIMENTS.md).
+/// c1908 (101 KiB) fit at 64 lanes; c6288's (588 KiB at 64 lanes)
+/// fits at 8 (74 KiB), and so does its 32-bit program (101 KiB); its
+/// unoptimized program (412 KiB at 8 lanes) steps. Unpacked, at one row
+/// per arena word, c1908 took 459 KiB, and
+/// a 512 KiB budget that took it in left a daemon serving it among
+/// other circuits about 2 MiB higher: the allocator kept its freed lane
+/// arenas (EXPERIMENTS.md).
 pub(crate) const LANE_ARENA_BUDGET: usize = 256 * 1024;
 
 /// The instances of the block pass over lane rows: the baseline
 /// executor, and on x86-64 the same op loop compiled for x86-64-v3
 /// (AVX2, BMI2) and x86-64-v4 (AVX-512 F/VL/BW/DQ/CD), where a row of 64
-/// `u64` lanes is 16 or 8 vector ops instead of 32.
+/// `u64` lanes is 16 or 8 vector ops instead of 32. Each exists for
+/// both row widths.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum LaneIsa {
     Baseline,
@@ -158,11 +157,11 @@ impl LaneIsa {
 
     /// Runs `program` once over the lane rows `arena`, primary input `i`
     /// broadcast per lane through `inputs[i]`.
-    pub(crate) fn run<W: Word>(
+    pub(crate) fn run<W: Word, const N: usize>(
         self,
         program: &Program,
-        arena: &mut [Lanes<W>],
-        inputs: &mut [Lanes<W>],
+        arena: &mut [Lanes<W, N>],
+        inputs: &mut [Lanes<W, N>],
     ) {
         debug_assert!(self.supported(), "{self:?} on a CPU without it");
         #[cfg(target_arch = "x86_64")]
@@ -196,10 +195,10 @@ mod x86 {
     use crate::word::{Lanes, Word};
 
     #[target_feature(enable = "avx2,bmi1,bmi2,f16c,fma,lzcnt,movbe,popcnt")]
-    pub(super) fn pass_v3<W: Word>(
+    pub(super) fn pass_v3<W: Word, const N: usize>(
         program: &Program,
-        arena: &mut [Lanes<W, true>],
-        inputs: &[Lanes<W, true>],
+        arena: &mut [Lanes<W, N, true>],
+        inputs: &[Lanes<W, N, true>],
     ) {
         program.run_inline(arena, inputs, 0..program.ops.len());
     }
@@ -207,10 +206,10 @@ mod x86 {
     #[target_feature(
         enable = "avx2,bmi1,bmi2,f16c,fma,lzcnt,movbe,popcnt,avx512f,avx512vl,avx512bw,avx512dq,avx512cd"
     )]
-    pub(super) fn pass_v4<W: Word>(
+    pub(super) fn pass_v4<W: Word, const N: usize>(
         program: &Program,
-        arena: &mut [Lanes<W, true>],
-        inputs: &[Lanes<W, true>],
+        arena: &mut [Lanes<W, N, true>],
+        inputs: &[Lanes<W, N, true>],
     ) {
         program.run_inline(arena, inputs, 0..program.ops.len());
     }
@@ -256,11 +255,12 @@ struct LiveIn {
 struct SettleGate {
     kind: GateKind,
     output: NetId,
-    operands: Range<usize>,
+    operands: Range<u32>,
 }
 
 /// The zero-delay sweep a block runs when a live-in word is not a
-/// primary-input field, flattened at compile time.
+/// primary-input field, flattened at compile time over the gates whose
+/// settled values a live-in reads, directly or through other gates.
 #[derive(Clone, Debug)]
 struct Settle {
     /// In topological order.
@@ -275,7 +275,7 @@ struct Settle {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum NoBlocks {
     /// Its packed lane arena, `rows` rows, would outgrow
-    /// [`LANE_ARENA_BUDGET`].
+    /// [`LANE_ARENA_BUDGET`] even at [`GROUP_LANES`] lanes.
     OverBudget { rows: usize },
     /// A live-in read is neither a settled bit nor of a word the pass
     /// never writes.
@@ -297,7 +297,15 @@ struct Object {
 pub(crate) struct BlockPlan {
     /// The op stream renumbered onto the packed lane rows.
     packed: Program,
+    /// Lanes per row: [`LANES`], or [`GROUP_LANES`] when 64-lane rows
+    /// would outgrow the budget.
+    lanes: usize,
+    /// The live-ins of the lane pass.
     live_ins: Vec<LiveIn>,
+    /// The settled live-ins of the whole program, which the last
+    /// vector's rerun reads: arena word, and the net whose settled
+    /// value it holds.
+    rerun: Vec<(u32, NetId)>,
     /// Per net, the row its field starts at for the nets pinned to the
     /// end of the pass (the primary outputs and tracked nets), or
     /// `u32::MAX`.
@@ -311,6 +319,11 @@ pub(crate) struct BlockPlan {
     /// except where a test shows that a wrong seed is caught.
     #[cfg(test)]
     pub(crate) lag: usize,
+    /// Whether lane 0 of every group takes the carried words, as the
+    /// block's first vector does: `false`, except where a test shows
+    /// that a wrong seed at a group's edge is caught.
+    #[cfg(test)]
+    pub(crate) carry_group_heads: bool,
 }
 
 impl BlockPlan {
@@ -362,10 +375,15 @@ impl BlockPlan {
             owner[field.clone()].fill(Some(net));
             joined[field.start + 1..field.end].fill(true);
         }
-        let mut written = vec![false; words];
-        let mut first_reads = Vec::new();
+        let live_ops = live_ops::<W>(program, layouts, pinned);
+        // The live-ins of the whole program, which the last vector's
+        // rerun runs, and of the ops the lane pass runs; only the latter
+        // give words their lives and rows.
+        let (mut written, mut written_live) = (vec![false; words], vec![false; words]);
+        let (mut first_reads, mut lane_reads) = (Vec::new(), Vec::new());
         let (mut first, mut last) = (vec![u32::MAX; words], vec![0u32; words]);
         for (index, op) in program.ops.iter().enumerate() {
+            let live = live_ops[index];
             let (read_at, write_at) = (2 * index as u32, 2 * index as u32 + 1);
             let source_at = match op {
                 WOp::ShiftField { .. } | WOp::ShiftRight { .. } => write_at,
@@ -376,11 +394,20 @@ impl BlockPlan {
                     first_reads.push((word, bit));
                 }
                 let word = word as usize;
-                first[word] = first[word].min(source_at);
-                last[word] = last[word].max(source_at);
+                if live {
+                    if !written_live[word] {
+                        lane_reads.push(word as u32);
+                    }
+                    first[word] = first[word].min(source_at);
+                    last[word] = last[word].max(source_at);
+                }
             });
             let writes = writes.start as usize..writes.end as usize;
             written[writes.clone()].fill(true);
+            if !live {
+                continue;
+            }
+            written_live[writes.clone()].fill(true);
             for word in writes.clone() {
                 first[word] = first[word].min(write_at);
                 last[word] = last[word].max(write_at);
@@ -407,23 +434,31 @@ impl BlockPlan {
         for &net in pinned {
             is_pinned[net.index()] = true;
         }
+        // Every read before the program writes its word must see a
+        // settled bit or a word the program never writes.
+        let mut seed = vec![None; words];
+        let mut rerun = Vec::new();
+        for (word, bit) in first_reads {
+            if !written[word as usize] {
+                seed[word as usize] = Some(Seed::Carried);
+                continue;
+            }
+            let net = settled_net(word, bit).ok_or(NoBlocks::UnsettledRead)?;
+            if seed[word as usize].replace(Seed::Settled(net)).is_none() {
+                rerun.push((word, net));
+            }
+        }
         // A pinned field's word the pass never writes is carried in
         // every lane, read or not: the block reads the field's lanes.
-        let unwritten_pinned = (0..words as u32)
-            .filter(|&word| {
-                let pinned = owner[word as usize].is_some_and(|net| is_pinned[net.index()]);
-                pinned && !written[word as usize]
-            })
-            .map(|word| (word, None));
+        let unwritten_pinned = (0..words as u32).filter(|&word| {
+            let pinned = owner[word as usize].is_some_and(|net| is_pinned[net.index()]);
+            pinned && !written[word as usize]
+        });
         let mut seen = vec![false; words];
         let mut live_ins = Vec::new();
-        for (word, bit) in first_reads.into_iter().chain(unwritten_pinned) {
-            let seed = if written[word as usize] {
-                Seed::Settled(settled_net(word, bit).ok_or(NoBlocks::UnsettledRead)?)
-            } else {
-                Seed::Carried
-            };
+        for word in lane_reads.into_iter().chain(unwritten_pinned) {
             if !std::mem::replace(&mut seen[word as usize], true) {
+                let seed = seed[word as usize].unwrap_or(Seed::Carried);
                 live_ins.push(LiveIn { word, row: 0, seed });
                 first[word as usize] = 0;
             }
@@ -485,16 +520,18 @@ impl BlockPlan {
             }
         }
         let rows = rows as usize;
-        if rows.saturating_mul(std::mem::size_of::<Lanes<W>>()) > budget {
+        let fits = |lanes: usize| rows.saturating_mul(lanes * std::mem::size_of::<W>()) <= budget;
+        let Some(lanes) = [LANES, GROUP_LANES].into_iter().find(|&lanes| fits(lanes)) else {
             return Err(NoBlocks::OverBudget { rows });
-        }
+        };
 
         for live in &mut live_ins {
             live.row = row_of[live.word as usize];
         }
         let at = |word: u32| row_of[word as usize];
+        let live = program.ops.iter().zip(&live_ops).filter(|&(_, &live)| live);
         let packed = Program {
-            ops: program.ops.iter().map(|op| op.renumber(at)).collect(),
+            ops: live.map(|(op, _)| op.renumber(at)).collect(),
             operands: program.operands.renumber(at),
             arena_words: rows,
             input_count: program.input_count,
@@ -506,18 +543,26 @@ impl BlockPlan {
         }
         let inputs = netlist.primary_inputs().to_vec();
         let is_input = |net: NetId| inputs.contains(&net);
-        let needs_settle = live_ins
+        // The lanes and the rerun read these nets' settled values.
+        let settled: Vec<NetId> = rerun
             .iter()
-            .any(|live| matches!(live.seed, Seed::Settled(net) if !is_input(net)));
+            .map(|&(_, net)| net)
+            .filter(|&net| !is_input(net))
+            .collect();
         Ok(BlockPlan {
             packed,
+            lanes,
             live_ins,
+            rerun,
             pinned: pinned_rows,
             inputs,
             nets: netlist.net_count(),
-            settle: needs_settle.then(|| Settle::new::<W>(netlist, levels, layouts)),
+            settle: (!settled.is_empty())
+                .then(|| Settle::new::<W>(netlist, levels, layouts, &settled)),
             #[cfg(test)]
             lag: 1,
+            #[cfg(test)]
+            carry_group_heads: false,
         })
     }
 
@@ -547,85 +592,148 @@ impl BlockPlan {
         self.packed.arena_words
     }
 
+    /// Lanes per row: [`LANES`] or [`GROUP_LANES`].
+    pub(crate) fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// The row pinned `net`'s field starts at.
+    #[cfg(test)]
+    pub(crate) fn field_row(&self, net: NetId) -> usize {
+        assert!(self.pins(net), "net {net:?} is not pinned");
+        self.pinned[net.index()] as usize
+    }
+
     /// Whether a block reads `net`'s lanes: its field is pinned.
     pub(crate) fn pins(&self, net: NetId) -> bool {
         self.pinned[net.index()] != u32::MAX
     }
 
-    /// Bit `bit` of pinned `net`'s field (laid out as `layout`) in lane
-    /// `lane` of the last block run on `lanes`.
-    pub(crate) fn lane_bit<W: Word>(
-        &self,
-        lanes: &LaneScratch<W>,
-        net: NetId,
-        bit: u32,
-        lane: usize,
-    ) -> bool {
-        let row = self.pinned[net.index()] + bit / W::BITS;
-        lanes.arena[row as usize].0[lane].bit(bit % W::BITS)
-    }
-
     /// Runs `vectors` (2 to [`LANES`] of them, each as wide as the
-    /// input count) as one pass of the packed program over `lanes`,
-    /// starting from the one-lane `arena`, then the last of them once
-    /// more through `program` over `arena`, which then holds what
-    /// one-vector steps would have left.
+    /// input count) through the packed program over `lanes`, one pass
+    /// per group of [`BlockPlan::lanes`] vectors, starting from the
+    /// one-lane `arena`; hands each group's lanes to `read` after its
+    /// pass; then runs the last vector once more through `program` over
+    /// `arena`, which then holds what one-vector steps would have left.
     pub(crate) fn run<W: Word>(
         &self,
         program: &Program,
         arena: &mut [W],
         lanes: &mut LaneScratch<W>,
         vectors: &[&[bool]],
+        read: impl FnMut(&LaneGroup<'_, W>),
     ) {
-        let n = vectors.len();
-        debug_assert!((2..=LANES).contains(&n));
-        lanes.prepare(self.rows(), self.inputs.len(), self.nets);
-        // Lane `k` of input `i` is vector `k`'s bit `i`, broadcast;
-        // bit `k` of `values[net]` is the net's settled value after
-        // vector `k`.
-        for (index, &net) in self.inputs.iter().enumerate() {
-            let bits = vectors.iter().enumerate().fold(0u64, |bits, (k, vector)| {
-                bits | u64::from(vector[index]) << k
-            });
-            lanes.values[net.index()] = bits;
-            lanes.inputs[index] = Lanes(std::array::from_fn(|k| W::splat(bits >> k & 1 != 0)));
+        debug_assert!((2..=LANES).contains(&vectors.len()));
+        if self.lanes == LANES {
+            self.run_groups::<W, LANES>(arena, lanes, vectors, read);
+        } else {
+            self.run_groups::<W, GROUP_LANES>(arena, lanes, vectors, read);
         }
-        if let Some(settle) = &self.settle {
-            settle.sweep(arena, &mut lanes.values, &mut lanes.operands);
-        }
-        #[cfg(not(test))]
-        let lag = 1;
-        #[cfg(test)]
-        let lag = self.lag;
-        for live in &self.live_ins {
-            let carried = arena[live.word as usize];
-            let row = &mut lanes.arena[live.row as usize].0;
-            match live.seed {
-                Seed::Settled(net) => {
-                    let settled = lanes.values[net.index()];
-                    row[0] = carried;
-                    for (k, lane) in row.iter_mut().enumerate().take(n).skip(1) {
-                        *lane = W::splat(settled >> (k - lag) & 1 != 0);
-                    }
-                }
-                Seed::Carried => row.fill(carried),
-            }
-        }
-        LaneIsa::current().run(&self.packed, &mut lanes.arena, &mut lanes.inputs);
 
         // The last vector over the whole arena, from its predecessor's
         // settled values; carried words are already in place.
-        for live in &self.live_ins {
-            if let Seed::Settled(net) = live.seed {
-                let settled = lanes.values[net.index()] >> (n - 1 - lag) & 1 != 0;
-                arena[live.word as usize] = W::splat(settled);
-            }
+        let n = vectors.len();
+        for &(word, net) in &self.rerun {
+            let settled = lanes.values[net.index()] >> (n - 1 - self.lag()) & 1 != 0;
+            arena[word as usize] = W::splat(settled);
         }
         lanes.last.clear();
         lanes
             .last
-            .extend(lanes.inputs.iter().map(|input| input.0[n - 1]));
+            .extend(vectors[n - 1].iter().map(|&bit| W::splat(bit)));
         program.run(arena, &lanes.last, 0..program.ops.len());
+    }
+
+    /// How many vectors back a lane's settled live-ins come from.
+    fn lag(&self) -> usize {
+        #[cfg(test)]
+        return self.lag;
+        #[cfg(not(test))]
+        1
+    }
+
+    /// The lane passes of [`BlockPlan::run`] over rows of `N` lanes.
+    fn run_groups<W: Word, const N: usize>(
+        &self,
+        arena: &[W],
+        lanes: &mut LaneScratch<W>,
+        vectors: &[&[bool]],
+        mut read: impl FnMut(&LaneGroup<'_, W>),
+    ) {
+        let n = vectors.len();
+        let groups = n.div_ceil(N);
+        let input_count = self.inputs.len();
+        let LaneScratch {
+            arena: lines,
+            inputs: input_lines,
+            values,
+            operands,
+            ..
+        } = lanes;
+        if lines.capacity() == 0 {
+            *lines = Vec::with_capacity(LANE_ARENA_BUDGET / std::mem::size_of::<Line>());
+        }
+        let rows = rows_in::<W, N>(lines, self.rows());
+        // Group `g`'s inputs are rows `g * input_count..`: lane `k` of
+        // input `i` is vector `g * N + k`'s bit `i`, broadcast. Bit `v`
+        // of `values[net]` is the net's settled value after vector `v`.
+        let inputs = rows_in::<W, N>(input_lines, groups * input_count);
+        values.resize(self.nets, 0);
+        for (index, &net) in self.inputs.iter().enumerate() {
+            let bits = vectors.iter().enumerate().fold(0u64, |bits, (v, vector)| {
+                bits | u64::from(vector[index]) << v
+            });
+            values[net.index()] = bits;
+            for group in 0..groups {
+                let bits = bits >> (group * N);
+                inputs[group * input_count + index] =
+                    Lanes(std::array::from_fn(|k| W::splat(bits >> k & 1 != 0)));
+            }
+        }
+        if let Some(settle) = &self.settle {
+            settle.sweep(arena, values, operands);
+        }
+        #[cfg(not(test))]
+        let carry_group_heads = false;
+        #[cfg(test)]
+        let carry_group_heads = self.carry_group_heads;
+        #[cfg(test)]
+        lanes.trail.clear();
+        for group in 0..groups {
+            let first = group * N;
+            let len = N.min(n - first);
+            for live in &self.live_ins {
+                let carried = arena[live.word as usize];
+                let row = &mut rows[live.row as usize].0;
+                match live.seed {
+                    Seed::Settled(net) => {
+                        let settled = values[net.index()];
+                        for (k, lane) in row.iter_mut().enumerate().take(len) {
+                            let vector = first + k;
+                            *lane = if vector == 0 || (k == 0 && carry_group_heads) {
+                                carried
+                            } else {
+                                W::splat(settled >> (vector - self.lag()) & 1 != 0)
+                            };
+                        }
+                    }
+                    Seed::Carried => row.fill(carried),
+                }
+            }
+            let inputs = &mut inputs[group * input_count..(group + 1) * input_count];
+            LaneIsa::current().run(&self.packed, rows, inputs);
+            #[cfg(test)]
+            lanes
+                .trail
+                .extend((0..len).map(|k| rows.iter().map(|row| row.0[k]).collect()));
+            read(&LaneGroup {
+                plan: self,
+                words: Lanes::words(rows),
+                lanes: N,
+                first,
+                len,
+            });
+        }
     }
 
     /// The first read in the packed pass of a row that holds another
@@ -643,7 +751,17 @@ impl BlockPlan {
         for live in &self.live_ins {
             holds[live.row as usize] = live.word;
         }
-        for (index, (op, packed)) in program.ops.iter().zip(&self.packed.ops).enumerate() {
+        let pinned: Vec<NetId> = (0..self.pinned.len())
+            .map(NetId::from_index)
+            .filter(|&net| self.pins(net))
+            .collect();
+        let live_ops = live_ops::<W>(program, layouts, &pinned);
+        let ops = program
+            .ops
+            .iter()
+            .enumerate()
+            .filter(|&(index, _)| live_ops[index]);
+        for ((index, op), packed) in ops.zip(&self.packed.ops) {
             let mut reads = Vec::new();
             let writes = op.accesses::<W>(&program.operands, |word, _| reads.push(word));
             let mut rows = Vec::new();
@@ -672,29 +790,93 @@ impl BlockPlan {
     }
 }
 
+/// Which ops of `program` (compiled for `W`-bit words) the lane pass
+/// runs: those that write a word a later op that runs reads, or a word
+/// of a `pinned` net's field. The block reads nothing else from its
+/// lanes, and the last vector's one-lane rerun runs the whole program.
+fn live_ops<W: Word>(program: &Program, layouts: &[FieldLayout], pinned: &[NetId]) -> Vec<bool> {
+    let mut needed = vec![false; program.arena_words];
+    for &net in pinned {
+        let layout = &layouts[net.index()];
+        needed[layout.base as usize..(layout.base + layout.words) as usize].fill(true);
+    }
+    let mut reads = Vec::new();
+    let mut live = vec![false; program.ops.len()];
+    for (index, op) in program.ops.iter().enumerate().rev() {
+        reads.clear();
+        let writes = op.accesses::<W>(&program.operands, |word, _| reads.push(word));
+        let writes = writes.start as usize..writes.end as usize;
+        if needed[writes.clone()].contains(&true) {
+            live[index] = true;
+            needed[writes].fill(false);
+            for &word in &reads {
+                needed[word as usize] = true;
+            }
+        }
+    }
+    live
+}
+
+/// One group's lanes after its pass: vectors `first..first + len` of
+/// the block, in lanes `0..len`.
+pub(crate) struct LaneGroup<'a, W> {
+    plan: &'a BlockPlan,
+    /// The lane rows, row after row.
+    words: &'a [W],
+    lanes: usize,
+    pub(crate) first: usize,
+    pub(crate) len: usize,
+}
+
+impl<W: Word> LaneGroup<'_, W> {
+    /// Bit `bit` of pinned `net`'s field in lane `lane`.
+    pub(crate) fn bit(&self, net: NetId, bit: u32, lane: usize) -> bool {
+        let row = (self.plan.pinned[net.index()] + bit / W::BITS) as usize;
+        self.words[row * self.lanes + lane].bit(bit % W::BITS)
+    }
+}
+
 impl Settle {
-    /// The sweep over `netlist`'s gates in topological order, reading
-    /// an undriven net's final bit from `W`-bit fields at `layouts`.
-    fn new<W: Word>(netlist: &Netlist, levels: &Levels, layouts: &[FieldLayout]) -> Settle {
+    /// The sweep that settles `read` nets, over the gates of their
+    /// fan-in cones in topological order, reading an undriven net's
+    /// final bit from `W`-bit fields at `layouts`. On c6288's default
+    /// program that is 1307 of its 3264 gates.
+    fn new<W: Word>(
+        netlist: &Netlist,
+        levels: &Levels,
+        layouts: &[FieldLayout],
+        read: &[NetId],
+    ) -> Settle {
+        let mut cone = vec![false; netlist.net_count()];
+        let mut stack = read.to_vec();
+        while let Some(net) = stack.pop() {
+            if !std::mem::replace(&mut cone[net.index()], true) {
+                if let Some(gate) = netlist.driver(net) {
+                    stack.extend_from_slice(&netlist.gate(gate).inputs);
+                }
+            }
+        }
         let mut operands = Vec::new();
         let gates = levels
             .topo_gates
             .iter()
-            .map(|&gid| {
-                let gate = netlist.gate(gid);
-                let start = operands.len();
+            .map(|&gid| netlist.gate(gid))
+            .filter(|gate| cone[gate.output.index()])
+            .map(|gate| {
+                let start = operands.len() as u32;
                 operands.extend_from_slice(&gate.inputs);
                 SettleGate {
                     kind: gate.kind,
                     output: gate.output,
-                    operands: start..operands.len(),
+                    operands: start..operands.len() as u32,
                 }
             })
             .collect();
         let inputs = netlist.primary_inputs();
         let undriven = netlist
             .net_ids()
-            .filter(|&net| netlist.driver(net).is_none() && !inputs.contains(&net))
+            .filter(|&net| cone[net.index()] && netlist.driver(net).is_none())
+            .filter(|net| !inputs.contains(net))
             .map(|net| {
                 let layout = &layouts[net.index()];
                 let bit = layout.final_bit();
@@ -716,7 +898,7 @@ impl Settle {
             values[net.index()] = 0u64.wrapping_sub(u64::from(arena[word as usize].bit(bit)));
         }
         let gates = self.gates.iter().map(|gate| {
-            let inputs = &self.operands[gate.operands.clone()];
+            let inputs = &self.operands[gate.operands.start as usize..gate.operands.end as usize];
             (gate.kind, gate.output, inputs)
         });
         sweep_gates(gates, values, operands);
@@ -750,13 +932,13 @@ fn sweep_gates<'a>(
 }
 
 thread_local! {
-    /// This thread's block scratch, one per word width. A run borrows
-    /// it for one block; every block overwrites what it reads, so
-    /// nothing carries over from another run. The lane arena is
-    /// allocated once per thread with the whole budget's capacity and
-    /// kept until the thread ends: freeing it after each run raised
-    /// glibc's mmap threshold, after which a daemon's worker heaps kept
-    /// the freed arenas.
+    /// This thread's block scratch, one per word width; rows of either
+    /// width view the same lines. A run borrows it for one block; every
+    /// block overwrites what it reads, so nothing carries over from
+    /// another run. The lane arena is allocated once per thread with the
+    /// whole budget's capacity and kept until the thread ends: freeing it
+    /// after each run raised glibc's mmap threshold, after which a
+    /// daemon's worker heaps kept the freed arenas.
     static SCRATCH: RefCell<(LaneScratch<u32>, LaneScratch<u64>)> = RefCell::default();
 }
 
@@ -771,38 +953,47 @@ pub(crate) fn with_scratch<W: Word, R>(body: impl FnOnce(&mut LaneScratch<W>) ->
     })
 }
 
-/// A block's scratch: the lane arena, the lane inputs, the settled
-/// values of the block's vectors and the last vector's input words.
+/// 64 bytes of lane rows on a 64-byte boundary: the unit a scratch
+/// allocates, so a row of either width starts on a boundary of its own
+/// size, up to a cache line.
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+struct Line([u64; 8]);
+
+/// `rows` lane rows of `N` lanes over `lines`, grown to hold them. Rows
+/// past those a previous run used are zero; the others may hold that
+/// run's words.
+fn rows_in<W: Word, const N: usize>(lines: &mut Vec<Line>, rows: usize) -> &mut [Lanes<W, N>] {
+    let bytes = rows * std::mem::size_of::<Lanes<W, N>>();
+    lines.resize(bytes.div_ceil(std::mem::size_of::<Line>()), Line([0; 8]));
+    // SAFETY: the lines hold at least `rows` rows' bytes, initialized and
+    // aligned for any word; every bit pattern is a valid word; the slice
+    // borrows `lines` mutably for its whole life.
+    unsafe { std::slice::from_raw_parts_mut(lines.as_mut_ptr().cast(), rows) }
+}
+
+/// A block's scratch: the lane arena and the lane inputs (as lines), the
+/// settled values of the block's vectors and the last vector's input
+/// words. Its rows may hold another run's words: a block writes every
+/// row before reading it, apart from the live-ins it seeds.
 #[derive(Default)]
 pub(crate) struct LaneScratch<W: Word> {
-    arena: Vec<Lanes<W>>,
-    inputs: Vec<Lanes<W>>,
+    arena: Vec<Line>,
+    inputs: Vec<Line>,
     values: Vec<u64>,
     operands: Vec<u64>,
     last: Vec<W>,
+    /// Per vector of the last block, its lane of every row after its
+    /// group's pass.
+    #[cfg(test)]
+    trail: Vec<Vec<W>>,
 }
 
+#[cfg(test)]
 impl<W: Word> LaneScratch<W> {
-    /// Makes the buffers hold `rows` lane rows, `inputs` primary inputs
-    /// and `nets` nets. The first lane arena takes the whole budget's
-    /// capacity, of which only the rows in use are touched. Its rows may
-    /// hold another run's words: a block writes every row before
-    /// reading it, apart from the live-ins it seeds.
-    fn prepare(&mut self, rows: usize, inputs: usize, nets: usize) {
-        if self.arena.capacity() == 0 {
-            self.arena = Vec::with_capacity(LANE_ARENA_BUDGET / std::mem::size_of::<Lanes<W>>());
-        }
-        self.arena.resize(rows, Lanes::ZERO);
-        self.inputs.resize(inputs, Lanes::ZERO);
-        self.values.resize(nets, 0);
-    }
-
-    /// Lanes `0..lanes` of every row in use.
-    #[cfg(test)]
-    pub(crate) fn rows(&self, lanes: usize) -> Vec<Vec<W>> {
-        self.arena
-            .iter()
-            .map(|row| row.0[..lanes].to_vec())
-            .collect()
+    /// Per vector of the last block, its lane of every row after its
+    /// group's pass.
+    pub(crate) fn trail(&self) -> Vec<Vec<W>> {
+        self.trail.clone()
     }
 }

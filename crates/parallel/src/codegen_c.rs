@@ -247,7 +247,7 @@ fn kernel<W: Word>(
                 let mut reads: Vec<String> = Vec::with_capacity(operands.len());
                 let mut k = 0;
                 for (i, operand) in operands.iter().enumerate() {
-                    if let Some(first) = operands[..i].iter().position(|o| o == operand) {
+                    if let Some(first) = operands.iter().take(i).position(|o| o == operand) {
                         let read = reads[first].clone();
                         reads.push(read);
                     } else if operand.shift.is_shift() {

@@ -281,6 +281,38 @@ impl Operand {
     }
 }
 
+/// A gate op's operands, read in place: inline in the op (one or two of
+/// them), or a run of one of the pools.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum GateOperands<'a> {
+    /// The first `len` of the array.
+    Inline([Operand; 2], usize),
+    /// A [`WOp::Eval`]'s plain slots.
+    Plain(&'a [u32]),
+    /// A [`WOp::FusedEval`]'s operands.
+    Fused(&'a [Operand]),
+}
+
+impl GateOperands<'_> {
+    /// How many operands the gate reads.
+    pub(crate) fn len(&self) -> usize {
+        match *self {
+            GateOperands::Inline(_, len) => len,
+            GateOperands::Plain(slots) => slots.len(),
+            GateOperands::Fused(operands) => operands.len(),
+        }
+    }
+
+    /// The operands, in order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Operand> + '_ {
+        (0..self.len()).map(|k| match *self {
+            GateOperands::Inline(operands, _) => operands[k],
+            GateOperands::Plain(slots) => Operand::plain(slots[k]),
+            GateOperands::Fused(operands) => operands[k],
+        })
+    }
+}
+
 /// The operands of the pooled gates: plain slots for [`WOp::Eval`],
 /// slots with their shift pairs for [`WOp::FusedEval`].
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -514,19 +546,25 @@ impl WOp {
 
     /// The gate an evaluation op computes — its kind, destination and
     /// operands (`pool` resolves the pooled ones) — or `None` for every
-    /// other op. The inverse of [`WOp::gate`].
-    pub(crate) fn as_gate(&self, pool: &OperandPool) -> Option<(GateKind, u32, Vec<Operand>)> {
+    /// other op. The inverse of [`WOp::gate`]. Nothing is copied out of
+    /// the op or the pool: compilation walks every op this way.
+    pub(crate) fn as_gate<'a>(
+        &self,
+        pool: &'a OperandPool,
+    ) -> Option<(GateKind, u32, GateOperands<'a>)> {
         let plain = Operand::plain;
         let fused = |slot, shift| Operand { slot, shift };
+        let one = |operand| GateOperands::Inline([operand, operand], 1);
+        let two = |a, b| GateOperands::Inline([a, b], 2);
         Some(match *self {
-            WOp::And2 { dst, a, b } => (GateKind::And, dst, vec![plain(a), plain(b)]),
-            WOp::Nand2 { dst, a, b } => (GateKind::Nand, dst, vec![plain(a), plain(b)]),
-            WOp::Or2 { dst, a, b } => (GateKind::Or, dst, vec![plain(a), plain(b)]),
-            WOp::Nor2 { dst, a, b } => (GateKind::Nor, dst, vec![plain(a), plain(b)]),
-            WOp::Xor2 { dst, a, b } => (GateKind::Xor, dst, vec![plain(a), plain(b)]),
-            WOp::Xnor2 { dst, a, b } => (GateKind::Xnor, dst, vec![plain(a), plain(b)]),
-            WOp::Not { dst, src } => (GateKind::Not, dst, vec![plain(src)]),
-            WOp::Buf { dst, src } => (GateKind::Buf, dst, vec![plain(src)]),
+            WOp::And2 { dst, a, b } => (GateKind::And, dst, two(plain(a), plain(b))),
+            WOp::Nand2 { dst, a, b } => (GateKind::Nand, dst, two(plain(a), plain(b))),
+            WOp::Or2 { dst, a, b } => (GateKind::Or, dst, two(plain(a), plain(b))),
+            WOp::Nor2 { dst, a, b } => (GateKind::Nor, dst, two(plain(a), plain(b))),
+            WOp::Xor2 { dst, a, b } => (GateKind::Xor, dst, two(plain(a), plain(b))),
+            WOp::Xnor2 { dst, a, b } => (GateKind::Xnor, dst, two(plain(a), plain(b))),
+            WOp::Not { dst, src } => (GateKind::Not, dst, one(plain(src))),
+            WOp::Buf { dst, src } => (GateKind::Buf, dst, one(plain(src))),
             WOp::Eval {
                 kind,
                 dst,
@@ -535,28 +573,28 @@ impl WOp {
             } => {
                 let first = first_operand as usize;
                 let slots = &pool.plain[first..first + usize::from(operand_count)];
-                (kind, dst, slots.iter().copied().map(plain).collect())
+                (kind, dst, GateOperands::Plain(slots))
             }
             WOp::FusedAnd2 { dst, a, b, sa, sb } => {
-                (GateKind::And, dst, vec![fused(a, sa), fused(b, sb)])
+                (GateKind::And, dst, two(fused(a, sa), fused(b, sb)))
             }
             WOp::FusedNand2 { dst, a, b, sa, sb } => {
-                (GateKind::Nand, dst, vec![fused(a, sa), fused(b, sb)])
+                (GateKind::Nand, dst, two(fused(a, sa), fused(b, sb)))
             }
             WOp::FusedOr2 { dst, a, b, sa, sb } => {
-                (GateKind::Or, dst, vec![fused(a, sa), fused(b, sb)])
+                (GateKind::Or, dst, two(fused(a, sa), fused(b, sb)))
             }
             WOp::FusedNor2 { dst, a, b, sa, sb } => {
-                (GateKind::Nor, dst, vec![fused(a, sa), fused(b, sb)])
+                (GateKind::Nor, dst, two(fused(a, sa), fused(b, sb)))
             }
             WOp::FusedXor2 { dst, a, b, sa, sb } => {
-                (GateKind::Xor, dst, vec![fused(a, sa), fused(b, sb)])
+                (GateKind::Xor, dst, two(fused(a, sa), fused(b, sb)))
             }
             WOp::FusedXnor2 { dst, a, b, sa, sb } => {
-                (GateKind::Xnor, dst, vec![fused(a, sa), fused(b, sb)])
+                (GateKind::Xnor, dst, two(fused(a, sa), fused(b, sb)))
             }
-            WOp::FusedNot { dst, src, shift } => (GateKind::Not, dst, vec![fused(src, shift)]),
-            WOp::FusedBuf { dst, src, shift } => (GateKind::Buf, dst, vec![fused(src, shift)]),
+            WOp::FusedNot { dst, src, shift } => (GateKind::Not, dst, one(fused(src, shift))),
+            WOp::FusedBuf { dst, src, shift } => (GateKind::Buf, dst, one(fused(src, shift))),
             WOp::FusedEval {
                 kind,
                 dst,
@@ -565,7 +603,7 @@ impl WOp {
             } => {
                 let first = first_operand as usize;
                 let operands = &pool.fused[first..first + usize::from(operand_count)];
-                (kind, dst, operands.to_vec())
+                (kind, dst, GateOperands::Fused(operands))
             }
             _ => return None,
         })
@@ -579,10 +617,9 @@ impl WOp {
         let Some((_, _, operands)) = self.as_gate(pool) else {
             return 0;
         };
-        let first_reads = operands
-            .iter()
-            .enumerate()
-            .filter(|&(k, operand)| operand.shift.is_shift() && !operands[..k].contains(operand));
+        let first_reads = operands.iter().enumerate().filter(|&(k, operand)| {
+            operand.shift.is_shift() && !operands.iter().take(k).any(|o| o == operand)
+        });
         first_reads.count() as u64
     }
 

@@ -17,7 +17,7 @@ use uds_netlist::GateKind;
 
 use crate::block::LaneIsa;
 use crate::program::{Fused, Operand, OperandPool, Program, WOp};
-use crate::word::{Lanes, Word, LANES};
+use crate::word::{Lanes, Word, GROUP_LANES, LANES};
 use crate::{Optimization, ParallelSim};
 
 const ARENA_WORDS: usize = 16;
@@ -147,7 +147,9 @@ fn check_gate<W: Word>(
     );
     let any_shifted = inputs.iter().any(|input| input.1.is_some());
     assert_eq!(op.fused_presentations(&pool) > 0, any_shifted, "{op:?}");
-    assert_eq!(op.as_gate(&pool), Some((kind, dst, operands)));
+    let gate = op.as_gate(&pool);
+    let gate = gate.map(|(kind, dst, operands)| (kind, dst, operands.iter().collect()));
+    assert_eq!(gate, Some((kind, dst, operands)));
     check_op(op, pool, &before, dst as usize..dst as usize + 1, |_, i| {
         let bits: Vec<bool> = inputs
             .iter()
@@ -309,19 +311,18 @@ fn one_of_each_shape<W: Word>(rng: &mut StdRng, words: u32) -> Vec<(WOp, Operand
 }
 
 /// Every op shape run once over a lane arena whose lanes hold different
-/// random arenas and inputs, in every instance of the block pass this
-/// CPU supports: each lane must come out as the one-lane executor
-/// leaves that lane's arena alone.
+/// random arenas and inputs, at both row widths, in every instance of
+/// the block pass this CPU supports: each lane must come out as the
+/// one-lane executor leaves that lane's arena alone.
 #[test]
 fn lanes_run_each_shape_as_its_lane_alone() {
-    fn check<W: Word>(isa: LaneIsa) {
+    fn check<W: Word, const N: usize>(isa: LaneIsa) {
         let mut rng = StdRng::seed_from_u64(0x1A9E_5EED);
         let words = ARENA_WORDS;
         for (op, pool) in one_of_each_shape::<W>(&mut rng, words as u32) {
-            let lane_arenas: Vec<Vec<W>> = (0..LANES)
-                .map(|_| random_arena::<W>(&mut rng, words))
-                .collect();
-            let lane_inputs: Vec<[bool; 2]> = (0..LANES).map(|_| [rng.gen(), rng.gen()]).collect();
+            let lane_arenas: Vec<Vec<W>> =
+                (0..N).map(|_| random_arena::<W>(&mut rng, words)).collect();
+            let lane_inputs: Vec<[bool; 2]> = (0..N).map(|_| [rng.gen(), rng.gen()]).collect();
             let program = Program {
                 ops: vec![op.clone()],
                 operands: pool,
@@ -329,10 +330,10 @@ fn lanes_run_each_shape_as_its_lane_alone() {
                 input_count: 2,
                 ..Program::default()
             };
-            let mut lanes: Vec<Lanes<W>> = (0..words)
+            let mut lanes: Vec<Lanes<W, N>> = (0..words)
                 .map(|w| Lanes(std::array::from_fn(|k| lane_arenas[k][w])))
                 .collect();
-            let mut inputs: Vec<Lanes<W>> = (0..2)
+            let mut inputs: Vec<Lanes<W, N>> = (0..2)
                 .map(|i| Lanes(std::array::from_fn(|k| W::splat(lane_inputs[k][i]))))
                 .collect();
             isa.run(&program, &mut lanes, &mut inputs);
@@ -341,14 +342,17 @@ fn lanes_run_each_shape_as_its_lane_alone() {
                 let inputs = lane_inputs[k].map(W::splat);
                 program.run(&mut alone, &inputs, 0..1);
                 let lane: Vec<W> = lanes.iter().map(|row| row.0[k]).collect();
-                assert_eq!(lane, alone, "{isa:?}: {op:?} at {} bits, lane {k}", W::BITS);
+                let at = format!("{isa:?}: {op:?} at {} bits, {N} lanes", W::BITS);
+                assert_eq!(lane, alone, "{at}, lane {k}");
             }
         }
     }
     for isa in LaneIsa::ALL {
         if isa.supported() {
-            check::<u32>(isa);
-            check::<u64>(isa);
+            check::<u32, LANES>(isa);
+            check::<u64, LANES>(isa);
+            check::<u32, GROUP_LANES>(isa);
+            check::<u64, GROUP_LANES>(isa);
         } else {
             println!("skipped the {} block pass: not supported here", isa.name());
         }

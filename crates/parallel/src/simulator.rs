@@ -128,7 +128,8 @@ pub struct ProgramStats {
     pub arena_words: usize,
     /// Rows of a block's liveness-packed lane arena, each one word per
     /// lane: the arena words live at once, whether or not the rows fit
-    /// the block budget (0 when the program cannot run in blocks).
+    /// the block budget (0 when the program cannot run in blocks, or was
+    /// compiled by [`ParallelSim::compile_stepping`], which plans none).
     pub lane_arena_words: usize,
     /// Shifts retained in the generated code: equals the gate count for
     /// the unoptimized/trimmed compilers (one per gate simulation), and
@@ -199,7 +200,8 @@ struct Compiled<W: Word> {
     /// them; the plain step never reads them.
     level_segments: Vec<LevelSegment>,
     /// How a block runs, or `None` when this program steps one vector
-    /// per pass (its lane arena would outgrow the budget).
+    /// per pass (its lane arena would outgrow the budget even in rows of
+    /// 8 lanes, or it was compiled for a native kernel).
     block: Option<BlockPlan>,
 }
 
@@ -261,6 +263,33 @@ impl<W: Word> ParallelSim<W> {
         monitor_all: bool,
         limits: &ResourceLimits,
         probe: &dyn Probe,
+    ) -> Result<Self, CompileError> {
+        Self::compile_planned(netlist, optimization, monitor_all, limits, probe, true)
+    }
+
+    /// [`ParallelSim::compile_probed`] for a simulator that only ever
+    /// steps one vector per pass — the twin whose program a native
+    /// kernel runs: it plans no blocks, so it holds no packed copy of
+    /// the op stream, and its [`ParallelSim::block_len`] is 1.
+    pub fn compile_stepping(
+        netlist: &Netlist,
+        optimization: Optimization,
+        monitor_all: bool,
+        limits: &ResourceLimits,
+        probe: &dyn Probe,
+    ) -> Result<Self, CompileError> {
+        Self::compile_planned(netlist, optimization, monitor_all, limits, probe, false)
+    }
+
+    /// The compiler behind both entry points; `blocks` says whether to
+    /// plan how a block runs.
+    fn compile_planned(
+        netlist: &Netlist,
+        optimization: Optimization,
+        monitor_all: bool,
+        limits: &ResourceLimits,
+        probe: &dyn Probe,
+        blocks: bool,
     ) -> Result<Self, CompileError> {
         let levels = {
             let _span = ProbeSpan::new(probe, "parallel.levelize");
@@ -413,15 +442,19 @@ impl<W: Word> ParallelSim<W> {
             .chain(&tracked)
             .copied()
             .collect();
-        let block = BlockPlan::new::<W>(netlist, &levels, &program, &layouts, &pinned);
+        let block =
+            blocks.then(|| BlockPlan::new::<W>(netlist, &levels, &program, &layouts, &pinned));
         let lane_rows = match &block {
-            Ok(plan) => Some(plan.rows()),
-            Err(NoBlocks::OverBudget { rows }) => Some(*rows),
-            Err(NoBlocks::UnsettledRead) => None,
+            Some(Ok(plan)) => Some(plan.rows()),
+            Some(Err(NoBlocks::OverBudget { rows })) => Some(*rows),
+            Some(Err(NoBlocks::UnsettledRead)) | None => None,
         };
         if let Some(rows) = lane_rows {
             probe.gauge(&format!("parallel.{key}.lane_arena_words"), rows as u64);
         }
+        let block = block.and_then(Result::ok);
+        let block_lanes = block.as_ref().map_or(1, BlockPlan::lanes);
+        probe.gauge(&format!("parallel.{key}.block_lanes"), block_lanes as u64);
         let lane_arena_words = lane_rows.unwrap_or(0);
         let stats = ProgramStats {
             word_ops,
@@ -448,7 +481,7 @@ impl<W: Word> ParallelSim<W> {
                 alignment,
                 stats,
                 level_segments,
-                block: block.ok(),
+                block,
             }),
         })
     }
@@ -569,10 +602,12 @@ impl<W: Word> ParallelSim<W> {
         self.input_words = words;
     }
 
-    /// The vectors [`ParallelSim::simulate_block`] runs in one pass:
-    /// 64, or 1 when the program's lane arena (a row of 64 words per
-    /// arena word live at once) would outgrow a fixed 256 KiB budget —
-    /// c6288's does; c432's, c880's and c1908's fit.
+    /// The vectors [`ParallelSim::simulate_block`] runs together: 64,
+    /// or 1 when the program steps one vector per pass — its packed lane
+    /// arena would outgrow a fixed 256 KiB budget even in rows of 8
+    /// lanes (c6288's unoptimized program), or it was built by
+    /// [`ParallelSim::compile_stepping`]. See
+    /// [`ParallelSim::block_lanes`] for how many share each op pass.
     pub fn block_len(&self) -> usize {
         if self.compiled.block.is_some() {
             LANES
@@ -581,19 +616,29 @@ impl<W: Word> ParallelSim<W> {
         }
     }
 
+    /// The vectors one pass of a block's op stream carries, one per lane
+    /// of a row: 64 where 64-lane rows fit the lane budget (c432's, c880's
+    /// and c1908's default programs), 8 where only 8-lane rows do (c6288's
+    /// default program, c1908's unoptimized one), and 1 when the program
+    /// steps. The `parallel.<opt>.block_lanes` gauge.
+    pub fn block_lanes(&self) -> usize {
+        self.compiled.block.as_ref().map_or(1, BlockPlan::lanes)
+    }
+
     /// Simulates up to 64 consecutive vectors, leaving the simulator
     /// exactly as running each through [`ParallelSim::simulate_vector`]
     /// in turn would: bit `k` of `finals[o]` is the settled value of
     /// `outputs[o]` after `vectors[k]`, and every readback afterwards
     /// answers for the last vector.
     ///
-    /// Vector `k` runs in lane `k` of a lane-major arena, so each op is
-    /// dispatched once per block (see the `block` module); the last
-    /// vector then runs once more over the one-lane arena. A program
-    /// whose [`ParallelSim::block_len`] is 1, a block of one vector, and
-    /// a block asked for a net that is neither a primary output nor
-    /// tracked (whose lanes a block does not keep) step vector by
-    /// vector instead.
+    /// Vector `k` runs in a lane of a lane-major arena, so each op is
+    /// dispatched once per group of [`ParallelSim::block_lanes`] vectors
+    /// (see the `block` module); the last vector then runs once more
+    /// over the one-lane arena. A program whose
+    /// [`ParallelSim::block_len`] is 1, a block of one vector, and a
+    /// block asked for a net that is neither a primary output nor
+    /// tracked (whose lanes a block does not keep) step vector by vector
+    /// instead.
     ///
     /// # Panics
     ///
@@ -625,22 +670,34 @@ impl<W: Word> ParallelSim<W> {
                 "input vector length must match the primary input count"
             );
         }
-        let arena = &mut self.arena;
+        // The tracked nets' previous finals are the next-to-last vector's.
+        let before_last = vectors.len() - 2;
+        let prev_final = &mut self.prev_final;
         block::with_scratch(|lanes| {
-            plan.run(&compiled.program, arena, lanes, vectors);
-            let last = vectors.len() - 1;
-            let final_bit = |net: NetId, lane: usize| {
-                let bit = compiled.layouts[net].final_bit();
-                plan.lane_bit(lanes, net, bit, lane)
-            };
-            for (word, &net) in finals.iter_mut().zip(outputs) {
-                let layout = &compiled.layouts[net];
-                let lanes = (0..last).fold(0, |word, k| word | u64::from(final_bit(net, k)) << k);
-                *word = lanes | u64::from(layout.read_bit(arena, layout.final_bit())) << last;
-            }
-            for &net in &compiled.tracked {
-                self.prev_final[net.index()] = final_bit(net, last - 1);
-            }
+            plan.run(
+                &compiled.program,
+                &mut self.arena,
+                lanes,
+                vectors,
+                |group| {
+                    let final_bit = |net: NetId, lane: usize| {
+                        group.bit(net, compiled.layouts[net].final_bit(), lane)
+                    };
+                    for (word, &net) in finals.iter_mut().zip(outputs) {
+                        let lanes = (0..group.len)
+                            .fold(0, |word, k| word | u64::from(final_bit(net, k)) << k);
+                        *word |= lanes << group.first;
+                    }
+                    if let Some(lane) = before_last
+                        .checked_sub(group.first)
+                        .filter(|&k| k < group.len)
+                    {
+                        for &net in &compiled.tracked {
+                            prev_final[net.index()] = final_bit(net, lane);
+                        }
+                    }
+                },
+            );
         });
     }
 
@@ -827,6 +884,7 @@ impl<W: Word> ParallelSim<W> {
 mod tests {
     use super::*;
     use crate::block::{LaneIsa, LaneScratch};
+    use crate::word::GROUP_LANES;
     use uds_netlist::{GateKind, NetlistBuilder};
 
     /// Fig. 6's network: D = A & B; E = D & C.
@@ -1003,8 +1061,10 @@ mod tests {
     /// Runs `vectors` through a copy of `sim` in blocks of `lengths`
     /// (cycled), and through another copy one vector at a time. After
     /// every block, the first mismatch: in the packed finals, the
-    /// one-lane arena or `prev_final`, or, in an instance of the block
-    /// pass other than the baseline, in any lane row the block used.
+    /// one-lane arena or `prev_final`; in any vector's lane of a pinned
+    /// field (the outputs' and tracked nets' whole histories) after its
+    /// group's pass; or, in an instance of the block pass other than the
+    /// baseline, in any lane a group's pass used.
     fn first_block_mismatch<W: Word>(
         sim: &ParallelSim<W>,
         outputs: &[NetId],
@@ -1024,23 +1084,39 @@ mod tests {
                 .collect();
             let mut baseline = blocked.clone();
             blocked.simulate_block(&block, outputs, &mut finals);
-            let rows = block::with_scratch(|lanes: &mut LaneScratch<W>| lanes.rows(block.len()));
+            let rows = block::with_scratch(|lanes: &mut LaneScratch<W>| lanes.trail());
             let at = format!("{} bits, block at vector {start}", W::BITS);
             if LaneIsa::current() != LaneIsa::Baseline {
                 block::with_isa(LaneIsa::Baseline, || {
                     baseline.simulate_block(&block, outputs, &mut vec![0; outputs.len()])
                 });
-                let expected =
-                    block::with_scratch(|lanes: &mut LaneScratch<W>| lanes.rows(block.len()));
+                let expected = block::with_scratch(|lanes: &mut LaneScratch<W>| lanes.trail());
                 if rows != expected {
                     return Some(format!("{at}: lane rows differ from the baseline pass"));
                 }
             }
+            let compiled = &blocked.compiled;
+            let plan = compiled
+                .block
+                .as_ref()
+                .filter(|plan| block.len() > 1 && outputs.iter().all(|&net| plan.pins(net)));
             let mut expected = vec![0u64; outputs.len()];
             for (lane, inputs) in block.iter().enumerate() {
                 stepped.simulate_vector(inputs);
                 for (word, &net) in expected.iter_mut().zip(outputs) {
                     *word |= u64::from(stepped.final_value(net)) << lane;
+                }
+                let Some(plan) = plan else { continue };
+                for &net in outputs.iter().chain(&compiled.tracked) {
+                    let layout = &compiled.layouts[net];
+                    let (row, base) = (plan.field_row(net), layout.base as usize);
+                    let words = 0..layout.words as usize;
+                    if words
+                        .into_iter()
+                        .any(|w| rows[lane][row + w] != stepped.arena[base + w])
+                    {
+                        return Some(format!("{at}: lane {lane} of net {net:?}'s field"));
+                    }
                 }
             }
             if finals != expected {
@@ -1089,13 +1165,20 @@ mod tests {
         mismatches
     }
 
-    /// The optimizations that run `nl` in blocks at `W` bits.
-    fn blocking<W: Word>(nl: &Netlist) -> Vec<Optimization> {
-        let blocks = |&optimization: &Optimization| {
+    /// The optimizations that run `nl` in blocks at `W` bits, with the
+    /// lanes per row of each.
+    fn blocking<W: Word>(nl: &Netlist) -> Vec<(Optimization, usize)> {
+        let lanes = |optimization: Optimization| {
             let sim = ParallelSim::<W>::compile(nl, optimization).unwrap();
-            sim.block_len() == LANES
+            assert_eq!(sim.block_len() == LANES, sim.block_lanes() > 1);
+            (optimization, sim.block_lanes())
         };
-        Optimization::ALL.into_iter().filter(blocks).collect()
+        let blocks = |&(_, lanes): &(Optimization, usize)| lanes > 1;
+        Optimization::ALL
+            .into_iter()
+            .map(lanes)
+            .filter(blocks)
+            .collect()
     }
 
     #[test]
@@ -1103,19 +1186,26 @@ mod tests {
         use uds_netlist::generators::iscas::Iscas85;
         let c1908 = Iscas85::C1908.build();
         // The unoptimized and trimmed programs write every field in
-        // their init block, so packing leaves c1908's rows over budget;
-        // the default program's fit.
+        // their init block, so packing leaves c1908's rows over budget
+        // at 64 lanes; they run 8-lane rows. The default program's fit
+        // 64 lanes.
         for blocking in [blocking::<u32>(&c1908), blocking::<u64>(&c1908)] {
-            assert!(
-                blocking.contains(&Optimization::PathTracingTrimming),
-                "{blocking:?}"
-            );
-            assert!(!blocking.contains(&Optimization::None), "{blocking:?}");
+            assert_eq!(blocking.len(), Optimization::ALL.len(), "{blocking:?}");
+            for (optimization, lanes) in blocking {
+                match optimization {
+                    Optimization::None | Optimization::Trimming => {
+                        assert_eq!(lanes, GROUP_LANES, "{optimization}")
+                    }
+                    Optimization::PathTracingTrimming => assert_eq!(lanes, LANES),
+                    _ => {}
+                }
+            }
         }
         for_each_isa(|isa| {
             for nl in [Iscas85::C432.build(), Iscas85::C880.build()] {
-                assert_eq!(blocking::<u32>(&nl), Optimization::ALL, "{}", nl.name());
-                assert_eq!(blocking::<u64>(&nl), Optimization::ALL, "{}", nl.name());
+                let all_wide: Vec<_> = Optimization::ALL.map(|o| (o, LANES)).into();
+                assert_eq!(blocking::<u32>(&nl), all_wide, "{}", nl.name());
+                assert_eq!(blocking::<u64>(&nl), all_wide, "{}", nl.name());
             }
             for nl in [Iscas85::C432.build(), Iscas85::C880.build(), c1908.clone()] {
                 let name = nl.name();
@@ -1131,6 +1221,82 @@ mod tests {
                 );
             }
         });
+    }
+
+    /// c6288's default program runs 8-lane rows (its 64-lane rows are
+    /// 588 KiB at 64 bits): a block is 8 groups, each group's lane 0
+    /// seeded from the vector before it.
+    #[test]
+    fn c6288_blocks_run_in_groups_of_eight_lanes() {
+        use uds_netlist::generators::iscas::Iscas85;
+        let nl = Iscas85::C6288.build();
+        let vectors = random_vectors(nl.primary_inputs().len(), 140, 6288);
+        for_each_isa(|isa| {
+            for sim in [
+                ParallelSimulator64::compile(&nl, Optimization::PathTracingTrimming).unwrap(),
+                ParallelSimulator64::compile_monitoring_all(&nl, Optimization::PathTracingTrimming)
+                    .unwrap(),
+            ] {
+                assert_eq!((sim.block_len(), sim.block_lanes()), (LANES, GROUP_LANES));
+                let found = first_block_mismatch(&sim, nl.primary_outputs(), &vectors, &[64, 9]);
+                assert_eq!(found, None, "{isa:?}");
+            }
+        });
+    }
+
+    /// Streams of 2 to 65 vectors in blocks of 64 on the 8-lane
+    /// programs, so each ends inside, at or just past a group's edge:
+    /// every final, the arena and every tracked `prev_final` against
+    /// one-vector steps.
+    #[test]
+    fn ragged_blocks_cross_group_edges() {
+        use uds_netlist::generators::iscas::Iscas85;
+        fn check<W: Word>(nl: &Netlist, optimization: Optimization) {
+            for sim in [
+                ParallelSim::<W>::compile(nl, optimization).unwrap(),
+                ParallelSim::<W>::compile_monitoring_all(nl, optimization).unwrap(),
+            ] {
+                assert_eq!(sim.block_lanes(), GROUP_LANES, "{optimization}");
+                for len in [2, 7, 8, 9, 15, 63, 64, 65] {
+                    let vectors = random_vectors(nl.primary_inputs().len(), len, len as u64);
+                    let found = first_block_mismatch(&sim, nl.primary_outputs(), &vectors, &[64]);
+                    assert_eq!(found, None, "{optimization}, {len} vectors");
+                }
+            }
+        }
+        let c1908 = Iscas85::C1908.build();
+        check::<u32>(&c1908, Optimization::None);
+        check::<u64>(&c1908, Optimization::Trimming);
+        check::<u64>(&Iscas85::C6288.build(), Optimization::PathTracingTrimming);
+    }
+
+    /// Negative control: lane 0 of every group seeded from the carried
+    /// words, as only the block's first vector may be, must be caught.
+    #[test]
+    fn seeding_a_group_head_from_the_carried_words_is_caught() {
+        use uds_netlist::generators::iscas::Iscas85;
+        fn check<W: Word>(nl: &Netlist, optimization: Optimization) -> Option<String> {
+            let mut sim = ParallelSim::<W>::compile(nl, optimization).unwrap();
+            let compiled = Arc::get_mut(&mut sim.compiled).unwrap();
+            let plan = compiled.block.as_mut().expect("an 8-lane plan");
+            assert_eq!(plan.lanes(), GROUP_LANES);
+            plan.carry_group_heads = true;
+            let vectors = random_vectors(nl.primary_inputs().len(), 130, 17);
+            first_block_mismatch(&sim, nl.primary_outputs(), &vectors, &[64])
+        }
+        let c1908 = Iscas85::C1908.build();
+        for optimization in [Optimization::None, Optimization::Trimming] {
+            assert!(
+                check::<u32>(&c1908, optimization).is_some(),
+                "{optimization}"
+            );
+            assert!(
+                check::<u64>(&c1908, optimization).is_some(),
+                "{optimization}"
+            );
+        }
+        let c6288 = Iscas85::C6288.build();
+        assert!(check::<u64>(&c6288, Optimization::PathTracingTrimming).is_some());
     }
 
     /// A net no gate drives keeps whatever state it was seeded with:
@@ -1297,14 +1463,16 @@ mod tests {
         assert_eq!(live_ins, Some(nl.primary_inputs().len()));
     }
 
+    /// c6288's unoptimized program packs to 6594 rows: 412 KiB even at
+    /// 8 lanes of 64 bits.
     #[test]
     fn an_arena_over_the_lane_budget_steps_one_vector_per_pass() {
         use uds_netlist::generators::iscas::Iscas85;
         let nl = Iscas85::C6288.build();
-        let sim = ParallelSimulator64::compile(&nl, Optimization::PathTracingTrimming).unwrap();
-        let lane_bytes = sim.stats().lane_arena_words * LANES * 8;
+        let sim = ParallelSimulator64::compile(&nl, Optimization::None).unwrap();
+        let lane_bytes = sim.stats().lane_arena_words * GROUP_LANES * 8;
         assert!(lane_bytes > crate::block::LANE_ARENA_BUDGET, "{lane_bytes}");
-        assert_eq!(sim.block_len(), 1);
+        assert_eq!((sim.block_len(), sim.block_lanes()), (1, 1));
         assert!(sim.compiled.block.is_none());
         let vectors = random_vectors(nl.primary_inputs().len(), 70, 7);
         let outputs = nl.primary_outputs();

@@ -139,9 +139,14 @@ macro_rules! impl_word {
 impl_word!(u32, i32, i64, "uint32_t", "int32_t");
 impl_word!(u64, i64, i128, "uint64_t", "int64_t");
 
-/// Vectors one block carries through a pass of the op stream: one
-/// per lane of a [`Lanes`] cell.
+/// Vectors one block carries through a pass of the op stream, and the
+/// widest lane row: one vector per lane of a [`Lanes`] cell.
 pub(crate) const LANES: usize = 64;
+
+/// The narrow lane row: a block whose 64-lane rows would outgrow the
+/// lane budget runs its vectors through rows of this many lanes, one
+/// group of vectors after another.
+pub(crate) const GROUP_LANES: usize = 8;
 
 /// One slot of the executor's arena: a [`Word`] when one vector runs
 /// per pass, or a [`Lanes`] row of words when a block of vectors
@@ -203,19 +208,24 @@ impl<W: Word> Cell for W {
     }
 }
 
-/// A block's arena slot: lane `k` is the slot's word for the block's
-/// vector `k`. An arena of these is lane-major — slot `s`, lane `k` at
-/// word `s * LANES + k` — so each op reads and writes whole rows.
+/// A block's arena slot: lane `k` is the slot's word for the `k`-th
+/// vector the row carries. An arena of these is lane-major — slot `s`,
+/// lane `k` at word `s * N + k` — so each op reads and writes whole
+/// rows. `N` is [`LANES`] or [`GROUP_LANES`].
 ///
 /// `INLINE_SHIFTS` says where [`Cell::shl_sar`] runs: out of line in
 /// the baseline executor (`false`), inlined into the x86-64-v3 and v4
 /// instances of the block pass (`true`, see the `block` module). The
 /// two types share one layout ([`Lanes::inline_shifts`]).
+///
+/// A row is aligned as its word: the block's scratch places rows on
+/// 64-byte boundaries, and an 8-lane row of `u32` (32 bytes) is not
+/// padded to a cache line.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[repr(C, align(64))]
-pub(crate) struct Lanes<W, const INLINE_SHIFTS: bool = false>(pub [W; LANES]);
+#[repr(transparent)]
+pub(crate) struct Lanes<W, const N: usize, const INLINE_SHIFTS: bool = false>(pub [W; N]);
 
-impl<W: Word, const I: bool> Lanes<W, I> {
+impl<W: Word, const N: usize, const I: bool> Lanes<W, N, I> {
     #[inline(always)]
     fn map(self, f: impl Fn(W) -> W) -> Self {
         Lanes(std::array::from_fn(|k| f(self.0[k])))
@@ -231,21 +241,28 @@ impl<W: Word, const I: bool> Lanes<W, I> {
     fn shl_sar_inline(self, left: u32, right: u32) -> Self {
         self.map(|w| w.shl_sar(left, right))
     }
+
+    /// The words of `rows`, row after row.
+    pub(crate) fn words(rows: &[Self]) -> &[W] {
+        // SAFETY: `Lanes` is `repr(transparent)` over `[W; N]`, so the
+        // rows are `rows.len() * N` consecutive words.
+        unsafe { std::slice::from_raw_parts(rows.as_ptr().cast(), rows.len() * N) }
+    }
 }
 
-impl<W: Word> Lanes<W> {
+impl<W: Word, const N: usize> Lanes<W, N> {
     /// The same rows as the type whose executor inlines its shifts.
-    pub(crate) fn inline_shifts(rows: &mut [Self]) -> &mut [Lanes<W, true>] {
-        // SAFETY: `Lanes` is `repr(C)` over one `[W; LANES]` field, so
-        // both instantiations have the same size, alignment and layout;
-        // the cast slice borrows `rows` mutably for its whole life.
+    pub(crate) fn inline_shifts(rows: &mut [Self]) -> &mut [Lanes<W, N, true>] {
+        // SAFETY: `Lanes` is `repr(transparent)` over `[W; N]`, so both
+        // instantiations have the same size, alignment and layout; the
+        // cast slice borrows `rows` mutably for its whole life.
         unsafe { std::slice::from_raw_parts_mut(rows.as_mut_ptr().cast(), rows.len()) }
     }
 }
 
 macro_rules! lanes_binary_op {
     ($trait:ident, $method:ident, $op:tt) => {
-        impl<W: Word, const I: bool> $trait for Lanes<W, I> {
+        impl<W: Word, const N: usize, const I: bool> $trait for Lanes<W, N, I> {
             type Output = Self;
 
             #[inline(always)]
@@ -260,7 +277,7 @@ lanes_binary_op!(BitAnd, bitand, &);
 lanes_binary_op!(BitOr, bitor, |);
 lanes_binary_op!(BitXor, bitxor, ^);
 
-impl<W: Word, const I: bool> Not for Lanes<W, I> {
+impl<W: Word, const N: usize, const I: bool> Not for Lanes<W, N, I> {
     type Output = Self;
 
     #[inline(always)]
@@ -269,7 +286,7 @@ impl<W: Word, const I: bool> Not for Lanes<W, I> {
     }
 }
 
-impl<W: Word, const I: bool> Shl<u32> for Lanes<W, I> {
+impl<W: Word, const N: usize, const I: bool> Shl<u32> for Lanes<W, N, I> {
     type Output = Self;
 
     #[inline(always)]
@@ -278,7 +295,7 @@ impl<W: Word, const I: bool> Shl<u32> for Lanes<W, I> {
     }
 }
 
-impl<W: Word, const I: bool> Shr<u32> for Lanes<W, I> {
+impl<W: Word, const N: usize, const I: bool> Shr<u32> for Lanes<W, N, I> {
     type Output = Self;
 
     #[inline(always)]
@@ -287,7 +304,7 @@ impl<W: Word, const I: bool> Shr<u32> for Lanes<W, I> {
     }
 }
 
-impl<W: Word, const I: bool> BitOrAssign for Lanes<W, I> {
+impl<W: Word, const N: usize, const I: bool> BitOrAssign for Lanes<W, N, I> {
     #[inline(always)]
     fn bitor_assign(&mut self, rhs: Self) {
         *self = *self | rhs;
@@ -297,14 +314,19 @@ impl<W: Word, const I: bool> BitOrAssign for Lanes<W, I> {
 /// The shifts inlined into `shl_sar` (each fused gate arm reads one or
 /// two operands through it), but in the baseline x86-64 executor only.
 #[inline(never)]
-fn shl_sar_outlined<W: Word>(lanes: Lanes<W>, left: u32, right: u32) -> Lanes<W> {
+fn shl_sar_outlined<W: Word, const N: usize>(
+    lanes: Lanes<W, N>,
+    left: u32,
+    right: u32,
+) -> Lanes<W, N> {
     lanes.shl_sar_inline(left, right)
 }
 
 /// Every operation runs lane by lane and unrolls into vector
 /// instructions over the row: 32 SSE2 ops for a row of 64 `u64` lanes
 /// in the baseline x86-64 executor, 16 AVX2 ops in the x86-64-v3
-/// instance, 8 AVX-512 ops in the v4 instance.
+/// instance, 8 AVX-512 ops in the v4 instance (a row of 8 `u64` lanes:
+/// 4, 2 and 1).
 ///
 /// `shl_sar` is the exception in the baseline executor: SSE2 has no
 /// 64-bit arithmetic shift, so it runs one lane at a time, and inlined
@@ -314,14 +336,14 @@ fn shl_sar_outlined<W: Word>(lanes: Lanes<W>, left: u32, right: u32) -> Lanes<W>
 /// 0.06 MiB off the peak resident set). The v3 and v4 instances inline
 /// it (`vpsraq` on v4). `sar_wide` picks its case once per row, since
 /// the shift is the same in every lane, so each case vectorizes.
-impl<W: Word, const INLINE_SHIFTS: bool> Cell for Lanes<W, INLINE_SHIFTS> {
+impl<W: Word, const N: usize, const INLINE_SHIFTS: bool> Cell for Lanes<W, N, INLINE_SHIFTS> {
     type Word = W;
-    const ZERO: Self = Lanes([W::ZERO; LANES]);
-    const ONES: Self = Lanes([W::ONES; LANES]);
+    const ZERO: Self = Lanes([W::ZERO; N]);
+    const ONES: Self = Lanes([W::ONES; N]);
 
     #[inline(always)]
     fn splat_word(word: W) -> Self {
-        Lanes([word; LANES])
+        Lanes([word; N])
     }
 
     #[inline(always)]
@@ -413,10 +435,11 @@ mod tests {
     }
 
     /// The lane `sar_wide`, which picks its case per row, against the
-    /// word's double-width shift in every lane, over every shift count.
+    /// word's double-width shift in every lane, over every shift count,
+    /// at both row widths.
     #[test]
     fn lane_sar_wide_matches_each_word() {
-        fn check<W: Word>(word: impl Fn(u64) -> W) {
+        fn check<W: Word, const N: usize>(word: impl Fn(u64) -> W) {
             let mut state = 0x5EED_1990_u64;
             let mut next = || {
                 state = state
@@ -424,18 +447,25 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 word(state)
             };
-            let low: Lanes<W> = Lanes(std::array::from_fn(|_| next()));
-            let high: Lanes<W, true> = Lanes(std::array::from_fn(|_| next()));
+            let low: Lanes<W, N> = Lanes(std::array::from_fn(|_| next()));
+            let high: Lanes<W, N, true> = Lanes(std::array::from_fn(|_| next()));
             for shift in 0..=2 * W::BITS + 1 {
                 let lanes = Cell::sar_wide(Lanes(low.0), high, shift);
-                for k in 0..LANES {
+                for k in 0..N {
                     let expected = W::sar_wide(low.0[k], high.0[k], shift);
-                    assert_eq!(lanes.0[k], expected, "{} bits, shift {shift}", W::BITS);
+                    assert_eq!(
+                        lanes.0[k],
+                        expected,
+                        "{} bits, {N} lanes, shift {shift}",
+                        W::BITS
+                    );
                 }
             }
         }
-        check::<u32>(|bits| (bits >> 32) as u32);
-        check::<u64>(|bits| bits);
+        check::<u32, LANES>(|bits| (bits >> 32) as u32);
+        check::<u64, LANES>(|bits| bits);
+        check::<u32, GROUP_LANES>(|bits| (bits >> 32) as u32);
+        check::<u64, GROUP_LANES>(|bits| bits);
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! state words: vector `k` rides bit lane `k`. The parallel technique
 //! (§3) has already spent each word's bits on time, so it carries them
 //! in more words instead: a lane-major arena holds one word per vector
-//! for every slot, and each op is dispatched once per block and runs
-//! over its 64 lanes. In a block, lane `k` starts from the settled
-//! values of lane `k - 1`, so every vector sees exactly the history it
-//! would see run alone.
+//! for every slot, and each op is dispatched once per row of lanes: 64
+//! vectors per pass, or 8 per pass, group after group, where 64-lane
+//! rows would outgrow the lane budget. In a block, lane `k` starts from
+//! the settled values of vector `k - 1`, so every vector sees exactly
+//! the history it would see run alone.
 //!
 //! This times one stream a vector per pass and in blocks of 64 on the
 //! PC-set engine and on the parallel technique's default program
@@ -16,8 +17,9 @@
 //! vector's primary-output history on the block path.
 //!
 //! It prints which instance of the lane pass this CPU runs (x86-64-v4,
-//! x86-64-v3 or baseline) and, per circuit, the size of the pt+trim
-//! program's liveness-packed lane arena and whether it runs in blocks.
+//! x86-64-v3 or baseline) and, per circuit, the pt+trim program's
+//! liveness-packed lane arena: its rows, lanes per row and size, and
+//! whether it runs in blocks.
 //!
 //! Run with: `cargo run --release --example stream_throughput`, or add
 //! `.bench` files to time those instead of the c880 stand-in.
@@ -98,7 +100,7 @@ fn time_engine(nl: &Netlist, engine: Engine, vectors: &[Vec<bool>]) -> Result<()
 
     let ns = |seconds: f64| seconds * 1e9 / vectors.len() as f64;
     println!(
-        "  {engine:<17} one vector per pass {:>7.0} ns/vector, {} per pass {:>7.0} ns/vector ({:.1}x)",
+        "  {engine:<17} one vector per pass {:>7.0} ns/vector, blocks of {} {:>7.0} ns/vector ({:.1}x)",
         ns(per_vector),
         sim.block_len(),
         ns(blocked),
@@ -130,13 +132,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .take(4096)
             .collect();
         let parallel = ParallelSimulator64::compile(nl, Optimization::PathTracingTrimming)?;
-        let lane_arena_kib = parallel.stats().lane_arena_words * BLOCK * 8 / 1024;
-        let passes = match parallel.block_len() {
-            1 => "one vector per pass",
-            _ => "runs in blocks",
+        let rows = parallel.stats().lane_arena_words;
+        let lane_arena = match parallel.block_lanes() {
+            1 => format!(
+                "{rows} rows, {} KiB even at 8 lanes: one vector per pass",
+                rows * 8 * 8 / 1024
+            ),
+            lanes => format!(
+                "{rows} rows of {lanes} lanes, {} KiB: runs in blocks",
+                rows * lanes * 8 / 1024
+            ),
         };
         println!(
-            "{}: one stream of {} vectors; pt+trim lane arena {lane_arena_kib} KiB, {passes}",
+            "{}: one stream of {} vectors; pt+trim lane arena {lane_arena}",
             nl.name(),
             vectors.len()
         );

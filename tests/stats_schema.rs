@@ -91,6 +91,7 @@ fn report_carries_schema_spans_counters_and_gauges() {
         "parallel.cb.shifts_retained",
         "parallel.pt-trim.arena_words",
         "parallel.pt-trim.lane_arena_words",
+        "parallel.pt-trim.block_lanes",
         "batch.block_len",
     ] {
         assert!(
@@ -309,25 +310,45 @@ fn block_len_gauge_says_whether_the_run_went_in_blocks() {
         block_len(&stats_doc(&["--vectors", "8", "--engine", "event-driven"])),
         Some(1)
     );
-    // c6288's 64-lane arena outgrows the budget: one vector per pass.
+    // The lanes per row of the program `key`.
+    let lanes = |doc: &Json, key: &str| {
+        let gauges = doc.get("gauges").unwrap();
+        let gauge = format!("parallel.{key}.block_lanes");
+        gauges.get(&gauge).and_then(Json::as_u64)
+    };
+    assert_eq!(lanes(&stats_doc(&["--vectors", "8"]), "pt-trim"), Some(64));
+    // c6288's default program runs its 64-vector blocks through 8-lane
+    // rows at both widths (its 64-lane rows outgrow the budget); its
+    // unoptimized program outgrows it even at 8 lanes and steps one
+    // vector per pass.
     let netlist = Iscas85::C6288.build();
     let path = fixture("blockc6288.bench", &bench_format::write(&netlist));
-    let out = udsim(&[
-        "simulate",
-        path.to_str().unwrap(),
-        "--vectors",
-        "2",
-        "--stats",
-        "-",
-    ]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let doc = Json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
-    assert_eq!(block_len(&doc), Some(1));
+    let c6288 = |word: &str, engine: &str, key: &str| {
+        let out = udsim(&[
+            "simulate",
+            path.to_str().unwrap(),
+            "--vectors",
+            "2",
+            "--word",
+            word,
+            "--engine",
+            engine,
+            "--stats",
+            "-",
+        ]);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let doc = Json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
+        (block_len(&doc), lanes(&doc, key))
+    };
+    let pt_trim = "parallel+pt+trim";
+    assert_eq!(c6288("64", pt_trim, "pt-trim"), (Some(64), Some(8)));
+    assert_eq!(c6288("32", pt_trim, "pt-trim"), (Some(64), Some(8)));
+    assert_eq!(c6288("64", "parallel", "none"), (Some(1), Some(1)));
 }
 
 #[test]
