@@ -28,7 +28,9 @@
 //! ([`GuardedSimulator::simulate_block`]) of the active engine's
 //! [`GuardedSimulator::block_len`] — [`BLOCK`] on the PC-set engine,
 //! which runs a block on its 64 bit lanes, and on the parallel engines
-//! whose 64-lane arena fits their budget; one vector on the others —
+//! whose packed lane arena fits their budget in rows of 64 lanes (one
+//! pass) or of 8 lanes (8 passes, as c6288's default program does); one
+//! vector on the others —
 //! and polls its cancel token once per block; heartbeats follow the
 //! rows as they go to the sink.
 //! A per-shard [`Step`] decides what a vector does beyond simulating:

@@ -45,8 +45,7 @@
 //!   the overload behavior;
 //! * [`perf`] — machine calibration: the ALU/memory microbenchmark
 //!   fingerprint stamped into `BENCH_*.json` baselines (normalizing
-//!   `tables compare` across hosts) and the `uds_perf_class` gauge
-//!   family the daemon self-reports at startup.
+//!   `tables compare` across hosts).
 //!
 //! # Example
 //!
@@ -106,7 +105,10 @@ pub use hotspot::{
 };
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport, LOADGEN_SCHEMA};
 pub use native::{build_native, compiler_available};
-pub use perf::{calibrate, measure_perf, record_perf_class, Calibration, PerfClass, PerfReport};
+/// The name the benchmark's per-layer ledger times calibration under
+/// (its `perf.measure_s` row).
+pub use perf::calibrate as measure_perf;
+pub use perf::{calibrate, Calibration};
 pub use progress::{BatchProbe, Heartbeat, NdjsonProgress, PROGRESS_SCHEMA};
 pub use serve::{
     install_signal_handlers, ServeConfig, ShutdownHandle, SimServer, JOB_SCHEMA, REQLOG_SCHEMA,

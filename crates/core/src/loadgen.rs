@@ -96,15 +96,11 @@ pub struct LoadgenReport {
 }
 
 /// A point-in-time scrape of the target daemon's `/metrics`, pairing
-/// the client-side latency picture with the server's perf class and
-/// live rolling throughput — one document answers both "how fast did
+/// the client-side latency picture with the server's live rolling
+/// throughput — one document answers both "how fast did
 /// requests complete" and "how fast did the server think it was".
 #[derive(Debug, Default, PartialEq)]
 pub struct ServerSample {
-    /// The `uds_perf_class` gauge (calibrated machine-class ordinal).
-    pub perf_class: Option<u64>,
-    /// The `perf_class` label of `uds_build_info` (`"fast"`, …).
-    pub perf_class_name: Option<String>,
     /// Every live `uds_engine_vectors_per_s{engine,word}` sample — the
     /// rolling-window rate fed by real traffic, absent until the
     /// server has simulated something.
@@ -125,15 +121,8 @@ pub struct EngineThroughput {
 impl ServerSample {
     /// The `server` member of the `uds-loadgen-v1` document.
     pub fn to_json(&self) -> Json {
-        let mut members = Vec::new();
-        if let Some(class) = self.perf_class {
-            members.push(("perf_class".to_owned(), Json::UInt(class)));
-        }
-        if let Some(name) = &self.perf_class_name {
-            members.push(("perf_class_name".to_owned(), Json::Str(name.clone())));
-        }
-        members.push((
-            "engine_vectors_per_s".to_owned(),
+        Json::obj([(
+            "engine_vectors_per_s",
             Json::Arr(
                 self.engine_vectors_per_s
                     .iter()
@@ -146,8 +135,7 @@ impl ServerSample {
                     })
                     .collect(),
             ),
-        ));
-        Json::Obj(members)
+        )])
     }
 }
 
@@ -165,13 +153,7 @@ fn label_value(labels: &str, key: &str) -> Option<String> {
 pub fn parse_metrics_sample(metrics: &str) -> ServerSample {
     let mut sample = ServerSample::default();
     for line in metrics.lines() {
-        if let Some(value) = line.strip_prefix("uds_perf_class ") {
-            sample.perf_class = value.trim().parse::<f64>().ok().map(|v| v as u64);
-        } else if let Some(rest) = line.strip_prefix("uds_build_info{") {
-            if let Some(name) = label_value(rest, "perf_class") {
-                sample.perf_class_name = Some(name);
-            }
-        } else if let Some(rest) = line.strip_prefix("uds_engine_vectors_per_s{") {
+        if let Some(rest) = line.strip_prefix("uds_engine_vectors_per_s{") {
             let Some((labels, value)) = rest.split_once('}') else {
                 continue;
             };
@@ -467,24 +449,18 @@ mod tests {
     }
 
     #[test]
-    fn metrics_scrape_extracts_perf_class_and_rolling_throughput() {
-        let metrics = "# TYPE uds_perf_class gauge\n\
-                       uds_perf_class 2\n\
-                       uds_perf_class_warmup_vectors_per_s 123456\n\
-                       uds_build_info{version=\"0.1.0\",perf_class=\"fast\"} 1\n\
+    fn metrics_scrape_extracts_rolling_throughput() {
+        let metrics = "uds_build_info{version=\"0.1.0\"} 1\n\
                        # TYPE uds_engine_vectors_per_s gauge\n\
                        uds_engine_vectors_per_s{engine=\"native\",word=\"64\"} 1250000.5\n\
                        uds_engine_vectors_per_s{engine=\"parallel\",word=\"32\"} 300.25\n\
                        uds_engine_vectors_per_s_ewma{engine=\"native\",word=\"64\"} 99\n";
         let sample = parse_metrics_sample(metrics);
-        assert_eq!(sample.perf_class, Some(2));
-        assert_eq!(sample.perf_class_name.as_deref(), Some("fast"));
         assert_eq!(sample.engine_vectors_per_s.len(), 2, "{sample:?}");
         assert_eq!(sample.engine_vectors_per_s[0].engine, "native");
         assert_eq!(sample.engine_vectors_per_s[0].word_bits, 64);
         assert!((sample.engine_vectors_per_s[0].vectors_per_s - 1_250_000.5).abs() < 1e-9);
         let json = sample.to_json().render();
-        assert!(json.contains("\"perf_class_name\":\"fast\""), "{json}");
         assert!(json.contains("\"engine\":\"native\""), "{json}");
     }
 

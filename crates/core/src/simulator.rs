@@ -84,12 +84,14 @@ pub trait UnitDelaySimulator: Send {
     }
 
     /// The vectors a streaming caller should hand
-    /// [`Self::simulate_block`] at a time: [`BLOCK`] for an engine whose
-    /// block is one pass of its program — the PC-set engine, and a
-    /// parallel engine whose 64-lane arena fits its fixed budget (not
-    /// c6288's) — and 1 for an engine that steps vector by vector, where
-    /// a longer block saves nothing and would only space out the
-    /// caller's cancellation and deadline checks.
+    /// [`Self::simulate_block`] at a time: [`BLOCK`] for an engine that
+    /// runs a block together — the PC-set engine, on its 64 bit lanes,
+    /// and a parallel engine whose packed lane arena fits its fixed
+    /// budget in rows of 64 lanes (one pass; c432, c880, c1908 under
+    /// pt+trim) or of 8 lanes (8 passes; c6288 under pt+trim) — and 1
+    /// for an engine that steps vector by vector, where a longer block
+    /// saves nothing and would only space out the caller's cancellation
+    /// and deadline checks.
     fn block_len(&self) -> usize {
         1
     }

@@ -240,6 +240,50 @@ fn a_seeded_engine_reproduces_the_sequential_waveforms_exactly() {
 }
 
 #[test]
+fn seeding_the_all_zero_state_reproduces_power_up() {
+    // Every compiler builds its power-up arena by seeding the all-0
+    // settled state into a zeroed arena, so a fresh engine and one
+    // seeded with that state again must keep the same waveforms from
+    // the first vector on, and print the same rows through the batch
+    // runner's blocks.
+    let nl = circuit();
+    let vectors = stimulus(&nl, 130);
+    let zeros = vec![false; nl.primary_inputs().len()];
+    let power_up = stable_states(&nl, [zeros.as_slice()]).unwrap().remove(0);
+    let limits = ResourceLimits::production();
+    for word in [WordWidth::W32, WordWidth::W64] {
+        for engine in Engine::ALL {
+            let at = format!("{engine} word={word}");
+            let factory = DefaultEngineFactory::with_word(word);
+            let mut fresh = factory.build(&nl, engine, &limits, &NoopProbe).unwrap();
+            let mut seeded = fresh.clone_box();
+            seeded.seed_stable(&power_up);
+            for (k, vector) in vectors.iter().take(3).enumerate() {
+                fresh.simulate_vector(vector);
+                seeded.simulate_vector(vector);
+                for net in nl.net_ids() {
+                    let at = || format!("{at} vector {k} net {}", nl.net_name(net));
+                    assert_eq!(seeded.final_value(net), fresh.final_value(net), "{}", at());
+                    assert_eq!(seeded.history(net), fresh.history(net), "{}", at());
+                }
+            }
+            let guard = |seed: Option<&[bool]>| {
+                let factory = Box::new(DefaultEngineFactory::with_word(word));
+                let mut guard =
+                    GuardedSimulator::with_factory(&nl, limits, &[engine], factory).unwrap();
+                if let Some(state) = seed {
+                    guard.seed_stable(state);
+                }
+                guard
+            };
+            let fresh_rows = run_batch(&nl, &guard(None), &vectors, 1, None).unwrap();
+            let seeded_rows = run_batch(&nl, &guard(Some(&power_up)), &vectors, 1, None).unwrap();
+            assert_eq!(seeded_rows.rows, fresh_rows.rows, "{at}");
+        }
+    }
+}
+
+#[test]
 fn a_fork_taken_mid_run_degrades_from_the_state_it_was_forked_in() {
     // The prototype runs five vectors; a fork of it runs the sixth, on
     // which the lead engine panics. The replacement must start from the

@@ -13,6 +13,8 @@
 use std::fmt;
 use std::str::FromStr;
 
+use crate::{Levels, NetId, Netlist};
+
 /// The kind of a logic gate.
 ///
 /// All multi-input kinds (`And`, `Nand`, `Or`, `Nor`, `Xor`, `Xnor`) accept
@@ -191,6 +193,34 @@ impl GateKind {
             GateKind::Const1 => "CONST1",
             GateKind::Dff => "DFF",
         }
+    }
+}
+
+/// Settles `netlist` under the input bits `values` holds, one lane per
+/// bit: bit `k` of every gate output's word becomes its zero-delay value
+/// under bit `k` of the primary inputs' words. Undriven nets keep what
+/// `values` holds. Under all-0 inputs this is the power-up state every
+/// compiled engine starts from.
+pub fn settle(netlist: &Netlist, levels: &Levels, values: &mut [u64]) {
+    let gates = levels.topo_gates.iter().map(|&gid| {
+        let gate = netlist.gate(gid);
+        (gate.kind, gate.output, gate.inputs.as_slice())
+    });
+    sweep_gates(gates, values, &mut Vec::new());
+}
+
+/// The one zero-delay sweep: each gate `(kind, output, inputs)`, in
+/// topological order, sets bit `k` of its output's word to its value
+/// under bit `k` of its inputs' words. `operands` is scratch.
+pub fn sweep_gates<'a>(
+    gates: impl Iterator<Item = (GateKind, NetId, &'a [NetId])>,
+    values: &mut [u64],
+    operands: &mut Vec<u64>,
+) {
+    for (kind, output, inputs) in gates {
+        operands.clear();
+        operands.extend(inputs.iter().map(|net| values[net.index()]));
+        values[output.index()] = kind.eval_words(operands);
     }
 }
 

@@ -64,7 +64,7 @@ pub(crate) mod test_oracle;
 pub mod validate;
 
 pub use builder::{BuildError, NetlistBuilder};
-pub use gate::{GateKind, Logic3, ParseGateKindError};
+pub use gate::{settle, sweep_gates, GateKind, Logic3, ParseGateKindError};
 pub use ids::{GateId, NetId};
 pub use levelize::{levelize, LevelizeError, Levels};
 pub use levelprof::{

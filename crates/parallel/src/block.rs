@@ -58,7 +58,7 @@ use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::OnceLock;
 
-use uds_netlist::{GateKind, Levels, NetId, Netlist};
+use uds_netlist::{sweep_gates, GateKind, Levels, NetId, Netlist};
 
 use crate::bitfield::FieldLayout;
 use crate::program::{Program, Staging, WOp};
@@ -902,32 +902,6 @@ impl Settle {
             (gate.kind, gate.output, inputs)
         });
         sweep_gates(gates, values, operands);
-    }
-}
-
-/// Settles `netlist` under the input bits `values` holds, one lane per
-/// bit: the power-up state is lane 0 of the sweep under all-0 inputs.
-/// Undriven nets keep what `values` holds.
-pub(crate) fn settle(netlist: &Netlist, levels: &Levels, values: &mut [u64]) {
-    let gates = levels.topo_gates.iter().map(|&gid| {
-        let gate = netlist.gate(gid);
-        (gate.kind, gate.output, gate.inputs.as_slice())
-    });
-    sweep_gates(gates, values, &mut Vec::new());
-}
-
-/// The one zero-delay sweep: each gate `(kind, output, inputs)`, in
-/// topological order, sets bit `k` of its output's word to its value
-/// under bit `k` of its inputs' words.
-fn sweep_gates<'a>(
-    gates: impl Iterator<Item = (GateKind, NetId, &'a [NetId])>,
-    values: &mut [u64],
-    operands: &mut Vec<u64>,
-) {
-    for (kind, output, inputs) in gates {
-        operands.clear();
-        operands.extend(inputs.iter().map(|net| values[net.index()]));
-        values[output.index()] = kind.eval_words(operands);
     }
 }
 

@@ -205,6 +205,15 @@ struct Compiled<W: Word> {
     block: Option<BlockPlan>,
 }
 
+/// Fills every bit of every net's field with the net's value in
+/// `stable`: the power-up arena, and any seeded state.
+fn fill_fields<W: Word>(layouts: &[FieldLayout], arena: &mut [W], stable: &[bool]) {
+    for (layout, &value) in layouts.iter().zip(stable) {
+        let base = layout.base as usize;
+        arena[base..base + layout.words as usize].fill(W::splat(value));
+    }
+}
+
 /// The paper's 32-bit-word instantiation of [`ParallelSim`] — the
 /// default everywhere a width is not explicitly requested.
 pub type ParallelSimulator = ParallelSim<u32>;
@@ -387,20 +396,13 @@ impl<W: Word> ParallelSim<W> {
         }
 
         let _power_up_span = ProbeSpan::new(probe, "parallel.power-up");
-        // Consistent power-up state: settle under all-0 inputs and fill
-        // every bit of every field with the settled value.
+        // Consistent power-up state: the all-0 settled state, seeded
+        // into a zeroed arena as `seed_stable` seeds any other.
         let mut settled = vec![0u64; netlist.net_count()];
-        block::settle(netlist, &levels, &mut settled);
+        uds_netlist::settle(netlist, &levels, &mut settled);
         let settled_zero: Vec<bool> = settled.iter().map(|&v| v != 0).collect();
         let mut initial_arena = vec![W::ZERO; program.arena_words];
-        for net in netlist.net_ids() {
-            if settled_zero[net.index()] {
-                let layout = &layouts[net];
-                for w in 0..layout.words {
-                    initial_arena[(layout.base + w) as usize] = W::ONES;
-                }
-            }
-        }
+        fill_fields(&layouts, &mut initial_arena, &settled_zero);
 
         // Nets whose pre-vector settled value must be tracked on the
         // side to reconstruct history below their alignment: bit 0 of
@@ -563,12 +565,7 @@ impl<W: Word> ParallelSim<W> {
             self.compiled.layouts.len(),
             "seed length must match the net count"
         );
-        for (layout, &value) in self.compiled.layouts.iter().zip(stable) {
-            let fill = W::splat(value);
-            for w in 0..layout.words {
-                self.arena[(layout.base + w) as usize] = fill;
-            }
-        }
+        fill_fields(&self.compiled.layouts, &mut self.arena, stable);
         self.prev_final.copy_from_slice(stable);
     }
 

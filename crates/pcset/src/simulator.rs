@@ -292,28 +292,21 @@ impl PcSetSimulator {
         probe.gauge("pcset.gate_simulations", program.ops.len() as u64);
         probe.gauge("pcset.retention_copies", program.init.len() as u64);
 
-        // Consistent power-up state: the circuit settled under all-0
-        // inputs, broadcast to every slot of each net and all 64 streams.
+        // Consistent power-up state: the all-0 settled state, seeded
+        // into a zeroed arena as `seed_stable` seeds any other.
         let mut settled = vec![0u64; netlist.net_count()];
-        for &gid in &levels.topo_gates {
-            let gate = netlist.gate(gid);
-            let bits: Vec<u64> = gate.inputs.iter().map(|&n| settled[n]).collect();
-            settled[gate.output] = gate.kind.eval_words(&bits);
-        }
+        uds_netlist::settle(netlist, &levels, &mut settled);
+        let settled_zero: Vec<bool> = settled.iter().map(|&v| v != 0).collect();
+        let net_times: Vec<Vec<u32>> = sets.net.iter().map(|s| s.times().to_vec()).collect();
         let mut initial_arena = vec![0u64; slot_count as usize];
-        for net in netlist.net_ids() {
-            let base = net_base[net.index()] as usize;
-            for k in 0..sets.net[net].len() {
-                initial_arena[base + k] = settled[net];
-            }
-        }
+        fill_slots(&net_base, &net_times, &mut initial_arena, &settled_zero);
 
         Ok(PcSetSimulator {
             arena: initial_arena.clone(),
             input_words: Vec::with_capacity(netlist.primary_inputs().len()),
             compiled: Arc::new(Compiled {
                 initial_arena,
-                net_times: sets.net.iter().map(|s| s.times().to_vec()).collect(),
+                net_times,
                 net_base,
                 monitored: monitored.to_vec(),
                 input_count: netlist.primary_inputs().len(),
@@ -364,13 +357,12 @@ impl PcSetSimulator {
             self.compiled.net_times.len(),
             "seed length must match the net count"
         );
-        for (net, &value) in stable.iter().enumerate() {
-            let base = self.compiled.net_base[net] as usize;
-            let fill = if value { !0u64 } else { 0 };
-            for slot in &mut self.arena[base..base + self.compiled.net_times[net].len()] {
-                *slot = fill;
-            }
-        }
+        let Compiled {
+            net_base,
+            net_times,
+            ..
+        } = &*self.compiled;
+        fill_slots(net_base, net_times, &mut self.arena, stable);
     }
 
     /// Simulates one input vector (all 64 lanes carry the same bits).
@@ -565,6 +557,15 @@ impl PcSetSimulator {
 
     pub(crate) fn net_base(&self) -> &[u32] {
         &self.compiled.net_base
+    }
+}
+
+/// Fills every slot of every net with the net's value in `stable`, in
+/// all 64 lanes: the power-up arena, and any seeded state.
+fn fill_slots(net_base: &[u32], net_times: &[Vec<u32>], arena: &mut [u64], stable: &[bool]) {
+    for ((&base, times), &value) in net_base.iter().zip(net_times).zip(stable) {
+        let base = base as usize;
+        arena[base..base + times.len()].fill(if value { !0 } else { 0 });
     }
 }
 

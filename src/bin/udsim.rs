@@ -120,11 +120,11 @@ use unit_delay_sim::core::telemetry::json::Json;
 use unit_delay_sim::core::vcd::VcdRecorder;
 use unit_delay_sim::core::vectors::RandomVectors;
 use unit_delay_sim::core::{
-    chain_for, discard, install_signal_handlers, is_closed_pipe, measure_perf, open_sink,
-    record_build_info, record_perf_class, render_chrome_trace, run_loadgen, run_stream, write_text,
-    ActivityProfiler, BatchProbe, DefaultEngineFactory, Engine, FailureClass, GuardedSimulator,
-    HumanOut, LoadgenConfig, NdjsonProgress, RunControl, ServeConfig, SimError, SimServer,
-    StreamContract, Telemetry, WordWidth, MAX_JOBS,
+    chain_for, discard, install_signal_handlers, is_closed_pipe, open_sink, record_build_info,
+    render_chrome_trace, run_loadgen, run_stream, write_text, ActivityProfiler, BatchProbe,
+    DefaultEngineFactory, Engine, FailureClass, GuardedSimulator, HumanOut, LoadgenConfig,
+    NdjsonProgress, RunControl, ServeConfig, SimError, SimServer, StreamContract, Telemetry,
+    WordWidth, MAX_JOBS,
 };
 use unit_delay_sim::netlist::stats::CircuitStats;
 use unit_delay_sim::netlist::{levelize, Probe, ResourceLimits};
@@ -1292,22 +1292,9 @@ fn serve(args: &[String]) -> Result<(), CliError> {
     let local = server
         .local_addr()
         .map_err(|e| CliError::usage(format!("binding {addr}: {e}")))?;
+    // Probes and tests read the bound port from this line, so it
+    // stays the first thing serve writes to stderr.
     eprintln!("udsim: listening on http://{local}");
-    // Self-report the host's perf class before serving: calibrate the
-    // machine and warm up on a canonical netlist, then publish the
-    // result as the `uds_perf_class` gauge family and a build_info
-    // label. Early connections simply wait in the accept backlog, so
-    // `/metrics` carries the class from the first served request on.
-    // The announcement above must stay the first stderr line — probes
-    // and tests read it to learn the bound port.
-    let perf = measure_perf();
-    record_perf_class(&telemetry, &perf);
-    eprintln!(
-        "udsim: perf class {} (score {:.3}, warmup {:.0} vectors/s)",
-        perf.class.name(),
-        perf.calibration.score,
-        perf.warmup_vectors_per_s
-    );
     server
         .run()
         .map_err(|e| CliError::usage(format!("serving on {local}: {e}")))?;
@@ -1406,12 +1393,6 @@ fn loadgen(args: &[String]) -> Result<(), CliError> {
         report.latency_ns["max"] as f64 / 1e6,
     ))?;
     if let Some(server) = &report.server {
-        let class = server
-            .perf_class_name
-            .as_deref()
-            .unwrap_or("unknown")
-            .to_owned();
-        out.line(format_args!("  server perf class: {class}"))?;
         for sample in &server.engine_vectors_per_s {
             out.line(format_args!(
                 "  server {} w{}: {:.0} vectors/s (rolling)",

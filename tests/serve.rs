@@ -131,24 +131,14 @@ fn lifecycle_probes_metrics_and_errors() {
     assert_eq!(status, 200);
     assert!(metrics.contains("# TYPE uds_build_info gauge"), "{metrics}");
     assert!(metrics.contains("uds_serve_requests"), "{metrics}");
-    // The startup self-measurement: the perf-class gauge family is
-    // exported before the first request is answered, and the class
-    // label rides build_info.
-    assert!(metrics.contains("# TYPE uds_perf_class gauge"), "{metrics}");
-    let class_value = metrics
+    // The daemon measures nothing at startup: no perf-class gauge
+    // family, and build_info carries no class label.
+    assert!(!metrics.contains("uds_perf_class"), "{metrics}");
+    let build_info = metrics
         .lines()
-        .find_map(|l| l.strip_prefix("uds_perf_class "))
-        .unwrap_or_else(|| panic!("no uds_perf_class sample in {metrics}"))
-        .trim()
-        .parse::<u64>()
-        .expect("perf class is an integer code");
-    assert!(class_value <= 3, "class codes are 0..=3, got {class_value}");
-    assert!(metrics.contains("uds_perf_class_score_milli"), "{metrics}");
-    assert!(
-        metrics.contains("uds_perf_class_warmup_vectors_per_s"),
-        "{metrics}"
-    );
-    assert!(metrics.contains("perf_class=\""), "{metrics}");
+        .find(|l| l.starts_with("uds_build_info{"))
+        .unwrap_or_else(|| panic!("no uds_build_info sample in {metrics}"));
+    assert!(!build_info.contains("perf_class"), "{build_info}");
 
     assert_eq!(get(addr, "/no-such-route").0, 404);
     assert_eq!(post(addr, "/metrics", "x").0, 405);
@@ -225,24 +215,20 @@ fn cache_serves_repeats_without_recompiling() {
     assert_eq!(counters.get("cache.hits").unwrap().as_u64(), Some(1));
     // Two simulates, the /metrics scrape, and the quit itself.
     assert_eq!(counters.get("serve.requests").unwrap().as_u64(), Some(4));
-    // The startup perf self-measurement survives into the final
-    // snapshot: the gauge family plus the build_info class label.
+    // No startup perf measurement reaches the final snapshot: no
+    // perf-class gauge, and no class label beside the build labels.
     let gauges = stats_doc.get("gauges").expect("gauges");
-    let class = gauges
-        .get("perf_class")
-        .and_then(Json::as_u64)
-        .expect("perf_class gauge in stats");
-    assert!(class <= 3, "class codes are 0..=3, got {class}");
-    assert!(gauges.get("perf_class.score_milli").is_some());
-    assert!(gauges.get("perf_class.warmup_vectors_per_s").is_some());
-    let labels = stats_doc.get("labels").expect("labels");
-    let class_label = labels
-        .get("build.perf_class")
-        .and_then(Json::as_str)
-        .expect("build.perf_class label in stats");
     assert!(
-        ["degraded", "slow", "baseline", "fast"].contains(&class_label),
-        "{class_label}"
+        !gauges.render().contains("perf_class"),
+        "{}",
+        gauges.render()
+    );
+    let labels = stats_doc.get("labels").expect("labels");
+    assert!(labels.get("build.version").is_some(), "{}", labels.render());
+    assert!(
+        labels.get("build.perf_class").is_none(),
+        "{}",
+        labels.render()
     );
 
     // The request log: one schema-tagged line per request, in order.
